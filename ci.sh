@@ -111,6 +111,29 @@ COLLSEL_BENCH_SMOKE=1 RUSTFLAGS='-D warnings' \
     cargo bench --offline -p collsel-bench --bench serve
 test -f BENCH_serve.json || { echo "ci.sh: BENCH_serve.json missing" >&2; exit 1; }
 
+echo "==> model-digest gate: tune-cold at seed 42 must reproduce the pinned models"
+# The benchmark digests the model JSON of both presets. Schedules feed
+# DAGs feed samples feed fits, so a recorder (or any other) change that
+# alters a single recorded op shifts a fit and changes a digest here,
+# instead of silently moving a decision table. The pinned values are
+# what the commit before the symbolic recorder printed; re-derive them
+# from the parent commit when a change is *meant* to move the models.
+DIGEST_GROS=6cab49a5fd8e9ed8
+DIGEST_GRISOU=86a1affe9a56d600
+cargo build --offline --release --manifest-path benchmark/Cargo.toml \
+    --target-dir target/benchmark
+digest_out=$(./target/benchmark/release/collsel-benchmark \
+    --workload tune-cold --seed 42 --seconds 1 --runs 1) || {
+    echo "ci.sh: benchmark tune-cold failed" >&2; exit 1;
+}
+for want in "model_digest.gros = $DIGEST_GROS" "model_digest.grisou = $DIGEST_GRISOU"; do
+    echo "$digest_out" | grep -qF "exact $want" || {
+        echo "ci.sh: benchmark did not print '$want'" >&2
+        echo "$digest_out" | grep -F model_digest >&2
+        exit 1
+    }
+done
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -10,8 +10,9 @@
 //! repository root.
 //!
 //! One-time costs are reported separately from steady-state
-//! throughput: `record_s` (recording the schedule — a full threaded
-//! simulation — plus lowering it to the DAG) never pollutes the
+//! throughput: `record_s` (recording the schedule — a symbolic,
+//! thread-free execution of every rank's program — plus lowering it
+//! to the DAG) never pollutes the
 //! replay-rate window, and `reps_per_compile` says how many DAG
 //! evaluations one record+compile buys — the break-even batch size
 //! beyond which the compiled tier is pure profit. `host_threads`
@@ -64,9 +65,10 @@ fn bench_cell(cluster: &ClusterModel, p_requested: usize, m: usize, min_window_s
     let p = p_requested.min(cluster.max_ranks());
     let root = 0;
 
-    // One-time cost: record the schedule (a full threaded simulation)
-    // and lower it to the timing DAG. Timed apart from the replay
-    // windows so compile time never masquerades as replay throughput.
+    // One-time cost: record the schedule (symbolically, on this
+    // thread) and lower it to the timing DAG. Timed apart from the
+    // replay windows so compile time never masquerades as replay
+    // throughput.
     let record_start = Instant::now();
     let sched =
         compile_bcast(cluster, ALG, p, root, m, SEG_SIZE).expect("broadcast records cleanly");

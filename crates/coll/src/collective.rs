@@ -27,6 +27,7 @@ use crate::gather::{gather_binomial, gather_linear};
 use crate::reduce::{reduce, ReduceAlg, ReduceOp};
 use crate::scatter::{scatter_binomial, scatter_linear};
 use collsel_mpi::Comm;
+use collsel_support::payload::payload;
 use collsel_support::Bytes;
 use std::fmt;
 use std::str::FromStr;
@@ -494,12 +495,6 @@ impl collsel_support::json::JsonKey for Alg {
     }
 }
 
-/// Deterministic payload of `len` bytes (same filler as the schedule
-/// compiler: contents never affect timing, only lengths do).
-fn breadth_payload(len: usize) -> Bytes {
-    Bytes::from((0..len).map(|i| (i % 251) as u8).collect::<Vec<u8>>())
-}
-
 /// Rounds a byte count up to whole `u64` lanes (the reduction payload
 /// unit), keeping at least one lane for non-empty requests.
 fn lane_bytes(m: usize) -> usize {
@@ -534,11 +529,11 @@ pub fn run_collective<C: Comm>(ctx: &mut C, alg: Alg, root: usize, m: usize, seg
     let rank = ctx.rank();
     match alg {
         Alg::Bcast(a) => {
-            let msg = (rank == root).then(|| breadth_payload(m));
+            let msg = (rank == root).then(|| payload(m));
             let _ = bcast(ctx, a, root, msg, m, seg_size.max(1));
         }
         Alg::Reduce(a) => {
-            let contribution = breadth_payload(lane_bytes(m));
+            let contribution = payload(lane_bytes(m));
             let _ = reduce(
                 ctx,
                 a,
@@ -549,28 +544,28 @@ pub fn run_collective<C: Comm>(ctx: &mut C, alg: Alg, root: usize, m: usize, seg
             );
         }
         Alg::Allreduce(AllreduceAlg::ReduceBcast) => {
-            let contribution = breadth_payload(lane_bytes(m));
+            let contribution = payload(lane_bytes(m));
             let _ = allreduce_reduce_bcast(ctx, ReduceOp::Sum, contribution, lane_seg(seg_size));
         }
         Alg::Allreduce(AllreduceAlg::RecursiveDoubling) => {
-            let contribution = breadth_payload(lane_bytes(m));
+            let contribution = payload(lane_bytes(m));
             let _ = allreduce_recursive_doubling(ctx, ReduceOp::Sum, contribution);
         }
         Alg::Gather(GatherAlg::Linear) => {
-            let _ = gather_linear(ctx, root, breadth_payload(m));
+            let _ = gather_linear(ctx, root, payload(m));
         }
         Alg::Gather(GatherAlg::Binomial) => {
-            let _ = gather_binomial(ctx, root, breadth_payload(m));
+            let _ = gather_binomial(ctx, root, payload(m));
         }
         Alg::Scatter(a) => {
-            let blocks = (rank == root).then(|| (0..p).map(|_| breadth_payload(m)).collect());
+            let blocks = (rank == root).then(|| (0..p).map(|_| payload(m)).collect());
             let _ = match a {
                 ScatterAlg::Linear => scatter_linear(ctx, root, blocks),
                 ScatterAlg::Binomial => scatter_binomial(ctx, root, blocks),
             };
         }
         Alg::Allgather(a) => {
-            let block = breadth_payload(m);
+            let block = payload(m);
             let _ = match a {
                 AllgatherAlg::Ring => allgather_ring(ctx, block),
                 AllgatherAlg::RecursiveDoubling => allgather_recursive_doubling(ctx, block),
@@ -578,7 +573,7 @@ pub fn run_collective<C: Comm>(ctx: &mut C, alg: Alg, root: usize, m: usize, seg
             };
         }
         Alg::Alltoall(a) => {
-            let blocks: Vec<Bytes> = (0..p).map(|_| breadth_payload(m)).collect();
+            let blocks: Vec<Bytes> = (0..p).map(|_| payload(m)).collect();
             let _ = match a {
                 AlltoallAlg::Linear => alltoall_linear(ctx, blocks),
                 AlltoallAlg::Pairwise => alltoall_pairwise(ctx, blocks),

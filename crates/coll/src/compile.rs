@@ -1,13 +1,15 @@
 //! Compiling collectives to [`Schedule`]s for the event-driven backend.
 //!
-//! Each `compile_*` function runs the corresponding collective once
-//! against a recording context ([`collsel_mpi::record_schedule`]), so
-//! the schedule IR is *derived from the implementing code* — the same
-//! principle the paper applies when deriving analytical models from the
-//! implementations. The resulting [`Schedule`] replays under any seed,
-//! fault plan or watchdog deadline via
-//! [`collsel_mpi::simulate_scheduled`] with zero OS threads per run,
-//! bit-identical to the threaded backend.
+//! Each `compile_*` function runs the corresponding collective against
+//! the symbolic recording context ([`collsel_mpi::record_schedule`]:
+//! rank by rank on the calling thread, no simulation), so the schedule
+//! IR is *derived from the implementing code* — the same principle the
+//! paper applies when deriving analytical models from the
+//! implementations. The timed measurement programs record one
+//! repetition and tile it ([`Schedule::repeated`]). The resulting
+//! [`Schedule`] replays under any seed, fault plan or watchdog deadline
+//! via [`collsel_mpi::simulate_scheduled`] with zero OS threads per
+//! run, bit-identical to the threaded backend.
 //!
 //! All collectives here are compilable: their operation streams depend
 //! only on `(rank, size, payload lengths, seg_size)`, never on timing
@@ -88,15 +90,14 @@ pub fn compile_timed_bcast(
 ) -> Result<Schedule, RecordError> {
     let msg = payload(len);
     record_schedule(cluster, p, move |rc| {
-        for _ in 0..reps {
-            rc.barrier();
-            let _ = rc.wtime();
-            let m = (rc.rank() == root).then(|| msg.clone());
-            bcast(rc, alg, root, m, len, seg_size);
-            rc.barrier();
-            let _ = rc.wtime();
-        }
+        rc.barrier();
+        let _ = rc.wtime();
+        let m = (rc.rank() == root).then(|| msg.clone());
+        bcast(rc, alg, root, m, len, seg_size);
+        rc.barrier();
+        let _ = rc.wtime();
     })
+    .map(|one| one.repeated(reps))
 }
 
 /// Compiles the breadth measurement round: `reps` timed repetitions of
@@ -126,14 +127,13 @@ pub fn compile_timed_collective(
     reps: usize,
 ) -> Result<Schedule, RecordError> {
     record_schedule(cluster, p, move |rc| {
-        for _ in 0..reps {
-            rc.barrier();
-            let _ = rc.wtime();
-            crate::collective::run_collective(rc, alg, root, m, seg_size);
-            rc.barrier();
-            let _ = rc.wtime();
-        }
+        rc.barrier();
+        let _ = rc.wtime();
+        crate::collective::run_collective(rc, alg, root, m, seg_size);
+        rc.barrier();
+        let _ = rc.wtime();
     })
+    .map(|one| one.repeated(reps))
 }
 
 /// Compiles the paper's Sect. 4.2 measurement round: `reps` timed
@@ -163,15 +163,14 @@ pub fn compile_timed_bcast_gather(
     let msg = payload(m);
     let contrib = payload(m_g);
     record_schedule(cluster, p, move |rc| {
-        for _ in 0..reps {
-            rc.barrier();
-            let _ = rc.wtime();
-            let data = (rc.rank() == root).then(|| msg.clone());
-            let _ = bcast(rc, alg, root, data, m, seg_size);
-            let _ = gather_linear(rc, root, contrib.clone());
-            let _ = rc.wtime();
-        }
+        rc.barrier();
+        let _ = rc.wtime();
+        let data = (rc.rank() == root).then(|| msg.clone());
+        let _ = bcast(rc, alg, root, data, m, seg_size);
+        let _ = gather_linear(rc, root, contrib.clone());
+        let _ = rc.wtime();
     })
+    .map(|one| one.repeated(reps))
 }
 
 /// Compiles the paper's Sect. 4.1 measurement round: one `wtime`d run

@@ -35,7 +35,7 @@
 //! campaigns bit-identical at any thread count and on either execution
 //! backend.
 
-use crate::measure::{paired_samples, recording_cluster, timed_reps, ROOT};
+use crate::measure::{paired_samples, timed_reps, ROOT};
 use crate::memo::{compiled_dag, CellProgram, DagCell};
 use crate::stats::{AdaptiveAccumulator, Precision, SampleStats};
 use collsel_coll::compile::compile_timed_collective;
@@ -234,7 +234,7 @@ pub fn measure_family_cell(
             let alg_seed = seed.wrapping_add((i as u64) << 32);
             let exec = match backend {
                 Backend::Dag => compiled_dag(
-                    &recording_cluster(cluster),
+                    cluster,
                     CellProgram::Collective {
                         alg,
                         p,
@@ -251,17 +251,11 @@ pub fn measure_family_cell(
                     DagCell::TooLarge(sched) => AlgExec::Sched(sched),
                 })
                 .unwrap_or(AlgExec::Threads),
-                Backend::Events => compile_timed_collective(
-                    &recording_cluster(cluster),
-                    alg,
-                    p,
-                    ROOT,
-                    m,
-                    seg_size,
-                    precision.min_reps,
-                )
-                .map(AlgExec::Sched)
-                .unwrap_or(AlgExec::Threads),
+                Backend::Events => {
+                    compile_timed_collective(cluster, alg, p, ROOT, m, seg_size, precision.min_reps)
+                        .map(AlgExec::Sched)
+                        .unwrap_or(AlgExec::Threads)
+                }
                 Backend::Threads => AlgExec::Threads,
             };
             AlgSampler {

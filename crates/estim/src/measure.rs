@@ -49,7 +49,7 @@ use collsel_mpi::{
     record_schedule, simulate_scheduled, Backend, Comm, Ctx, DagEvaluator, RecordError, Schedule,
     ScheduledRun, SimError, SimOptions, TimingDag,
 };
-use collsel_netsim::{ClusterModel, FaultPlan, SimSpan};
+use collsel_netsim::{ClusterModel, SimSpan};
 use collsel_support::pool::Pool;
 use std::sync::Arc;
 
@@ -190,18 +190,6 @@ fn try_root_samples(
 /// Root rank used by all measurement experiments.
 pub const ROOT: usize = 0;
 
-/// The cluster a measurement schedule is recorded on: the caller's
-/// topology with fault injection stripped.
-///
-/// A compilable program's operation stream never depends on timing, so
-/// recording on the pristine topology yields the same schedule — and
-/// keeps the recording run (which is not armed with a watchdog) from
-/// being slowed or stalled by a fault plan that the *replays* handle
-/// under the retry policy's deadlines.
-pub(crate) fn recording_cluster(cluster: &ClusterModel) -> ClusterModel {
-    cluster.clone().with_faults(FaultPlan::none())
-}
-
 /// Derives the root's timing samples from a replay's clock
 /// observations: consecutive `wtime` pairs, each divided by `per` —
 /// exactly the float arithmetic the threaded closures apply to the same
@@ -318,10 +306,9 @@ fn try_dag_stats(
 }
 
 /// The shared backend dispatch of every `*_time_with` measurement: on
-/// [`Backend::Dag`], the cell's compiled timing DAG (recorded on a
-/// fault-free recording topology with `precision.min_reps` repetitions
-/// per batch, memoised process-wide under `program`) is evaluated per
-/// batch; on [`Backend::Events`], `compile` records the measurement
+/// [`Backend::Dag`], the cell's compiled timing DAG (recorded
+/// symbolically with `precision.min_reps` repetitions per batch,
+/// memoised process-wide under `program`) is evaluated per batch; on [`Backend::Events`], `compile` records the measurement
 /// program once per call and the replays feed the adaptive stopping
 /// rule; on [`Backend::Threads`] — or on a recording failure,
 /// impossible for these wildcard-free programs but the contract is
@@ -339,12 +326,7 @@ fn stats_with_backend(
 ) -> SampleStats {
     match backend {
         Backend::Dag => {
-            match compiled_dag(
-                &recording_cluster(cluster),
-                program,
-                precision.min_reps,
-                compile,
-            ) {
+            match compiled_dag(cluster, program, precision.min_reps, compile) {
                 Some(DagCell::Compiled(dag)) => {
                     return dag_stats(cluster, &dag, precision, seed, per);
                 }
@@ -357,7 +339,7 @@ fn stats_with_backend(
             }
         }
         Backend::Events => {
-            if let Ok(sched) = compile(&recording_cluster(cluster), precision.min_reps) {
+            if let Ok(sched) = compile(cluster, precision.min_reps) {
                 return events_stats(cluster, &sched, precision, seed, per);
             }
         }
@@ -383,24 +365,17 @@ fn try_stats_with_backend(
     threads: impl FnOnce() -> Result<SampleStats, SimError>,
 ) -> Result<SampleStats, SimError> {
     match backend {
-        Backend::Dag => {
-            match compiled_dag(
-                &recording_cluster(cluster),
-                program,
-                precision.min_reps,
-                compile,
-            ) {
-                Some(DagCell::Compiled(dag)) => {
-                    return try_dag_stats(cluster, &dag, precision, seed, policy, per);
-                }
-                Some(DagCell::TooLarge(sched)) => {
-                    return try_events_stats(cluster, &sched, precision, seed, policy, per);
-                }
-                None => {}
+        Backend::Dag => match compiled_dag(cluster, program, precision.min_reps, compile) {
+            Some(DagCell::Compiled(dag)) => {
+                return try_dag_stats(cluster, &dag, precision, seed, policy, per);
             }
-        }
+            Some(DagCell::TooLarge(sched)) => {
+                return try_events_stats(cluster, &sched, precision, seed, policy, per);
+            }
+            None => {}
+        },
         Backend::Events => {
-            if let Ok(sched) = compile(&recording_cluster(cluster), precision.min_reps) {
+            if let Ok(sched) = compile(cluster, precision.min_reps) {
                 return try_events_stats(cluster, &sched, precision, seed, policy, per);
             }
         }
@@ -410,27 +385,33 @@ fn try_stats_with_backend(
 }
 
 /// Records the round-trip program of [`p2p_time`]: `reps` repetitions
-/// of `barrier; wtime; ping-pong; wtime` between ranks 0 and 1.
-fn compile_timed_p2p(
+/// of `barrier; wtime; ping-pong; wtime` between ranks 0 and 1. Public
+/// so the recorder's oracle test reaches it like the other timed
+/// programs.
+///
+/// # Errors
+///
+/// [`RecordError`] if recording fails (it cannot: the program uses no
+/// wildcards and its receives are all matched).
+pub fn compile_timed_p2p(
     cluster: &ClusterModel,
     m: usize,
     reps: usize,
 ) -> Result<Schedule, RecordError> {
     let msg = payload(m);
     record_schedule(cluster, 2, move |rc| {
-        for _ in 0..reps {
-            rc.barrier();
-            let _ = rc.wtime();
-            if rc.rank() == 0 {
-                rc.send(1, 0, msg.clone());
-                let _ = rc.recv(1, 1);
-            } else {
-                let (data, _) = rc.recv(0, 0);
-                rc.send(0, 1, data);
-            }
-            let _ = rc.wtime();
+        rc.barrier();
+        let _ = rc.wtime();
+        if rc.rank() == 0 {
+            rc.send(1, 0, msg.clone());
+            let _ = rc.recv(1, 1);
+        } else {
+            let (data, _) = rc.recv(0, 0);
+            rc.send(0, 1, data);
         }
+        let _ = rc.wtime();
     })
+    .map(|one| one.repeated(reps))
 }
 
 /// Runs `reps` timed repetitions of `body` inside one simulation and

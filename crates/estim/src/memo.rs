@@ -2,12 +2,13 @@
 //! effectiveness counters campaign accounting surfaces.
 //!
 //! On the timing-DAG backend a measurement cell costs three phases:
-//! record the program (a full threaded simulation), lower the schedule
-//! to a [`TimingDag`], then evaluate repetitions. The first two are a
-//! pure function of the cell identity — the program shape
-//! ([`CellProgram`]), the repetitions per batch and the cluster's
-//! eager threshold (the only cluster property that reaches the
-//! compiled artifact; schedules themselves are cluster-independent).
+//! record the program (symbolically, on the calling thread: no rank
+//! threads, no fabric), lower the schedule to a [`TimingDag`], then
+//! evaluate repetitions. The first two are a pure function of the
+//! cell identity — the program shape ([`CellProgram`]), the
+//! repetitions per batch and the cluster's eager threshold (the only
+//! cluster property that reaches the compiled artifact; schedules
+//! themselves are cluster-independent).
 //! Tuning campaigns and `DecisionServer` refits re-measure the same
 //! grid cells across batches, retries and generations, so the DAG for
 //! each cell is compiled once here and shared (`Arc`) afterwards.
@@ -108,28 +109,28 @@ pub(crate) enum DagCell {
 /// [`DagCell::TooLarge`]; such cells are never cached (they would dwarf
 /// the cache, and the events fallback re-records per call anyway).
 ///
-/// `rec_cluster` must be the fault-free recording topology; only its
-/// eager threshold reaches the compiled artifact, so any cluster with
-/// the same threshold shares the entry.
+/// Of `cluster`, recording reads the rank capacity and lowering the
+/// eager threshold (part of the key), so a faulted cluster shares its
+/// pristine twin's entry and needs no fault-free copy.
 pub(crate) fn compiled_dag(
-    rec_cluster: &ClusterModel,
+    cluster: &ClusterModel,
     program: CellProgram,
     reps: usize,
     compile: impl FnOnce(&ClusterModel, usize) -> Result<Schedule, RecordError>,
 ) -> Option<DagCell> {
-    let key = (program, reps, rec_cluster.eager_threshold());
+    let key = (program, reps, cluster.eager_threshold());
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     if let Some(dag) = locked(cache).get(&key) {
         HITS.fetch_add(1, Ordering::Relaxed);
         return Some(DagCell::Compiled(Arc::clone(dag)));
     }
-    // Record and compile outside the lock — recording runs a full
-    // threaded simulation, far too slow to serialise globally. Two
-    // threads racing on one cell both compile the same (deterministic)
-    // DAG; the loser's insert is a no-op overwrite with an equal value.
+    // Record and compile outside the lock — recording executes every
+    // rank's program, far too slow to serialise globally. Two threads
+    // racing on one cell both compile the same (deterministic) DAG;
+    // the loser's insert is a no-op overwrite with an equal value.
     MISSES.fetch_add(1, Ordering::Relaxed);
-    let sched = compile(rec_cluster, reps).ok()?;
-    let dag = match TimingDag::compile(rec_cluster, &sched) {
+    let sched = compile(cluster, reps).ok()?;
+    let dag = match TimingDag::compile(cluster, &sched) {
         Ok(dag) => Arc::new(dag),
         Err(collsel_mpi::CompileError::TooLarge { .. }) => {
             return Some(DagCell::TooLarge(sched));
@@ -187,23 +188,23 @@ pub fn step_cell(world: usize, calls: &[GroupCall]) -> StepCell {
 /// its own map: step shapes are keyed by their full group/call
 /// geometry, not a [`CellProgram`].
 ///
-/// `rec_cluster` must be the fault-free recording topology; only its
-/// eager threshold reaches the compiled artifact. Returns `None` if
-/// recording fails.
+/// Of `cluster` only the rank capacity and the eager threshold are
+/// read, as for the measurement cells. Returns `None` if recording
+/// fails.
 pub fn compiled_step_dag(
-    rec_cluster: &ClusterModel,
+    cluster: &ClusterModel,
     cell: StepCell,
     compile: impl FnOnce(&ClusterModel) -> Result<Schedule, RecordError>,
 ) -> Option<StepDag> {
-    let key = (cell, rec_cluster.eager_threshold());
+    let key = (cell, cluster.eager_threshold());
     let cache = STEP_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     if let Some(dag) = locked(cache).get(&key) {
         HITS.fetch_add(1, Ordering::Relaxed);
         return Some(dag.clone());
     }
     MISSES.fetch_add(1, Ordering::Relaxed);
-    let sched = compile(rec_cluster).ok()?;
-    let dag = match TimingDag::compile(rec_cluster, &sched) {
+    let sched = compile(cluster).ok()?;
+    let dag = match TimingDag::compile(cluster, &sched) {
         Ok(dag) => StepDag::Compiled(Arc::new(dag)),
         Err(collsel_mpi::CompileError::TooLarge { .. }) => StepDag::TooLarge(Arc::new(sched)),
     };

@@ -30,7 +30,7 @@ use collsel::mpi::{
     simulate_pooled, simulate_scheduled, Backend, DagEvaluator, RecordError, Schedule, SimError,
     SimOptions,
 };
-use collsel::netsim::{ClusterModel, FaultPlan, SimSpan, SimTime};
+use collsel::netsim::{ClusterModel, SimSpan, SimTime};
 use collsel::select::{
     fixed_selection, CollSelection, CollectiveModelSelector, CollectiveSelector, DecisionServer,
 };
@@ -192,7 +192,6 @@ pub fn replay_trace(
     trace
         .validate()
         .unwrap_or_else(|e| panic!("invalid trace: {e}"));
-    let rec_cluster = cluster.clone().with_faults(FaultPlan::none());
     let mut lookups = 0u64;
     let mut jct = SimSpan::ZERO;
     let mut step_ns = Vec::with_capacity(trace.steps.len());
@@ -220,7 +219,7 @@ pub fn replay_trace(
                 let exec = match execs.entry(cell) {
                     std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
                     std::collections::hash_map::Entry::Vacant(e) => {
-                        let sched = compile_step(&rec_cluster, trace.world, &calls)
+                        let sched = compile_step(cluster, trace.world, &calls)
                             .map_err(record_error_to_sim)?;
                         e.insert(StepExec::Sched(Arc::new(sched)))
                     }
@@ -235,7 +234,7 @@ pub fn replay_trace(
                 let exec = match execs.entry(cell.clone()) {
                     std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
                     std::collections::hash_map::Entry::Vacant(e) => {
-                        let dag = compiled_step_dag(&rec_cluster, cell, |rec| {
+                        let dag = compiled_step_dag(cluster, cell, |rec| {
                             compile_step(rec, trace.world, &calls)
                         })
                         .ok_or_else(|| SimError::Deadlock {

@@ -5,16 +5,18 @@
 //!
 //! * [`Ctx`] — the real per-rank handle of the threaded backend; every
 //!   call talks to the engine.
-//! * [`crate::RecCtx`] — a recording wrapper that logs each operation
-//!   into a [`crate::Schedule`] while delegating to an inner `Ctx`, so
-//!   the schedule IR is *derived from the implementing code* rather
-//!   than hand-written.
+//! * [`crate::RecCtx`] — the symbolic recording context: it logs each
+//!   operation into a [`crate::Schedule`] and satisfies receives from
+//!   an untimed message board, so the schedule IR is *derived from the
+//!   implementing code* rather than hand-written, without simulating
+//!   it.
 //!
 //! The provided methods (`send`, `recv`, `sendrecv`) use exactly the
-//! decomposition of the corresponding inherent `Ctx` methods, so a
-//! program run generically through `Comm` issues the identical
-//! operation stream as one run against `Ctx` directly — the foundation
-//! of the backends' bit-identical equivalence.
+//! decomposition of the corresponding inherent `Ctx` methods, and
+//! `RecCtx` allocates request ids exactly as `Ctx` does, so a program
+//! run generically through `Comm` issues the identical operation
+//! stream on either — the foundation of the backends' bit-identical
+//! equivalence.
 
 use crate::ctx::{Ctx, RecvRequest, SendRequest};
 use crate::msg::{Peer, RecvStatus, Tag, TagSel};

@@ -27,6 +27,14 @@ pub struct SendRequest {
     pub(crate) id: ReqId,
 }
 
+impl SendRequest {
+    /// The rank-local id of this request: sends and receives share one
+    /// counter per rank, from zero, in issue order.
+    pub fn id(&self) -> u32 {
+        self.id
+    }
+}
+
 /// Handle to an in-flight non-blocking receive.
 ///
 /// Must be completed with [`Ctx::wait_recv`], [`Ctx::wait_all_recvs`] or
@@ -35,6 +43,13 @@ pub struct SendRequest {
 #[must_use = "a receive request must be waited on"]
 pub struct RecvRequest {
     pub(crate) id: ReqId,
+}
+
+impl RecvRequest {
+    /// The rank-local id of this request (see [`SendRequest::id`]).
+    pub fn id(&self) -> u32 {
+        self.id
+    }
 }
 
 /// The per-rank communication context handed to the user function by

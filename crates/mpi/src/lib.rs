@@ -18,7 +18,9 @@
 //! general-purpose oracle), the event-driven replay path
 //! ([`record_schedule`] + [`simulate_scheduled`]), which compiles a
 //! program written against the [`Comm`] trait into a [`Schedule`] once
-//! and then replays it with zero OS threads per run, and the timing-DAG
+//! — symbolically, on the calling thread, with no rank threads, engine
+//! or fabric — and then replays it with zero OS threads per run, and
+//! the timing-DAG
 //! tier ([`TimingDag`] + [`simulate_dag`]/[`DagEvaluator`]), which
 //! additionally resolves send/recv matching at compile time and
 //! replays with zero allocation and zero payload traffic — the
@@ -68,6 +70,6 @@ pub use engine_ev::{simulate_scheduled, Backend, ScheduledRun};
 pub use error::SimError;
 pub use group::{GroupComm, GROUP_TAG_STRIDE};
 pub use msg::{Peer, RecvStatus, Tag, TagSel};
-pub use schedule::{record_schedule, RecCtx, RecordError, Schedule};
+pub use schedule::{record_schedule, OpShape, RecCtx, RecordError, Schedule};
 pub use sim::{simulate, simulate_traced, simulate_with, RunReport, SimOptions, SimOutcome};
 pub use team::simulate_pooled;

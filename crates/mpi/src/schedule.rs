@@ -1,11 +1,12 @@
 //! The schedule IR: a collective algorithm compiled to explicit
 //! per-rank operation sequences.
 //!
-//! A [`Schedule`] is recorded by running the implementing code once
-//! against a [`RecCtx`] (see [`record_schedule`]) and can then be
-//! replayed any number of times by the event-driven backend
-//! ([`crate::simulate_scheduled`]) without OS threads, locks or
-//! condvars in the loop.
+//! A [`Schedule`] is recorded by running the implementing code against
+//! a symbolic recording context ([`RecCtx`], see [`record_schedule`])
+//! and can then be replayed any number of times by the event-driven
+//! backend ([`crate::simulate_scheduled`]) or lowered to a
+//! [`crate::TimingDag`], without OS threads, locks or condvars in the
+//! loop.
 //!
 //! # Validity
 //!
@@ -18,15 +19,40 @@
 //! ([`Peer::Any`] / [`TagSel::Any`]) or `wait_any_recv` are rejected at
 //! recording time with [`RecordError::Unsupported`], because their
 //! replay could diverge from a live run under a different seed.
+//!
+//! # Recording is symbolic
+//!
+//! The recorder exploits that contract instead of merely assuming it:
+//! no rank threads, no timing engine, no fabric. Each rank's closure
+//! runs on the calling thread against an untimed message board that
+//! knows only which sends have been posted on each `(src, dst, tag)`
+//! channel and how long they are. Consequently
+//!
+//! * the closure **may run more than once** per rank (a rank that
+//!   waits on a receive whose send is not posted yet is unwound and
+//!   re-executed from the top once other ranks have run), so it must be
+//!   idempotent — a re-execution that issues a different operation
+//!   stream is rejected as non-deterministic;
+//! * received payloads are **synthetic**: a receive of `len` bytes
+//!   returns [`collsel_support::payload::payload`]`(len)`, not what the
+//!   sender passed (lengths, sources and tags are exact);
+//! * `wtime` reads [`SimTime::ZERO`], and `barrier`, `compute` and
+//!   send completion never block, so a program that can only deadlock
+//!   through timing — a rendezvous send nobody receives, a barrier
+//!   crossed with a receive — records fine and reports
+//!   [`SimError::Deadlock`] when the schedule is first evaluated.
 
 use crate::comm::Comm;
-use crate::ctx::{Ctx, RecvRequest, SendRequest};
+use crate::ctx::{RecvRequest, SendRequest};
 use crate::error::SimError;
 use crate::msg::{Peer, RecvStatus, Tag, TagSel};
 use crate::proto::{ReqId, WaitMode};
-use crate::sim::simulate;
+use crate::sim::{check_ranks, panic_message};
 use collsel_netsim::{ClusterModel, SimSpan, SimTime};
+use collsel_support::payload::payload;
 use collsel_support::Bytes;
+use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// One recorded operation of a rank's program.
 #[derive(Debug, Clone)]
@@ -48,6 +74,108 @@ pub(crate) enum SchedOp {
     Barrier,
     /// Clock read: `BlockOp::Wtime` on replay; the observed time is
     /// collected into [`crate::ScheduledRun::wtimes`].
+    Wtime,
+}
+
+impl SchedOp {
+    fn shape(&self) -> OpShape {
+        match self {
+            SchedOp::Isend {
+                req,
+                dst,
+                tag,
+                payload,
+            } => OpShape::Isend {
+                req: *req,
+                dst: *dst,
+                tag: *tag,
+                len: payload.len(),
+            },
+            SchedOp::Irecv { req, src, tag } => OpShape::Irecv {
+                req: *req,
+                src: *src,
+                tag: *tag,
+            },
+            SchedOp::Compute { span } => OpShape::Compute { span: *span },
+            SchedOp::Wait { reqs, mode } => OpShape::Wait {
+                reqs: reqs.clone(),
+                any: *mode == WaitMode::Any,
+            },
+            SchedOp::Barrier => OpShape::Barrier,
+            SchedOp::Wtime => OpShape::Wtime,
+        }
+    }
+
+    /// The same operation with every request id moved up by `by`.
+    fn shifted(&self, by: ReqId) -> SchedOp {
+        match self {
+            SchedOp::Isend {
+                req,
+                dst,
+                tag,
+                payload,
+            } => SchedOp::Isend {
+                req: req + by,
+                dst: *dst,
+                tag: *tag,
+                payload: payload.clone(),
+            },
+            SchedOp::Irecv { req, src, tag } => SchedOp::Irecv {
+                req: req + by,
+                src: *src,
+                tag: *tag,
+            },
+            SchedOp::Wait { reqs, mode } => SchedOp::Wait {
+                reqs: reqs.iter().map(|r| r + by).collect(),
+                mode: *mode,
+            },
+            other => other.clone(),
+        }
+    }
+}
+
+/// The structure of one recorded operation — everything a replay's
+/// timing can depend on, with the payload reduced to its length.
+///
+/// [`Schedule::shape`] exposes a schedule in this form so tests and
+/// tools can compare recordings without reaching into the IR.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum OpShape {
+    /// A non-blocking send of `len` bytes.
+    Isend {
+        /// Rank-local request id.
+        req: u32,
+        /// Destination rank.
+        dst: usize,
+        /// Message tag.
+        tag: Tag,
+        /// Payload length in bytes.
+        len: usize,
+    },
+    /// A non-blocking receive.
+    Irecv {
+        /// Rank-local request id.
+        req: u32,
+        /// Source selector.
+        src: Peer,
+        /// Tag selector.
+        tag: TagSel,
+    },
+    /// Local computation.
+    Compute {
+        /// Virtual time charged.
+        span: SimSpan,
+    },
+    /// A blocking wait on a request set.
+    Wait {
+        /// The waited request ids, in call order.
+        reqs: Vec<u32>,
+        /// `true` for wait-any, `false` for wait-all.
+        any: bool,
+    },
+    /// The runtime's ideal barrier.
+    Barrier,
+    /// A clock read.
     Wtime,
 }
 
@@ -73,6 +201,39 @@ impl Schedule {
     pub fn total_ops(&self) -> usize {
         self.ops.iter().map(Vec::len).sum()
     }
+
+    /// Per rank, the recorded operations as [`OpShape`]s.
+    pub fn shape(&self) -> Vec<Vec<OpShape>> {
+        self.ops
+            .iter()
+            .map(|ops| ops.iter().map(SchedOp::shape).collect())
+            .collect()
+    }
+
+    /// The schedule of this program run `reps` times back to back:
+    /// each rank's operations tiled `reps` times, with the request ids
+    /// of repetition `i` moved up by `i ×` the rank's requests per
+    /// repetition — exactly what recording the `reps`-fold loop yields,
+    /// since request ids are allocated in issue order and a valid
+    /// program issues the same stream every time.
+    #[must_use]
+    pub fn repeated(&self, reps: usize) -> Schedule {
+        let tile = |ops: &Vec<SchedOp>| {
+            let per_rep = ops
+                .iter()
+                .filter(|op| matches!(op, SchedOp::Isend { .. } | SchedOp::Irecv { .. }))
+                .count();
+            let mut out = Vec::with_capacity(ops.len() * reps);
+            for rep in 0..reps {
+                let by = ReqId::try_from(rep * per_rep).expect("request ids fit in 32 bits");
+                out.extend(ops.iter().map(|op| op.shifted(by)));
+            }
+            out
+        };
+        Schedule {
+            ops: self.ops.iter().map(tile).collect(),
+        }
+    }
 }
 
 /// Why a program could not be compiled to a [`Schedule`].
@@ -80,9 +241,10 @@ impl Schedule {
 #[non_exhaustive]
 pub enum RecordError {
     /// The program used a construct whose replay could diverge from a
-    /// live run (receive wildcards, `wait_any_recv`).
+    /// live run (receive wildcards, `wait_any_recv`, an operation
+    /// stream that changed between two executions of one rank).
     Unsupported {
-        /// First rank that used the construct.
+        /// First rank found using the construct.
         rank: usize,
         /// Which construct it was.
         what: String,
@@ -104,157 +266,264 @@ impl std::fmt::Display for RecordError {
 
 impl std::error::Error for RecordError {}
 
-/// A [`Comm`] implementor that records every operation into a
-/// [`Schedule`] while delegating to a live [`Ctx`], so the recording
-/// run is itself a complete, correct simulation.
+/// One `(src, dst, tag)` channel of the message board. Messages on a
+/// channel are non-overtaking and wildcards are rejected, so the k-th
+/// receive posted on it matches the k-th send — the same one-shot
+/// matching the timing DAG resolves at compile time.
 #[derive(Debug)]
-pub struct RecCtx<'a> {
-    inner: &'a mut Ctx,
-    ops: Vec<SchedOp>,
-    unsupported: Option<String>,
+struct Channel {
+    src: usize,
+    tag: Tag,
+    /// Lengths of the sends posted so far, in the sender's issue order.
+    sent: Vec<usize>,
+    /// Receives posted so far (the next receive's sequence number).
+    recvs: usize,
 }
 
-impl<'a> RecCtx<'a> {
-    fn new(inner: &'a mut Ctx) -> Self {
-        RecCtx {
-            inner,
-            ops: Vec::new(),
-            unsupported: None,
-        }
+/// The untimed message board the ranks of one recording share: which
+/// sends exist, and nothing else — no clocks, no bytes.
+#[derive(Debug, Default)]
+struct Board {
+    index: HashMap<(usize, usize, Tag), usize>,
+    channels: Vec<Channel>,
+    /// Total sends posted; a sweep that does not raise it made no
+    /// progress.
+    posted: usize,
+}
+
+impl Board {
+    fn channel(&mut self, src: usize, dst: usize, tag: Tag) -> usize {
+        *self.index.entry((src, dst, tag)).or_insert_with(|| {
+            self.channels.push(Channel {
+                src,
+                tag,
+                sent: Vec::new(),
+                recvs: 0,
+            });
+            self.channels.len() - 1
+        })
+    }
+}
+
+/// What one rank has recorded so far. It outlives the rank's
+/// individual executions: a re-execution walks the same log from the
+/// top, checking its operations against the recorded prefix and
+/// appending past it.
+#[derive(Debug, Default)]
+struct RankLog {
+    ops: Vec<SchedOp>,
+    /// Indexed by request id: the `(channel, sequence number)` of the
+    /// message a receive request matches; `None` for send requests.
+    matched: Vec<Option<(usize, usize)>>,
+}
+
+/// Why an execution of a rank's closure was cut short: the payload
+/// [`RecCtx`] unwinds the closure with. It is raised with
+/// `resume_unwind`, so the panic hook never sees it.
+#[derive(Debug)]
+enum Stop {
+    /// Waiting on message `seq` of `channel`, which is not posted yet.
+    Blocked { channel: usize, seq: usize },
+    /// The program cannot be compiled to a schedule at all.
+    Unsupported(&'static str),
+}
+
+/// [`RecordError::Unsupported::what`] of a rank whose executions disagree.
+const NON_DETERMINISTIC: &str = "a non-deterministic op stream";
+
+fn unwind(stop: Stop) -> ! {
+    resume_unwind(Box::new(stop))
+}
+
+/// The symbolic recording context: a [`Comm`] that logs every
+/// operation into a [`Schedule`] and satisfies receives from an untimed
+/// message board (see [`record_schedule`] for what that means for the
+/// recorded program).
+#[derive(Debug)]
+pub struct RecCtx<'a> {
+    rank: usize,
+    size: usize,
+    board: &'a mut Board,
+    log: &'a mut RankLog,
+    /// Operations issued so far by this execution.
+    cursor: usize,
+    /// Allocated exactly as [`crate::Ctx`] does: one id per
+    /// `isend`/`irecv`, in issue order, from zero.
+    next_req: ReqId,
+}
+
+impl RecCtx<'_> {
+    /// Logs `op`. Returns whether it is new, i.e. past what earlier
+    /// executions of this rank recorded; an operation inside the
+    /// recorded prefix must equal the one it repeats.
+    fn record(&mut self, op: SchedOp) -> bool {
+        let fresh = match self.log.ops.get(self.cursor) {
+            Some(prev) if prev.shape() == op.shape() => false,
+            Some(_) => unwind(Stop::Unsupported(NON_DETERMINISTIC)),
+            None => {
+                self.log.ops.push(op);
+                true
+            }
+        };
+        self.cursor += 1;
+        fresh
     }
 
-    fn mark_unsupported(&mut self, what: &str) {
-        if self.unsupported.is_none() {
-            self.unsupported = Some(what.to_owned());
-        }
+    fn alloc_req(&mut self) -> ReqId {
+        let id = self.next_req;
+        self.next_req += 1;
+        id
     }
 
-    fn finish(self) -> (Vec<SchedOp>, Option<String>) {
-        (self.ops, self.unsupported)
+    fn record_wait(&mut self, reqs: Vec<ReqId>) {
+        self.record(SchedOp::Wait {
+            reqs,
+            mode: WaitMode::All,
+        });
+    }
+
+    /// Completes a receive from the board, or unwinds this execution
+    /// if the matching send is not posted yet.
+    fn complete_recv(&mut self, req: ReqId) -> (Bytes, RecvStatus) {
+        let (channel, seq) =
+            self.log.matched[req as usize].expect("a receive request names a receive");
+        let ch = &self.board.channels[channel];
+        match ch.sent.get(seq) {
+            Some(&len) => (
+                payload(len),
+                RecvStatus {
+                    source: ch.src,
+                    tag: ch.tag,
+                    len,
+                },
+            ),
+            None => unwind(Stop::Blocked { channel, seq }),
+        }
     }
 }
 
 impl Comm for RecCtx<'_> {
     fn rank(&self) -> usize {
-        self.inner.rank()
+        self.rank
     }
 
     fn size(&self) -> usize {
-        self.inner.size()
+        self.size
     }
 
     fn isend(&mut self, dst: usize, tag: Tag, payload: Bytes) -> SendRequest {
-        let req = self.inner.isend(dst, tag, payload.clone());
-        self.ops.push(SchedOp::Isend {
-            req: req.id,
+        assert!(dst < self.size, "isend to rank {dst} of {}", self.size);
+        let req = self.alloc_req();
+        let len = payload.len();
+        if self.record(SchedOp::Isend {
+            req,
             dst,
             tag,
             payload,
-        });
-        req
+        }) {
+            let channel = self.board.channel(self.rank, dst, tag);
+            self.board.channels[channel].sent.push(len);
+            self.board.posted += 1;
+            self.log.matched.push(None);
+        }
+        SendRequest { id: req }
     }
 
     fn irecv(&mut self, src: impl Into<Peer>, tag: impl Into<TagSel>) -> RecvRequest {
         let src = src.into();
         let tag = tag.into();
-        if matches!(src, Peer::Any) {
-            self.mark_unsupported("a receive-source wildcard (Peer::Any)");
+        let Peer::Rank(from) = src else {
+            unwind(Stop::Unsupported("a receive-source wildcard (Peer::Any)"));
+        };
+        let TagSel::Exact(exact) = tag else {
+            unwind(Stop::Unsupported("a receive-tag wildcard (TagSel::Any)"));
+        };
+        assert!(from < self.size, "irecv from rank {from} of {}", self.size);
+        let req = self.alloc_req();
+        if self.record(SchedOp::Irecv { req, src, tag }) {
+            let channel = self.board.channel(from, self.rank, exact);
+            let ch = &mut self.board.channels[channel];
+            self.log.matched.push(Some((channel, ch.recvs)));
+            ch.recvs += 1;
         }
-        if matches!(tag, TagSel::Any) {
-            self.mark_unsupported("a receive-tag wildcard (TagSel::Any)");
-        }
-        let req = self.inner.irecv(src, tag);
-        self.ops.push(SchedOp::Irecv {
-            req: req.id,
-            src,
-            tag,
-        });
-        req
+        RecvRequest { id: req }
     }
 
     fn wait_send(&mut self, req: SendRequest) {
-        self.ops.push(SchedOp::Wait {
-            reqs: vec![req.id],
-            mode: WaitMode::All,
-        });
-        self.inner.wait_send(req);
+        self.record_wait(vec![req.id]);
     }
 
     fn wait_recv(&mut self, req: RecvRequest) -> (Bytes, RecvStatus) {
-        self.ops.push(SchedOp::Wait {
-            reqs: vec![req.id],
-            mode: WaitMode::All,
-        });
-        self.inner.wait_recv(req)
+        self.record_wait(vec![req.id]);
+        self.complete_recv(req.id)
     }
 
     fn wait_all_sends(&mut self, reqs: Vec<SendRequest>) {
         // An empty waitall is a no-op in `Ctx` (no engine round-trip),
         // so it must record nothing.
-        if reqs.is_empty() {
-            return;
+        if !reqs.is_empty() {
+            self.record_wait(reqs.iter().map(|r| r.id).collect());
         }
-        self.ops.push(SchedOp::Wait {
-            reqs: reqs.iter().map(|r| r.id).collect(),
-            mode: WaitMode::All,
-        });
-        self.inner.wait_all_sends(reqs);
     }
 
     fn wait_all_recvs(&mut self, reqs: Vec<RecvRequest>) -> Vec<(Bytes, RecvStatus)> {
         if reqs.is_empty() {
             return Vec::new();
         }
-        self.ops.push(SchedOp::Wait {
-            reqs: reqs.iter().map(|r| r.id).collect(),
-            mode: WaitMode::All,
-        });
-        self.inner.wait_all_recvs(reqs)
+        self.record_wait(reqs.iter().map(|r| r.id).collect());
+        reqs.iter().map(|r| self.complete_recv(r.id)).collect()
     }
 
     fn wait_any_recv(
         &mut self,
-        reqs: Vec<RecvRequest>,
+        _reqs: Vec<RecvRequest>,
     ) -> (usize, Bytes, RecvStatus, Vec<RecvRequest>) {
         // Which request wins depends on timing, so subsequent ops could
         // diverge between recording and replay.
-        self.mark_unsupported("wait_any_recv");
-        self.ops.push(SchedOp::Wait {
-            reqs: reqs.iter().map(|r| r.id).collect(),
-            mode: WaitMode::Any,
-        });
-        self.inner.wait_any_recv(reqs)
+        unwind(Stop::Unsupported("wait_any_recv"));
     }
 
     fn barrier(&mut self) {
-        self.ops.push(SchedOp::Barrier);
-        self.inner.barrier();
+        self.record(SchedOp::Barrier);
     }
 
     fn wtime(&mut self) -> SimTime {
-        self.ops.push(SchedOp::Wtime);
-        self.inner.wtime()
+        self.record(SchedOp::Wtime);
+        SimTime::ZERO
     }
 
     fn compute(&mut self, span: SimSpan) {
-        self.ops.push(SchedOp::Compute { span });
-        self.inner.compute(span);
+        self.record(SchedOp::Compute { span });
     }
 }
 
-/// Compiles an SPMD program into a [`Schedule`] by running it once on
-/// the threaded backend with a recording context.
+/// Compiles an SPMD program into a [`Schedule`] by executing it
+/// symbolically, rank by rank, on the calling thread: no rank threads,
+/// no timing engine, no fabric.
 ///
-/// The recording run uses seed 0 and no watchdog; since a valid
-/// program's operation stream is timing-independent (see the
-/// [module docs](self)), the seed does not matter, and replays under
-/// any seed, fault plan or deadline then happen without rank threads.
+/// Ranks run in ascending order against a shared message board. A rank
+/// that waits on a receive whose matching send is not posted yet is
+/// unwound and run again from the top in the next sweep over the
+/// unfinished ranks; sweeps repeat until every rank has finished. `f`
+/// therefore runs at least once per rank and possibly several times,
+/// and must issue the same operations every time. A receive returns
+/// synthetic contents of the matched send's exact length (with the
+/// exact source and tag), `wtime` reads [`SimTime::ZERO`], and
+/// `barrier`, `compute` and send completion never block — a deadlock
+/// that exists only in time (a rendezvous send nobody receives)
+/// surfaces when the schedule is first evaluated. Of `cluster` only
+/// the rank capacity is read: schedules are cluster-independent.
 ///
 /// # Errors
 ///
 /// [`RecordError::Unsupported`] if the program used receive wildcards
-/// or `wait_any_recv`; [`RecordError::Sim`] if the recording run
-/// itself failed (panic, deadlock).
+/// or `wait_any_recv`, or if a re-execution issued a different
+/// operation than the execution before it.
+/// [`RecordError::Sim`] with [`SimError::RankPanic`] if `f` panicked,
+/// and with [`SimError::Deadlock`] if a whole sweep posted no new send
+/// while ranks were still waiting (a receive cycle, or a receive with
+/// no send at all), or if the ranks crossed different numbers of
+/// barriers.
 ///
 /// # Panics
 ///
@@ -267,18 +536,317 @@ pub fn record_schedule<F>(
 where
     F: Fn(&mut RecCtx<'_>) + Sync,
 {
-    let out = simulate(cluster, ranks, 0, |ctx| {
-        let mut rc = RecCtx::new(ctx);
-        f(&mut rc);
-        rc.finish()
-    })
-    .map_err(RecordError::Sim)?;
-    let mut ops = Vec::with_capacity(ranks);
-    for (rank, (rank_ops, unsupported)) in out.results.into_iter().enumerate() {
-        if let Some(what) = unsupported {
-            return Err(RecordError::Unsupported { rank, what });
+    check_ranks(cluster, ranks);
+    let mut board = Board::default();
+    let mut logs: Vec<RankLog> = (0..ranks).map(|_| RankLog::default()).collect();
+    let mut unfinished: Vec<usize> = (0..ranks).collect();
+    while !unfinished.is_empty() {
+        let posted_before = board.posted;
+        // `(rank, channel, seq)` of every rank this sweep leaves waiting.
+        let mut stuck = Vec::new();
+        for &rank in &unfinished {
+            let mut rc = RecCtx {
+                rank,
+                size: ranks,
+                board: &mut board,
+                log: &mut logs[rank],
+                cursor: 0,
+                next_req: 0,
+            };
+            let run = catch_unwind(AssertUnwindSafe(|| f(&mut rc)));
+            let cursor = rc.cursor;
+            let unsupported = |what: &str| RecordError::Unsupported {
+                rank,
+                what: what.to_owned(),
+            };
+            match run.map_err(|panic| panic.downcast::<Stop>()) {
+                Ok(()) if cursor == logs[rank].ops.len() => {}
+                // Shorter than the execution before it.
+                Ok(()) => return Err(unsupported(NON_DETERMINISTIC)),
+                Err(Ok(stop)) => match *stop {
+                    Stop::Blocked { channel, seq } => stuck.push((rank, channel, seq)),
+                    Stop::Unsupported(what) => return Err(unsupported(what)),
+                },
+                Err(Err(panic)) => {
+                    return Err(RecordError::Sim(SimError::RankPanic {
+                        rank,
+                        message: panic_message(panic.as_ref()),
+                    }))
+                }
+            }
         }
-        ops.push(rank_ops);
+        // Every rank left waiting stopped at a message that was not on
+        // the board when it ran. If the board is what it was when the
+        // sweep began, they would all stop there again.
+        if board.posted == posted_before && !stuck.is_empty() {
+            let detail = stuck
+                .iter()
+                .map(|&(rank, channel, seq)| {
+                    let ch = &board.channels[channel];
+                    format!(
+                        "rank {rank}: blocked on receive #{seq} from rank {} tag {} ({} sent)",
+                        ch.src,
+                        ch.tag,
+                        ch.sent.len()
+                    )
+                })
+                .collect::<Vec<_>>()
+                .join("; ");
+            return Err(RecordError::Sim(SimError::Deadlock { detail }));
+        }
+        unfinished = stuck.into_iter().map(|(rank, ..)| rank).collect();
     }
-    Ok(Schedule { ops })
+    let barriers: Vec<usize> = logs
+        .iter()
+        .map(|log| {
+            log.ops
+                .iter()
+                .filter(|op| matches!(op, SchedOp::Barrier))
+                .count()
+        })
+        .collect();
+    if let Some(rank) = (1..ranks).find(|&r| barriers[r] != barriers[0]) {
+        return Err(RecordError::Sim(SimError::Deadlock {
+            detail: format!(
+                "rank 0 crosses {} barriers, rank {rank} crosses {}",
+                barriers[0], barriers[rank]
+            ),
+        }));
+    }
+    Ok(Schedule {
+        ops: logs.into_iter().map(|log| log.ops).collect(),
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicU32, Ordering};
+
+    fn one_byte() -> Bytes {
+        Bytes::from_static(b"x")
+    }
+
+    fn record_err(ranks: usize, f: impl Fn(&mut RecCtx<'_>) + Sync) -> RecordError {
+        record_schedule(&ClusterModel::gros(), ranks, f).expect_err("recording must fail")
+    }
+
+    #[test]
+    fn receive_cycle_is_a_deadlock_naming_ranks_and_channels() {
+        let err = record_err(2, |rc| {
+            let peer = 1 - rc.rank();
+            let _ = rc.recv(peer, 7);
+            rc.send(peer, 7, one_byte());
+        });
+        let RecordError::Sim(SimError::Deadlock { detail }) = err else {
+            panic!("expected Deadlock, got {err:?}");
+        };
+        assert_eq!(
+            detail,
+            "rank 0: blocked on receive #0 from rank 1 tag 7 (0 sent); \
+             rank 1: blocked on receive #0 from rank 0 tag 7 (0 sent)"
+        );
+    }
+
+    #[test]
+    fn receive_without_a_send_is_a_deadlock_after_the_others_finish() {
+        let err = record_err(3, |rc| {
+            if rc.rank() == 2 {
+                let _ = rc.recv(0, 0);
+                // Second message on the channel: never sent.
+                let _ = rc.recv(0, 0);
+            } else if rc.rank() == 0 {
+                rc.send(2, 0, one_byte());
+            }
+        });
+        let RecordError::Sim(SimError::Deadlock { detail }) = err else {
+            panic!("expected Deadlock, got {err:?}");
+        };
+        assert_eq!(
+            detail,
+            "rank 2: blocked on receive #1 from rank 0 tag 0 (1 sent)"
+        );
+    }
+
+    #[test]
+    fn closure_panic_is_a_rank_panic_with_the_original_message() {
+        let err = record_err(4, |rc| {
+            if rc.rank() == 2 {
+                panic!("boom on {}", rc.rank());
+            }
+        });
+        assert_eq!(
+            err,
+            RecordError::Sim(SimError::RankPanic {
+                rank: 2,
+                message: "boom on 2".to_owned(),
+            })
+        );
+        // Argument checks panic as `Ctx`'s do.
+        let err = record_err(2, |rc| rc.send(2, 0, one_byte()));
+        assert_eq!(
+            err,
+            RecordError::Sim(SimError::RankPanic {
+                rank: 0,
+                message: "isend to rank 2 of 2".to_owned(),
+            })
+        );
+    }
+
+    #[test]
+    fn tag_wildcard_and_wait_any_are_unsupported() {
+        let err = record_err(2, |rc| {
+            if rc.rank() == 0 {
+                rc.send(1, 0, one_byte());
+            } else {
+                let _ = rc.recv(0, TagSel::Any);
+            }
+        });
+        let RecordError::Unsupported { rank: 1, what } = err else {
+            panic!("expected Unsupported on rank 1, got {err:?}");
+        };
+        assert!(what.contains("TagSel::Any"), "got: {what}");
+
+        let err = record_err(2, |rc| {
+            if rc.rank() == 0 {
+                rc.send(1, 0, one_byte());
+            } else {
+                let r = rc.irecv(0, 0);
+                let _ = rc.wait_any_recv(vec![r]);
+            }
+        });
+        let RecordError::Unsupported { rank: 1, what } = err else {
+            panic!("expected Unsupported on rank 1, got {err:?}");
+        };
+        assert_eq!(what, "wait_any_recv");
+    }
+
+    #[test]
+    fn differing_barrier_counts_are_a_deadlock() {
+        let err = record_err(3, |rc| {
+            rc.barrier();
+            if rc.rank() != 2 {
+                rc.barrier();
+            }
+        });
+        let RecordError::Sim(SimError::Deadlock { detail }) = err else {
+            panic!("expected Deadlock, got {err:?}");
+        };
+        assert_eq!(detail, "rank 0 crosses 2 barriers, rank 2 crosses 1");
+    }
+
+    #[test]
+    fn a_re_execution_that_changes_an_operation_is_unsupported() {
+        // Rank 0 runs twice (its receive waits for rank 1, which has
+        // not run in the first sweep); the second time the tag, the
+        // length or the op count differs from what was recorded.
+        let changed = |second: fn(&mut RecCtx<'_>)| {
+            let runs = AtomicU32::new(0);
+            record_err(2, |rc| {
+                if rc.rank() == 1 {
+                    rc.send(0, 9, one_byte());
+                } else if runs.fetch_add(1, Ordering::Relaxed) == 0 {
+                    let s = rc.isend(1, 0, one_byte());
+                    let _ = rc.recv(1, 9);
+                    rc.wait_send(s);
+                } else {
+                    second(rc);
+                }
+            })
+        };
+        for err in [
+            changed(|rc| {
+                let s = rc.isend(1, 1, one_byte());
+                let _ = rc.recv(1, 9);
+                rc.wait_send(s);
+            }),
+            changed(|rc| {
+                let s = rc.isend(1, 0, Bytes::from_static(b"xy"));
+                let _ = rc.recv(1, 9);
+                rc.wait_send(s);
+            }),
+            changed(|rc| {
+                let s = rc.isend(1, 0, one_byte());
+                rc.wait_send(s);
+            }),
+            changed(|rc| {
+                let _ = rc.isend(1, 0, one_byte());
+            }),
+        ] {
+            let RecordError::Unsupported { rank: 0, what } = err else {
+                panic!("expected Unsupported on rank 0, got {err:?}");
+            };
+            assert!(what.contains("non-deterministic op stream"), "got: {what}");
+        }
+    }
+
+    #[test]
+    fn receives_are_synthetic_but_sized_sourced_and_tagged_exactly() {
+        let sched = record_schedule(&ClusterModel::gros(), 2, |rc| {
+            if rc.rank() == 0 {
+                rc.send(1, 3, Bytes::from(vec![0xAB; 300]));
+                rc.send(1, 3, Bytes::from(vec![0xCD; 5]));
+            } else {
+                let a = rc.irecv(0, 3);
+                let b = rc.irecv(0, 3);
+                // Waited out of order: matching is by posting order.
+                let (data_b, status_b) = rc.wait_recv(b);
+                let (data_a, status_a) = rc.wait_recv(a);
+                assert_eq!(data_a, payload(300));
+                assert_eq!(data_b, payload(5));
+                let status = |len| RecvStatus {
+                    source: 0,
+                    tag: 3,
+                    len,
+                };
+                assert_eq!((status_a, status_b), (status(300), status(5)));
+                assert_eq!(rc.wtime(), SimTime::ZERO);
+            }
+        })
+        .expect("records");
+        assert_eq!(sched.ranks(), 2);
+        assert_eq!(sched.total_ops(), 4 + 5);
+    }
+
+    #[test]
+    fn repeated_tiles_ops_and_shifts_request_ids() {
+        let body = |rc: &mut RecCtx<'_>| {
+            let peer = 1 - rc.rank();
+            rc.barrier();
+            let r = rc.irecv(peer, 0);
+            let s = rc.isend(peer, 0, one_byte());
+            rc.compute(SimSpan::from_nanos(5));
+            rc.wait_send(s);
+            let _ = rc.wait_all_recvs(vec![r]);
+            let _ = rc.wtime();
+        };
+        let cluster = ClusterModel::gros();
+        let one = record_schedule(&cluster, 2, body).expect("records");
+        assert_eq!(one.repeated(1).shape(), one.shape());
+        assert_eq!(one.repeated(0).ranks(), 2);
+        assert_eq!(one.repeated(0).total_ops(), 0);
+        for k in [2, 3, 5] {
+            let looped =
+                record_schedule(&cluster, 2, |rc| (0..k).for_each(|_| body(rc))).expect("records");
+            assert_eq!(one.repeated(k).shape(), looped.shape(), "{k} repetitions");
+        }
+        let twice = one.repeated(2).shape();
+        assert_eq!(
+            twice[0][7..10],
+            [
+                OpShape::Barrier,
+                OpShape::Irecv {
+                    req: 2,
+                    src: Peer::Rank(1),
+                    tag: TagSel::Exact(0)
+                },
+                OpShape::Isend {
+                    req: 3,
+                    dst: 1,
+                    tag: 0,
+                    len: 1
+                },
+            ]
+        );
+    }
 }

@@ -111,28 +111,40 @@ COLLSEL_BENCH_SMOKE=1 RUSTFLAGS='-D warnings' \
     cargo bench --offline -p collsel-bench --bench serve
 test -f BENCH_serve.json || { echo "ci.sh: BENCH_serve.json missing" >&2; exit 1; }
 
-echo "==> model-digest gate: tune-cold at seed 42 must reproduce the pinned models"
+echo "==> pinned-values gate: tune-cold and replay-cold at seed 42 must reproduce the pinned results"
 # The benchmark digests the model JSON of both presets. Schedules feed
 # DAGs feed samples feed fits, so a recorder (or any other) change that
 # alters a single recorded op shifts a fit and changes a digest here,
-# instead of silently moving a decision table. The pinned values are
-# what the commit before the symbolic recorder printed; re-derive them
-# from the parent commit when a change is *meant* to move the models.
+# instead of silently moving a decision table. The step path (run_step
+# over GroupComm, recorded per trace step) is pinned the same way by the
+# tuned policy's JCT over the replayed traces: one changed step schedule
+# moves a step makespan and with it this sum. The pinned values are
+# what the commit before the symbolic recorder printed (digests) and
+# what the commit before length-only payloads printed (JCT); re-derive
+# them from the parent commit when a change is *meant* to move them.
 DIGEST_GROS=6cab49a5fd8e9ed8
 DIGEST_GRISOU=86a1affe9a56d600
+JCT_TUNED_MS=14.699762
 cargo build --offline --release --manifest-path benchmark/Cargo.toml \
     --target-dir target/benchmark
-digest_out=$(./target/benchmark/release/collsel-benchmark \
-    --workload tune-cold --seed 42 --seconds 1 --runs 1) || {
-    echo "ci.sh: benchmark tune-cold failed" >&2; exit 1;
-}
-for want in "model_digest.gros = $DIGEST_GROS" "model_digest.grisou = $DIGEST_GRISOU"; do
-    echo "$digest_out" | grep -qF "exact $want" || {
-        echo "ci.sh: benchmark did not print '$want'" >&2
-        echo "$digest_out" | grep -F model_digest >&2
-        exit 1
+# pinned WORKLOAD WANT...: the workload exits 0 and prints every
+# "exact WANT" line.
+pinned() {
+    workload=$1; shift
+    out=$(./target/benchmark/release/collsel-benchmark \
+        --workload "$workload" --seed 42 --seconds 1 --runs 1) || {
+        echo "ci.sh: benchmark $workload failed" >&2; exit 1;
     }
-done
+    for want in "$@"; do
+        echo "$out" | grep -qF "exact $want" || {
+            echo "ci.sh: benchmark $workload did not print '$want'" >&2
+            echo "$out" | grep -F "exact " >&2
+            exit 1
+        }
+    done
+}
+pinned tune-cold "model_digest.gros = $DIGEST_GROS" "model_digest.grisou = $DIGEST_GRISOU"
+pinned replay-cold "expt.jct_tuned_ms = $JCT_TUNED_MS"
 
 echo "==> cargo fmt --check"
 cargo fmt --check

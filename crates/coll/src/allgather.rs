@@ -64,17 +64,9 @@ pub fn allgather_recursive_doubling<C: Comm>(ctx: &mut C, block: Bytes) -> Vec<B
         // My accumulated window covers the `dist` ranks sharing my
         // high bits; pack it in rank order.
         let base = me & !(dist - 1);
-        let mut packed = Vec::with_capacity(dist * item);
-        for slot in have.iter().skip(base).take(dist) {
-            packed.extend_from_slice(slot.as_ref().expect("window filled"));
-        }
-        let (incoming, _) = ctx.sendrecv(
-            partner,
-            TAG_ALLGATHER,
-            Bytes::from(packed),
-            partner,
-            TAG_ALLGATHER,
-        );
+        let window = have.iter().skip(base).take(dist);
+        let packed = Bytes::concat(window.map(|slot| slot.as_ref().expect("window filled")));
+        let (incoming, _) = ctx.sendrecv(partner, TAG_ALLGATHER, packed, partner, TAG_ALLGATHER);
         let partner_base = partner & !(dist - 1);
         assert_eq!(incoming.len(), dist * item, "partner window size");
         for (i, r) in (partner_base..partner_base + dist).enumerate() {
@@ -95,12 +87,11 @@ pub fn allgather_gather_bcast<C: Comm>(ctx: &mut C, block: Bytes) -> Vec<Bytes> 
     let item = check_block(ctx, &block);
     let gathered = gather_linear(ctx, 0, block);
     let packed = gathered.map(|blocks| {
-        let mut buf = Vec::with_capacity(p * item);
-        for b in &blocks {
-            assert_eq!(b.len(), item, "allgather blocks must be uniform");
-            buf.extend_from_slice(b);
-        }
-        Bytes::from(buf)
+        assert!(
+            blocks.iter().all(|b| b.len() == item),
+            "allgather blocks must be uniform"
+        );
+        Bytes::concat(&blocks)
     });
     let all = bcast_binomial(ctx, 0, packed, p * item, 8 * 1024);
     (0..p)

@@ -63,18 +63,18 @@ pub fn allreduce_recursive_doubling<C: Comm>(
     let pow2 = 1usize << (usize::BITS - 1 - p.leading_zeros());
     let extra = p - pow2;
 
-    let mut value = contribution.to_vec();
+    let mut value = contribution;
 
     // Pre-phase: extras send their value to their base partner and sit
     // out; the partners fold it in.
     let participating = if me < 2 * extra {
         if me.is_multiple_of(2) {
             // Extra rank: ship the value to me+1 and wait for the result.
-            ctx.send(me + 1, TAG_ALLREDUCE, Bytes::from(value.clone()));
+            ctx.send(me + 1, TAG_ALLREDUCE, value.clone());
             false
         } else {
             let (data, _) = ctx.recv(me - 1, TAG_ALLREDUCE);
-            op.fold(&mut value, &data);
+            value = op.combine([&value, &data]);
             true
         }
     } else {
@@ -91,18 +91,18 @@ pub fn allreduce_recursive_doubling<C: Comm>(
             let (data, _) = ctx.sendrecv(
                 partner,
                 TAG_ALLREDUCE,
-                Bytes::from(value.clone()),
+                value.clone(),
                 partner,
                 TAG_ALLREDUCE,
             );
-            op.fold(&mut value, &data);
+            value = op.combine([&value, &data]);
             dist *= 2;
         }
         // Post-phase: return the result to my extra rank, if any.
         if me < 2 * extra {
-            ctx.send(me - 1, TAG_ALLREDUCE, Bytes::from(value.clone()));
+            ctx.send(me - 1, TAG_ALLREDUCE, value.clone());
         }
-        Bytes::from(value)
+        value
     } else {
         ctx.recv(me + 1, TAG_ALLREDUCE).0
     }

@@ -20,7 +20,7 @@
 use crate::alg::{BcastAlg, DEFAULT_CHAIN_FANOUT};
 use crate::topology::Topology;
 use collsel_mpi::Comm;
-use collsel_support::{Bytes, BytesMut};
+use collsel_support::Bytes;
 
 /// Internal tag for broadcast pipeline traffic.
 const TAG_BCAST: u32 = 0xB;
@@ -192,7 +192,7 @@ pub fn bcast_tree_segmented<C: Comm>(
 
     if ctx.rank() == root {
         let msg = msg.expect("root supplies the message");
-        let children = tree.children(root).to_vec();
+        let children = tree.children(root);
         for seg in segments(&msg, seg_size) {
             // One stage per segment: a non-blocking linear broadcast to
             // the children, completed before the next segment starts.
@@ -205,8 +205,8 @@ pub fn bcast_tree_segmented<C: Comm>(
         msg
     } else {
         let parent = tree.parent(ctx.rank()).expect("non-root has a parent");
-        let children = tree.children(ctx.rank()).to_vec();
-        let mut out = BytesMut::with_capacity(len);
+        let children = tree.children(ctx.rank());
+        let mut segs = Vec::with_capacity(ns);
         let mut prev = ctx.irecv(parent, TAG_BCAST);
         for i in 1..=ns {
             // Double buffering: pre-post the next receive before
@@ -219,13 +219,13 @@ pub fn bcast_tree_segmented<C: Comm>(
                 .map(|&c| ctx.isend(c, TAG_BCAST, data.clone()))
                 .collect();
             ctx.wait_all_sends(sends);
-            out.extend_from_slice(&data);
+            segs.push(data);
             match next {
                 Some(next) => prev = next,
                 None => break,
             }
         }
-        let out = out.freeze();
+        let out = Bytes::concat(&segs);
         assert_eq!(out.len(), len, "reassembled message has the wrong length");
         out
     }
@@ -273,13 +273,13 @@ pub fn bcast_split_binary<C: Comm>(
     if me == root {
         let msg = msg.expect("root supplies the message");
         let halves = [msg.slice(..half), msg.slice(half..)];
-        let kids = tree.children(root).to_vec();
+        let kids = tree.children(root);
         debug_assert_eq!(kids.len(), 2);
         let streams: Vec<Vec<Bytes>> = halves.iter().map(|h| segments(h, seg_size)).collect();
         let stages = streams.iter().map(Vec::len).max().unwrap_or(0);
         for stage in 0..stages {
             let mut sends = Vec::new();
-            for (stream, &child) in streams.iter().zip(&kids) {
+            for (stream, &child) in streams.iter().zip(kids) {
                 if let Some(seg) = stream.get(stage) {
                     sends.push(ctx.isend(child, TAG_BCAST, seg.clone()));
                 }
@@ -297,10 +297,10 @@ pub fn bcast_split_binary<C: Comm>(
         let my_len = if in_left { half_lens[0] } else { half_lens[1] };
         let ns = num_segments(my_len, seg_size);
         let parent = tree.parent(me).expect("non-root has a parent");
-        let children = tree.children(me).to_vec();
+        let children = tree.children(me);
 
         // Pipeline my subtree's half from the parent to my children.
-        let mut mine = BytesMut::with_capacity(my_len);
+        let mut segs = Vec::with_capacity(ns);
         let mut prev = ctx.irecv(parent, TAG_BCAST);
         for i in 1..=ns {
             let next = (i < ns).then(|| ctx.irecv(parent, TAG_BCAST));
@@ -310,13 +310,13 @@ pub fn bcast_split_binary<C: Comm>(
                 .map(|&c| ctx.isend(c, TAG_BCAST, data.clone()))
                 .collect();
             ctx.wait_all_sends(sends);
-            mine.extend_from_slice(&data);
+            segs.push(data);
             match next {
                 Some(next) => prev = next,
                 None => break,
             }
         }
-        let mine = mine.freeze();
+        let mine = Bytes::concat(&segs);
         assert_eq!(mine.len(), my_len, "pipelined half has the wrong length");
 
         // Swap halves with the partner in the opposite subtree.
@@ -345,10 +345,7 @@ pub fn bcast_split_binary<C: Comm>(
         } else {
             (&other, &mine)
         };
-        let mut out = BytesMut::with_capacity(len);
-        out.extend_from_slice(first);
-        out.extend_from_slice(second);
-        let out = out.freeze();
+        let out = Bytes::concat([first, second]);
         assert_eq!(out.len(), len, "reassembled message has the wrong length");
         out
     }

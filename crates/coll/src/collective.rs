@@ -27,7 +27,6 @@ use crate::gather::{gather_binomial, gather_linear};
 use crate::reduce::{reduce, ReduceAlg, ReduceOp};
 use crate::scatter::{scatter_binomial, scatter_linear};
 use collsel_mpi::Comm;
-use collsel_support::payload::payload;
 use collsel_support::Bytes;
 use std::fmt;
 use std::str::FromStr;
@@ -512,7 +511,10 @@ fn lane_seg(seg_size: usize) -> usize {
 /// This is the shared measurement-program kernel: the payload geometry
 /// is a pure function of `(alg, rank, size, m, seg_size)`, so recording
 /// it yields the same operation stream as running it live — the basis
-/// of the backend-equivalence guarantee for every collective.
+/// of the backend-equivalence guarantee for every collective. Since
+/// the result is discarded and only lengths reach a timing, the inputs
+/// are [symbolic](Bytes::symbolic): on every backend the call costs per
+/// operation, not per byte.
 ///
 /// `m` is the **total vector size** for bcast/reduce/allreduce and the
 /// **per-rank block size** for gather/scatter/allgather/alltoall
@@ -529,11 +531,11 @@ pub fn run_collective<C: Comm>(ctx: &mut C, alg: Alg, root: usize, m: usize, seg
     let rank = ctx.rank();
     match alg {
         Alg::Bcast(a) => {
-            let msg = (rank == root).then(|| payload(m));
+            let msg = (rank == root).then(|| Bytes::symbolic(m));
             let _ = bcast(ctx, a, root, msg, m, seg_size.max(1));
         }
         Alg::Reduce(a) => {
-            let contribution = payload(lane_bytes(m));
+            let contribution = Bytes::symbolic(lane_bytes(m));
             let _ = reduce(
                 ctx,
                 a,
@@ -544,28 +546,28 @@ pub fn run_collective<C: Comm>(ctx: &mut C, alg: Alg, root: usize, m: usize, seg
             );
         }
         Alg::Allreduce(AllreduceAlg::ReduceBcast) => {
-            let contribution = payload(lane_bytes(m));
+            let contribution = Bytes::symbolic(lane_bytes(m));
             let _ = allreduce_reduce_bcast(ctx, ReduceOp::Sum, contribution, lane_seg(seg_size));
         }
         Alg::Allreduce(AllreduceAlg::RecursiveDoubling) => {
-            let contribution = payload(lane_bytes(m));
+            let contribution = Bytes::symbolic(lane_bytes(m));
             let _ = allreduce_recursive_doubling(ctx, ReduceOp::Sum, contribution);
         }
         Alg::Gather(GatherAlg::Linear) => {
-            let _ = gather_linear(ctx, root, payload(m));
+            let _ = gather_linear(ctx, root, Bytes::symbolic(m));
         }
         Alg::Gather(GatherAlg::Binomial) => {
-            let _ = gather_binomial(ctx, root, payload(m));
+            let _ = gather_binomial(ctx, root, Bytes::symbolic(m));
         }
         Alg::Scatter(a) => {
-            let blocks = (rank == root).then(|| (0..p).map(|_| payload(m)).collect());
+            let blocks = (rank == root).then(|| (0..p).map(|_| Bytes::symbolic(m)).collect());
             let _ = match a {
                 ScatterAlg::Linear => scatter_linear(ctx, root, blocks),
                 ScatterAlg::Binomial => scatter_binomial(ctx, root, blocks),
             };
         }
         Alg::Allgather(a) => {
-            let block = payload(m);
+            let block = Bytes::symbolic(m);
             let _ = match a {
                 AllgatherAlg::Ring => allgather_ring(ctx, block),
                 AllgatherAlg::RecursiveDoubling => allgather_recursive_doubling(ctx, block),
@@ -573,7 +575,7 @@ pub fn run_collective<C: Comm>(ctx: &mut C, alg: Alg, root: usize, m: usize, seg
             };
         }
         Alg::Alltoall(a) => {
-            let blocks: Vec<Bytes> = (0..p).map(|_| payload(m)).collect();
+            let blocks: Vec<Bytes> = (0..p).map(|_| Bytes::symbolic(m)).collect();
             let _ = match a {
                 AlltoallAlg::Linear => alltoall_linear(ctx, blocks),
                 AlltoallAlg::Pairwise => alltoall_pairwise(ctx, blocks),

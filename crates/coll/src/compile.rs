@@ -13,8 +13,10 @@
 //!
 //! All collectives here are compilable: their operation streams depend
 //! only on `(rank, size, payload lengths, seg_size)`, never on timing
-//! or payload contents. Payloads are synthesised internally (replay
-//! timing depends only on lengths).
+//! or payload contents. Inputs are created [symbolic](Bytes::symbolic)
+//! and every receive of a recording is symbolic too, so no payload
+//! byte exists while a collective is compiled: the cost is per
+//! operation whatever the message size.
 
 use crate::alg::BcastAlg;
 use crate::bcast::bcast;
@@ -25,17 +27,7 @@ use crate::{
 };
 use collsel_mpi::{record_schedule, Comm, GroupComm, RecordError, Schedule, GROUP_TAG_STRIDE};
 use collsel_netsim::ClusterModel;
-use collsel_support::payload::payload;
 use collsel_support::Bytes;
-
-/// Payload of `lanes` little-endian `u64` lanes for the reductions.
-fn lane_payload(rank: usize, lanes: usize) -> Bytes {
-    let mut v = Vec::with_capacity(lanes * 8);
-    for lane in 0..lanes {
-        v.extend_from_slice(&((rank * 1000 + lane) as u64).to_le_bytes());
-    }
-    Bytes::from(v)
-}
 
 /// Compiles one broadcast algorithm at geometry `(p, root, len,
 /// seg_size)` into a per-rank schedule.
@@ -57,9 +49,8 @@ pub fn compile_bcast(
     len: usize,
     seg_size: usize,
 ) -> Result<Schedule, RecordError> {
-    let msg = payload(len);
     record_schedule(cluster, p, move |rc| {
-        let m = (rc.rank() == root).then(|| msg.clone());
+        let m = (rc.rank() == root).then(|| Bytes::symbolic(len));
         bcast(rc, alg, root, m, len, seg_size);
     })
 }
@@ -88,11 +79,10 @@ pub fn compile_timed_bcast(
     seg_size: usize,
     reps: usize,
 ) -> Result<Schedule, RecordError> {
-    let msg = payload(len);
     record_schedule(cluster, p, move |rc| {
         rc.barrier();
         let _ = rc.wtime();
-        let m = (rc.rank() == root).then(|| msg.clone());
+        let m = (rc.rank() == root).then(|| Bytes::symbolic(len));
         bcast(rc, alg, root, m, len, seg_size);
         rc.barrier();
         let _ = rc.wtime();
@@ -160,14 +150,12 @@ pub fn compile_timed_bcast_gather(
     seg_size: usize,
     reps: usize,
 ) -> Result<Schedule, RecordError> {
-    let msg = payload(m);
-    let contrib = payload(m_g);
     record_schedule(cluster, p, move |rc| {
         rc.barrier();
         let _ = rc.wtime();
-        let data = (rc.rank() == root).then(|| msg.clone());
+        let data = (rc.rank() == root).then(|| Bytes::symbolic(m));
         let _ = bcast(rc, alg, root, data, m, seg_size);
-        let _ = gather_linear(rc, root, contrib.clone());
+        let _ = gather_linear(rc, root, Bytes::symbolic(m_g));
         let _ = rc.wtime();
     })
     .map(|one| one.repeated(reps))
@@ -189,13 +177,12 @@ pub fn compile_timed_linear_segment(
     seg_size: usize,
     calls: usize,
 ) -> Result<Schedule, RecordError> {
-    let msg = payload(seg_size);
     record_schedule(cluster, p, move |rc| {
         rc.barrier();
         let _ = rc.wtime();
         for _ in 0..calls {
-            let data = (rc.rank() == root).then(|| msg.clone());
-            let _ = crate::bcast_linear(rc, root, data, msg.len());
+            let data = (rc.rank() == root).then(|| Bytes::symbolic(seg_size));
+            let _ = crate::bcast_linear(rc, root, data, seg_size);
             rc.barrier();
         }
         let _ = rc.wtime();
@@ -213,9 +200,8 @@ pub fn compile_gather_linear(
     root: usize,
     len: usize,
 ) -> Result<Schedule, RecordError> {
-    let contribution = payload(len);
     record_schedule(cluster, p, move |rc| {
-        gather_linear(rc, root, contribution.clone());
+        gather_linear(rc, root, Bytes::symbolic(len));
     })
 }
 
@@ -232,7 +218,7 @@ pub fn compile_scatter_binomial(
     len: usize,
 ) -> Result<Schedule, RecordError> {
     record_schedule(cluster, p, move |rc| {
-        let blocks = (rc.rank() == root).then(|| (0..p).map(|_| payload(len)).collect());
+        let blocks = (rc.rank() == root).then(|| (0..p).map(|_| Bytes::symbolic(len)).collect());
         scatter_binomial(rc, root, blocks);
     })
 }
@@ -247,9 +233,8 @@ pub fn compile_allgather_ring(
     p: usize,
     len: usize,
 ) -> Result<Schedule, RecordError> {
-    let block = payload(len);
     record_schedule(cluster, p, move |rc| {
-        allgather_ring(rc, block.clone());
+        allgather_ring(rc, Bytes::symbolic(len));
     })
 }
 
@@ -273,7 +258,7 @@ pub fn compile_reduce(
             alg,
             root,
             ReduceOp::Sum,
-            lane_payload(rc.rank(), lanes),
+            Bytes::symbolic(lanes * 8),
             seg_size,
         );
     })
@@ -290,7 +275,7 @@ pub fn compile_allreduce_recursive_doubling(
     lanes: usize,
 ) -> Result<Schedule, RecordError> {
     record_schedule(cluster, p, move |rc| {
-        allreduce_recursive_doubling(rc, ReduceOp::Sum, lane_payload(rc.rank(), lanes));
+        allreduce_recursive_doubling(rc, ReduceOp::Sum, Bytes::symbolic(lanes * 8));
     })
 }
 
@@ -306,7 +291,7 @@ pub fn compile_alltoall_pairwise(
     len: usize,
 ) -> Result<Schedule, RecordError> {
     record_schedule(cluster, p, move |rc| {
-        alltoall_pairwise(rc, (0..p).map(|_| payload(len)).collect());
+        alltoall_pairwise(rc, (0..p).map(|_| Bytes::symbolic(len)).collect());
     })
 }
 
@@ -394,6 +379,16 @@ pub fn compile_step(
 mod tests {
     use super::*;
     use collsel_mpi::{simulate_scheduled, simulate_with, Comm, Ctx, SimOptions};
+    use collsel_support::payload::payload;
+
+    /// Payload of `lanes` little-endian `u64` lanes for the reductions.
+    fn lane_payload(rank: usize, lanes: usize) -> Bytes {
+        let mut v = Vec::with_capacity(lanes * 8);
+        for lane in 0..lanes {
+            v.extend_from_slice(&((rank * 1000 + lane) as u64).to_le_bytes());
+        }
+        Bytes::from(v)
+    }
 
     const OPTS: SimOptions = SimOptions {
         traced: true,
@@ -418,6 +413,69 @@ mod tests {
             assert_eq!(threaded.report.bytes, replay.report.bytes);
             assert_eq!(threaded.report.trace, replay.report.trace);
         }
+    }
+
+    #[test]
+    fn gigabyte_step_records_exact_lengths_without_touching_a_byte() {
+        use crate::collective::Alg;
+        use crate::AllreduceAlg;
+        use collsel_mpi::OpShape;
+        use std::collections::BTreeSet;
+
+        const GIB: usize = 1 << 30;
+        const SEG: usize = 64 << 20;
+        let world = 24;
+        // A data-parallel step: four strided gradient allreduces at P=6,
+        // then a parameter broadcast to the whole world. The recorder
+        // only ever holds lengths, so 71 GiB of traffic costs what its
+        // few hundred operations cost.
+        let mut calls: Vec<GroupCall> = (0..4)
+            .map(|g| GroupCall {
+                alg: Alg::Allreduce(AllreduceAlg::RecursiveDoubling),
+                ranks: (g..world).step_by(4).collect(),
+                m: GIB,
+                seg_size: 0,
+            })
+            .collect();
+        calls.push(GroupCall {
+            alg: Alg::Bcast(BcastAlg::SplitBinary),
+            ranks: (0..world).collect(),
+            m: GIB,
+            seg_size: SEG,
+        });
+        let started = std::time::Instant::now();
+        let sched = compile_step(&ClusterModel::grisou(), world, &calls).expect("step compiles");
+        let took = started.elapsed();
+        assert!(took.as_secs_f64() < 1.0, "recording took {took:?}");
+
+        // Send lengths of one call, picked out by its tag window.
+        let shape = sched.shape();
+        let lens_of = |call: u32| -> Vec<usize> {
+            shape
+                .iter()
+                .flatten()
+                .filter_map(|op| match op {
+                    OpShape::Isend { tag, len, .. } if tag / GROUP_TAG_STRIDE == call => Some(*len),
+                    _ => None,
+                })
+                .collect()
+        };
+        // Recursive doubling at P=6: two extras fold in and get the
+        // result back (4 sends), four participants exchange in two
+        // rounds (8 sends), every one of the full vector.
+        for call in 0..4 {
+            assert_eq!(lens_of(call), vec![GIB; 12], "allreduce {call}");
+        }
+        // Split-binary at P=24: each of the 23 non-roots gets its half
+        // in 64 MiB segments, then 11 pairs swap halves and the root
+        // serves the unpaired rank.
+        let bcast = lens_of(4);
+        assert_eq!(
+            bcast.iter().copied().collect::<BTreeSet<_>>(),
+            BTreeSet::from([SEG, GIB / 2])
+        );
+        assert_eq!(bcast.iter().filter(|&&len| len == GIB / 2).count(), 23);
+        assert_eq!(bcast.iter().sum::<usize>(), 23 * GIB);
     }
 
     #[test]

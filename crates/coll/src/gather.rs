@@ -12,7 +12,7 @@
 
 use crate::topology::Topology;
 use collsel_mpi::Comm;
-use collsel_support::{Bytes, BytesMut};
+use collsel_support::Bytes;
 
 const TAG_GATHER: u32 = 0xC;
 
@@ -83,22 +83,22 @@ pub fn gather_binomial<C: Comm>(
         }
     };
 
-    let mut block = BytesMut::from(&contribution[..]);
+    let mut parts = vec![contribution];
     // Children must be drained in ascending virtual-rank order so the
     // concatenation stays sorted; binomial children are already ordered.
     for &child in tree.children(me) {
         let (data, _) = ctx.recv(child, TAG_GATHER);
         debug_assert_eq!(data.len(), span(vrank(child)) * item_len);
-        block.extend_from_slice(&data);
+        parts.push(data);
     }
+    let block = Bytes::concat(&parts);
     debug_assert_eq!(block.len(), span(vrank(me)) * item_len);
 
     if let Some(parent) = tree.parent(me) {
-        ctx.send(parent, TAG_GATHER, block.freeze());
+        ctx.send(parent, TAG_GATHER, block);
         None
     } else {
         // Root: deblock from virtual-rank order back to real ranks.
-        let block = block.freeze();
         assert_eq!(
             block.len(),
             p * item_len,

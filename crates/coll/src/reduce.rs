@@ -176,6 +176,41 @@ impl ReduceOp {
         }
     }
 
+    /// The lane-wise reduction of `parts`, folded in iteration order,
+    /// as one new buffer: one allocation when every part has contents
+    /// (a single part is shared, not copied), and a
+    /// [symbolic](Bytes::symbolic) buffer of the same length, in time
+    /// proportional to the number of parts, as soon as one does not.
+    /// This is the only place a collective touches reduction bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parts` is empty, if the parts differ in length or are
+    /// not a whole number of 8-byte lanes.
+    pub fn combine<'a>(self, parts: impl IntoIterator<Item = &'a Bytes>) -> Bytes {
+        let parts: Vec<&Bytes> = parts.into_iter().collect();
+        let (first, rest) = parts
+            .split_first()
+            .expect("a reduction has at least one input");
+        let len = first.len();
+        assert!(len.is_multiple_of(8), "reduce buffers must be u64 lanes");
+        assert!(
+            rest.iter().all(|part| part.len() == len),
+            "reduce buffers differ in length"
+        );
+        if rest.is_empty() {
+            return (*first).clone();
+        }
+        if parts.iter().any(|part| part.is_symbolic()) {
+            return Bytes::symbolic(len);
+        }
+        let mut acc = first.to_vec();
+        for part in rest {
+            self.fold(&mut acc, part);
+        }
+        Bytes::from(acc)
+    }
+
     /// Folds `other` into `acc`, lane by lane.
     ///
     /// # Panics
@@ -227,11 +262,8 @@ pub fn reduce_linear<C: Comm>(
             .filter(|&src| src != root)
             .map(|src| ctx.irecv(src, TAG_REDUCE))
             .collect();
-        let mut acc = contribution.to_vec();
-        for (data, _) in ctx.wait_all_recvs(reqs) {
-            op.fold(&mut acc, &data);
-        }
-        Some(Bytes::from(acc))
+        let arrived = ctx.wait_all_recvs(reqs);
+        Some(op.combine(std::iter::once(&contribution).chain(arrived.iter().map(|(data, _)| data))))
     } else {
         ctx.send(root, TAG_REDUCE, contribution);
         None
@@ -271,13 +303,14 @@ pub fn reduce_tree_segmented<C: Comm>(
 
     let len = contribution.len();
     let ns = len.div_ceil(seg_size).max(1);
-    let children = tree.children(ctx.rank()).to_vec();
-    let mut acc = contribution.to_vec();
+    let children = tree.children(ctx.rank());
+    let parent = tree.parent(ctx.rank());
 
     // Pre-post the receives for the first segment from every child.
     let mut inflight: Vec<_> = children.iter().map(|&c| ctx.irecv(c, TAG_REDUCE)).collect();
 
-    let mut out = Vec::with_capacity(ns);
+    // The root's folded segments.
+    let mut out = Vec::new();
     for i in 0..ns {
         let lo = (i * seg_size).min(len);
         let hi = ((i + 1) * seg_size).min(len);
@@ -287,21 +320,15 @@ pub fn reduce_tree_segmented<C: Comm>(
         if i + 1 < ns {
             inflight = children.iter().map(|&c| ctx.irecv(c, TAG_REDUCE)).collect();
         }
-        for (data, _) in arrived {
-            op.fold(&mut acc[lo..hi], &data);
-        }
-        let folded = Bytes::copy_from_slice(&acc[lo..hi]);
-        if let Some(parent) = tree.parent(ctx.rank()) {
-            ctx.send(parent, TAG_REDUCE, folded);
-        } else {
-            out.push(folded);
+        let mine = contribution.slice(lo..hi);
+        let folded = op.combine(std::iter::once(&mine).chain(arrived.iter().map(|(data, _)| data)));
+        match parent {
+            Some(parent) => ctx.send(parent, TAG_REDUCE, folded),
+            None => out.push(folded),
         }
     }
 
-    tree.parent(ctx.rank()).is_none().then(|| {
-        debug_assert_eq!(out.iter().map(Bytes::len).sum::<usize>(), len);
-        Bytes::from(acc)
-    })
+    parent.is_none().then(|| Bytes::concat(&out))
 }
 
 /// Segmented binomial-tree reduction (`reduce_intra_binomial`).
@@ -493,6 +520,30 @@ mod tests {
         assert_eq!(ReduceOp::Max.fold_lane(3, 9), 9);
         assert_eq!(ReduceOp::Min.fold_lane(3, 9), 3);
         assert_eq!(ReduceOp::Xor.fold_lane(0b1100, 0b1010), 0b0110);
+    }
+
+    #[test]
+    fn combine_folds_real_parts_and_goes_symbolic_with_any_symbolic_part() {
+        let (a, b, c) = (lanes(1, 3), lanes(2, 3), lanes(3, 3));
+        let mut want = a.to_vec();
+        ReduceOp::Sum.fold(&mut want, &b);
+        ReduceOp::Sum.fold(&mut want, &c);
+        assert_eq!(ReduceOp::Sum.combine([&a, &b, &c]), want);
+        assert_eq!(ReduceOp::Max.combine([&a]), a);
+
+        let sym = Bytes::symbolic(24);
+        for parts in [[&sym, &b, &c], [&a, &sym, &c], [&a, &b, &sym]] {
+            let out = ReduceOp::Sum.combine(parts);
+            assert!(out.is_symbolic());
+            assert_eq!(out.len(), 24);
+        }
+        assert!(ReduceOp::Sum.combine([&sym]).is_symbolic());
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in length")]
+    fn combine_rejects_mismatched_lengths_even_when_symbolic() {
+        let _ = ReduceOp::Sum.combine([&Bytes::symbolic(16), &Bytes::symbolic(8)]);
     }
 
     #[test]

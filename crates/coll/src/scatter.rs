@@ -89,11 +89,8 @@ pub fn scatter_binomial<C: Comm>(ctx: &mut C, root: usize, blocks: Option<Vec<By
             blocks.iter().all(|b| b.len() == item_len),
             "scatter blocks must have uniform length"
         );
-        let mut packed = Vec::with_capacity(p * item_len);
-        for v in 0..p {
-            packed.extend_from_slice(&blocks[(v + root) % p]);
-        }
-        (Bytes::from(packed), item_len)
+        let packed = Bytes::concat((0..p).map(|v| &blocks[(v + root) % p]));
+        (packed, item_len)
     } else {
         let parent = tree.parent(me).expect("non-root has a parent");
         let (data, _) = ctx.recv(parent, TAG_SCATTER);

@@ -51,6 +51,7 @@ use collsel_mpi::{
 };
 use collsel_netsim::{ClusterModel, SimSpan};
 use collsel_support::pool::Pool;
+use collsel_support::Bytes;
 use std::sync::Arc;
 
 pub use collsel_support::payload::payload;
@@ -398,12 +399,11 @@ pub fn compile_timed_p2p(
     m: usize,
     reps: usize,
 ) -> Result<Schedule, RecordError> {
-    let msg = payload(m);
     record_schedule(cluster, 2, move |rc| {
         rc.barrier();
         let _ = rc.wtime();
         if rc.rank() == 0 {
-            rc.send(1, 0, msg.clone());
+            rc.send(1, 0, Bytes::symbolic(m));
             let _ = rc.recv(1, 1);
         } else {
             let (data, _) = rc.recv(0, 0);

@@ -231,10 +231,11 @@ pub fn replay_trace(
             }
             Backend::Dag => {
                 let cell = step_cell(trace.world, &calls);
-                let exec = match execs.entry(cell.clone()) {
+                let exec = match execs.entry(cell) {
                     std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
                     std::collections::hash_map::Entry::Vacant(e) => {
-                        let dag = compiled_step_dag(cluster, cell, |rec| {
+                        // Only a miss pays for a second copy of the key.
+                        let dag = compiled_step_dag(cluster, e.key().clone(), |rec| {
                             compile_step(rec, trace.world, &calls)
                         })
                         .ok_or_else(|| SimError::Deadlock {

@@ -7,9 +7,10 @@
 //!   call talks to the engine.
 //! * [`crate::RecCtx`] — the symbolic recording context: it logs each
 //!   operation into a [`crate::Schedule`] and satisfies receives from
-//!   an untimed message board, so the schedule IR is *derived from the
-//!   implementing code* rather than hand-written, without simulating
-//!   it.
+//!   an untimed message board with length-only
+//!   [`Bytes::symbolic`] buffers, so the schedule IR is *derived from
+//!   the implementing code* rather than hand-written, without
+//!   simulating it or moving a byte.
 //!
 //! The provided methods (`send`, `recv`, `sendrecv`) use exactly the
 //! decomposition of the corresponding inherent `Ctx` methods, and

@@ -262,12 +262,7 @@ impl TimingDag {
             for op in rops {
                 let idx = ops.len() as u32;
                 match op {
-                    SchedOp::Isend {
-                        req,
-                        dst,
-                        tag,
-                        payload,
-                    } => {
+                    SchedOp::Isend { req, dst, tag, len } => {
                         let slot = slots;
                         slots += 1;
                         slot_wait.push(NONE_IDX);
@@ -277,7 +272,7 @@ impl TimingDag {
                             .entry((rank as u32, *dst as u32, *tag))
                             .or_default()
                             .0
-                            .push((idx, slot, payload.len()));
+                            .push((idx, slot, *len));
                         ops.push(DagOp::Send { edge: NONE_IDX });
                     }
                     SchedOp::Irecv { req, src, tag } => {

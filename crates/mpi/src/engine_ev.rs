@@ -28,6 +28,7 @@ use crate::schedule::{SchedOp, Schedule};
 use crate::sim::{build_fabric, check_ranks, report_from_engine, stash_scratch, take_scratch};
 use crate::sim::{RunReport, SimOptions};
 use collsel_netsim::{ClusterModel, SimTime};
+use collsel_support::Bytes;
 use std::collections::VecDeque;
 
 /// Which execution backend runs a simulation.
@@ -127,18 +128,13 @@ impl Transport for ReplayTransport<'_> {
         };
         self.cursor[rank] += 1;
         let msg = match op {
-            SchedOp::Isend {
-                req,
-                dst,
-                tag,
-                payload,
-            } => RankMsg::Post {
+            SchedOp::Isend { req, dst, tag, len } => RankMsg::Post {
                 rank,
                 op: PostOp::Isend {
                     req: *req,
                     dst: *dst,
                     tag: *tag,
-                    payload: payload.clone(),
+                    payload: Bytes::symbolic(*len),
                 },
             },
             SchedOp::Irecv { req, src, tag } => RankMsg::Post {
@@ -240,7 +236,6 @@ mod tests {
     use crate::comm::Comm;
     use crate::schedule::{record_schedule, RecordError};
     use crate::sim::simulate_with;
-    use collsel_support::Bytes;
 
     /// A timed ring exchange exercising sends, receives, barrier and
     /// wtime — written once against `Comm`, run on both backends.

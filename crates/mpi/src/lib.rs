@@ -18,8 +18,9 @@
 //! general-purpose oracle), the event-driven replay path
 //! ([`record_schedule`] + [`simulate_scheduled`]), which compiles a
 //! program written against the [`Comm`] trait into a [`Schedule`] once
-//! — symbolically, on the calling thread, with no rank threads, engine
-//! or fabric — and then replays it with zero OS threads per run, and
+//! — symbolically, on the calling thread, with no rank threads, engine,
+//! fabric or payload bytes — and then replays it with zero OS threads
+//! per run, and
 //! the timing-DAG
 //! tier ([`TimingDag`] + [`simulate_dag`]/[`DagEvaluator`]), which
 //! additionally resolves send/recv matching at compile time and

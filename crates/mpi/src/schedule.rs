@@ -33,9 +33,14 @@
 //!   re-executed from the top once other ranks have run), so it must be
 //!   idempotent — a re-execution that issues a different operation
 //!   stream is rejected as non-deterministic;
-//! * received payloads are **synthetic**: a receive of `len` bytes
-//!   returns [`collsel_support::payload::payload`]`(len)`, not what the
-//!   sender passed (lengths, sources and tags are exact);
+//! * received payloads are **symbolic**: a receive of `len` bytes
+//!   returns [`Bytes::symbolic`]`(len)` — exact length, source and tag,
+//!   and no contents at all. The collectives glue and reduce such
+//!   buffers in O(1), so recording costs per operation, not per byte. A
+//!   program that reads a received byte (to branch on it, to compare
+//!   it, to copy it) breaks the validity contract above and is rejected
+//!   with [`RecordError::Unsupported`] naming the rank, instead of
+//!   being recorded against made-up data;
 //! * `wtime` reads [`SimTime::ZERO`], and `barrier`, `compute` and
 //!   send completion never block, so a program that can only deadlock
 //!   through timing — a rendezvous send nobody receives, a barrier
@@ -49,20 +54,19 @@ use crate::msg::{Peer, RecvStatus, Tag, TagSel};
 use crate::proto::{ReqId, WaitMode};
 use crate::sim::{check_ranks, panic_message};
 use collsel_netsim::{ClusterModel, SimSpan, SimTime};
-use collsel_support::payload::payload;
-use collsel_support::Bytes;
+use collsel_support::bytes::{Bytes, SYMBOLIC_CONTENT_ACCESS};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// One recorded operation of a rank's program.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum SchedOp {
-    /// Non-blocking send: `PostOp::Isend` on replay.
+    /// Non-blocking send of `len` bytes: `PostOp::Isend` on replay.
     Isend {
         req: ReqId,
         dst: usize,
         tag: Tag,
-        payload: Bytes,
+        len: usize,
     },
     /// Non-blocking receive: `PostOp::Irecv` on replay.
     Irecv { req: ReqId, src: Peer, tag: TagSel },
@@ -80,16 +84,11 @@ pub(crate) enum SchedOp {
 impl SchedOp {
     fn shape(&self) -> OpShape {
         match self {
-            SchedOp::Isend {
-                req,
-                dst,
-                tag,
-                payload,
-            } => OpShape::Isend {
+            SchedOp::Isend { req, dst, tag, len } => OpShape::Isend {
                 req: *req,
                 dst: *dst,
                 tag: *tag,
-                len: payload.len(),
+                len: *len,
             },
             SchedOp::Irecv { req, src, tag } => OpShape::Irecv {
                 req: *req,
@@ -109,16 +108,11 @@ impl SchedOp {
     /// The same operation with every request id moved up by `by`.
     fn shifted(&self, by: ReqId) -> SchedOp {
         match self {
-            SchedOp::Isend {
-                req,
-                dst,
-                tag,
-                payload,
-            } => SchedOp::Isend {
+            SchedOp::Isend { req, dst, tag, len } => SchedOp::Isend {
                 req: req + by,
                 dst: *dst,
                 tag: *tag,
-                payload: payload.clone(),
+                len: *len,
             },
             SchedOp::Irecv { req, src, tag } => SchedOp::Irecv {
                 req: req + by,
@@ -183,9 +177,9 @@ pub enum OpShape {
 /// engine operations its code issues.
 ///
 /// Produced by [`record_schedule`]; consumed by
-/// [`crate::simulate_scheduled`]. Cloning is cheap-ish (payload bytes
-/// are reference-counted), but replaying borrows the schedule, so one
-/// recording typically serves a whole campaign.
+/// [`crate::simulate_scheduled`]. It holds no payload bytes, only
+/// lengths; replaying borrows the schedule, so one recording typically
+/// serves a whole campaign.
 #[derive(Debug, Clone)]
 pub struct Schedule {
     pub(crate) ops: Vec<Vec<SchedOp>>,
@@ -241,8 +235,9 @@ impl Schedule {
 #[non_exhaustive]
 pub enum RecordError {
     /// The program used a construct whose replay could diverge from a
-    /// live run (receive wildcards, `wait_any_recv`, an operation
-    /// stream that changed between two executions of one rank).
+    /// live run (receive wildcards, `wait_any_recv`, a read of payload
+    /// contents, an operation stream that changed between two
+    /// executions of one rank).
     Unsupported {
         /// First rank found using the construct.
         rank: usize,
@@ -331,6 +326,10 @@ enum Stop {
 /// [`RecordError::Unsupported::what`] of a rank whose executions disagree.
 const NON_DETERMINISTIC: &str = "a non-deterministic op stream";
 
+/// [`RecordError::Unsupported::what`] of a rank that read a byte of a
+/// symbolic buffer.
+const CONTENT_ACCESS: &str = "the contents of a payload (recorded payloads are length-only)";
+
 fn unwind(stop: Stop) -> ! {
     resume_unwind(Box::new(stop))
 }
@@ -358,7 +357,7 @@ impl RecCtx<'_> {
     /// recorded prefix must equal the one it repeats.
     fn record(&mut self, op: SchedOp) -> bool {
         let fresh = match self.log.ops.get(self.cursor) {
-            Some(prev) if prev.shape() == op.shape() => false,
+            Some(prev) if *prev == op => false,
             Some(_) => unwind(Stop::Unsupported(NON_DETERMINISTIC)),
             None => {
                 self.log.ops.push(op);
@@ -390,7 +389,7 @@ impl RecCtx<'_> {
         let ch = &self.board.channels[channel];
         match ch.sent.get(seq) {
             Some(&len) => (
-                payload(len),
+                Bytes::symbolic(len),
                 RecvStatus {
                     source: ch.src,
                     tag: ch.tag,
@@ -415,12 +414,7 @@ impl Comm for RecCtx<'_> {
         assert!(dst < self.size, "isend to rank {dst} of {}", self.size);
         let req = self.alloc_req();
         let len = payload.len();
-        if self.record(SchedOp::Isend {
-            req,
-            dst,
-            tag,
-            payload,
-        }) {
+        if self.record(SchedOp::Isend { req, dst, tag, len }) {
             let channel = self.board.channel(self.rank, dst, tag);
             self.board.channels[channel].sent.push(len);
             self.board.posted += 1;
@@ -506,9 +500,9 @@ impl Comm for RecCtx<'_> {
 /// unwound and run again from the top in the next sweep over the
 /// unfinished ranks; sweeps repeat until every rank has finished. `f`
 /// therefore runs at least once per rank and possibly several times,
-/// and must issue the same operations every time. A receive returns
-/// synthetic contents of the matched send's exact length (with the
-/// exact source and tag), `wtime` reads [`SimTime::ZERO`], and
+/// and must issue the same operations every time. A receive returns a
+/// [symbolic](Bytes::symbolic) buffer of the matched send's exact
+/// length (with the exact source and tag), `wtime` reads [`SimTime::ZERO`], and
 /// `barrier`, `compute` and send completion never block — a deadlock
 /// that exists only in time (a rendezvous send nobody receives)
 /// surfaces when the schedule is first evaluated. Of `cluster` only
@@ -517,8 +511,9 @@ impl Comm for RecCtx<'_> {
 /// # Errors
 ///
 /// [`RecordError::Unsupported`] if the program used receive wildcards
-/// or `wait_any_recv`, or if a re-execution issued a different
-/// operation than the execution before it.
+/// or `wait_any_recv`, read the contents of a symbolic payload, or if a
+/// re-execution issued a different operation than the execution before
+/// it.
 /// [`RecordError::Sim`] with [`SimError::RankPanic`] if `f` panicked,
 /// and with [`SimError::Deadlock`] if a whole sweep posted no new send
 /// while ranks were still waiting (a receive cycle, or a receive with
@@ -568,10 +563,12 @@ where
                     Stop::Unsupported(what) => return Err(unsupported(what)),
                 },
                 Err(Err(panic)) => {
-                    return Err(RecordError::Sim(SimError::RankPanic {
-                        rank,
-                        message: panic_message(panic.as_ref()),
-                    }))
+                    let message = panic_message(panic.as_ref());
+                    return Err(if message == SYMBOLIC_CONTENT_ACCESS {
+                        unsupported(CONTENT_ACCESS)
+                    } else {
+                        RecordError::Sim(SimError::RankPanic { rank, message })
+                    });
                 }
             }
         }
@@ -781,7 +778,29 @@ mod tests {
     }
 
     #[test]
-    fn receives_are_synthetic_but_sized_sourced_and_tagged_exactly() {
+    fn reading_a_received_payload_is_unsupported_naming_the_rank() {
+        // Rank 1 branches on data it was sent: which ops it issues next
+        // is not a function of (rank, size, lengths), so there is no
+        // schedule to record.
+        let err = record_err(2, |rc| {
+            if rc.rank() == 0 {
+                rc.send(1, 0, Bytes::from_static(b"\x01"));
+                let _ = rc.recv(1, 1);
+            } else {
+                let (data, _) = rc.recv(0, 0);
+                if data[0] == 1 {
+                    rc.send(0, 1, one_byte());
+                }
+            }
+        });
+        let RecordError::Unsupported { rank: 1, what } = err else {
+            panic!("expected Unsupported on rank 1, got {err:?}");
+        };
+        assert!(what.contains("contents of a payload"), "got: {what}");
+    }
+
+    #[test]
+    fn receives_are_symbolic_but_sized_sourced_and_tagged_exactly() {
         let sched = record_schedule(&ClusterModel::gros(), 2, |rc| {
             if rc.rank() == 0 {
                 rc.send(1, 3, Bytes::from(vec![0xAB; 300]));
@@ -792,8 +811,8 @@ mod tests {
                 // Waited out of order: matching is by posting order.
                 let (data_b, status_b) = rc.wait_recv(b);
                 let (data_a, status_a) = rc.wait_recv(a);
-                assert_eq!(data_a, payload(300));
-                assert_eq!(data_b, payload(5));
+                assert!(data_a.is_symbolic() && data_b.is_symbolic());
+                assert_eq!((data_a.len(), data_b.len()), (300, 5));
                 let status = |len| RecvStatus {
                     source: 0,
                     tag: 3,

@@ -7,7 +7,7 @@
 //!
 //! | Module | Replaces | Surface |
 //! |---|---|---|
-//! | [`bytes`] | `bytes` | [`Bytes`] (cheap-clone `Arc<[u8]>` slice view), [`BytesMut`] |
+//! | [`bytes`] | `bytes` | [`Bytes`] (cheap-clone `Arc<[u8]>` slice view, or length-only [`Bytes::symbolic`]) |
 //! | [`rng`] | `rand` | splitmix64 seeding + xoshiro256\*\* [`StdRng`] with `gen_range` |
 //! | [`json`] | `serde`/`serde_json` | [`Json`] tree, parser, pretty writer, [`ToJson`]/[`FromJson`] |
 //! | [`prop`] | `proptest` | [`proptest!`] macro, strategies, shrinking, seeded replay |
@@ -20,8 +20,8 @@
 //!
 //! [`payload`] is the one module that replaces nothing external: it is
 //! the shared memoised store for deterministic measurement payloads
-//! (with hit/miss counters) used by collective compilation, the
-//! measurement tiers and the benches.
+//! (with hit/miss counters) used by the threaded measurement tier, the
+//! benches and the differential tests.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -35,7 +35,7 @@ pub mod pool;
 pub mod prop;
 pub mod rng;
 
-pub use bytes::{Bytes, BytesMut};
+pub use bytes::Bytes;
 pub use epoch::{EpochGuard, EpochSwap};
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use rng::{SeedableRng, StdRng};

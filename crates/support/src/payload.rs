@@ -1,12 +1,13 @@
 //! Shared memoised store for deterministic measurement payloads.
 //!
-//! Three corners of the workspace used to synthesise the same
-//! position-dependent byte pattern independently — collective
-//! compilation (`collsel-coll`), the measurement tiers
-//! (`collsel-estim`) and the throughput benches. A campaign touches a
-//! few dozen distinct sizes across thousands of recordings and
+//! The programs that carry real data — the threaded measurement tier
+//! (`collsel-estim`), the throughput benches and the differential
+//! tests — all want the same position-dependent byte pattern. They
+//! touch a few dozen distinct sizes across thousands of runs and
 //! retries, so the buffer for each size is built exactly once here and
 //! handed out as a cheap [`Bytes`] (`Arc`-backed) clone afterwards.
+//! Schedule recording needs no bytes at all ([`Bytes::symbolic`]) and
+//! draws nothing from this store.
 //!
 //! The store keeps process-wide hit/miss counters
 //! ([`payload_counters`]) that campaign coverage accounting surfaces
@@ -29,8 +30,8 @@ static MISSES: AtomicU64 = AtomicU64::new(0);
 /// A deterministic position-dependent payload of `len` bytes
 /// (`byte[i] = i % 251`).
 ///
-/// Contents never affect simulated timing — the pattern just keeps
-/// recorded schedules reproducible byte-for-byte. Memoised per
+/// Contents never affect simulated timing — the pattern just gives
+/// data-carrying runs something reproducible to move. Memoised per
 /// process: the first request for a size allocates and fills, every
 /// later request is a reference-counted clone.
 pub fn payload(len: usize) -> Bytes {

@@ -3,10 +3,13 @@
 //! tuning campaigns.
 //!
 //! Built from `std::thread` + `std::sync` only. A batch of `FnOnce`
-//! jobs is executed by a self-scheduling team of scoped worker threads
-//! (each worker repeatedly claims the next unstarted job from a shared
-//! counter — work-stealing-style load balancing without per-worker
-//! queues), and the results are returned **in submission-index order**.
+//! jobs is executed by a self-scheduling team of the calling thread plus
+//! `threads - 1` scoped worker threads (each repeatedly claims the next
+//! unstarted job from a shared counter — work-stealing-style load
+//! balancing without per-worker queues), and the results are returned
+//! **in submission-index order**. The caller works rather than waits, so
+//! a batch costs one thread spawn fewer and makes progress even while the
+//! OS has not yet given the new threads a core.
 //!
 //! # Determinism
 //!
@@ -147,22 +150,26 @@ impl Pool {
             (0..n).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
 
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let job = slots[i]
-                        .lock()
-                        .expect("job slot poisoned")
-                        .take()
-                        .expect("job claimed twice");
-                    let outcome = catch_unwind(AssertUnwindSafe(job));
-                    *results[i].lock().expect("result slot poisoned") = Some(outcome);
-                });
+        let work = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
             }
+            let job = slots[i]
+                .lock()
+                .expect("job slot poisoned")
+                .take()
+                .expect("job claimed twice");
+            let outcome = catch_unwind(AssertUnwindSafe(job));
+            *results[i].lock().expect("result slot poisoned") = Some(outcome);
+        };
+        // The caller is one of the workers: it starts on the jobs at once
+        // instead of sleeping until freshly spawned threads get a core.
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(&work);
+            }
+            work();
         });
 
         let mut out = Vec::with_capacity(n);
@@ -228,6 +235,21 @@ mod tests {
             .expect("assert! message");
         assert!(msg.contains("job 3 failed"), "expected job 3 first: {msg}");
         assert_eq!(ran.load(Ordering::Relaxed), 20, "all jobs still ran");
+    }
+
+    #[test]
+    fn the_caller_is_one_of_the_workers() {
+        // Two jobs that each wait for the other need two executors at
+        // once; with `threads = 2` one of them has to be the caller.
+        let both = std::sync::Barrier::new(2);
+        let ids = Pool::with_threads(2).run((0..2).map(|_| {
+            || {
+                both.wait();
+                std::thread::current().id()
+            }
+        }));
+        assert_ne!(ids[0], ids[1]);
+        assert!(ids.contains(&std::thread::current().id()));
     }
 
     #[test]

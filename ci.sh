@@ -115,8 +115,9 @@ echo "==> pinned-values gate: tune-cold and replay-cold at seed 42 must reproduc
 # The benchmark digests the model JSON of both presets. Schedules feed
 # DAGs feed samples feed fits, so a recorder (or any other) change that
 # alters a single recorded op shifts a fit and changes a digest here,
-# instead of silently moving a decision table. The step path (run_step
-# over GroupComm, recorded per trace step) is pinned the same way by the
+# instead of silently moving a decision table. The step path (each
+# trace step composed from per-collective templates, the equal of
+# run_step over GroupComm recorded whole) is pinned the same way by the
 # tuned policy's JCT over the replayed traces: one changed step schedule
 # moves a step makespan and with it this sum. The pinned values are
 # what the commit before the symbolic recorder printed (digests) and
@@ -145,6 +146,13 @@ pinned() {
 }
 pinned tune-cold "model_digest.gros = $DIGEST_GROS" "model_digest.grisou = $DIGEST_GRISOU"
 pinned replay-cold "expt.jct_tuned_ms = $JCT_TUNED_MS"
+
+echo "==> counted gate: a cold replay at the benchmark geometry records 38 collective templates"
+# The same four (trace, policy) replays as replay-cold, in a process of
+# their own so the memo counters are exact: 530 group calls in 48 step
+# shapes must run the recorder for exactly 38 collectives, and a second
+# pass for none.
+RUSTFLAGS='-D warnings' cargo test --offline -q -p collsel-repro --test replay_templates
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -215,6 +223,9 @@ COLLSEL_THREADS=2 ./target/release/colltune replay --gen dp --steps 4 \
     --json "$smoke_dir/replay.json" --csv "$smoke_dir/replay.csv"
 [ "$(wc -l < "$smoke_dir/replay.csv")" -eq 5 ] || {
     echo "ci.sh: replay CSV must have 4 policy rows" >&2; exit 1;
+}
+grep -q '"template_misses"' "$smoke_dir/replay.json" || {
+    echo "ci.sh: replay JSON missing the memo block's template counters" >&2; exit 1;
 }
 
 echo "==> colltune serve smoke run (short soak with journal recovery)"

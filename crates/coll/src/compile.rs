@@ -11,6 +11,11 @@
 //! via [`collsel_mpi::simulate_scheduled`] with zero OS threads per
 //! run, bit-identical to the threaded backend.
 //!
+//! A workload step — collectives on rank groups — is not run through
+//! the recorder at all: [`compile_step`] composes its schedule from the
+//! schedules of its collectives ([`compose_step`],
+//! [`Schedule::embed`]), each recorded once as a template.
+//!
 //! All collectives here are compilable: their operation streams depend
 //! only on `(rank, size, payload lengths, seg_size)`, never on timing
 //! or payload contents. Inputs are created [symbolic](Bytes::symbolic)
@@ -25,9 +30,14 @@ use crate::{
     allgather_ring, allreduce_recursive_doubling, alltoall_pairwise, barrier_dissemination, reduce,
     scatter_binomial, ReduceAlg, ReduceOp,
 };
-use collsel_mpi::{record_schedule, Comm, GroupComm, RecordError, Schedule, GROUP_TAG_STRIDE};
+use collsel_mpi::{
+    check_group, record_schedule, Comm, GroupComm, RecordError, Schedule, SimError,
+    GROUP_TAG_STRIDE,
+};
 use collsel_netsim::ClusterModel;
 use collsel_support::Bytes;
+use std::collections::hash_map::{Entry, HashMap};
+use std::sync::Arc;
 
 /// Compiles one broadcast algorithm at geometry `(p, root, len,
 /// seg_size)` into a per-rank schedule.
@@ -327,6 +337,11 @@ pub struct GroupCall {
     pub seg_size: usize,
 }
 
+/// Tag windows of [`GROUP_TAG_STRIDE`] in the tag space: the bound on a
+/// step's calls.
+const TAG_WINDOWS: usize = (u32::MAX / GROUP_TAG_STRIDE) as usize;
+const TOO_MANY_CALLS: &str = "step has more calls than tag windows";
+
 /// Runs one workload step — a set of collectives on (possibly
 /// overlapping) sub-communicators — from the perspective of one rank.
 ///
@@ -335,18 +350,17 @@ pub struct GroupCall {
 /// concurrently without channel collisions. A rank that is not a
 /// member of a call's group skips that call (no synchronisation — the
 /// step ends when every member of every group is done). The op stream
-/// is a pure function of `(rank, world, calls)`, so the step is
-/// compilable ([`compile_step`]) like any single collective.
+/// is a pure function of `(rank, world, calls)`, and the calls'
+/// streams simply follow one another on each rank, which is why
+/// [`compile_step`] can compose the step's schedule from the schedules
+/// of its collectives without running this function.
 ///
 /// # Panics
 ///
 /// Panics on an invalid group (empty, out-of-world member, duplicate)
 /// or more calls than tag windows.
 pub fn run_step<C: Comm>(ctx: &mut C, calls: &[GroupCall]) {
-    assert!(
-        calls.len() < (u32::MAX / GROUP_TAG_STRIDE) as usize,
-        "step has more calls than tag windows"
-    );
+    assert!(calls.len() < TAG_WINDOWS, "{TOO_MANY_CALLS}");
     for (i, call) in calls.iter().enumerate() {
         let tag_base = i as u32 * GROUP_TAG_STRIDE;
         if let Some(mut group) = GroupComm::new(ctx, &call.ranks, tag_base) {
@@ -355,30 +369,130 @@ pub fn run_step<C: Comm>(ctx: &mut C, calls: &[GroupCall]) {
     }
 }
 
-/// Compiles one workload step into a `world`-rank schedule
-/// ([`run_step`] against a recording context).
+/// What fixes the schedule of a collective run in isolation with root
+/// 0: `(alg, ranks, m, seg_size)`. Every [`GroupCall`] with the same
+/// key runs the same program, whichever ranks its group holds.
+pub type TemplateKey = (crate::collective::Alg, usize, usize, usize);
+
+/// Records the template of `key`: the collective on its own
+/// communicator, root 0 ([`crate::run_collective`] against a recording
+/// context) — what [`compose_step`] embeds once per group that runs it.
 ///
 /// # Errors
 ///
-/// [`RecordError`] if the recording run fails (the group collectives
-/// use no wildcards, so `Unsupported` cannot occur).
+/// [`RecordError`] if the recording run fails.
 ///
 /// # Panics
 ///
-/// Panics on invalid groups, as [`run_step`] would.
+/// Panics if the rank count is zero or exceeds the cluster's slots.
+pub fn compile_template(
+    cluster: &ClusterModel,
+    (alg, p, m, seg_size): TemplateKey,
+) -> Result<Schedule, RecordError> {
+    record_schedule(cluster, p, move |rc| {
+        crate::collective::run_collective(rc, alg, 0, m, seg_size);
+    })
+}
+
+/// A template's recording failure as the step reports it: under the
+/// world rank of the group member it happened on.
+fn on_members(err: RecordError, members: &[usize]) -> RecordError {
+    match err {
+        RecordError::Sim(SimError::RankPanic { rank, message }) => {
+            RecordError::Sim(SimError::RankPanic {
+                rank: members[rank],
+                message,
+            })
+        }
+        RecordError::Unsupported { rank, what } => RecordError::Unsupported {
+            rank: members[rank],
+            what,
+        },
+        RecordError::Sim(SimError::Deadlock { detail }) => RecordError::Sim(SimError::Deadlock {
+            detail: format!("on the rank group {members:?}, by group rank: {detail}"),
+        }),
+        other => other,
+    }
+}
+
+/// Composes one workload step — what [`run_step`] issues on `world`
+/// ranks — from per-collective templates instead of running it: call
+/// `i`'s template, obtained from `template` by its [`TemplateKey`], is
+/// [embedded](Schedule::embed) on the call's ranks in tag window `i`.
+/// A step's calls never synchronise with each other, so this is op for
+/// op the schedule recording `run_step` yields, and a collective shared
+/// by many groups, steps or traces is recorded as often as `template`
+/// chooses to — once, if it keeps what it returns.
+///
+/// # Errors
+///
+/// What recording the step would report: an invalid group (empty,
+/// member outside the world, duplicate) or more calls than tag windows
+/// as [`SimError::RankPanic`] on rank 0 with [`run_step`]'s panic
+/// message; a template's own failure under the world rank of the member
+/// it happened on.
+///
+/// # Panics
+///
+/// Panics if `world` is zero or exceeds the cluster's slots.
+pub fn compose_step(
+    cluster: &ClusterModel,
+    world: usize,
+    calls: &[GroupCall],
+    mut template: impl FnMut(TemplateKey) -> Result<Arc<Schedule>, RecordError>,
+) -> Result<Schedule, RecordError> {
+    let mut step = Schedule::idle(cluster, world);
+    if calls.len() >= TAG_WINDOWS {
+        return Err(RecordError::Sim(SimError::RankPanic {
+            rank: 0,
+            message: TOO_MANY_CALLS.to_owned(),
+        }));
+    }
+    for (i, call) in calls.iter().enumerate() {
+        // Checked before the template is asked for: its rank count is
+        // the group's size, which only a valid group bounds.
+        check_group(&call.ranks, world)?;
+        let key = (call.alg, call.ranks.len(), call.m, call.seg_size);
+        let template = template(key).map_err(|err| on_members(err, &call.ranks))?;
+        step.embed(&template, &call.ranks, i as u32 * GROUP_TAG_STRIDE)?;
+    }
+    Ok(step)
+}
+
+/// Compiles one workload step into a `world`-rank schedule: the
+/// schedule recording [`run_step`] yields, [composed](compose_step)
+/// from templates that are recorded once per distinct collective of the
+/// step. (To share templates across steps too, use
+/// `collsel_estim::compile_step_shared`.)
+///
+/// # Errors
+///
+/// As [`compose_step`]; the group collectives use no wildcards and
+/// read no payload, so `Unsupported` cannot occur.
+///
+/// # Panics
+///
+/// Panics if `world` is zero or exceeds the cluster's slots.
 pub fn compile_step(
     cluster: &ClusterModel,
     world: usize,
     calls: &[GroupCall],
 ) -> Result<Schedule, RecordError> {
-    let calls = calls.to_vec();
-    record_schedule(cluster, world, move |rc| run_step(rc, &calls))
+    let mut templates: HashMap<TemplateKey, Arc<Schedule>> = HashMap::new();
+    compose_step(cluster, world, calls, |key| {
+        Ok(match templates.entry(key) {
+            Entry::Occupied(slot) => Arc::clone(slot.get()),
+            Entry::Vacant(slot) => {
+                Arc::clone(slot.insert(Arc::new(compile_template(cluster, key)?)))
+            }
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use collsel_mpi::{simulate_scheduled, simulate_with, Comm, Ctx, SimOptions};
+    use collsel_mpi::{simulate_scheduled, simulate_with, Ctx, SimOptions};
     use collsel_support::payload::payload;
 
     /// Payload of `lanes` little-endian `u64` lanes for the reductions.
@@ -476,6 +590,92 @@ mod tests {
         );
         assert_eq!(bcast.iter().filter(|&&len| len == GIB / 2).count(), 23);
         assert_eq!(bcast.iter().sum::<usize>(), 23 * GIB);
+    }
+
+    fn rank_panic(rank: usize, message: &str) -> RecordError {
+        RecordError::Sim(SimError::RankPanic {
+            rank,
+            message: message.to_owned(),
+        })
+    }
+
+    /// An invalid step is a typed error, never a panic, and reads as
+    /// it did when steps were recorded whole (`run_step` against the
+    /// recording context, kept here as the reference).
+    #[test]
+    fn invalid_steps_are_typed_errors_with_the_recorder_s_messages() {
+        use crate::collective::Alg;
+        let cluster = ClusterModel::gros();
+        let world = 6;
+        let call = |ranks: Vec<usize>| GroupCall {
+            alg: Alg::Bcast(BcastAlg::Binomial),
+            ranks,
+            m: 4096,
+            seg_size: 1024,
+        };
+        for (ranks, message) in [
+            (vec![], "empty rank group"),
+            (vec![0, 2, 6], "group member 6 outside world of 6"),
+            (vec![1, 3, 1], "duplicate member 1 in rank group"),
+        ] {
+            // A valid call first: the fault is found wherever it sits.
+            let calls = vec![call(vec![4, 5]), call(ranks)];
+            let whole = record_schedule(&cluster, world, |rc| run_step(rc, &calls));
+            assert_eq!(whole.err(), Some(rank_panic(0, message)));
+            assert_eq!(
+                compile_step(&cluster, world, &calls).err(),
+                Some(rank_panic(0, message))
+            );
+        }
+
+        let calls = vec![call(vec![0, 1]); TAG_WINDOWS];
+        let whole = record_schedule(&cluster, world, |rc| run_step(rc, &calls));
+        assert_eq!(whole.err(), Some(rank_panic(0, TOO_MANY_CALLS)));
+        assert_eq!(
+            compile_step(&cluster, world, &calls).err(),
+            Some(rank_panic(0, TOO_MANY_CALLS))
+        );
+    }
+
+    #[test]
+    fn a_template_s_failure_is_reported_under_the_member_s_world_rank() {
+        use crate::collective::Alg;
+        let cluster = ClusterModel::gros();
+        let calls = vec![GroupCall {
+            alg: Alg::Bcast(BcastAlg::Linear),
+            ranks: vec![2, 5, 7],
+            m: 64,
+            seg_size: 0,
+        }];
+        let compose = |template: Result<Schedule, RecordError>| {
+            compose_step(&cluster, 8, &calls, |key| {
+                assert_eq!(key, (Alg::Bcast(BcastAlg::Linear), 3, 64, 0));
+                template.clone().map(Arc::new)
+            })
+            .err()
+        };
+        // Group rank 1 is world rank 5.
+        assert_eq!(
+            compose(Err(rank_panic(1, "boom"))),
+            Some(rank_panic(5, "boom"))
+        );
+        assert_eq!(
+            compose(Err(RecordError::Unsupported {
+                rank: 2,
+                what: "wait_any_recv".to_owned(),
+            })),
+            Some(RecordError::Unsupported {
+                rank: 7,
+                what: "wait_any_recv".to_owned(),
+            })
+        );
+        // A template that crosses the engine barrier: refused under the
+        // first member, world rank 2, as its `GroupComm` would panic.
+        let with_barrier = record_schedule(&cluster, 3, |rc| rc.barrier());
+        assert_eq!(
+            compose(with_barrier),
+            Some(rank_panic(2, "engine barrier unsupported on a rank group"))
+        );
     }
 
     #[test]

@@ -71,7 +71,10 @@ pub use measure::{
     try_linear_segment_bcast_time, try_linear_segment_bcast_time_with, try_p2p_time,
     try_p2p_time_with, BcastSpec, CollectiveSpec, ExperimentSpec, RetryPolicy,
 };
-pub use memo::{compiled_step_dag, memo_counters, step_cell, MemoCounters, StepCell, StepDag};
+pub use memo::{
+    compile_step_shared, compiled_step_dag, memo_counters, step_cell, MemoCounters, StepCell,
+    StepDag,
+};
 pub use regress::{huber, huber_default, ols, LinearFit};
 pub use stats::{
     mad, mad_filter, median, sample_adaptive, sample_adaptive_fallible, t_critical_95,

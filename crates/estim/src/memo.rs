@@ -1,5 +1,6 @@
-//! Process-wide memo for compiled measurement cells, with the cache
-//! effectiveness counters campaign accounting surfaces.
+//! Process-wide memo for compiled measurement cells, replay steps and
+//! collective templates, with the cache effectiveness counters campaign
+//! accounting surfaces.
 //!
 //! On the timing-DAG backend a measurement cell costs three phases:
 //! record the program (symbolically, on the calling thread: no rank
@@ -13,17 +14,35 @@
 //! grid cells across batches, retries and generations, so the DAG for
 //! each cell is compiled once here and shared (`Arc`) afterwards.
 //!
-//! [`memo_counters`] snapshots the hit/miss counters of this cache
+//! Three stores live here, each a map behind its own lock, each capped
+//! at [`DAG_CACHE_CAP`] entries (a full store keeps what it has and
+//! builds the rest per request), each built outside its lock:
+//!
+//! | store | key | value | counters |
+//! |---|---|---|---|
+//! | cell DAGs ([`compiled_dag`]) | ([`CellProgram`], reps, eager threshold) | `Arc<TimingDag>` | `dag_hits` / `dag_misses` |
+//! | step DAGs ([`compiled_step_dag`]) | ([`StepCell`]: world + every call's algorithm, member ranks, sizes; eager threshold) | [`StepDag`] | `dag_hits` / `dag_misses` |
+//! | collective templates ([`compile_step_shared`]) | [`TemplateKey`]: (algorithm, group size, message size, segment size) | `Arc<Schedule>` | `template_hits` / `template_misses` |
+//!
+//! A step DAG is keyed by exactly which ranks run what, so two steps
+//! rarely share one; the *collectives* they are made of recur across
+//! groups, steps, policies and traces. A step-DAG miss therefore
+//! composes its schedule from the template store
+//! ([`collsel_coll::compile::compose_step`]) and runs the recorder only
+//! for a collective no earlier step has used.
+//!
+//! [`memo_counters`] snapshots the hit/miss counters of these stores
 //! *and* of the shared payload store
 //! ([`collsel_support::payload`]); `colltune` attaches the
 //! campaign-phase delta to its coverage accounting JSON.
 
-use collsel_coll::compile::GroupCall;
+use collsel_coll::compile::{compile_template, compose_step, GroupCall, TemplateKey};
 use collsel_coll::{Alg, BcastAlg};
 use collsel_mpi::{RecordError, Schedule, TimingDag};
 use collsel_netsim::ClusterModel;
 use collsel_support::payload::payload_counters;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -69,23 +88,68 @@ pub(crate) enum CellProgram {
 /// against.
 type DagKey = (CellProgram, usize, usize);
 
-/// Entry cap. Compiled DAGs hold the full flattened op stream
-/// (`reps × P × ops`), so the cache is bounded by entry count rather
-/// than evicted: a campaign grid wider than this keeps its first
+/// Entry cap of each store. Compiled DAGs hold the full flattened op
+/// stream (`reps × P × ops`), so a store is bounded by entry count
+/// rather than evicted: a campaign grid wider than this keeps its first
 /// `DAG_CACHE_CAP` cells cached and recompiles the rest (visible as
 /// misses in [`memo_counters`]).
 const DAG_CACHE_CAP: usize = 256;
 
-static CACHE: OnceLock<Mutex<HashMap<DagKey, Arc<TimingDag>>>> = OnceLock::new();
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Locks a memo map, propagating recorder panics: a poisoned cache
-/// means a recording thread died mid-insert, and serving from it could
-/// hand out a half-built artifact.
-fn locked<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().expect("memo cache lock (a recorder panicked)")
+/// One memo store: a capped map and its hit/miss counters.
+struct Store<K, V> {
+    map: OnceLock<Mutex<HashMap<K, V>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
+
+impl<K: Eq + Hash, V: Clone> Store<K, V> {
+    const fn new() -> Self {
+        Store {
+            map: OnceLock::new(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    /// Locks the map, propagating recorder panics: a poisoned cache
+    /// means a recording thread died mid-insert, and serving from it
+    /// could hand out a half-built artifact.
+    fn locked(&self) -> std::sync::MutexGuard<'_, HashMap<K, V>> {
+        self.map
+            .get_or_init(|| Mutex::new(HashMap::new()))
+            .lock()
+            .expect("memo cache lock (a recorder panicked)")
+    }
+
+    /// The cached value of `key`, counting the lookup as a hit or a
+    /// miss. The caller builds a missing value *outside* the lock —
+    /// recording executes every rank's program, far too slow to
+    /// serialise globally — and hands it to [`Store::insert`]. Two
+    /// threads racing on one key both build the same (deterministic)
+    /// value; the loser's insert is a no-op overwrite with an equal one.
+    fn get(&self, key: &K) -> Option<V> {
+        let found = self.locked().get(key).cloned();
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// Keeps `value` unless the store is full.
+    fn insert(&self, key: K, value: V) {
+        let mut map = self.locked();
+        if map.len() < DAG_CACHE_CAP || map.contains_key(&key) {
+            map.insert(key, value);
+        }
+    }
+}
+
+static CELLS: Store<DagKey, Arc<TimingDag>> = Store::new();
+static STEPS: Store<StepKey, StepDag> = Store::new();
+static TEMPLATES: Store<TemplateKey, Arc<Schedule>> = Store::new();
 
 /// A recorded cell after DAG lowering was attempted: either the
 /// compiled artifact, or — when the schedule overflows the DAG's index
@@ -119,16 +183,9 @@ pub(crate) fn compiled_dag(
     compile: impl FnOnce(&ClusterModel, usize) -> Result<Schedule, RecordError>,
 ) -> Option<DagCell> {
     let key = (program, reps, cluster.eager_threshold());
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(dag) = locked(cache).get(&key) {
-        HITS.fetch_add(1, Ordering::Relaxed);
-        return Some(DagCell::Compiled(Arc::clone(dag)));
+    if let Some(dag) = CELLS.get(&key) {
+        return Some(DagCell::Compiled(dag));
     }
-    // Record and compile outside the lock — recording executes every
-    // rank's program, far too slow to serialise globally. Two threads
-    // racing on one cell both compile the same (deterministic) DAG;
-    // the loser's insert is a no-op overwrite with an equal value.
-    MISSES.fetch_add(1, Ordering::Relaxed);
     let sched = compile(cluster, reps).ok()?;
     let dag = match TimingDag::compile(cluster, &sched) {
         Ok(dag) => Arc::new(dag),
@@ -136,10 +193,7 @@ pub(crate) fn compiled_dag(
             return Some(DagCell::TooLarge(sched));
         }
     };
-    let mut cache = locked(cache);
-    if cache.len() < DAG_CACHE_CAP || cache.contains_key(&key) {
-        cache.insert(key, Arc::clone(&dag));
-    }
+    CELLS.insert(key, Arc::clone(&dag));
     Some(DagCell::Compiled(dag))
 }
 
@@ -168,8 +222,6 @@ pub enum StepDag {
 
 type StepKey = (StepCell, usize);
 
-static STEP_CACHE: OnceLock<Mutex<HashMap<StepKey, StepDag>>> = OnceLock::new();
-
 /// Builds the [`StepCell`] key for a resolved list of group calls.
 pub fn step_cell(world: usize, calls: &[GroupCall]) -> StepCell {
     StepCell {
@@ -183,10 +235,11 @@ pub fn step_cell(world: usize, calls: &[GroupCall]) -> StepCell {
 
 /// Returns the compiled timing DAG (or, for schedules beyond the DAG
 /// index space, the recorded schedule) for one replay step, recording
-/// and lowering on a miss. Shares the measurement-cell cache's
-/// hit/miss counters ([`memo_counters`]) and entry cap, but lives in
-/// its own map: step shapes are keyed by their full group/call
-/// geometry, not a [`CellProgram`].
+/// (`compile`; replay passes [`compile_step_shared`]) and lowering on a
+/// miss. Counts into the same `dag_hits`/`dag_misses`
+/// ([`memo_counters`]) as the measurement cells, but lives in its own
+/// store: step shapes are keyed by their full group/call geometry, not
+/// a [`CellProgram`].
 ///
 /// Of `cluster` only the rank capacity and the eager threshold are
 /// read, as for the measurement cells. Returns `None` if recording
@@ -197,22 +250,46 @@ pub fn compiled_step_dag(
     compile: impl FnOnce(&ClusterModel) -> Result<Schedule, RecordError>,
 ) -> Option<StepDag> {
     let key = (cell, cluster.eager_threshold());
-    let cache = STEP_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(dag) = locked(cache).get(&key) {
-        HITS.fetch_add(1, Ordering::Relaxed);
-        return Some(dag.clone());
+    if let Some(dag) = STEPS.get(&key) {
+        return Some(dag);
     }
-    MISSES.fetch_add(1, Ordering::Relaxed);
     let sched = compile(cluster).ok()?;
     let dag = match TimingDag::compile(cluster, &sched) {
         Ok(dag) => StepDag::Compiled(Arc::new(dag)),
         Err(collsel_mpi::CompileError::TooLarge { .. }) => StepDag::TooLarge(Arc::new(sched)),
     };
-    let mut cache = locked(cache);
-    if cache.len() < DAG_CACHE_CAP || cache.contains_key(&key) {
-        cache.insert(key, dag.clone());
-    }
+    STEPS.insert(key, dag.clone());
     Some(dag)
+}
+
+/// [`collsel_coll::compile::compile_step`] with the templates held in
+/// the process-wide template store instead of a map of its own: a
+/// collective — `(algorithm, group size, message size, segment size)`
+/// — runs through the recorder once per process, whichever groups,
+/// steps, policies and traces use it afterwards. The schedule is the
+/// same, op for op.
+///
+/// # Errors
+///
+/// As [`collsel_coll::compile::compose_step`]. A template whose
+/// recording fails is not kept.
+///
+/// # Panics
+///
+/// Panics if `world` is zero or exceeds the cluster's slots.
+pub fn compile_step_shared(
+    cluster: &ClusterModel,
+    world: usize,
+    calls: &[GroupCall],
+) -> Result<Schedule, RecordError> {
+    compose_step(cluster, world, calls, |key| {
+        if let Some(template) = TEMPLATES.get(&key) {
+            return Ok(template);
+        }
+        let template = Arc::new(compile_template(cluster, key)?);
+        TEMPLATES.insert(key, Arc::clone(&template));
+        Ok(template)
+    })
 }
 
 /// Monotonic process-wide cache counters: the compiled-DAG memo and
@@ -227,6 +304,11 @@ pub struct MemoCounters {
     pub dag_hits: u64,
     /// Measurement cells that recorded and compiled.
     pub dag_misses: u64,
+    /// Group calls composed from an already recorded collective
+    /// template ([`compile_step_shared`]).
+    pub template_hits: u64,
+    /// Collective templates that ran through the recorder.
+    pub template_misses: u64,
 }
 
 impl MemoCounters {
@@ -239,18 +321,23 @@ impl MemoCounters {
             payload_misses: self.payload_misses - earlier.payload_misses,
             dag_hits: self.dag_hits - earlier.dag_hits,
             dag_misses: self.dag_misses - earlier.dag_misses,
+            template_hits: self.template_hits - earlier.template_hits,
+            template_misses: self.template_misses - earlier.template_misses,
         }
     }
 }
 
 /// Snapshot of all memo counters since process start.
 pub fn memo_counters() -> MemoCounters {
+    let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
     let payload = payload_counters();
     MemoCounters {
         payload_hits: payload.hits,
         payload_misses: payload.misses,
-        dag_hits: HITS.load(Ordering::Relaxed),
-        dag_misses: MISSES.load(Ordering::Relaxed),
+        dag_hits: load(&CELLS.hits) + load(&STEPS.hits),
+        dag_misses: load(&CELLS.misses) + load(&STEPS.misses),
+        template_hits: load(&TEMPLATES.hits),
+        template_misses: load(&TEMPLATES.misses),
     }
 }
 
@@ -285,6 +372,50 @@ mod tests {
         assert_eq!(compile_count.get(), 1, "recording must run exactly once");
         let c = memo_counters();
         assert!(c.dag_hits >= 1 && c.dag_misses >= 1);
+    }
+
+    /// Two steps that share a collective record it once. No other test
+    /// of this binary composes steps, so the template counters move by
+    /// this test's lookups alone.
+    #[test]
+    fn two_steps_sharing_a_collective_record_it_once() -> Result<(), RecordError> {
+        use collsel_coll::compile::compile_step;
+        let cluster = ClusterModel::gros();
+        let shared = Alg::Allgather(collsel_coll::AllgatherAlg::Ring);
+        let call = |alg, ranks: &[usize], m| GroupCall {
+            alg,
+            ranks: ranks.to_vec(),
+            m,
+            seg_size: 1_111,
+        };
+        let key = (shared, 3, 7_777, 1_111);
+        let kept = || TEMPLATES.locked().get(&key).cloned();
+        assert!(kept().is_none());
+
+        let before = memo_counters();
+        let first = vec![
+            call(shared, &[0, 2, 4], 7_777),
+            call(shared, &[1, 3, 5], 7_777),
+            call(Alg::Bcast(BcastAlg::Chain), &[0, 1], 7_777),
+        ];
+        let sched = compile_step_shared(&cluster, 8, &first)?;
+        assert_eq!(sched.shape(), compile_step(&cluster, 8, &first)?.shape());
+        let Some(template) = kept() else {
+            panic!("the template is kept");
+        };
+
+        let second = vec![
+            call(shared, &[5, 6, 7], 7_777),
+            call(shared, &[0, 1, 2, 3], 7_777),
+        ];
+        compile_step_shared(&cluster, 8, &second)?;
+        assert!(kept().is_some_and(|again| Arc::ptr_eq(&template, &again)));
+
+        // Five group calls, three collectives: the ring at P=3, the
+        // chain, the ring at P=4.
+        let moved = memo_counters().since(before);
+        assert_eq!((moved.template_misses, moved.template_hits), (3, 2));
+        Ok(())
     }
 
     #[test]

@@ -27,7 +27,7 @@ use collsel::select::{
     ServerConfig,
 };
 use collsel::{CampaignPlan, TunedModel, Tuner, TunerConfig};
-use collsel_expt::campaign::CampaignSummary;
+use collsel_expt::campaign::{memo_json, CampaignSummary};
 use collsel_expt::replay::{
     backend_name, comparison_csv, comparison_json, degradation_pct, score_policies, ReplayPolicy,
 };
@@ -1004,7 +1004,11 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     }
     println!("best: {}", best.selector);
     if let Some(path) = flag_value(args, "--json") {
-        collsel_support::bench::write_artifact(path, &comparison_json(cluster.name(), &outcomes))?;
+        let mut json = comparison_json(cluster.name(), &outcomes);
+        if let collsel_support::Json::Obj(fields) = &mut json {
+            fields.push(("memo".into(), memo_json()));
+        }
+        collsel_support::bench::write_artifact(path, &json)?;
         eprintln!("[colltune] JCT comparison written to {path}");
     }
     if let Some(path) = flag_value(args, "--csv") {

@@ -162,16 +162,26 @@ impl<'a> CampaignSummary<'a> {
 }
 
 /// Snapshot of the process-wide measurement memo counters — the
-/// compiled-DAG cell cache and the shared payload store — attached to
-/// campaign accounting so cache effectiveness lands in the same
-/// artifact as the cell/batch totals. The counters are monotonic since
-/// process start; a campaign that is the process's only workload reads
-/// them as its own hit/miss ledger.
-fn memo_json() -> Json {
+/// compiled-DAG cell and step caches, the collective templates steps
+/// are composed from and the shared payload store — attached to
+/// campaign accounting and to `colltune replay --json` so cache
+/// effectiveness lands in the same artifact as the totals it explains.
+/// The counters are monotonic since process start; a campaign or replay
+/// that is the process's only workload reads them as its own hit/miss
+/// ledger.
+pub fn memo_json() -> Json {
     let c = memo_counters();
     Json::Obj(vec![
         ("dag_hits".to_owned(), Json::Num(c.dag_hits as f64)),
         ("dag_misses".to_owned(), Json::Num(c.dag_misses as f64)),
+        (
+            "template_hits".to_owned(),
+            Json::Num(c.template_hits as f64),
+        ),
+        (
+            "template_misses".to_owned(),
+            Json::Num(c.template_misses as f64),
+        ),
         ("payload_hits".to_owned(), Json::Num(c.payload_hits as f64)),
         (
             "payload_misses".to_owned(),
@@ -237,7 +247,14 @@ mod tests {
         );
         assert!(json.get("per_collective").is_some());
         let memo = json.get("memo").expect("memo counters attached");
-        for key in ["dag_hits", "dag_misses", "payload_hits", "payload_misses"] {
+        for key in [
+            "dag_hits",
+            "dag_misses",
+            "template_hits",
+            "template_misses",
+            "payload_hits",
+            "payload_misses",
+        ] {
             assert!(memo.get(key).and_then(Json::as_f64).is_some(), "{key}");
         }
     }

@@ -11,9 +11,14 @@
 //! making replay a realistic traffic driver). The resolved step then
 //! runs through any of the three execution backends; steps with equal
 //! shape share one compiled artifact via `estim`'s step-cell memo
-//! ([`collsel_estim::compiled_step_dag`]), so the DAG tier records and
-//! compiles each distinct (step-shape, geometry) cell once and batch-
-//! replays the rest payload-free.
+//! ([`collsel_estim::compiled_step_dag`]), so the DAG tier compiles
+//! each distinct (step-shape, geometry) cell once and batch-replays the
+//! rest payload-free. A new step shape is not recorded either: its
+//! schedule is composed from the schedules of its collectives
+//! ([`collsel_estim::compile_step_shared`]), and only a collective —
+//! (algorithm, group size, message size, segment size) — that no
+//! earlier step, policy or trace of the process has used runs through
+//! the recorder.
 //!
 //! JCT is the sum over steps of the step's makespan (steps are
 //! serialised by the training loop's data dependency: forward/backward
@@ -23,9 +28,9 @@
 //! `tests/replay_determinism.rs` and ci.sh.
 
 use crate::workload::Trace;
-use collsel::coll::compile::{compile_step, GroupCall};
+use collsel::coll::compile::GroupCall;
 use collsel::coll::Collective;
-use collsel::estim::{compiled_step_dag, step_cell, StepCell, StepDag};
+use collsel::estim::{compile_step_shared, compiled_step_dag, step_cell, StepCell, StepDag};
 use collsel::mpi::{
     simulate_pooled, simulate_scheduled, Backend, DagEvaluator, RecordError, Schedule, SimError,
     SimOptions,
@@ -123,13 +128,9 @@ json_struct!(ReplayOutcome {
     bytes
 });
 
-/// Resolves one step's calls through the policy (one lookup per call).
-fn resolve_step(
-    trace: &Trace,
-    step: usize,
-    policy: &ReplayPolicy<'_>,
-    lookups: &mut u64,
-) -> Vec<GroupCall> {
+/// The group calls step `step` of `trace` runs under `policy`: one
+/// selector lookup per collective call, in call order.
+pub fn step_calls(trace: &Trace, step: usize, policy: &ReplayPolicy<'_>) -> Vec<GroupCall> {
     trace.steps[step]
         .calls
         .iter()
@@ -137,7 +138,6 @@ fn resolve_step(
             let group = &trace.groups[call.group];
             let p = group.ranks.len();
             let sel = policy.decide(call.collective, p, call.m);
-            *lookups += 1;
             GroupCall {
                 alg: sel.alg,
                 ranks: group.ranks.clone(),
@@ -168,8 +168,9 @@ enum StepExec {
 /// All three backends yield bit-identical outcomes at any thread
 /// count. On [`Backend::Dag`], distinct step shapes are compiled once
 /// through the process-wide step memo and batch-replayed; on
-/// [`Backend::Events`], each distinct shape is recorded once per call
-/// and replayed per step; [`Backend::Threads`] runs every step through
+/// [`Backend::Events`], each distinct shape is composed once per call
+/// and replayed per step (both from the process-wide collective
+/// templates); [`Backend::Threads`] runs every step through
 /// the thread-per-rank oracle.
 ///
 /// # Errors
@@ -203,7 +204,8 @@ pub fn replay_trace(
     let mut execs: HashMap<StepCell, StepExec> = HashMap::new();
 
     for s in 0..trace.steps.len() {
-        let calls = resolve_step(trace, s, policy, &mut lookups);
+        let calls = step_calls(trace, s, policy);
+        lookups += calls.len() as u64;
         let seed_s = step_seed(seed, s);
         let opts = SimOptions::default();
         let report = match backend {
@@ -219,7 +221,7 @@ pub fn replay_trace(
                 let exec = match execs.entry(cell) {
                     std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
                     std::collections::hash_map::Entry::Vacant(e) => {
-                        let sched = compile_step(cluster, trace.world, &calls)
+                        let sched = compile_step_shared(cluster, trace.world, &calls)
                             .map_err(record_error_to_sim)?;
                         e.insert(StepExec::Sched(Arc::new(sched)))
                     }
@@ -236,7 +238,7 @@ pub fn replay_trace(
                     std::collections::hash_map::Entry::Vacant(e) => {
                         // Only a miss pays for a second copy of the key.
                         let dag = compiled_step_dag(cluster, e.key().clone(), |rec| {
-                            compile_step(rec, trace.world, &calls)
+                            compile_step_shared(rec, trace.world, &calls)
                         })
                         .ok_or_else(|| SimError::Deadlock {
                             detail: "step recording failed".into(),

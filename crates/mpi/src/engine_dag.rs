@@ -55,7 +55,7 @@ use crate::sim::{
 };
 use collsel_netsim::{ClusterModel, Fabric, SimSpan, SimTime};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -77,6 +77,7 @@ const EDGE_DONE: u8 = 3;
 /// One compiled operation. Posts carry their resolved edge; blocking
 /// ops carry their precomputed slot range.
 #[derive(Debug, Clone, Copy)]
+#[cfg_attr(test, derive(PartialEq))]
 enum DagOp {
     /// `Isend`, resolved: the edge knows peer, size, protocol and slots.
     Send { edge: u32 },
@@ -101,6 +102,7 @@ impl DagOp {
 
 /// One resolved send/recv pair (or unmatched half) of the program.
 #[derive(Debug, Clone, Copy)]
+#[cfg_attr(test, derive(PartialEq))]
 struct DagEdge {
     src: u32,
     dst: u32,
@@ -116,6 +118,27 @@ struct DagEdge {
     /// is never received — eager sends still complete and book fabric
     /// time; rendezvous sends block forever).
     recv_slot: u32,
+}
+
+/// One posted half of a message, as [`TimingDag::compile`] collects
+/// them for matching. The field order is the sort order: sorted, a
+/// channel's halves are contiguous, its sends before its receives, each
+/// side in its rank's program order (op indices grow along a rank), and
+/// the channels in `(src, dst, tag)` order, which fixes the edge
+/// numbering (it never affects timing, but a reproducible compile is
+/// easier to debug).
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Half {
+    src: u32,
+    dst: u32,
+    tag: u32,
+    recv: bool,
+    /// Global index of the posting op.
+    op: u32,
+    /// Completion slot of the request.
+    slot: u32,
+    /// Payload length of a send; zero for a receive.
+    bytes: usize,
 }
 
 /// Why a [`Schedule`] could not be lowered to a [`TimingDag`].
@@ -157,6 +180,7 @@ impl std::error::Error for CompileError {}
 /// [`simulate_dag`] (one-shot) or [`DagEvaluator`] (batched). The DAG
 /// is immutable and shareable (`Arc`) across threads and repetitions.
 #[derive(Debug)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct TimingDag {
     p: usize,
     /// The eager threshold the edges were classified against; the
@@ -245,34 +269,33 @@ impl TimingDag {
         let mut wait_reqs: Vec<ReqId> = Vec::new();
         let mut wtime_counts = vec![0u32; p];
         let mut slots: u32 = 0;
-        let mut slot_wait: Vec<u32> = Vec::new();
-        let mut slot_rank: Vec<u32> = Vec::new();
-        // Channel -> (sends: (op, slot, bytes), recvs: (op, slot)), in
-        // program order per side. A BTreeMap keeps edge numbering
-        // deterministic (the numbering never affects timing, but a
-        // reproducible compile is easier to debug).
-        type SendEnt = (u32, u32, usize);
-        type RecvEnt = (u32, u32);
-        let mut channels: BTreeMap<(u32, u32, u32), (Vec<SendEnt>, Vec<RecvEnt>)> = BTreeMap::new();
-        let mut req_slot: HashMap<ReqId, u32> = HashMap::new();
+        let requests = sched.reqs.iter().map(|&n| n as usize).sum();
+        let mut slot_wait: Vec<u32> = Vec::with_capacity(requests);
+        let mut slot_rank: Vec<u32> = Vec::with_capacity(requests);
+        let mut halves: Vec<Half> = Vec::with_capacity(requests);
 
         for (rank, rops) in sched.ops.iter().enumerate() {
             rank_bounds.push(ops.len() as u32);
-            req_slot.clear();
+            // Request ids are dense per rank in issue order, and so are
+            // slots: request `id` of this rank owns slot `first_slot + id`.
+            let first_slot = slots;
             for op in rops {
                 let idx = ops.len() as u32;
                 match op {
                     SchedOp::Isend { req, dst, tag, len } => {
-                        let slot = slots;
+                        assert_eq!(first_slot + req, slots, "request ids are dense");
+                        halves.push(Half {
+                            src: rank as u32,
+                            dst: *dst as u32,
+                            tag: *tag,
+                            recv: false,
+                            op: idx,
+                            slot: slots,
+                            bytes: *len,
+                        });
                         slots += 1;
                         slot_wait.push(NONE_IDX);
                         slot_rank.push(rank as u32);
-                        req_slot.insert(*req, slot);
-                        channels
-                            .entry((rank as u32, *dst as u32, *tag))
-                            .or_default()
-                            .0
-                            .push((idx, slot, *len));
                         ops.push(DagOp::Send { edge: NONE_IDX });
                     }
                     SchedOp::Irecv { req, src, tag } => {
@@ -282,25 +305,30 @@ impl TimingDag {
                         let TagSel::Exact(t) = tag else {
                             panic!("wildcard receive tag in a replay-valid schedule")
                         };
-                        let slot = slots;
+                        assert_eq!(first_slot + req, slots, "request ids are dense");
+                        halves.push(Half {
+                            src: *s as u32,
+                            dst: rank as u32,
+                            tag: *t,
+                            recv: true,
+                            op: idx,
+                            slot: slots,
+                            bytes: 0,
+                        });
                         slots += 1;
                         slot_wait.push(NONE_IDX);
                         slot_rank.push(rank as u32);
-                        req_slot.insert(*req, slot);
-                        channels
-                            .entry((*s as u32, rank as u32, *t))
-                            .or_default()
-                            .1
-                            .push((idx, slot));
                         ops.push(DagOp::Recv { edge: NONE_IDX });
                     }
                     SchedOp::Compute { span } => ops.push(DagOp::Compute { span: *span }),
                     SchedOp::Wait { reqs, mode } => {
                         let off = wait_slots.len() as u32;
                         for id in reqs {
-                            let slot = *req_slot
-                                .get(id)
-                                .expect("waited request was posted earlier in program order");
+                            assert!(
+                                *id < slots - first_slot,
+                                "waited request was posted earlier in program order"
+                            );
+                            let slot = first_slot + id;
                             wait_slots.push(slot);
                             wait_reqs.push(*id);
                             slot_wait[slot as usize] = idx;
@@ -321,24 +349,27 @@ impl TimingDag {
         }
         rank_bounds.push(ops.len() as u32);
 
+        halves.sort_unstable();
         let mut edges = Vec::new();
-        for ((src, dst, _tag), (sends, recvs)) in &channels {
+        let same_channel = |a: &Half, b: &Half| (a.src, a.dst, a.tag) == (b.src, b.dst, b.tag);
+        for channel in halves.chunk_by(same_channel) {
+            let (sends, recvs) = channel.split_at(channel.partition_point(|half| !half.recv));
             for k in 0..sends.len().max(recvs.len()) {
                 let edge = edges.len() as u32;
-                let bytes = sends.get(k).map_or(0, |&(_, _, b)| b);
+                let bytes = sends.get(k).map_or(0, |half| half.bytes);
                 edges.push(DagEdge {
-                    src: *src,
-                    dst: *dst,
+                    src: channel[0].src,
+                    dst: channel[0].dst,
                     bytes,
                     eager: bytes <= eager_threshold,
-                    send_slot: sends.get(k).map_or(NONE_IDX, |&(_, s, _)| s),
-                    recv_slot: recvs.get(k).map_or(NONE_IDX, |&(_, s)| s),
+                    send_slot: sends.get(k).map_or(NONE_IDX, |half| half.slot),
+                    recv_slot: recvs.get(k).map_or(NONE_IDX, |half| half.slot),
                 });
-                if let Some(&(op, _, _)) = sends.get(k) {
-                    ops[op as usize] = DagOp::Send { edge };
+                if let Some(half) = sends.get(k) {
+                    ops[half.op as usize] = DagOp::Send { edge };
                 }
-                if let Some(&(op, _)) = recvs.get(k) {
-                    ops[op as usize] = DagOp::Recv { edge };
+                if let Some(half) = recvs.get(k) {
+                    ops[half.op as usize] = DagOp::Recv { edge };
                 }
             }
         }
@@ -982,11 +1013,19 @@ mod tests {
     /// compute and wtime traffic. Nonblocking, so the ring is
     /// deadlock-free at rendezvous sizes too.
     fn mixed_ring<C: Comm>(ctx: &mut C, bytes: usize) {
+        ctx.barrier();
+        let _ = ctx.wtime();
+        ring_exchange(ctx, bytes);
+        ctx.barrier();
+        let _ = ctx.wtime();
+    }
+
+    /// The point-to-point part of [`mixed_ring`]: what a rank group can
+    /// run.
+    fn ring_exchange<C: Comm>(ctx: &mut C, bytes: usize) {
         let p = ctx.size();
         let next = (ctx.rank() + 1) % p;
         let prev = (ctx.rank() + p - 1) % p;
-        ctx.barrier();
-        let _ = ctx.wtime();
         let r0 = ctx.irecv(prev, 0);
         let s0 = ctx.isend(next, 0, Bytes::from(vec![1u8; bytes]));
         let _ = ctx.wait_recv(r0);
@@ -996,8 +1035,149 @@ mod tests {
         let s1 = ctx.isend(prev, 1, Bytes::from(vec![2u8; 64]));
         let _ = ctx.wait_recv(r1);
         ctx.wait_send(s1);
-        ctx.barrier();
-        let _ = ctx.wtime();
+    }
+
+    /// [`TimingDag::compile`] as it was built before the sorted-halves
+    /// construction: a `BTreeMap` of per-channel send and receive lists
+    /// and a per-rank `HashMap` from request id to slot. Kept as the
+    /// oracle for edge numbering and slot wiring.
+    #[allow(clippy::type_complexity)]
+    fn compile_reference(cluster: &ClusterModel, sched: &Schedule) -> TimingDag {
+        use std::collections::{BTreeMap, HashMap};
+
+        let p = sched.ranks();
+        let eager_threshold = cluster.eager_threshold();
+        let total = sched.total_ops();
+        let mut ops: Vec<DagOp> = Vec::with_capacity(total);
+        let mut rank_bounds = Vec::with_capacity(p + 1);
+        let mut wait_slots: Vec<u32> = Vec::new();
+        let mut wait_reqs: Vec<ReqId> = Vec::new();
+        let mut wtime_counts = vec![0u32; p];
+        let mut slots: u32 = 0;
+        let mut slot_wait: Vec<u32> = Vec::new();
+        let mut slot_rank: Vec<u32> = Vec::new();
+        // Channel -> (sends: (op, slot, bytes), recvs: (op, slot)), in
+        // program order per side. A BTreeMap keeps edge numbering
+        // deterministic (the numbering never affects timing, but a
+        // reproducible compile is easier to debug).
+        type SendEnt = (u32, u32, usize);
+        type RecvEnt = (u32, u32);
+        let mut channels: BTreeMap<(u32, u32, u32), (Vec<SendEnt>, Vec<RecvEnt>)> = BTreeMap::new();
+        let mut req_slot: HashMap<ReqId, u32> = HashMap::new();
+
+        for (rank, rops) in sched.ops.iter().enumerate() {
+            rank_bounds.push(ops.len() as u32);
+            req_slot.clear();
+            for op in rops {
+                let idx = ops.len() as u32;
+                match op {
+                    SchedOp::Isend { req, dst, tag, len } => {
+                        let slot = slots;
+                        slots += 1;
+                        slot_wait.push(NONE_IDX);
+                        slot_rank.push(rank as u32);
+                        req_slot.insert(*req, slot);
+                        channels
+                            .entry((rank as u32, *dst as u32, *tag))
+                            .or_default()
+                            .0
+                            .push((idx, slot, *len));
+                        ops.push(DagOp::Send { edge: NONE_IDX });
+                    }
+                    SchedOp::Irecv { req, src, tag } => {
+                        let Peer::Rank(s) = src else {
+                            panic!("wildcard receive source in a replay-valid schedule")
+                        };
+                        let TagSel::Exact(t) = tag else {
+                            panic!("wildcard receive tag in a replay-valid schedule")
+                        };
+                        let slot = slots;
+                        slots += 1;
+                        slot_wait.push(NONE_IDX);
+                        slot_rank.push(rank as u32);
+                        req_slot.insert(*req, slot);
+                        channels
+                            .entry((*s as u32, rank as u32, *t))
+                            .or_default()
+                            .1
+                            .push((idx, slot));
+                        ops.push(DagOp::Recv { edge: NONE_IDX });
+                    }
+                    SchedOp::Compute { span } => ops.push(DagOp::Compute { span: *span }),
+                    SchedOp::Wait { reqs, mode } => {
+                        let off = wait_slots.len() as u32;
+                        for id in reqs {
+                            let slot = *req_slot
+                                .get(id)
+                                .expect("waited request was posted earlier in program order");
+                            wait_slots.push(slot);
+                            wait_reqs.push(*id);
+                            slot_wait[slot as usize] = idx;
+                        }
+                        ops.push(DagOp::Wait {
+                            off,
+                            len: reqs.len() as u32,
+                            mode: *mode,
+                        });
+                    }
+                    SchedOp::Barrier => ops.push(DagOp::Barrier),
+                    SchedOp::Wtime => {
+                        wtime_counts[rank] += 1;
+                        ops.push(DagOp::Wtime);
+                    }
+                }
+            }
+        }
+        rank_bounds.push(ops.len() as u32);
+
+        let mut edges = Vec::new();
+        for ((src, dst, _tag), (sends, recvs)) in &channels {
+            for k in 0..sends.len().max(recvs.len()) {
+                let edge = edges.len() as u32;
+                let bytes = sends.get(k).map_or(0, |&(_, _, b)| b);
+                edges.push(DagEdge {
+                    src: *src,
+                    dst: *dst,
+                    bytes,
+                    eager: bytes <= eager_threshold,
+                    send_slot: sends.get(k).map_or(NONE_IDX, |&(_, s, _)| s),
+                    recv_slot: recvs.get(k).map_or(NONE_IDX, |&(_, s)| s),
+                });
+                if let Some(&(op, _, _)) = sends.get(k) {
+                    ops[op as usize] = DagOp::Send { edge };
+                }
+                if let Some(&(op, _)) = recvs.get(k) {
+                    ops[op as usize] = DagOp::Recv { edge };
+                }
+            }
+        }
+
+        let mut next_block = vec![0u32; ops.len()];
+        for r in 0..p {
+            let (start, end) = (rank_bounds[r] as usize, rank_bounds[r + 1] as usize);
+            let mut nb = end as u32;
+            for i in (start..end).rev() {
+                if ops[i].is_block() {
+                    nb = i as u32;
+                }
+                next_block[i] = nb;
+            }
+        }
+
+        TimingDag {
+            p,
+            eager_threshold,
+            ops,
+            rank_bounds,
+            next_block,
+            edges,
+            wait_slots,
+            wait_reqs,
+            slots: slots as usize,
+            slot_wait,
+            slot_rank,
+            wtime_counts,
+        }
     }
 
     fn assert_identical(a: &ScheduledRun, b: &ScheduledRun) {
@@ -1027,6 +1207,47 @@ mod tests {
                 assert_identical(&replay, &fast);
             }
         }
+    }
+
+    #[test]
+    fn compile_builds_the_dag_the_map_based_construction_built() {
+        use collsel_support::rng::StdRng;
+
+        let cluster = ClusterModel::gros();
+        for bytes in [512usize, 256 * 1024] {
+            let sched = record_schedule(&cluster, 6, move |rc| mixed_ring(rc, bytes))
+                .expect("ring records cleanly");
+            let dag = TimingDag::compile(&cluster, &sched).expect("compiles");
+            assert!(dag == compile_reference(&cluster, &sched), "mixed ring");
+        }
+
+        // A generated step: ring exchanges on random overlapping rank
+        // groups, some run twice in a row (several messages per
+        // channel), each call in its own tag window.
+        let world = 16;
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let mut step = Schedule::idle(&cluster, world);
+        for call in 0..24u32 {
+            let mut members: Vec<usize> =
+                (0..world).filter(|_| rng.gen_range(0..3u32) == 0).collect();
+            if members.len() < 2 {
+                members = vec![0, world - 1];
+            }
+            if rng.gen_range(0..2u32) == 0 {
+                members.reverse();
+            }
+            let bytes = if call % 2 == 0 { 2048 } else { 128 * 1024 };
+            let template = record_schedule(&cluster, members.len(), move |rc| {
+                ring_exchange(rc, bytes);
+            })
+            .expect("ring records cleanly")
+            .repeated(1 + call as usize % 3);
+            step.embed(&template, &members, call * crate::GROUP_TAG_STRIDE)
+                .expect("a valid group and no barrier");
+        }
+        let dag = TimingDag::compile(&cluster, &step).expect("compiles");
+        assert!(dag.edge_count() > 24 * 4 && dag.op_count() == step.total_ops());
+        assert!(dag == compile_reference(&cluster, &step), "generated step");
     }
 
     #[test]

@@ -37,6 +37,27 @@ use collsel_support::Bytes;
 /// stays a compile-time fact.
 pub const GROUP_TAG_STRIDE: Tag = 1 << 20;
 
+/// The panic message of [`GroupComm::barrier`].
+pub(crate) const GROUP_BARRIER: &str = "engine barrier unsupported on a rank group";
+
+/// Why `ranks` is not a rank group of a `world`-rank communicator
+/// (empty, a member outside the world, a duplicate member), in the
+/// words [`GroupComm::new`] panics with; `None` for a valid group.
+pub(crate) fn group_fault(ranks: &[usize], world: usize) -> Option<String> {
+    if ranks.is_empty() {
+        return Some("empty rank group".to_owned());
+    }
+    ranks.iter().enumerate().find_map(|(i, &r)| {
+        if r >= world {
+            Some(format!("group member {r} outside world of {world}"))
+        } else if ranks[..i].contains(&r) {
+            Some(format!("duplicate member {r} in rank group"))
+        } else {
+            None
+        }
+    })
+}
+
 /// A dense-rank view of a subset of the world, layered over any
 /// [`Comm`].
 ///
@@ -62,14 +83,8 @@ impl<'a, C: Comm> GroupComm<'a, C> {
     /// Panics on an empty group, a member outside the world, or a
     /// duplicate member.
     pub fn new(inner: &'a mut C, ranks: &'a [usize], tag_base: Tag) -> Option<GroupComm<'a, C>> {
-        assert!(!ranks.is_empty(), "empty rank group");
-        let world = inner.size();
-        for (i, &r) in ranks.iter().enumerate() {
-            assert!(r < world, "group member {r} outside world of {world}");
-            assert!(
-                !ranks[..i].contains(&r),
-                "duplicate member {r} in rank group"
-            );
+        if let Some(fault) = group_fault(ranks, inner.size()) {
+            panic!("{fault}");
         }
         let me = ranks.iter().position(|&r| r == inner.rank())?;
         Some(GroupComm {
@@ -175,7 +190,7 @@ impl<C: Comm> Comm for GroupComm<'_, C> {
         // A global barrier would synchronise non-members too (wrong),
         // and a group barrier needs an algorithm, not an engine
         // primitive — use `Alg::Barrier` collectives on the group.
-        panic!("engine barrier unsupported on a rank group");
+        panic!("{GROUP_BARRIER}");
     }
 
     fn wtime(&mut self) -> SimTime {

@@ -71,6 +71,6 @@ pub use engine_ev::{simulate_scheduled, Backend, ScheduledRun};
 pub use error::SimError;
 pub use group::{GroupComm, GROUP_TAG_STRIDE};
 pub use msg::{Peer, RecvStatus, Tag, TagSel};
-pub use schedule::{record_schedule, OpShape, RecCtx, RecordError, Schedule};
+pub use schedule::{check_group, record_schedule, OpShape, RecCtx, RecordError, Schedule};
 pub use sim::{simulate, simulate_traced, simulate_with, RunReport, SimOptions, SimOutcome};
 pub use team::simulate_pooled;

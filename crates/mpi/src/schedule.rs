@@ -50,6 +50,7 @@
 use crate::comm::Comm;
 use crate::ctx::{RecvRequest, SendRequest};
 use crate::error::SimError;
+use crate::group::{group_fault, GROUP_BARRIER};
 use crate::msg::{Peer, RecvStatus, Tag, TagSel};
 use crate::proto::{ReqId, WaitMode};
 use crate::sim::{check_ranks, panic_message};
@@ -105,22 +106,30 @@ impl SchedOp {
         }
     }
 
-    /// The same operation with every request id moved up by `by`.
-    fn shifted(&self, by: ReqId) -> SchedOp {
+    /// The same operation as a sub-communicator issues it: request ids
+    /// moved up by `req_by`, peer ranks mapped through `peer`, tags
+    /// moved up by `tag_by`.
+    fn mapped(&self, req_by: ReqId, peer: impl Fn(usize) -> usize, tag_by: Tag) -> SchedOp {
         match self {
             SchedOp::Isend { req, dst, tag, len } => SchedOp::Isend {
-                req: req + by,
-                dst: *dst,
-                tag: *tag,
+                req: req + req_by,
+                dst: peer(*dst),
+                tag: tag + tag_by,
                 len: *len,
             },
             SchedOp::Irecv { req, src, tag } => SchedOp::Irecv {
-                req: req + by,
-                src: *src,
-                tag: *tag,
+                req: req + req_by,
+                src: match src {
+                    Peer::Rank(r) => Peer::Rank(peer(*r)),
+                    Peer::Any => Peer::Any,
+                },
+                tag: match tag {
+                    TagSel::Exact(t) => TagSel::Exact(t + tag_by),
+                    TagSel::Any => TagSel::Any,
+                },
             },
             SchedOp::Wait { reqs, mode } => SchedOp::Wait {
-                reqs: reqs.iter().map(|r| r + by).collect(),
+                reqs: reqs.iter().map(|r| r + req_by).collect(),
                 mode: *mode,
             },
             other => other.clone(),
@@ -183,9 +192,28 @@ pub enum OpShape {
 #[derive(Debug, Clone)]
 pub struct Schedule {
     pub(crate) ops: Vec<Vec<SchedOp>>,
+    /// Per rank, how many requests its operations issue. Request ids
+    /// are allocated densely in issue order, so this is also the id the
+    /// rank's next request gets.
+    pub(crate) reqs: Vec<ReqId>,
 }
 
 impl Schedule {
+    /// The schedule of `ranks` ranks that issue nothing: what
+    /// [`embed`](Schedule::embed) composes a step into.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ranks` is zero or exceeds the cluster's process
+    /// slots, as [`record_schedule`] does.
+    pub fn idle(cluster: &ClusterModel, ranks: usize) -> Schedule {
+        check_ranks(cluster, ranks);
+        Schedule {
+            ops: vec![Vec::new(); ranks],
+            reqs: vec![0; ranks],
+        }
+    }
+
     /// Number of ranks this schedule was recorded for.
     pub fn ranks(&self) -> usize {
         self.ops.len()
@@ -212,21 +240,97 @@ impl Schedule {
     /// program issues the same stream every time.
     #[must_use]
     pub fn repeated(&self, reps: usize) -> Schedule {
-        let tile = |ops: &Vec<SchedOp>| {
-            let per_rep = ops
-                .iter()
-                .filter(|op| matches!(op, SchedOp::Isend { .. } | SchedOp::Irecv { .. }))
-                .count();
+        let tile = |(ops, &per_rep): (&Vec<SchedOp>, &ReqId)| {
             let mut out = Vec::with_capacity(ops.len() * reps);
             for rep in 0..reps {
-                let by = ReqId::try_from(rep * per_rep).expect("request ids fit in 32 bits");
-                out.extend(ops.iter().map(|op| op.shifted(by)));
+                let by = req_id(rep * per_rep as usize);
+                out.extend(ops.iter().map(|op| op.mapped(by, |rank| rank, 0)));
             }
             out
         };
         Schedule {
-            ops: self.ops.iter().map(tile).collect(),
+            ops: self.ops.iter().zip(&self.reqs).map(tile).collect(),
+            reqs: self
+                .reqs
+                .iter()
+                .map(|&per_rep| req_id(reps * per_rep as usize))
+                .collect(),
         }
+    }
+
+    /// Appends `template` — a `members.len()`-rank program — as the
+    /// sub-communicator `members` runs it after everything already in
+    /// this schedule: template rank `g`'s operations go to the end of
+    /// world rank `members[g]`'s stream with peers mapped through
+    /// `members`, tags moved up by `tag_base` and request ids moved up
+    /// by what that world rank has issued so far. This is op for op
+    /// what recording the program through a [`crate::GroupComm`] over
+    /// `members` with tag base `tag_base` appends, without running it;
+    /// ranks outside `members` are untouched.
+    ///
+    /// Composing a step this way cannot add or hide a deadlock: take
+    /// the lowest-index embedded program not yet complete — all its
+    /// members have finished every earlier one, so they run it exactly
+    /// as in isolation.
+    ///
+    /// # Errors
+    ///
+    /// What the [`crate::GroupComm`] recording would fail with, as
+    /// [`RecordError::Sim`] with [`SimError::RankPanic`]: an invalid
+    /// group (empty, a member outside this schedule's world, a
+    /// duplicate) under rank 0, and a template that crosses the
+    /// engine's barrier under the first member that does. The schedule
+    /// is unchanged on error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `template` has not exactly one rank per member.
+    pub fn embed(
+        &mut self,
+        template: &Schedule,
+        members: &[usize],
+        tag_base: Tag,
+    ) -> Result<(), RecordError> {
+        check_group(members, self.ranks())?;
+        assert_eq!(
+            template.ranks(),
+            members.len(),
+            "template ranks vs group members"
+        );
+        let crosses_barrier = |ops: &Vec<SchedOp>| ops.contains(&SchedOp::Barrier);
+        if let Some(g) = template.ops.iter().position(crosses_barrier) {
+            return Err(RecordError::Sim(SimError::RankPanic {
+                rank: members[g],
+                message: GROUP_BARRIER.to_owned(),
+            }));
+        }
+        for ((ops, &issued), &rank) in template.ops.iter().zip(&template.reqs).zip(members) {
+            let by = self.reqs[rank];
+            self.ops[rank].extend(ops.iter().map(|op| op.mapped(by, |g| members[g], tag_base)));
+            self.reqs[rank] = req_id(by as usize + issued as usize);
+        }
+        Ok(())
+    }
+}
+
+/// A request count as a request id.
+fn req_id(n: usize) -> ReqId {
+    ReqId::try_from(n).expect("request ids fit in 32 bits")
+}
+
+/// Checks that `members` is a rank group of a `world`-rank
+/// communicator: not empty, every member inside the world, no
+/// duplicates.
+///
+/// # Errors
+///
+/// [`RecordError::Sim`] with the [`SimError::RankPanic`] that recording
+/// a program on the group reports: rank 0 (the first to construct the
+/// [`crate::GroupComm`]) and its panic message.
+pub fn check_group(members: &[usize], world: usize) -> Result<(), RecordError> {
+    match group_fault(members, world) {
+        None => Ok(()),
+        Some(message) => Err(RecordError::Sim(SimError::RankPanic { rank: 0, message })),
     }
 }
 
@@ -497,8 +601,9 @@ impl Comm for RecCtx<'_> {
 ///
 /// Ranks run in ascending order against a shared message board. A rank
 /// that waits on a receive whose matching send is not posted yet is
-/// unwound and run again from the top in the next sweep over the
-/// unfinished ranks; sweeps repeat until every rank has finished. `f`
+/// unwound and run again from the top in the first later sweep over
+/// the unfinished ranks that finds that send posted; sweeps repeat
+/// until every rank has finished. `f`
 /// therefore runs at least once per rank and possibly several times,
 /// and must issue the same operations every time. A receive returns a
 /// [symbolic](Bytes::symbolic) buffer of the matched send's exact
@@ -534,12 +639,23 @@ where
     check_ranks(cluster, ranks);
     let mut board = Board::default();
     let mut logs: Vec<RankLog> = (0..ranks).map(|_| RankLog::default()).collect();
-    let mut unfinished: Vec<usize> = (0..ranks).collect();
+    // Per unfinished rank, the `(channel, seq)` of the message its last
+    // execution stopped at (`None` before the first).
+    let mut unfinished: Vec<(usize, Option<(usize, usize)>)> =
+        (0..ranks).map(|rank| (rank, None)).collect();
     while !unfinished.is_empty() {
         let posted_before = board.posted;
         // `(rank, channel, seq)` of every rank this sweep leaves waiting.
         let mut stuck = Vec::new();
-        for &rank in &unfinished {
+        for &(rank, awaited) in &unfinished {
+            // Until that message is posted a re-execution would replay
+            // the recorded prefix and stop at the same wait.
+            if let Some((channel, seq)) = awaited {
+                if board.channels[channel].sent.len() <= seq {
+                    stuck.push((rank, channel, seq));
+                    continue;
+                }
+            }
             let mut rc = RecCtx {
                 rank,
                 size: ranks,
@@ -591,7 +707,10 @@ where
                 .join("; ");
             return Err(RecordError::Sim(SimError::Deadlock { detail }));
         }
-        unfinished = stuck.into_iter().map(|(rank, ..)| rank).collect();
+        unfinished = stuck
+            .into_iter()
+            .map(|(rank, channel, seq)| (rank, Some((channel, seq))))
+            .collect();
     }
     let barriers: Vec<usize> = logs
         .iter()
@@ -611,6 +730,7 @@ where
         }));
     }
     Ok(Schedule {
+        reqs: logs.iter().map(|log| req_id(log.matched.len())).collect(),
         ops: logs.into_iter().map(|log| log.ops).collect(),
     })
 }
@@ -775,6 +895,30 @@ mod tests {
             };
             assert!(what.contains("non-deterministic op stream"), "got: {what}");
         }
+    }
+
+    #[test]
+    fn a_rank_is_not_re_run_while_its_awaited_send_is_unposted() {
+        // A relay down the ranks: rank r forwards to r-1 what it gets
+        // from r+1, so the message rank 0 waits for is posted three
+        // sweeps after it first stopped. Every rank runs once to its
+        // wait and once more when its message is there, never between.
+        use std::sync::atomic::AtomicUsize;
+        let runs: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
+        let sched = record_schedule(&ClusterModel::gros(), 4, |rc| {
+            let rank = rc.rank();
+            runs[rank].fetch_add(1, Ordering::Relaxed);
+            if rank < 3 {
+                let _ = rc.recv(rank + 1, 0);
+            }
+            if rank > 0 {
+                rc.send(rank - 1, 0, one_byte());
+            }
+        })
+        .expect("records");
+        let runs: Vec<usize> = runs.iter().map(|n| n.load(Ordering::Relaxed)).collect();
+        assert_eq!(runs, [2, 2, 2, 1]);
+        assert_eq!(sched.total_ops(), 2 + 4 + 4 + 2);
     }
 
     #[test]

@@ -7,10 +7,14 @@
 //! only ([`OracleCtx`]), and every program the pipeline records must
 //! come out of both the same: operation kind, request ids, peer, tag,
 //! wait sets and payload length, rank by rank, op by op.
+//!
+//! Trace steps are no longer recorded whole but composed from
+//! per-collective templates (`coll::compile::compile_step`); the
+//! whole-step recording they replaced is the second oracle here.
 
 use collsel::coll::compile::{
     compile_step, compile_timed_bcast, compile_timed_bcast_gather, compile_timed_collective,
-    compile_timed_linear_segment, run_step, GroupCall,
+    compile_timed_linear_segment, run_step,
 };
 use collsel::coll::{
     allgather_ring, allreduce_recursive_doubling, bcast, bcast_linear, gather_linear,
@@ -22,8 +26,9 @@ use collsel::mpi::{
     SendRequest, Tag, TagSel,
 };
 use collsel::netsim::{ClusterModel, SimSpan, SimTime};
-use collsel::select::fixed_selection;
-use collsel_expt::workload::{canned_dp, canned_pp, Trace};
+use collsel::{Tuner, TunerConfig};
+use collsel_expt::replay::{step_calls, ReplayPolicy};
+use collsel_expt::workload::{canned_dp, canned_pp, TraceGen, TracePreset};
 use collsel_support::Bytes;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -273,37 +278,63 @@ fn the_timed_programs_record_what_the_threaded_oracle_issues() {
     assert_same(&sched, &oracle, "timed linear segment");
 }
 
-/// The group calls of one trace step under the fixed Open MPI rules —
-/// the resolution `replay_trace` applies, without needing a tuned
-/// model.
-fn step_calls(trace: &Trace, step: usize) -> Vec<GroupCall> {
-    trace.steps[step]
-        .calls
-        .iter()
-        .map(|call| {
-            let ranks = trace.groups[call.group].ranks.clone();
-            let sel = fixed_selection(call.collective, ranks.len(), call.m);
-            GroupCall {
-                alg: sel.alg,
-                ranks,
-                m: call.m,
-                seg_size: sel.effective_seg_size(call.m),
-            }
-        })
-        .collect()
-}
-
 #[test]
 fn every_canned_trace_step_records_what_the_threaded_oracle_issues() {
     let cluster = ClusterModel::gros();
     for trace in [canned_dp(), canned_pp()] {
         for step in 0..trace.steps.len() {
-            let calls = step_calls(&trace, step);
+            let calls = step_calls(&trace, step, &ReplayPolicy::Fixed);
             let sched = compile_step(&cluster, trace.world, &calls).expect("steps record");
             let oracle = oracle_shape(&cluster, trace.world, |oc| run_step(oc, &calls));
             assert_same(&sched, &oracle, &format!("{} step {step}", trace.name));
         }
     }
+}
+
+/// `compile_step` composes a step from per-collective templates;
+/// recording the whole step through `run_step` (one `GroupComm` per
+/// call over the world-sized recording context) is the construction it
+/// replaced and stays here as its oracle, on every step of generated
+/// traces under every model-free and model-driven policy.
+#[test]
+fn composed_steps_equal_whole_step_recording_op_for_op() {
+    let cluster = ClusterModel::gros();
+    let model = Tuner::new(cluster.clone(), TunerConfig::quick(8)).tune_all();
+    let selector = model.multi_selector();
+    let policies = [
+        ReplayPolicy::Fixed,
+        ReplayPolicy::Tuned(&selector),
+        ReplayPolicy::Worst(&selector),
+    ];
+    let mut compared = 0;
+    for (world, steps) in [(24, 12), (60, 4)] {
+        for preset in [TracePreset::DataParallel, TracePreset::Pipeline] {
+            let trace = TraceGen {
+                preset,
+                world,
+                steps,
+                seed: 42,
+            }
+            .generate();
+            for policy in &policies {
+                for step in 0..trace.steps.len() {
+                    let calls = step_calls(&trace, step, policy);
+                    let composed = compile_step(&cluster, world, &calls).expect("step composes");
+                    let whole = record_schedule(&cluster, world, |rc| run_step(rc, &calls))
+                        .expect("step records");
+                    assert_eq!(
+                        composed.shape(),
+                        whole.shape(),
+                        "{} at world {world}, {} policy, step {step}",
+                        trace.name,
+                        policy.name()
+                    );
+                    compared += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(compared, 2 * 3 * (12 + 4));
 }
 
 #[test]
@@ -330,9 +361,11 @@ fn recording_k_repetitions_equals_tiling_one() {
 }
 
 /// Re-execution must stay cheap at the largest world the presets
-/// allow: however many sweeps a pattern needs, each sweep runs every
-/// unfinished rank's closure once, so closure runs / P bounds the
-/// sweep count from above.
+/// allow. A sweep runs the closure of every unfinished rank whose
+/// awaited send has been posted since it stopped (a rank still waiting
+/// for the same unposted message is carried over without a run), so
+/// the closure runs count the work; they are deterministic, and the
+/// bounds below are the counts when this was written.
 #[test]
 fn recording_at_the_gros_maximum_stays_within_a_sweep_bound() {
     let cluster = ClusterModel::gros();
@@ -340,16 +373,18 @@ fn recording_at_the_gros_maximum_stays_within_a_sweep_bound() {
     assert_eq!(p, 124);
 
     // Ring: in the first sweep rank r gets through r of its P-1 steps
-    // before its left neighbour runs dry; the second sweep finishes
-    // everyone.
-    const RING_SWEEPS: usize = 2;
+    // before its left neighbour runs dry (rank 0 through all of them:
+    // its left neighbour P-1 sends before it waits); the second sweep
+    // finishes everyone else.
+    const RING_RUNS: usize = 2 * 124 - 1;
     // Recursive doubling: the 64 participating ranks run six exchange
     // rounds, and a rank passes round k only once its partner has been
     // run up to round k — granted to the higher rank of a pair in the
-    // same ascending sweep and to the lower one a sweep later. 564
-    // closure runs when this was written; one sweep per round is the
-    // bound (a blow-up would be one sweep per rank).
-    const DOUBLING_SWEEPS: usize = 6;
+    // same ascending sweep and to the lower one a sweep later. One
+    // sweep per round over all ranks would be 744 runs (a blow-up would
+    // be one sweep per rank); re-running only ranks whose message has
+    // arrived since took the 564 of the always-re-run sweep to 376.
+    const DOUBLING_RUNS: usize = 376;
 
     let runs = AtomicUsize::new(0);
     let sched = record_schedule(&cluster, p, |rc| {
@@ -360,7 +395,7 @@ fn recording_at_the_gros_maximum_stays_within_a_sweep_bound() {
     assert_eq!(sched.ranks(), p);
     let ring_runs = runs.swap(0, Ordering::Relaxed);
     assert!(
-        ring_runs <= RING_SWEEPS * p,
+        ring_runs <= RING_RUNS,
         "ring allgather: {ring_runs} closure runs for {p} ranks"
     );
 
@@ -372,7 +407,7 @@ fn recording_at_the_gros_maximum_stays_within_a_sweep_bound() {
     assert_eq!(sched.ranks(), p);
     let doubling_runs = runs.load(Ordering::Relaxed);
     assert!(
-        doubling_runs <= DOUBLING_SWEEPS * p,
+        doubling_runs <= DOUBLING_RUNS,
         "recursive-doubling allreduce: {doubling_runs} closure runs for {p} ranks"
     );
 }

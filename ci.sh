@@ -19,13 +19,6 @@ echo "==> determinism gate: integration tests again at COLLSEL_THREADS=2"
 COLLSEL_THREADS=2 RUSTFLAGS='-D warnings' \
     cargo test --offline -q -p collsel-repro
 
-echo "==> backend-equivalence gate: differential suite at COLLSEL_THREADS=2"
-# The event-driven replay backend must stay bit-identical to the
-# thread-per-rank oracle (times, traces, and error values) even when
-# the surrounding pool is threaded.
-COLLSEL_THREADS=2 RUSTFLAGS='-D warnings' \
-    cargo test --offline -q -p collsel-repro --test backend_equivalence
-
 echo "==> compiled-vs-live equivalence gate: decision-serving suite at COLLSEL_THREADS=2"
 # A compiled selector must be indistinguishable from its source on grid
 # points and from DecisionTable::lookup everywhere else, and the query
@@ -43,9 +36,9 @@ echo "==> collective-breadth gate: per-collective differential suite at COLLSEL_
 COLLSEL_THREADS=2 RUSTFLAGS='-D warnings' \
     cargo test --offline -q -p collsel-repro --test collective_breadth
 
-echo "==> dag-vs-events gate: timing-DAG differential suite at COLLSEL_THREADS=2"
+echo "==> threads-vs-dag gate: timing-DAG differential suite at COLLSEL_THREADS=2"
 # The compiled timing-DAG backend must stay bit-identical to the
-# event-driven schedule replay — reports, traces, wtimes and error
+# thread-per-rank oracle — reports, traces, wtimes and error
 # values — for all seven collectives, on and off the tuning grid,
 # under fault plans and watchdog deadlines, at any thread budget.
 COLLSEL_THREADS=2 RUSTFLAGS='-D warnings' \
@@ -53,7 +46,7 @@ COLLSEL_THREADS=2 RUSTFLAGS='-D warnings' \
 
 echo "==> replay determinism gate: trace-replay suite at COLLSEL_THREADS=2"
 # Whole-trace replay (mixed collectives on overlapping rank groups)
-# must produce bit-identical job completion times across all three
+# must produce bit-identical job completion times across both
 # execution backends and any worker thread count, and the model-worst
 # policy must never beat the tuned one.
 COLLSEL_THREADS=2 RUSTFLAGS='-D warnings' \
@@ -73,28 +66,11 @@ COLLSEL_BENCH_SMOKE=1 RUSTFLAGS='-D warnings' \
     cargo bench --offline -p collsel-bench --bench campaign
 test -f BENCH_tune.json || { echo "ci.sh: BENCH_tune.json missing" >&2; exit 1; }
 
-echo "==> simrate bench (smoke): dag >= events >= threads in every cell"
-# The smoke run asserts internally that the compiled timing-DAG tier is
-# not slower than schedule replay and replay not slower than the
-# threaded oracle, after checking all three agree bit-for-bit.
-COLLSEL_BENCH_SMOKE=1 RUSTFLAGS='-D warnings' \
-    cargo bench --offline -p collsel-bench --bench simrate
-test -f BENCH_sim.json || { echo "ci.sh: BENCH_sim.json missing" >&2; exit 1; }
-
 echo "==> selrate bench (smoke): compiled lookup must not be slower than live ranking"
 # The smoke run asserts internally that compiled >= live in every cell.
 COLLSEL_BENCH_SMOKE=1 RUSTFLAGS='-D warnings' \
     cargo bench --offline -p collsel-bench --bench selrate
 test -f BENCH_select.json || { echo "ci.sh: BENCH_select.json missing" >&2; exit 1; }
-
-echo "==> replayrate bench (smoke): dag >= events on whole-trace replay"
-# The smoke run asserts internally that the DAG tier is not slower than
-# events on whole-trace replay (the step memo amortising across steps)
-# and that the model-worst policy never beats the tuned one; it records
-# the tuned-vs-fixed JCT gap on both presets.
-COLLSEL_BENCH_SMOKE=1 RUSTFLAGS='-D warnings' \
-    cargo bench --offline -p collsel-bench --bench replayrate
-test -f BENCH_replay.json || { echo "ci.sh: BENCH_replay.json missing" >&2; exit 1; }
 
 echo "==> soak gate: decision-server chaos suite at COLLSEL_THREADS=2"
 # The full-size seeded soak under an active fault plan: >= 10k mixed
@@ -180,7 +156,11 @@ echo "==> unwrap/expect ratchet (estim + expt)"
 # 59 = 60 - 1: the replay step memo shares one lock-poisoning
 # propagation helper with the cell memo instead of repeating the
 # expect at every lock site.
-UNWRAP_CEILING=59
+# 46 = 59 - 13: estim::measure holds the sampler and the retry loop
+# once, so the "a measurement program cannot deadlock" and "at least
+# one attempt ran" invariants are stated once each instead of once per
+# duplicated program body (and once more in estim::campaign).
+UNWRAP_CEILING=46
 count=$(grep -rc 'unwrap()\|\.expect(' crates/estim/src crates/expt/src \
     --include='*.rs' | awk -F: '{s+=$2} END {print s}')
 if [ "$count" -gt "$UNWRAP_CEILING" ]; then

@@ -11,7 +11,7 @@
 //! writes all three rates plus the speedups to `BENCH_select.json` at
 //! the repository root.
 //!
-//! Like `simrate.rs`, this target skips the criterion harness: the
+//! This target skips the criterion harness: the
 //! grid is explicit and the JSON artifact is the point. Set
 //! `COLLSEL_BENCH_SMOKE=1` for the CI-sized run (shorter timing
 //! windows, fewer presets); smoke mode asserts the compiled path is

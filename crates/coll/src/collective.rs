@@ -12,11 +12,12 @@
 //! collectives without ambiguity.
 //!
 //! `run_collective` is the measurement-program kernel: the estimation
-//! crate times it on the threaded backend, and
-//! [`compile::compile_timed_collective`](crate::compile::compile_timed_collective)
-//! records the *same function* into schedule IR for the event backend —
-//! one source of truth for both execution paths, which is what makes
-//! them bit-identical.
+//! crate times it on the threaded backend
+//! ([`TimedProgram::round`](crate::compile::TimedProgram::round)), and
+//! [`TimedProgram::record`](crate::compile::TimedProgram::record)
+//! records the *same function* into schedule IR for the timing-DAG
+//! backend — one source of truth for both execution paths, which is
+//! what makes them bit-identical.
 
 use crate::alg::BcastAlg;
 use crate::allgather::{allgather_gather_bcast, allgather_recursive_doubling, allgather_ring};

@@ -24,10 +24,9 @@
 //! recorded and lowered to a static timing DAG once per cell (memoised
 //! process-wide), then repetitions are batch-evaluated payload-free
 //! with zero OS threads per run, so a campaign's threads are spent
-//! *across* cells, not inside them. Set the `backend` field of
-//! [`GammaConfig`] / [`AlphaBetaConfig`] (or `colltune tune --backend
-//! events|threads`) to use the event-driven replay or the threaded
-//! oracle instead; the tuned model is bit-identical on all three.
+//! *across* cells, not inside them. [`TunerConfig::with_backend`] (or
+//! `colltune tune --backend threads`) runs every cell on the threaded
+//! oracle instead; the tuned model is bit-identical on both.
 
 use collsel_coll::{Alg, BcastAlg, Collective};
 use collsel_estim::{
@@ -89,6 +88,16 @@ impl TunerConfig {
             seg_size: 8 * 1024,
             seed: 0xC0115E1,
         }
+    }
+
+    /// Runs every measurement cell of the campaign — γ, α/β and the
+    /// per-collective sweeps — on `backend`.
+    #[must_use]
+    pub fn with_backend(mut self, backend: Backend) -> Self {
+        self.gamma.backend = backend;
+        self.alpha_beta.backend = backend;
+        self.breadth.backend = backend;
+        self
     }
 }
 
@@ -999,19 +1008,16 @@ mod tests {
         // bit even when every sample carries jitter.
         let cluster = ClusterModel::gros();
         let dag_cfg = TunerConfig::quick(10);
-        assert_eq!(dag_cfg.gamma.backend, Backend::Dag, "dag is the default");
-        assert_eq!(dag_cfg.alpha_beta.backend, Backend::Dag);
-        let mut events_cfg = dag_cfg.clone();
-        events_cfg.gamma.backend = Backend::Events;
-        events_cfg.alpha_beta.backend = Backend::Events;
-        let mut threads_cfg = dag_cfg.clone();
-        threads_cfg.gamma.backend = Backend::Threads;
-        threads_cfg.alpha_beta.backend = Backend::Threads;
+        let threads_cfg = dag_cfg.clone().with_backend(Backend::Threads);
+        // No sub-config is left behind, in either direction.
+        for (cfg, backend) in [(&dag_cfg, Backend::Dag), (&threads_cfg, Backend::Threads)] {
+            assert_eq!(cfg.gamma.backend, backend);
+            assert_eq!(cfg.alpha_beta.backend, backend);
+            assert_eq!(cfg.breadth.backend, backend);
+        }
         let dag = Tuner::new(cluster.clone(), dag_cfg).tune();
-        let events = Tuner::new(cluster.clone(), events_cfg).tune();
         let threads = Tuner::new(cluster, threads_cfg).tune();
-        assert_eq!(dag, events, "backends must tune identical models");
-        assert_eq!(events, threads, "backends must tune identical models");
+        assert_eq!(dag, threads, "backends must tune identical models");
     }
 
     #[test]

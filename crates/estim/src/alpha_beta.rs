@@ -20,10 +20,7 @@
 //! contention, protocol and pipelining effects the Hockney abstraction
 //! cannot express.
 
-use crate::measure::{
-    bcast_gather_experiment_time_batch_with, try_bcast_gather_experiment_time_with, ExperimentSpec,
-    RetryPolicy,
-};
+use crate::measure::{measure_batch, try_measure_batch, RetryPolicy, TimedProgram};
 use crate::regress::huber_default;
 use crate::stats::{Precision, SampleStats};
 use collsel_coll::BcastAlg;
@@ -50,7 +47,8 @@ pub struct AlphaBetaConfig {
     /// Stopping rule per experiment.
     pub precision: Precision,
     /// Execution backend of the measurement simulations (both return
-    /// bit-identical statistics; events is the campaign hot path).
+    /// bit-identical statistics; the timing DAG is the campaign hot
+    /// path).
     pub backend: Backend,
 }
 
@@ -177,20 +175,33 @@ impl AlphaBetaEstimate {
 }
 
 /// The experiment cells of one algorithm's estimation, in point order,
-/// with the exact per-point seeds of the original serial loop.
-fn experiment_specs(alg: BcastAlg, cfg: &AlphaBetaConfig, seed: u64) -> Vec<ExperimentSpec> {
+/// each with its own seed.
+fn experiment_cells(alg: BcastAlg, cfg: &AlphaBetaConfig, seed: u64) -> Vec<(TimedProgram, u64)> {
     cfg.msg_sizes
         .iter()
         .zip(&cfg.gather_sizes)
         .enumerate()
-        .map(|(idx, (&m, &m_g))| ExperimentSpec {
-            alg,
-            p: cfg.p,
-            m,
-            m_g,
-            seg_size: cfg.seg_size,
-            seed: seed.wrapping_add(idx as u64 * 7919),
+        .map(|(idx, (&m, &m_g))| {
+            let program = TimedProgram::BcastGather {
+                alg,
+                p: cfg.p,
+                m,
+                m_g,
+                seg_size: cfg.seg_size,
+            };
+            (program, seed.wrapping_add(idx as u64 * 7919))
         })
+        .collect()
+}
+
+/// The whole algorithm × message-size grid as one batch, algorithm by
+/// algorithm, so the pool load-balances across all cells at once
+/// instead of synchronising between algorithms.
+fn all_experiment_cells(cfg: &AlphaBetaConfig, seed: u64) -> Vec<(TimedProgram, u64)> {
+    BcastAlg::ALL
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &alg)| experiment_cells(alg, cfg, seed.wrapping_add((i as u64) << 32)))
         .collect()
 }
 
@@ -250,10 +261,10 @@ pub fn estimate_alpha_beta(
     seed: u64,
 ) -> AlphaBetaEstimate {
     cfg.validate();
-    let specs = experiment_specs(alg, cfg, seed);
-    let measured = bcast_gather_experiment_time_batch_with(
+    let cells = experiment_cells(alg, cfg, seed);
+    let measured = measure_batch(
         cluster,
-        &specs,
+        &cells,
         &cfg.precision,
         Pool::current(),
         cfg.backend,
@@ -261,11 +272,8 @@ pub fn estimate_alpha_beta(
     fit_from_measurements(alg, cfg, gamma, measured)
 }
 
-/// Runs the estimation for all six broadcast algorithms.
-///
-/// The whole algorithm × message-size grid is flattened into a single
-/// batch, so the pool load-balances across all cells at once instead of
-/// synchronising between algorithms.
+/// Runs the estimation for all six broadcast algorithms, the whole
+/// grid in one batch.
 pub fn estimate_all_alpha_beta(
     cluster: &ClusterModel,
     cfg: &AlphaBetaConfig,
@@ -273,14 +281,9 @@ pub fn estimate_all_alpha_beta(
     seed: u64,
 ) -> BTreeMap<BcastAlg, AlphaBetaEstimate> {
     cfg.validate();
-    let specs: Vec<ExperimentSpec> = BcastAlg::ALL
-        .iter()
-        .enumerate()
-        .flat_map(|(i, &alg)| experiment_specs(alg, cfg, seed.wrapping_add((i as u64) << 32)))
-        .collect();
-    let measured = bcast_gather_experiment_time_batch_with(
+    let measured = measure_batch(
         cluster,
-        &specs,
+        &all_experiment_cells(cfg, seed),
         &cfg.precision,
         Pool::current(),
         cfg.backend,
@@ -319,42 +322,19 @@ pub fn try_estimate_alpha_beta(
     policy: &RetryPolicy,
 ) -> Result<AlphaBetaEstimate, SimError> {
     cfg.validate();
-    let specs = experiment_specs(alg, cfg, seed);
-    let measured = try_experiment_batch(cluster, &specs, &cfg.precision, policy, cfg.backend)?;
-    Ok(fit_from_measurements(alg, cfg, gamma, measured))
-}
-
-/// Fans the fallible cells out across the current pool. All cells run
-/// even past a failure (in-flight jobs cannot be cancelled), but the
-/// returned error is the first one in spec order — the same outcome the
-/// early-exiting serial loop produces.
-fn try_experiment_batch(
-    cluster: &ClusterModel,
-    specs: &[ExperimentSpec],
-    precision: &Precision,
-    policy: &RetryPolicy,
-    backend: Backend,
-) -> Result<Vec<SampleStats>, SimError> {
-    Pool::current()
-        .run(specs.iter().map(|spec| {
-            let spec = *spec;
-            move || {
-                try_bcast_gather_experiment_time_with(
-                    cluster,
-                    spec.alg,
-                    spec.p,
-                    spec.m,
-                    spec.m_g,
-                    spec.seg_size,
-                    precision,
-                    spec.seed,
-                    policy,
-                    backend,
-                )
-            }
-        }))
-        .into_iter()
-        .collect()
+    // All cells run even past a failure; the returned error is the
+    // first one in point order — the early-exiting serial loop's.
+    let measured: Result<Vec<SampleStats>, SimError> = try_measure_batch(
+        cluster,
+        &experiment_cells(alg, cfg, seed),
+        &cfg.precision,
+        policy,
+        Pool::current(),
+        cfg.backend,
+    )
+    .into_iter()
+    .collect();
+    Ok(fit_from_measurements(alg, cfg, gamma, measured?))
 }
 
 /// Runs the fallible estimation for all six broadcast algorithms,
@@ -370,33 +350,18 @@ pub fn try_estimate_all_alpha_beta(
     policy: &RetryPolicy,
 ) -> BTreeMap<BcastAlg, Result<AlphaBetaEstimate, SimError>> {
     cfg.validate();
-    // Flatten the whole algorithm × size grid into one batch (see
-    // `estimate_all_alpha_beta`), then regroup per algorithm: each
-    // algorithm's outcome is its cells' results folded in point order,
-    // so one algorithm's failure leaves the others' fits intact and the
-    // reported error matches the serial loop's.
-    let flat: Vec<ExperimentSpec> = BcastAlg::ALL
-        .iter()
-        .enumerate()
-        .flat_map(|(i, &alg)| experiment_specs(alg, cfg, seed.wrapping_add((i as u64) << 32)))
-        .collect();
-    let outcomes = Pool::current().run(flat.iter().map(|spec| {
-        let spec = *spec;
-        move || {
-            try_bcast_gather_experiment_time_with(
-                cluster,
-                spec.alg,
-                spec.p,
-                spec.m,
-                spec.m_g,
-                spec.seg_size,
-                &cfg.precision,
-                spec.seed,
-                policy,
-                cfg.backend,
-            )
-        }
-    }));
+    // Regroup the flat batch per algorithm: each algorithm's outcome is
+    // its cells' results folded in point order, so one algorithm's
+    // failure leaves the others' fits intact and the reported error
+    // matches the serial loop's.
+    let outcomes = try_measure_batch(
+        cluster,
+        &all_experiment_cells(cfg, seed),
+        &cfg.precision,
+        policy,
+        Pool::current(),
+        cfg.backend,
+    );
     let n = cfg.msg_sizes.len();
     let mut cells = outcomes.into_iter();
     BcastAlg::ALL

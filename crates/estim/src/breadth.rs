@@ -3,7 +3,7 @@
 //!
 //! For each algorithm of a collective, a sweep of payload sizes is
 //! measured with the *modelled algorithm itself* as the timed program
-//! ([`collective_time_with`]); every size contributes one linear
+//! ([`TimedProgram::Collective`]); every size contributes one linear
 //! equation `a_i·α + b_i·β = T_i` with the coefficients read off the
 //! implementation-derived model of that algorithm
 //! ([`collsel_model::collectives::coefficients`]), canonicalised to
@@ -26,9 +26,7 @@
 //! shared unchanged.
 
 use crate::alpha_beta::{AlphaBetaEstimate, ExperimentPoint};
-use crate::measure::{
-    collective_time_batch_with, try_collective_time_with, CollectiveSpec, RetryPolicy,
-};
+use crate::measure::{measure_batch, try_measure_batch, RetryPolicy, TimedProgram};
 use crate::regress::huber_default;
 use crate::stats::{Precision, SampleStats};
 use collsel_coll::{Alg, Collective};
@@ -97,17 +95,28 @@ impl BreadthConfig {
 
 /// The measurement cells of one algorithm's sweep, in size order, with
 /// the same per-point seed derivation as the broadcast pipeline.
-fn collective_specs(alg: Alg, cfg: &BreadthConfig, seed: u64) -> Vec<CollectiveSpec> {
+fn collective_cells(alg: Alg, cfg: &BreadthConfig, seed: u64) -> Vec<(TimedProgram, u64)> {
     cfg.msg_sizes
         .iter()
         .enumerate()
-        .map(|(idx, &m)| CollectiveSpec {
-            alg,
-            p: cfg.p,
-            m,
-            seg_size: cfg.seg_size,
-            seed: seed.wrapping_add(idx as u64 * 7919),
+        .map(|(idx, &m)| {
+            let program = TimedProgram::Collective {
+                alg,
+                p: cfg.p,
+                m,
+                seg_size: cfg.seg_size,
+            };
+            (program, seed.wrapping_add(idx as u64 * 7919))
         })
+        .collect()
+}
+
+/// The whole algorithm × size grid of a family as one batch, algorithm
+/// by algorithm (the pool load-balances across all cells at once).
+fn family_cells(algs: &[Alg], cfg: &BreadthConfig, seed: u64) -> Vec<(TimedProgram, u64)> {
+    algs.iter()
+        .enumerate()
+        .flat_map(|(i, &alg)| collective_cells(alg, cfg, seed.wrapping_add((i as u64) << 32)))
         .collect()
 }
 
@@ -162,10 +171,9 @@ pub fn estimate_collective_alpha_beta(
     seed: u64,
 ) -> AlphaBetaEstimate {
     cfg.validate();
-    let specs = collective_specs(alg, cfg, seed);
-    let measured = collective_time_batch_with(
+    let measured = measure_batch(
         cluster,
-        &specs,
+        &collective_cells(alg, cfg, seed),
         &cfg.precision,
         Pool::current(),
         cfg.backend,
@@ -173,9 +181,8 @@ pub fn estimate_collective_alpha_beta(
     fit_from_measurements(alg, cfg, gamma, measured)
 }
 
-/// Runs the estimation for every algorithm of `collective`, flattening
-/// the whole algorithm × size grid into one batch (the pool
-/// load-balances across all cells at once).
+/// Runs the estimation for every algorithm of `collective`, the whole
+/// grid in one batch.
 pub fn estimate_collective_family(
     cluster: &ClusterModel,
     collective: Collective,
@@ -185,14 +192,9 @@ pub fn estimate_collective_family(
 ) -> BTreeMap<Alg, AlphaBetaEstimate> {
     cfg.validate();
     let algs = collective.algorithms();
-    let specs: Vec<CollectiveSpec> = algs
-        .iter()
-        .enumerate()
-        .flat_map(|(i, &alg)| collective_specs(alg, cfg, seed.wrapping_add((i as u64) << 32)))
-        .collect();
-    let measured = collective_time_batch_with(
+    let measured = measure_batch(
         cluster,
-        &specs,
+        &family_cells(algs, cfg, seed),
         &cfg.precision,
         Pool::current(),
         cfg.backend,
@@ -222,27 +224,14 @@ pub fn try_estimate_collective_family(
 ) -> BTreeMap<Alg, Result<AlphaBetaEstimate, SimError>> {
     cfg.validate();
     let algs = collective.algorithms();
-    let flat: Vec<CollectiveSpec> = algs
-        .iter()
-        .enumerate()
-        .flat_map(|(i, &alg)| collective_specs(alg, cfg, seed.wrapping_add((i as u64) << 32)))
-        .collect();
-    let outcomes = Pool::current().run(flat.iter().map(|spec| {
-        let spec = *spec;
-        move || {
-            try_collective_time_with(
-                cluster,
-                spec.alg,
-                spec.p,
-                spec.m,
-                spec.seg_size,
-                &cfg.precision,
-                spec.seed,
-                policy,
-                cfg.backend,
-            )
-        }
-    }));
+    let outcomes = try_measure_batch(
+        cluster,
+        &family_cells(algs, cfg, seed),
+        &cfg.precision,
+        policy,
+        Pool::current(),
+        cfg.backend,
+    );
     let n = cfg.msg_sizes.len();
     let mut cells = outcomes.into_iter();
     algs.iter()

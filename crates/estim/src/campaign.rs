@@ -18,8 +18,9 @@
 //!   statistically contested, and contested rivals run to the full
 //!   precision target so near-tie winners match the exhaustive path's
 //!   converged argmin. With `leader_early_stop` off, every algorithm's
-//!   statistics are bit-identical to [`collective_time_with`] — that is
-//!   the differential oracle.
+//!   statistics are bit-identical to [`measure`](crate::measure::measure)
+//!   on its [`TimedProgram::Collective`] cell — that is the
+//!   differential oracle.
 //! * [`plan_crossover_fill`] decides *which* m-grid indices to measure:
 //!   coarse anchors first, bisection only inside intervals whose
 //!   endpoint winners differ, whose endpoint wins are not *decisive*
@@ -35,12 +36,10 @@
 //! campaigns bit-identical at any thread count and on either execution
 //! backend.
 
-use crate::measure::{paired_samples, timed_reps, ROOT};
-use crate::memo::{compiled_dag, CellProgram, DagCell};
+use crate::measure::{CellSampler, TimedProgram};
 use crate::stats::{AdaptiveAccumulator, Precision, SampleStats};
-use collsel_coll::compile::compile_timed_collective;
-use collsel_coll::{run_collective, Collective};
-use collsel_mpi::{simulate_scheduled, Backend, DagEvaluator, Schedule, SimOptions};
+use collsel_coll::Collective;
+use collsel_mpi::Backend;
 use collsel_netsim::ClusterModel;
 
 /// Minimum relative lead of a cell's winner over its runner-up for the
@@ -112,24 +111,11 @@ fn argmin_mean(stats: &[SampleStats]) -> usize {
     best
 }
 
-/// How one algorithm's batches execute: a compiled timing DAG
-/// batch-evaluated in place (dag backend), a compiled schedule
-/// replayed per batch (events backend), or the OS-thread oracle.
-enum AlgExec {
-    Dag(DagEvaluator),
-    Sched(Schedule),
-    Threads,
-}
-
-/// One algorithm's sampling state inside a family cell: its execution
-/// tier ([`AlgExec`]) plus the incremental stopping rule.
+/// One algorithm's sampling state inside a family cell: its prepared
+/// cell plus the incremental stopping rule.
 struct AlgSampler {
-    alg: collsel_coll::Alg,
-    p: usize,
-    m: usize,
-    seg_size: usize,
+    cell: CellSampler,
     seed: u64,
-    exec: AlgExec,
     acc: AdaptiveAccumulator,
     /// Set by the leader-settled rule: this algorithm's CI is disjoint
     /// above the leader's, so it stops sampling as a settled loser.
@@ -137,34 +123,12 @@ struct AlgSampler {
 }
 
 impl AlgSampler {
-    /// Pulls one adaptive batch: the batch seed, repetition count and
-    /// per-sample arithmetic are exactly [`collective_time_with`]'s,
-    /// so a sampler driven to completion is bit-identical to it.
+    /// Pulls one adaptive batch under the batch seed
+    /// [`measure`](crate::measure::measure) uses, so a sampler driven
+    /// to completion is bit-identical to it.
     fn pull(&mut self, cluster: &ClusterModel, precision: &Precision) {
         let batch_seed = self.seed.wrapping_add(self.acc.batches() as u64);
-        let samples = match &mut self.exec {
-            AlgExec::Dag(ev) => {
-                let run = ev
-                    .run(batch_seed, SimOptions::default())
-                    .expect("measurement program cannot deadlock");
-                paired_samples(&run, 1.0)
-            }
-            AlgExec::Sched(sched) => {
-                let run = simulate_scheduled(cluster, sched, batch_seed, SimOptions::default())
-                    .expect("measurement program cannot deadlock");
-                paired_samples(&run, 1.0)
-            }
-            AlgExec::Threads => {
-                let (alg, m, seg) = (self.alg, self.m, self.seg_size);
-                timed_reps(
-                    cluster,
-                    self.p,
-                    batch_seed,
-                    precision.min_reps,
-                    move |ctx| run_collective(ctx, alg, ROOT, m, seg),
-                )
-            }
-        };
+        let samples = self.cell.batch_unwatched(cluster, batch_seed);
         self.acc.push_batch(samples, precision);
     }
 }
@@ -203,8 +167,8 @@ fn settle_losers(samplers: &mut [AlgSampler], precision: &Precision) {
 /// campaigns' per-algorithm convention), so the family's noise streams
 /// are decorrelated and independent of the measurement order. With
 /// `leader_early_stop` off, every algorithm's statistics are
-/// bit-identical to [`collective_time_with`] with the same arguments;
-/// with it on, algorithms whose CI separates above the leader stop
+/// bit-identical to [`measure`](crate::measure::measure) on the same
+/// cell; with it on, algorithms whose CI separates above the leader stop
 /// early ([`settle_losers`]), and the leader itself stops once every
 /// rival has settled — only still-contested rivals run to the full
 /// precision target, so the argmin (the only thing the decision table
@@ -231,40 +195,15 @@ pub fn measure_family_cell(
         .iter()
         .enumerate()
         .map(|(i, &alg)| {
-            let alg_seed = seed.wrapping_add((i as u64) << 32);
-            let exec = match backend {
-                Backend::Dag => compiled_dag(
-                    cluster,
-                    CellProgram::Collective {
-                        alg,
-                        p,
-                        m,
-                        seg_size,
-                    },
-                    precision.min_reps,
-                    |rec, reps| compile_timed_collective(rec, alg, p, ROOT, m, seg_size, reps),
-                )
-                .map(|cell| match cell {
-                    DagCell::Compiled(dag) => AlgExec::Dag(DagEvaluator::new(cluster, dag)),
-                    // Beyond the DAG index space: replay the recorded
-                    // schedule through the events tier instead.
-                    DagCell::TooLarge(sched) => AlgExec::Sched(sched),
-                })
-                .unwrap_or(AlgExec::Threads),
-                Backend::Events => {
-                    compile_timed_collective(cluster, alg, p, ROOT, m, seg_size, precision.min_reps)
-                        .map(AlgExec::Sched)
-                        .unwrap_or(AlgExec::Threads)
-                }
-                Backend::Threads => AlgExec::Threads,
-            };
-            AlgSampler {
+            let program = TimedProgram::Collective {
                 alg,
                 p,
                 m,
                 seg_size,
-                seed: alg_seed,
-                exec,
+            };
+            AlgSampler {
+                cell: CellSampler::new(cluster, program, precision.min_reps, backend),
+                seed: seed.wrapping_add((i as u64) << 32),
                 acc: AdaptiveAccumulator::new(),
                 settled: false,
             }
@@ -519,32 +458,34 @@ mod tests {
     use collsel_netsim::NoiseParams;
 
     #[test]
-    fn family_cell_without_early_stop_matches_collective_time() {
+    fn family_cell_without_early_stop_matches_measure() {
         let cluster = ClusterModel::gros();
         let precision = Precision::quick();
-        let (c, p, m, seg) = (Collective::Reduce, 8usize, 64 * 1024usize, 64 * 1024usize);
+        let (c, p, m, seg_size) = (Collective::Reduce, 8usize, 64 * 1024usize, 64 * 1024usize);
         let seed = 0xFEED;
         let cell = measure_family_cell(
             &cluster,
             c,
             p,
             m,
-            seg,
+            seg_size,
             &precision,
             seed,
-            Backend::Events,
+            Backend::Dag,
             false,
         );
         for (i, &alg) in c.algorithms().iter().enumerate() {
-            let direct = crate::measure::collective_time_with(
+            let direct = crate::measure::measure(
                 &cluster,
-                alg,
-                p,
-                m,
-                seg,
+                TimedProgram::Collective {
+                    alg,
+                    p,
+                    m,
+                    seg_size,
+                },
                 &precision,
                 seed.wrapping_add((i as u64) << 32),
-                Backend::Events,
+                Backend::Dag,
             );
             assert_eq!(cell.stats[i], direct, "alg {alg}");
         }
@@ -555,41 +496,20 @@ mod tests {
         let cluster = ClusterModel::gros();
         let precision = Precision::quick();
         for early in [false, true] {
-            let ev = measure_family_cell(
-                &cluster,
-                Collective::Allgather,
-                6,
-                32 * 1024,
-                64 * 1024,
-                &precision,
-                7,
-                Backend::Events,
-                early,
-            );
-            let th = measure_family_cell(
-                &cluster,
-                Collective::Allgather,
-                6,
-                32 * 1024,
-                64 * 1024,
-                &precision,
-                7,
-                Backend::Threads,
-                early,
-            );
-            let dag = measure_family_cell(
-                &cluster,
-                Collective::Allgather,
-                6,
-                32 * 1024,
-                64 * 1024,
-                &precision,
-                7,
-                Backend::Dag,
-                early,
-            );
-            assert_eq!(ev, th, "early_stop={early}");
-            assert_eq!(ev, dag, "early_stop={early}");
+            let [th, dag] = [Backend::Threads, Backend::Dag].map(|backend| {
+                measure_family_cell(
+                    &cluster,
+                    Collective::Allgather,
+                    6,
+                    32 * 1024,
+                    64 * 1024,
+                    &precision,
+                    7,
+                    backend,
+                    early,
+                )
+            });
+            assert_eq!(th, dag, "early_stop={early}");
         }
     }
 
@@ -605,7 +525,7 @@ mod tests {
             8 * 1024,
             &precision,
             3,
-            Backend::Events,
+            Backend::Dag,
             false,
         );
         let early = measure_family_cell(
@@ -616,7 +536,7 @@ mod tests {
             8 * 1024,
             &precision,
             3,
-            Backend::Events,
+            Backend::Dag,
             true,
         );
         assert!(early.batches <= full.batches);
@@ -635,7 +555,7 @@ mod tests {
             64 * 1024,
             &precision,
             1,
-            Backend::Events,
+            Backend::Dag,
             false,
         );
         // Zero variance: the CI collapses at min_reps.

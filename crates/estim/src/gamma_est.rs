@@ -7,9 +7,7 @@
 //! `γ(P) = T2(P) / T2(2)` is the platform-specific, algorithm-independent
 //! factor used by every implementation-derived model.
 
-use crate::measure::{
-    linear_segment_bcast_time_with, try_linear_segment_bcast_time_with, RetryPolicy,
-};
+use crate::measure::{measure_batch, try_measure_batch, RetryPolicy, TimedProgram};
 use crate::stats::{Precision, SampleStats};
 use collsel_model::GammaTable;
 use collsel_mpi::{Backend, SimError};
@@ -30,7 +28,8 @@ pub struct GammaConfig {
     /// Stopping rule for each `T2(P)`.
     pub precision: Precision,
     /// Execution backend of the measurement simulations (both return
-    /// bit-identical statistics; events is the campaign hot path).
+    /// bit-identical statistics; the timing DAG is the campaign hot
+    /// path).
     pub backend: Backend,
 }
 
@@ -73,12 +72,13 @@ pub struct GammaEstimate {
     pub t2: Vec<(usize, SampleStats)>,
 }
 
-/// Runs the Sect. 4.1 experiments on `cluster` and returns the γ table.
+/// The Sect. 4.1 cells, one per width in `2..=max_width`, each with its
+/// own seed.
 ///
 /// # Panics
 ///
 /// Panics if `max_width` is below 2 or exceeds the cluster's slots.
-pub fn estimate_gamma(cluster: &ClusterModel, cfg: &GammaConfig, seed: u64) -> GammaEstimate {
+fn width_cells(cluster: &ClusterModel, cfg: &GammaConfig, seed: u64) -> Vec<(TimedProgram, u64)> {
     assert!(cfg.max_width >= 2, "gamma needs widths of at least 2");
     assert!(
         cfg.max_width <= cluster.max_ranks(),
@@ -86,23 +86,20 @@ pub fn estimate_gamma(cluster: &ClusterModel, cfg: &GammaConfig, seed: u64) -> G
         cluster.name(),
         cfg.max_width
     );
-    // Each width is an independent experiment with its own seed, so the
-    // widths fan out across the pool; results come back in width order
-    // and are bit-identical to the serial loop at any thread count.
-    let stats = Pool::current().run((2..=cfg.max_width).map(|p| {
-        move || {
-            linear_segment_bcast_time_with(
-                cluster,
+    (2..=cfg.max_width)
+        .map(|p| {
+            let program = TimedProgram::LinearSegment {
                 p,
-                cfg.seg_size,
-                cfg.calls_per_sample,
-                &cfg.precision,
-                seed.wrapping_add(p as u64 * 1009),
-                cfg.backend,
-            )
-        }
-    }));
-    let t2: Vec<(usize, SampleStats)> = (2..=cfg.max_width).zip(stats).collect();
+                seg_size: cfg.seg_size,
+                calls: cfg.calls_per_sample,
+            };
+            (program, seed.wrapping_add(p as u64 * 1009))
+        })
+        .collect()
+}
+
+/// γ(P) = T2(P) / T2(2) from the per-width measurements.
+fn gamma_from(t2: Vec<(usize, SampleStats)>) -> GammaEstimate {
     let base = t2[0].1.mean;
     assert!(base > 0.0, "T2(2) must be positive");
     let pairs: Vec<(usize, f64)> = t2
@@ -114,6 +111,26 @@ pub fn estimate_gamma(cluster: &ClusterModel, cfg: &GammaConfig, seed: u64) -> G
         table: GammaTable::from_pairs(pairs),
         t2,
     }
+}
+
+/// Runs the Sect. 4.1 experiments on `cluster` and returns the γ table.
+///
+/// # Panics
+///
+/// Panics if `max_width` is below 2 or exceeds the cluster's slots.
+pub fn estimate_gamma(cluster: &ClusterModel, cfg: &GammaConfig, seed: u64) -> GammaEstimate {
+    // Each width is an independent experiment with its own seed, so the
+    // widths fan out across the pool; results come back in width order
+    // and are bit-identical to the serial loop at any thread count.
+    let cells = width_cells(cluster, cfg, seed);
+    let stats = measure_batch(
+        cluster,
+        &cells,
+        &cfg.precision,
+        Pool::current(),
+        cfg.backend,
+    );
+    gamma_from((2..=cfg.max_width).zip(stats).collect())
 }
 
 /// Fallible twin of [`estimate_gamma`] for clusters running under an
@@ -140,46 +157,23 @@ pub fn try_estimate_gamma(
     seed: u64,
     policy: &RetryPolicy,
 ) -> Result<GammaEstimate, SimError> {
-    assert!(cfg.max_width >= 2, "gamma needs widths of at least 2");
-    assert!(
-        cfg.max_width <= cluster.max_ranks(),
-        "cluster {} cannot host {} processes",
-        cluster.name(),
-        cfg.max_width
+    // All widths run even past a failure, but the reported error is the
+    // first one in width order, so the outcome is deterministic and
+    // identical to serial execution.
+    let cells = width_cells(cluster, cfg, seed);
+    let outcomes = try_measure_batch(
+        cluster,
+        &cells,
+        &cfg.precision,
+        policy,
+        Pool::current(),
+        cfg.backend,
     );
-    // All widths run (even past a failure — unlike the serial loop's
-    // early exit, the pool cannot cancel in-flight cells), but the
-    // reported error is the first one in width order, so the outcome is
-    // deterministic and identical to serial execution.
-    let outcomes = Pool::current().run((2..=cfg.max_width).map(|p| {
-        move || {
-            try_linear_segment_bcast_time_with(
-                cluster,
-                p,
-                cfg.seg_size,
-                cfg.calls_per_sample,
-                &cfg.precision,
-                seed.wrapping_add(p as u64 * 1009),
-                policy,
-                cfg.backend,
-            )
-        }
-    }));
-    let mut t2 = Vec::with_capacity(cfg.max_width - 1);
+    let mut t2 = Vec::with_capacity(cells.len());
     for (p, outcome) in (2..=cfg.max_width).zip(outcomes) {
         t2.push((p, outcome?));
     }
-    let base = t2[0].1.mean;
-    assert!(base > 0.0, "T2(2) must be positive");
-    let pairs: Vec<(usize, f64)> = t2
-        .iter()
-        .skip(1)
-        .map(|&(p, s)| (p, (s.mean / base).max(1.0)))
-        .collect();
-    Ok(GammaEstimate {
-        table: GammaTable::from_pairs(pairs),
-        t2,
-    })
+    Ok(gamma_from(t2))
 }
 
 // JSON persistence (layout-compatible with the former serde derives).

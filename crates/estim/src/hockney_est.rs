@@ -7,10 +7,11 @@
 //! network-level parameters; the contrast with the per-algorithm
 //! parameters of Sect. 4.2 is the heart of the paper.
 
-use crate::measure::p2p_time;
+use crate::measure::{measure, TimedProgram};
 use crate::regress::ols;
 use crate::stats::{Precision, SampleStats};
 use collsel_model::Hockney;
+use collsel_mpi::Backend;
 use collsel_netsim::ClusterModel;
 
 /// Result of the network-level Hockney measurement.
@@ -39,9 +40,11 @@ pub fn estimate_network_hockney(
         .iter()
         .enumerate()
         .map(|(i, &m)| {
+            let cell_seed = seed.wrapping_add(i as u64 * 131);
+            let program = TimedProgram::P2p { m };
             (
                 m,
-                p2p_time(cluster, m, precision, seed.wrapping_add(i as u64 * 131)),
+                measure(cluster, program, precision, cell_seed, Backend::default()),
             )
         })
         .collect();

@@ -27,12 +27,13 @@
 //! bit-identical at any thread count. The adaptive stopping rule stays
 //! strictly sequential *within* a cell.
 //!
-//! Each measurement cell executes on a [`collsel_mpi::Backend`]: by
-//! default the timing-DAG backend compiles the measurement program to
-//! a static DAG once per cell (memoised process-wide, see
-//! [`memo_counters`]) and batch-evaluates repetitions payload-free;
-//! the event-driven replay and OS-thread oracle backends remain
-//! available (see [`measure`]).
+//! Every experiment is one [`TimedProgram`] measured one way
+//! ([`measure()`] / [`try_measure`] and their batch twins, see
+//! [`measure`](mod@measure)) on a [`collsel_mpi::Backend`]: by default the
+//! timing-DAG backend compiles the program to a static DAG once per
+//! cell (memoised process-wide, see [`memo_counters`]) and
+//! batch-evaluates repetitions payload-free; the OS-thread oracle runs
+//! the same program text on rank threads.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -64,16 +65,10 @@ pub use gamma_est::{estimate_gamma, try_estimate_gamma, GammaConfig, GammaEstima
 pub use hockney_est::{estimate_network_hockney, NetworkHockneyEstimate};
 pub use loggp_est::{estimate_loggp, LogGPEstimate};
 pub use measure::{
-    bcast_gather_experiment_time_batch, bcast_gather_experiment_time_batch_with, bcast_time_batch,
-    bcast_time_batch_with, collective_time, collective_time_batch, collective_time_batch_with,
-    collective_time_with, try_bcast_gather_experiment_time, try_bcast_gather_experiment_time_with,
-    try_bcast_time, try_bcast_time_with, try_collective_time, try_collective_time_with,
-    try_linear_segment_bcast_time, try_linear_segment_bcast_time_with, try_p2p_time,
-    try_p2p_time_with, BcastSpec, CollectiveSpec, ExperimentSpec, RetryPolicy,
+    measure, measure_batch, try_measure, try_measure_batch, RetryPolicy, TimedProgram,
 };
 pub use memo::{
     compile_step_shared, compiled_step_dag, memo_counters, step_cell, MemoCounters, StepCell,
-    StepDag,
 };
 pub use regress::{huber, huber_default, ols, LinearFit};
 pub use stats::{

@@ -6,10 +6,10 @@
 //! record the program (symbolically, on the calling thread: no rank
 //! threads, no fabric), lower the schedule to a [`TimingDag`], then
 //! evaluate repetitions. The first two are a pure function of the
-//! cell identity — the program shape ([`CellProgram`]), the
-//! repetitions per batch and the cluster's eager threshold (the only
-//! cluster property that reaches the compiled artifact; schedules
-//! themselves are cluster-independent).
+//! cell identity — the program ([`TimedProgram`]), the repetitions per
+//! batch and the cluster's eager threshold (the only cluster property
+//! that reaches the compiled artifact; schedules themselves are
+//! cluster-independent).
 //! Tuning campaigns and `DecisionServer` refits re-measure the same
 //! grid cells across batches, retries and generations, so the DAG for
 //! each cell is compiled once here and shared (`Arc`) afterwards.
@@ -20,8 +20,8 @@
 //!
 //! | store | key | value | counters |
 //! |---|---|---|---|
-//! | cell DAGs ([`compiled_dag`]) | ([`CellProgram`], reps, eager threshold) | `Arc<TimingDag>` | `dag_hits` / `dag_misses` |
-//! | step DAGs ([`compiled_step_dag`]) | ([`StepCell`]: world + every call's algorithm, member ranks, sizes; eager threshold) | [`StepDag`] | `dag_hits` / `dag_misses` |
+//! | cell DAGs ([`compiled_dag`]) | ([`TimedProgram`], reps, eager threshold) | `Arc<TimingDag>` | `dag_hits` / `dag_misses` |
+//! | step DAGs ([`compiled_step_dag`]) | ([`StepCell`]: world + every call's algorithm, member ranks, sizes; eager threshold) | `Arc<TimingDag>` | `dag_hits` / `dag_misses` |
 //! | collective templates ([`compile_step_shared`]) | [`TemplateKey`]: (algorithm, group size, message size, segment size) | `Arc<Schedule>` | `template_hits` / `template_misses` |
 //!
 //! A step DAG is keyed by exactly which ranks run what, so two steps
@@ -36,8 +36,9 @@
 //! ([`collsel_support::payload`]); `colltune` attaches the
 //! campaign-phase delta to its coverage accounting JSON.
 
-use collsel_coll::compile::{compile_template, compose_step, GroupCall, TemplateKey};
-use collsel_coll::{Alg, BcastAlg};
+use crate::measure::ROOT;
+use collsel_coll::compile::{compile_template, compose_step, GroupCall, TemplateKey, TimedProgram};
+use collsel_coll::Alg;
 use collsel_mpi::{RecordError, Schedule, TimingDag};
 use collsel_netsim::ClusterModel;
 use collsel_support::payload::payload_counters;
@@ -46,47 +47,10 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// The identity of one measurement cell's recorded program — every
-/// parameter that can change the operation stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum CellProgram {
-    /// [`crate::measure::bcast_time`]'s timed broadcast.
-    Bcast {
-        alg: BcastAlg,
-        p: usize,
-        m: usize,
-        seg_size: usize,
-    },
-    /// [`collective_time`](crate::measure::collective_time)'s timed
-    /// collective (the tag carries which collective).
-    Collective {
-        alg: Alg,
-        p: usize,
-        m: usize,
-        seg_size: usize,
-    },
-    /// The Sect. 4.2 broadcast + linear-gather experiment.
-    BcastGather {
-        alg: BcastAlg,
-        p: usize,
-        m: usize,
-        m_g: usize,
-        seg_size: usize,
-    },
-    /// The Sect. 4.1 repeated linear-segment broadcast.
-    LinearSegment {
-        p: usize,
-        seg_size: usize,
-        calls: usize,
-    },
-    /// The Hockney round-trip between ranks 0 and 1.
-    P2p { m: usize },
-}
-
 /// Full cache key: the program, the repetitions baked into the
 /// recording, and the eager threshold the edges were classified
 /// against.
-type DagKey = (CellProgram, usize, usize);
+type DagKey = (TimedProgram, usize, usize);
 
 /// Entry cap of each store. Compiled DAGs hold the full flattened op
 /// stream (`reps × P × ops`), so a store is bounded by entry count
@@ -148,53 +112,31 @@ impl<K: Eq + Hash, V: Clone> Store<K, V> {
 }
 
 static CELLS: Store<DagKey, Arc<TimingDag>> = Store::new();
-static STEPS: Store<StepKey, StepDag> = Store::new();
+static STEPS: Store<StepKey, Arc<TimingDag>> = Store::new();
 static TEMPLATES: Store<TemplateKey, Arc<Schedule>> = Store::new();
 
-/// A recorded cell after DAG lowering was attempted: either the
-/// compiled artifact, or — when the schedule overflows the DAG's index
-/// space ([`collsel_mpi::CompileError::TooLarge`]) — the schedule
-/// itself so the caller can fall back to the events backend without
-/// re-recording.
-#[derive(Debug)]
-pub(crate) enum DagCell {
-    /// Lowering succeeded; evaluate with the DAG tier.
-    Compiled(Arc<TimingDag>),
-    /// The schedule is too large to compile; replay it with
-    /// [`collsel_mpi::simulate_scheduled`] instead.
-    TooLarge(Schedule),
-}
-
 /// Returns the compiled timing DAG for a measurement cell, recording
-/// and lowering it on a miss (`None` if recording fails — impossible
-/// for the wildcard-free measurement programs, but the contract is
-/// kept open like the backend dispatch it serves). A schedule too
-/// large for the DAG's index space comes back as
-/// [`DagCell::TooLarge`]; such cells are never cached (they would dwarf
-/// the cache, and the events fallback re-records per call anyway).
+/// and lowering it on a miss. `None` means the cell cannot be lowered —
+/// recording failed (impossible for the wildcard-free measurement
+/// programs, but the contract is kept open) or the schedule overflows
+/// the DAG's index space — and the caller runs it on the threaded tier.
 ///
 /// Of `cluster`, recording reads the rank capacity and lowering the
 /// eager threshold (part of the key), so a faulted cluster shares its
 /// pristine twin's entry and needs no fault-free copy.
 pub(crate) fn compiled_dag(
     cluster: &ClusterModel,
-    program: CellProgram,
+    program: TimedProgram,
     reps: usize,
-    compile: impl FnOnce(&ClusterModel, usize) -> Result<Schedule, RecordError>,
-) -> Option<DagCell> {
+) -> Option<Arc<TimingDag>> {
     let key = (program, reps, cluster.eager_threshold());
     if let Some(dag) = CELLS.get(&key) {
-        return Some(DagCell::Compiled(dag));
+        return Some(dag);
     }
-    let sched = compile(cluster, reps).ok()?;
-    let dag = match TimingDag::compile(cluster, &sched) {
-        Ok(dag) => Arc::new(dag),
-        Err(collsel_mpi::CompileError::TooLarge { .. }) => {
-            return Some(DagCell::TooLarge(sched));
-        }
-    };
+    let sched = program.record(cluster, ROOT, reps).ok()?;
+    let dag = Arc::new(TimingDag::compile(cluster, &sched).ok()?);
     CELLS.insert(key, Arc::clone(&dag));
-    Some(DagCell::Compiled(dag))
+    Some(dag)
 }
 
 /// The identity of one replay step's recorded program: the world size
@@ -207,17 +149,6 @@ pub struct StepCell {
     pub world: usize,
     /// Per call: `(alg, group ranks, message size, segment size)`.
     pub calls: Vec<(Alg, Vec<usize>, usize, usize)>,
-}
-
-/// A replay step after DAG lowering was attempted — the public twin of
-/// the measurement tier's cell artifact (see [`compiled_step_dag`]).
-#[derive(Debug, Clone)]
-pub enum StepDag {
-    /// Lowering succeeded; evaluate with [`collsel_mpi::DagEvaluator`].
-    Compiled(Arc<TimingDag>),
-    /// Schedule too large for the DAG index space; replay with
-    /// [`collsel_mpi::simulate_scheduled`].
-    TooLarge(Arc<Schedule>),
 }
 
 type StepKey = (StepCell, usize);
@@ -233,32 +164,28 @@ pub fn step_cell(world: usize, calls: &[GroupCall]) -> StepCell {
     }
 }
 
-/// Returns the compiled timing DAG (or, for schedules beyond the DAG
-/// index space, the recorded schedule) for one replay step, recording
+/// Returns the compiled timing DAG for one replay step, recording
 /// (`compile`; replay passes [`compile_step_shared`]) and lowering on a
 /// miss. Counts into the same `dag_hits`/`dag_misses`
 /// ([`memo_counters`]) as the measurement cells, but lives in its own
 /// store: step shapes are keyed by their full group/call geometry, not
-/// a [`CellProgram`].
+/// a [`TimedProgram`].
 ///
 /// Of `cluster` only the rank capacity and the eager threshold are
 /// read, as for the measurement cells. Returns `None` if recording
-/// fails.
+/// fails or the schedule overflows the DAG's index space.
 pub fn compiled_step_dag(
     cluster: &ClusterModel,
     cell: StepCell,
     compile: impl FnOnce(&ClusterModel) -> Result<Schedule, RecordError>,
-) -> Option<StepDag> {
+) -> Option<Arc<TimingDag>> {
     let key = (cell, cluster.eager_threshold());
     if let Some(dag) = STEPS.get(&key) {
         return Some(dag);
     }
     let sched = compile(cluster).ok()?;
-    let dag = match TimingDag::compile(cluster, &sched) {
-        Ok(dag) => StepDag::Compiled(Arc::new(dag)),
-        Err(collsel_mpi::CompileError::TooLarge { .. }) => StepDag::TooLarge(Arc::new(sched)),
-    };
-    STEPS.insert(key, dag.clone());
+    let dag = Arc::new(TimingDag::compile(cluster, &sched).ok()?);
+    STEPS.insert(key, Arc::clone(&dag));
     Some(dag)
 }
 
@@ -344,34 +271,24 @@ pub fn memo_counters() -> MemoCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use collsel_coll::compile::compile_timed_collective;
+    use collsel_coll::BcastAlg;
 
     #[test]
     fn cell_dag_is_compiled_once_and_shared() {
         let cluster = ClusterModel::gros();
-        let alg = Alg::Scatter(collsel_coll::ScatterAlg::Binomial);
-        let program = CellProgram::Collective {
-            alg,
+        let program = TimedProgram::Collective {
+            alg: Alg::Scatter(collsel_coll::ScatterAlg::Binomial),
             p: 4,
             m: 12_345,
             seg_size: 12_345,
         };
-        let compile_count = std::cell::Cell::new(0u32);
-        let get = || match compiled_dag(&cluster, program, 2, |rec, reps| {
-            compile_count.set(compile_count.get() + 1);
-            compile_timed_collective(rec, alg, 4, 0, 12_345, 12_345, reps)
-        })
-        .expect("scatter records cleanly")
-        {
-            DagCell::Compiled(dag) => dag,
-            DagCell::TooLarge(_) => panic!("tiny cell cannot overflow the DAG"),
-        };
-        let a = get();
-        let b = get();
+        let before = memo_counters();
+        let a = compiled_dag(&cluster, program, 2).expect("scatter records cleanly");
+        let b = compiled_dag(&cluster, program, 2).expect("scatter records cleanly");
+        // A second compile would have built a second artifact.
         assert!(Arc::ptr_eq(&a, &b), "second lookup must be a cache hit");
-        assert_eq!(compile_count.get(), 1, "recording must run exactly once");
-        let c = memo_counters();
-        assert!(c.dag_hits >= 1 && c.dag_misses >= 1);
+        let moved = memo_counters().since(before);
+        assert!(moved.dag_hits >= 1 && moved.dag_misses >= 1);
     }
 
     /// Two steps that share a collective record it once. No other test
@@ -428,12 +345,12 @@ mod tests {
             seg_size: 8_192,
         }];
         let compile_count = std::cell::Cell::new(0u32);
-        let get = || match compiled_step_dag(&cluster, step_cell(6, &calls), |rec| {
-            compile_count.set(compile_count.get() + 1);
-            collsel_coll::compile::compile_step(rec, 6, &calls)
-        }) {
-            Some(StepDag::Compiled(dag)) => dag,
-            other => panic!("tiny step must record and compile, got {other:?}"),
+        let get = || {
+            compiled_step_dag(&cluster, step_cell(6, &calls), |rec| {
+                compile_count.set(compile_count.get() + 1);
+                collsel_coll::compile::compile_step(rec, 6, &calls)
+            })
+            .expect("tiny step must record and compile")
         };
         let a = get();
         let b = get();

@@ -29,7 +29,7 @@ use collsel::select::{
 use collsel::{CampaignPlan, TunedModel, Tuner, TunerConfig};
 use collsel_expt::campaign::{memo_json, CampaignSummary};
 use collsel_expt::replay::{
-    backend_name, comparison_csv, comparison_json, degradation_pct, score_policies, ReplayPolicy,
+    comparison_csv, comparison_json, degradation_pct, score_policies, ReplayPolicy,
 };
 use collsel_expt::soak::{run_soak, SoakConfig};
 use collsel_expt::workload::{Trace, TraceGen, TracePreset};
@@ -38,10 +38,10 @@ use std::process::ExitCode;
 const USAGE: &str = "usage:
   colltune tune   [--preset grisou|gros | --nodes N --gbps G --latency-us L --cpus-per-node C]
                   [--tune-p P] [--paper] [--seed N] [--faults SPEC] [-j N | --threads N]
-                  [--collective NAME]... [--backend threads|events|dag]
+                  [--collective NAME]... [--backend threads|dag]
                   [--adaptive] [--budget N] [--warm-from model.json] --out model.json
   colltune query  --model model.json --p P --m BYTES [--m BYTES]... [--degraded]
-                  [--collective NAME]... [--backend threads|events|dag]
+                  [--collective NAME]... [--backend threads|dag]
   colltune show   --model model.json
   colltune export --model model.json --out rules.conf [--comm-sizes A,B,...]
   colltune bench-select
@@ -52,7 +52,7 @@ const USAGE: &str = "usage:
                   [--journal FILE] [--json FILE]
   colltune replay [--model model.json] (--trace trace.json | --gen dp|pp)
                   [--preset grisou|gros] [--world N] [--steps N] [--seed N]
-                  [--backend threads|events|dag]
+                  [--backend threads|dag]
                   [--selector fixed|tuned|worst|server|all]... [--json FILE] [--csv FILE]
 
 fault specs (NAME or NAME:SEED): none, degraded-link, straggler, brownout, spike, chaos
@@ -68,9 +68,8 @@ embed the resulting decision tables + coverage accounting in the model JSON;
 --budget N caps measured cells per (collective, P) row and implies --adaptive;
 --warm-from seeds the campaign from a neighbor cluster's model instead
 --backend: measurement execution backend (default: dag — compile each cell to a
-static timing DAG once and batch-evaluate repetitions payload-free; events replays
-a compiled schedule per run; threads is the oracle); all three yield bit-identical
-models
+static timing DAG once and batch-evaluate repetitions payload-free; threads is
+the thread-per-rank oracle); both yield bit-identical models
 bench-select: compare decision-serving throughput (live ranking vs compiled table
 vs cached service) for a tuned model
 serve: soak the fault-tolerant decision server — tune a boot generation, then
@@ -85,7 +84,7 @@ job completion time (JCT); --gen synthesises a seeded data-parallel (dp) or
 pipeline-parallel (pp) trace instead of reading --trace; --selector picks the
 policies to compare (default: fixed alone, or tuned+fixed+worst with --model;
 `server` drives a live decision server with one lookup per call); JCT is
-bit-identical across all three backends and any thread count";
+bit-identical across both backends and any thread count";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -272,10 +271,9 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
         TunerConfig::paper(tune_p)
     } else {
         TunerConfig::quick(tune_p)
-    };
+    }
+    .with_backend(backend);
     config.seed = seed;
-    config.gamma.backend = backend;
-    config.alpha_beta.backend = backend;
 
     let faults = match flag_value(args, "--faults") {
         Some(spec) => Some(FaultPlan::parse(spec, cluster.nodes())?),
@@ -976,7 +974,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         trace.steps.len(),
         trace.total_calls(),
         trace.groups.len(),
-        backend_name(backend)
+        backend
     );
     let outcomes = score_policies(&cluster, &trace, &policies, backend, seed)
         .map_err(|e| format!("replay failed: {e}"))?;

@@ -13,8 +13,7 @@
 
 use crate::report::{format_csv, format_table, size_label};
 use collsel::coll::{Alg, Collective};
-use collsel::estim::measure::{collective_time_batch_with, CollectiveSpec};
-use collsel::estim::Precision;
+use collsel::estim::{measure_batch, Precision, TimedProgram};
 use collsel::mpi::Backend;
 use collsel::netsim::ClusterModel;
 use collsel::select::analysis::{summarise, SelectorSummary};
@@ -183,13 +182,13 @@ impl BreadthResult {
 }
 
 /// One cell's measurement plan: where its family grid landed in the
-/// flattened spec list, plus the extra slots (if any) of the picks
+/// flattened cell list, plus the extra slots (if any) of the picks
 /// measured at their own segment sizes.
 struct PointPlan {
     m: usize,
     seed: u64,
     grid_start: usize,
-    n_alg: usize,
+    family: &'static [Alg],
     model_pick: CollSelection,
     fixed_pick: CollSelection,
     model_slot: Option<usize>,
@@ -220,7 +219,16 @@ pub fn run_breadth(
     assert!(!collectives.is_empty(), "no collectives requested");
     assert!(!msg_sizes.is_empty(), "no message sizes requested");
     let selector = model.multi_selector();
-    let mut specs: Vec<CollectiveSpec> = Vec::new();
+    let cell = |alg, m, seg_size, seed| {
+        let program = TimedProgram::Collective {
+            alg,
+            p,
+            m,
+            seg_size,
+        };
+        (program, seed)
+    };
+    let mut cells: Vec<(TimedProgram, u64)> = Vec::new();
     let mut plans: Vec<PointPlan> = Vec::new();
     for &c in collectives {
         let family = c.algorithms();
@@ -228,21 +236,20 @@ pub fn run_breadth(
             let point_seed = seed
                 .wrapping_add((c.index() as u64) << 28)
                 .wrapping_add((i as u64) << 20);
-            let grid_start = specs.len();
+            let grid_start = cells.len();
             for (j, &alg) in family.iter().enumerate() {
-                specs.push(CollectiveSpec {
+                cells.push(cell(
                     alg,
-                    p,
                     m,
                     seg_size,
-                    seed: point_seed.wrapping_add(j as u64 * 65537),
-                });
+                    point_seed.wrapping_add(j as u64 * 65537),
+                ));
             }
             plans.push(PointPlan {
                 m,
                 seed: point_seed,
                 grid_start,
-                n_alg: family.len(),
+                family,
                 model_pick: selector.select_for(c, p, m),
                 fixed_pick: fixed_selection(c, p, m),
                 model_slot: None,
@@ -253,28 +260,26 @@ pub fn run_breadth(
     // Extra cells for picks measured at their own segment sizes.
     for plan in &mut plans {
         if plan.model_pick.effective_seg_size(plan.m) != seg_size {
-            plan.model_slot = Some(specs.len());
-            specs.push(CollectiveSpec {
-                alg: plan.model_pick.alg,
-                p,
-                m: plan.m,
-                seg_size: plan.model_pick.effective_seg_size(plan.m),
-                seed: plan.seed.wrapping_add(0xA0),
-            });
+            plan.model_slot = Some(cells.len());
+            cells.push(cell(
+                plan.model_pick.alg,
+                plan.m,
+                plan.model_pick.effective_seg_size(plan.m),
+                plan.seed.wrapping_add(0xA0),
+            ));
         }
         if plan.fixed_pick.effective_seg_size(plan.m) != seg_size {
-            plan.fixed_slot = Some(specs.len());
-            specs.push(CollectiveSpec {
-                alg: plan.fixed_pick.alg,
-                p,
-                m: plan.m,
-                seg_size: plan.fixed_pick.effective_seg_size(plan.m),
-                seed: plan.seed.wrapping_add(0xB0),
-            });
+            plan.fixed_slot = Some(cells.len());
+            cells.push(cell(
+                plan.fixed_pick.alg,
+                plan.m,
+                plan.fixed_pick.effective_seg_size(plan.m),
+                plan.seed.wrapping_add(0xB0),
+            ));
         }
     }
 
-    let stats = collective_time_batch_with(cluster, &specs, precision, Pool::current(), backend);
+    let stats = measure_batch(cluster, &cells, precision, Pool::current(), backend);
 
     let per = msg_sizes.len();
     let columns = collectives
@@ -284,11 +289,11 @@ pub fn run_breadth(
             let points: Vec<BreadthPoint> = plans[ci * per..(ci + 1) * per]
                 .iter()
                 .map(|plan| {
-                    let cells = &specs[plan.grid_start..plan.grid_start + plan.n_alg];
-                    let times: BTreeMap<Alg, f64> = cells
+                    let times: BTreeMap<Alg, f64> = plan
+                        .family
                         .iter()
-                        .zip(&stats[plan.grid_start..plan.grid_start + plan.n_alg])
-                        .map(|(spec, s)| (spec.alg, s.mean))
+                        .zip(&stats[plan.grid_start..])
+                        .map(|(&alg, s)| (alg, s.mean))
                         .collect();
                     let (&best, &best_time) = times
                         .iter()
@@ -429,15 +434,13 @@ mod tests {
             )
         };
         let dag = run(Backend::Dag);
-        let events = run(Backend::Events);
         let threads = run(Backend::Threads);
-        // All three backends execute the same programs: bit-identical.
-        assert_eq!(events, threads);
-        assert_eq!(dag, events);
+        // Both backends execute the same programs: bit-identical.
+        assert_eq!(dag, threads);
         // JSON round-trip preserves the report exactly.
-        let json = collsel_support::ToJson::to_json(&events).to_string();
+        let json = collsel_support::ToJson::to_json(&dag).to_string();
         let parsed = collsel_support::Json::parse(&json).unwrap();
         let back: BreadthResult = collsel_support::FromJson::from_json(&parsed).unwrap();
-        assert_eq!(back, events);
+        assert_eq!(back, dag);
     }
 }

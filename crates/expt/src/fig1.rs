@@ -10,10 +10,10 @@
 use crate::config::Scenario;
 use crate::plot::{ascii_chart, Series};
 use crate::report::{format_csv, format_table, size_label};
-use collsel::coll::BcastAlg;
-use collsel::estim::measure::bcast_time;
-use collsel::estim::{estimate_network_hockney, NetworkHockneyEstimate};
+use collsel::coll::{Alg, BcastAlg};
+use collsel::estim::{estimate_network_hockney, measure, NetworkHockneyEstimate, TimedProgram};
 use collsel::model::traditional;
+use collsel::mpi::Backend;
 
 /// One message size of Fig. 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -187,26 +187,24 @@ pub fn run_fig1(scenario: &Scenario, p: usize, seed: u64) -> Fig1Result {
     let mut points = Vec::with_capacity(scenario.msg_sizes.len());
     for (i, &m) in scenario.msg_sizes.iter().enumerate() {
         let s = seed.wrapping_add((i as u64 + 1) * 10_007);
-        let measured_binary = bcast_time(
-            &scenario.cluster,
-            BcastAlg::Binary,
-            p,
-            m,
-            scenario.seg_size,
-            &scenario.precision,
-            s,
-        )
-        .mean;
-        let measured_binomial = bcast_time(
-            &scenario.cluster,
-            BcastAlg::Binomial,
-            p,
-            m,
-            scenario.seg_size,
-            &scenario.precision,
-            s.wrapping_add(1),
-        )
-        .mean;
+        let measured = |alg, seed| {
+            let program = TimedProgram::Collective {
+                alg: Alg::Bcast(alg),
+                p,
+                m,
+                seg_size: scenario.seg_size,
+            };
+            measure(
+                &scenario.cluster,
+                program,
+                &scenario.precision,
+                seed,
+                Backend::default(),
+            )
+            .mean
+        };
+        let measured_binary = measured(BcastAlg::Binary, s);
+        let measured_binomial = measured(BcastAlg::Binomial, s.wrapping_add(1));
         points.push(Fig1Point {
             m,
             measured_binary,

@@ -9,7 +9,7 @@
 //! "up to 7297% degradation" into a whole-job number), or a live
 //! [`DecisionServer`] (each call issues a real `decide` lookup first,
 //! making replay a realistic traffic driver). The resolved step then
-//! runs through any of the three execution backends; steps with equal
+//! runs through either execution backend; steps with equal
 //! shape share one compiled artifact via `estim`'s step-cell memo
 //! ([`collsel_estim::compiled_step_dag`]), so the DAG tier compiles
 //! each distinct (step-shape, geometry) cell once and batch-replays the
@@ -23,18 +23,15 @@
 //! JCT is the sum over steps of the step's makespan (steps are
 //! serialised by the training loop's data dependency: forward/backward
 //! compute of step *s+1* needs step *s*'s gradients, which we model as
-//! a hard boundary). All three backends produce bit-identical
+//! a hard boundary). Both backends produce bit-identical
 //! makespans, so JCT is bit-identical too — gated by
 //! `tests/replay_determinism.rs` and ci.sh.
 
 use crate::workload::Trace;
 use collsel::coll::compile::GroupCall;
 use collsel::coll::Collective;
-use collsel::estim::{compile_step_shared, compiled_step_dag, step_cell, StepCell, StepDag};
-use collsel::mpi::{
-    simulate_pooled, simulate_scheduled, Backend, DagEvaluator, RecordError, Schedule, SimError,
-    SimOptions,
-};
+use collsel::estim::{compile_step_shared, compiled_step_dag, step_cell, StepCell};
+use collsel::mpi::{simulate_pooled, Backend, DagEvaluator, SimError, SimOptions};
 use collsel::netsim::{ClusterModel, SimSpan, SimTime};
 use collsel::select::{
     fixed_selection, CollSelection, CollectiveModelSelector, CollectiveSelector, DecisionServer,
@@ -96,7 +93,7 @@ pub struct ReplayOutcome {
     pub trace: String,
     /// Policy name ([`ReplayPolicy::name`]).
     pub selector: String,
-    /// Backend name (`dag`/`events`/`threads`).
+    /// Backend name (`dag`/`threads`).
     pub backend: String,
     /// Steps replayed.
     pub steps: usize,
@@ -155,30 +152,21 @@ fn step_seed(seed: u64, step: usize) -> u64 {
     seed.wrapping_add((step as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// Cached execution artifact for one distinct step shape, reused
-/// across repeated steps within a replay.
-enum StepExec {
-    Dag(DagEvaluator),
-    Sched(Arc<Schedule>),
-}
-
 /// Replays `trace` end-to-end on `cluster` under `policy` and
 /// `backend`, accumulating JCT as the sum of step makespans.
 ///
-/// All three backends yield bit-identical outcomes at any thread
-/// count. On [`Backend::Dag`], distinct step shapes are compiled once
-/// through the process-wide step memo and batch-replayed; on
-/// [`Backend::Events`], each distinct shape is composed once per call
-/// and replayed per step (both from the process-wide collective
-/// templates); [`Backend::Threads`] runs every step through
-/// the thread-per-rank oracle.
+/// Both backends yield bit-identical outcomes at any thread count. On
+/// [`Backend::Dag`], distinct step shapes are compiled once through the
+/// process-wide step memo (composed from the process-wide collective
+/// templates) and batch-replayed; [`Backend::Threads`] runs every step
+/// through the thread-per-rank oracle.
 ///
 /// # Errors
 ///
 /// [`SimError`] if a step's simulation fails (a watchdogless replay of
-/// a valid trace cannot deadlock, but fault plans stay honest), or a
-/// recording failure surfaced as [`SimError::Deadlock`]'s detail by
-/// the recording run itself.
+/// a valid trace cannot deadlock, but fault plans stay honest);
+/// [`SimError::Deadlock`] naming the recording if a step cannot be
+/// recorded or lowered to a timing DAG.
 ///
 /// # Panics
 ///
@@ -201,7 +189,7 @@ pub fn replay_trace(
     // Per-replay artifact reuse: the process-wide memo deduplicates
     // compiles across replays; this map additionally pins one
     // evaluator (fabric + scratch) per shape within this replay.
-    let mut execs: HashMap<StepCell, StepExec> = HashMap::new();
+    let mut evaluators: HashMap<StepCell, DagEvaluator> = HashMap::new();
 
     for s in 0..trace.steps.len() {
         let calls = step_calls(trace, s, policy);
@@ -216,24 +204,9 @@ pub fn replay_trace(
                 })?
                 .report
             }
-            Backend::Events => {
-                let cell = step_cell(trace.world, &calls);
-                let exec = match execs.entry(cell) {
-                    std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        let sched = compile_step_shared(cluster, trace.world, &calls)
-                            .map_err(record_error_to_sim)?;
-                        e.insert(StepExec::Sched(Arc::new(sched)))
-                    }
-                };
-                let StepExec::Sched(sched) = exec else {
-                    unreachable!("events replay only caches schedules")
-                };
-                simulate_scheduled(cluster, sched, seed_s, opts)?.report
-            }
             Backend::Dag => {
                 let cell = step_cell(trace.world, &calls);
-                let exec = match execs.entry(cell) {
+                let ev = match evaluators.entry(cell) {
                     std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
                     std::collections::hash_map::Entry::Vacant(e) => {
                         // Only a miss pays for a second copy of the key.
@@ -243,20 +216,10 @@ pub fn replay_trace(
                         .ok_or_else(|| SimError::Deadlock {
                             detail: "step recording failed".into(),
                         })?;
-                        e.insert(match dag {
-                            StepDag::Compiled(dag) => {
-                                StepExec::Dag(DagEvaluator::new(cluster, dag))
-                            }
-                            StepDag::TooLarge(sched) => StepExec::Sched(sched),
-                        })
+                        e.insert(DagEvaluator::new(cluster, dag))
                     }
                 };
-                match exec {
-                    StepExec::Dag(ev) => ev.run(seed_s, opts)?.report,
-                    StepExec::Sched(sched) => {
-                        simulate_scheduled(cluster, sched, seed_s, opts)?.report
-                    }
-                }
+                ev.run(seed_s, opts)?.report
             }
         };
         let span = report.makespan.saturating_since(SimTime::ZERO);
@@ -268,7 +231,7 @@ pub fn replay_trace(
     Ok(ReplayOutcome {
         trace: trace.name.clone(),
         selector: policy.name().to_string(),
-        backend: backend_name(backend).to_string(),
+        backend: backend.name().to_string(),
         steps: trace.steps.len(),
         lookups,
         jct_s: jct.as_secs_f64(),
@@ -279,33 +242,9 @@ pub fn replay_trace(
     })
 }
 
-/// The backend's name as spelled on `--backend` flags.
-pub fn backend_name(backend: Backend) -> &'static str {
-    match backend {
-        Backend::Threads => "threads",
-        Backend::Events => "events",
-        Backend::Dag => "dag",
-    }
-}
-
-/// A recording failure surfaced through the replay error type: the
-/// recording run *is* a simulation, so its errors are `SimError`s
-/// except for `Unsupported`, which a valid trace cannot produce.
-fn record_error_to_sim(e: RecordError) -> SimError {
-    match e {
-        RecordError::Sim(e) => e,
-        RecordError::Unsupported { rank, what } => SimError::Deadlock {
-            detail: format!("unsupported op while recording: rank {rank}: {what}"),
-        },
-        other => SimError::Deadlock {
-            detail: format!("recording failed: {other}"),
-        },
-    }
-}
-
 /// Replays `trace` under several policies on one backend and returns
 /// the outcomes in input order — the JCT comparison `colltune replay`
-/// and the `replayrate` bench print.
+/// prints.
 ///
 /// # Errors
 ///
@@ -408,22 +347,16 @@ mod tests {
     fn backends_agree_on_jct_bit_for_bit() -> Result<(), SimError> {
         let cluster = quiet_gros();
         for trace in [canned_dp(), canned_pp()] {
-            let outs: Vec<ReplayOutcome> = [Backend::Dag, Backend::Events, Backend::Threads]
+            let outs: Vec<ReplayOutcome> = [Backend::Dag, Backend::Threads]
                 .into_iter()
                 .map(|b| replay_trace(&cluster, &trace, &ReplayPolicy::Fixed, b, 11))
                 .collect::<Result<_, _>>()?;
             assert_eq!(
                 outs[0].jct_ns, outs[1].jct_ns,
-                "{}: dag vs events",
-                trace.name
-            );
-            assert_eq!(
-                outs[0].jct_ns, outs[2].jct_ns,
                 "{}: dag vs threads",
                 trace.name
             );
             assert_eq!(outs[0].step_ns, outs[1].step_ns);
-            assert_eq!(outs[0].step_ns, outs[2].step_ns);
             assert_eq!(outs[0].messages, outs[1].messages);
             assert!(outs[0].jct_ns > 0);
             assert_eq!(outs[0].lookups, trace.total_calls() as u64);

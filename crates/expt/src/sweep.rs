@@ -5,9 +5,8 @@
 //! size.
 
 use crate::config::Scenario;
-use collsel::coll::BcastAlg;
-use collsel::estim::measure::{bcast_time_batch_with, BcastSpec};
-use collsel::estim::Precision;
+use collsel::coll::{Alg, BcastAlg};
+use collsel::estim::{measure_batch, Precision, TimedProgram};
 use collsel::mpi::Backend;
 use collsel::netsim::ClusterModel;
 use collsel::select::analysis::MeasuredPoint;
@@ -64,19 +63,30 @@ pub struct SweepPanel {
     pub points: Vec<SweepPoint>,
 }
 
-/// The per-algorithm cells of one `(p, m)` point, with the exact
-/// per-algorithm seeds of the original serial loop.
-fn point_specs(p: usize, m: usize, seg_size: usize, seed: u64) -> Vec<BcastSpec> {
+/// One timed-broadcast cell.
+fn bcast_cell(
+    alg: BcastAlg,
+    p: usize,
+    m: usize,
+    seg_size: usize,
+    seed: u64,
+) -> (TimedProgram, u64) {
+    let program = TimedProgram::Collective {
+        alg: Alg::Bcast(alg),
+        p,
+        m,
+        seg_size,
+    };
+    (program, seed)
+}
+
+/// The per-algorithm cells of one `(p, m)` point, in [`BcastAlg::ALL`]
+/// order, each with its own seed.
+fn point_cells(p: usize, m: usize, seg_size: usize, seed: u64) -> Vec<(TimedProgram, u64)> {
     BcastAlg::ALL
         .iter()
         .enumerate()
-        .map(|(i, &alg)| BcastSpec {
-            alg,
-            p,
-            m,
-            seg_size,
-            seed: seed.wrapping_add(i as u64 * 65537),
-        })
+        .map(|(i, &alg)| bcast_cell(alg, p, m, seg_size, seed.wrapping_add(i as u64 * 65537)))
         .collect()
 }
 
@@ -93,18 +103,17 @@ pub fn measure_point(
     precision: &Precision,
     seed: u64,
 ) -> MeasuredPoint {
-    let specs = point_specs(p, m, seg_size, seed);
-    let stats = bcast_time_batch_with(
+    let stats = measure_batch(
         cluster,
-        &specs,
+        &point_cells(p, m, seg_size, seed),
         precision,
         Pool::current(),
         Backend::default(),
     );
-    let times: BTreeMap<BcastAlg, f64> = specs
+    let times: BTreeMap<BcastAlg, f64> = BcastAlg::ALL
         .iter()
         .zip(&stats)
-        .map(|(spec, s)| (spec.alg, s.mean))
+        .map(|(&alg, s)| (alg, s.mean))
         .collect();
     MeasuredPoint::new(p, m, times)
 }
@@ -117,7 +126,7 @@ pub fn measure_point(
 /// load-balances across every cell of the panel at once. Per-cell seeds
 /// match the serial per-point loop, keeping the panel bit-identical at
 /// any thread count; every cell executes on the scenario's measurement
-/// [`Backend`] (events by default), which is bit-identical too.
+/// [`Backend`], which is bit-identical too.
 pub fn sweep_panel(scenario: &Scenario, tuned: &TunedModel, p: usize, seed: u64) -> SweepPanel {
     let selector = tuned.selector();
     // The panel's model picks are served from the compiled decision
@@ -144,9 +153,9 @@ pub fn sweep_panel(scenario: &Scenario, tuned: &TunedModel, p: usize, seed: u64)
         .map(|&m| openmpi.select(p, m))
         .collect();
 
-    let mut specs: Vec<BcastSpec> = Vec::with_capacity(scenario.msg_sizes.len() * (n_alg + 1));
+    let mut cells = Vec::with_capacity(scenario.msg_sizes.len() * (n_alg + 1));
     for (i, &m) in scenario.msg_sizes.iter().enumerate() {
-        specs.extend(point_specs(p, m, scenario.seg_size, point_seed(i)));
+        cells.extend(point_cells(p, m, scenario.seg_size, point_seed(i)));
     }
     // Extra Open MPI cells are appended after the grid; remember where
     // each point's extra landed (if it needed one).
@@ -156,20 +165,20 @@ pub fn sweep_panel(scenario: &Scenario, tuned: &TunedModel, p: usize, seed: u64)
         if pick.effective_seg_size(m) == scenario.seg_size {
             extra_slot.push(None);
         } else {
-            extra_slot.push(Some(specs.len()));
-            specs.push(BcastSpec {
-                alg: pick.alg,
+            extra_slot.push(Some(cells.len()));
+            cells.push(bcast_cell(
+                pick.alg,
                 p,
                 m,
-                seg_size: pick.effective_seg_size(m),
-                seed: point_seed(i).wrapping_add(0xE0),
-            });
+                pick.effective_seg_size(m),
+                point_seed(i).wrapping_add(0xE0),
+            ));
         }
     }
 
-    let stats = bcast_time_batch_with(
+    let stats = measure_batch(
         &scenario.cluster,
-        &specs,
+        &cells,
         &scenario.precision,
         Pool::current(),
         scenario.backend,
@@ -177,10 +186,10 @@ pub fn sweep_panel(scenario: &Scenario, tuned: &TunedModel, p: usize, seed: u64)
 
     let mut points = Vec::with_capacity(scenario.msg_sizes.len());
     for (i, &m) in scenario.msg_sizes.iter().enumerate() {
-        let times: BTreeMap<BcastAlg, f64> = specs[i * n_alg..(i + 1) * n_alg]
+        let times: BTreeMap<BcastAlg, f64> = BcastAlg::ALL
             .iter()
             .zip(&stats[i * n_alg..(i + 1) * n_alg])
-            .map(|(spec, s)| (spec.alg, s.mean))
+            .map(|(&alg, s)| (alg, s.mean))
             .collect();
         let measured = MeasuredPoint::new(p, m, times);
         let (best, best_time) = measured.best();

@@ -101,6 +101,18 @@ fn colltune_rejects_bad_usage() {
 
     let out = colltune().arg("frobnicate").output().expect("runs");
     assert!(!out.status.success());
+
+    // `events` is not a backend: a typed error naming the two that
+    // are, not a panic.
+    let out = colltune()
+        .args(["tune", "--preset", "gros", "--backend", "events"])
+        .args(["--out", "x.json"])
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(1), "an error exit, not a panic");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown backend 'events'"), "{err}");
+    assert!(err.contains("'threads'") && err.contains("'dag'"), "{err}");
 }
 
 #[test]

@@ -53,50 +53,34 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::mpsc::{Receiver, Sender};
 
-/// How the engine exchanges messages with its ranks.
-///
-/// The scheduling logic above is identical for both execution backends;
-/// only the delivery mechanism differs:
-///
-/// * [`ChannelTransport`] — ranks are OS threads; messages arrive over
-///   an mpsc channel and resumes are sent back over per-rank channels.
-/// * [`crate::engine_ev`]'s replay transport — ranks are inline cursors
-///   over a recorded [`crate::Schedule`]; "delivery" advances the
-///   cursor synchronously and queues the ops it emits. No threads, no
-///   locks, no condvars.
+/// How the engine exchanges messages with its ranks: ranks are OS
+/// threads; their messages arrive over one mpsc channel and resumes are
+/// sent back over per-rank channels. Used by [`crate::simulate`] and
+/// [`crate::simulate_pooled`].
 ///
 /// Because `apply_pending` merges per-rank queues by (local time, rank,
-/// program order), the cross-rank arrival interleaving that the
-/// threaded transport exhibits never influences results — which is why
-/// the two transports are bit-identical by construction.
-pub(crate) trait Transport {
-    /// Blocking-receives the next rank message; `None` means every
-    /// message source is gone (threaded mode: all rank threads died).
-    fn next_msg(&mut self) -> Option<RankMsg>;
-    /// Delivers a resume to `rank`, whose blocking op finished at `now`.
-    fn deliver(&mut self, rank: usize, now: SimTime, completions: Vec<Completion>);
-    /// Tears the ranks down after a fatal error.
-    fn abort(&mut self);
-}
-
-/// The thread-backed transport used by [`crate::simulate`] and
-/// [`crate::simulate_pooled`].
+/// program order), the cross-rank arrival interleaving of the channel
+/// never influences results.
 pub(crate) struct ChannelTransport {
     pub(crate) from_ranks: Receiver<RankMsg>,
     pub(crate) resume_tx: Vec<Sender<Resume>>,
 }
 
-impl Transport for ChannelTransport {
+impl ChannelTransport {
+    /// Blocking-receives the next rank message; `None` means every
+    /// rank thread died.
     fn next_msg(&mut self) -> Option<RankMsg> {
         self.from_ranks.recv().ok()
     }
 
+    /// Delivers a resume to `rank`, whose blocking op finished at `now`.
     fn deliver(&mut self, rank: usize, now: SimTime, completions: Vec<Completion>) {
         // A send failure means the rank thread died; the subsequent
         // drain will surface its panic message.
         let _ = self.resume_tx[rank].send(Resume::Ready { now, completions });
     }
 
+    /// Tears the ranks down after a fatal error.
     fn abort(&mut self) {
         for tx in &self.resume_tx {
             let _ = tx.send(Resume::Abort);
@@ -326,22 +310,22 @@ pub(crate) struct EngineReport {
     pub trace: Vec<collsel_netsim::TransferRecord>,
 }
 
-pub(crate) struct Engine<T: Transport> {
+pub(crate) struct Engine {
     fabric: Fabric,
     p: usize,
     scratch: EngineScratch,
     running: usize,
-    transport: T,
+    transport: ChannelTransport,
     /// Virtual-time watchdog: if the next possible resume time lies past
     /// this instant, the run is aborted with [`SimError::Timeout`].
     deadline: Option<SimTime>,
 }
 
-impl<T: Transport> Engine<T> {
+impl Engine {
     pub(crate) fn new(
         fabric: Fabric,
         p: usize,
-        transport: T,
+        transport: ChannelTransport,
         deadline: Option<SimTime>,
         mut scratch: EngineScratch,
     ) -> Self {
@@ -356,12 +340,11 @@ impl<T: Transport> Engine<T> {
         }
     }
 
-    /// Runs the simulation to completion, returning the outcome, the
-    /// scratch buffers for the next run to reuse, and the transport (so
-    /// backends that accumulate state inside it can read it back).
-    pub(crate) fn run(mut self) -> (Result<EngineReport, SimError>, EngineScratch, T) {
+    /// Runs the simulation to completion, returning the outcome and the
+    /// scratch buffers for the next run to reuse.
+    pub(crate) fn run(mut self) -> (Result<EngineReport, SimError>, EngineScratch) {
         let result = self.run_inner();
-        (result, self.scratch, self.transport)
+        (result, self.scratch)
     }
 
     fn run_inner(&mut self) -> Result<EngineReport, SimError> {

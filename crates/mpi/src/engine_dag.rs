@@ -1,14 +1,14 @@
-//! The third execution tier: compile a [`Schedule`] to a static
-//! **timing DAG** and evaluate it with no payloads, no request tables
-//! and no per-op message objects.
+//! The fast execution tier: compile a [`Schedule`] to a static
+//! **timing DAG** and evaluate it with no payloads, no request tables,
+//! no per-op message objects and no OS threads.
 //!
-//! The event-driven backend ([`crate::simulate_scheduled`]) already
-//! removed OS threads from the loop, but every replay still re-runs
-//! the full discrete-event machinery: `RankMsg` construction with a
-//! reference-counted payload clone per send, per-rank mailbox queues,
-//! a request slab, linear match-queue scans and a `Vec<Completion>`
-//! allocation per wait. None of that work depends on the seed —
-//! a replay-valid schedule's op stream is a pure function of
+//! The thread-per-rank engine ([`crate::simulate`]) re-runs the full
+//! discrete-event machinery on every run: a context switch per
+//! blocking call, `RankMsg` construction with a reference-counted
+//! payload clone per send, per-rank mailbox queues, a request slab,
+//! linear match-queue scans and a `Vec<Completion>` allocation per
+//! wait. None of that work depends on the seed —
+//! a recordable program's op stream is a pure function of
 //! `(rank, size, lengths)`, and per-channel matching is FIFO on both
 //! sides, so *which send matches which receive* (and whether the pair
 //! is eager or rendezvous) is a compile-time fact.
@@ -33,7 +33,7 @@
 //! and watchdog behaviour, and `SimError` values including the exact
 //! diagnostic strings (compiled waits retain their original
 //! [`ReqId`]s for that purpose). `tests/dag_equivalence.rs` and the
-//! ci.sh differential gate enforce this against the events backend
+//! ci.sh differential gate enforce this against the threaded engine
 //! across all seven collectives.
 //!
 //! # Batched evaluation
@@ -45,13 +45,13 @@
 //! [`DagEvaluator::evaluate_reps`] is the batched entry point.
 
 use crate::engine::{EngineReport, RECYCLE_RANK_CAP};
-use crate::engine_ev::ScheduledRun;
 use crate::error::SimError;
 use crate::msg::{Peer, TagSel};
 use crate::proto::{ReqId, WaitMode};
 use crate::schedule::{SchedOp, Schedule};
 use crate::sim::{
-    build_fabric, check_ranks, report_from_engine, stash_dag_scratch, take_dag_scratch, SimOptions,
+    build_fabric, check_ranks, report_from_engine, stash_dag_scratch, take_dag_scratch, RunReport,
+    SimOptions,
 };
 use collsel_netsim::{ClusterModel, Fabric, SimSpan, SimTime};
 use std::cmp::Reverse;
@@ -143,9 +143,8 @@ struct Half {
 
 /// Why a [`Schedule`] could not be lowered to a [`TimingDag`].
 ///
-/// Callers are expected to fall back to the events backend
-/// ([`crate::simulate_scheduled`]), which replays the same schedule
-/// without the `u32` index compression.
+/// A caller treats it like a program that could not be recorded: run
+/// the program on the threaded engine, or report the failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompileError {
     /// The schedule has more operations than the DAG's `u32` index
@@ -165,7 +164,7 @@ impl fmt::Display for CompileError {
             CompileError::TooLarge { ops, max } => write!(
                 f,
                 "schedule with {ops} ops exceeds the timing DAG's index \
-                 space (max {max}); use the events backend"
+                 space (max {max})"
             ),
         }
     }
@@ -230,8 +229,7 @@ impl TimingDag {
     /// Returns [`CompileError::TooLarge`] when the schedule's total op
     /// count exceeds the `u32` index space ([`Self::MAX_OPS`]); the
     /// bare `as u32` narrowing below would otherwise silently truncate
-    /// indices and mis-wire the DAG. Callers fall back to the events
-    /// backend, which has no such limit.
+    /// indices and mis-wire the DAG.
     ///
     /// # Panics
     ///
@@ -525,6 +523,22 @@ impl DagScratch {
         self.woken.truncate(rank_cap);
         self.woken.shrink_to(rank_cap);
     }
+}
+
+/// Result of evaluating a compiled program: the run report plus every
+/// clock value the program observed.
+///
+/// An evaluation has no rank closures to return anything, so `wtime`
+/// observations — which measurement code derives its samples from —
+/// are collected here instead: `wtimes[r]` lists rank `r`'s `Wtime`
+/// results in program order, exactly what the threaded run's closure
+/// would have seen.
+#[derive(Debug, Clone)]
+pub struct ScheduledRun {
+    /// Aggregate statistics, identical to the threaded engine's.
+    pub report: RunReport,
+    /// Per-rank `wtime` observations in program order.
+    pub wtimes: Vec<Vec<SimTime>>,
 }
 
 /// One evaluation pass: borrows the DAG, a fabric and scratch.
@@ -904,8 +918,8 @@ fn run_once(
 
 /// Evaluates a compiled [`TimingDag`] once under `seed` and `opts`.
 ///
-/// Produces a [`ScheduledRun`] bit-identical to
-/// [`crate::simulate_scheduled`] replaying the source schedule with the
+/// The report and clock reads are bit-identical to what
+/// [`crate::simulate_with`] yields for the recorded program with the
 /// same cluster, seed and options — including `SimError` values under
 /// fault plans and watchdog deadlines. For many repetitions of one
 /// cell, prefer [`DagEvaluator`], which also reuses the fabric.
@@ -1004,20 +1018,44 @@ impl DagEvaluator {
 mod tests {
     use super::*;
     use crate::comm::Comm;
+    use crate::ctx::Ctx;
     use crate::schedule::record_schedule;
-    use crate::simulate_scheduled;
+    use crate::sim::simulate_with;
     use collsel_netsim::FaultPlan;
     use collsel_support::Bytes;
 
     /// Sends both below and above the eager threshold, plus barrier,
     /// compute and wtime traffic. Nonblocking, so the ring is
-    /// deadlock-free at rendezvous sizes too.
-    fn mixed_ring<C: Comm>(ctx: &mut C, bytes: usize) {
+    /// deadlock-free at rendezvous sizes too. Returns the clock reads.
+    fn mixed_ring<C: Comm>(ctx: &mut C, bytes: usize) -> Vec<SimTime> {
         ctx.barrier();
-        let _ = ctx.wtime();
+        let t0 = ctx.wtime();
         ring_exchange(ctx, bytes);
         ctx.barrier();
-        let _ = ctx.wtime();
+        vec![t0, ctx.wtime()]
+    }
+
+    /// `program` on the thread-per-rank engine, in the shape the
+    /// evaluator reports: each rank returns its clock reads.
+    fn threaded(
+        cluster: &ClusterModel,
+        p: usize,
+        seed: u64,
+        opts: SimOptions,
+        program: impl Fn(&mut Ctx) -> Vec<SimTime> + Sync,
+    ) -> Result<ScheduledRun, SimError> {
+        simulate_with(cluster, p, seed, opts, program).map(|out| ScheduledRun {
+            report: out.report,
+            wtimes: out.results,
+        })
+    }
+
+    /// Records `mixed_ring` at `p` ranks.
+    fn record_ring(cluster: &ClusterModel, p: usize, bytes: usize) -> Schedule {
+        record_schedule(cluster, p, move |rc| {
+            mixed_ring(rc, bytes);
+        })
+        .expect("ring records cleanly")
     }
 
     /// The point-to-point part of [`mixed_ring`]: what a rank group can
@@ -1191,20 +1229,20 @@ mod tests {
     }
 
     #[test]
-    fn dag_matches_replay_bit_for_bit_eager_and_rendezvous() {
+    fn dag_matches_threads_bit_for_bit_eager_and_rendezvous() {
         let cluster = ClusterModel::grisou();
         for bytes in [512usize, 256 * 1024] {
-            let sched = record_schedule(&cluster, 6, move |rc| mixed_ring(rc, bytes))
-                .expect("ring records cleanly");
+            let sched = record_ring(&cluster, 6, bytes);
             let dag = TimingDag::compile(&cluster, &sched).expect("compiles");
             for seed in [0u64, 1, 42, 0xDEAD] {
                 let opts = SimOptions {
                     traced: true,
                     deadline: None,
                 };
-                let replay = simulate_scheduled(&cluster, &sched, seed, opts).expect("replay");
+                let oracle =
+                    threaded(&cluster, 6, seed, opts, |c| mixed_ring(c, bytes)).expect("threads");
                 let fast = simulate_dag(&cluster, &dag, seed, opts).expect("dag");
-                assert_identical(&replay, &fast);
+                assert_identical(&oracle, &fast);
             }
         }
     }
@@ -1215,8 +1253,7 @@ mod tests {
 
         let cluster = ClusterModel::gros();
         for bytes in [512usize, 256 * 1024] {
-            let sched = record_schedule(&cluster, 6, move |rc| mixed_ring(rc, bytes))
-                .expect("ring records cleanly");
+            let sched = record_ring(&cluster, 6, bytes);
             let dag = TimingDag::compile(&cluster, &sched).expect("compiles");
             assert!(dag == compile_reference(&cluster, &sched), "mixed ring");
         }
@@ -1251,37 +1288,38 @@ mod tests {
     }
 
     #[test]
-    fn dag_matches_replay_under_faults() {
+    fn dag_matches_threads_under_faults() {
         let base = ClusterModel::gros();
-        let sched = record_schedule(&base, 5, |rc| mixed_ring(rc, 128 * 1024)).expect("records");
-        let dag = TimingDag::compile(&base, &sched).expect("compiles");
+        let dag = TimingDag::compile(&base, &record_ring(&base, 5, 128 * 1024)).expect("compiles");
         for spec in ["degraded-link:3", "straggler:11", "brownout:5", "chaos:7"] {
             let plan = FaultPlan::parse(spec, base.nodes()).expect("canned plan");
             let faulted = base.clone().with_faults(plan);
             for seed in [2u64, 99] {
-                let replay = simulate_scheduled(&faulted, &sched, seed, SimOptions::default())
-                    .expect("replay");
-                let fast = simulate_dag(&faulted, &dag, seed, SimOptions::default()).expect("dag");
-                assert_identical(&replay, &fast);
+                let opts = SimOptions::default();
+                let oracle = threaded(&faulted, 5, seed, opts, |c| mixed_ring(c, 128 * 1024))
+                    .expect("threads");
+                let fast = simulate_dag(&faulted, &dag, seed, opts).expect("dag");
+                assert_identical(&oracle, &fast);
             }
         }
     }
 
     #[test]
-    fn dag_timeout_matches_replay_error_exactly() {
+    fn dag_timeout_matches_threads_error_exactly() {
         let cluster = ClusterModel::gros();
-        let sched = record_schedule(&cluster, 4, |rc| mixed_ring(rc, 64 * 1024)).expect("records");
-        let dag = TimingDag::compile(&cluster, &sched).expect("compiles");
+        let dag =
+            TimingDag::compile(&cluster, &record_ring(&cluster, 4, 64 * 1024)).expect("compiles");
         let opts = SimOptions::with_deadline(SimSpan::from_nanos(10));
-        let replay = simulate_scheduled(&cluster, &sched, 3, opts).expect_err("deadline must trip");
+        let oracle = threaded(&cluster, 4, 3, opts, |c| mixed_ring(c, 64 * 1024))
+            .expect_err("deadline must trip");
         let fast = simulate_dag(&cluster, &dag, 3, opts).expect_err("deadline must trip");
-        assert_eq!(replay, fast, "timeout errors must be value-identical");
+        assert_eq!(oracle, fast, "timeout errors must be value-identical");
     }
 
     #[test]
     fn evaluator_reps_match_one_shot_runs() {
         let cluster = ClusterModel::grisou();
-        let sched = record_schedule(&cluster, 8, |rc| mixed_ring(rc, 4096)).expect("records");
+        let sched = record_ring(&cluster, 8, 4096);
         let dag = Arc::new(TimingDag::compile(&cluster, &sched).expect("compiles"));
         let mut ev = DagEvaluator::new(&cluster, Arc::clone(&dag));
         let reps = ev
@@ -1297,7 +1335,7 @@ mod tests {
     #[test]
     fn oversized_schedule_is_rejected_not_truncated() {
         let cluster = ClusterModel::gros();
-        let sched = record_schedule(&cluster, 4, |rc| mixed_ring(rc, 1024)).expect("records");
+        let sched = record_ring(&cluster, 4, 1024);
         // Exercise the guard with a tiny cap (a real >u32::MAX schedule
         // would need >64 GiB of ops); the public entry point uses the
         // same code path with cap = MAX_OPS.
@@ -1311,7 +1349,7 @@ mod tests {
                 max: cap,
             }
         );
-        assert!(err.to_string().contains("events backend"));
+        assert!(err.to_string().contains("index space"));
         // At exactly the cap the schedule still compiles, and the
         // public entry point accepts it too.
         assert!(TimingDag::compile_capped(&cluster, &sched, sched.total_ops()).is_ok());
@@ -1323,22 +1361,26 @@ mod tests {
         let cluster = ClusterModel::gros();
         // Rank 0 sends a small message nobody receives; both ranks
         // finish (the eager send completes at send_done).
-        let sched = record_schedule(&cluster, 2, |rc| {
-            if rc.rank() == 0 {
-                rc.send(1, 9, Bytes::from_static(b"orphan"));
+        fn orphan<C: Comm>(c: &mut C) -> Vec<SimTime> {
+            if c.rank() == 0 {
+                c.send(1, 9, Bytes::from_static(b"orphan"));
             }
             // A matched pair keeps the recording run meaningful.
-            if rc.rank() == 0 {
-                rc.send(1, 0, Bytes::from_static(b"x"));
+            if c.rank() == 0 {
+                c.send(1, 0, Bytes::from_static(b"x"));
             } else {
-                let _ = rc.recv(0, 0);
+                let _ = c.recv(0, 0);
             }
+            Vec::new()
+        }
+        let sched = record_schedule(&cluster, 2, |rc| {
+            orphan(rc);
         })
         .expect("records");
         let dag = TimingDag::compile(&cluster, &sched).expect("compiles");
-        let replay = simulate_scheduled(&cluster, &sched, 5, SimOptions::default()).expect("ok");
+        let oracle = threaded(&cluster, 2, 5, SimOptions::default(), orphan::<Ctx>).expect("ok");
         let fast = simulate_dag(&cluster, &dag, 5, SimOptions::default()).expect("ok");
-        assert_identical(&replay, &fast);
+        assert_identical(&oracle, &fast);
         assert_eq!(fast.report.messages, 2, "orphan eager send hits the wire");
     }
 }

@@ -7,11 +7,11 @@
 //! (and receive statuses back up), and offset tags by a per-group base
 //! so concurrent collectives on overlapping groups never collide on a
 //! `(src, dst, tag)` channel. Because the translation happens *above*
-//! the `Comm` surface, the same wrapped program records
-//! ([`crate::RecCtx`]), replays ([`crate::simulate_scheduled`]) and
-//! compiles to a timing DAG ([`crate::TimingDag`]) exactly like a
-//! world-sized program — the existing Schedule/DAG machinery sees only
-//! ordinary point-to-point traffic between global ranks.
+//! the `Comm` surface, the same wrapped program runs on rank threads
+//! ([`crate::Ctx`]), records ([`crate::RecCtx`]) and compiles to a
+//! timing DAG ([`crate::TimingDag`]) exactly like a world-sized
+//! program — the Schedule/DAG machinery sees only ordinary
+//! point-to-point traffic between global ranks.
 //!
 //! The collective algorithms in `collsel-coll` are written against
 //! `Comm` using only point-to-point operations, `wtime` and `compute`

@@ -13,19 +13,16 @@
 //!
 //! Entry point: [`simulate`]. Per-rank API: [`Ctx`].
 //!
-//! Three execution backends share the engine's semantics (see
-//! [`Backend`]): thread-per-rank (`simulate`/`simulate_pooled`, the
-//! general-purpose oracle), the event-driven replay path
-//! ([`record_schedule`] + [`simulate_scheduled`]), which compiles a
-//! program written against the [`Comm`] trait into a [`Schedule`] once
-//! — symbolically, on the calling thread, with no rank threads, engine,
-//! fabric or payload bytes — and then replays it with zero OS threads
-//! per run, and
-//! the timing-DAG
-//! tier ([`TimingDag`] + [`simulate_dag`]/[`DagEvaluator`]), which
-//! additionally resolves send/recv matching at compile time and
-//! replays with zero allocation and zero payload traffic — the
-//! campaign hot path and the default backend.
+//! Two execution tiers share the engine's semantics (see [`Backend`]):
+//! thread-per-rank (`simulate`/`simulate_pooled`, the general-purpose
+//! oracle, which runs any rank closure), and the timing-DAG tier. The
+//! latter compiles a program written against the [`Comm`] trait into a
+//! [`Schedule`] once ([`record_schedule`]: symbolically, on the calling
+//! thread, with no rank threads, engine, fabric or payload bytes),
+//! lowers it to a [`TimingDag`] with send/recv matching resolved at
+//! compile time, and evaluates it ([`simulate_dag`]/[`DagEvaluator`])
+//! with zero OS threads, zero allocation and zero payload traffic per
+//! run — the campaign hot path and the default backend.
 //!
 //! ```
 //! use collsel_support::Bytes;
@@ -55,7 +52,6 @@ mod comm;
 mod ctx;
 mod engine;
 mod engine_dag;
-mod engine_ev;
 mod error;
 mod group;
 mod msg;
@@ -66,11 +62,12 @@ mod team;
 
 pub use comm::Comm;
 pub use ctx::{Ctx, RecvRequest, SendRequest};
-pub use engine_dag::{simulate_dag, CompileError, DagEvaluator, TimingDag};
-pub use engine_ev::{simulate_scheduled, Backend, ScheduledRun};
+pub use engine_dag::{simulate_dag, CompileError, DagEvaluator, ScheduledRun, TimingDag};
 pub use error::SimError;
 pub use group::{GroupComm, GROUP_TAG_STRIDE};
 pub use msg::{Peer, RecvStatus, Tag, TagSel};
 pub use schedule::{check_group, record_schedule, OpShape, RecCtx, RecordError, Schedule};
-pub use sim::{simulate, simulate_traced, simulate_with, RunReport, SimOptions, SimOutcome};
+pub use sim::{
+    simulate, simulate_traced, simulate_with, Backend, RunReport, SimOptions, SimOutcome,
+};
 pub use team::simulate_pooled;

@@ -3,9 +3,8 @@
 //!
 //! A [`Schedule`] is recorded by running the implementing code against
 //! a symbolic recording context ([`RecCtx`], see [`record_schedule`])
-//! and can then be replayed any number of times by the event-driven
-//! backend ([`crate::simulate_scheduled`]) or lowered to a
-//! [`crate::TimingDag`], without OS threads, locks or condvars in the
+//! and is then lowered to a [`crate::TimingDag`], which evaluates it
+//! any number of times without OS threads, locks or condvars in the
 //! loop.
 //!
 //! # Validity
@@ -62,23 +61,23 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 /// One recorded operation of a rank's program.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum SchedOp {
-    /// Non-blocking send of `len` bytes: `PostOp::Isend` on replay.
+    /// Non-blocking send of `len` bytes (a rank thread's `PostOp::Isend`).
     Isend {
         req: ReqId,
         dst: usize,
         tag: Tag,
         len: usize,
     },
-    /// Non-blocking receive: `PostOp::Irecv` on replay.
+    /// Non-blocking receive (`PostOp::Irecv`).
     Irecv { req: ReqId, src: Peer, tag: TagSel },
-    /// Local computation: `PostOp::Compute` on replay.
+    /// Local computation (`PostOp::Compute`).
     Compute { span: SimSpan },
-    /// Blocking wait on a request set: `BlockOp::Wait` on replay.
+    /// Blocking wait on a request set (`BlockOp::Wait`).
     Wait { reqs: Vec<ReqId>, mode: WaitMode },
-    /// The runtime's ideal barrier: `BlockOp::Barrier` on replay.
+    /// The runtime's ideal barrier (`BlockOp::Barrier`).
     Barrier,
-    /// Clock read: `BlockOp::Wtime` on replay; the observed time is
-    /// collected into [`crate::ScheduledRun::wtimes`].
+    /// Clock read (`BlockOp::Wtime`); an evaluation collects the
+    /// observed time into [`crate::ScheduledRun::wtimes`].
     Wtime,
 }
 
@@ -186,9 +185,9 @@ pub enum OpShape {
 /// engine operations its code issues.
 ///
 /// Produced by [`record_schedule`]; consumed by
-/// [`crate::simulate_scheduled`]. It holds no payload bytes, only
-/// lengths; replaying borrows the schedule, so one recording typically
-/// serves a whole campaign.
+/// [`crate::TimingDag::compile`]. It holds no payload bytes, only
+/// lengths, and is cluster-independent, so one recording serves every
+/// cluster, seed and fault plan of a campaign.
 #[derive(Debug, Clone)]
 pub struct Schedule {
     pub(crate) ops: Vec<Vec<SchedOp>>,
@@ -811,7 +810,19 @@ mod tests {
     }
 
     #[test]
-    fn tag_wildcard_and_wait_any_are_unsupported() {
+    fn wildcards_and_wait_any_are_unsupported() {
+        let err = record_err(2, |rc| {
+            if rc.rank() == 0 {
+                rc.send(1, 0, one_byte());
+            } else {
+                let _ = rc.recv(Peer::Any, 0);
+            }
+        });
+        let RecordError::Unsupported { rank: 1, what } = err else {
+            panic!("expected Unsupported on rank 1, got {err:?}");
+        };
+        assert!(what.contains("Peer::Any"), "got: {what}");
+
         let err = record_err(2, |rc| {
             if rc.rank() == 0 {
                 rc.send(1, 0, one_byte());

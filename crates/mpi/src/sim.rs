@@ -62,6 +62,49 @@ pub(crate) fn stash_dag_scratch(mut scratch: DagScratch) {
     DAG_SCRATCH.with(|s| *s.borrow_mut() = scratch);
 }
 
+/// Which execution tier runs a simulation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Backend {
+    /// One OS thread per rank (the general-purpose oracle; supports
+    /// arbitrary rank closures, wildcards and `wait_any_recv`).
+    Threads,
+    /// Record the program once, compile the schedule to a static timing
+    /// DAG ([`crate::TimingDag`]), then evaluate payload-free with zero
+    /// allocation per repetition (the campaign hot path and default).
+    #[default]
+    Dag,
+}
+
+impl Backend {
+    /// Stable lowercase name (CLI values and JSON metadata).
+    pub fn name(self) -> &'static str {
+        match self {
+            Backend::Threads => "threads",
+            Backend::Dag => "dag",
+        }
+    }
+}
+
+impl std::fmt::Display for Backend {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+impl std::str::FromStr for Backend {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "threads" => Ok(Backend::Threads),
+            "dag" => Ok(Backend::Dag),
+            other => Err(format!(
+                "unknown backend '{other}' (expected 'threads' or 'dag')"
+            )),
+        }
+    }
+}
+
 /// Knobs for [`simulate_with`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimOptions {
@@ -332,7 +375,7 @@ where
     };
     let engine = Engine::new(fabric, ranks, transport, deadline, take_scratch());
 
-    let (engine_result, scratch, _transport) = std::thread::scope(|scope| {
+    let (engine_result, scratch) = std::thread::scope(|scope| {
         for (rank, resume_rx) in resume_rxs.into_iter().enumerate() {
             let to_engine = to_engine.clone();
             let f = &f;
@@ -360,5 +403,22 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_owned()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn backend_parses_and_displays() {
+        use std::str::FromStr;
+        assert_eq!(Backend::from_str("threads"), Ok(Backend::Threads));
+        assert_eq!(Backend::from_str("dag"), Ok(Backend::Dag));
+        let err = Backend::from_str("events").expect_err("not a backend");
+        assert!(err.contains("'threads'") && err.contains("'dag'"), "{err}");
+        assert_eq!(Backend::default(), Backend::Dag);
+        assert_eq!(Backend::Threads.to_string(), "threads");
+        assert_eq!(Backend::Dag.to_string(), "dag");
     }
 }

@@ -173,7 +173,7 @@ where
     // The engine runs on the caller thread. On error it aborts all
     // blocked ranks, whose workers then finish their jobs; either way
     // every job signals (or drops) its latch, so this cannot hang.
-    let (engine_result, scratch, _transport) = engine.run();
+    let (engine_result, scratch) = engine.run();
     stash_scratch(scratch);
     let mut remaining = ranks;
     while remaining > 0 {

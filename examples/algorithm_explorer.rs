@@ -8,9 +8,9 @@
 //!
 //! `ranks` defaults to 32; `cluster` is `grisou` or `gros` (default).
 
-use collsel::coll::BcastAlg;
-use collsel::estim::measure::bcast_time;
-use collsel::estim::Precision;
+use collsel::coll::{Alg, BcastAlg};
+use collsel::estim::{measure, Precision, TimedProgram};
+use collsel::mpi::Backend;
 use collsel::netsim::{ClusterModel, NoiseParams};
 
 fn main() {
@@ -51,7 +51,13 @@ fn main() {
         let mut best = (BcastAlg::Linear, f64::MAX);
         let mut row = Vec::new();
         for alg in BcastAlg::ALL {
-            let t = bcast_time(&cluster, alg, ranks, m, seg, &precision, 42).mean;
+            let program = TimedProgram::Collective {
+                alg: Alg::Bcast(alg),
+                p: ranks,
+                m,
+                seg_size: seg,
+            };
+            let t = measure(&cluster, program, &precision, 42, Backend::default()).mean;
             if t < best.1 {
                 best = (alg, t);
             }

@@ -6,9 +6,9 @@
 //! cargo run --release --example cluster_tuning
 //! ```
 
-use collsel::coll::BcastAlg;
-use collsel::estim::measure::bcast_time;
-use collsel::estim::Precision;
+use collsel::coll::{Alg, BcastAlg};
+use collsel::estim::{measure, Precision, TimedProgram};
+use collsel::mpi::Backend;
 use collsel::netsim::{ClusterModel, NoiseParams};
 use collsel::select::{OpenMpiFixedSelector, Selector};
 use collsel::{Tuner, TunerConfig};
@@ -19,6 +19,15 @@ fn main() {
     let p = 40;
     let seg = 8 * 1024;
     let precision = Precision::quick();
+    let bcast_time = |alg, m, seg_size| {
+        let program = TimedProgram::Collective {
+            alg: Alg::Bcast(alg),
+            p,
+            m,
+            seg_size,
+        };
+        measure(&cluster, program, &precision, 7, Backend::default()).mean
+    };
 
     println!("tuning model-based selector for {} ...", cluster.name());
     let tuned = Tuner::new(cluster.clone(), TunerConfig::quick(24)).tune();
@@ -35,12 +44,7 @@ fn main() {
         // Measure every algorithm at the paper's fixed 8 KB segments.
         let times: BTreeMap<BcastAlg, f64> = BcastAlg::ALL
             .iter()
-            .map(|&alg| {
-                (
-                    alg,
-                    bcast_time(&cluster, alg, p, m, seg, &precision, 7).mean,
-                )
-            })
+            .map(|&alg| (alg, bcast_time(alg, m, seg)))
             .collect();
         let (&best, &best_t) = times
             .iter()
@@ -51,16 +55,7 @@ fn main() {
         let model_deg = 100.0 * (times[&model_pick] - best_t) / best_t;
 
         let ompi_pick = ompi_sel.select(p, m);
-        let ompi_t = bcast_time(
-            &cluster,
-            ompi_pick.alg,
-            p,
-            m,
-            ompi_pick.effective_seg_size(m),
-            &precision,
-            7,
-        )
-        .mean;
+        let ompi_t = bcast_time(ompi_pick.alg, m, ompi_pick.effective_seg_size(m));
         let ompi_deg = 100.0 * (ompi_t - best_t) / best_t;
 
         model_degs.push(model_deg);

@@ -11,9 +11,9 @@
 //! Quality is total measured time of the picks across a size sweep (a
 //! lower-variance criterion than per-point degradation percentages).
 
-use collsel::coll::BcastAlg;
-use collsel::estim::measure::bcast_time;
-use collsel::estim::{estimate_network_hockney, Precision};
+use collsel::coll::{Alg, BcastAlg};
+use collsel::estim::{estimate_network_hockney, measure, Precision, TimedProgram};
+use collsel::mpi::Backend;
 use collsel::netsim::{ClusterModel, NoiseParams};
 use collsel::select::{ModelBasedSelector, Selector, TraditionalModelSelector};
 use collsel::{Tuner, TunerConfig};
@@ -35,7 +35,13 @@ impl Bench {
         let mut times = BTreeMap::new();
         for &m in &SIZES {
             for alg in BcastAlg::ALL {
-                let t = bcast_time(&cluster, alg, P, m, SEG, &precision, 5).mean;
+                let program = TimedProgram::Collective {
+                    alg: Alg::Bcast(alg),
+                    p: P,
+                    m,
+                    seg_size: SEG,
+                };
+                let t = measure(&cluster, program, &precision, 5, Backend::default()).mean;
                 times.insert((m, alg), t);
             }
         }

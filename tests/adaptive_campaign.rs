@@ -106,17 +106,17 @@ fn adaptive_campaign_is_thread_count_invariant() {
 fn adaptive_campaign_is_backend_invariant() {
     let tuner = tuner_for(ClusterModel::grisou());
     let msgs = msg_grid(12);
-    let mut events = CampaignPlan::adaptive(
+    let dag = CampaignPlan::adaptive(
         vec![Collective::Scatter, Collective::Allreduce],
         vec![4, 8],
         msgs,
         4,
     );
-    events.backend = Backend::Events;
-    let mut threads = events.clone();
+    assert_eq!(dag.backend, Backend::Dag);
+    let mut threads = dag.clone();
     threads.backend = Backend::Threads;
     assert_eq!(
-        tuner.run_campaign(&events, None),
+        tuner.run_campaign(&dag, None),
         tuner.run_campaign(&threads, None),
         "both execution backends must resolve identical campaigns"
     );
@@ -195,20 +195,11 @@ fn early_stopped_means_fall_within_full_precision_ci() {
             seg,
             &precision,
             seed,
-            Backend::Events,
+            Backend::Dag,
             false,
         );
-        let early = measure_family_cell(
-            &cluster,
-            c,
-            p,
-            m,
-            seg,
-            &precision,
-            seed,
-            Backend::Events,
-            true,
-        );
+        let early =
+            measure_family_cell(&cluster, c, p, m, seg, &precision, seed, Backend::Dag, true);
         assert_eq!(
             early.winner, full.winner,
             "{c}: early stop must not flip the winner"

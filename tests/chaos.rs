@@ -140,8 +140,9 @@ fn straggler_tuning_completes_with_inflated_parameters() {
 /// budget returns `PrecisionNotReached` carrying the achieved CI width.
 #[test]
 fn unreachable_precision_reports_achieved_width() {
-    use collsel::estim::try_bcast_time;
-    use collsel::mpi::SimError;
+    use collsel::coll::Alg;
+    use collsel::estim::{try_measure, TimedProgram};
+    use collsel::mpi::{Backend, SimError};
     // Heavy multiplicative noise with a tight target and a tiny budget.
     let noisy = ClusterModel::gros().with_noise(NoiseParams::new(0.4));
     let precision = Precision {
@@ -149,15 +150,19 @@ fn unreachable_precision_reports_achieved_width() {
         min_reps: 4,
         max_reps: 8,
     };
-    let err = try_bcast_time(
+    let program = TimedProgram::Collective {
+        alg: Alg::Bcast(BcastAlg::Binomial),
+        p: 8,
+        m: 64 * 1024,
+        seg_size: 8 * 1024,
+    };
+    let err = try_measure(
         &noisy,
-        BcastAlg::Binomial,
-        8,
-        64 * 1024,
-        8 * 1024,
+        program,
         &precision,
         1234,
         &RetryPolicy::default(),
+        Backend::default(),
     )
     .expect_err("sigma=0.4 cannot hit 0.5% precision in 8 reps");
     match err {

@@ -9,8 +9,7 @@
 //! breadth equivalence gate.
 
 use collsel::coll::{Collective, ReduceAlg};
-use collsel::estim::measure::collective_time_with;
-use collsel::estim::{log_spaced_sizes, Precision};
+use collsel::estim::{log_spaced_sizes, measure, Precision, TimedProgram};
 use collsel::mpi::Backend;
 use collsel::netsim::{ClusterModel, NoiseParams};
 use collsel::select::{CollectiveDecisionService, CollectiveSelector};
@@ -74,7 +73,7 @@ fn compiled_tables_match_live_ranking_on_and_off_grid() {
     }
 }
 
-/// The event-driven backend replays every collective's measurement
+/// The timing-DAG backend evaluates every collective's measurement
 /// program bit-identically to the thread-per-rank oracle — first and
 /// last algorithm of each family, noise on.
 #[test]
@@ -85,28 +84,16 @@ fn backends_agree_on_every_collective_measurement_program() {
         let family = c.algorithms();
         for &alg in [family[0], family[family.len() - 1]].iter() {
             let seed = 0xD1FF ^ ((c.index() as u64) << 16);
-            let events = collective_time_with(
-                &cluster,
+            let program = TimedProgram::Collective {
                 alg,
-                6,
-                16 * 1024,
-                8 * 1024,
-                &precision,
-                seed,
-                Backend::Events,
-            );
-            let threads = collective_time_with(
-                &cluster,
-                alg,
-                6,
-                16 * 1024,
-                8 * 1024,
-                &precision,
-                seed,
-                Backend::Threads,
-            );
+                p: 6,
+                m: 16 * 1024,
+                seg_size: 8 * 1024,
+            };
+            let [dag, threads] = [Backend::Dag, Backend::Threads]
+                .map(|backend| measure(&cluster, program, &precision, seed, backend));
             assert_eq!(
-                events,
+                dag,
                 threads,
                 "backends diverged on {}",
                 alg.qualified_name()

@@ -1,10 +1,9 @@
 //! Cross-crate integration: the full pipeline from cluster description
 //! to runtime selection, exercised through the `collsel` facade.
 
-use collsel::coll::{bcast, BcastAlg};
-use collsel::estim::measure::bcast_time;
-use collsel::estim::Precision;
-use collsel::mpi::simulate;
+use collsel::coll::{bcast, Alg, BcastAlg};
+use collsel::estim::{measure, Precision, TimedProgram};
+use collsel::mpi::{simulate, Backend};
 use collsel::netsim::{ClusterModel, NoiseParams};
 use collsel::select::{OpenMpiFixedSelector, Selector};
 use collsel::{Tuner, TunerConfig};
@@ -12,6 +11,31 @@ use collsel_support::Bytes;
 
 fn quiet_gros() -> ClusterModel {
     ClusterModel::gros().with_noise(NoiseParams::OFF)
+}
+
+/// Mean measured time of one broadcast configuration at quick precision.
+fn bcast_mean(
+    cluster: &ClusterModel,
+    alg: BcastAlg,
+    p: usize,
+    m: usize,
+    seg_size: usize,
+    seed: u64,
+) -> f64 {
+    let program = TimedProgram::Collective {
+        alg: Alg::Bcast(alg),
+        p,
+        m,
+        seg_size,
+    };
+    measure(
+        cluster,
+        program,
+        &Precision::quick(),
+        seed,
+        Backend::default(),
+    )
+    .mean
 }
 
 #[test]
@@ -22,7 +46,6 @@ fn tuned_selector_beats_openmpi_on_average() {
     let cluster = quiet_gros();
     let p = 32;
     let seg = 8 * 1024;
-    let precision = Precision::quick();
 
     let tuned = Tuner::new(cluster.clone(), TunerConfig::quick(16)).tune();
     let model_sel = tuned.selector();
@@ -35,22 +58,20 @@ fn tuned_selector_beats_openmpi_on_average() {
         let mut best = f64::MAX;
         let mut by_alg = std::collections::BTreeMap::new();
         for alg in BcastAlg::ALL {
-            let t = bcast_time(&cluster, alg, p, m, seg, &precision, 11).mean;
+            let t = bcast_mean(&cluster, alg, p, m, seg, 11);
             best = best.min(t);
             by_alg.insert(alg, t);
         }
         let model_t = by_alg[&model_sel.select(p, m).alg];
         let ompi_pick = ompi_sel.select(p, m);
-        let ompi_t = bcast_time(
+        let ompi_t = bcast_mean(
             &cluster,
             ompi_pick.alg,
             p,
             m,
             ompi_pick.effective_seg_size(m),
-            &precision,
             11,
-        )
-        .mean;
+        );
         model_total += model_t;
         ompi_total += ompi_t;
         best_total += best;
@@ -166,26 +187,8 @@ fn tuner_handles_oversubscribed_rack_topologies() {
         .wire_latency(SimSpan::from_micros(20))
         .noise(NoiseParams::OFF)
         .build();
-    let t_racked = bcast_time(
-        &cluster,
-        BcastAlg::Linear,
-        32,
-        1 << 20,
-        8 * 1024,
-        &Precision::quick(),
-        3,
-    )
-    .mean;
-    let t_flat = bcast_time(
-        &flat,
-        BcastAlg::Linear,
-        32,
-        1 << 20,
-        8 * 1024,
-        &Precision::quick(),
-        3,
-    )
-    .mean;
+    let t_racked = bcast_mean(&cluster, BcastAlg::Linear, 32, 1 << 20, 8 * 1024, 3);
+    let t_flat = bcast_mean(&flat, BcastAlg::Linear, 32, 1 << 20, 8 * 1024, 3);
     assert!(
         t_racked > t_flat,
         "oversubscription should cost: racked {t_racked} vs flat {t_flat}"

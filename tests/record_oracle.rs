@@ -13,14 +13,13 @@
 //! whole-step recording they replaced is the second oracle here.
 
 use collsel::coll::compile::{
-    compile_step, compile_timed_bcast, compile_timed_bcast_gather, compile_timed_collective,
-    compile_timed_linear_segment, run_step,
+    compile_step, compile_timed_bcast_gather, compile_timed_collective,
+    compile_timed_linear_segment, run_step, TimedProgram,
 };
 use collsel::coll::{
     allgather_ring, allreduce_recursive_doubling, bcast, bcast_linear, gather_linear,
     run_collective, Alg, BcastAlg, Collective, ReduceOp,
 };
-use collsel::estim::measure::{compile_timed_p2p, payload};
 use collsel::mpi::{
     record_schedule, simulate, Comm, Ctx, OpShape, Peer, RecvRequest, RecvStatus, Schedule,
     SendRequest, Tag, TagSel,
@@ -29,6 +28,7 @@ use collsel::netsim::{ClusterModel, SimSpan, SimTime};
 use collsel::{Tuner, TunerConfig};
 use collsel_expt::replay::{step_calls, ReplayPolicy};
 use collsel_expt::workload::{canned_dp, canned_pp, TraceGen, TracePreset};
+use collsel_support::payload::payload;
 use collsel_support::Bytes;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -162,7 +162,7 @@ fn assert_same(sched: &Schedule, oracle: &[Vec<OpShape>], what: &str) {
 }
 
 /// `barrier; wtime; body; barrier; wtime`, `reps` times: the frame of
-/// `compile_timed_bcast` and `compile_timed_collective`.
+/// `compile_timed_collective`.
 fn timed<C: Comm>(ctx: &mut C, reps: usize, body: impl Fn(&mut C)) {
     for _ in 0..reps {
         ctx.barrier();
@@ -209,7 +209,8 @@ fn the_timed_programs_record_what_the_threaded_oracle_issues() {
     let contrib = payload(m_g);
 
     for alg in BcastAlg::ALL {
-        let sched = compile_timed_bcast(&cluster, alg, p, root, m, seg, reps).expect("records");
+        let sched = compile_timed_collective(&cluster, Alg::Bcast(alg), p, root, m, seg, reps)
+            .expect("records");
         let oracle = oracle_shape(&cluster, p, |oc| {
             timed(oc, reps, |oc| {
                 let data = (oc.rank() == root).then(|| msg.clone());
@@ -243,7 +244,9 @@ fn the_timed_programs_record_what_the_threaded_oracle_issues() {
     // Both sides of the eager threshold: the oracle's rendezvous sends
     // really wait for their receivers, the recorder's never do.
     for m in [1024, 512 * 1024] {
-        let sched = compile_timed_p2p(&cluster, m, reps).expect("records");
+        let sched = TimedProgram::P2p { m }
+            .record(&cluster, root, reps)
+            .expect("records");
         let msg = payload(m);
         let oracle = oracle_shape(&cluster, 2, |oc| {
             for _ in 0..reps {

@@ -1,10 +1,11 @@
 //! Measured validation of the joint (algorithm, segment size)
 //! selection — the paper's out-of-scope extension.
 
-use collsel::estim::measure::bcast_time;
-use collsel::estim::Precision;
+use collsel::coll::Alg;
+use collsel::estim::{measure, Precision, TimedProgram};
+use collsel::mpi::Backend;
 use collsel::netsim::{ClusterModel, NoiseParams};
-use collsel::select::Selector;
+use collsel::select::{Selection, Selector};
 use collsel::{Tuner, TunerConfig};
 
 #[test]
@@ -19,26 +20,17 @@ fn swept_segment_choice_is_competitive_when_measured() {
     for m in [64 * 1024, 1 << 20] {
         let fixed = selector.select(p, m);
         let swept = selector.select_with_segment_sweep(p, m, &candidates);
-        let t_fixed = bcast_time(
-            &cluster,
-            fixed.alg,
-            p,
-            m,
-            fixed.effective_seg_size(m),
-            &precision,
-            3,
-        )
-        .mean;
-        let t_swept = bcast_time(
-            &cluster,
-            swept.alg,
-            p,
-            m,
-            swept.effective_seg_size(m),
-            &precision,
-            3,
-        )
-        .mean;
+        let measured = |pick: &Selection| {
+            let program = TimedProgram::Collective {
+                alg: Alg::Bcast(pick.alg),
+                p,
+                m,
+                seg_size: pick.effective_seg_size(m),
+            };
+            measure(&cluster, program, &precision, 3, Backend::default()).mean
+        };
+        let t_fixed = measured(&fixed);
+        let t_swept = measured(&swept);
         // The swept choice is model-optimal; measured, it must not be
         // meaningfully worse than the fixed-8KB choice.
         assert!(

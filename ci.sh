@@ -21,9 +21,10 @@ COLLSEL_THREADS=2 RUSTFLAGS='-D warnings' \
 
 echo "==> compiled-vs-live equivalence gate: decision-serving suite at COLLSEL_THREADS=2"
 # A compiled selector must be indistinguishable from its source on grid
-# points and from DecisionTable::lookup everywhere else, and the query
-# cache must be transparent — for all four selector types, with batched
-# queries bit-identical under a threaded pool.
+# points and from CollDecisionTable::lookup everywhere else, and the
+# query cache must be transparent — for the model, traditional and
+# fixed selector kinds on every collective, with batched queries
+# bit-identical under a threaded pool.
 COLLSEL_THREADS=2 RUSTFLAGS='-D warnings' \
     cargo test --offline -q -p collsel-repro --test service
 
@@ -206,6 +207,14 @@ COLLSEL_THREADS=2 ./target/release/colltune replay --gen dp --steps 4 \
 }
 grep -q '"template_misses"' "$smoke_dir/replay.json" || {
     echo "ci.sh: replay JSON missing the memo block's template counters" >&2; exit 1;
+}
+# The same model exports one Open MPI rules block per collective, each
+# under its own COLL_TUNED id.
+./target/release/colltune export --model "$smoke_dir/replay-model.json" \
+    --out "$smoke_dir/rules.conf"
+ids=$(grep '# collective id' "$smoke_dir/rules.conf" | awk '{print $1}' | sort -n | tr '\n' ' ')
+[ "$ids" = "0 2 3 7 9 11 14 " ] || {
+    echo "ci.sh: export wrote collective ids '$ids', want '0 2 3 7 9 11 14 '" >&2; exit 1;
 }
 
 echo "==> colltune serve smoke run (short soak with journal recovery)"

@@ -4,11 +4,11 @@
 //! A selection query sits on the critical path of every simulated
 //! collective call, so the unit that matters is queries/second of one
 //! decision. This bench tunes a model per preset, then times the same
-//! seeded query stream three ways — re-ranking all six analytical
-//! models per query (the live path `colltune query` used to take),
-//! binary-searching the compiled [`CompiledSelector`] table, and going
-//! through a [`DecisionService`] with its exact-query cache warm — and
-//! writes all three rates plus the speedups to `BENCH_select.json` at
+//! seeded broadcast query stream three ways — re-ranking all six
+//! analytical models per query (the live path `colltune query` takes),
+//! binary-searching the compiled [`CompiledCollectiveSelector`] table,
+//! and going through a [`CollectiveDecisionService`] with its
+//! exact-query cache warm — and writes all three rates plus the speedups to `BENCH_select.json` at
 //! the repository root.
 //!
 //! This target skips the criterion harness: the
@@ -17,8 +17,9 @@
 //! windows, fewer presets); smoke mode asserts the compiled path is
 //! never slower than live ranking.
 
+use collsel::coll::Collective;
 use collsel::netsim::{ClusterModel, NoiseParams};
-use collsel::select::DecisionService;
+use collsel::select::{CollectiveDecisionService, CompiledCollectiveSelector};
 use collsel::{Tuner, TunerConfig};
 use collsel_support::bench::write_artifact;
 use collsel_support::rng::splitmix64;
@@ -70,24 +71,28 @@ fn working_set(max_p: usize) -> Vec<(usize, usize)> {
 fn bench_preset(cluster: ClusterModel, min_window_s: f64) -> Json {
     let preset = cluster.name().to_owned();
     let tuned = Tuner::new(cluster, TunerConfig::quick(12)).tune();
-    let live = tuned.selector();
-    let compiled = tuned.compiled_selector_default();
-    let service = DecisionService::compiled(compiled.clone()).with_cache(CACHE_CAPACITY, SEED);
+    let live = tuned.multi_selector();
+    let msg_sizes = collsel::estim::log_spaced_sizes(1024, 8 * 1024 * 1024, 14);
+    let table = tuned.decision_table(Collective::Bcast, &[2, 4, 8, 16, 32, 64, 128], &msg_sizes);
+    let compiled = CompiledCollectiveSelector::from_tables(std::slice::from_ref(&table), "bcast");
+    let service =
+        CollectiveDecisionService::compiled(compiled.clone()).with_cache(CACHE_CAPACITY, SEED);
     let queries = working_set(128);
+    let bcast = Collective::Bcast;
 
     // Warm the cache so the cached column measures the steady state.
     for &(p, m) in &queries {
-        black_box(service.decide(p, m));
+        black_box(service.decide(bcast, p, m));
     }
 
     let live_qps = queries_per_sec(min_window_s, &queries, |p, m| {
-        black_box(live.ranking(p, m));
+        black_box(live.ranking(bcast, p, m));
     });
     let compiled_qps = queries_per_sec(min_window_s, &queries, |p, m| {
-        black_box(compiled.lookup(p, m));
+        black_box(compiled.lookup(bcast, p, m));
     });
     let cached_qps = queries_per_sec(min_window_s, &queries, |p, m| {
-        black_box(service.decide(p, m));
+        black_box(service.decide(bcast, p, m));
     });
 
     let compiled_speedup = compiled_qps / live_qps;
@@ -103,7 +108,7 @@ fn bench_preset(cluster: ClusterModel, min_window_s: f64) -> Json {
         ("rules".to_owned(), Json::Num(compiled.rule_count() as f64)),
         (
             "comm_blocks".to_owned(),
-            Json::Num(compiled.comm_block_count() as f64),
+            Json::Num(table.comms.len() as f64),
         ),
         ("live_queries_per_s".to_owned(), Json::Num(live_qps)),
         ("compiled_queries_per_s".to_owned(), Json::Num(compiled_qps)),

@@ -3,8 +3,9 @@
 //! paper's efficiency claim is that evaluating the analytical models is
 //! cheap enough to run inside `MPI_Bcast` itself.
 
+use collsel::coll::{Alg, Collective};
 use collsel::model::{GammaTable, Hockney};
-use collsel::select::{ModelBasedSelector, OpenMpiFixedSelector, Selector};
+use collsel::select::{fixed_selection, CollectiveModelSelector, CollectiveSelector};
 use collsel::{Tuner, TunerConfig};
 use collsel_bench::bench_scenario;
 use collsel_expt::fig5::run_fig5;
@@ -22,21 +23,22 @@ fn regenerate_and_bench(c: &mut Criterion) {
 
     // Runtime decision cost: model-based vs native fixed rules.
     let gamma = GammaTable::from_pairs([(3, 1.08), (4, 1.17), (5, 1.25), (6, 1.34), (7, 1.42)]);
-    let params: BTreeMap<_, _> = collsel::coll::BcastAlg::ALL
+    let params: BTreeMap<Alg, _> = Collective::Bcast
+        .algorithms()
         .iter()
         .map(|&a| (a, Hockney::new(1.0e-5, 1.0e-9)))
         .collect();
-    let model_sel = ModelBasedSelector::new(gamma, params, 8 * 1024);
-    let ompi_sel = OpenMpiFixedSelector;
+    let model_sel = CollectiveModelSelector::new(gamma, params, 8 * 1024);
+    let bcast = Collective::Bcast;
 
     c.bench_function("table3/select_model_based", |b| {
-        b.iter(|| model_sel.select(black_box(100), black_box(1 << 20)))
+        b.iter(|| model_sel.select_for(bcast, black_box(100), black_box(1 << 20)))
     });
     c.bench_function("table3/select_open_mpi_fixed", |b| {
-        b.iter(|| ompi_sel.select(black_box(100), black_box(1 << 20)))
+        b.iter(|| fixed_selection(bcast, black_box(100), black_box(1 << 20)))
     });
     c.bench_function("table3/model_ranking_all_algs", |b| {
-        b.iter(|| model_sel.ranking(black_box(100), black_box(1 << 20)))
+        b.iter(|| model_sel.ranking(bcast, black_box(100), black_box(1 << 20)))
     });
 }
 

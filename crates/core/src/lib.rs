@@ -20,8 +20,9 @@
 //! # Quickstart
 //!
 //! ```
+//! use collsel::coll::Collective;
 //! use collsel::netsim::{ClusterModel, NoiseParams};
-//! use collsel::select::Selector;
+//! use collsel::select::CollectiveSelector;
 //! use collsel::{Tuner, TunerConfig};
 //!
 //! // Tune the selector for a (simulated) cluster...
@@ -29,8 +30,8 @@
 //! let model = Tuner::new(cluster, TunerConfig::quick(12)).tune();
 //!
 //! // ...and use it as the runtime decision function.
-//! let selector = model.selector();
-//! let pick = selector.select(100, 1 << 20);
+//! let selector = model.multi_selector();
+//! let pick = selector.select_for(Collective::Bcast, 100, 1 << 20);
 //! println!("broadcast 1 MB to 100 ranks with {}", pick.alg);
 //! ```
 

@@ -7,8 +7,9 @@
 //!    (Sect. 4.1);
 //! 2. estimate a per-algorithm `(α, β)` pair from broadcast + gather
 //!    experiments solved by Huber regression (Sect. 4.2);
-//! 3. assemble the [`ModelBasedSelector`] that picks the
-//!    predicted-fastest algorithm at runtime (Sect. 5.3).
+//! 3. assemble the [`CollectiveModelSelector`] that picks the
+//!    predicted-fastest algorithm at runtime (Sect. 5.3) —
+//!    [`TunedModel::multi_selector`].
 //!
 //! Tuning campaigns parallelise: the independent measurement cells of
 //! both estimation stages (γ widths; the algorithm × message-size
@@ -40,8 +41,7 @@ use collsel_mpi::{Backend, SimError};
 use collsel_netsim::ClusterModel;
 use collsel_select::{
     CollDecisionTable, CollSelection, CollectiveModelSelector, CollectiveSelector,
-    CompiledCollectiveSelector, CompiledSelector, FallbackReason, GracefulCollectiveSelector,
-    GracefulSelector, ModelBasedSelector,
+    CompiledCollectiveSelector, FallbackReason, GracefulCollectiveSelector,
 };
 use collsel_support::pool::Pool;
 use collsel_support::FromJson;
@@ -109,11 +109,13 @@ pub struct TunedModel {
     pub cluster_name: String,
     /// The γ estimation result (paper Table 1).
     pub gamma: GammaEstimate,
-    /// Per-algorithm estimation results (paper Table 2).
+    /// Per-algorithm broadcast estimation results (paper Table 2) —
+    /// the one source of truth for every broadcast decision.
     pub params: BTreeMap<BcastAlg, AlphaBetaEstimate>,
     /// Per-collective estimation results beyond broadcast, keyed by
     /// collective then by qualified algorithm (empty for models tuned
-    /// by the broadcast-only [`Tuner::tune`]).
+    /// by the broadcast-only [`Tuner::tune`]; a `Bcast` entry, where
+    /// present, is a verbatim copy of `params`).
     pub collectives: BTreeMap<Collective, BTreeMap<Alg, AlphaBetaEstimate>>,
     /// Segment size of the tuned selector.
     pub seg_size: usize,
@@ -128,40 +130,9 @@ impl TunedModel {
             .collect()
     }
 
-    /// Builds the runtime decision function.
-    pub fn selector(&self) -> ModelBasedSelector {
-        ModelBasedSelector::new(
-            self.gamma.table.clone(),
-            self.hockney_table(),
-            self.seg_size,
-        )
-    }
-
-    /// Compiles the runtime decision function into a flat
-    /// [`CompiledSelector`] over the given grids: the serving-time
-    /// shape of the model (two binary searches per query, no
-    /// allocation) for call sites that query at MPI_Bcast rates.
-    /// Off-grid queries snap exactly like
-    /// [`collsel_select::rules::DecisionTable::lookup`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if either grid is empty or unsorted.
-    pub fn compiled_selector(&self, comm_sizes: &[usize], msg_sizes: &[usize]) -> CompiledSelector {
-        CompiledSelector::compile(&self.selector(), comm_sizes, msg_sizes)
-    }
-
-    /// [`compiled_selector`](Self::compiled_selector) over the default
-    /// deployment grids (the ones `colltune export` uses): communicator
-    /// sizes 2..128 in powers of two, fourteen log-spaced message sizes
-    /// from 1 KB to 8 MB.
-    pub fn compiled_selector_default(&self) -> CompiledSelector {
-        let msg_sizes = collsel_estim::log_spaced_sizes(1024, 8 * 1024 * 1024, 14);
-        self.compiled_selector(&[2, 4, 8, 16, 32, 64, 128], &msg_sizes)
-    }
-
-    /// Judges every stored fit (computed from the stored data, never
-    /// persisted — older model files gain verdicts for free).
+    /// Judges every stored broadcast fit (computed from the stored
+    /// data, never persisted — older model files gain verdicts for
+    /// free).
     pub fn validity(&self) -> BTreeMap<BcastAlg, FitValidity> {
         self.params
             .iter()
@@ -169,55 +140,48 @@ impl TunedModel {
             .collect()
     }
 
-    /// Builds the graceful runtime decision function: algorithms whose
-    /// fits fail validation are excluded from the model ranking, and
-    /// queries no valid model can decide fall back to the Open MPI
-    /// fixed rules with the reason reported per decision.
-    pub fn degraded_selector(&self) -> GracefulSelector {
-        GracefulSelector::new(
-            self.gamma.table.clone(),
-            self.hockney_table(),
-            self.validity(),
-            self.seg_size,
-        )
-    }
-
-    /// The collectives carrying per-algorithm fits, in
-    /// [`Collective::ALL`] order.
+    /// The tuned collectives, in [`Collective::ALL`] order: broadcast
+    /// (every model runs the Sect. 4.2 broadcast stage) plus every
+    /// collective a breadth campaign fitted.
     pub fn tuned_collectives(&self) -> Vec<Collective> {
         Collective::ALL
             .into_iter()
-            .filter(|c| self.collectives.contains_key(c))
+            .filter(|c| *c == Collective::Bcast || self.collectives.contains_key(c))
             .collect()
+    }
+
+    /// Every fit keyed by qualified algorithm: broadcast's from
+    /// `params`, the other collectives' from `collectives`.
+    fn fits(&self) -> impl Iterator<Item = (Alg, &AlphaBetaEstimate)> {
+        let bcast = self.params.iter().map(|(&b, est)| (Alg::Bcast(b), est));
+        let breadth = self
+            .collectives
+            .iter()
+            .filter(|(&c, _)| c != Collective::Bcast)
+            .flat_map(|(_, fits)| fits.iter().map(|(&alg, est)| (alg, est)));
+        bcast.chain(breadth)
     }
 
     /// The per-algorithm Hockney pairs across every tuned collective,
     /// keyed by qualified algorithm.
     pub fn multi_hockney_table(&self) -> BTreeMap<Alg, Hockney> {
-        self.collectives
-            .values()
-            .flatten()
-            .map(|(&alg, est)| (alg, est.hockney))
-            .collect()
+        self.fits().map(|(alg, est)| (alg, est.hockney)).collect()
     }
 
     /// Validity verdicts for every tuned collective's fits.
     pub fn multi_validity(&self) -> BTreeMap<Alg, FitValidity> {
-        self.collectives
-            .values()
-            .flatten()
-            .map(|(&alg, est)| (alg, est.validity()))
+        self.fits()
+            .map(|(alg, est)| (alg, est.validity()))
             .collect()
     }
 
-    /// Builds the multi-collective runtime decision function: argmin
-    /// over the tuned fits per collective, falling back to the fixed
-    /// rules for collectives without usable fits.
+    /// Builds the runtime decision function: argmin over the tuned fits
+    /// per collective, falling back to the fixed rules for collectives
+    /// without usable fits.
     ///
-    /// The broadcast arm evaluates at the tuned broadcast segment (so
-    /// it agrees with [`selector`](Self::selector) by construction);
-    /// every other collective evaluates at the breadth campaigns'
-    /// coarser [`BREADTH_SEG_SIZE`](collsel_estim::BREADTH_SEG_SIZE) —
+    /// The broadcast arm evaluates at the tuned broadcast segment (the
+    /// paper's 8 KB); every other collective evaluates at the breadth
+    /// campaigns' coarser [`BREADTH_SEG_SIZE`](collsel_estim::BREADTH_SEG_SIZE) —
     /// the segment its fits were estimated with. Serving them at the
     /// broadcast segment instead would charge the pipelined algorithms
     /// eight times the per-segment overheads their fits absorbed,
@@ -236,8 +200,9 @@ impl TunedModel {
         selector
     }
 
-    /// The graceful multi-collective decision function: only fits that
-    /// pass validation join the rankings, and per decision the fallback
+    /// The graceful runtime decision function: only fits that pass
+    /// validation join the rankings, queries no valid model can decide
+    /// fall back to the fixed rules, and per decision the fallback
     /// reason is reported. Segment sizes follow
     /// [`multi_selector`](Self::multi_selector).
     pub fn degraded_multi_selector(&self) -> GracefulCollectiveSelector {
@@ -271,28 +236,31 @@ impl TunedModel {
     }
 
     /// Compiles every tuned collective's decision table into one
-    /// [`CompiledCollectiveSelector`] over the given grids.
+    /// [`CompiledCollectiveSelector`] over the given grids: the
+    /// serving-time shape of the model (two binary searches per query,
+    /// no allocation) for call sites that query at MPI call rates.
+    /// Off-grid queries snap exactly like [`CollDecisionTable::lookup`].
     ///
     /// # Panics
     ///
-    /// Panics if no collective was tuned ([`Tuner::tune_collectives`]
-    /// fills the fits) or either grid is empty or unsorted.
+    /// Panics if either grid is empty or unsorted.
     pub fn compiled_multi_selector(
         &self,
         comm_sizes: &[usize],
         msg_sizes: &[usize],
     ) -> CompiledCollectiveSelector {
-        let tuned = self.tuned_collectives();
-        assert!(
-            !tuned.is_empty(),
-            "no collective fits: tune with tune_collectives first"
-        );
-        CompiledCollectiveSelector::compile(&self.multi_selector(), &tuned, comm_sizes, msg_sizes)
+        CompiledCollectiveSelector::compile(
+            &self.multi_selector(),
+            &self.tuned_collectives(),
+            comm_sizes,
+            msg_sizes,
+        )
     }
 
     /// [`compiled_multi_selector`](Self::compiled_multi_selector) over
-    /// the default deployment grids (same grids as
-    /// [`compiled_selector_default`](Self::compiled_selector_default)).
+    /// the default deployment grids (the ones `colltune export` and the
+    /// decision server use): communicator sizes 2..128 in powers of
+    /// two, fourteen log-spaced message sizes from 1 KB to 8 MB.
     pub fn compiled_multi_selector_default(&self) -> CompiledCollectiveSelector {
         let msg_sizes = collsel_estim::log_spaced_sizes(1024, 8 * 1024 * 1024, 14);
         self.compiled_multi_selector(&[2, 4, 8, 16, 32, 64, 128], &msg_sizes)
@@ -320,15 +288,17 @@ impl TuneReport {
     }
 
     /// Like [`TunedModel::degraded_multi_selector`], but with the
-    /// report's skipped-algorithm errors attached as fallback causes:
-    /// a decision for a collective whose fits are all missing carries
+    /// report's skipped-algorithm errors — broadcast's and the breadth
+    /// campaigns' — attached as fallback causes: a decision for a
+    /// collective whose fits are all missing carries
     /// `EstimationTimeout` / `PrecisionNotReached` instead of the
     /// generic `NoUsableModel`.
     pub fn degraded_multi_selector(&self) -> GracefulCollectiveSelector {
-        let failures = self
-            .skipped_multi
-            .iter()
-            .map(|(&alg, e)| (alg, FallbackReason::from_sim_error(e)))
+        let bcast = self.skipped.iter().map(|(&b, e)| (Alg::Bcast(b), e));
+        let breadth = self.skipped_multi.iter().map(|(&alg, e)| (alg, e));
+        let failures = bcast
+            .chain(breadth)
+            .map(|(alg, e)| (alg, FallbackReason::from_sim_error(e)))
             .collect();
         self.model.degraded_multi_selector().with_failures(failures)
     }
@@ -399,8 +369,9 @@ impl Tuner {
     ///
     /// Broadcast's per-collective entry reuses the Sect. 4.2
     /// gather-conditioned fits rather than re-measuring — the dedicated
-    /// broadcast estimation is strictly better conditioned, and this
-    /// keeps the mono and multi selectors consistent by construction.
+    /// broadcast estimation is strictly better conditioned. The entry is
+    /// a verbatim copy of `params`, which stays the source every
+    /// broadcast decision reads.
     pub fn tune_collectives(&self, collectives: &[Collective]) -> TunedModel {
         let mut model = self.tune();
         for &c in collectives {
@@ -450,8 +421,8 @@ impl Tuner {
     ///   model shares the γ table, so nothing useful can be built;
     /// * a per-algorithm (α, β) failure **skips that algorithm** — the
     ///   report records the typed reason and
-    ///   [`TunedModel::degraded_selector`] falls back to the Open MPI
-    ///   rules wherever the surviving models cannot decide.
+    ///   [`TuneReport::degraded_multi_selector`] falls back to the Open
+    ///   MPI rules wherever the surviving models cannot decide.
     ///
     /// # Errors
     ///
@@ -977,7 +948,6 @@ impl collsel_support::FromJson for TunedModel {
 mod tests {
     use super::*;
     use collsel_netsim::NoiseParams;
-    use collsel_select::Selector;
 
     #[test]
     fn quick_tune_produces_complete_model() {
@@ -986,8 +956,10 @@ mod tests {
         let model = tuner.tune();
         assert_eq!(model.cluster_name, "gros");
         assert_eq!(model.params.len(), 6, "all six algorithms tuned");
-        let selector = model.selector();
-        let sel = selector.select(16, 64 * 1024);
+        assert_eq!(model.tuned_collectives(), vec![Collective::Bcast]);
+        let sel = model
+            .multi_selector()
+            .select_for(Collective::Bcast, 16, 64 * 1024);
         assert_eq!(sel.seg_size, Some(8 * 1024));
     }
 
@@ -995,9 +967,10 @@ mod tests {
     fn tuned_selector_never_picks_linear_at_scale() {
         let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
         let model = Tuner::new(cluster, TunerConfig::quick(16)).tune();
-        let selector = model.selector();
+        let selector = model.multi_selector();
         for m in [8 * 1024, 64 * 1024, 1 << 20] {
-            assert_ne!(selector.select(100, m).alg, collsel_coll::BcastAlg::Linear);
+            let pick = selector.select_for(Collective::Bcast, 100, m).alg;
+            assert_ne!(pick, Alg::Bcast(BcastAlg::Linear));
         }
     }
 
@@ -1021,20 +994,6 @@ mod tests {
     }
 
     #[test]
-    fn compiled_selector_agrees_with_live_on_grid() {
-        let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
-        let model = Tuner::new(cluster, TunerConfig::quick(12)).tune();
-        let live = model.selector();
-        let compiled = model.compiled_selector_default();
-        for &p in &[2usize, 4, 8, 16, 32, 64, 128] {
-            for m in collsel_estim::log_spaced_sizes(1024, 8 * 1024 * 1024, 14) {
-                assert_eq!(compiled.lookup(p, m), live.select(p, m), "p={p} m={m}");
-            }
-        }
-        assert!(compiled.rule_count() >= compiled.comm_block_count());
-    }
-
-    #[test]
     fn tune_all_fits_every_collective_family() {
         let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
         let model = Tuner::new(cluster, TunerConfig::quick(8)).tune_all();
@@ -1052,41 +1011,76 @@ mod tests {
     }
 
     #[test]
-    fn multi_selector_serves_every_collective_and_matches_mono_bcast() {
-        use collsel_select::CollectiveSelector;
+    fn multi_selector_serves_every_collective() {
         let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
         let model = Tuner::new(cluster, TunerConfig::quick(8)).tune_all();
         let multi = model.multi_selector();
-        let mono = model.selector();
         for &(p, m) in &[(4usize, 8192usize), (16, 64 * 1024), (90, 1 << 20)] {
             for c in Collective::ALL {
                 let s = multi.select_for(c, p, m);
                 assert_eq!(s.alg.collective(), c, "p={p} m={m}");
             }
-            // Same fits, same γ, same argmin: the multi selector's
-            // broadcast arm must agree with the dedicated selector.
-            use collsel_select::Selector;
-            let from_multi = multi.select_for(Collective::Bcast, p, m);
-            let from_mono = mono.select(p, m);
-            assert_eq!(from_multi.alg, Alg::Bcast(from_mono.alg), "p={p} m={m}");
+        }
+    }
+
+    /// Broadcast is served from `params` whatever else the model holds:
+    /// a plain `tune()` model and a `--collective reduce` model carry no
+    /// `collectives[Bcast]` entry, yet their broadcast answers are the
+    /// argmin over their own broadcast fits, never the fixed rules.
+    #[test]
+    fn broadcast_is_served_from_its_own_fits() {
+        let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
+        let tuner = Tuner::new(cluster, TunerConfig::quick(8));
+        for model in [tuner.tune_collectives(&[Collective::Reduce]), tuner.tune()] {
+            assert!(!model.collectives.contains_key(&Collective::Bcast));
+            let live = model.multi_selector();
+            let graceful = model.degraded_multi_selector();
+            for p in [2usize, 4, 9, 24, 64, 128] {
+                for m in [512usize, 8192, 100_000, 1 << 20, 8 << 20] {
+                    let argmin = model
+                        .params
+                        .iter()
+                        .map(|(&b, est)| {
+                            let t = collsel_model::derived::predict_bcast(
+                                b,
+                                p,
+                                m,
+                                model.seg_size,
+                                &model.gamma.table,
+                                &est.hockney,
+                            );
+                            (b, t)
+                        })
+                        .filter(|(_, t)| t.is_finite())
+                        .min_by(|a, b| a.1.total_cmp(&b.1))
+                        .map(|(b, _)| Alg::Bcast(b));
+                    let pick = live.select_for(Collective::Bcast, p, m);
+                    assert_eq!(Some(pick.alg), argmin, "p={p} m={m}");
+                    let d = graceful.decide_for(Collective::Bcast, p, m);
+                    assert!(d.source.is_model(), "p={p} m={m}: {d}");
+                    assert_eq!(d.selection, pick, "p={p} m={m}");
+                }
+            }
         }
     }
 
     #[test]
     fn compiled_multi_selector_matches_live_on_grid() {
         let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
-        let model = Tuner::new(cluster, TunerConfig::quick(8)).tune_all();
-        use collsel_select::CollectiveSelector;
-        let live = model.multi_selector();
-        let compiled = model.compiled_multi_selector_default();
-        for c in Collective::ALL {
-            for &p in &[2usize, 8, 32, 128] {
-                for m in collsel_estim::log_spaced_sizes(1024, 8 * 1024 * 1024, 14) {
-                    assert_eq!(
-                        compiled.lookup(c, p, m),
-                        live.select_for(c, p, m),
-                        "{c} p={p} m={m}"
-                    );
+        let tuner = Tuner::new(cluster, TunerConfig::quick(8));
+        for model in [tuner.tune(), tuner.tune_all()] {
+            let live = model.multi_selector();
+            let compiled = model.compiled_multi_selector_default();
+            assert_eq!(compiled.collectives(), model.tuned_collectives());
+            for c in model.tuned_collectives() {
+                for &p in &[2usize, 4, 8, 16, 32, 64, 128] {
+                    for m in collsel_estim::log_spaced_sizes(1024, 8 * 1024 * 1024, 14) {
+                        assert_eq!(
+                            compiled.lookup(c, p, m),
+                            live.select_for(c, p, m),
+                            "{c} p={p} m={m}"
+                        );
+                    }
                 }
             }
         }
@@ -1149,15 +1143,15 @@ mod tests {
         model.params.remove(&BcastAlg::Linear);
         model.params.remove(&BcastAlg::Chain);
         model.params.remove(&BcastAlg::KChain);
-        let sel = model.degraded_selector();
+        let sel = model.degraded_multi_selector();
         assert_eq!(sel.modelled_algorithms().len(), 3);
         for &(p, m) in &[(4usize, 512usize), (16, 64 * 1024), (100, 1 << 20)] {
-            let d = sel.decide(p, m);
+            let d = sel.decide_for(Collective::Bcast, p, m);
             assert!(d.source.is_model(), "three valid models remain: {d:?}");
             assert!(
                 matches!(
                     d.selection.alg,
-                    BcastAlg::SplitBinary | BcastAlg::Binary | BcastAlg::Binomial
+                    Alg::Bcast(BcastAlg::SplitBinary | BcastAlg::Binary | BcastAlg::Binomial)
                 ),
                 "the model path must only pick surviving algorithms: {d:?}"
             );
@@ -1169,7 +1163,6 @@ mod tests {
 mod persistence_tests {
     use super::*;
     use collsel_netsim::NoiseParams;
-    use collsel_select::Selector;
 
     #[test]
     fn tuned_model_round_trips_through_json() {
@@ -1192,9 +1185,12 @@ mod persistence_tests {
             assert!((h1.alpha - h2.alpha).abs() <= 1e-12 * h1.alpha.abs().max(1e-30));
             assert!((h1.beta - h2.beta).abs() <= 1e-12 * h1.beta.abs().max(1e-30));
         }
-        let (a, b) = (model.selector(), back.selector());
+        let (a, b) = (model.multi_selector(), back.multi_selector());
         for m in [4 * 1024, 64 * 1024, 1 << 20] {
-            assert_eq!(a.select(64, m), b.select(64, m));
+            assert_eq!(
+                a.select_for(Collective::Bcast, 64, m),
+                b.select_for(Collective::Bcast, 64, m)
+            );
         }
     }
 
@@ -1220,7 +1216,7 @@ mod persistence_tests {
         };
         let back: TunedModel = collsel_support::FromJson::from_json(&legacy).expect("decodes");
         assert!(back.collectives.is_empty());
-        assert_eq!(back.tuned_collectives(), Vec::new());
+        assert_eq!(back.tuned_collectives(), vec![Collective::Bcast]);
         assert_eq!(back.cluster_name, model.cluster_name);
         assert_eq!(back.params.len(), model.params.len());
     }

@@ -1,19 +1,21 @@
-//! `colltune` — tune the model-based broadcast selector for a cluster
+//! `colltune` — tune the model-based collective selector for a cluster
 //! and query it, the way a site administrator would deploy the paper's
 //! method.
 //!
 //! ```text
 //! colltune tune  [--preset grisou|gros | --nodes N --gbps G --latency-us L
 //!                 --cpus-per-node C] [--tune-p P] [--paper] [--seed N] --out model.json
-//! colltune query --model model.json --p P --m BYTES [--m BYTES]...
+//! colltune query --model model.json --p P --m BYTES [--m BYTES]... [--collective NAME]...
 //! colltune show  --model model.json
 //! ```
 //!
 //! `tune` runs the full estimation pipeline (γ then per-algorithm α/β)
 //! on the simulated platform and writes the tuned model as JSON;
-//! `query` loads a model and prints the runtime selections; `show`
-//! prints the estimated parameter tables; `export` renders an Open MPI
-//! dynamic-rules file usable with a *real* Open MPI installation via
+//! `query` loads a model and prints the runtime selections (broadcast
+//! unless `--collective` names others); `show` prints the estimated
+//! parameter tables; `export` renders an Open MPI dynamic-rules file
+//! (one block per tuned collective) usable with a *real* Open MPI
+//! installation via
 //! `--mca coll_tuned_use_dynamic_rules 1
 //!  --mca coll_tuned_dynamic_rules_filename <file>`.
 
@@ -21,10 +23,9 @@ use collsel::coll::Collective;
 use collsel::estim::{log_spaced_sizes, RetryPolicy};
 use collsel::mpi::Backend;
 use collsel::netsim::{ClusterModel, FaultPlan, NoiseParams, SimSpan};
-use collsel::select::rules::DecisionTable;
 use collsel::select::{
-    CollectiveDecisionService, DecisionServer, DecisionService, DecisionSource, Selector,
-    ServerConfig,
+    to_ompi_rules_multi, CollectiveDecisionService, CollectiveSelector, DecisionServer,
+    DecisionSource, ServerConfig,
 };
 use collsel::{CampaignPlan, TunedModel, Tuner, TunerConfig};
 use collsel_expt::campaign::{memo_json, CampaignSummary};
@@ -56,10 +57,10 @@ const USAGE: &str = "usage:
                   [--selector fixed|tuned|worst|server|all]... [--json FILE] [--csv FILE]
 
 fault specs (NAME or NAME:SEED): none, degraded-link, straggler, brownout, spike, chaos
---collective: a collective to tune/query/bench beyond broadcast (repeatable):
-bcast, reduce, allreduce, gather, scatter, allgather, alltoall, or `all`;
-tune runs a breadth campaign per listed collective, query and bench-select
-route through the multi-collective serving stack
+--collective: a collective to tune/query/bench (repeatable): bcast, reduce,
+allreduce, gather, scatter, allgather, alltoall, or `all`; tune runs a breadth
+campaign per listed collective beyond broadcast, query and bench-select serve
+the listed collectives (default: bcast)
 -j/--threads: worker threads for the tuning campaign (default: COLLSEL_THREADS
 or the host's available parallelism); any thread count yields bit-identical models
 --adaptive: after tuning, run an adaptive measured-winner campaign (crossover
@@ -337,11 +338,6 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
             for (alg, why) in &report.skipped_multi {
                 eprintln!("[colltune] skipped {:<22} {why}", alg.qualified_name());
             }
-            for (alg, verdict) in report.model.validity() {
-                if !verdict.is_valid() {
-                    eprintln!("[colltune] suspect {:<12} fit is {verdict}", alg.name());
-                }
-            }
             for (alg, verdict) in report.model.multi_validity() {
                 if !verdict.is_valid() {
                     eprintln!(
@@ -480,73 +476,16 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     if sizes.is_empty() {
         return Err("at least one --m required".into());
     }
-    let collectives = parse_collectives(args)?;
-    if !collectives.is_empty() {
-        return query_multi(&model, &collectives, p, &sizes, args);
+    let mut collectives = parse_collectives(args)?;
+    if collectives.is_empty() {
+        collectives.push(Collective::Bcast);
     }
-    if args.iter().any(|a| a == "--degraded") {
-        // Graceful path: works on partial/suspect models and reports
-        // which path (model or Open MPI rules) decided each query.
-        let selector = model.degraded_selector();
-        println!(
-            "graceful selections for {} at P = {p} ({} of {} algorithms modelled):",
-            model.cluster_name,
-            selector.modelled_algorithms().len(),
-            collsel::coll::BcastAlg::ALL.len(),
-        );
-        for s in sizes {
-            let m: usize = parse(s, "message size")?;
-            let d = selector.decide(p, m);
-            match &d.source {
-                DecisionSource::Model { predicted } => println!(
-                    "  m = {m:>9} B -> {:<12} (model, predicted {:.3} ms)",
-                    d.selection.alg.name(),
-                    predicted * 1e3,
-                ),
-                DecisionSource::Fallback { reason } => println!(
-                    "  m = {m:>9} B -> {:<12} (open-mpi rules fallback: {reason})",
-                    d.selection.alg.name(),
-                ),
-            }
-        }
-        return Ok(());
-    }
-    let selector = model.selector();
-    println!("selections for {} at P = {p}:", model.cluster_name);
-    for s in sizes {
-        let m: usize = parse(s, "message size")?;
-        let pick = selector.select(p, m);
-        let ranking = selector.ranking(p, m);
-        println!(
-            "  m = {m:>9} B -> {:<12} (predicted {:.3} ms; next: {} at {:.3} ms)",
-            pick.alg.name(),
-            ranking[0].1 * 1e3,
-            ranking[1].0.name(),
-            ranking[1].1 * 1e3,
-        );
-    }
-    Ok(())
-}
-
-/// `query --collective ...`: selections served by the multi-collective
-/// stack, one block per collective, algorithms under qualified names.
-fn query_multi(
-    model: &TunedModel,
-    collectives: &[Collective],
-    p: usize,
-    sizes: &[&str],
-    args: &[String],
-) -> Result<(), String> {
-    use collsel::select::CollectiveSelector as _;
     if args.iter().any(|a| a == "--degraded") {
         let selector = model.degraded_multi_selector();
-        println!(
-            "graceful multi-collective selections for {} at P = {p}:",
-            model.cluster_name
-        );
-        for &c in collectives {
+        println!("graceful selections for {} at P = {p}:", model.cluster_name);
+        for &c in &collectives {
             println!("{}:", c.name());
-            for s in sizes {
+            for s in &sizes {
                 let m: usize = parse(s, "message size")?;
                 let d = selector.decide_for(c, p, m);
                 match &d.source {
@@ -566,13 +505,13 @@ fn query_multi(
     }
     let selector = model.multi_selector();
     println!(
-        "multi-collective selections for {} at P = {p} ({} collective(s) tuned):",
+        "selections for {} at P = {p} ({} collective(s) tuned):",
         model.cluster_name,
         model.tuned_collectives().len()
     );
-    for &c in collectives {
+    for &c in &collectives {
         println!("{}:", c.name());
-        for s in sizes {
+        for s in &sizes {
             let m: usize = parse(s, "message size")?;
             let pick = selector.select_for(c, p, m);
             let ranking = selector.ranking(c, p, m);
@@ -612,9 +551,13 @@ fn cmd_export(args: &[String]) -> Result<(), String> {
     let out = flag_value(args, "--out").ok_or("--out required")?;
     let comm_sizes = parse_comm_sizes(args)?;
     let msg_sizes = log_spaced_sizes(1024, 8 * 1024 * 1024, 14);
-    let selector = model.selector();
-    let table = DecisionTable::generate(&selector, &comm_sizes, &msg_sizes);
-    std::fs::write(out, table.to_ompi_rules()).map_err(|e| format!("cannot write {out}: {e}"))?;
+    let tables: Vec<_> = model
+        .tuned_collectives()
+        .into_iter()
+        .map(|c| model.decision_table(c, &comm_sizes, &msg_sizes))
+        .collect();
+    std::fs::write(out, to_ompi_rules_multi(&tables))
+        .map_err(|e| format!("cannot write {out}: {e}"))?;
     eprintln!(
         "[colltune] Open MPI dynamic rules for {} written to {out}",
         model.cluster_name
@@ -645,9 +588,7 @@ fn parse_comm_sizes(args: &[String]) -> Result<Vec<usize>, String> {
 
 /// Draws one (p, m) query point without modulo bias: `p` uniform over
 /// `2..=max_p`, `m` a uniform power of two over `1 KiB..=8 MiB` (the
-/// serving grids' 14 decades). Shared by both bench-select paths so
-/// the broadcast and multi-collective benches sample the same
-/// distribution.
+/// serving grids' 14 decades).
 fn sample_query(rng_state: &mut u64, max_p: usize) -> (usize, usize) {
     let p = 2 + collsel_support::rng::splitmix64_below(rng_state, (max_p - 1) as u64) as usize;
     let m = 1024usize << collsel_support::rng::splitmix64_below(rng_state, 14);
@@ -676,88 +617,12 @@ fn cmd_bench_select(args: &[String]) -> Result<(), String> {
     }
     let comm_sizes = parse_comm_sizes(args)?;
     let msg_sizes = log_spaced_sizes(1024, 8 * 1024 * 1024, 14);
-    let collectives = parse_collectives(args)?;
-    if !collectives.is_empty() {
-        return bench_select_multi(
-            &model,
-            &collectives,
-            queries,
-            cache,
-            seed,
-            &comm_sizes,
-            &msg_sizes,
-        );
+    let mut collectives = parse_collectives(args)?;
+    if collectives.is_empty() {
+        collectives.push(Collective::Bcast);
     }
-    let live = model.selector();
-    let compiled = model.compiled_selector(&comm_sizes, &msg_sizes);
-    let service = DecisionService::compiled(compiled.clone()).with_cache(cache, seed);
-
-    // A fixed working set of distinct queries, cycled through: realistic
-    // for an application hammering the same communicators and message
-    // sizes, and what gives the cached path something to hit.
-    let mut rng_state = seed;
-    let max_p = comm_sizes.last().copied().unwrap_or(128).max(2);
-    let working_set: Vec<(usize, usize)> = (0..1024)
-        .map(|_| sample_query(&mut rng_state, max_p))
-        .collect();
-    let stream = |i: usize| working_set[i % working_set.len()];
-
-    let time = |mut f: Box<dyn FnMut(usize) + '_>| -> f64 {
-        let start = std::time::Instant::now();
-        for i in 0..queries {
-            f(i);
-        }
-        queries as f64 / start.elapsed().as_secs_f64()
-    };
-    let live_qps = time(Box::new(|i| {
-        let (p, m) = stream(i);
-        std::hint::black_box(live.ranking(p, m));
-    }));
-    let compiled_qps = time(Box::new(|i| {
-        let (p, m) = stream(i);
-        std::hint::black_box(compiled.lookup(p, m));
-    }));
-    let cached_qps = time(Box::new(|i| {
-        let (p, m) = stream(i);
-        std::hint::black_box(service.decide(p, m));
-    }));
-    let stats = service.stats();
-    println!(
-        "decision-serving throughput for {} ({queries} queries, {} distinct):",
-        model.cluster_name,
-        working_set.len()
-    );
-    println!("  live ranking : {live_qps:>12.0} queries/s");
-    println!(
-        "  compiled     : {compiled_qps:>12.0} queries/s ({:.1}x live; {} rules, {} comm blocks)",
-        compiled_qps / live_qps,
-        compiled.rule_count(),
-        compiled.comm_block_count()
-    );
-    println!(
-        "  cached       : {cached_qps:>12.0} queries/s ({:.1}x live; hit rate {:.1}%, \
-         {} entries resident)",
-        cached_qps / live_qps,
-        100.0 * stats.hit_rate(),
-        service.cached_entries()
-    );
-    Ok(())
-}
-
-/// `bench-select --collective ...`: the multi-collective serving stack
-/// under the same live/compiled/cached comparison, with the collective
-/// as a third query dimension.
-fn bench_select_multi(
-    model: &TunedModel,
-    collectives: &[Collective],
-    queries: usize,
-    cache: usize,
-    seed: u64,
-    comm_sizes: &[usize],
-    msg_sizes: &[usize],
-) -> Result<(), String> {
     let tuned = model.tuned_collectives();
-    for &c in collectives {
+    for &c in &collectives {
         if !tuned.contains(&c) {
             return Err(format!(
                 "collective `{}` has no fits in this model; re-tune with \
@@ -768,11 +633,12 @@ fn bench_select_multi(
         }
     }
     let live = model.multi_selector();
-    let compiled = model.compiled_multi_selector(comm_sizes, msg_sizes);
+    let compiled = model.compiled_multi_selector(&comm_sizes, &msg_sizes);
     let service = CollectiveDecisionService::compiled(compiled.clone()).with_cache(cache, seed);
 
-    // The working set gains a collective dimension; otherwise identical
-    // in spirit to the broadcast bench.
+    // A fixed working set of distinct queries, cycled through: realistic
+    // for an application hammering the same communicators and message
+    // sizes, and what gives the cached path something to hit.
     let mut rng_state = seed;
     let max_p = comm_sizes.last().copied().unwrap_or(128).max(2);
     let working_set: Vec<(Collective, usize, usize)> = (0..1024)
@@ -808,7 +674,7 @@ fn bench_select_multi(
     }));
     let stats = service.stats();
     println!(
-        "multi-collective decision-serving throughput for {} \
+        "decision-serving throughput for {} \
          ({queries} queries over {} collective(s), {} distinct):",
         model.cluster_name,
         collectives.len(),

@@ -5,14 +5,15 @@
 //! size.
 
 use crate::config::Scenario;
-use collsel::coll::{Alg, BcastAlg};
+use collsel::coll::{Alg, BcastAlg, Collective};
 use collsel::estim::{measure_batch, Precision, TimedProgram};
 use collsel::mpi::Backend;
 use collsel::netsim::ClusterModel;
 use collsel::select::analysis::MeasuredPoint;
-use collsel::select::{CompiledSelector, OpenMpiFixedSelector, Selection, Selector};
+use collsel::select::{fixed_selection, CollSelection, CompiledCollectiveSelector};
 use collsel::TunedModel;
 use collsel_support::pool::Pool;
+use collsel_support::{FromJson, Json, JsonError, ToJson};
 use std::collections::BTreeMap;
 
 /// Everything measured and decided at one `(p, m)` point.
@@ -33,7 +34,7 @@ pub struct SweepPoint {
     /// Measured time of the model-based pick.
     pub model_time: f64,
     /// The native Open MPI decision (algorithm + its own segment size).
-    pub openmpi_pick: Selection,
+    pub openmpi_pick: CollSelection,
     /// Measured time of the Open MPI pick at its own segment size.
     pub openmpi_time: f64,
 }
@@ -64,20 +65,22 @@ pub struct SweepPanel {
 }
 
 /// One timed-broadcast cell.
-fn bcast_cell(
-    alg: BcastAlg,
-    p: usize,
-    m: usize,
-    seg_size: usize,
-    seed: u64,
-) -> (TimedProgram, u64) {
+fn bcast_cell(alg: Alg, p: usize, m: usize, seg_size: usize, seed: u64) -> (TimedProgram, u64) {
     let program = TimedProgram::Collective {
-        alg: Alg::Bcast(alg),
+        alg,
         p,
         m,
         seg_size,
     };
     (program, seed)
+}
+
+/// The broadcast algorithm of a broadcast selection.
+fn bcast_alg(pick: CollSelection) -> BcastAlg {
+    match pick.alg {
+        Alg::Bcast(alg) => alg,
+        other => unreachable!("a broadcast decision picked {}", other.qualified_name()),
+    }
 }
 
 /// The per-algorithm cells of one `(p, m)` point, in [`BcastAlg::ALL`]
@@ -86,7 +89,15 @@ fn point_cells(p: usize, m: usize, seg_size: usize, seed: u64) -> Vec<(TimedProg
     BcastAlg::ALL
         .iter()
         .enumerate()
-        .map(|(i, &alg)| bcast_cell(alg, p, m, seg_size, seed.wrapping_add(i as u64 * 65537)))
+        .map(|(i, &alg)| {
+            bcast_cell(
+                Alg::Bcast(alg),
+                p,
+                m,
+                seg_size,
+                seed.wrapping_add(i as u64 * 65537),
+            )
+        })
         .collect()
 }
 
@@ -128,7 +139,6 @@ pub fn measure_point(
 /// any thread count; every cell executes on the scenario's measurement
 /// [`Backend`], which is bit-identical too.
 pub fn sweep_panel(scenario: &Scenario, tuned: &TunedModel, p: usize, seed: u64) -> SweepPanel {
-    let selector = tuned.selector();
     // The panel's model picks are served from the compiled decision
     // table — the same serving structure `colltune bench-select`
     // measures — instead of re-ranking all six models at every point.
@@ -139,18 +149,22 @@ pub fn sweep_panel(scenario: &Scenario, tuned: &TunedModel, p: usize, seed: u64)
     let mut msg_grid = scenario.msg_sizes.clone();
     msg_grid.sort_unstable();
     msg_grid.dedup();
-    let compiled = CompiledSelector::compile(&selector, &[p], &msg_grid);
-    let openmpi = OpenMpiFixedSelector;
+    let compiled = CompiledCollectiveSelector::compile(
+        &tuned.multi_selector(),
+        &[Collective::Bcast],
+        &[p],
+        &msg_grid,
+    );
     let n_alg = BcastAlg::ALL.len();
     let point_seed = |i: usize| seed.wrapping_add((i as u64) << 20);
 
     // Selection is pure, so the Open MPI picks (and hence which points
     // need an extra differently-segmented measurement) are known before
     // anything is measured.
-    let picks: Vec<Selection> = scenario
+    let picks: Vec<CollSelection> = scenario
         .msg_sizes
         .iter()
-        .map(|&m| openmpi.select(p, m))
+        .map(|&m| fixed_selection(Collective::Bcast, p, m))
         .collect();
 
     let mut cells = Vec::with_capacity(scenario.msg_sizes.len() * (n_alg + 1));
@@ -193,12 +207,12 @@ pub fn sweep_panel(scenario: &Scenario, tuned: &TunedModel, p: usize, seed: u64)
             .collect();
         let measured = MeasuredPoint::new(p, m, times);
         let (best, best_time) = measured.best();
-        let model_pick = compiled.lookup(p, m).alg;
+        let model_pick = bcast_alg(compiled.lookup(Collective::Bcast, p, m));
         let model_time = measured.times[&model_pick];
-        let openmpi_pick = picks[i].clone();
+        let openmpi_pick = picks[i];
         let openmpi_time = match extra_slot[i] {
             Some(slot) => stats[slot].mean,
-            None => measured.times[&openmpi_pick.alg],
+            None => measured.times[&bcast_alg(openmpi_pick)],
         };
         points.push(SweepPoint {
             p,
@@ -221,17 +235,46 @@ pub fn sweep_panel(scenario: &Scenario, tuned: &TunedModel, p: usize, seed: u64)
 }
 
 // JSON persistence (layout-compatible with the former serde derives).
-collsel_support::json_struct!(SweepPoint {
-    p,
-    m,
-    measured,
-    best,
-    best_time,
-    model_pick,
-    model_time,
-    openmpi_pick,
-    openmpi_time
-});
+// The Open MPI pick keeps the broadcast layout of the committed Fig. 5
+// and Table 3 artifacts: `{"alg": "SplitBinary", "seg_size": 1024}`.
+impl ToJson for SweepPoint {
+    fn to_json(&self) -> Json {
+        let pick = Json::Obj(vec![
+            ("alg".to_owned(), bcast_alg(self.openmpi_pick).to_json()),
+            ("seg_size".to_owned(), self.openmpi_pick.seg_size.to_json()),
+        ]);
+        Json::Obj(vec![
+            ("p".to_owned(), self.p.to_json()),
+            ("m".to_owned(), self.m.to_json()),
+            ("measured".to_owned(), self.measured.to_json()),
+            ("best".to_owned(), self.best.to_json()),
+            ("best_time".to_owned(), self.best_time.to_json()),
+            ("model_pick".to_owned(), self.model_pick.to_json()),
+            ("model_time".to_owned(), self.model_time.to_json()),
+            ("openmpi_pick".to_owned(), pick),
+            ("openmpi_time".to_owned(), self.openmpi_time.to_json()),
+        ])
+    }
+}
+impl FromJson for SweepPoint {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let pick = v.field("openmpi_pick")?;
+        Ok(SweepPoint {
+            p: FromJson::from_json(v.field("p")?)?,
+            m: FromJson::from_json(v.field("m")?)?,
+            measured: FromJson::from_json(v.field("measured")?)?,
+            best: FromJson::from_json(v.field("best")?)?,
+            best_time: FromJson::from_json(v.field("best_time")?)?,
+            model_pick: FromJson::from_json(v.field("model_pick")?)?,
+            model_time: FromJson::from_json(v.field("model_time")?)?,
+            openmpi_pick: CollSelection {
+                alg: Alg::Bcast(FromJson::from_json(pick.field("alg")?)?),
+                seg_size: FromJson::from_json(pick.field("seg_size")?)?,
+            },
+            openmpi_time: FromJson::from_json(v.field("openmpi_time")?)?,
+        })
+    }
+}
 collsel_support::json_struct!(SweepPanel {
     cluster,
     p,

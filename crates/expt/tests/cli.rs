@@ -92,6 +92,35 @@ fn colltune_tune_query_show_export_round_trip() {
     let _ = std::fs::remove_file(rules);
 }
 
+/// A model tuned for reduce still carries the Sect. 4.2 broadcast fits;
+/// its broadcast queries must be answered from them, not from the fixed
+/// rules as if broadcast had never been tuned.
+#[test]
+fn colltune_reduce_model_serves_broadcast_from_its_own_fits() {
+    let model = temp_path("reduce-model.json");
+    let out = colltune()
+        .args(["tune", "--preset", "gros", "--tune-p", "8"])
+        .args(["--collective", "reduce", "--out", model.to_str().unwrap()])
+        .output()
+        .expect("tune runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = colltune()
+        .args(["query", "--model", model.to_str().unwrap(), "--p", "64"])
+        .args(["--m", "8192", "--m", "1048576", "--collective", "bcast"])
+        .output()
+        .expect("query runs");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(stdout.matches("m = ").count(), 2, "{stdout}");
+    assert!(stdout.contains("predicted"), "{stdout}");
+    assert!(!stdout.contains("collective not tuned"), "{stdout}");
+    let _ = std::fs::remove_file(model);
+}
+
 #[test]
 fn colltune_rejects_bad_usage() {
     let out = colltune().arg("tune").output().expect("runs");

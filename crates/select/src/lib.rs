@@ -1,57 +1,52 @@
 //! # collsel-select
 //!
-//! Runtime **decision functions** for MPI broadcast algorithm selection
-//! and the analysis tooling that compares them — the paper's Sect. 5.3.
+//! Runtime **decision functions** for MPI collective algorithm
+//! selection and the analysis tooling that compares them — the paper's
+//! Sect. 5.3, applied to every collective. Every decision is keyed by
+//! `(collective, P, m)`; broadcast is simply
+//! [`Collective::Bcast`](collsel_coll::Collective::Bcast).
 //!
-//! * [`ModelBasedSelector`] — the paper's contribution: argmin over the
-//!   implementation-derived models with per-algorithm parameters;
-//! * [`OpenMpiFixedSelector`] — faithful port of the native Open MPI 3.1
-//!   fixed decision function (the baseline whose mis-selections reach
-//!   7297% degradation in the paper);
-//! * [`MeasuredTableSelector`] — the measured-best oracle;
-//! * [`analysis`] — Table 3-style degradation accounting;
-//! * [`service`] — production decision serving: [`CompiledSelector`]
-//!   (allocation-free compiled lookup) and [`DecisionService`]
+//! * [`CollectiveModelSelector`] — the paper's contribution: argmin over
+//!   the implementation-derived models with per-algorithm parameters;
+//! * [`fixed_selection`] / [`OpenMpiCollectiveSelector`] — the Open MPI
+//!   3.1 fixed decision functions; the broadcast arm is the faithful
+//!   port whose mis-selections reach 7297% degradation in the paper;
+//! * [`TraditionalModelSelector`] — the textbook-model ablation;
+//! * [`GracefulCollectiveSelector`] — validity-filtered ranking that
+//!   falls back to the fixed rules per query, reporting why;
+//! * [`analysis`] — Table 3-style degradation accounting (the measured
+//!   best is [`analysis::MeasuredPoint::best`]);
+//! * [`multi`] — the serving stack: [`CollDecisionTable`] (rule blocks +
+//!   Open MPI dynamic-rules export), [`CompiledCollectiveSelector`]
+//!   (allocation-free compiled lookup) and [`CollectiveDecisionService`]
 //!   (thread-safe cached front end with batch queries);
-//! * [`multi`] — the same serving stack widened to all seven
-//!   collectives, keyed by `(collective, P, m)`:
-//!   [`CollectiveModelSelector`], [`GracefulCollectiveSelector`],
-//!   [`CompiledCollectiveSelector`], [`CollectiveDecisionService`];
 //! * [`server`] — the fault-tolerant decision server:
 //!   [`DecisionServer`] with epoch-versioned hot swap, a per-request
 //!   watchdog, a health-gated online refit path, and a crash-only
 //!   recovery journal.
 //!
 //! ```
-//! use collsel_select::{OpenMpiFixedSelector, Selector};
+//! use collsel_coll::Collective;
+//! use collsel_select::{CollectiveSelector, OpenMpiCollectiveSelector};
 //!
-//! let sel = OpenMpiFixedSelector;
-//! let s = sel.select(90, 1 << 20); // 1 MB on 90 processes
-//! assert_eq!(s.alg.name(), "chain"); // the native choice the paper criticises
+//! // 1 MB on 90 processes: the native choice the paper criticises.
+//! let s = OpenMpiCollectiveSelector.select_for(Collective::Bcast, 90, 1 << 20);
+//! assert_eq!(s.alg.qualified_name(), "bcast/chain");
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod analysis;
-mod graceful;
 pub mod multi;
-pub mod rules;
-mod selector;
 pub mod server;
-pub mod service;
 
-pub use graceful::{Decision, DecisionSource, FallbackReason, GracefulSelector};
 pub use multi::{
     fixed_selection, to_ompi_rules_multi, CollDecision, CollDecisionTable, CollSelection,
     CollectiveDecisionService, CollectiveModelSelector, CollectiveSelector,
-    CompiledCollectiveSelector, GracefulCollectiveSelector, OpenMpiCollectiveSelector,
-};
-pub use selector::{
-    MeasuredTableSelector, ModelBasedSelector, OpenMpiFixedSelector, Selection, Selector,
-    TraditionalModelSelector,
+    CompiledCollectiveSelector, DecisionSource, FallbackReason, GracefulCollectiveSelector,
+    OpenMpiCollectiveSelector, ServiceStats, TraditionalModelSelector,
 };
 pub use server::{
     DecisionServer, RefitOutcome, ServeSource, ServedAnswer, ServerConfig, ServerStats,
 };
-pub use service::{CompiledSelector, DecisionService, ServiceStats};

@@ -6,11 +6,11 @@
 //! cargo run --release --example cluster_tuning
 //! ```
 
-use collsel::coll::{Alg, BcastAlg};
+use collsel::coll::{Alg, Collective};
 use collsel::estim::{measure, Precision, TimedProgram};
 use collsel::mpi::Backend;
 use collsel::netsim::{ClusterModel, NoiseParams};
-use collsel::select::{OpenMpiFixedSelector, Selector};
+use collsel::select::{fixed_selection, CollectiveSelector};
 use collsel::{Tuner, TunerConfig};
 use std::collections::BTreeMap;
 
@@ -21,7 +21,7 @@ fn main() {
     let precision = Precision::quick();
     let bcast_time = |alg, m, seg_size| {
         let program = TimedProgram::Collective {
-            alg: Alg::Bcast(alg),
+            alg,
             p,
             m,
             seg_size,
@@ -31,8 +31,7 @@ fn main() {
 
     println!("tuning model-based selector for {} ...", cluster.name());
     let tuned = Tuner::new(cluster.clone(), TunerConfig::quick(24)).tune();
-    let model_sel = tuned.selector();
-    let ompi_sel = OpenMpiFixedSelector;
+    let model_sel = tuned.multi_selector();
 
     println!(
         "\n{:>8} {:>14} {:>18} {:>22}",
@@ -42,7 +41,8 @@ fn main() {
     let mut ompi_degs = Vec::new();
     for m in [8 * 1024, 64 * 1024, 512 * 1024, 2 << 20] {
         // Measure every algorithm at the paper's fixed 8 KB segments.
-        let times: BTreeMap<BcastAlg, f64> = BcastAlg::ALL
+        let times: BTreeMap<Alg, f64> = Collective::Bcast
+            .algorithms()
             .iter()
             .map(|&alg| (alg, bcast_time(alg, m, seg)))
             .collect();
@@ -51,10 +51,10 @@ fn main() {
             .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
             .unwrap();
 
-        let model_pick = model_sel.select(p, m).alg;
+        let model_pick = model_sel.select_for(Collective::Bcast, p, m).alg;
         let model_deg = 100.0 * (times[&model_pick] - best_t) / best_t;
 
-        let ompi_pick = ompi_sel.select(p, m);
+        let ompi_pick = fixed_selection(Collective::Bcast, p, m);
         let ompi_t = bcast_time(ompi_pick.alg, m, ompi_pick.effective_seg_size(m));
         let ompi_deg = 100.0 * (ompi_t - best_t) / best_t;
 

@@ -6,8 +6,9 @@
 //! cargo run --release --example custom_cluster
 //! ```
 
+use collsel::coll::Collective;
 use collsel::netsim::{ClusterModel, NoiseParams, SimSpan};
-use collsel::select::Selector;
+use collsel::select::CollectiveSelector;
 use collsel::{Tuner, TunerConfig};
 
 fn build(name: &str, gbps: f64, latency_us: u64) -> ClusterModel {
@@ -44,14 +45,17 @@ fn main() {
         tuned.push(
             Tuner::new(cluster.clone(), TunerConfig::quick(16))
                 .tune()
-                .selector(),
+                .multi_selector(),
         );
     }
 
     for &m in &sizes {
         print!("{:>14}", format!("{}KB", m / 1024));
         for selector in &tuned {
-            print!("{:>16}", selector.select(p, m).alg.name());
+            print!(
+                "{:>16}",
+                selector.select_for(Collective::Bcast, p, m).alg.name()
+            );
         }
         println!();
     }

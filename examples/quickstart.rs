@@ -5,8 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use collsel::coll::Collective;
 use collsel::netsim::{ClusterModel, NoiseParams};
-use collsel::select::Selector;
+use collsel::select::CollectiveSelector;
 use collsel::{Tuner, TunerConfig};
 
 fn main() {
@@ -40,11 +41,11 @@ fn main() {
 
     // The tuned decision function: what the paper proposes to run
     // inside MPI_Bcast.
-    let selector = model.selector();
+    let selector = model.multi_selector();
     println!("\nruntime selections (P = 100):");
     for m in [4 * 1024, 64 * 1024, 1 << 20, 4 << 20] {
-        let pick = selector.select(100, m);
-        let ranking = selector.ranking(100, m);
+        let pick = selector.select_for(Collective::Bcast, 100, m);
+        let ranking = selector.ranking(Collective::Bcast, 100, m);
         let runner_up = ranking[1].0;
         println!(
             "  {:>8} bytes -> {:<12} (runner-up {}, predicted {:.1}% slower)",

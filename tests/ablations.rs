@@ -11,11 +11,11 @@
 //! Quality is total measured time of the picks across a size sweep (a
 //! lower-variance criterion than per-point degradation percentages).
 
-use collsel::coll::{Alg, BcastAlg};
+use collsel::coll::{Alg, BcastAlg, Collective};
 use collsel::estim::{estimate_network_hockney, measure, Precision, TimedProgram};
 use collsel::mpi::Backend;
 use collsel::netsim::{ClusterModel, NoiseParams};
-use collsel::select::{ModelBasedSelector, Selector, TraditionalModelSelector};
+use collsel::select::{CollectiveModelSelector, CollectiveSelector, TraditionalModelSelector};
 use collsel::{Tuner, TunerConfig};
 use std::collections::BTreeMap;
 
@@ -25,7 +25,7 @@ const SIZES: [usize; 4] = [8 * 1024, 64 * 1024, 512 * 1024, 2 << 20];
 
 struct Bench {
     cluster: ClusterModel,
-    times: BTreeMap<(usize, BcastAlg), f64>,
+    times: BTreeMap<(usize, Alg), f64>,
 }
 
 impl Bench {
@@ -42,17 +42,17 @@ impl Bench {
                     seg_size: SEG,
                 };
                 let t = measure(&cluster, program, &precision, 5, Backend::default()).mean;
-                times.insert((m, alg), t);
+                times.insert((m, Alg::Bcast(alg)), t);
             }
         }
         Bench { cluster, times }
     }
 
     /// Total measured time of a selector's picks across the sweep.
-    fn total_time(&self, selector: &dyn Selector) -> f64 {
+    fn total_time(&self, selector: &dyn CollectiveSelector) -> f64 {
         SIZES
             .iter()
-            .map(|&m| self.times[&(m, selector.select(P, m).alg)])
+            .map(|&m| self.times[&(m, selector.select_for(Collective::Bcast, P, m).alg)])
             .sum()
     }
 
@@ -61,7 +61,8 @@ impl Bench {
         SIZES
             .iter()
             .map(|&m| {
-                BcastAlg::ALL
+                Collective::Bcast
+                    .algorithms()
                     .iter()
                     .map(|&alg| self.times[&(m, alg)])
                     .fold(f64::MAX, f64::min)
@@ -76,7 +77,7 @@ fn full_method_close_to_oracle_and_ablations_not_better() {
 
     // The full method: derived models + per-algorithm parameters.
     let tuned = Tuner::new(bench.cluster.clone(), TunerConfig::quick(16)).tune();
-    let full = tuned.selector();
+    let full = tuned.multi_selector();
 
     // Ablation A (innovation #1 removed): traditional models +
     // network-level parameters.
@@ -91,9 +92,12 @@ fn full_method_close_to_oracle_and_ablations_not_better() {
 
     // Ablation B (innovation #2 removed): derived models but a single
     // shared network-level pair for every algorithm.
-    let shared_params: BTreeMap<BcastAlg, _> =
-        BcastAlg::ALL.iter().map(|&a| (a, network)).collect();
-    let shared = ModelBasedSelector::new(tuned.gamma.table.clone(), shared_params, SEG);
+    let shared_params: BTreeMap<Alg, _> = Collective::Bcast
+        .algorithms()
+        .iter()
+        .map(|&a| (a, network))
+        .collect();
+    let shared = CollectiveModelSelector::new(tuned.gamma.table.clone(), shared_params, SEG);
 
     let oracle = bench.oracle_time();
     let t_full = bench.total_time(&full);
@@ -123,15 +127,15 @@ fn gamma_matters_for_model_quality() {
     // must differ (the factor is load-bearing, not decorative).
     let bench = Bench::new();
     let tuned = Tuner::new(bench.cluster.clone(), TunerConfig::quick(16)).tune();
-    let with_gamma = tuned.selector();
-    let ones = ModelBasedSelector::new(
+    let with_gamma = tuned.multi_selector();
+    let ones = CollectiveModelSelector::new(
         collsel::model::GammaTable::ones(),
-        tuned.hockney_table(),
+        tuned.multi_hockney_table(),
         SEG,
     );
     let m = 1 << 20;
-    let a: Vec<_> = with_gamma.ranking(P, m).into_iter().collect();
-    let b: Vec<_> = ones.ranking(P, m).into_iter().collect();
+    let a = with_gamma.ranking(Collective::Bcast, P, m);
+    let b = ones.ranking(Collective::Bcast, P, m);
     let moved = a
         .iter()
         .zip(&b)

@@ -4,10 +4,10 @@
 //! hang — and the graceful selector must answer every query, reporting
 //! whether the model or the Open MPI rules decided.
 
-use collsel::coll::BcastAlg;
+use collsel::coll::{BcastAlg, Collective};
 use collsel::estim::{Precision, RetryPolicy};
 use collsel::netsim::{Brownout, ClusterModel, FaultPlan, NoiseParams, SimSpan, SimTime};
-use collsel::select::DecisionSource;
+use collsel::select::{fixed_selection, DecisionSource, FallbackReason};
 use collsel::{Tuner, TunerConfig};
 
 const TUNE_P: usize = 8;
@@ -51,12 +51,12 @@ fn tuning_under_faults_completes_or_reports_typed_errors() {
             let tuner = Tuner::new(faulted, TunerConfig::quick(TUNE_P));
             match tuner.try_tune(&RetryPolicy::default()) {
                 Ok(report) => {
-                    let sel = report.model.degraded_selector();
+                    let sel = report.degraded_multi_selector();
                     // Every query must be answered without panicking,
                     // across a (P, m) grid wider than the tuning ran on.
                     for p in [2usize, 5, 16, 48] {
                         for m in [256usize, 8 * 1024, 256 * 1024, 4 << 20] {
-                            let d = sel.decide(p, m);
+                            let d = sel.decide_for(Collective::Bcast, p, m);
                             match &d.source {
                                 DecisionSource::Model { predicted } => {
                                     assert!(
@@ -105,6 +105,36 @@ fn none_plan_tunes_bit_identically() {
     let a = Tuner::new(base, TunerConfig::quick(TUNE_P)).tune();
     let b = Tuner::new(with_none, TunerConfig::quick(TUNE_P)).tune();
     assert_eq!(a, b);
+}
+
+/// A watchdog tight enough for the γ experiments but not for any
+/// broadcast fit: every broadcast decision falls back to the fixed
+/// rules and says the estimation timed out — not that no model exists.
+#[test]
+fn broadcasts_that_all_timed_out_report_estimation_timeout() {
+    let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
+    let policy = RetryPolicy {
+        max_attempts: 1,
+        budget: Some(SimSpan::from_micros(400)),
+        backoff: 1,
+    };
+    let report = Tuner::new(cluster, TunerConfig::quick(TUNE_P))
+        .try_tune(&policy)
+        .expect("the γ experiments fit inside the budget");
+    assert!(report.model.params.is_empty());
+    assert_eq!(report.skipped.len(), BcastAlg::ALL.len());
+    let sel = report.degraded_multi_selector();
+    for p in [2usize, 16, 64] {
+        for m in [1024usize, 1 << 20] {
+            let d = sel.decide_for(Collective::Bcast, p, m);
+            assert_eq!(
+                d.source.fallback_reason(),
+                Some(FallbackReason::EstimationTimeout),
+                "p={p} m={m}: {d}"
+            );
+            assert_eq!(d.selection, fixed_selection(Collective::Bcast, p, m));
+        }
+    }
 }
 
 /// A straggler plan hurts but does not kill: tuning completes, and the
@@ -206,8 +236,8 @@ fn parsed_chaos_plan_is_survivable() {
     let tuner = Tuner::new(cluster.with_faults(plan), TunerConfig::quick(TUNE_P));
     match tuner.try_tune(&RetryPolicy::default()) {
         Ok(report) => {
-            let sel = report.model.degraded_selector();
-            let d = sel.decide(64, 1 << 20);
+            let sel = report.degraded_multi_selector();
+            let d = sel.decide_for(Collective::Bcast, 64, 1 << 20);
             assert!(d.selection.effective_seg_size(1 << 20) > 0);
         }
         Err(e) => assert!(!e.to_string().is_empty()),

@@ -1,11 +1,11 @@
 //! Cross-crate integration: the full pipeline from cluster description
 //! to runtime selection, exercised through the `collsel` facade.
 
-use collsel::coll::{bcast, Alg, BcastAlg};
+use collsel::coll::{bcast, Alg, BcastAlg, Collective};
 use collsel::estim::{measure, Precision, TimedProgram};
 use collsel::mpi::{simulate, Backend};
 use collsel::netsim::{ClusterModel, NoiseParams};
-use collsel::select::{OpenMpiFixedSelector, Selector};
+use collsel::select::{fixed_selection, CollSelection, CollectiveSelector};
 use collsel::{Tuner, TunerConfig};
 use collsel_support::Bytes;
 
@@ -38,6 +38,14 @@ fn bcast_mean(
     .mean
 }
 
+/// The broadcast algorithm of a broadcast selection.
+fn bcast_alg(pick: CollSelection) -> BcastAlg {
+    match pick.alg {
+        Alg::Bcast(alg) => alg,
+        other => panic!("a broadcast decision picked {}", other.qualified_name()),
+    }
+}
+
 #[test]
 fn tuned_selector_beats_openmpi_on_average() {
     // A miniature of the paper's headline result: across a size sweep,
@@ -48,8 +56,7 @@ fn tuned_selector_beats_openmpi_on_average() {
     let seg = 8 * 1024;
 
     let tuned = Tuner::new(cluster.clone(), TunerConfig::quick(16)).tune();
-    let model_sel = tuned.selector();
-    let ompi_sel = OpenMpiFixedSelector;
+    let model_sel = tuned.multi_selector();
 
     let mut model_total = 0.0;
     let mut ompi_total = 0.0;
@@ -62,11 +69,11 @@ fn tuned_selector_beats_openmpi_on_average() {
             best = best.min(t);
             by_alg.insert(alg, t);
         }
-        let model_t = by_alg[&model_sel.select(p, m).alg];
-        let ompi_pick = ompi_sel.select(p, m);
+        let model_t = by_alg[&bcast_alg(model_sel.select_for(Collective::Bcast, p, m))];
+        let ompi_pick = fixed_selection(Collective::Bcast, p, m);
         let ompi_t = bcast_mean(
             &cluster,
-            ompi_pick.alg,
+            bcast_alg(ompi_pick),
             p,
             m,
             ompi_pick.effective_seg_size(m),
@@ -92,15 +99,16 @@ fn tuned_selection_runs_the_selected_algorithm() {
     // the tuned selector picks and verify delivery.
     let cluster = quiet_gros();
     let tuned = Tuner::new(cluster.clone(), TunerConfig::quick(12)).tune();
-    let selector = tuned.selector();
+    let selector = tuned.multi_selector();
     let p = 24;
     let m = 96 * 1024;
-    let pick = selector.select(p, m);
+    let pick = selector.select_for(Collective::Bcast, p, m);
+    let alg = bcast_alg(pick);
     let payload = Bytes::from((0..m).map(|i| (i % 241) as u8).collect::<Vec<_>>());
     let expected = payload.clone();
     let out = simulate(&cluster, p, 3, move |ctx| {
         let msg = (ctx.rank() == 0).then(|| payload.clone());
-        bcast(ctx, pick.alg, 0, msg, m, pick.effective_seg_size(m))
+        bcast(ctx, alg, 0, msg, m, pick.effective_seg_size(m))
     })
     .unwrap();
     assert!(out.results.iter().all(|r| r == &expected));
@@ -133,7 +141,7 @@ fn facade_reexports_are_wired() {
     let _ = collsel::coll::BcastAlg::ALL;
     let _ = collsel::model::GammaTable::ones();
     let _ = collsel::estim::Precision::paper();
-    let _ = collsel::select::OpenMpiFixedSelector;
+    let _ = collsel::select::OpenMpiCollectiveSelector;
 }
 
 #[test]
@@ -167,16 +175,17 @@ fn tuner_handles_oversubscribed_rack_topologies() {
         .noise(NoiseParams::OFF)
         .build();
     let model = Tuner::new(cluster.clone(), TunerConfig::quick(16)).tune();
-    let selector = model.selector();
+    let selector = model.multi_selector();
     // The tuned selector must produce a valid pick and the pick must
     // actually run on the racked platform.
-    let pick = selector.select(32, 256 * 1024);
+    let pick = selector.select_for(Collective::Bcast, 32, 256 * 1024);
+    let alg = bcast_alg(pick);
     let m = 256 * 1024;
     let payload = Bytes::from(vec![9u8; m]);
     let expected = payload.clone();
     let out = simulate(&cluster, 32, 5, move |ctx| {
         let msg = (ctx.rank() == 0).then(|| payload.clone());
-        bcast(ctx, pick.alg, 0, msg, m, pick.effective_seg_size(m))
+        bcast(ctx, alg, 0, msg, m, pick.effective_seg_size(m))
     })
     .unwrap();
     assert!(out.results.iter().all(|r| r == &expected));

@@ -1,11 +1,11 @@
 //! Measured validation of the joint (algorithm, segment size)
 //! selection — the paper's out-of-scope extension.
 
-use collsel::coll::Alg;
+use collsel::coll::Collective;
 use collsel::estim::{measure, Precision, TimedProgram};
 use collsel::mpi::Backend;
 use collsel::netsim::{ClusterModel, NoiseParams};
-use collsel::select::{Selection, Selector};
+use collsel::select::{CollSelection, CollectiveSelector};
 use collsel::{Tuner, TunerConfig};
 
 #[test]
@@ -13,16 +13,16 @@ fn swept_segment_choice_is_competitive_when_measured() {
     let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
     let p = 24;
     let tuned = Tuner::new(cluster.clone(), TunerConfig::quick(16)).tune();
-    let selector = tuned.selector();
+    let selector = tuned.multi_selector();
     let candidates = [2 * 1024, 8 * 1024, 32 * 1024];
     let precision = Precision::quick();
 
     for m in [64 * 1024, 1 << 20] {
-        let fixed = selector.select(p, m);
-        let swept = selector.select_with_segment_sweep(p, m, &candidates);
-        let measured = |pick: &Selection| {
+        let fixed = selector.select_for(Collective::Bcast, p, m);
+        let swept = selector.select_with_segment_sweep(Collective::Bcast, p, m, &candidates);
+        let measured = |pick: &CollSelection| {
             let program = TimedProgram::Collective {
-                alg: Alg::Bcast(pick.alg),
+                alg: pick.alg,
                 p,
                 m,
                 seg_size: pick.effective_seg_size(m),

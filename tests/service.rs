@@ -1,16 +1,17 @@
 //! Differential suite for the decision-serving layer: the compiled
 //! selector must be indistinguishable from its source on every grid
-//! point, from `DecisionTable::lookup` everywhere else, and the
-//! exact-query cache must be transparent — for all four selector types,
-//! under randomized grids and query streams. `ci.sh` re-runs this suite
-//! at `COLLSEL_THREADS=2` as the compiled-vs-live equivalence gate.
+//! point, from `CollDecisionTable::lookup` everywhere else, and the
+//! exact-query cache must be transparent — for the model, traditional
+//! and fixed selector kinds on every collective, under randomized grids
+//! and query streams. `ci.sh` re-runs this suite at
+//! `COLLSEL_THREADS=2` as the compiled-vs-live equivalence gate.
 
-use collsel::coll::BcastAlg;
+use collsel::coll::{Alg, Collective};
 use collsel::model::{GammaTable, Hockney};
-use collsel::select::rules::DecisionTable;
 use collsel::select::{
-    CompiledSelector, DecisionService, MeasuredTableSelector, ModelBasedSelector,
-    OpenMpiFixedSelector, Selection, Selector, TraditionalModelSelector,
+    CollDecisionTable, CollSelection, CollectiveDecisionService, CollectiveModelSelector,
+    CollectiveSelector, CompiledCollectiveSelector, OpenMpiCollectiveSelector,
+    TraditionalModelSelector,
 };
 use collsel_support::pool::Pool;
 use collsel_support::prelude::*;
@@ -22,33 +23,35 @@ fn gamma() -> GammaTable {
     GammaTable::from_pairs([(3, 1.11), (4, 1.22), (5, 1.28), (6, 1.45), (7, 1.54)])
 }
 
-/// All four selector kinds, parameterised so the property harness can
-/// vary the model-based decision boundaries between cases.
-fn all_selectors(a_scale: f64, b_scale: f64) -> Vec<Box<dyn Selector + Send + Sync>> {
-    let params: BTreeMap<BcastAlg, Hockney> = BcastAlg::ALL
+/// Per-algorithm fits for every collective, parameterised so the
+/// property harness can vary the model-based decision boundaries.
+fn all_params(a_scale: f64, b_scale: f64) -> BTreeMap<Alg, Hockney> {
+    Collective::ALL
         .iter()
-        .enumerate()
+        .flat_map(|c| c.algorithms().iter().enumerate())
         .map(|(i, &alg)| {
             (
                 alg,
                 Hockney::new(1e-6 * a_scale * (i + 1) as f64, 1e-9 * b_scale),
             )
         })
-        .collect();
-    let mut oracle = BTreeMap::new();
-    for (i, &p) in [4usize, 16, 64, 128].iter().enumerate() {
-        for (j, &m) in [1024usize, 64 * 1024, 1 << 20].iter().enumerate() {
-            oracle.insert((p, m), BcastAlg::ALL[(i + j) % BcastAlg::ALL.len()]);
-        }
-    }
+        .collect()
+}
+
+/// The three selector kinds: model-based, traditional-model ablation,
+/// and the Open MPI fixed rules.
+fn all_selectors(a_scale: f64, b_scale: f64) -> Vec<Box<dyn CollectiveSelector + Send + Sync>> {
     vec![
-        Box::new(ModelBasedSelector::new(gamma(), params, 8192)),
+        Box::new(CollectiveModelSelector::new(
+            gamma(),
+            all_params(a_scale, b_scale),
+            8192,
+        )),
         Box::new(TraditionalModelSelector::new(
             Hockney::new(1e-6 * a_scale, 1e-9 * b_scale),
             8192,
         )),
-        Box::new(OpenMpiFixedSelector),
-        Box::new(MeasuredTableSelector::new(oracle, 8192)),
+        Box::new(OpenMpiCollectiveSelector),
     ]
 }
 
@@ -62,9 +65,9 @@ fn grids(comms: &BTreeSet<usize>, msgs: &BTreeSet<usize>) -> (Vec<usize>, Vec<us
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// CompiledSelector == source selector on every grid point, and ==
-    /// DecisionTable::lookup on arbitrary (incl. off-grid) queries, for
-    /// all four selector types.
+    /// CompiledCollectiveSelector == source selector on every grid
+    /// point, and == CollDecisionTable::lookup on arbitrary (incl.
+    /// off-grid) queries, for every selector kind and collective.
     #[test]
     fn compiled_is_differential_twin_of_table_and_source(
         comms in prop::collection::btree_set(2usize..200, 2..6),
@@ -75,25 +78,29 @@ proptest! {
     ) {
         let (comm_grid, msg_grid) = grids(&comms, &msgs);
         for sel in all_selectors(a_scale, b_scale) {
-            let table = DecisionTable::generate(sel.as_ref(), &comm_grid, &msg_grid);
-            let compiled = CompiledSelector::compile(sel.as_ref(), &comm_grid, &msg_grid);
-            for &p in &comm_grid {
-                for &m in &msg_grid {
+            let compiled = CompiledCollectiveSelector::compile(
+                sel.as_ref(), &Collective::ALL, &comm_grid, &msg_grid,
+            );
+            for c in Collective::ALL {
+                let table = CollDecisionTable::generate(sel.as_ref(), c, &comm_grid, &msg_grid);
+                for &p in &comm_grid {
+                    for &m in &msg_grid {
+                        prop_assert_eq!(
+                            compiled.lookup(c, p, m),
+                            sel.select_for(c, p, m),
+                            "{} diverged from its source for {} at grid point p={} m={}",
+                            sel.name(), c, p, m
+                        );
+                    }
+                }
+                for &(p, m) in &queries {
                     prop_assert_eq!(
-                        compiled.lookup(p, m),
-                        sel.select(p, m),
-                        "{} diverged from its source at grid point p={} m={}",
-                        sel.name(), p, m
+                        Some(compiled.lookup(c, p, m)),
+                        table.lookup(p, m),
+                        "{} diverged from CollDecisionTable::lookup for {} at p={} m={}",
+                        sel.name(), c, p, m
                     );
                 }
-            }
-            for &(p, m) in &queries {
-                prop_assert_eq!(
-                    Some(compiled.lookup(p, m)),
-                    table.lookup(p, m),
-                    "{} diverged from DecisionTable::lookup at p={} m={}",
-                    sel.name(), p, m
-                );
             }
         }
     }
@@ -101,26 +108,30 @@ proptest! {
     /// Cache transparency: under a randomized query stream (with
     /// repeats, small capacities, arbitrary eviction seeds), a cached
     /// service answers bit-identically to an uncached one and to the
-    /// bare compiled table — for all four selector types.
+    /// bare compiled tables — for every selector kind.
     #[test]
     fn cache_is_transparent_for_every_selector_type(
         comms in prop::collection::btree_set(2usize..200, 2..5),
         msgs in prop::collection::btree_set(1usize..(4 << 20), 2..6),
-        queries in prop::collection::vec((1usize..256, 0usize..(8 << 20)), 1..60),
+        queries in prop::collection::vec((0usize..7, 1usize..256, 0usize..(8 << 20)), 1..60),
         capacity in 1usize..24,
         seed in prop::any::<u64>(),
         a_scale in 1.0f64..40.0,
     ) {
         let (comm_grid, msg_grid) = grids(&comms, &msgs);
         for sel in all_selectors(a_scale, 3.0) {
-            let compiled = CompiledSelector::compile(sel.as_ref(), &comm_grid, &msg_grid);
-            let cached = DecisionService::compiled(compiled.clone()).with_cache(capacity, seed);
-            let uncached = DecisionService::compiled(compiled.clone());
+            let compiled = CompiledCollectiveSelector::compile(
+                sel.as_ref(), &Collective::ALL, &comm_grid, &msg_grid,
+            );
+            let cached =
+                CollectiveDecisionService::compiled(compiled.clone()).with_cache(capacity, seed);
+            let uncached = CollectiveDecisionService::compiled(compiled.clone());
             // Replay the stream twice so later passes hit warm entries.
-            for &(p, m) in queries.iter().chain(queries.iter()) {
-                let hot = cached.decide(p, m);
-                prop_assert_eq!(hot, uncached.decide(p, m), "{} cached != uncached", sel.name());
-                prop_assert_eq!(hot, compiled.lookup(p, m), "{} cached != compiled", sel.name());
+            for &(ci, p, m) in queries.iter().chain(queries.iter()) {
+                let c = Collective::ALL[ci];
+                let hot = cached.decide(c, p, m);
+                prop_assert_eq!(hot, uncached.decide(c, p, m), "{} cached != uncached", sel.name());
+                prop_assert_eq!(hot, compiled.lookup(c, p, m), "{} cached != compiled", sel.name());
             }
             let stats = cached.stats();
             prop_assert_eq!(stats.queries(), 2 * queries.len() as u64);
@@ -133,22 +144,28 @@ proptest! {
     }
 
     /// Batched queries equal per-query decides, in order, at any thread
-    /// count — the PR 3 determinism guarantee extended to serving.
+    /// count — the campaigns' determinism guarantee extended to serving.
     #[test]
     fn decide_batch_is_bit_identical_at_any_thread_count(
-        queries in prop::collection::vec((1usize..256, 0usize..(8 << 20)), 1..300),
+        queries in prop::collection::vec((0usize..7, 1usize..256, 0usize..(8 << 20)), 1..300),
         capacity in 1usize..64,
         seed in prop::any::<u64>(),
     ) {
-        let compiled = CompiledSelector::compile(
-            &OpenMpiFixedSelector,
+        let compiled = CompiledCollectiveSelector::compile(
+            &OpenMpiCollectiveSelector,
+            &Collective::ALL,
             &[2, 8, 32, 128],
             &[1024, 8 * 1024, 512 * 1024, 4 << 20],
         );
-        let reference: Vec<Selection> =
-            queries.iter().map(|&(p, m)| compiled.lookup(p, m)).collect();
+        let queries: Vec<(Collective, usize, usize)> = queries
+            .iter()
+            .map(|&(ci, p, m)| (Collective::ALL[ci], p, m))
+            .collect();
+        let reference: Vec<CollSelection> =
+            queries.iter().map(|&(c, p, m)| compiled.lookup(c, p, m)).collect();
         for threads in [1usize, 2, 5] {
-            let svc = DecisionService::compiled(compiled.clone()).with_cache(capacity, seed);
+            let svc =
+                CollectiveDecisionService::compiled(compiled.clone()).with_cache(capacity, seed);
             let got = svc.decide_batch(&queries, &Pool::with_threads(threads));
             prop_assert_eq!(&got, &reference, "threads = {}", threads);
             prop_assert_eq!(svc.stats().queries(), queries.len() as u64);
@@ -161,25 +178,21 @@ proptest! {
 /// changes decisions, only their cost.
 #[test]
 fn live_service_matches_wrapped_selector() {
-    let params: BTreeMap<BcastAlg, Hockney> = BcastAlg::ALL
-        .iter()
-        .map(|&a| (a, Hockney::new(1e-6, 1e-9)))
-        .collect();
-    let selector = ModelBasedSelector::new(gamma(), params.clone(), 8192);
-    let svc = DecisionService::live(ModelBasedSelector::new(gamma(), params, 8192))
-        .with_cache(64, 0xFEED);
+    let selector = CollectiveModelSelector::new(gamma(), all_params(1.0, 1.0), 8192);
+    let svc = CollectiveDecisionService::live(selector.clone()).with_cache(64, 0xFEED);
     let mut state = 0x5EEDu64;
-    let queries: Vec<(usize, usize)> = (0..500)
+    let queries: Vec<(Collective, usize, usize)> = (0..500)
         .map(|_| {
             (
+                Collective::ALL[(splitmix64(&mut state) % 7) as usize],
                 2 + (splitmix64(&mut state) % 160) as usize,
                 (splitmix64(&mut state) % (4 << 20)) as usize,
             )
         })
         .collect();
     let batched = svc.decide_batch(&queries, &Pool::with_threads(3));
-    for (&(p, m), got) in queries.iter().zip(&batched) {
-        assert_eq!(*got, selector.select(p, m), "p={p} m={m}");
+    for (&(c, p, m), got) in queries.iter().zip(&batched) {
+        assert_eq!(*got, selector.select_for(c, p, m), "{c} p={p} m={m}");
     }
 }
 
@@ -187,19 +200,21 @@ fn live_service_matches_wrapped_selector() {
 /// insertion order → same resident set and the same serial counters.
 #[test]
 fn seeded_eviction_is_reproducible() {
-    let compiled = CompiledSelector::compile(
-        &OpenMpiFixedSelector,
+    let compiled = CompiledCollectiveSelector::compile(
+        &OpenMpiCollectiveSelector,
+        &Collective::ALL,
         &[2, 16, 128],
         &[1024, 64 * 1024, 4 << 20],
     );
     let run = |seed: u64| {
-        let svc = DecisionService::compiled(compiled.clone()).with_cache(8, seed);
+        let svc = CollectiveDecisionService::compiled(compiled.clone()).with_cache(8, seed);
         let mut rng = StdRng::seed_from_u64(99);
         let mut picks = Vec::new();
         for _ in 0..400 {
+            let c = Collective::ALL[rng.gen_range(0usize..7)];
             let p = 2 + rng.gen_range(0usize..180);
             let m = rng.gen_range(0usize..(8 << 20));
-            picks.push(svc.decide(p, m));
+            picks.push(svc.decide(c, p, m));
         }
         (picks, svc.stats())
     };

@@ -636,7 +636,7 @@ pub struct CollectiveCampaignStats {
 
 /// The outcome of [`Tuner::run_campaign`]: one measured-winner
 /// decision table per collective, plus the cost accounting the
-/// campaign bench and the CI gate assert over.
+/// differential gates in `tests/adaptive_campaign.rs` assert over.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport {
     /// Decision tables in plan order, keyed by collective.
@@ -723,8 +723,7 @@ impl Tuner {
     /// position — campaigns are **bit-identical at any thread count
     /// and on either backend**, and an adaptive plan must produce the
     /// byte-identical tables of its exhaustive twin
-    /// (`tests/adaptive_campaign.rs`, the campaign bench and the CI
-    /// gate all assert this).
+    /// (`tests/adaptive_campaign.rs` and its CI gate assert this).
     ///
     /// `warm` seeds the anchors from an already-tuned neighbor: its
     /// model predicts the winner column, and only the predicted

@@ -330,9 +330,8 @@ impl<F: FnMut(usize) -> (usize, bool)> Prober<F> {
 /// The residual blind spot: a winner island strictly inside an
 /// interval whose endpoints are decisively won by the same algorithm
 /// (and hint-consistent, when warm-started) is invisible. The
-/// differential gates in `tests/adaptive_campaign.rs` and the campaign
-/// bench check that no such island exists on the shipped presets'
-/// grids.
+/// differential gates in `tests/adaptive_campaign.rs` check that no
+/// such island exists on the shipped presets' grids.
 ///
 /// `budget` caps the number of `eval` calls (the endpoints are always
 /// measured regardless); once spent, unresolved intervals are filled

@@ -872,7 +872,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         if let collsel_support::Json::Obj(fields) = &mut json {
             fields.push(("memo".into(), memo_json()));
         }
-        collsel_support::bench::write_artifact(path, &json)?;
+        collsel_support::json::write_artifact(path, &json)?;
         eprintln!("[colltune] JCT comparison written to {path}");
     }
     if let Some(path) = flag_value(args, "--csv") {
@@ -969,7 +969,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         report.stats.served_rules_uncovered
     );
     if let Some(path) = flag_value(args, "--json") {
-        collsel_support::bench::write_artifact(path, &collsel_support::ToJson::to_json(&report))?;
+        collsel_support::json::write_artifact(path, &collsel_support::ToJson::to_json(&report))?;
         eprintln!("[colltune] soak report written to {path}");
     }
 

@@ -70,7 +70,10 @@ fn main() -> ExitCode {
     };
     let scs = scenarios(fidelity);
 
-    let emit = |name: &str, text: &str, csv: &str, json: &dyn erased::Json| {
+    // A failed write is reported here and fails the run at the end,
+    // after the remaining targets have still been generated.
+    let mut write_failed = false;
+    let mut emit = |name: &str, text: &str, csv: &str, json: &dyn erased::Json| {
         println!("{text}");
         let r = sink
             .write_text(&format!("{name}.txt",), text)
@@ -78,6 +81,7 @@ fn main() -> ExitCode {
             .and_then(|()| json.write(&sink, &format!("{name}.json")));
         if let Err(e) = r {
             eprintln!("warning: failed to write {name} artifacts: {e}");
+            write_failed = true;
         }
     };
 
@@ -130,6 +134,10 @@ fn main() -> ExitCode {
         }
     }
 
+    if write_failed {
+        eprintln!("[repro] some artifacts could not be written to {out_dir}/");
+        return ExitCode::FAILURE;
+    }
     eprintln!("[repro] artifacts written to {out_dir}/");
     ExitCode::SUCCESS
 }

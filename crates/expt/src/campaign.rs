@@ -100,7 +100,7 @@ impl<'a> CampaignSummary<'a> {
 
     /// JSON object embedding the plan shape, the per-collective cost
     /// accounting and the headline totals (the shape `colltune`
-    /// attaches as model metadata and the campaign bench records).
+    /// attaches as model metadata).
     pub fn to_json(&self) -> Json {
         let per_collective = self
             .report

@@ -6,9 +6,7 @@
 
 use crate::config::Scenario;
 use collsel::coll::{Alg, BcastAlg, Collective};
-use collsel::estim::{measure_batch, Precision, TimedProgram};
-use collsel::mpi::Backend;
-use collsel::netsim::ClusterModel;
+use collsel::estim::{measure_batch, TimedProgram};
 use collsel::select::analysis::MeasuredPoint;
 use collsel::select::{fixed_selection, CollSelection, CompiledCollectiveSelector};
 use collsel::TunedModel;
@@ -101,34 +99,6 @@ fn point_cells(p: usize, m: usize, seg_size: usize, seed: u64) -> Vec<(TimedProg
         .collect()
 }
 
-/// Measures all six algorithms at `(p, m)` with the fixed segment size,
-/// on the default measurement [`Backend`].
-///
-/// The algorithms fan out across the current [`Pool`]; each carries its
-/// own seed, so the point is bit-identical at any thread count.
-pub fn measure_point(
-    cluster: &ClusterModel,
-    p: usize,
-    m: usize,
-    seg_size: usize,
-    precision: &Precision,
-    seed: u64,
-) -> MeasuredPoint {
-    let stats = measure_batch(
-        cluster,
-        &point_cells(p, m, seg_size, seed),
-        precision,
-        Pool::current(),
-        Backend::default(),
-    );
-    let times: BTreeMap<BcastAlg, f64> = BcastAlg::ALL
-        .iter()
-        .zip(&stats)
-        .map(|(&alg, s)| (alg, s.mean))
-        .collect();
-    MeasuredPoint::new(p, m, times)
-}
-
 /// Runs the full sweep for one panel.
 ///
 /// The whole (message size × algorithm) grid — plus the extra Open MPI
@@ -137,7 +107,7 @@ pub fn measure_point(
 /// load-balances across every cell of the panel at once. Per-cell seeds
 /// match the serial per-point loop, keeping the panel bit-identical at
 /// any thread count; every cell executes on the scenario's measurement
-/// [`Backend`], which is bit-identical too.
+/// [`Backend`](collsel::mpi::Backend), which is bit-identical too.
 pub fn sweep_panel(scenario: &Scenario, tuned: &TunedModel, p: usize, seed: u64) -> SweepPanel {
     // The panel's model picks are served from the compiled decision
     // table — the same serving structure `colltune bench-select`

@@ -270,3 +270,22 @@ fn repro_quick_table1_writes_artifacts() {
     }
     let _ = std::fs::remove_dir_all(dir);
 }
+
+#[test]
+fn repro_fails_when_an_artifact_cannot_be_written() {
+    let dir = temp_path("unwritable");
+    // A directory where table1.txt should go makes the text write fail.
+    std::fs::create_dir_all(dir.join("table1.txt")).expect("blocking directory");
+    let out = repro()
+        .args(["--quick", "--out", dir.to_str().unwrap(), "table1"])
+        .output()
+        .expect("repro runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!out.status.success(), "a failed write must fail the run");
+    assert!(
+        stderr.contains("failed to write table1 artifacts"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("artifacts written"), "{stderr}");
+}

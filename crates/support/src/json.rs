@@ -1,6 +1,6 @@
 //! A minimal JSON tree, parser and writer, replacing `serde`/`serde_json`
 //! for the workspace's persistence paths (tuned models, experiment
-//! artifacts, bench reports).
+//! artifacts, `colltune` JSON reports).
 //!
 //! Serialization is explicit: types implement [`ToJson`]/[`FromJson`]
 //! by hand. The conventions intentionally match what `serde` derives
@@ -163,6 +163,40 @@ impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.to_string_compact())
     }
+}
+
+/// Writes a pretty-printed JSON report atomically (temp file + rename),
+/// refusing to replace an existing report with a hollow one.
+///
+/// A run that fails mid-way must not destroy the previous good report:
+/// the rename only happens after the full report is on disk, and a
+/// report whose `cells` array is empty (the shape a run produces when
+/// every cell failed or was skipped) is rejected with an error instead
+/// of written.
+///
+/// # Errors
+///
+/// Returns an error if the report has an empty `cells` array or if
+/// writing/renaming fails.
+pub fn write_artifact(path: impl AsRef<std::path::Path>, report: &Json) -> Result<(), String> {
+    let path = path.as_ref();
+    if let Some(Json::Arr(cells)) = report.get("cells") {
+        if cells.is_empty() {
+            return Err(format!(
+                "refusing to write {} with zero cells (previous artifact kept)",
+                path.display()
+            ));
+        }
+    }
+    let tmp = path.with_file_name(format!(
+        "{}.tmp",
+        path.file_name()
+            .map(|n| n.to_string_lossy().into_owned())
+            .unwrap_or_else(|| "artifact.json".to_string())
+    ));
+    std::fs::write(&tmp, report.to_string_pretty())
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 fn write_seq(
@@ -751,6 +785,22 @@ mod tests {
         let opt: Option<usize> = None;
         assert_eq!(opt.to_json(), Json::Null);
         assert_eq!(Option::<usize>::from_json(&Json::Null).unwrap(), None);
+    }
+
+    #[test]
+    fn write_artifact_refuses_empty_cells_and_keeps_the_old_file() {
+        let dir = std::env::temp_dir();
+        let path = dir.join(format!("collsel-artifact-test-{}.json", std::process::id()));
+        let good = Json::obj(vec![(
+            "cells",
+            Json::Arr(vec![Json::obj(vec![("qps", 1.0.to_json())])]),
+        )]);
+        write_artifact(&path, &good).expect("good artifact writes");
+        let hollow = Json::obj(vec![("cells", Json::Arr(Vec::new()))]);
+        assert!(write_artifact(&path, &hollow).is_err());
+        let kept = std::fs::read_to_string(&path).expect("old artifact still there");
+        assert!(kept.contains("qps"), "previous artifact untouched");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

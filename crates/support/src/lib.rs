@@ -9,9 +9,8 @@
 //! |---|---|---|
 //! | [`bytes`] | `bytes` | [`Bytes`] (cheap-clone `Arc<[u8]>` slice view, or length-only [`Bytes::symbolic`]) |
 //! | [`rng`] | `rand` | splitmix64 seeding + xoshiro256\*\* [`StdRng`] with `gen_range` |
-//! | [`json`] | `serde`/`serde_json` | [`Json`] tree, parser, pretty writer, [`ToJson`]/[`FromJson`] |
+//! | [`json`] | `serde`/`serde_json` | [`Json`] tree, parser, pretty writer, [`ToJson`]/[`FromJson`], atomic [`json::write_artifact`] |
 //! | [`prop`] | `proptest` | [`proptest!`] macro, strategies, shrinking, seeded replay |
-//! | [`bench`] | `criterion` | [`bench::Criterion`] timing harness with JSON reports |
 //! | [`pool`] | `rayon` | [`pool::Pool`] scoped job pool with submission-order results |
 //! | [`epoch`] | `arc-swap` | [`epoch::EpochSwap`] epoch-versioned atomic value swapping |
 //!
@@ -21,12 +20,11 @@
 //! [`payload`] is the one module that replaces nothing external: it is
 //! the shared memoised store for deterministic measurement payloads
 //! (with hit/miss counters) used by the threaded measurement tier, the
-//! benches and the differential tests.
+//! end-to-end benchmark and the differential tests.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bench;
 pub mod bytes;
 pub mod epoch;
 pub mod json;

@@ -1,7 +1,7 @@
 //! Shared memoised store for deterministic measurement payloads.
 //!
 //! The programs that carry real data — the threaded measurement tier
-//! (`collsel-estim`), the throughput benches and the differential
+//! (`collsel-estim`), the end-to-end benchmark and the differential
 //! tests — all want the same position-dependent byte pattern. They
 //! touch a few dozen distinct sizes across thousands of runs and
 //! retries, so the buffer for each size is built exactly once here and

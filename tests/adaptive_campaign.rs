@@ -20,7 +20,8 @@ fn tuner_for(cluster: ClusterModel) -> Tuner {
 /// measured winner dithers between near-equal algorithms on *adjacent*
 /// grid cells, which no interpolating planner can reconstruct without
 /// measuring every cell. The noisy regime is covered by
-/// `early_stopped_means_fall_within_full_precision_ci` below.
+/// `early_stopped_means_fall_within_full_precision_ci` below, and on a
+/// single-communicator-size grid by the warm-start gate.
 fn quiet(cluster: ClusterModel) -> ClusterModel {
     cluster.with_noise(NoiseParams::OFF)
 }
@@ -217,28 +218,86 @@ fn early_stopped_means_fall_within_full_precision_ci() {
     }
 }
 
+/// Warm-starting from the cluster's own model keeps the exhaustive
+/// tables and measures fewer cells. Besides the quiet grid of the table
+/// gates, it runs both presets with noise on at one communicator size
+/// under a tight precision target (0.5%, 3-50 repetitions a cell): there
+/// repetitions dominate the cost, and the better of the cold and warm
+/// adaptive runs must simulate at least 2x fewer batches than the sweep.
 #[test]
 fn warm_start_from_own_model_matches_exhaustive_with_fewer_cells() {
-    let tuner = tuner_for(quiet(ClusterModel::gros()));
-    let model = tuner.tune_all();
-    let msgs = msg_grid(24);
-    let (exhaustive, adaptive) = plan_pair(&[4, 8, 16], &msgs, 6);
-    let full = tuner.run_campaign(&exhaustive, None);
-    let cold = tuner.run_campaign(&adaptive, None);
-    let warm = tuner.run_campaign(&adaptive, Some(&model));
-    assert_eq!(full.tables, warm.tables, "warm start must stay correct");
-    assert!(
-        warm.measured_cells() < full.measured_cells(),
-        "warm start must beat the exhaustive sweep"
-    );
-    // The model's predictions concentrate anchors near true crossovers;
-    // a decent model should not cost more than the cold anchor grid.
-    assert!(
-        warm.measured_cells() <= cold.measured_cells() * 2,
-        "warm {} vs cold {}",
-        warm.measured_cells(),
-        cold.measured_cells()
-    );
+    let tight = Precision {
+        rel_precision: 0.005,
+        min_reps: 3,
+        max_reps: 50,
+    };
+    let mut noisy_msgs = log_spaced_sizes(1024, 256 * 1024, 10);
+    noisy_msgs.dedup();
+    // (cluster, comm grid, message grid, stopping-rule override,
+    // minimum batch reduction of the better adaptive run)
+    let inputs = [
+        (
+            quiet(ClusterModel::gros()),
+            vec![4, 8, 16],
+            msg_grid(24),
+            None,
+            1.0,
+        ),
+        (
+            ClusterModel::gros(),
+            vec![8],
+            noisy_msgs.clone(),
+            Some(tight),
+            2.0,
+        ),
+        (
+            ClusterModel::grisou(),
+            vec![8],
+            noisy_msgs,
+            Some(tight),
+            2.0,
+        ),
+    ];
+    for (cluster, comms, msgs, precision, min_batch_reduction) in inputs {
+        let name = cluster.name().to_owned();
+        let tuner = tuner_for(cluster);
+        let model = tuner.tune_all();
+        let (mut exhaustive, mut adaptive) = plan_pair(&comms, &msgs, 6);
+        if let Some(precision) = precision {
+            exhaustive.precision = precision;
+            adaptive.precision = precision;
+        }
+        let full = tuner.run_campaign(&exhaustive, None);
+        let cold = tuner.run_campaign(&adaptive, None);
+        let warm = tuner.run_campaign(&adaptive, Some(&model));
+        assert_eq!(
+            full.tables, cold.tables,
+            "{name}: cold start must stay correct"
+        );
+        assert_eq!(
+            full.tables, warm.tables,
+            "{name}: warm start must stay correct"
+        );
+        assert!(
+            warm.measured_cells() < full.measured_cells(),
+            "{name}: warm start must beat the exhaustive sweep"
+        );
+        // The model's predictions concentrate anchors near true
+        // crossovers; a decent model should not cost more than the cold
+        // anchor grid.
+        assert!(
+            warm.measured_cells() <= cold.measured_cells() * 2,
+            "{name}: warm {} vs cold {}",
+            warm.measured_cells(),
+            cold.measured_cells()
+        );
+        let fewest = cold.simulated_batches().min(warm.simulated_batches());
+        let reduction = full.simulated_batches() as f64 / fewest.max(1) as f64;
+        assert!(
+            reduction >= min_batch_reduction,
+            "{name}: expected >= {min_batch_reduction}x fewer simulated batches, got {reduction:.2}x"
+        );
+    }
 }
 
 #[test]

@@ -3,21 +3,26 @@
 //! point, from `CollDecisionTable::lookup` everywhere else, and the
 //! exact-query cache must be transparent — for the model, traditional
 //! and fixed selector kinds on every collective, under randomized grids
-//! and query streams. `ci.sh` re-runs this suite at
+//! and query streams — and compiled lookup must be no slower than the
+//! live ranking it replaces. `ci.sh` re-runs this suite at
 //! `COLLSEL_THREADS=2` as the compiled-vs-live equivalence gate.
 
 use collsel::coll::{Alg, Collective};
 use collsel::model::{GammaTable, Hockney};
+use collsel::netsim::{ClusterModel, NoiseParams};
 use collsel::select::{
     CollDecisionTable, CollSelection, CollectiveDecisionService, CollectiveModelSelector,
     CollectiveSelector, CompiledCollectiveSelector, OpenMpiCollectiveSelector,
     TraditionalModelSelector,
 };
+use collsel::{Tuner, TunerConfig};
 use collsel_support::pool::Pool;
 use collsel_support::prelude::*;
 use collsel_support::rng::{splitmix64, StdRng};
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
+use std::hint::black_box;
+use std::time::Instant;
 
 fn gamma() -> GammaTable {
     GammaTable::from_pairs([(3, 1.11), (4, 1.22), (5, 1.28), (6, 1.45), (7, 1.54)])
@@ -221,4 +226,50 @@ fn seeded_eviction_is_reproducible() {
     assert_eq!(run(41), run(41), "same seed must replay identically");
     // Different seeds may cache differently, but answers never change.
     assert_eq!(run(41).0, run(42).0, "answers are eviction-independent");
+}
+
+/// Compiled lookup is the serving fast path: over the same seeded stream
+/// of queries on all seven collectives, a tuned model's compiled tables
+/// must answer at least as fast as re-ranking the live model. The gap is
+/// tens of times on an idle host, so a plain >= 1x comparison of the
+/// best of three timing windows per path holds on a loaded one too.
+#[test]
+fn compiled_lookup_is_no_slower_than_live_ranking() {
+    let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
+    let model = Tuner::new(cluster, TunerConfig::quick(8)).tune_all();
+    let live = model.multi_selector();
+    let compiled = model.compiled_multi_selector_default();
+    let mut state = 0x5E1EC7u64;
+    let queries: Vec<(Collective, usize, usize)> = (0..4096)
+        .map(|i| {
+            (
+                Collective::ALL[i % Collective::ALL.len()],
+                2 + (splitmix64(&mut state) % 127) as usize,
+                1024usize << (splitmix64(&mut state) % 14),
+            )
+        })
+        .collect();
+    let best_secs = |answer: &dyn Fn(Collective, usize, usize)| {
+        (0..3)
+            .map(|_| {
+                let start = Instant::now();
+                for &(c, p, m) in &queries {
+                    answer(c, p, m);
+                }
+                start.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let live_s = best_secs(&|c, p, m| {
+        black_box(live.ranking(c, p, m));
+    });
+    let compiled_s = best_secs(&|c, p, m| {
+        black_box(compiled.lookup(c, p, m));
+    });
+    assert!(
+        compiled_s <= live_s,
+        "compiled lookup slower than live ranking: {compiled_s:.6}s vs {live_s:.6}s \
+         for {} queries",
+        queries.len()
+    );
 }

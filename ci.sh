@@ -144,7 +144,10 @@ echo "==> unwrap/expect ratchet (estim + expt)"
 # once, so the "a measurement program cannot deadlock" and "at least
 # one attempt ran" invariants are stated once each instead of once per
 # duplicated program body (and once more in estim::campaign).
-UNWRAP_CEILING=46
+# 41 = 46 - 5: expt::breadth is deleted (one documented invariant and
+# two in test code), and the merged α/β estimator's tests compare whole
+# outcome maps instead of unwrapping fault-free fits (two in test code).
+UNWRAP_CEILING=41
 count=$(grep -rc 'unwrap()\|\.expect(' crates/estim/src crates/expt/src \
     --include='*.rs' | awk -F: '{s+=$2} END {print s}')
 if [ "$count" -gt "$UNWRAP_CEILING" ]; then

@@ -29,12 +29,9 @@
 
 use crate::alg::BcastAlg;
 use crate::bcast::bcast;
+use crate::bcast_linear;
 use crate::collective::{run_collective, Alg};
 use crate::gather::gather_linear;
-use crate::{
-    allgather_ring, allreduce_recursive_doubling, alltoall_pairwise, barrier_dissemination,
-    bcast_linear, reduce, scatter_binomial, ReduceAlg, ReduceOp,
-};
 use collsel_mpi::{
     check_group, record_schedule, Comm, GroupComm, RecordError, Schedule, SimError,
     GROUP_TAG_STRIDE,
@@ -323,126 +320,6 @@ pub fn compile_timed_linear_segment(
     TimedProgram::LinearSegment { p, seg_size, calls }.record(cluster, root, 1)
 }
 
-/// Compiles the linear gather at geometry `(p, root, len)`.
-///
-/// # Errors
-///
-/// [`RecordError`] if the recording run fails.
-pub fn compile_gather_linear(
-    cluster: &ClusterModel,
-    p: usize,
-    root: usize,
-    len: usize,
-) -> Result<Schedule, RecordError> {
-    record_schedule(cluster, p, move |rc| {
-        gather_linear(rc, root, Bytes::symbolic(len));
-    })
-}
-
-/// Compiles the binomial scatter at geometry `(p, root, len)` (each
-/// rank's block is `len` bytes).
-///
-/// # Errors
-///
-/// [`RecordError`] if the recording run fails.
-pub fn compile_scatter_binomial(
-    cluster: &ClusterModel,
-    p: usize,
-    root: usize,
-    len: usize,
-) -> Result<Schedule, RecordError> {
-    record_schedule(cluster, p, move |rc| {
-        let blocks = (rc.rank() == root).then(|| (0..p).map(|_| Bytes::symbolic(len)).collect());
-        scatter_binomial(rc, root, blocks);
-    })
-}
-
-/// Compiles the ring allgather at geometry `(p, len)`.
-///
-/// # Errors
-///
-/// [`RecordError`] if the recording run fails.
-pub fn compile_allgather_ring(
-    cluster: &ClusterModel,
-    p: usize,
-    len: usize,
-) -> Result<Schedule, RecordError> {
-    record_schedule(cluster, p, move |rc| {
-        allgather_ring(rc, Bytes::symbolic(len));
-    })
-}
-
-/// Compiles a reduce algorithm at geometry `(p, root, lanes,
-/// seg_size)` — payloads are `lanes` `u64` lanes.
-///
-/// # Errors
-///
-/// [`RecordError`] if the recording run fails.
-pub fn compile_reduce(
-    cluster: &ClusterModel,
-    alg: ReduceAlg,
-    p: usize,
-    root: usize,
-    lanes: usize,
-    seg_size: usize,
-) -> Result<Schedule, RecordError> {
-    record_schedule(cluster, p, move |rc| {
-        reduce(
-            rc,
-            alg,
-            root,
-            ReduceOp::Sum,
-            Bytes::symbolic(lanes * 8),
-            seg_size,
-        );
-    })
-}
-
-/// Compiles the recursive-doubling allreduce at geometry `(p, lanes)`.
-///
-/// # Errors
-///
-/// [`RecordError`] if the recording run fails.
-pub fn compile_allreduce_recursive_doubling(
-    cluster: &ClusterModel,
-    p: usize,
-    lanes: usize,
-) -> Result<Schedule, RecordError> {
-    record_schedule(cluster, p, move |rc| {
-        allreduce_recursive_doubling(rc, ReduceOp::Sum, Bytes::symbolic(lanes * 8));
-    })
-}
-
-/// Compiles the pairwise all-to-all at geometry `(p, len)` (each block
-/// is `len` bytes).
-///
-/// # Errors
-///
-/// [`RecordError`] if the recording run fails.
-pub fn compile_alltoall_pairwise(
-    cluster: &ClusterModel,
-    p: usize,
-    len: usize,
-) -> Result<Schedule, RecordError> {
-    record_schedule(cluster, p, move |rc| {
-        alltoall_pairwise(rc, (0..p).map(|_| Bytes::symbolic(len)).collect());
-    })
-}
-
-/// Compiles the dissemination barrier at world size `p`.
-///
-/// # Errors
-///
-/// [`RecordError`] if the recording run fails.
-pub fn compile_barrier_dissemination(
-    cluster: &ClusterModel,
-    p: usize,
-) -> Result<Schedule, RecordError> {
-    record_schedule(cluster, p, |rc| {
-        barrier_dissemination(rc);
-    })
-}
-
 /// One collective of a workload step, bound to a sub-communicator.
 ///
 /// `ranks` lists the group's global members in ascending order; the
@@ -616,6 +493,10 @@ pub fn compile_step(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{
+        allgather_ring, allreduce_recursive_doubling, alltoall_pairwise, barrier_dissemination,
+        reduce, scatter_binomial, ReduceAlg, ReduceOp,
+    };
     use collsel_mpi::{simulate_dag, simulate_with, Ctx, SimOptions, TimingDag};
     use collsel_support::payload::payload;
 
@@ -911,31 +792,38 @@ mod tests {
         }
     }
 
+    /// The other collectives' real-payload threaded runs evaluate as
+    /// their production recordings ([`run_collective`]) do.
     #[test]
     fn other_collectives_compile_identically() {
+        use crate::{AllgatherAlg, AllreduceAlg, AlltoallAlg, GatherAlg, ScatterAlg};
         let cluster = ClusterModel::gros();
         let p = 7;
+        let record = |alg, root, m, seg| {
+            record_schedule(&cluster, p, move |rc| run_collective(rc, alg, root, m, seg))
+                .expect("records")
+        };
 
-        let sched = compile_gather_linear(&cluster, p, 2, 512).expect("gather");
+        let sched = record(Alg::Gather(GatherAlg::Linear), 2, 512, 0);
         assert_equivalent(&cluster, p, &sched, |ctx| {
             gather_linear(ctx, 2, payload(512));
             Vec::new()
         });
 
-        let sched = compile_scatter_binomial(&cluster, p, 0, 256).expect("scatter");
+        let sched = record(Alg::Scatter(ScatterAlg::Binomial), 0, 256, 0);
         assert_equivalent(&cluster, p, &sched, move |ctx| {
             let blocks = (Comm::rank(ctx) == 0).then(|| (0..p).map(|_| payload(256)).collect());
             scatter_binomial(ctx, 0, blocks);
             Vec::new()
         });
 
-        let sched = compile_allgather_ring(&cluster, p, 300).expect("allgather");
+        let sched = record(Alg::Allgather(AllgatherAlg::Ring), 0, 300, 0);
         assert_equivalent(&cluster, p, &sched, |ctx| {
             allgather_ring(ctx, payload(300));
             Vec::new()
         });
 
-        let sched = compile_reduce(&cluster, ReduceAlg::Binomial, p, 0, 64, 128).expect("reduce");
+        let sched = record(Alg::Reduce(ReduceAlg::Binomial), 0, 64 * 8, 128);
         assert_equivalent(&cluster, p, &sched, |ctx| {
             reduce(
                 ctx,
@@ -948,19 +836,25 @@ mod tests {
             Vec::new()
         });
 
-        let sched = compile_allreduce_recursive_doubling(&cluster, p, 32).expect("allreduce");
+        let sched = record(
+            Alg::Allreduce(AllreduceAlg::RecursiveDoubling),
+            0,
+            32 * 8,
+            0,
+        );
         assert_equivalent(&cluster, p, &sched, |ctx| {
             allreduce_recursive_doubling(ctx, ReduceOp::Sum, lane_payload(Comm::rank(ctx), 32));
             Vec::new()
         });
 
-        let sched = compile_alltoall_pairwise(&cluster, p, 128).expect("alltoall");
+        let sched = record(Alg::Alltoall(AlltoallAlg::Pairwise), 0, 128, 0);
         assert_equivalent(&cluster, p, &sched, move |ctx| {
             alltoall_pairwise(ctx, (0..p).map(|_| payload(128)).collect());
             Vec::new()
         });
 
-        let sched = compile_barrier_dissemination(&cluster, p).expect("barrier");
+        // The barrier is no `Alg`: it records as it stands.
+        let sched = record_schedule(&cluster, p, |rc| barrier_dissemination(rc)).expect("barrier");
         assert_equivalent(&cluster, p, &sched, |ctx| {
             barrier_dissemination(ctx);
             Vec::new()

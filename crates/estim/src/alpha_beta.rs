@@ -1,18 +1,40 @@
 //! Estimation of the algorithm-specific α and β — the paper's
-//! Sect. 4.2.
+//! Sect. 4.2, for every collective.
 //!
-//! For each broadcast algorithm, a set of communication experiments is
-//! run, each consisting of the *modelled broadcast itself* (of `m_i`
-//! bytes) followed by a linear gather without synchronisation (of
-//! `m_gᵢ` bytes), timed on the root. Each experiment contributes one
-//! linear equation in (α, β):
+//! For each algorithm, a set of communication experiments is run, each
+//! a [`TimedProgram`] that *contains the modelled algorithm itself*,
+//! and each contributes one linear equation in (α, β) with the
+//! coefficients read off that algorithm's implementation-derived model
+//! ([`collectives::coefficients`]):
 //!
 //! ```text
-//! (a_bcast + a_gather)·α + (b_bcast + b_gather)·β = T_i
+//! a_i·α + b_i·β = T_i
 //! ```
 //!
-//! which is canonicalised to `α + x_i·β = y_i` (the system of the
-//! paper's Fig. 4) and solved with the Huber robust regressor.
+//! canonicalised to `α + x_i·β = y_i` (the system of the paper's
+//! Fig. 4) and solved with the Huber robust regressor. Two experiment
+//! designs share that one path:
+//!
+//! * [`AlphaBetaConfig`] — the paper's broadcast design: the modelled
+//!   broadcast (of `m_i` bytes) followed by a linear gather without
+//!   synchronisation (of `m_gᵢ` bytes), timed on the root
+//!   ([`TimedProgram::BcastGather`]); the equation adds the gather's
+//!   Eq. 8 coefficients to the broadcast's. Above `m_s` a segmented
+//!   algorithm's per-stage size pins to the segment, so the spread of
+//!   `x` comes from the gather term;
+//! * [`BreadthConfig`] — the design widened to all seven collectives: a
+//!   sweep of payload sizes timed with the algorithm alone
+//!   ([`TimedProgram::Collective`]). Conditioning instead comes from the
+//!   size range: the sweep spans payloads *below* a coarse estimation
+//!   segment ([`BREADTH_SEG_SIZE`]), where a segmented algorithm runs a
+//!   single segment and `x = b/a` tracks `m` freely, so `x` spans almost
+//!   two decades and β separates cleanly from α; the fitted pair is
+//!   segment-independent and serves predictions at any runtime segment
+//!   size.
+//!
+//! Every algorithm's experiments are measured in one batch with the
+//! rest of its family, and every cell carries a seed derived from its
+//! grid position, so the fits are bit-identical at any thread count.
 //!
 //! Estimating the parameters *inside the algorithm's own execution
 //! context* — rather than from bare point-to-point round-trips — is the
@@ -23,12 +45,19 @@
 use crate::measure::{measure_batch, try_measure_batch, RetryPolicy, TimedProgram};
 use crate::regress::huber_default;
 use crate::stats::{Precision, SampleStats};
-use collsel_coll::BcastAlg;
-use collsel_model::{derived, FitValidity, GammaTable, Hockney};
+use collsel_coll::{Alg, BcastAlg, Collective};
+use collsel_model::derived::gather_linear_coefficients;
+use collsel_model::{collectives, FitValidity, GammaTable, Hockney};
 use collsel_mpi::{Backend, SimError};
 use collsel_netsim::ClusterModel;
 use collsel_support::pool::Pool;
 use std::collections::BTreeMap;
+
+/// The breadth campaigns' estimation segment size (64 KB, coarse so
+/// the sub-segment payload sizes condition the fit — see the module
+/// docs). Decision serving evaluates the non-broadcast models at this
+/// same segment size, keeping prediction consistent with estimation.
+pub const BREADTH_SEG_SIZE: usize = 64 * 1024;
 
 /// Configuration of the α/β estimation experiments.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,14 +144,94 @@ impl AlphaBetaConfig {
             "need at least two experiments to fit two parameters"
         );
     }
+
+    /// One algorithm's experiments, in point order.
+    fn programs(&self, alg: BcastAlg) -> Vec<TimedProgram> {
+        self.msg_sizes
+            .iter()
+            .zip(&self.gather_sizes)
+            .map(|(&m, &m_g)| TimedProgram::BcastGather {
+                alg,
+                p: self.p,
+                m,
+                m_g,
+                seg_size: self.seg_size,
+            })
+            .collect()
+    }
+}
+
+/// Configuration of a per-collective estimation sweep.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BreadthConfig {
+    /// Pipeline segment size `m_s` for segmented algorithms.
+    pub seg_size: usize,
+    /// Payload sizes swept per algorithm
+    /// ([`run_collective`](collsel_coll::run_collective)'s convention).
+    pub msg_sizes: Vec<usize>,
+    /// Number of processes in the experiments.
+    pub p: usize,
+    /// Stopping rule per measurement.
+    pub precision: Precision,
+    /// Execution backend of the measurement simulations.
+    pub backend: Backend,
+}
+
+impl BreadthConfig {
+    /// The paper-scale configuration: a 64 KB estimation segment with
+    /// 10 log-spaced sizes in 1 KB..4 MB (the sub-segment sizes
+    /// condition the fit, see the module docs).
+    pub fn paper(p: usize) -> Self {
+        BreadthConfig {
+            seg_size: BREADTH_SEG_SIZE,
+            msg_sizes: log_spaced_sizes(1024, 4 * 1024 * 1024, 10),
+            p,
+            precision: Precision::paper(),
+            backend: Backend::default(),
+        }
+    }
+
+    /// A small, fast configuration for tests.
+    pub fn quick(p: usize) -> Self {
+        BreadthConfig {
+            seg_size: BREADTH_SEG_SIZE,
+            msg_sizes: log_spaced_sizes(1024, 512 * 1024, 5),
+            p,
+            precision: Precision::quick(),
+            backend: Backend::default(),
+        }
+    }
+
+    fn validate(&self) {
+        assert!(self.seg_size > 0, "segment size must be positive");
+        assert!(self.p >= 2, "experiments need at least two processes");
+        assert!(
+            self.msg_sizes.len() >= 2,
+            "need at least two experiments to fit two parameters"
+        );
+    }
+
+    /// One algorithm's sweep, in size order.
+    fn programs(&self, alg: Alg) -> Vec<TimedProgram> {
+        self.msg_sizes
+            .iter()
+            .map(|&m| TimedProgram::Collective {
+                alg,
+                p: self.p,
+                m,
+                seg_size: self.seg_size,
+            })
+            .collect()
+    }
 }
 
 /// One experiment's canonicalised equation and measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentPoint {
-    /// Broadcast message size `m_i`.
+    /// Message size `m_i` of the modelled algorithm.
     pub msg_size: usize,
-    /// Gather contribution size `m_gᵢ`.
+    /// Gather contribution size `m_gᵢ` (0 when the experiment appends
+    /// no gather).
     pub gather_size: usize,
     /// Canonical abscissa `x_i = b_i / a_i` (bytes).
     pub x: f64,
@@ -174,57 +283,75 @@ impl AlphaBetaEstimate {
     }
 }
 
-/// The experiment cells of one algorithm's estimation, in point order,
-/// each with its own seed.
-fn experiment_cells(alg: BcastAlg, cfg: &AlphaBetaConfig, seed: u64) -> Vec<(TimedProgram, u64)> {
-    cfg.msg_sizes
+/// The one experiment path: every algorithm's `programs`, in point
+/// order, measured by `measure` as one batch (so the pool load-balances
+/// across the whole grid instead of synchronising between algorithms),
+/// then regrouped per algorithm. The cell at point `j` of the `i`-th
+/// algorithm runs under seed `seed + (i << 32) + 7919·j`.
+fn measure_grid<A: Copy, T>(
+    algs: &[A],
+    programs: impl Fn(A) -> Vec<TimedProgram>,
+    seed: u64,
+    measure: impl FnOnce(&[(TimedProgram, u64)]) -> Vec<T>,
+) -> Vec<(A, Vec<(TimedProgram, T)>)> {
+    let programs: Vec<Vec<TimedProgram>> = algs.iter().map(|&alg| programs(alg)).collect();
+    let cells: Vec<(TimedProgram, u64)> = programs
         .iter()
-        .zip(&cfg.gather_sizes)
         .enumerate()
-        .map(|(idx, (&m, &m_g))| {
-            let program = TimedProgram::BcastGather {
+        .flat_map(|(i, points)| {
+            let alg_seed = seed.wrapping_add((i as u64) << 32);
+            points
+                .iter()
+                .enumerate()
+                .map(move |(j, &program)| (program, alg_seed.wrapping_add(j as u64 * 7919)))
+        })
+        .collect();
+    let mut outcomes = measure(&cells).into_iter();
+    algs.iter()
+        .zip(programs)
+        .map(|(&alg, points)| {
+            let n = points.len();
+            (
                 alg,
-                p: cfg.p,
-                m,
-                m_g,
-                seg_size: cfg.seg_size,
-            };
-            (program, seed.wrapping_add(idx as u64 * 7919))
+                points.into_iter().zip(outcomes.by_ref().take(n)).collect(),
+            )
         })
         .collect()
 }
 
-/// The whole algorithm × message-size grid as one batch, algorithm by
-/// algorithm, so the pool load-balances across all cells at once
-/// instead of synchronising between algorithms.
-fn all_experiment_cells(cfg: &AlphaBetaConfig, seed: u64) -> Vec<(TimedProgram, u64)> {
-    BcastAlg::ALL
-        .iter()
-        .enumerate()
-        .flat_map(|(i, &alg)| experiment_cells(alg, cfg, seed.wrapping_add((i as u64) << 32)))
-        .collect()
-}
-
-/// Canonicalises the measured cells and fits (α, β) with the Huber
-/// regressor; `measured` is in point order.
-fn fit_from_measurements(
-    alg: BcastAlg,
-    cfg: &AlphaBetaConfig,
-    gamma: &GammaTable,
-    measured: Vec<SampleStats>,
-) -> AlphaBetaEstimate {
-    let points: Vec<ExperimentPoint> = cfg
-        .msg_sizes
-        .iter()
-        .zip(&cfg.gather_sizes)
-        .zip(measured)
-        .map(|((&m, &m_g), measured)| {
-            let coeff = derived::bcast_coefficients(alg, cfg.p, m, cfg.seg_size, gamma)
-                .plus(derived::gather_linear_coefficients(cfg.p, m_g));
+/// Canonicalises each measured experiment against its program's model
+/// and fits (α, β) with the Huber regressor. Negative fitted values
+/// (possible when the model's startup count overestimates reality) are
+/// clamped to zero, as the Hockney parameters are physical quantities.
+fn fit(measured: Vec<(TimedProgram, SampleStats)>, gamma: &GammaTable) -> AlphaBetaEstimate {
+    let points: Vec<ExperimentPoint> = measured
+        .into_iter()
+        .map(|(program, measured)| {
+            let (msg_size, gather_size, coeff) = match program {
+                TimedProgram::BcastGather {
+                    alg,
+                    p,
+                    m,
+                    m_g,
+                    seg_size,
+                } => (
+                    m,
+                    m_g,
+                    collectives::coefficients(Alg::Bcast(alg), p, m, seg_size, gamma)
+                        .plus(gather_linear_coefficients(p, m_g)),
+                ),
+                TimedProgram::Collective {
+                    alg,
+                    p,
+                    m,
+                    seg_size,
+                } => (m, 0, collectives::coefficients(alg, p, m, seg_size, gamma)),
+                other => unreachable!("{other:?} is not an α/β experiment"),
+            };
             let (x, y) = coeff.canonicalise(measured.mean);
             ExperimentPoint {
-                msg_size: m,
-                gather_size: m_g,
+                msg_size,
+                gather_size,
                 x,
                 y,
                 measured,
@@ -240,40 +367,25 @@ fn fit_from_measurements(
     }
 }
 
-/// Runs the Sect. 4.2 experiments for `alg` and fits (α, β) with the
-/// Huber regressor. Negative fitted values (possible when the model's
-/// startup count overestimates reality) are clamped to zero, as the
-/// Hockney parameters are physical quantities.
-///
-/// The per-size experiments are independent (each carries its own seed
-/// derived from its point index) and fan out across the current
-/// [`Pool`]; the fit is bit-identical to serial execution at any thread
-/// count.
+/// [`fit`] over fallible measurements: the first error in point order
+/// — the early-exiting serial loop's — aborts this algorithm's fit.
+fn try_fit(
+    measured: Vec<(TimedProgram, Result<SampleStats, SimError>)>,
+    gamma: &GammaTable,
+) -> Result<AlphaBetaEstimate, SimError> {
+    let measured = measured
+        .into_iter()
+        .map(|(program, outcome)| outcome.map(|stats| (program, stats)))
+        .collect::<Result<_, _>>()?;
+    Ok(fit(measured, gamma))
+}
+
+/// Runs the Sect. 4.2 experiments for all six broadcast algorithms and
+/// fits each one's (α, β), the whole grid in one batch.
 ///
 /// # Panics
 ///
 /// Panics if the configuration is invalid or `p` exceeds the cluster.
-pub fn estimate_alpha_beta(
-    cluster: &ClusterModel,
-    alg: BcastAlg,
-    cfg: &AlphaBetaConfig,
-    gamma: &GammaTable,
-    seed: u64,
-) -> AlphaBetaEstimate {
-    cfg.validate();
-    let cells = experiment_cells(alg, cfg, seed);
-    let measured = measure_batch(
-        cluster,
-        &cells,
-        &cfg.precision,
-        Pool::current(),
-        cfg.backend,
-    );
-    fit_from_measurements(alg, cfg, gamma, measured)
-}
-
-/// Runs the estimation for all six broadcast algorithms, the whole
-/// grid in one batch.
 pub fn estimate_all_alpha_beta(
     cluster: &ClusterModel,
     cfg: &AlphaBetaConfig,
@@ -281,67 +393,25 @@ pub fn estimate_all_alpha_beta(
     seed: u64,
 ) -> BTreeMap<BcastAlg, AlphaBetaEstimate> {
     cfg.validate();
-    let measured = measure_batch(
-        cluster,
-        &all_experiment_cells(cfg, seed),
-        &cfg.precision,
-        Pool::current(),
-        cfg.backend,
-    );
-    let n = cfg.msg_sizes.len();
-    let mut cells = measured.into_iter();
-    BcastAlg::ALL
-        .iter()
-        .map(|&alg| {
-            let alg_cells: Vec<SampleStats> = cells.by_ref().take(n).collect();
-            (alg, fit_from_measurements(alg, cfg, gamma, alg_cells))
-        })
+    let measure =
+        |cells: &[_]| measure_batch(cluster, cells, &cfg.precision, Pool::current(), cfg.backend);
+    measure_grid(&BcastAlg::ALL, |alg| cfg.programs(alg), seed, measure)
+        .into_iter()
+        .map(|(alg, measured)| (alg, fit(measured, gamma)))
         .collect()
 }
 
-/// Fallible twin of [`estimate_alpha_beta`]: each experiment runs under
-/// `policy`'s virtual-time watchdog, and a point whose measurement
-/// stalls past every retry or cannot reach the precision target aborts
-/// this algorithm's estimation with a typed error — the caller decides
-/// whether to skip the algorithm or give up (see
-/// [`try_estimate_all_alpha_beta`]).
-///
-/// # Errors
-///
-/// Propagates the first [`SimError`] from any experiment.
+/// Fallible twin of [`estimate_all_alpha_beta`]: each experiment runs
+/// under `policy`'s virtual-time watchdog, and per-algorithm outcomes
+/// stay separate — one algorithm timing out under a fault plan must not
+/// discard the five fits that succeeded. An algorithm's error is the
+/// first in point order. The tuner turns `Err` entries into skipped
+/// algorithms and the selector falls back to the Open MPI rules for
+/// them.
 ///
 /// # Panics
 ///
 /// Panics if the configuration is invalid or `p` exceeds the cluster.
-pub fn try_estimate_alpha_beta(
-    cluster: &ClusterModel,
-    alg: BcastAlg,
-    cfg: &AlphaBetaConfig,
-    gamma: &GammaTable,
-    seed: u64,
-    policy: &RetryPolicy,
-) -> Result<AlphaBetaEstimate, SimError> {
-    cfg.validate();
-    // All cells run even past a failure; the returned error is the
-    // first one in point order — the early-exiting serial loop's.
-    let measured: Result<Vec<SampleStats>, SimError> = try_measure_batch(
-        cluster,
-        &experiment_cells(alg, cfg, seed),
-        &cfg.precision,
-        policy,
-        Pool::current(),
-        cfg.backend,
-    )
-    .into_iter()
-    .collect();
-    Ok(fit_from_measurements(alg, cfg, gamma, measured?))
-}
-
-/// Runs the fallible estimation for all six broadcast algorithms,
-/// keeping per-algorithm outcomes separate: one algorithm timing out
-/// under a fault plan must not discard the five fits that succeeded.
-/// The tuner turns `Err` entries into skipped algorithms and the
-/// selector falls back to the Open MPI rules for them.
 pub fn try_estimate_all_alpha_beta(
     cluster: &ClusterModel,
     cfg: &AlphaBetaConfig,
@@ -350,30 +420,85 @@ pub fn try_estimate_all_alpha_beta(
     policy: &RetryPolicy,
 ) -> BTreeMap<BcastAlg, Result<AlphaBetaEstimate, SimError>> {
     cfg.validate();
-    // Regroup the flat batch per algorithm: each algorithm's outcome is
-    // its cells' results folded in point order, so one algorithm's
-    // failure leaves the others' fits intact and the reported error
-    // matches the serial loop's.
-    let outcomes = try_measure_batch(
-        cluster,
-        &all_experiment_cells(cfg, seed),
-        &cfg.precision,
-        policy,
-        Pool::current(),
-        cfg.backend,
-    );
-    let n = cfg.msg_sizes.len();
-    let mut cells = outcomes.into_iter();
-    BcastAlg::ALL
-        .iter()
-        .map(|&alg| {
-            let alg_cells: Result<Vec<SampleStats>, SimError> = cells.by_ref().take(n).collect();
-            (
-                alg,
-                alg_cells.map(|measured| fit_from_measurements(alg, cfg, gamma, measured)),
-            )
-        })
+    let measure = |cells: &[_]| {
+        try_measure_batch(
+            cluster,
+            cells,
+            &cfg.precision,
+            policy,
+            Pool::current(),
+            cfg.backend,
+        )
+    };
+    measure_grid(&BcastAlg::ALL, |alg| cfg.programs(alg), seed, measure)
+        .into_iter()
+        .map(|(alg, measured)| (alg, try_fit(measured, gamma)))
         .collect()
+}
+
+/// Runs the estimation sweep for every algorithm of `collective` and
+/// fits each one's (α, β), the whole grid in one batch.
+///
+/// # Panics
+///
+/// Panics if the configuration is invalid or `p` exceeds the cluster.
+pub fn estimate_collective_family(
+    cluster: &ClusterModel,
+    collective: Collective,
+    cfg: &BreadthConfig,
+    gamma: &GammaTable,
+    seed: u64,
+) -> BTreeMap<Alg, AlphaBetaEstimate> {
+    cfg.validate();
+    let measure =
+        |cells: &[_]| measure_batch(cluster, cells, &cfg.precision, Pool::current(), cfg.backend);
+    measure_grid(
+        collective.algorithms(),
+        |alg| cfg.programs(alg),
+        seed,
+        measure,
+    )
+    .into_iter()
+    .map(|(alg, measured)| (alg, fit(measured, gamma)))
+    .collect()
+}
+
+/// Fallible twin of [`estimate_collective_family`], keeping
+/// per-algorithm outcomes separate as [`try_estimate_all_alpha_beta`]
+/// does (the tuner skips `Err` algorithms and the selection layer falls
+/// back to the fixed rules for them).
+///
+/// # Panics
+///
+/// Panics if the configuration is invalid or `p` exceeds the cluster.
+pub fn try_estimate_collective_family(
+    cluster: &ClusterModel,
+    collective: Collective,
+    cfg: &BreadthConfig,
+    gamma: &GammaTable,
+    seed: u64,
+    policy: &RetryPolicy,
+) -> BTreeMap<Alg, Result<AlphaBetaEstimate, SimError>> {
+    cfg.validate();
+    let measure = |cells: &[_]| {
+        try_measure_batch(
+            cluster,
+            cells,
+            &cfg.precision,
+            policy,
+            Pool::current(),
+            cfg.backend,
+        )
+    };
+    measure_grid(
+        collective.algorithms(),
+        |alg| cfg.programs(alg),
+        seed,
+        measure,
+    )
+    .into_iter()
+    .map(|(alg, measured)| (alg, try_fit(measured, gamma)))
+    .collect()
 }
 
 // JSON persistence (layout-compatible with the former serde derives).
@@ -389,7 +514,24 @@ collsel_support::json_struct!(AlphaBetaEstimate { hockney, points });
 #[cfg(test)]
 mod tests {
     use super::*;
-    use collsel_netsim::NoiseParams;
+    use collsel_netsim::{NoiseParams, SimSpan};
+
+    fn quiet_gros() -> ClusterModel {
+        ClusterModel::gros().with_noise(NoiseParams::OFF)
+    }
+
+    fn gamma() -> GammaTable {
+        GammaTable::from_pairs([(3, 1.08), (5, 1.25), (7, 1.42)])
+    }
+
+    /// A watchdog no measurement can satisfy.
+    fn hopeless() -> RetryPolicy {
+        RetryPolicy {
+            max_attempts: 1,
+            budget: Some(SimSpan::from_nanos(1)),
+            backoff: 1,
+        }
+    }
 
     #[test]
     fn log_spacing_is_constant_in_log() {
@@ -408,10 +550,8 @@ mod tests {
 
     #[test]
     fn fits_positive_parameters_on_quiet_cluster() {
-        let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
-        let gamma = GammaTable::from_pairs([(3, 1.08), (5, 1.25), (7, 1.42)]);
         let cfg = AlphaBetaConfig::quick(24);
-        let est = estimate_alpha_beta(&cluster, BcastAlg::Binomial, &cfg, &gamma, 1);
+        let est = &estimate_all_alpha_beta(&quiet_gros(), &cfg, &gamma(), 1)[&BcastAlg::Binomial];
         assert!(est.hockney.beta > 0.0, "{:?}", est.hockney);
         assert!(est.hockney.alpha >= 0.0);
         assert_eq!(est.points.len(), 5);
@@ -427,12 +567,11 @@ mod tests {
         // within a reasonable factor (the two-parameter Hockney model
         // cannot be tight against the richer simulated network at both
         // ends of the size range).
-        let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
-        let gamma = GammaTable::from_pairs([(3, 1.08), (5, 1.25), (7, 1.42)]);
+        let gamma = gamma();
         let cfg = AlphaBetaConfig::quick(24);
-        let est = estimate_alpha_beta(&cluster, BcastAlg::Chain, &cfg, &gamma, 2);
+        let est = &estimate_all_alpha_beta(&quiet_gros(), &cfg, &gamma, 2)[&BcastAlg::Chain];
         for pt in &est.points {
-            let pred = derived::predict_bcast(
+            let pred = collsel_model::derived::predict_bcast(
                 BcastAlg::Chain,
                 cfg.p,
                 pt.msg_size,
@@ -441,7 +580,7 @@ mod tests {
                 &est.hockney,
             ) + est
                 .hockney
-                .eval(derived::gather_linear_coefficients(cfg.p, pt.gather_size));
+                .eval(gather_linear_coefficients(cfg.p, pt.gather_size));
             let ratio = pred / pt.measured.mean;
             assert!(
                 (0.3..3.0).contains(&ratio),
@@ -454,11 +593,11 @@ mod tests {
 
     #[test]
     fn different_algorithms_get_different_parameters() {
-        let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
-        let gamma = GammaTable::from_pairs([(3, 1.08), (5, 1.25), (7, 1.42)]);
-        let cfg = AlphaBetaConfig::quick(8);
-        let a = estimate_alpha_beta(&cluster, BcastAlg::Linear, &cfg, &gamma, 3).hockney;
-        let b = estimate_alpha_beta(&cluster, BcastAlg::Chain, &cfg, &gamma, 3).hockney;
+        let fits = estimate_all_alpha_beta(&quiet_gros(), &AlphaBetaConfig::quick(8), &gamma(), 3);
+        let (a, b) = (
+            fits[&BcastAlg::Linear].hockney,
+            fits[&BcastAlg::Chain].hockney,
+        );
         assert!(
             (a.beta - b.beta).abs() / a.beta.max(b.beta) > 0.01,
             "context-dependence should separate the fits: {a} vs {b}"
@@ -467,35 +606,26 @@ mod tests {
 
     #[test]
     fn try_estimate_matches_infallible_without_deadline() {
-        let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
-        let gamma = GammaTable::from_pairs([(3, 1.08), (5, 1.25), (7, 1.42)]);
         let cfg = AlphaBetaConfig::quick(8);
-        let plain = estimate_alpha_beta(&cluster, BcastAlg::Binomial, &cfg, &gamma, 1);
-        let tried = try_estimate_alpha_beta(
-            &cluster,
-            BcastAlg::Binomial,
+        let plain = estimate_all_alpha_beta(&quiet_gros(), &cfg, &gamma(), 1);
+        let tried = try_estimate_all_alpha_beta(
+            &quiet_gros(),
             &cfg,
-            &gamma,
+            &gamma(),
             1,
             &RetryPolicy::no_deadline(),
-        )
-        .expect("fault-free estimation succeeds");
+        );
+        for est in plain.values() {
+            assert!(est.validity().is_valid(), "{}", est.validity());
+        }
+        let plain: BTreeMap<_, _> = plain.into_iter().map(|(alg, est)| (alg, Ok(est))).collect();
         assert_eq!(plain, tried);
-        assert!(tried.validity().is_valid(), "{}", tried.validity());
     }
 
     #[test]
     fn try_estimate_all_keeps_per_algorithm_outcomes() {
-        use collsel_netsim::SimSpan;
-        let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
-        let gamma = GammaTable::from_pairs([(3, 1.08), (5, 1.25), (7, 1.42)]);
         let cfg = AlphaBetaConfig::quick(8);
-        let policy = RetryPolicy {
-            max_attempts: 1,
-            budget: Some(SimSpan::from_nanos(1)),
-            backoff: 1,
-        };
-        let all = try_estimate_all_alpha_beta(&cluster, &cfg, &gamma, 1, &policy);
+        let all = try_estimate_all_alpha_beta(&quiet_gros(), &cfg, &gamma(), 1, &hopeless());
         assert_eq!(all.len(), BcastAlg::ALL.len());
         for (alg, outcome) in &all {
             let err = outcome.as_ref().expect_err("1 ns budget cannot fit a run");
@@ -504,8 +634,69 @@ mod tests {
     }
 
     #[test]
+    fn every_collective_family_fits_valid_parameters() {
+        let cluster = quiet_gros();
+        let cfg = BreadthConfig::quick(8);
+        for coll in Collective::ALL {
+            let fits = estimate_collective_family(&cluster, coll, &cfg, &gamma(), 1);
+            assert_eq!(fits.len(), coll.algorithms().len(), "{coll}");
+            for (alg, est) in &fits {
+                assert_eq!(alg.collective(), coll);
+                // gather_bcast is the one algorithm whose canonical
+                // abscissa saturates structurally (both of its stages
+                // segment internally at a fixed 8 KB, so x spans less
+                // than a factor 3); its β may collapse to the clamp.
+                // Every other algorithm must resolve a positive β.
+                use collsel_coll::AllgatherAlg;
+                if *alg != Alg::Allgather(AllgatherAlg::GatherBcast) {
+                    assert!(
+                        est.hockney.beta > 0.0,
+                        "{}: {:?}",
+                        alg.qualified_name(),
+                        est.hockney
+                    );
+                }
+                assert_eq!(
+                    est.validity(),
+                    FitValidity::Valid,
+                    "{}: {}",
+                    alg.qualified_name(),
+                    est.validity()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn try_family_keeps_per_algorithm_outcomes() {
+        let cluster = quiet_gros();
+        let cfg = BreadthConfig::quick(6);
+        let scatter = Collective::Scatter;
+        let all = try_estimate_collective_family(&cluster, scatter, &cfg, &gamma(), 1, &hopeless());
+        assert_eq!(all.len(), scatter.algorithms().len());
+        for (alg, outcome) in &all {
+            let err = outcome.as_ref().expect_err("1 ns budget cannot fit a run");
+            assert!(
+                matches!(err, SimError::Timeout { .. }),
+                "{}: {err}",
+                alg.qualified_name()
+            );
+        }
+        let fine = try_estimate_collective_family(
+            &cluster,
+            scatter,
+            &cfg,
+            &gamma(),
+            1,
+            &RetryPolicy::no_deadline(),
+        );
+        let plain = estimate_collective_family(&cluster, scatter, &cfg, &gamma(), 1);
+        let plain: BTreeMap<_, _> = plain.into_iter().map(|(alg, est)| (alg, Ok(est))).collect();
+        assert_eq!(fine, plain);
+    }
+
+    #[test]
     fn validity_flags_unconverged_points() {
-        use crate::stats::SampleStats;
         let good = SampleStats {
             mean: 1.0,
             std_dev: 0.0,
@@ -547,10 +738,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "one gather size per message size")]
     fn validates_size_lists() {
-        let cluster = ClusterModel::gros();
-        let gamma = GammaTable::ones();
         let mut cfg = AlphaBetaConfig::quick(4);
         cfg.gather_sizes.pop();
-        let _ = estimate_alpha_beta(&cluster, BcastAlg::Linear, &cfg, &gamma, 0);
+        let _ = estimate_all_alpha_beta(&ClusterModel::gros(), &cfg, &GammaTable::ones(), 0);
     }
 }

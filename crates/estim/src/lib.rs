@@ -9,10 +9,11 @@
 //!
 //! * [`estimate_gamma`] — Sect. 4.1: γ(P) from repeated non-blocking
 //!   linear-tree broadcasts of one segment;
-//! * [`estimate_alpha_beta`] — Sect. 4.2: per-algorithm (α, β) from
+//! * [`estimate_all_alpha_beta`] — Sect. 4.2: per-algorithm (α, β) from
 //!   broadcast + linear-gather experiments, canonicalised into the
 //!   linear system of Fig. 4 and solved with the Huber robust
-//!   regressor ([`huber_default`]);
+//!   regressor ([`huber_default`]); [`estimate_collective_family`] runs
+//!   the same fit for any collective's algorithms, timed alone;
 //! * [`estimate_network_hockney`] — the traditional point-to-point
 //!   measurement, kept for the prior-work baseline models.
 //!
@@ -39,7 +40,6 @@
 #![warn(missing_debug_implementations)]
 
 mod alpha_beta;
-mod breadth;
 mod campaign;
 mod gamma_est;
 mod hockney_est;
@@ -50,12 +50,9 @@ mod regress;
 mod stats;
 
 pub use alpha_beta::{
-    estimate_all_alpha_beta, estimate_alpha_beta, log_spaced_sizes, try_estimate_all_alpha_beta,
-    try_estimate_alpha_beta, AlphaBetaConfig, AlphaBetaEstimate, ExperimentPoint,
-};
-pub use breadth::{
-    estimate_collective_alpha_beta, estimate_collective_family, try_estimate_collective_family,
-    BreadthConfig, BREADTH_SEG_SIZE,
+    estimate_all_alpha_beta, estimate_collective_family, log_spaced_sizes,
+    try_estimate_all_alpha_beta, try_estimate_collective_family, AlphaBetaConfig,
+    AlphaBetaEstimate, BreadthConfig, ExperimentPoint, BREADTH_SEG_SIZE,
 };
 pub use campaign::{
     measure_family_cell, plan_crossover_fill, CrossoverPlan, FamilyCell, DECISIVE_MARGIN,

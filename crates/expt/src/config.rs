@@ -1,7 +1,7 @@
 //! Experiment configuration: fidelity levels and the two cluster
 //! scenarios of the paper.
 
-use collsel::estim::{log_spaced_sizes, AlphaBetaConfig, GammaConfig, Precision};
+use collsel::estim::{log_spaced_sizes, Precision};
 use collsel::mpi::Backend;
 use collsel::netsim::ClusterModel;
 use collsel::TunerConfig;
@@ -44,30 +44,18 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// The tuner configuration for this scenario.
+    /// The tuner configuration for this scenario: every stage measures
+    /// on the scenario's backend.
     pub fn tuner_config(&self, fidelity: Fidelity) -> TunerConfig {
-        match fidelity {
-            Fidelity::Paper => {
-                let mut cfg = TunerConfig::paper(self.tune_p);
-                cfg.gamma.backend = self.backend;
-                cfg.alpha_beta.backend = self.backend;
-                cfg
-            }
+        let cfg = match fidelity {
+            Fidelity::Paper => TunerConfig::paper(self.tune_p),
             Fidelity::Quick => {
                 let mut cfg = TunerConfig::quick(self.tune_p);
-                cfg.gamma = GammaConfig {
-                    max_width: 7,
-                    backend: self.backend,
-                    ..GammaConfig::quick()
-                };
-                cfg.alpha_beta = AlphaBetaConfig {
-                    p: self.tune_p,
-                    backend: self.backend,
-                    ..AlphaBetaConfig::quick(self.tune_p)
-                };
+                cfg.gamma.max_width = 7;
                 cfg
             }
-        }
+        };
+        cfg.with_backend(self.backend)
     }
 }
 
@@ -167,5 +155,15 @@ mod tests {
         let cfg = sc.tuner_config(Fidelity::Quick);
         assert_eq!(cfg.alpha_beta.p, sc.tune_p);
         assert_eq!(cfg.gamma.max_width, 7);
+        for fidelity in [Fidelity::Paper, Fidelity::Quick] {
+            let threads = Scenario {
+                backend: Backend::Threads,
+                ..scenarios(fidelity)[0].clone()
+            };
+            let cfg = threads.tuner_config(fidelity);
+            assert_eq!(cfg.gamma.backend, Backend::Threads, "{fidelity:?}");
+            assert_eq!(cfg.alpha_beta.backend, Backend::Threads, "{fidelity:?}");
+            assert_eq!(cfg.breadth.backend, Backend::Threads, "{fidelity:?}");
+        }
     }
 }

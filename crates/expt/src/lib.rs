@@ -10,7 +10,6 @@
 //! | Table 2 | [`table2::run_table2`] | per-algorithm α, β |
 //! | Fig. 5 | [`fig5::run_fig5`] | Open MPI vs model-based vs best |
 //! | Table 3 | [`table3::table3_from_fig5`] | selections + degradations |
-//! | Breadth | [`breadth::run_breadth`] | Table 3 across all seven collectives |
 //!
 //! The `repro` binary drives them all:
 //!
@@ -21,7 +20,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod breadth;
 pub mod campaign;
 pub mod config;
 pub mod fig1;

@@ -13,14 +13,17 @@
 //!   comparable in magnitude, so we hold nonzero β to an
 //!   order-of-magnitude band of Table 2 and sanity-bound α.
 //! * Exact current behaviour is pinned against `results/table2.json`,
-//!   which was produced by a paper-fidelity run of the `repro` binary —
-//!   parsing it also exercises the internal JSON reader on an artifact
+//!   which was produced by a paper-fidelity run of the `repro` binary: a
+//!   fresh `run_table2` must reproduce its γ(P), α and β bit for bit.
+//!   Parsing it also exercises the internal JSON reader on an artifact
 //!   originally written by `serde_json`.
 
 use collsel::estim::{estimate_all_alpha_beta, estimate_gamma, AlphaBetaConfig, GammaConfig};
 use collsel::netsim::ClusterModel;
 use collsel::TunedModel;
 use collsel_expt::paper_ref::{TABLE1_GAMMA, TABLE2_GRISOU, TABLE2_GROS};
+use collsel_expt::table2::run_table2;
+use collsel_expt::{scenarios, Fidelity};
 use collsel_support::{FromJson, Json};
 
 const GAMMA_SEED: u64 = 42;
@@ -99,52 +102,22 @@ fn estimates_track_the_committed_table2_artifact() {
     assert_eq!(models[0].cluster_name, "grisou");
     assert_eq!(models[1].cluster_name, "gros");
 
-    for model in &models {
-        let cluster = match model.cluster_name.as_str() {
-            "grisou" => ClusterModel::grisou(),
-            _ => ClusterModel::gros(),
-        };
-        // γ: the artifact's paper-fidelity estimate and a fresh one must
-        // agree closely — the measurement is a ratio, robust to config.
-        let fresh = estimate_gamma(&cluster, &GammaConfig::paper(), GAMMA_SEED).table;
-        for p in 3..=7 {
-            let (a, b) = (model.gamma.table.gamma(p), fresh.gamma(p));
-            assert!(
-                (a - b).abs() / b < 0.05,
-                "{} gamma({p}) drifted: artifact {a:.3} vs fresh {b:.3}",
-                model.cluster_name
-            );
-        }
-        // (α, β): a quick-config fit must stay within an order of
-        // magnitude of the committed paper-fidelity fit wherever both
-        // are nonzero. (The configs measure different sizes, so the
-        // intercepts genuinely move by a few x; 10x catches structural
-        // regressions without chasing config noise.)
-        let p = if model.cluster_name == "grisou" {
-            40
-        } else {
-            124
-        };
-        let fits = estimate_all_alpha_beta(&cluster, &AlphaBetaConfig::quick(p), &fresh, AB_SEED);
-        for (alg, committed) in &model.params {
-            let (hc, hf) = (committed.hockney, fits[alg].hockney);
-            for (name, c, f) in [("alpha", hc.alpha, hf.alpha), ("beta", hc.beta, hf.beta)] {
-                if c > 0.0 && f > 0.0 {
-                    let ratio = f / c;
-                    assert!(
-                        (0.1..=10.0).contains(&ratio),
-                        "{} {alg:?} {name}: fresh {f:.3e} vs artifact {c:.3e} (x{ratio:.2})",
-                        model.cluster_name
-                    );
-                } else {
-                    assert_eq!(
-                        c == 0.0,
-                        f == 0.0,
-                        "{} {alg:?} {name}: zero/nonzero disagreement ({c:.3e} vs {f:.3e})",
-                        model.cluster_name
-                    );
-                }
-            }
-        }
+    // A fresh paper-fidelity Table 2 must reproduce the artifact
+    // exactly: every γ(P) and every algorithm's (α, β).
+    let fresh = run_table2(&scenarios(Fidelity::Paper), Fidelity::Paper);
+    assert_eq!(fresh.models.len(), models.len());
+    for (model, fresh) in models.iter().zip(&fresh.models) {
+        assert_eq!(model.cluster_name, fresh.cluster_name);
+        assert_eq!(
+            model.gamma.table, fresh.gamma.table,
+            "{} gamma drifted from the artifact",
+            model.cluster_name
+        );
+        assert_eq!(
+            model.hockney_table(),
+            fresh.hockney_table(),
+            "{} (alpha, beta) drifted from the artifact",
+            model.cluster_name
+        );
     }
 }

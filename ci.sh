@@ -88,6 +88,9 @@ DIGEST_GRISOU=86a1affe9a56d600
 JCT_TUNED_MS=14.699762
 cargo build --offline --release --manifest-path benchmark/Cargo.toml \
     --target-dir target/benchmark
+# The benchmark's own unit tests, so a library change that breaks the
+# benchmark's checks fails here, before the benchmark runs.
+cargo test --offline -q --manifest-path benchmark/Cargo.toml --target-dir target/benchmark
 # pinned WORKLOAD WANT...: the workload exits 0 and prints every
 # "exact WANT" line.
 pinned() {

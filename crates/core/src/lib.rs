@@ -6,7 +6,10 @@
 //! Collective Algorithms"* (PaCT 2021).
 //!
 //! This facade crate re-exports the whole stack and adds the
-//! high-level [`Tuner`] workflow:
+//! high-level [`Tuner`] workflow, whose output is one [`TunedModel`]
+//! shape for every collective: each fit stored once, keyed by
+//! collective (broadcast is [`coll::Collective::Bcast`] like the rest),
+//! and served at the segment [`serving_seg_size`] names:
 //!
 //! | Layer | Crate | Re-exported as |
 //! |---|---|---|
@@ -41,8 +44,8 @@
 mod tuner;
 
 pub use tuner::{
-    CampaignPlan, CampaignReport, CampaignStrategy, CollectiveCampaignStats, TuneReport,
-    TunedModel, Tuner, TunerConfig,
+    serving_seg_size, CampaignPlan, CampaignReport, CampaignStrategy, CollectiveCampaignStats,
+    TuneReport, TunedModel, Tuner, TunerConfig,
 };
 
 /// The cluster/network simulation substrate.

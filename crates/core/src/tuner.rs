@@ -6,10 +6,17 @@
 //! 1. estimate γ(P) from non-blocking linear broadcast experiments
 //!    (Sect. 4.1);
 //! 2. estimate a per-algorithm `(α, β)` pair from broadcast + gather
-//!    experiments solved by Huber regression (Sect. 4.2);
+//!    experiments solved by Huber regression (Sect. 4.2) — and, for
+//!    [`Tuner::tune_collectives`], each further collective's family
+//!    from its own timed sweeps;
 //! 3. assemble the [`CollectiveModelSelector`] that picks the
 //!    predicted-fastest algorithm at runtime (Sect. 5.3) —
 //!    [`TunedModel::multi_selector`].
+//!
+//! Broadcast is [`Collective::Bcast`] like any other collective: each
+//! fit is stored once, in [`TunedModel::collectives`], by one pipeline
+//! body behind both the infallible and the fault-tolerant entry points,
+//! and [`serving_seg_size`] names the segment each collective is served at.
 //!
 //! Tuning campaigns parallelise: the independent measurement cells of
 //! both estimation stages (γ widths; the algorithm × message-size
@@ -36,7 +43,7 @@ use collsel_estim::{
     try_estimate_gamma, AlphaBetaConfig, AlphaBetaEstimate, BreadthConfig, GammaConfig,
     GammaEstimate, Precision, RetryPolicy,
 };
-use collsel_model::{FitValidity, Hockney};
+use collsel_model::{FitValidity, GammaTable, Hockney};
 use collsel_mpi::{Backend, SimError};
 use collsel_netsim::ClusterModel;
 use collsel_select::{
@@ -52,15 +59,13 @@ use std::collections::BTreeMap;
 pub struct TunerConfig {
     /// γ estimation settings (Sect. 4.1).
     pub gamma: GammaConfig,
-    /// α/β estimation settings (Sect. 4.2).
+    /// α/β estimation settings (Sect. 4.2); broadcast is served at
+    /// its segment size.
     pub alpha_beta: AlphaBetaConfig,
     /// Per-collective estimation sweep settings (the Sect. 4.2
     /// methodology widened beyond broadcast; used by
     /// [`Tuner::tune_collectives`]).
     pub breadth: BreadthConfig,
-    /// Segment size the tuned selector will use for segmented
-    /// algorithms (the paper fixes 8 KB).
-    pub seg_size: usize,
     /// Seed for the (simulated) measurement noise.
     pub seed: u64,
 }
@@ -74,7 +79,6 @@ impl TunerConfig {
             gamma: GammaConfig::paper(),
             alpha_beta: AlphaBetaConfig::paper(experiment_p),
             breadth: BreadthConfig::paper(experiment_p),
-            seg_size: 8 * 1024,
             seed: 0xC0115E1,
         }
     }
@@ -85,7 +89,6 @@ impl TunerConfig {
             gamma: GammaConfig::quick(),
             alpha_beta: AlphaBetaConfig::quick(experiment_p),
             breadth: BreadthConfig::quick(experiment_p),
-            seg_size: 8 * 1024,
             seed: 0xC0115E1,
         }
     }
@@ -101,6 +104,19 @@ impl TunerConfig {
     }
 }
 
+/// The segment size `collective` is served (and campaign-measured) at:
+/// the one its fits were estimated with — `bcast_seg_size` (the paper's
+/// 8 KB) for broadcast, the breadth campaigns' coarser
+/// [`BREADTH_SEG_SIZE`](collsel_estim::BREADTH_SEG_SIZE) for the rest.
+/// Any other segment would mis-rank the pipelined algorithms.
+pub fn serving_seg_size(collective: Collective, bcast_seg_size: usize) -> usize {
+    if collective == Collective::Bcast {
+        bcast_seg_size
+    } else {
+        collsel_estim::BREADTH_SEG_SIZE
+    }
+}
+
 /// The output of a tuning run: everything needed to select algorithms
 /// at runtime, plus the raw estimates for inspection.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,57 +125,25 @@ pub struct TunedModel {
     pub cluster_name: String,
     /// The γ estimation result (paper Table 1).
     pub gamma: GammaEstimate,
-    /// Per-algorithm broadcast estimation results (paper Table 2) —
-    /// the one source of truth for every broadcast decision.
-    pub params: BTreeMap<BcastAlg, AlphaBetaEstimate>,
-    /// Per-collective estimation results beyond broadcast, keyed by
-    /// collective then by qualified algorithm (empty for models tuned
-    /// by the broadcast-only [`Tuner::tune`]; a `Bcast` entry, where
-    /// present, is a verbatim copy of `params`).
+    /// Every fit, keyed by collective then by qualified algorithm:
+    /// always a [`Collective::Bcast`] entry (paper Table 2, empty if
+    /// every broadcast fit was skipped), plus each breadth collective.
     pub collectives: BTreeMap<Collective, BTreeMap<Alg, AlphaBetaEstimate>>,
-    /// Segment size of the tuned selector.
+    /// Segment size broadcast is served at (see [`serving_seg_size`]).
     pub seg_size: usize,
 }
 
 impl TunedModel {
-    /// The per-algorithm Hockney pairs (paper Table 2's content).
-    pub fn hockney_table(&self) -> BTreeMap<BcastAlg, Hockney> {
-        self.params
-            .iter()
-            .map(|(&alg, est)| (alg, est.hockney))
-            .collect()
-    }
-
-    /// Judges every stored broadcast fit (computed from the stored
-    /// data, never persisted — older model files gain verdicts for
-    /// free).
-    pub fn validity(&self) -> BTreeMap<BcastAlg, FitValidity> {
-        self.params
-            .iter()
-            .map(|(&alg, est)| (alg, est.validity()))
-            .collect()
-    }
-
-    /// The tuned collectives, in [`Collective::ALL`] order: broadcast
-    /// (every model runs the Sect. 4.2 broadcast stage) plus every
-    /// collective a breadth campaign fitted.
+    /// The tuned collectives, in [`Collective::ALL`] order.
     pub fn tuned_collectives(&self) -> Vec<Collective> {
-        Collective::ALL
-            .into_iter()
-            .filter(|c| *c == Collective::Bcast || self.collectives.contains_key(c))
-            .collect()
+        self.collectives.keys().copied().collect()
     }
 
-    /// Every fit keyed by qualified algorithm: broadcast's from
-    /// `params`, the other collectives' from `collectives`.
+    /// Every fit keyed by qualified algorithm.
     fn fits(&self) -> impl Iterator<Item = (Alg, &AlphaBetaEstimate)> {
-        let bcast = self.params.iter().map(|(&b, est)| (Alg::Bcast(b), est));
-        let breadth = self
-            .collectives
-            .iter()
-            .filter(|(&c, _)| c != Collective::Bcast)
-            .flat_map(|(_, fits)| fits.iter().map(|(&alg, est)| (alg, est)));
-        bcast.chain(breadth)
+        self.collectives
+            .values()
+            .flat_map(|fits| fits.iter().map(|(&alg, est)| (alg, est)))
     }
 
     /// The per-algorithm Hockney pairs across every tuned collective,
@@ -168,7 +152,9 @@ impl TunedModel {
         self.fits().map(|(alg, est)| (alg, est.hockney)).collect()
     }
 
-    /// Validity verdicts for every tuned collective's fits.
+    /// Validity verdicts for every tuned collective's fits (computed
+    /// from the stored data, never persisted — older model files gain
+    /// verdicts for free).
     pub fn multi_validity(&self) -> BTreeMap<Alg, FitValidity> {
         self.fits()
             .map(|(alg, est)| (alg, est.validity()))
@@ -177,27 +163,17 @@ impl TunedModel {
 
     /// Builds the runtime decision function: argmin over the tuned fits
     /// per collective, falling back to the fixed rules for collectives
-    /// without usable fits.
-    ///
-    /// The broadcast arm evaluates at the tuned broadcast segment (the
-    /// paper's 8 KB); every other collective evaluates at the breadth
-    /// campaigns' coarser [`BREADTH_SEG_SIZE`](collsel_estim::BREADTH_SEG_SIZE) —
-    /// the segment its fits were estimated with. Serving them at the
-    /// broadcast segment instead would charge the pipelined algorithms
-    /// eight times the per-segment overheads their fits absorbed,
-    /// mis-ranking them at large payloads.
+    /// without usable fits. Each collective is evaluated at its
+    /// [`serving_seg_size`].
     pub fn multi_selector(&self) -> CollectiveModelSelector {
-        let mut selector = CollectiveModelSelector::new(
+        let selector = CollectiveModelSelector::new(
             self.gamma.table.clone(),
             self.multi_hockney_table(),
             self.seg_size,
         );
-        for c in Collective::ALL {
-            if c != Collective::Bcast {
-                selector = selector.with_seg_size(c, collsel_estim::BREADTH_SEG_SIZE);
-            }
-        }
-        selector
+        Collective::ALL.into_iter().fold(selector, |s, c| {
+            s.with_seg_size(c, serving_seg_size(c, self.seg_size))
+        })
     }
 
     /// The graceful runtime decision function: only fits that pass
@@ -206,18 +182,15 @@ impl TunedModel {
     /// reason is reported. Segment sizes follow
     /// [`multi_selector`](Self::multi_selector).
     pub fn degraded_multi_selector(&self) -> GracefulCollectiveSelector {
-        let mut selector = GracefulCollectiveSelector::new(
+        let selector = GracefulCollectiveSelector::new(
             self.gamma.table.clone(),
             self.multi_hockney_table(),
             self.multi_validity(),
             self.seg_size,
         );
-        for c in Collective::ALL {
-            if c != Collective::Bcast {
-                selector = selector.with_seg_size(c, collsel_estim::BREADTH_SEG_SIZE);
-            }
-        }
-        selector
+        Collective::ALL.into_iter().fold(selector, |s, c| {
+            s.with_seg_size(c, serving_seg_size(c, self.seg_size))
+        })
     }
 
     /// Materialises the decision table of one tuned collective over the
@@ -273,36 +246,34 @@ impl TunedModel {
 pub struct TuneReport {
     /// The tuned model over the algorithms that fitted.
     pub model: TunedModel,
-    /// Broadcast algorithms whose estimation failed, with the typed
-    /// reason.
-    pub skipped: BTreeMap<BcastAlg, SimError>,
-    /// Algorithms of the breadth campaigns whose estimation failed
-    /// (empty for broadcast-only runs).
-    pub skipped_multi: BTreeMap<Alg, SimError>,
+    /// Algorithms whose estimation failed, keyed by qualified
+    /// algorithm, with the typed reason.
+    pub skipped: BTreeMap<Alg, SimError>,
 }
 
 impl TuneReport {
     /// Whether every algorithm fitted (nothing was skipped).
     pub fn is_complete(&self) -> bool {
-        self.skipped.is_empty() && self.skipped_multi.is_empty()
+        self.skipped.is_empty()
     }
 
     /// Like [`TunedModel::degraded_multi_selector`], but with the
-    /// report's skipped-algorithm errors — broadcast's and the breadth
-    /// campaigns' — attached as fallback causes: a decision for a
-    /// collective whose fits are all missing carries
+    /// report's skipped-algorithm errors attached as fallback causes: a
+    /// decision for a collective whose fits are all missing carries
     /// `EstimationTimeout` / `PrecisionNotReached` instead of the
     /// generic `NoUsableModel`.
     pub fn degraded_multi_selector(&self) -> GracefulCollectiveSelector {
-        let bcast = self.skipped.iter().map(|(&b, e)| (Alg::Bcast(b), e));
-        let breadth = self.skipped_multi.iter().map(|(&alg, e)| (alg, e));
-        let failures = bcast
-            .chain(breadth)
-            .map(|(alg, e)| (alg, FallbackReason::from_sim_error(e)))
+        let failures = self
+            .skipped
+            .iter()
+            .map(|(&alg, e)| (alg, FallbackReason::from_sim_error(e)))
             .collect();
         self.model.degraded_multi_selector().with_failures(failures)
     }
 }
+
+/// One collective's estimation outcomes, keyed by qualified algorithm.
+type Outcomes = BTreeMap<Alg, Result<AlphaBetaEstimate, SimError>>;
 
 /// Runs the paper's estimation pipeline on a cluster.
 #[derive(Debug, Clone)]
@@ -339,60 +310,40 @@ impl Tuner {
         &self.config
     }
 
-    /// Runs the full pipeline: γ, then per-algorithm (α, β).
+    /// Runs the paper's pipeline: γ, then per-algorithm broadcast
+    /// (α, β) — [`tune_collectives`](Self::tune_collectives) over
+    /// broadcast alone.
     ///
     /// This performs simulated communication experiments and can take
     /// seconds for paper-scale configurations. Within each stage the
     /// independent cells run across the current thread pool (see the
     /// module docs); the result does not depend on the thread count.
     pub fn tune(&self) -> TunedModel {
-        let gamma = estimate_gamma(&self.cluster, &self.config.gamma, self.config.seed);
-        let params = estimate_all_alpha_beta(
-            &self.cluster,
-            &self.config.alpha_beta,
-            &gamma.table,
-            self.config.seed.wrapping_add(1),
-        );
-        TunedModel {
-            cluster_name: self.cluster.name().to_owned(),
-            gamma,
-            params,
-            collectives: BTreeMap::new(),
-            seg_size: self.config.seg_size,
-        }
+        self.tune_collectives(&[Collective::Bcast])
     }
 
-    /// Runs the full pipeline *plus* a breadth campaign per listed
-    /// collective: after γ and the broadcast fits, each collective's
-    /// algorithm family is fitted from its own timed sweeps
-    /// ([`estimate_collective_family`]).
-    ///
-    /// Broadcast's per-collective entry reuses the Sect. 4.2
-    /// gather-conditioned fits rather than re-measuring — the dedicated
-    /// broadcast estimation is strictly better conditioned. The entry is
-    /// a verbatim copy of `params`, which stays the source every
-    /// broadcast decision reads.
+    /// Runs γ, then fits each listed collective's algorithm family.
+    /// Broadcast always runs, first, from the Sect. 4.2 broadcast +
+    /// gather experiments (the dedicated broadcast estimation is
+    /// strictly better conditioned than a plain sweep); every other
+    /// collective is fitted from its own timed sweeps
+    /// ([`estimate_collective_family`]), in the caller's order.
     pub fn tune_collectives(&self, collectives: &[Collective]) -> TunedModel {
-        let mut model = self.tune();
-        for &c in collectives {
+        let gamma = estimate_gamma(&self.cluster, &self.config.gamma, self.config.seed);
+        let report = self.assemble(gamma, collectives, |c, gamma, seed| {
             let fits = if c == Collective::Bcast {
-                model
-                    .params
-                    .iter()
-                    .map(|(&b, est)| (Alg::Bcast(b), est.clone()))
-                    .collect()
-            } else {
-                estimate_collective_family(
+                rekey(estimate_all_alpha_beta(
                     &self.cluster,
-                    c,
-                    &self.config.breadth,
-                    &model.gamma.table,
-                    self.breadth_seed(c),
-                )
+                    &self.config.alpha_beta,
+                    gamma,
+                    seed,
+                ))
+            } else {
+                estimate_collective_family(&self.cluster, c, &self.config.breadth, gamma, seed)
             };
-            model.collectives.insert(c, fits);
-        }
-        model
+            fits.into_iter().map(|(alg, est)| (alg, Ok(est))).collect()
+        });
+        report.model
     }
 
     /// [`tune_collectives`](Self::tune_collectives) over all seven
@@ -401,17 +352,8 @@ impl Tuner {
         self.tune_collectives(&Collective::ALL)
     }
 
-    /// The seed of one collective's breadth campaign: decorrelated from
-    /// the γ (seed) and broadcast (seed+1) stages and from the other
-    /// collectives.
-    fn breadth_seed(&self, c: Collective) -> u64 {
-        self.config
-            .seed
-            .wrapping_add(2)
-            .wrapping_add((c.index() as u64) << 40)
-    }
-
-    /// Fault-tolerant pipeline for clusters running under an injected
+    /// Fault-tolerant [`tune_collectives`](Self::tune_collectives) for
+    /// clusters running under an injected
     /// [`collsel_netsim::FaultPlan`]: every measurement runs under
     /// `policy`'s virtual-time watchdog with retry-and-backoff.
     ///
@@ -419,103 +361,100 @@ impl Tuner {
     ///
     /// * a γ estimation failure is **fatal** (`Err`) — every derived
     ///   model shares the γ table, so nothing useful can be built;
-    /// * a per-algorithm (α, β) failure **skips that algorithm** — the
-    ///   report records the typed reason and
-    ///   [`TuneReport::degraded_multi_selector`] falls back to the Open
-    ///   MPI rules wherever the surviving models cannot decide.
+    /// * a per-algorithm (α, β) failure **skips that algorithm** — its
+    ///   collective keeps the fits that survived, the report records
+    ///   the typed reason and [`TuneReport::degraded_multi_selector`]
+    ///   falls back to the Open MPI rules wherever the surviving models
+    ///   cannot decide.
     ///
     /// # Errors
     ///
     /// Returns the γ estimation's [`SimError`] (timeout, precision not
     /// reached, deadlock, rank panic) when the foundation cannot be
     /// measured.
-    pub fn try_tune(&self, policy: &RetryPolicy) -> Result<TuneReport, SimError> {
-        let gamma =
-            try_estimate_gamma(&self.cluster, &self.config.gamma, self.config.seed, policy)?;
-        let outcomes = try_estimate_all_alpha_beta(
-            &self.cluster,
-            &self.config.alpha_beta,
-            &gamma.table,
-            self.config.seed.wrapping_add(1),
-            policy,
-        );
-        let mut params = BTreeMap::new();
-        let mut skipped = BTreeMap::new();
-        for (alg, outcome) in outcomes {
-            match outcome {
-                Ok(est) => {
-                    params.insert(alg, est);
-                }
-                Err(e) => {
-                    skipped.insert(alg, e);
-                }
-            }
-        }
-        Ok(TuneReport {
-            model: TunedModel {
-                cluster_name: self.cluster.name().to_owned(),
-                gamma,
-                params,
-                collectives: BTreeMap::new(),
-                seg_size: self.config.seg_size,
-            },
-            skipped,
-            skipped_multi: BTreeMap::new(),
-        })
-    }
-
-    /// Fault-tolerant twin of [`tune_collectives`]
-    /// (Self::tune_collectives): the γ and broadcast stages follow
-    /// [`try_tune`](Self::try_tune)'s grading, and each breadth
-    /// algorithm that stalls is skipped individually — its collective
-    /// keeps the fits that survived, and the graceful selector falls
-    /// back to the fixed rules wherever a family lost every fit.
-    ///
-    /// # Errors
-    ///
-    /// Returns the γ estimation's [`SimError`] when the foundation
-    /// cannot be measured.
     pub fn try_tune_collectives(
         &self,
         collectives: &[Collective],
         policy: &RetryPolicy,
     ) -> Result<TuneReport, SimError> {
-        let mut report = self.try_tune(policy)?;
-        for &c in collectives {
-            let mut fits = BTreeMap::new();
+        let gamma =
+            try_estimate_gamma(&self.cluster, &self.config.gamma, self.config.seed, policy)?;
+        Ok(self.assemble(gamma, collectives, |c, gamma, seed| {
             if c == Collective::Bcast {
-                for (&b, est) in &report.model.params {
-                    fits.insert(Alg::Bcast(b), est.clone());
-                }
-                // Broadcast algorithms skipped by the Sect. 4.2 stage
-                // stay skipped here, under their qualified name.
-                for (&b, e) in &report.skipped {
-                    report.skipped_multi.insert(Alg::Bcast(b), e.clone());
-                }
+                rekey(try_estimate_all_alpha_beta(
+                    &self.cluster,
+                    &self.config.alpha_beta,
+                    gamma,
+                    seed,
+                    policy,
+                ))
             } else {
-                let outcomes = try_estimate_collective_family(
+                try_estimate_collective_family(
                     &self.cluster,
                     c,
                     &self.config.breadth,
-                    &report.model.gamma.table,
-                    self.breadth_seed(c),
+                    gamma,
+                    seed,
                     policy,
-                );
-                for (alg, outcome) in outcomes {
-                    match outcome {
-                        Ok(est) => {
-                            fits.insert(alg, est);
-                        }
-                        Err(e) => {
-                            report.skipped_multi.insert(alg, e);
-                        }
-                    }
+                )
+            }
+        }))
+    }
+
+    /// The one pipeline body: fits broadcast, then every listed
+    /// collective not fitted yet, each by `fit(collective, γ, seed)`,
+    /// and sorts the outcomes into the model and the skip map.
+    fn assemble(
+        &self,
+        gamma: GammaEstimate,
+        collectives: &[Collective],
+        mut fit: impl FnMut(Collective, &GammaTable, u64) -> Outcomes,
+    ) -> TuneReport {
+        let mut report = TuneReport {
+            model: TunedModel {
+                cluster_name: self.cluster.name().to_owned(),
+                gamma,
+                collectives: BTreeMap::new(),
+                seg_size: self.config.alpha_beta.seg_size,
+            },
+            skipped: BTreeMap::new(),
+        };
+        for c in std::iter::once(Collective::Bcast).chain(collectives.iter().copied()) {
+            if report.model.collectives.contains_key(&c) {
+                continue;
+            }
+            let mut fits = BTreeMap::new();
+            for (alg, outcome) in fit(c, &report.model.gamma.table, self.stage_seed(c)) {
+                match outcome {
+                    Ok(est) => _ = fits.insert(alg, est),
+                    Err(e) => _ = report.skipped.insert(alg, e),
                 }
             }
             report.model.collectives.insert(c, fits);
         }
-        Ok(report)
+        report
     }
+
+    /// The seed of one collective's estimation stage, decorrelated from
+    /// the γ stage (seed) and from the other collectives.
+    fn stage_seed(&self, c: Collective) -> u64 {
+        if c == Collective::Bcast {
+            self.config.seed.wrapping_add(1)
+        } else {
+            self.config
+                .seed
+                .wrapping_add(2)
+                .wrapping_add((c.index() as u64) << 40)
+        }
+    }
+}
+
+/// Re-keys broadcast-only outcomes by qualified algorithm.
+fn rekey<V>(by_bcast: BTreeMap<BcastAlg, V>) -> BTreeMap<Alg, V> {
+    by_bcast
+        .into_iter()
+        .map(|(b, v)| (Alg::Bcast(b), v))
+        .collect()
 }
 
 /// How a measurement campaign covers its (collective, P, m) grid.
@@ -731,10 +670,8 @@ impl Tuner {
     /// disagrees with the prediction — are measured. Ignored by the
     /// exhaustive strategy.
     ///
-    /// Segment sizes follow the serving convention of
-    /// [`TunedModel::multi_selector`]: broadcast cells run at the
-    /// tuned segment, every other collective at
-    /// [`BREADTH_SEG_SIZE`](collsel_estim::BREADTH_SEG_SIZE).
+    /// Each collective's cells run at its [`serving_seg_size`], the
+    /// segment [`TunedModel::multi_selector`] serves it at.
     ///
     /// # Panics
     ///
@@ -790,7 +727,7 @@ impl Tuner {
                 comm_sizes: &plan.comm_sizes,
                 msg_sizes: &plan.msg_sizes,
                 winners: &winners,
-                seg_size: self.campaign_seg(c),
+                seg_size: serving_seg_size(c, self.config.alpha_beta.seg_size),
             };
             tables.insert(
                 c,
@@ -811,16 +748,6 @@ impl Tuner {
         }
     }
 
-    /// The segment size campaign cells run at — the serving convention
-    /// of [`TunedModel::multi_selector`].
-    fn campaign_seg(&self, c: Collective) -> usize {
-        if c == Collective::Bcast {
-            self.config.seg_size
-        } else {
-            collsel_estim::BREADTH_SEG_SIZE
-        }
-    }
-
     /// Resolves one (collective, P) row's winner column under the
     /// plan's strategy. The cell seed packs (collective, P-index,
     /// m-index) into disjoint bit ranges above the per-algorithm
@@ -834,7 +761,7 @@ impl Tuner {
         pi: usize,
         warm: Option<&CollectiveModelSelector>,
     ) -> CampaignRow {
-        let seg = self.campaign_seg(c);
+        let seg = serving_seg_size(c, self.config.alpha_beta.seg_size);
         let row_seed = plan
             .seed
             .wrapping_add((c.index() as u64) << 56)
@@ -912,32 +839,54 @@ impl Tuner {
 }
 
 // JSON persistence (layout-compatible with the former serde derives).
-// Hand-written rather than `json_struct!` so that `collectives` is
-// optional on decode: model files written before the breadth campaigns
-// existed (including the committed `results/table2.json` artifact and
-// any user's saved broadcast-only model) must keep loading, with the
-// per-collective fits defaulting to empty.
+// Hand-written rather than `json_struct!` because the wire layout
+// predates the one per-collective store: broadcast's fits go to
+// `params` under `BcastAlg` keys (paper Table 2, as the committed
+// `results/table2.json` artifact has them), and `collectives` is `{}`
+// for a broadcast-only model and otherwise lists every tuned
+// collective, broadcast's copy included. On decode, broadcast comes
+// from `params` alone, and `collectives` is optional so that model
+// files written before the breadth campaigns existed keep loading.
 impl collsel_support::ToJson for TunedModel {
     fn to_json(&self) -> collsel_support::Json {
+        use collsel_support::json::JsonKey;
+        let params = self
+            .collectives
+            .get(&Collective::Bcast)
+            .into_iter()
+            .flatten()
+            .filter_map(|(alg, est)| match alg {
+                Alg::Bcast(b) => Some((b.to_key(), est.to_json())),
+                _ => None,
+            })
+            .collect();
+        let collectives = if self.collectives.keys().any(|&c| c != Collective::Bcast) {
+            self.collectives.to_json()
+        } else {
+            collsel_support::Json::Obj(Vec::new())
+        };
         collsel_support::Json::Obj(vec![
             ("cluster_name".to_string(), self.cluster_name.to_json()),
             ("gamma".to_string(), self.gamma.to_json()),
-            ("params".to_string(), self.params.to_json()),
-            ("collectives".to_string(), self.collectives.to_json()),
+            ("params".to_string(), collsel_support::Json::Obj(params)),
+            ("collectives".to_string(), collectives),
             ("seg_size".to_string(), self.seg_size.to_json()),
         ])
     }
 }
 impl collsel_support::FromJson for TunedModel {
     fn from_json(v: &collsel_support::Json) -> Result<Self, collsel_support::JsonError> {
+        let params: BTreeMap<BcastAlg, AlphaBetaEstimate> =
+            FromJson::from_json(v.field("params")?)?;
+        let mut collectives: BTreeMap<Collective, _> = match v.get("collectives") {
+            Some(c) => FromJson::from_json(c)?,
+            None => BTreeMap::new(),
+        };
+        collectives.insert(Collective::Bcast, rekey(params));
         Ok(TunedModel {
             cluster_name: FromJson::from_json(v.field("cluster_name")?)?,
             gamma: FromJson::from_json(v.field("gamma")?)?,
-            params: FromJson::from_json(v.field("params")?)?,
-            collectives: match v.get("collectives") {
-                Some(c) => FromJson::from_json(c)?,
-                None => BTreeMap::new(),
-            },
+            collectives,
             seg_size: FromJson::from_json(v.field("seg_size")?)?,
         })
     }
@@ -954,7 +903,11 @@ mod tests {
         let tuner = Tuner::new(cluster, TunerConfig::quick(16));
         let model = tuner.tune();
         assert_eq!(model.cluster_name, "gros");
-        assert_eq!(model.params.len(), 6, "all six algorithms tuned");
+        assert_eq!(
+            model.collectives[&Collective::Bcast].len(),
+            6,
+            "all six algorithms tuned"
+        );
         assert_eq!(model.tuned_collectives(), vec![Collective::Bcast]);
         let sel = model
             .multi_selector()
@@ -995,7 +948,8 @@ mod tests {
     #[test]
     fn tune_all_fits_every_collective_family() {
         let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
-        let model = Tuner::new(cluster, TunerConfig::quick(8)).tune_all();
+        let tuner = Tuner::new(cluster, TunerConfig::quick(8));
+        let model = tuner.tune_all();
         assert_eq!(model.tuned_collectives(), Collective::ALL.to_vec());
         for (c, fits) in &model.collectives {
             assert_eq!(fits.len(), c.algorithms().len(), "{c}");
@@ -1003,10 +957,11 @@ mod tests {
                 assert_eq!(alg.collective(), *c);
             }
         }
-        // Broadcast's entry is the Sect. 4.2 fits, re-keyed.
-        for (&b, est) in &model.params {
-            assert_eq!(model.collectives[&Collective::Bcast][&Alg::Bcast(b)], *est);
-        }
+        // Broadcast's entry is the Sect. 4.2 fits, whatever else ran.
+        assert_eq!(
+            model.collectives[&Collective::Bcast],
+            tuner.tune().collectives[&Collective::Bcast]
+        );
     }
 
     #[test]
@@ -1022,37 +977,36 @@ mod tests {
         }
     }
 
-    /// Broadcast is served from `params` whatever else the model holds:
-    /// a plain `tune()` model and a `--collective reduce` model carry no
-    /// `collectives[Bcast]` entry, yet their broadcast answers are the
-    /// argmin over their own broadcast fits, never the fixed rules.
+    /// Broadcast is served from its own Sect. 4.2 fits whatever else the
+    /// model holds: a plain `tune()` model and a `--collective reduce`
+    /// model both answer broadcast with the argmin over those fits,
+    /// never the fixed rules.
     #[test]
     fn broadcast_is_served_from_its_own_fits() {
         let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
         let tuner = Tuner::new(cluster, TunerConfig::quick(8));
         for model in [tuner.tune_collectives(&[Collective::Reduce]), tuner.tune()] {
-            assert!(!model.collectives.contains_key(&Collective::Bcast));
+            assert_eq!(model.tuned_collectives()[0], Collective::Bcast);
             let live = model.multi_selector();
             let graceful = model.degraded_multi_selector();
             for p in [2usize, 4, 9, 24, 64, 128] {
                 for m in [512usize, 8192, 100_000, 1 << 20, 8 << 20] {
-                    let argmin = model
-                        .params
+                    let argmin = model.collectives[&Collective::Bcast]
                         .iter()
-                        .map(|(&b, est)| {
-                            let t = collsel_model::derived::predict_bcast(
-                                b,
+                        .map(|(&alg, est)| {
+                            let t = collsel_model::collectives::predict(
+                                alg,
                                 p,
                                 m,
                                 model.seg_size,
                                 &model.gamma.table,
                                 &est.hockney,
                             );
-                            (b, t)
+                            (alg, t)
                         })
                         .filter(|(_, t)| t.is_finite())
                         .min_by(|a, b| a.1.total_cmp(&b.1))
-                        .map(|(b, _)| Alg::Bcast(b));
+                        .map(|(alg, _)| alg);
                     let pick = live.select_for(Collective::Bcast, p, m);
                     assert_eq!(Some(pick.alg), argmin, "p={p} m={m}");
                     let d = graceful.decide_for(Collective::Bcast, p, m);
@@ -1088,14 +1042,21 @@ mod tests {
     #[test]
     fn try_tune_collectives_matches_infallible_on_a_healthy_cluster() {
         let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
-        let tuner = Tuner::new(cluster, TunerConfig::quick(6));
-        let collectives = [Collective::Bcast, Collective::Reduce, Collective::Alltoall];
-        let plain = tuner.tune_collectives(&collectives);
-        let report = tuner
-            .try_tune_collectives(&collectives, &RetryPolicy::no_deadline())
-            .expect("healthy cluster tunes");
-        assert!(report.is_complete());
-        assert_eq!(report.model, plain, "fault-tolerant path is bit-identical");
+        let tuner = Tuner::new(cluster, TunerConfig::quick(12));
+        let breadth = [Collective::Bcast, Collective::Reduce, Collective::Alltoall];
+        for (collectives, plain) in [
+            (&[Collective::Bcast][..], tuner.tune()),
+            (&breadth[..], tuner.tune_collectives(&breadth)),
+        ] {
+            let report = tuner
+                .try_tune_collectives(collectives, &RetryPolicy::no_deadline())
+                .expect("healthy cluster tunes");
+            assert!(report.is_complete());
+            assert_eq!(report.model, plain, "fault-tolerant path is bit-identical");
+        }
+        for v in tuner.tune().multi_validity().values() {
+            assert!(v.is_valid(), "{v}");
+        }
     }
 
     #[test]
@@ -1106,22 +1067,7 @@ mod tests {
     }
 
     #[test]
-    fn try_tune_matches_tune_on_a_healthy_cluster() {
-        let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
-        let tuner = Tuner::new(cluster, TunerConfig::quick(12));
-        let plain = tuner.tune();
-        let report = tuner
-            .try_tune(&RetryPolicy::no_deadline())
-            .expect("healthy cluster tunes");
-        assert!(report.is_complete());
-        assert_eq!(report.model, plain, "fault-tolerant path is bit-identical");
-        for v in tuner.tune().validity().values() {
-            assert!(v.is_valid(), "{v}");
-        }
-    }
-
-    #[test]
-    fn try_tune_fails_fast_when_gamma_cannot_be_measured() {
+    fn try_tune_collectives_fails_fast_when_gamma_cannot_be_measured() {
         use collsel_netsim::SimSpan;
         let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
         let tuner = Tuner::new(cluster, TunerConfig::quick(12));
@@ -1130,7 +1076,9 @@ mod tests {
             budget: Some(SimSpan::from_nanos(1)),
             backoff: 1,
         };
-        let err = tuner.try_tune(&policy).unwrap_err();
+        let err = tuner
+            .try_tune_collectives(&[Collective::Bcast], &policy)
+            .unwrap_err();
         assert!(matches!(err, SimError::Timeout { .. }), "{err}");
     }
 
@@ -1139,9 +1087,10 @@ mod tests {
         let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
         let mut model = Tuner::new(cluster, TunerConfig::quick(12)).tune();
         // Pretend half the algorithms were skipped under faults.
-        model.params.remove(&BcastAlg::Linear);
-        model.params.remove(&BcastAlg::Chain);
-        model.params.remove(&BcastAlg::KChain);
+        let bcast = model.collectives.get_mut(&Collective::Bcast).unwrap();
+        for b in [BcastAlg::Linear, BcastAlg::Chain, BcastAlg::KChain] {
+            bcast.remove(&Alg::Bcast(b));
+        }
         let sel = model.degraded_multi_selector();
         assert_eq!(sel.modelled_algorithms().len(), 3);
         for &(p, m) in &[(4usize, 512usize), (16, 64 * 1024), (100, 1 << 20)] {
@@ -1162,25 +1111,34 @@ mod tests {
 mod persistence_tests {
     use super::*;
     use collsel_netsim::NoiseParams;
+    use collsel_support::{Json, ToJson};
+
+    fn quick_tuner(p: usize) -> Tuner {
+        let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
+        Tuner::new(cluster, TunerConfig::quick(p))
+    }
+
+    fn decode(json: &Json) -> TunedModel {
+        FromJson::from_json(json).expect("decodes")
+    }
 
     #[test]
     fn tuned_model_round_trips_through_json() {
         // The colltune workflow persists models as JSON; selections
         // must survive the round trip bit-for-bit.
-        let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
-        let model = Tuner::new(cluster, TunerConfig::quick(12)).tune();
-        let json = collsel_support::ToJson::to_json(&model).to_string_pretty();
-        let value = collsel_support::Json::parse(&json).expect("parses");
-        let back: TunedModel = collsel_support::FromJson::from_json(&value).expect("decodes");
+        let model = quick_tuner(12).tune();
+        let json = model.to_json().to_string_pretty();
+        let back = decode(&Json::parse(&json).expect("parses"));
         // Floats may lose the last ulp through the JSON text form, so
         // compare behaviourally: same structure, same parameters to
         // high precision, identical runtime selections.
         assert_eq!(back.cluster_name, model.cluster_name);
         assert_eq!(back.seg_size, model.seg_size);
-        assert_eq!(back.params.len(), model.params.len());
-        for (alg, est) in &model.params {
-            let h1 = est.hockney;
-            let h2 = back.params[alg].hockney;
+        assert_eq!(back.tuned_collectives(), model.tuned_collectives());
+        let (h1, h2) = (model.multi_hockney_table(), back.multi_hockney_table());
+        assert_eq!(h1.len(), h2.len());
+        for (alg, h1) in &h1 {
+            let h2 = h2[alg];
             assert!((h1.alpha - h2.alpha).abs() <= 1e-12 * h1.alpha.abs().max(1e-30));
             assert!((h1.beta - h2.beta).abs() <= 1e-12 * h1.beta.abs().max(1e-30));
         }
@@ -1196,27 +1154,81 @@ mod persistence_tests {
     #[test]
     fn pre_breadth_model_files_still_decode() {
         // Model JSON written before the breadth campaigns existed has
-        // no `collectives` field; it must load with the per-collective
-        // fits empty, not fail (regression: the committed
+        // no `collectives` field; it must load as a broadcast-only
+        // model, not fail (regression: the committed
         // results/table2.json artifact and any saved broadcast-only
         // model).
-        let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
-        let model = Tuner::new(cluster, TunerConfig::quick(12)).tune();
-        let json = collsel_support::ToJson::to_json(&model).to_string_pretty();
-        let value = collsel_support::Json::parse(&json).expect("parses");
-        let legacy = match value {
-            collsel_support::Json::Obj(fields) => collsel_support::Json::Obj(
-                fields
-                    .into_iter()
-                    .filter(|(k, _)| k != "collectives")
-                    .collect(),
-            ),
-            other => other,
+        let model = quick_tuner(12).tune();
+        let Json::Obj(mut fields) = model.to_json() else {
+            unreachable!("a model encodes as an object")
         };
-        let back: TunedModel = collsel_support::FromJson::from_json(&legacy).expect("decodes");
-        assert!(back.collectives.is_empty());
-        assert_eq!(back.tuned_collectives(), vec![Collective::Bcast]);
-        assert_eq!(back.cluster_name, model.cluster_name);
-        assert_eq!(back.params.len(), model.params.len());
+        fields.retain(|(k, _)| k != "collectives");
+        assert_eq!(decode(&Json::Obj(fields)), model);
+    }
+
+    /// The wire rule: broadcast's fits always go to `params` under
+    /// `BcastAlg` keys; `collectives` is `{}` for a broadcast-only model
+    /// and otherwise lists every tuned collective, broadcast's copy of
+    /// `params` included.
+    #[test]
+    fn params_always_and_collectives_only_beside_breadth_fits() {
+        let tuner = quick_tuner(8);
+        let json = tuner.tune().to_json();
+        let params = json.field("params").expect("params");
+        let keys: Vec<&str> = match params {
+            Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("params is an object: {other}"),
+        };
+        let names: Vec<&str> = [
+            "Linear",
+            "Chain",
+            "KChain",
+            "SplitBinary",
+            "Binary",
+            "Binomial",
+        ]
+        .into();
+        assert_eq!(keys, names);
+        assert_eq!(
+            json.field("collectives").expect("collectives"),
+            &Json::Obj(Vec::new())
+        );
+
+        let json = tuner.tune_all().to_json();
+        let params: BTreeMap<BcastAlg, AlphaBetaEstimate> =
+            FromJson::from_json(json.field("params").expect("params")).expect("decodes");
+        let collectives: BTreeMap<Collective, BTreeMap<Alg, AlphaBetaEstimate>> =
+            FromJson::from_json(json.field("collectives").expect("collectives")).expect("decodes");
+        assert_eq!(
+            collectives.keys().copied().collect::<Vec<_>>(),
+            Collective::ALL
+        );
+        assert_eq!(params.len(), 6);
+        assert_eq!(collectives[&Collective::Bcast], rekey(params));
+    }
+
+    /// A `--collective reduce` model decodes to the same model whatever
+    /// its file holds under `collectives.Bcast` — the copy, nothing, or
+    /// a stale entry: broadcast is read from `params` alone.
+    #[test]
+    fn broadcast_copy_under_collectives_is_ignored_on_decode() {
+        let model = quick_tuner(8).tune_collectives(&[Collective::Reduce]);
+        let json = model.to_json();
+        for copy in [None, Some(Json::Obj(Vec::new()))] {
+            let Json::Obj(mut fields) = json.clone() else {
+                unreachable!("a model encodes as an object")
+            };
+            for (k, v) in &mut fields {
+                if let (true, Json::Obj(entries)) = (k == "collectives", v) {
+                    entries.retain(|(c, _)| c != "Bcast");
+                    entries.extend(copy.clone().map(|c| ("Bcast".to_owned(), c)));
+                }
+            }
+            assert_eq!(decode(&Json::Obj(fields)), decode(&json), "{copy:?}");
+        }
+        assert_eq!(
+            decode(&json).tuned_collectives(),
+            vec![Collective::Bcast, Collective::Reduce]
+        );
     }
 }

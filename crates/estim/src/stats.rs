@@ -313,51 +313,37 @@ pub fn sample_adaptive_fallible(
     mut supplier: impl FnMut(usize) -> Result<Vec<f64>, SimError>,
 ) -> Result<SampleStats, SimError> {
     precision.validate();
-    let mut samples: Vec<f64> = Vec::new();
-    let mut acc = Welford::new();
-    let mut batch_index = 0;
-    while samples.len() < precision.max_reps {
-        let batch = supplier(batch_index)?;
-        assert!(!batch.is_empty(), "sample supplier returned an empty batch");
-        batch_index += 1;
-        for x in batch {
-            assert!(x.is_finite(), "non-finite sample {x}");
-            samples.push(x);
-            acc.push(x);
-        }
-        if samples.len() >= precision.min_reps {
-            let half = t_critical_95(acc.count() - 1) * acc.std_dev() / (acc.count() as f64).sqrt();
-            let mean = acc.mean();
-            if mean == 0.0 || half / mean.abs() <= precision.rel_precision {
-                return Ok(stats_from(&samples, true));
-            }
-        }
+    let mut acc = AdaptiveAccumulator::new();
+    while !acc.done(precision) {
+        let batch = supplier(acc.batches())?;
+        acc.push_batch(batch, precision);
+    }
+    if acc.converged() {
+        return Ok(acc.finish());
     }
     // Budget exhausted without convergence: MAD-filter rescue.
-    let filtered = mad_filter(&samples, 3.0);
-    if filtered.len() >= precision.min_reps && filtered.len() < samples.len() {
-        let rescued = stats_from(&filtered, false);
-        let rel = if rescued.mean == 0.0 {
+    let rel = |s: &SampleStats| {
+        if s.mean == 0.0 {
             0.0
         } else {
-            rescued.ci_half_width / rescued.mean.abs()
-        };
-        if rel <= precision.rel_precision {
+            s.ci_half_width / s.mean.abs()
+        }
+    };
+    let samples = &acc.samples;
+    let filtered = mad_filter(samples, 3.0);
+    if filtered.len() >= precision.min_reps && filtered.len() < samples.len() {
+        let rescued = stats_from(&filtered, false);
+        if rel(&rescued) <= precision.rel_precision {
             return Ok(SampleStats {
                 converged: true,
                 ..rescued
             });
         }
     }
-    let raw = stats_from(&samples, false);
-    let achieved = if raw.mean == 0.0 {
-        0.0
-    } else {
-        raw.ci_half_width / raw.mean.abs()
-    };
+    let raw = acc.finish();
     Err(SimError::PrecisionNotReached {
         target: precision.rel_precision,
-        achieved,
+        achieved: rel(&raw),
         samples: raw.n,
     })
 }

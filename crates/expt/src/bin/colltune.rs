@@ -179,8 +179,8 @@ fn parse_backend(args: &[String]) -> Result<Backend, String> {
 }
 
 /// Parses the repeated `--collective` flag: collective names or the
-/// shorthand `all`, deduplicated in first-seen order. Empty when the
-/// flag is absent (broadcast-only behaviour).
+/// shorthand `all`, deduplicated in first-seen order. Broadcast alone
+/// when the flag is absent (the paper's pipeline).
 fn parse_collectives(args: &[String]) -> Result<Vec<Collective>, String> {
     let mut out: Vec<Collective> = Vec::new();
     for value in flag_values(args, "--collective") {
@@ -196,6 +196,9 @@ fn parse_collectives(args: &[String]) -> Result<Vec<Collective>, String> {
                 out.push(c);
             }
         }
+    }
+    if out.is_empty() {
+        out.push(Collective::Bcast);
     }
     Ok(out)
 }
@@ -313,7 +316,7 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
         tune_p,
         threads
     );
-    if !collectives.is_empty() {
+    if collectives != [Collective::Bcast] {
         let names: Vec<&str> = collectives.iter().map(|c| c.name()).collect();
         eprintln!(
             "[colltune] breadth campaign over {} collective(s): {}",
@@ -325,17 +328,10 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
         Some(plan) if !plan.is_none() => {
             eprintln!("[colltune] injecting faults: {plan}");
             let cluster = cluster.with_faults(plan);
-            let tuner = Tuner::new(cluster, config);
-            let report = if collectives.is_empty() {
-                tuner.try_tune(&RetryPolicy::default())
-            } else {
-                tuner.try_tune_collectives(&collectives, &RetryPolicy::default())
-            }
-            .map_err(|e| format!("tuning failed under the fault plan: {e}"))?;
+            let report = Tuner::new(cluster, config)
+                .try_tune_collectives(&collectives, &RetryPolicy::default())
+                .map_err(|e| format!("tuning failed under the fault plan: {e}"))?;
             for (alg, why) in &report.skipped {
-                eprintln!("[colltune] skipped {:<12} {why}", alg.name());
-            }
-            for (alg, why) in &report.skipped_multi {
                 eprintln!("[colltune] skipped {:<22} {why}", alg.qualified_name());
             }
             for (alg, verdict) in report.model.multi_validity() {
@@ -351,14 +347,7 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
             }
             report.model
         }
-        _ => {
-            let tuner = Tuner::new(cluster, config);
-            if collectives.is_empty() {
-                tuner.tune()
-            } else {
-                tuner.tune_collectives(&collectives)
-            }
-        }
+        _ => Tuner::new(cluster, config).tune_collectives(&collectives),
     };
     // `--adaptive`: a measured-winner campaign, warm-started from the
     // just-tuned model (or a neighbor's via `--warm-from`), whose
@@ -369,17 +358,12 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
             Some(path) => (load_model_path(path)?, path.to_owned()),
             None => (model.clone(), "self".to_owned()),
         };
-        let campaign_collectives = if collectives.is_empty() {
-            vec![Collective::Bcast]
-        } else {
-            collectives.clone()
-        };
         let comm_sizes: Vec<usize> = [2usize, 4, 8, 16, 32]
             .into_iter()
             .filter(|&p| p <= campaign_cluster.max_ranks())
             .collect();
         let msg_sizes = log_spaced_sizes(1024, 1024 * 1024, 12);
-        let mut plan = CampaignPlan::adaptive(campaign_collectives, comm_sizes, msg_sizes, 4);
+        let mut plan = CampaignPlan::adaptive(collectives, comm_sizes, msg_sizes, 4);
         plan.seed = seed;
         plan.backend = backend;
         plan.budget = budget;
@@ -476,10 +460,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     if sizes.is_empty() {
         return Err("at least one --m required".into());
     }
-    let mut collectives = parse_collectives(args)?;
-    if collectives.is_empty() {
-        collectives.push(Collective::Bcast);
-    }
+    let collectives = parse_collectives(args)?;
     if args.iter().any(|a| a == "--degraded") {
         let selector = model.degraded_multi_selector();
         println!("graceful selections for {} at P = {p}:", model.cluster_name);
@@ -617,10 +598,7 @@ fn cmd_bench_select(args: &[String]) -> Result<(), String> {
     }
     let comm_sizes = parse_comm_sizes(args)?;
     let msg_sizes = log_spaced_sizes(1024, 8 * 1024 * 1024, 14);
-    let mut collectives = parse_collectives(args)?;
-    if collectives.is_empty() {
-        collectives.push(Collective::Bcast);
-    }
+    let collectives = parse_collectives(args)?;
     let tuned = model.tuned_collectives();
     for &c in &collectives {
         if !tuned.contains(&c) {
@@ -1015,13 +993,7 @@ fn print_tables(model: &TunedModel) {
         println!("  {p}: {g:.3}");
     }
     println!("per-algorithm parameters:");
-    for (alg, h) in model.hockney_table() {
-        println!("  {:<12} {}", alg.name(), h);
-    }
-    if !model.collectives.is_empty() {
-        println!("per-collective parameters:");
-        for (alg, h) in model.multi_hockney_table() {
-            println!("  {:<22} {}", alg.qualified_name(), h);
-        }
+    for (alg, h) in model.multi_hockney_table() {
+        println!("  {:<22} {}", alg.qualified_name(), h);
     }
 }

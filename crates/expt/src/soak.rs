@@ -39,7 +39,7 @@ use collsel::select::{
     fixed_selection, CollSelection, CompiledCollectiveSelector, DecisionServer,
     GracefulCollectiveSelector, RefitOutcome, ServeSource, ServedAnswer, ServerConfig, ServerStats,
 };
-use collsel::{Tuner, TunerConfig};
+use collsel::{serving_seg_size, TunedModel, Tuner, TunerConfig};
 use collsel_support::rng::splitmix64;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -161,12 +161,12 @@ impl SoakReport {
     }
 }
 
-/// Rebuilds a candidate selector from the boot fits with every β
+/// Rebuilds a candidate selector from the boot model's fits with every β
 /// scaled by a tiny seeded factor (order-preserving, so the health
 /// gate accepts it), or — when `poisoned` — with the per-collective β
 /// order reversed (decision-flipping, so the gate must reject it).
 fn candidate(
-    boot: &BootFits,
+    boot: &TunedModel,
     round: usize,
     seed: u64,
     poisoned: bool,
@@ -176,7 +176,7 @@ fn candidate(
         // Reverse each collective's β ranking: the cheapest algorithm
         // gets the dearest β and vice versa.
         let mut by_coll: BTreeMap<Collective, Vec<(Alg, Hockney)>> = BTreeMap::new();
-        for (&alg, &h) in &boot.params {
+        for (alg, h) in boot.multi_hockney_table() {
             by_coll.entry(alg.collective()).or_default().push((alg, h));
         }
         let mut flipped = BTreeMap::new();
@@ -189,9 +189,9 @@ fn candidate(
         }
         flipped
     } else {
-        boot.params
-            .iter()
-            .map(|(&alg, &h)| {
+        boot.multi_hockney_table()
+            .into_iter()
+            .map(|(alg, h)| {
                 // ±0.1 % β jitter: a realistic refit of the same
                 // cluster, far inside the health gate's tolerance.
                 let u = (splitmix64(&mut state) % 2_000) as f64 / 1_000.0 - 1.0;
@@ -200,21 +200,11 @@ fn candidate(
             .collect()
     };
     let validity = params.keys().map(|&a| (a, FitValidity::Valid)).collect();
-    let mut selector =
-        GracefulCollectiveSelector::new(boot.gamma.clone(), params, validity, boot.seg_size);
-    for c in Collective::ALL {
-        if c != Collective::Bcast {
-            selector = selector.with_seg_size(c, collsel::estim::BREADTH_SEG_SIZE);
-        }
-    }
-    selector
-}
-
-/// The boot generation's raw fits, kept for deriving refit candidates.
-struct BootFits {
-    gamma: collsel::model::GammaTable,
-    params: BTreeMap<Alg, Hockney>,
-    seg_size: usize,
+    let gamma = boot.gamma.table.clone();
+    let selector = GracefulCollectiveSelector::new(gamma, params, validity, boot.seg_size);
+    Collective::ALL.into_iter().fold(selector, |s, c| {
+        s.with_seg_size(c, serving_seg_size(c, boot.seg_size))
+    })
 }
 
 /// Runs one soak (see the module docs). The returned report carries
@@ -231,11 +221,8 @@ pub fn run_soak(config: &SoakConfig) -> SoakReport {
         .try_tune_collectives(&config.collectives, &RetryPolicy::default())
         .expect("soak boot tune must complete");
     let boot_selector = report.degraded_multi_selector();
-    let boot = BootFits {
-        gamma: report.model.gamma.table.clone(),
-        params: report.model.multi_hockney_table(),
-        seg_size: report.model.seg_size,
-    };
+    // The boot generation's fits, kept for deriving refit candidates.
+    let boot = &report.model;
 
     let server = DecisionServer::new(&boot_selector, config.cluster.name(), config.server.clone());
     // version → tables, the oracle the validator replays answers
@@ -306,7 +293,7 @@ pub fn run_soak(config: &SoakConfig) -> SoakReport {
                     std::thread::yield_now();
                 }
                 let poisoned = config.poison_every != 0 && round % config.poison_every == 0;
-                let cand = candidate(&boot, round, config.seed, poisoned);
+                let cand = candidate(boot, round, config.seed, poisoned);
                 match server.submit_refit(&cand, &format!("refit {round}")) {
                     RefitOutcome::Installed { epoch, tables } => {
                         registry

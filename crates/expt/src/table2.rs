@@ -10,7 +10,7 @@
 use crate::config::{Fidelity, Scenario};
 use crate::paper_ref::{TABLE2_GRISOU, TABLE2_GROS};
 use crate::report::{format_csv, format_table};
-use collsel::coll::BcastAlg;
+use collsel::coll::{Alg, Collective};
 use collsel::{TunedModel, Tuner};
 
 /// The regenerated Table 2: one tuned model per cluster.
@@ -26,7 +26,7 @@ impl Table2Result {
         self.models.iter().find(|m| m.cluster_name == cluster)
     }
 
-    fn paper_ref(cluster: &str, alg: BcastAlg) -> Option<(f64, f64)> {
+    fn paper_ref(cluster: &str, alg: Alg) -> Option<(f64, f64)> {
         let table = match cluster {
             "grisou" => &TABLE2_GRISOU,
             "gros" => &TABLE2_GROS,
@@ -34,14 +34,14 @@ impl Table2Result {
         };
         table
             .iter()
-            .find(|&&(a, _, _)| a == alg)
+            .find(|&&(a, _, _)| Alg::Bcast(a) == alg)
             .map(|&(_, alpha, beta)| (alpha, beta))
     }
 
     fn rows(&self) -> Vec<Vec<String>> {
         let mut rows = Vec::new();
         for model in &self.models {
-            for (&alg, est) in &model.params {
+            for (&alg, est) in &model.collectives[&Collective::Bcast] {
                 let (pa, pb) = Self::paper_ref(&model.cluster_name, alg)
                     .map_or(("-".into(), "-".into()), |(a, b)| {
                         (format!("{a:.1e}"), format!("{b:.1e}"))
@@ -120,12 +120,15 @@ mod tests {
         let t2 = run_table2(&scs, Fidelity::Quick);
         assert_eq!(t2.models.len(), 2);
         for model in &t2.models {
-            assert_eq!(model.params.len(), 6);
+            assert_eq!(model.collectives[&Collective::Bcast].len(), 6);
         }
         // Context-dependence: on each cluster, the six algorithms must
         // not all share one beta.
         for model in &t2.models {
-            let betas: Vec<f64> = model.params.values().map(|e| e.hockney.beta).collect();
+            let betas: Vec<f64> = model.collectives[&Collective::Bcast]
+                .values()
+                .map(|e| e.hockney.beta)
+                .collect();
             let min = betas.iter().cloned().fold(f64::MAX, f64::min);
             let max = betas.iter().cloned().fold(0.0_f64, f64::max);
             assert!(

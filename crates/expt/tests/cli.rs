@@ -94,7 +94,8 @@ fn colltune_tune_query_show_export_round_trip() {
 
 /// A model tuned for reduce still carries the Sect. 4.2 broadcast fits;
 /// its broadcast queries must be answered from them, not from the fixed
-/// rules as if broadcast had never been tuned.
+/// rules as if broadcast had never been tuned, and the tune report
+/// lists each of them once.
 #[test]
 fn colltune_reduce_model_serves_broadcast_from_its_own_fits() {
     let model = temp_path("reduce-model.json");
@@ -108,6 +109,17 @@ fn colltune_reduce_model_serves_broadcast_from_its_own_fits() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let text = std::fs::read_to_string(&model).expect("model written");
+    let json = collsel_support::Json::parse(&text).expect("model parses");
+    let tuned: collsel::TunedModel =
+        collsel_support::FromJson::from_json(&json).expect("model decodes");
+    let bcast = &tuned.collectives[&collsel::coll::Collective::Bcast];
+    assert_eq!(bcast.len(), 6);
+    for est in bcast.values() {
+        let fit = est.hockney.to_string();
+        assert_eq!(stdout.matches(&fit).count(), 1, "{fit} in\n{stdout}");
+    }
     let out = colltune()
         .args(["query", "--model", model.to_str().unwrap(), "--p", "64"])
         .args(["--m", "8192", "--m", "1048576", "--collective", "bcast"])

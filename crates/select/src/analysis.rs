@@ -2,9 +2,11 @@
 //! Table 3 and Fig. 5 comparisons.
 //!
 //! Given measured execution times of every algorithm at a `(p, m)`
-//! point, [`ComparisonPoint`] records who actually won, what each
-//! decision function picked, and the percentage degradation of each
-//! pick against the best — exactly the quantities reported in Table 3.
+//! point, [`MeasuredPoint`] names who actually won and the percentage
+//! degradation of any pick against the best, and [`summarise`] condenses
+//! a set of degradations — the quantities reported in Table 3. The
+//! Table 3 / Fig. 5 row itself (both picks and their degradations) is
+//! `collsel_expt::sweep::SweepPoint`.
 
 use collsel_coll::BcastAlg;
 use std::collections::BTreeMap;
@@ -55,64 +57,6 @@ impl MeasuredPoint {
         let t = *self.times.get(&alg)?;
         let (_, best) = self.best();
         Some(100.0 * (t - best) / best)
-    }
-}
-
-/// One row of a Table 3-style comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ComparisonPoint {
-    /// Process count.
-    pub p: usize,
-    /// Message size in bytes.
-    pub m: usize,
-    /// The measured best algorithm.
-    pub best: BcastAlg,
-    /// The measured best time in seconds.
-    pub best_time: f64,
-    /// What the model-based decision picked.
-    pub model_pick: BcastAlg,
-    /// Degradation of the model-based pick vs best, in percent.
-    pub model_degradation_pct: f64,
-    /// What the native Open MPI decision picked.
-    pub openmpi_pick: BcastAlg,
-    /// Degradation of the Open MPI pick vs best, in percent.
-    pub openmpi_degradation_pct: f64,
-    /// Measured time of the model-based pick.
-    pub model_time: f64,
-    /// Measured time of the Open MPI pick (with its own segment size).
-    pub openmpi_time: f64,
-}
-
-impl ComparisonPoint {
-    /// Assembles a comparison row.
-    ///
-    /// `point` holds the per-algorithm times at the paper's fixed 8 KB
-    /// segment size; `openmpi_time` is measured separately because Open
-    /// MPI's decision function also chooses its own segment size.
-    pub fn build(
-        point: &MeasuredPoint,
-        model_pick: BcastAlg,
-        openmpi_pick: BcastAlg,
-        openmpi_time: f64,
-    ) -> Self {
-        let (best, best_time) = point.best();
-        let model_time = point
-            .times
-            .get(&model_pick)
-            .copied()
-            .expect("model pick was measured");
-        ComparisonPoint {
-            p: point.p,
-            m: point.m,
-            best,
-            best_time,
-            model_pick,
-            model_degradation_pct: 100.0 * (model_time - best_time) / best_time,
-            openmpi_pick,
-            openmpi_degradation_pct: 100.0 * (openmpi_time - best_time) / best_time,
-            model_time,
-            openmpi_time,
-        }
     }
 }
 
@@ -182,15 +126,6 @@ mod tests {
         let d = p.degradation_pct(BcastAlg::Chain).unwrap();
         assert!((d - 100.0).abs() < 1e-9);
         assert_eq!(p.degradation_pct(BcastAlg::Linear), None);
-    }
-
-    #[test]
-    fn comparison_point_computes_both_sides() {
-        let p = point();
-        let row = ComparisonPoint::build(&p, BcastAlg::Binary, BcastAlg::Chain, 2.6e-3);
-        assert_eq!(row.best, BcastAlg::Binomial);
-        assert!((row.model_degradation_pct - 10.0).abs() < 1e-9);
-        assert!((row.openmpi_degradation_pct - 160.0).abs() < 1e-9);
     }
 
     #[test]

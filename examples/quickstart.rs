@@ -35,8 +35,8 @@ fn main() {
     }
 
     println!("\nper-algorithm Hockney parameters:");
-    for (alg, h) in model.hockney_table() {
-        println!("  {alg:<12} {h}");
+    for (alg, h) in model.multi_hockney_table() {
+        println!("  {:<16} {h}", alg.qualified_name());
     }
 
     // The tuned decision function: what the paper proposes to run

@@ -4,7 +4,7 @@
 //! hang — and the graceful selector must answer every query, reporting
 //! whether the model or the Open MPI rules decided.
 
-use collsel::coll::{BcastAlg, Collective};
+use collsel::coll::{Alg, BcastAlg, Collective};
 use collsel::estim::{Precision, RetryPolicy};
 use collsel::netsim::{Brownout, ClusterModel, FaultPlan, NoiseParams, SimSpan, SimTime};
 use collsel::select::{fixed_selection, DecisionSource, FallbackReason};
@@ -49,7 +49,7 @@ fn tuning_under_faults_completes_or_reports_typed_errors() {
         for (label, plan) in canned_plans(cluster.nodes()) {
             let faulted = cluster.clone().with_faults(plan);
             let tuner = Tuner::new(faulted, TunerConfig::quick(TUNE_P));
-            match tuner.try_tune(&RetryPolicy::default()) {
+            match tuner.try_tune_collectives(&[Collective::Bcast], &RetryPolicy::default()) {
                 Ok(report) => {
                     let sel = report.degraded_multi_selector();
                     // Every query must be answered without panicking,
@@ -119,10 +119,13 @@ fn broadcasts_that_all_timed_out_report_estimation_timeout() {
         backoff: 1,
     };
     let report = Tuner::new(cluster, TunerConfig::quick(TUNE_P))
-        .try_tune(&policy)
+        .try_tune_collectives(&[Collective::Bcast], &policy)
         .expect("the γ experiments fit inside the budget");
-    assert!(report.model.params.is_empty());
-    assert_eq!(report.skipped.len(), BcastAlg::ALL.len());
+    assert!(report.model.collectives[&Collective::Bcast].is_empty());
+    assert_eq!(
+        report.skipped.keys().copied().collect::<Vec<_>>(),
+        BcastAlg::ALL.map(Alg::Bcast).to_vec()
+    );
     let sel = report.degraded_multi_selector();
     for p in [2usize, 16, 64] {
         for m in [1024usize, 1 << 20] {
@@ -147,22 +150,23 @@ fn straggler_tuning_completes_with_inflated_parameters() {
         .with_faults(FaultPlan::none().with_straggler(TUNE_P - 1, 10.0));
     let healthy = Tuner::new(base, TunerConfig::quick(TUNE_P)).tune();
     let report = Tuner::new(faulted, TunerConfig::quick(TUNE_P))
-        .try_tune(&RetryPolicy::default())
+        .try_tune_collectives(&[Collective::Bcast], &RetryPolicy::default())
         .expect("a single straggler cannot stall a quiet cluster");
     // Whatever fitted must predict slower broadcasts than the healthy
     // fit for at least the algorithms that funnel through the straggler.
+    let fitted = &report.model.collectives[&Collective::Bcast];
     let mut slower = 0usize;
-    for (alg, est) in &report.model.params {
-        if let Some(h) = healthy.params.get(alg) {
+    for (alg, est) in fitted {
+        if let Some(h) = healthy.collectives[&Collective::Bcast].get(alg) {
             if est.hockney.alpha + est.hockney.beta > h.hockney.alpha + h.hockney.beta {
                 slower += 1;
             }
         }
     }
     assert!(
-        slower >= report.model.params.len() / 2,
+        slower >= fitted.len() / 2,
         "a 10x straggler should inflate most fits: {slower}/{}",
-        report.model.params.len()
+        fitted.len()
     );
 }
 
@@ -234,7 +238,7 @@ fn parsed_chaos_plan_is_survivable() {
     let plan = FaultPlan::parse("chaos:99", cluster.nodes()).expect("chaos parses");
     assert!(!plan.is_none());
     let tuner = Tuner::new(cluster.with_faults(plan), TunerConfig::quick(TUNE_P));
-    match tuner.try_tune(&RetryPolicy::default()) {
+    match tuner.try_tune_collectives(&[Collective::Bcast], &RetryPolicy::default()) {
         Ok(report) => {
             let sel = report.degraded_multi_selector();
             let d = sel.decide_for(Collective::Bcast, 64, 1 << 20);

@@ -154,9 +154,10 @@ fn two_clusters_get_different_tuned_parameters() {
     )
     .tune();
     let gros = Tuner::new(quiet_gros(), TunerConfig::quick(12)).tune();
-    let diff = BcastAlg::ALL.iter().any(|alg| {
-        let a = grisou.params[alg].hockney;
-        let b = gros.params[alg].hockney;
+    let diff = BcastAlg::ALL.iter().any(|&b| {
+        let alg = Alg::Bcast(b);
+        let a = grisou.collectives[&Collective::Bcast][&alg].hockney;
+        let b = gros.collectives[&Collective::Bcast][&alg].hockney;
         (a.alpha - b.alpha).abs() > 1e-12 || (a.beta - b.beta).abs() > 1e-15
     });
     assert!(diff, "clusters should tune differently");

@@ -114,8 +114,8 @@ fn estimates_track_the_committed_table2_artifact() {
             model.cluster_name
         );
         assert_eq!(
-            model.hockney_table(),
-            fresh.hockney_table(),
+            model.multi_hockney_table(),
+            fresh.multi_hockney_table(),
             "{} (alpha, beta) drifted from the artifact",
             model.cluster_name
         );

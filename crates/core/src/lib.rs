@@ -9,7 +9,8 @@
 //! high-level [`Tuner`] workflow, whose output is one [`TunedModel`]
 //! shape for every collective: each fit stored once, keyed by
 //! collective (broadcast is [`coll::Collective::Bcast`] like the rest),
-//! and served at the segment [`serving_seg_size`] names:
+//! and served at the segment it was measured at
+//! ([`TunedModel::seg_size_for`]):
 //!
 //! | Layer | Crate | Re-exported as |
 //! |---|---|---|
@@ -44,8 +45,8 @@
 mod tuner;
 
 pub use tuner::{
-    serving_seg_size, CampaignPlan, CampaignReport, CampaignStrategy, CollectiveCampaignStats,
-    TuneReport, TunedModel, Tuner, TunerConfig,
+    CampaignPlan, CampaignReport, CampaignStrategy, CollectiveCampaignStats, TuneReport,
+    TunedModel, Tuner, TunerConfig,
 };
 
 /// The cluster/network simulation substrate.

@@ -16,7 +16,8 @@
 //! Broadcast is [`Collective::Bcast`] like any other collective: each
 //! fit is stored once, in [`TunedModel::collectives`], by one pipeline
 //! body behind both the infallible and the fault-tolerant entry points,
-//! and [`serving_seg_size`] names the segment each collective is served at.
+//! and served at the segment it was measured at
+//! ([`TunedModel::seg_size_for`]).
 //!
 //! Tuning campaigns parallelise: the independent measurement cells of
 //! both estimation stages (γ widths; the algorithm × message-size
@@ -51,7 +52,7 @@ use collsel_select::{
     CompiledCollectiveSelector, FallbackReason, GracefulCollectiveSelector,
 };
 use collsel_support::pool::Pool;
-use collsel_support::FromJson;
+use collsel_support::{FromJson, Json, JsonError};
 use std::collections::BTreeMap;
 
 /// Configuration of a full tuning run.
@@ -102,18 +103,16 @@ impl TunerConfig {
         self.breadth.backend = backend;
         self
     }
-}
 
-/// The segment size `collective` is served (and campaign-measured) at:
-/// the one its fits were estimated with — `bcast_seg_size` (the paper's
-/// 8 KB) for broadcast, the breadth campaigns' coarser
-/// [`BREADTH_SEG_SIZE`](collsel_estim::BREADTH_SEG_SIZE) for the rest.
-/// Any other segment would mis-rank the pipelined algorithms.
-pub fn serving_seg_size(collective: Collective, bcast_seg_size: usize) -> usize {
-    if collective == Collective::Bcast {
-        bcast_seg_size
-    } else {
-        collsel_estim::BREADTH_SEG_SIZE
+    /// The segment size `collective` is measured at: `alpha_beta`'s for
+    /// broadcast, `breadth`'s for the rest. Serving at any other segment
+    /// would mis-rank the pipelined algorithms.
+    pub fn seg_size_for(&self, collective: Collective) -> usize {
+        if collective == Collective::Bcast {
+            self.alpha_beta.seg_size
+        } else {
+            self.breadth.seg_size
+        }
     }
 }
 
@@ -129,14 +128,27 @@ pub struct TunedModel {
     /// always a [`Collective::Bcast`] entry (paper Table 2, empty if
     /// every broadcast fit was skipped), plus each breadth collective.
     pub collectives: BTreeMap<Collective, BTreeMap<Alg, AlphaBetaEstimate>>,
-    /// Segment size broadcast is served at (see [`serving_seg_size`]).
+    /// Segment size broadcast's fits were measured and are served at.
     pub seg_size: usize,
+    /// Segment size every other collective's fits were measured and are
+    /// served at.
+    pub breadth_seg_size: usize,
 }
 
 impl TunedModel {
     /// The tuned collectives, in [`Collective::ALL`] order.
     pub fn tuned_collectives(&self) -> Vec<Collective> {
         self.collectives.keys().copied().collect()
+    }
+
+    /// The segment size `collective` is served at: the one its fits
+    /// were measured at ([`TunerConfig::seg_size_for`]).
+    pub fn seg_size_for(&self, collective: Collective) -> usize {
+        if collective == Collective::Bcast {
+            self.seg_size
+        } else {
+            self.breadth_seg_size
+        }
     }
 
     /// Every fit keyed by qualified algorithm.
@@ -164,16 +176,16 @@ impl TunedModel {
     /// Builds the runtime decision function: argmin over the tuned fits
     /// per collective, falling back to the fixed rules for collectives
     /// without usable fits. Each collective is evaluated at its
-    /// [`serving_seg_size`].
+    /// [`seg_size_for`](Self::seg_size_for).
     pub fn multi_selector(&self) -> CollectiveModelSelector {
         let selector = CollectiveModelSelector::new(
             self.gamma.table.clone(),
             self.multi_hockney_table(),
             self.seg_size,
         );
-        Collective::ALL.into_iter().fold(selector, |s, c| {
-            s.with_seg_size(c, serving_seg_size(c, self.seg_size))
-        })
+        Collective::ALL
+            .into_iter()
+            .fold(selector, |s, c| s.with_seg_size(c, self.seg_size_for(c)))
     }
 
     /// The graceful runtime decision function: only fits that pass
@@ -188,9 +200,9 @@ impl TunedModel {
             self.multi_validity(),
             self.seg_size,
         );
-        Collective::ALL.into_iter().fold(selector, |s, c| {
-            s.with_seg_size(c, serving_seg_size(c, self.seg_size))
-        })
+        Collective::ALL
+            .into_iter()
+            .fold(selector, |s, c| s.with_seg_size(c, self.seg_size_for(c)))
     }
 
     /// Materialises the decision table of one tuned collective over the
@@ -416,6 +428,7 @@ impl Tuner {
                 gamma,
                 collectives: BTreeMap::new(),
                 seg_size: self.config.alpha_beta.seg_size,
+                breadth_seg_size: self.config.breadth.seg_size,
             },
             skipped: BTreeMap::new(),
         };
@@ -670,8 +683,8 @@ impl Tuner {
     /// disagrees with the prediction — are measured. Ignored by the
     /// exhaustive strategy.
     ///
-    /// Each collective's cells run at its [`serving_seg_size`], the
-    /// segment [`TunedModel::multi_selector`] serves it at.
+    /// Each collective's cells run at [`TunerConfig::seg_size_for`], the
+    /// segment its fits are measured and served at.
     ///
     /// # Panics
     ///
@@ -727,7 +740,7 @@ impl Tuner {
                 comm_sizes: &plan.comm_sizes,
                 msg_sizes: &plan.msg_sizes,
                 winners: &winners,
-                seg_size: serving_seg_size(c, self.config.alpha_beta.seg_size),
+                seg_size: self.config.seg_size_for(c),
             };
             tables.insert(
                 c,
@@ -761,7 +774,7 @@ impl Tuner {
         pi: usize,
         warm: Option<&CollectiveModelSelector>,
     ) -> CampaignRow {
-        let seg = serving_seg_size(c, self.config.alpha_beta.seg_size);
+        let seg = self.config.seg_size_for(c);
         let row_seed = plan
             .seed
             .wrapping_add((c.index() as u64) << 56)
@@ -838,57 +851,73 @@ impl Tuner {
     }
 }
 
-// JSON persistence (layout-compatible with the former serde derives).
-// Hand-written rather than `json_struct!` because the wire layout
-// predates the one per-collective store: broadcast's fits go to
-// `params` under `BcastAlg` keys (paper Table 2, as the committed
-// `results/table2.json` artifact has them), and `collectives` is `{}`
-// for a broadcast-only model and otherwise lists every tuned
-// collective, broadcast's copy included. On decode, broadcast comes
-// from `params` alone, and `collectives` is optional so that model
-// files written before the breadth campaigns existed keep loading.
+/// The model-file layout [`TunedModel::to_json`] writes.
+const FORMAT_VERSION: u64 = 2;
+
+// JSON persistence. Version 2 writes the struct's fields after
+// `"format_version": 2`, with every collective, broadcast included,
+// under `collectives`. A file without `format_version` is version 1,
+// read but no longer written: broadcast comes from `params` (any
+// `collectives.Bcast` copy is ignored), `collectives` is optional
+// (files from before the breadth campaigns have none), and
+// `breadth_seg_size` is the breadth campaigns' default segment, the one
+// every version 1 file was served at.
 impl collsel_support::ToJson for TunedModel {
-    fn to_json(&self) -> collsel_support::Json {
-        use collsel_support::json::JsonKey;
-        let params = self
-            .collectives
-            .get(&Collective::Bcast)
-            .into_iter()
-            .flatten()
-            .filter_map(|(alg, est)| match alg {
-                Alg::Bcast(b) => Some((b.to_key(), est.to_json())),
-                _ => None,
-            })
-            .collect();
-        let collectives = if self.collectives.keys().any(|&c| c != Collective::Bcast) {
-            self.collectives.to_json()
-        } else {
-            collsel_support::Json::Obj(Vec::new())
-        };
-        collsel_support::Json::Obj(vec![
-            ("cluster_name".to_string(), self.cluster_name.to_json()),
-            ("gamma".to_string(), self.gamma.to_json()),
-            ("params".to_string(), collsel_support::Json::Obj(params)),
-            ("collectives".to_string(), collectives),
-            ("seg_size".to_string(), self.seg_size.to_json()),
+    fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("format_version", FORMAT_VERSION.to_json()),
+            ("cluster_name", self.cluster_name.to_json()),
+            ("gamma", self.gamma.to_json()),
+            ("collectives", self.collectives.to_json()),
+            ("seg_size", self.seg_size.to_json()),
+            ("breadth_seg_size", self.breadth_seg_size.to_json()),
         ])
     }
 }
-impl collsel_support::FromJson for TunedModel {
-    fn from_json(v: &collsel_support::Json) -> Result<Self, collsel_support::JsonError> {
-        let params: BTreeMap<BcastAlg, AlphaBetaEstimate> =
-            FromJson::from_json(v.field("params")?)?;
-        let mut collectives: BTreeMap<Collective, _> = match v.get("collectives") {
-            Some(c) => FromJson::from_json(c)?,
-            None => BTreeMap::new(),
+impl FromJson for TunedModel {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let (mut collectives, breadth_seg_size) = match v.get("format_version") {
+            None => {
+                let params: BTreeMap<BcastAlg, AlphaBetaEstimate> =
+                    FromJson::from_json(v.field("params")?)?;
+                let mut collectives: BTreeMap<Collective, _> = match v.get("collectives") {
+                    Some(c) => FromJson::from_json(c)?,
+                    None => BTreeMap::new(),
+                };
+                collectives.insert(Collective::Bcast, rekey(params));
+                (collectives, collsel_estim::BREADTH_SEG_SIZE)
+            }
+            Some(version) => match u64::from_json(version)? {
+                FORMAT_VERSION => (
+                    FromJson::from_json(v.field("collectives")?)?,
+                    segment(v, "breadth_seg_size")?,
+                ),
+                other => {
+                    return Err(JsonError(format!(
+                        "unsupported model format_version {other}: \
+                         this build reads 1 and {FORMAT_VERSION}"
+                    )))
+                }
+            },
         };
-        collectives.insert(Collective::Bcast, rekey(params));
+        collectives.entry(Collective::Bcast).or_default();
         Ok(TunedModel {
             cluster_name: FromJson::from_json(v.field("cluster_name")?)?,
             gamma: FromJson::from_json(v.field("gamma")?)?,
             collectives,
-            seg_size: FromJson::from_json(v.field("seg_size")?)?,
+            seg_size: segment(v, "seg_size")?,
+            breadth_seg_size,
         })
+    }
+}
+
+/// Reads a segment-size field, which must be positive.
+fn segment(v: &Json, field: &str) -> Result<usize, JsonError> {
+    match usize::from_json(v.field(field)?)? {
+        0 => Err(JsonError(format!(
+            "field `{field}` must be positive, found 0"
+        ))),
+        seg => Ok(seg),
     }
 }
 
@@ -896,30 +925,30 @@ impl collsel_support::FromJson for TunedModel {
 mod tests {
     use super::*;
     use collsel_netsim::NoiseParams;
+    use collsel_support::ToJson;
 
-    #[test]
-    fn quick_tune_produces_complete_model() {
-        let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
-        let tuner = Tuner::new(cluster, TunerConfig::quick(16));
-        let model = tuner.tune();
-        assert_eq!(model.cluster_name, "gros");
-        assert_eq!(
-            model.collectives[&Collective::Bcast].len(),
-            6,
-            "all six algorithms tuned"
-        );
-        assert_eq!(model.tuned_collectives(), vec![Collective::Bcast]);
-        let sel = model
-            .multi_selector()
-            .select_for(Collective::Bcast, 16, 64 * 1024);
-        assert_eq!(sel.seg_size, Some(8 * 1024));
+    fn quick_tuner(p: usize) -> Tuner {
+        Tuner::new(
+            ClusterModel::gros().with_noise(NoiseParams::OFF),
+            TunerConfig::quick(p),
+        )
+    }
+
+    fn decode(json: &Json) -> TunedModel {
+        FromJson::from_json(json).expect("decodes")
     }
 
     #[test]
-    fn tuned_selector_never_picks_linear_at_scale() {
-        let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
-        let model = Tuner::new(cluster, TunerConfig::quick(16)).tune();
+    fn quick_tune_produces_complete_model() {
+        let model = quick_tuner(16).tune();
+        assert_eq!(model.cluster_name, "gros");
+        let fitted = model.collectives[&Collective::Bcast].len();
+        assert_eq!(fitted, 6, "all six algorithms tuned");
+        assert_eq!(model.tuned_collectives(), vec![Collective::Bcast]);
         let selector = model.multi_selector();
+        let sel = selector.select_for(Collective::Bcast, 16, 64 * 1024);
+        assert_eq!(sel.seg_size, Some(8 * 1024));
+        // At scale the tuned selector never picks linear.
         for m in [8 * 1024, 64 * 1024, 1 << 20] {
             let pick = selector.select_for(Collective::Bcast, 100, m).alg;
             assert_ne!(pick, Alg::Bcast(BcastAlg::Linear));
@@ -947,14 +976,19 @@ mod tests {
 
     #[test]
     fn tune_all_fits_every_collective_family() {
-        let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
-        let tuner = Tuner::new(cluster, TunerConfig::quick(8));
+        let tuner = quick_tuner(8);
         let model = tuner.tune_all();
         assert_eq!(model.tuned_collectives(), Collective::ALL.to_vec());
         for (c, fits) in &model.collectives {
             assert_eq!(fits.len(), c.algorithms().len(), "{c}");
             for alg in fits.keys() {
                 assert_eq!(alg.collective(), *c);
+            }
+        }
+        let multi = model.multi_selector();
+        for &(p, m) in &[(4usize, 8192usize), (16, 64 * 1024), (90, 1 << 20)] {
+            for c in Collective::ALL {
+                assert_eq!(multi.select_for(c, p, m).alg.collective(), c, "p={p} m={m}");
             }
         }
         // Broadcast's entry is the Sect. 4.2 fits, whatever else ran.
@@ -964,16 +998,24 @@ mod tests {
         );
     }
 
+    /// A non-default breadth segment is measured, served and persisted:
+    /// the selector and a campaign both use it, before and after a JSON
+    /// round trip.
     #[test]
-    fn multi_selector_serves_every_collective() {
-        let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
-        let model = Tuner::new(cluster, TunerConfig::quick(8)).tune_all();
-        let multi = model.multi_selector();
-        for &(p, m) in &[(4usize, 8192usize), (16, 64 * 1024), (90, 1 << 20)] {
-            for c in Collective::ALL {
-                let s = multi.select_for(c, p, m);
-                assert_eq!(s.alg.collective(), c, "p={p} m={m}");
-            }
+    fn breadth_seg_size_is_served_where_it_was_measured() {
+        let mut config = TunerConfig::quick(8);
+        config.breadth.seg_size = 16 * 1024;
+        let tuner = Tuner::new(ClusterModel::gros().with_noise(NoiseParams::OFF), config);
+        let model = tuner.tune_collectives(&[Collective::Reduce]);
+        let back = decode(&Json::parse(&model.to_json().to_string_pretty()).expect("parses"));
+        for m in [&model, &back] {
+            assert_eq!(m.multi_selector().seg_for(Collective::Reduce), 16 * 1024);
+            assert_eq!(m.multi_selector().seg_for(Collective::Bcast), 8 * 1024);
+        }
+        let plan = CampaignPlan::exhaustive(vec![Collective::Reduce], vec![8], vec![1 << 20]);
+        let table = &tuner.run_campaign(&plan, None).tables[&Collective::Reduce];
+        for rule in table.comms.iter().flat_map(|c| &c.rules) {
+            assert_eq!(rule.selection.seg_size, Some(16 * 1024), "{rule:?}");
         }
     }
 
@@ -983,8 +1025,7 @@ mod tests {
     /// never the fixed rules.
     #[test]
     fn broadcast_is_served_from_its_own_fits() {
-        let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
-        let tuner = Tuner::new(cluster, TunerConfig::quick(8));
+        let tuner = quick_tuner(8);
         for model in [tuner.tune_collectives(&[Collective::Reduce]), tuner.tune()] {
             assert_eq!(model.tuned_collectives()[0], Collective::Bcast);
             let live = model.multi_selector();
@@ -1019,8 +1060,7 @@ mod tests {
 
     #[test]
     fn compiled_multi_selector_matches_live_on_grid() {
-        let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
-        let tuner = Tuner::new(cluster, TunerConfig::quick(8));
+        let tuner = quick_tuner(8);
         for model in [tuner.tune(), tuner.tune_all()] {
             let live = model.multi_selector();
             let compiled = model.compiled_multi_selector_default();
@@ -1041,8 +1081,7 @@ mod tests {
 
     #[test]
     fn try_tune_collectives_matches_infallible_on_a_healthy_cluster() {
-        let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
-        let tuner = Tuner::new(cluster, TunerConfig::quick(12));
+        let tuner = quick_tuner(12);
         let breadth = [Collective::Bcast, Collective::Reduce, Collective::Alltoall];
         for (collectives, plain) in [
             (&[Collective::Bcast][..], tuner.tune()),
@@ -1069,8 +1108,7 @@ mod tests {
     #[test]
     fn try_tune_collectives_fails_fast_when_gamma_cannot_be_measured() {
         use collsel_netsim::SimSpan;
-        let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
-        let tuner = Tuner::new(cluster, TunerConfig::quick(12));
+        let tuner = quick_tuner(12);
         let policy = RetryPolicy {
             max_attempts: 1,
             budget: Some(SimSpan::from_nanos(1)),
@@ -1084,8 +1122,7 @@ mod tests {
 
     #[test]
     fn degraded_selector_survives_missing_algorithms() {
-        let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
-        let mut model = Tuner::new(cluster, TunerConfig::quick(12)).tune();
+        let mut model = quick_tuner(12).tune();
         // Pretend half the algorithms were skipped under faults.
         let bcast = model.collectives.get_mut(&Collective::Bcast).unwrap();
         for b in [BcastAlg::Linear, BcastAlg::Chain, BcastAlg::KChain] {
@@ -1105,130 +1142,102 @@ mod tests {
             );
         }
     }
-}
 
-#[cfg(test)]
-mod persistence_tests {
-    use super::*;
-    use collsel_netsim::NoiseParams;
-    use collsel_support::{Json, ToJson};
-
-    fn quick_tuner(p: usize) -> Tuner {
-        let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
-        Tuner::new(cluster, TunerConfig::quick(p))
+    /// `colltune tune --preset gros --tune-p 8 --collective reduce -j 1`
+    /// as written before version 2: broadcast in `params` and again in
+    /// `collectives.Bcast`, plus `tuning_threads` and `sim_backend`.
+    fn v1_fixture() -> Json {
+        Json::parse(include_str!("../../../tests/fixtures/model_v1_reduce.json")).expect("parses")
     }
 
-    fn decode(json: &Json) -> TunedModel {
-        FromJson::from_json(json).expect("decodes")
+    /// Replaces (or, for `None`, removes) one top-level field.
+    fn with_field(json: &Json, key: &str, value: Option<Json>) -> Json {
+        let Json::Obj(mut fields) = json.clone() else {
+            unreachable!("a model encodes as an object")
+        };
+        fields.retain(|(k, _)| k != key);
+        fields.extend(value.map(|v| (key.to_owned(), v)));
+        Json::Obj(fields)
     }
 
+    /// The model file is lossless: floats are written shortest-round-trip,
+    /// so a model reads back bit for bit, and a version 1 file decodes to
+    /// the same model as its version 2 re-encoding.
     #[test]
     fn tuned_model_round_trips_through_json() {
-        // The colltune workflow persists models as JSON; selections
-        // must survive the round trip bit-for-bit.
-        let model = quick_tuner(12).tune();
-        let json = model.to_json().to_string_pretty();
-        let back = decode(&Json::parse(&json).expect("parses"));
-        // Floats may lose the last ulp through the JSON text form, so
-        // compare behaviourally: same structure, same parameters to
-        // high precision, identical runtime selections.
-        assert_eq!(back.cluster_name, model.cluster_name);
-        assert_eq!(back.seg_size, model.seg_size);
-        assert_eq!(back.tuned_collectives(), model.tuned_collectives());
-        let (h1, h2) = (model.multi_hockney_table(), back.multi_hockney_table());
-        assert_eq!(h1.len(), h2.len());
-        for (alg, h1) in &h1 {
-            let h2 = h2[alg];
-            assert!((h1.alpha - h2.alpha).abs() <= 1e-12 * h1.alpha.abs().max(1e-30));
-            assert!((h1.beta - h2.beta).abs() <= 1e-12 * h1.beta.abs().max(1e-30));
-        }
-        let (a, b) = (model.multi_selector(), back.multi_selector());
-        for m in [4 * 1024, 64 * 1024, 1 << 20] {
-            assert_eq!(
-                a.select_for(Collective::Bcast, 64, m),
-                b.select_for(Collective::Bcast, 64, m)
-            );
+        let v1 = decode(&v1_fixture());
+        assert_eq!(v1.seg_size, 8 * 1024);
+        assert_eq!(v1.breadth_seg_size, collsel_estim::BREADTH_SEG_SIZE);
+        assert_eq!(
+            v1.tuned_collectives(),
+            [Collective::Bcast, Collective::Reduce]
+        );
+        assert_eq!(v1.collectives[&Collective::Bcast].len(), 6);
+        for model in [quick_tuner(8).tune_all(), v1] {
+            let text = model.to_json().to_string_pretty();
+            assert_eq!(decode(&Json::parse(&text).expect("parses")), model);
         }
     }
 
     #[test]
     fn pre_breadth_model_files_still_decode() {
-        // Model JSON written before the breadth campaigns existed has
-        // no `collectives` field; it must load as a broadcast-only
-        // model, not fail (regression: the committed
-        // results/table2.json artifact and any saved broadcast-only
-        // model).
-        let model = quick_tuner(12).tune();
-        let Json::Obj(mut fields) = model.to_json() else {
-            unreachable!("a model encodes as an object")
-        };
-        fields.retain(|(k, _)| k != "collectives");
-        assert_eq!(decode(&Json::Obj(fields)), model);
+        // Version 1 files written before the breadth campaigns existed
+        // have no `collectives` field; they load as broadcast-only
+        // models, not fail.
+        let mut want = decode(&v1_fixture());
+        want.collectives.retain(|&c, _| c == Collective::Bcast);
+        let bare = with_field(&v1_fixture(), "collectives", None);
+        assert_eq!(decode(&bare), want);
     }
 
-    /// The wire rule: broadcast's fits always go to `params` under
-    /// `BcastAlg` keys; `collectives` is `{}` for a broadcast-only model
-    /// and otherwise lists every tuned collective, broadcast's copy of
-    /// `params` included.
-    #[test]
-    fn params_always_and_collectives_only_beside_breadth_fits() {
-        let tuner = quick_tuner(8);
-        let json = tuner.tune().to_json();
-        let params = json.field("params").expect("params");
-        let keys: Vec<&str> = match params {
-            Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
-            other => panic!("params is an object: {other}"),
-        };
-        let names: Vec<&str> = [
-            "Linear",
-            "Chain",
-            "KChain",
-            "SplitBinary",
-            "Binary",
-            "Binomial",
-        ]
-        .into();
-        assert_eq!(keys, names);
-        assert_eq!(
-            json.field("collectives").expect("collectives"),
-            &Json::Obj(Vec::new())
-        );
-
-        let json = tuner.tune_all().to_json();
-        let params: BTreeMap<BcastAlg, AlphaBetaEstimate> =
-            FromJson::from_json(json.field("params").expect("params")).expect("decodes");
-        let collectives: BTreeMap<Collective, BTreeMap<Alg, AlphaBetaEstimate>> =
-            FromJson::from_json(json.field("collectives").expect("collectives")).expect("decodes");
-        assert_eq!(
-            collectives.keys().copied().collect::<Vec<_>>(),
-            Collective::ALL
-        );
-        assert_eq!(params.len(), 6);
-        assert_eq!(collectives[&Collective::Bcast], rekey(params));
-    }
-
-    /// A `--collective reduce` model decodes to the same model whatever
-    /// its file holds under `collectives.Bcast` — the copy, nothing, or
-    /// a stale entry: broadcast is read from `params` alone.
+    /// A version 1 file decodes to the same model whatever it holds
+    /// under `collectives.Bcast` — the copy, nothing, or an empty
+    /// entry: broadcast is read from `params` alone.
     #[test]
     fn broadcast_copy_under_collectives_is_ignored_on_decode() {
-        let model = quick_tuner(8).tune_collectives(&[Collective::Reduce]);
-        let json = model.to_json();
+        let json = v1_fixture();
+        let Some(Json::Obj(entries)) = json.get("collectives") else {
+            panic!("the fixture has a collectives object")
+        };
         for copy in [None, Some(Json::Obj(Vec::new()))] {
-            let Json::Obj(mut fields) = json.clone() else {
-                unreachable!("a model encodes as an object")
-            };
-            for (k, v) in &mut fields {
-                if let (true, Json::Obj(entries)) = (k == "collectives", v) {
-                    entries.retain(|(c, _)| c != "Bcast");
-                    entries.extend(copy.clone().map(|c| ("Bcast".to_owned(), c)));
-                }
-            }
-            assert_eq!(decode(&Json::Obj(fields)), decode(&json), "{copy:?}");
+            let mut entries = entries.clone();
+            entries.retain(|(c, _)| c != "Bcast");
+            entries.extend(copy.clone().map(|c| ("Bcast".to_owned(), c)));
+            let edited = with_field(&json, "collectives", Some(Json::Obj(entries)));
+            assert_eq!(decode(&edited), decode(&json), "{copy:?}");
         }
-        assert_eq!(
-            decode(&json).tuned_collectives(),
-            vec![Collective::Bcast, Collective::Reduce]
-        );
+    }
+
+    /// Version 2 mirrors the model: no `params`, and broadcast's six
+    /// fits listed once, under qualified keys in `collectives.Bcast`.
+    #[test]
+    fn v2_stores_every_fit_once_under_collectives() {
+        let json = quick_tuner(8).tune().to_json();
+        let Json::Obj(fields) = &json else {
+            unreachable!("a model encodes as an object")
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        let want = "format_version cluster_name gamma collectives seg_size breadth_seg_size";
+        assert_eq!(keys.join(" "), want);
+        assert_eq!(json.get("format_version"), Some(&Json::Num(2.0)));
+        let collectives: BTreeMap<String, BTreeMap<String, Json>> =
+            FromJson::from_json(json.field("collectives").expect("collectives"))
+                .expect("an object of objects");
+        let bcast: Vec<&String> = collectives["Bcast"].keys().collect();
+        assert!(bcast.len() == 6 && bcast.iter().all(|k| k.starts_with("bcast/")));
+    }
+
+    #[test]
+    fn decoder_rejects_unknown_versions_and_zero_segments() {
+        let json = quick_tuner(8).tune().to_json();
+        let err = |json: &Json| TunedModel::from_json(json).unwrap_err().0;
+        let msg = err(&with_field(&json, "format_version", Some(Json::Num(3.0))));
+        assert!(msg.contains("format_version 3"), "{msg}");
+        for field in ["seg_size", "breadth_seg_size"] {
+            let msg = err(&with_field(&json, field, Some(Json::Num(0.0))));
+            assert!(msg.contains(&format!("`{field}`")), "{msg}");
+        }
+        let v1 = with_field(&v1_fixture(), "seg_size", Some(Json::Num(0.0)));
+        assert!(err(&v1).contains("`seg_size`"));
     }
 }

@@ -169,7 +169,7 @@ fn settle_losers(samplers: &mut [AlgSampler], precision: &Precision) {
 /// `leader_early_stop` off, every algorithm's statistics are
 /// bit-identical to [`measure`](crate::measure::measure) on the same
 /// cell; with it on, algorithms whose CI separates above the leader stop
-/// early ([`settle_losers`]), and the leader itself stops once every
+/// early (`settle_losers`), and the leader itself stops once every
 /// rival has settled — only still-contested rivals run to the full
 /// precision target, so the argmin (the only thing the decision table
 /// reads) is decided at the same confidence as the exhaustive path.

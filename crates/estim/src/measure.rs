@@ -15,7 +15,7 @@
 //! * [`Backend::Dag`] (the default) records the program once per cell,
 //!   `precision.min_reps` repetitions per batch, lowers it to a
 //!   [`collsel_mpi::TimingDag`] (memoised process-wide in
-//!   [`crate::memo`]) and evaluates batches payload-free with one
+//!   `estim`'s DAG memo) and evaluates batches payload-free with one
 //!   [`DagEvaluator`] whose fabric and scratch are reset in place;
 //! * [`Backend::Threads`] runs the same program text on one OS thread
 //!   per rank ([`collsel_mpi::simulate_pooled`]) — the oracle the DAG

@@ -34,6 +34,7 @@ use collsel_expt::replay::{
 };
 use collsel_expt::soak::{run_soak, SoakConfig};
 use collsel_expt::workload::{Trace, TraceGen, TracePreset};
+use collsel_support::{FromJson, Json, JsonError, ToJson};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage:
@@ -65,7 +66,7 @@ the listed collectives (default: bcast)
 or the host's available parallelism); any thread count yields bit-identical models
 --adaptive: after tuning, run an adaptive measured-winner campaign (crossover
 bisection + leader-settled repetitions) warm-started from the tuned model and
-embed the resulting decision tables + coverage accounting in the model JSON;
+embed its coverage accounting in the model JSON;
 --budget N caps measured cells per (collective, P) row and implies --adaptive;
 --warm-from seeds the campaign from a neighbor cluster's model instead
 --backend: measurement execution backend (default: dag — compile each cell to a
@@ -258,17 +259,13 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
     };
     let out = flag_value(args, "--out").ok_or("--out required")?;
 
-    let threads: usize = match flag_value(args, "--threads").or_else(|| flag_value(args, "-j")) {
-        Some(s) => {
-            let n: usize = parse(s, "thread count")?;
-            if n == 0 {
-                return Err("--threads must be at least 1".into());
-            }
-            collsel_support::pool::set_thread_override(n);
-            n
+    if let Some(s) = flag_value(args, "--threads").or_else(|| flag_value(args, "-j")) {
+        let n: usize = parse(s, "thread count")?;
+        if n == 0 {
+            return Err("--threads must be at least 1".into());
         }
-        None => collsel_support::pool::current_threads(),
-    };
+        collsel_support::pool::set_thread_override(n);
+    }
 
     let backend = parse_backend(args)?;
     let mut config = if args.iter().any(|a| a == "--paper") {
@@ -314,7 +311,7 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
         cluster.name(),
         cluster.max_ranks(),
         tune_p,
-        threads
+        collsel_support::pool::current_threads()
     );
     if collectives != [Collective::Bcast] {
         let names: Vec<&str> = collectives.iter().map(|c| c.name()).collect();
@@ -351,11 +348,10 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
     };
     // `--adaptive`: a measured-winner campaign, warm-started from the
     // just-tuned model (or a neighbor's via `--warm-from`), whose
-    // decision tables and coverage accounting ride along in the model
-    // JSON.
+    // coverage accounting rides along in the model JSON.
     let campaign = if adaptive {
         let (warm_model, warm_label) = match warm_from {
-            Some(path) => (load_model_path(path)?, path.to_owned()),
+            Some(path) => (load_json(path)?, path.to_owned()),
             None => (model.clone(), "self".to_owned()),
         };
         let comm_sizes: Vec<usize> = [2usize, 4, 8, 16, 32]
@@ -381,48 +377,16 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
         None
     };
 
-    let mut json = collsel_support::ToJson::to_json(&model);
-    if let collsel_support::Json::Obj(fields) = &mut json {
-        // Campaign metadata rides along as extra top-level fields;
-        // decoding ignores unknown fields, so older and newer readers
-        // both load the model unchanged (and the model itself is
-        // thread-count independent — this records how it was produced,
-        // not what it contains).
-        fields.push((
-            "tuning_threads".to_owned(),
-            collsel_support::Json::Num(threads as f64),
-        ));
-        fields.push((
-            "sim_backend".to_owned(),
-            collsel_support::Json::Str(backend.name().to_owned()),
-        ));
-        if let Some((plan, report, warm_label)) = &campaign {
-            let mut meta = CampaignSummary::new(plan, report).to_json();
-            if let collsel_support::Json::Obj(meta_fields) = &mut meta {
-                meta_fields.push((
-                    "warm_start".to_owned(),
-                    collsel_support::Json::Str(warm_label.clone()),
-                ));
-                meta_fields.push((
-                    "budget".to_owned(),
-                    match plan.budget {
-                        Some(b) => collsel_support::Json::Num(b as f64),
-                        None => collsel_support::Json::Null,
-                    },
-                ));
-            }
-            fields.push(("campaign".to_owned(), meta));
-            fields.push((
-                "campaign_tables".to_owned(),
-                collsel_support::Json::Arr(
-                    report
-                        .tables
-                        .values()
-                        .map(collsel_support::ToJson::to_json)
-                        .collect(),
-                ),
-            ));
+    let mut json = model.to_json();
+    if let (Json::Obj(fields), Some((plan, report, warm_label))) = (&mut json, &campaign) {
+        // The campaign's coverage accounting rides along as one extra
+        // top-level field; decoding ignores unknown fields.
+        let mut meta = CampaignSummary::new(plan, report).to_json();
+        if let Json::Obj(meta_fields) = &mut meta {
+            meta_fields.push(("warm_start".to_owned(), warm_label.to_json()));
+            meta_fields.push(("budget".to_owned(), plan.budget.to_json()));
         }
+        fields.push(("campaign".to_owned(), meta));
     }
     std::fs::write(out, json.to_string_pretty()).map_err(|e| format!("cannot write {out}: {e}"))?;
     eprintln!("[colltune] model written to {out}");
@@ -434,14 +398,14 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
 }
 
 fn load_model(args: &[String]) -> Result<TunedModel, String> {
-    load_model_path(flag_value(args, "--model").ok_or("--model required")?)
+    load_json(flag_value(args, "--model").ok_or("--model required")?)
 }
 
-fn load_model_path(path: &str) -> Result<TunedModel, String> {
-    let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let value =
-        collsel_support::Json::parse(&json).map_err(|e| format!("cannot parse {path}: {e}"))?;
-    collsel_support::FromJson::from_json(&value).map_err(|e| format!("cannot parse {path}: {e}"))
+/// Reads and decodes one JSON input file; every error names the file.
+fn load_json<T: FromJson>(path: &str) -> Result<T, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let parse_error = |e: JsonError| format!("cannot parse {path}: {e}");
+    T::from_json(&Json::parse(&text).map_err(parse_error)?).map_err(parse_error)
 }
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
@@ -704,12 +668,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
             return Err("--trace and --gen are mutually exclusive".into());
         }
         (Some(path), None) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let json = collsel_support::Json::parse(&text)
-                .map_err(|e| format!("cannot parse {path}: {e}"))?;
-            let trace: Trace = collsel_support::FromJson::from_json(&json)
-                .map_err(|e| format!("cannot parse {path}: {e}"))?;
+            let trace: Trace = load_json(path)?;
             trace
                 .validate()
                 .map_err(|e| format!("invalid trace {path}: {e}"))?;
@@ -753,7 +712,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     }
 
     let model = match flag_value(args, "--model") {
-        Some(path) => Some(load_model_path(path)?),
+        Some(path) => Some(load_json::<TunedModel>(path)?),
         None => None,
     };
     let mut names: Vec<&str> = Vec::new();

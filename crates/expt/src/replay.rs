@@ -11,11 +11,11 @@
 //! making replay a realistic traffic driver). The resolved step then
 //! runs through either execution backend; steps with equal
 //! shape share one compiled artifact via `estim`'s step-cell memo
-//! ([`collsel_estim::compiled_step_dag`]), so the DAG tier compiles
+//! ([`collsel::estim::compiled_step_dag`]), so the DAG tier compiles
 //! each distinct (step-shape, geometry) cell once and batch-replays the
 //! rest payload-free. A new step shape is not recorded either: its
 //! schedule is composed from the schedules of its collectives
-//! ([`collsel_estim::compile_step_shared`]), and only a collective —
+//! ([`collsel::estim::compile_step_shared`]), and only a collective —
 //! (algorithm, group size, message size, segment size) — that no
 //! earlier step, policy or trace of the process has used runs through
 //! the recorder.

@@ -39,7 +39,7 @@ use collsel::select::{
     fixed_selection, CollSelection, CompiledCollectiveSelector, DecisionServer,
     GracefulCollectiveSelector, RefitOutcome, ServeSource, ServedAnswer, ServerConfig, ServerStats,
 };
-use collsel::{serving_seg_size, TunedModel, Tuner, TunerConfig};
+use collsel::{TunedModel, Tuner, TunerConfig};
 use collsel_support::rng::splitmix64;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -202,9 +202,9 @@ fn candidate(
     let validity = params.keys().map(|&a| (a, FitValidity::Valid)).collect();
     let gamma = boot.gamma.table.clone();
     let selector = GracefulCollectiveSelector::new(gamma, params, validity, boot.seg_size);
-    Collective::ALL.into_iter().fold(selector, |s, c| {
-        s.with_seg_size(c, serving_seg_size(c, boot.seg_size))
-    })
+    Collective::ALL
+        .into_iter()
+        .fold(selector, |s, c| s.with_seg_size(c, boot.seg_size_for(c)))
 }
 
 /// Runs one soak (see the module docs). The returned report carries

@@ -133,6 +133,40 @@ fn colltune_reduce_model_serves_broadcast_from_its_own_fits() {
     let _ = std::fs::remove_file(model);
 }
 
+/// A model file with a zero segment size is rejected at load time with
+/// an error naming the file and the field, not a panic in the selector.
+#[test]
+fn colltune_rejects_a_zero_segment_size_by_field() {
+    use collsel_support::Json;
+    let model = temp_path("zero-seg.json");
+    let path = model.to_str().unwrap();
+    let out = colltune()
+        .args(["tune", "--nodes", "8", "--tune-p", "4", "--out", path])
+        .output()
+        .expect("tune runs");
+    assert!(out.status.success());
+    let text = std::fs::read_to_string(&model).expect("model written");
+    for field in ["seg_size", "breadth_seg_size"] {
+        let Json::Obj(mut fields) = Json::parse(&text).expect("parses") else {
+            panic!("a model file is an object")
+        };
+        fields.retain(|(k, _)| k != field);
+        fields.push((field.to_owned(), Json::Num(0.0)));
+        std::fs::write(&model, Json::Obj(fields).to_string_pretty()).expect("writes");
+        let out = colltune()
+            .args(["query", "--model", path, "--p", "64", "--m", "8192"])
+            .output()
+            .expect("query runs");
+        assert_eq!(out.status.code(), Some(1), "an error exit, not a panic");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(path) && err.contains(&format!("`{field}`")),
+            "{err}"
+        );
+    }
+    let _ = std::fs::remove_file(model);
+}
+
 #[test]
 fn colltune_rejects_bad_usage() {
     let out = colltune().arg("tune").output().expect("runs");

@@ -26,8 +26,9 @@ use collsel_support::Bytes;
 
 /// Communication operations available to a rank of an SPMD program.
 ///
-/// See the [module docs](self) for the equivalence contract between
-/// implementors. The trait is not object-safe (receive sources and tags
+/// Implemented by [`Ctx`] and [`crate::RecCtx`]: the provided methods
+/// decompose exactly as `Ctx`'s inherent ones, so a program run through
+/// `Comm` issues the identical operation stream on either. The trait is not object-safe (receive sources and tags
 /// are generic, mirroring [`Ctx::irecv`]); use it as a generic bound.
 pub trait Comm {
     /// This process's rank in `0..size()`.

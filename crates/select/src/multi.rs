@@ -260,11 +260,6 @@ impl CollectiveModelSelector {
         &self.params
     }
 
-    /// The default segment size (collectives without an override).
-    pub fn seg_size(&self) -> usize {
-        self.seg_size
-    }
-
     /// The segment size used for `collective`'s predictions and served
     /// selections.
     pub fn seg_for(&self, collective: Collective) -> usize {
@@ -1095,8 +1090,8 @@ impl CompiledCollectiveSelector {
     ///
     /// # Panics
     ///
-    /// Panics if `collective` was not compiled (check [`covers`]
-    /// (Self::covers) or compile every collective you serve).
+    /// Panics if `collective` was not compiled (check
+    /// [`covers`](Self::covers) or compile every collective you serve).
     pub fn lookup(&self, collective: Collective, p: usize, m: usize) -> CollSelection {
         self.per[collective.index()]
             .as_ref()

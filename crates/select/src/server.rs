@@ -10,7 +10,7 @@
 //! refit goes bad or the serving path itself browns out. This module is
 //! that shape:
 //!
-//! * **Generations** — each installed fit is an immutable [`Generation`]
+//! * **Generations** — each installed fit is an immutable `Generation`
 //!   (compiled tables + the decision tables they came from + the
 //!   graceful selector that produced them). The current generation
 //!   lives in an [`EpochSwap`]: readers pin it wait-free, swaps are

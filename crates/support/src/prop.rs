@@ -6,7 +6,7 @@
 //! * a [`Strategy`] produces a lazy **shrink tree** ([`Tree`]) per case:
 //!   the root is the generated value, children are progressively
 //!   simpler candidates;
-//! * the [`proptest!`] macro wraps each property in a `#[test]` that
+//! * the [`proptest!`](crate::proptest) macro wraps each property in a `#[test]` that
 //!   draws `cases` seeded inputs, and on failure walks the shrink tree
 //!   greedily to a local minimum before reporting;
 //! * every failure report ends with a one-line reproduction command:
@@ -329,7 +329,7 @@ pub mod collection {
         })
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     #[derive(Debug)]
     pub struct VecStrategy<S> {
         elem: S,

@@ -167,6 +167,57 @@ if [ "$count" -gt "$UNWRAP_CEILING" ]; then
 fi
 echo "    $count occurrences (ceiling $UNWRAP_CEILING)"
 
+echo "==> hidden-state gate: no thread-locals, a ratchet on statics"
+# No result may depend on hidden process-global state. Thread-local
+# state is banned outright; named statics (the memo stores, the pool's
+# thread override, the payload cache and its counters) are a ratchet
+# that only ever goes DOWN. The pattern is anchored on the `NAME:` form
+# so help text that starts with the word "static" does not count.
+if grep -rn 'thread_local!' crates/*/src; then
+    echo "ci.sh: thread_local! state found (listed above)" >&2
+    exit 1
+fi
+STATIC_CEILING=7
+count=$(grep -rE 'static [A-Z_][A-Z0-9_]*:' crates/*/src | wc -l)
+if [ "$count" -gt "$STATIC_CEILING" ]; then
+    echo "ci.sh: $count static items exceed ceiling $STATIC_CEILING" >&2
+    grep -rnE 'static [A-Z_][A-Z0-9_]*:' crates/*/src >&2
+    exit 1
+fi
+echo "    $count static items (ceiling $STATIC_CEILING)"
+
+echo "==> doc-names gate: every identifier the docs name exists in the code"
+# Every backticked Rust identifier or path in the prose docs must occur
+# as a word in the sources (each `::` segment is checked), so a rename
+# or deletion cannot leave the docs describing code that is gone.
+# Allowlist: names from outside this repo, i.e. Open MPI's coll_tuned
+# component and its dynamic-rules file, the crates the zero-dependency
+# policy turns down, and std::sync.
+code_words=$(mktemp)
+grep -rhoE '[A-Za-z_][A-Za-z0-9_]*' crates src tests examples benchmark/src \
+    | sort -u > "$code_words"
+stale=$(grep -noE '`[^`]+`' DESIGN.md README.md EXPERIMENTS.md | awk -v words="$code_words" '
+    BEGIN { while ((getline w < words) > 0) known[w] = 1 }
+    {
+        i = index($0, "`")
+        where = substr($0, 1, i - 2)
+        tok = substr($0, i + 1, length($0) - i - 1)
+        sub(/\(\)$/, "", tok)
+        if (tok !~ /^[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)*$/) next
+        if (tok ~ /^(coll_tuned|coll_tuned_dynamic_rules|crossbeam|parking_lot)$/) next
+        if (tok ~ /^std::sync/) next
+        n = split(tok, seg, "::")
+        for (k = 1; k <= n; k++) {
+            if (!(seg[k] in known)) { print where ": `" tok "`"; next }
+        }
+    }')
+rm -f "$code_words"
+if [ -n "$stale" ]; then
+    echo "ci.sh: the docs name identifiers the code does not have:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
+
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
 

@@ -94,14 +94,6 @@ impl Collective {
             Collective::Alltoall => &ALLTOALL_ALGS,
         }
     }
-
-    /// Whether this collective is rooted (`root` is meaningful).
-    pub fn is_rooted(self) -> bool {
-        matches!(
-            self,
-            Collective::Bcast | Collective::Reduce | Collective::Gather | Collective::Scatter
-        )
-    }
 }
 
 impl fmt::Display for Collective {

@@ -497,7 +497,7 @@ mod tests {
         allgather_ring, allreduce_recursive_doubling, alltoall_pairwise, barrier_dissemination,
         reduce, scatter_binomial, ReduceAlg, ReduceOp,
     };
-    use collsel_mpi::{simulate_dag, simulate_with, Ctx, SimOptions, TimingDag};
+    use collsel_mpi::{simulate_with, Ctx, DagEvaluator, SimOptions, TimingDag};
     use collsel_support::payload::payload;
 
     /// Payload of `lanes` little-endian `u64` lanes for the reductions.
@@ -523,11 +523,13 @@ mod tests {
         sched: &Schedule,
         program: impl Fn(&mut Ctx) -> Vec<SimTime> + Sync,
     ) {
-        let dag = TimingDag::compile(cluster, sched).expect("fits the DAG");
+        let dag = Arc::new(TimingDag::compile(cluster, sched).expect("fits the DAG"));
         for seed in [0u64, 3, 77] {
             let threaded =
                 simulate_with(cluster, p, seed, OPTS, |ctx| program(ctx)).expect("threaded run");
-            let fast = simulate_dag(cluster, &dag, seed, OPTS).expect("dag run");
+            let fast = DagEvaluator::new(cluster, Arc::clone(&dag))
+                .run(seed, OPTS)
+                .expect("dag run");
             assert_eq!(threaded.report, fast.report);
             assert_eq!(threaded.results, fast.wtimes);
         }

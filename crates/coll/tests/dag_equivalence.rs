@@ -11,7 +11,7 @@
 use collsel_coll::compile::{compile_bcast, TimedProgram};
 use collsel_coll::{bcast, Alg, BcastAlg, Collective};
 use collsel_mpi::{
-    simulate_dag, simulate_with, Ctx, DagEvaluator, ScheduledRun, SimError, SimOptions, TimingDag,
+    simulate_with, Ctx, DagEvaluator, ScheduledRun, SimError, SimOptions, TimingDag,
 };
 use collsel_netsim::{Brownout, ClusterModel, FaultPlan, SimSpan, SimTime};
 use collsel_support::Bytes;
@@ -57,13 +57,13 @@ impl Program {
     }
 
     /// Records the program and lowers it to a timing DAG.
-    fn compile(&self, cluster: &ClusterModel) -> TimingDag {
+    fn compile(&self, cluster: &ClusterModel) -> Arc<TimingDag> {
         let sched = match *self {
             Program::Timed(program) => program.record(cluster, ROOT, REPS),
             Program::Bcast { alg, p, m } => compile_bcast(cluster, alg, p, ROOT, m, BCAST_SEG),
         }
         .unwrap_or_else(|e| panic!("{self:?}: recording failed: {e}"));
-        TimingDag::compile(cluster, &sched).expect("compiles")
+        Arc::new(TimingDag::compile(cluster, &sched).expect("compiles"))
     }
 
     /// The rank body of the threaded side; returns the rank's clock
@@ -92,13 +92,13 @@ fn check(
     what: &str,
     cluster: &ClusterModel,
     program: Program,
-    dag: &TimingDag,
+    dag: &Arc<TimingDag>,
     seed: u64,
     opts: SimOptions,
 ) -> Result<ScheduledRun, SimError> {
     let what = format!("{what}: {program:?} on {} seed={seed}", cluster.name());
     let oracle = simulate_with(cluster, program.ranks(), seed, opts, |ctx| program.run(ctx));
-    let fast = simulate_dag(cluster, dag, seed, opts);
+    let fast = DagEvaluator::new(cluster, Arc::clone(dag)).run(seed, opts);
     match (&oracle, &fast) {
         (Ok(oracle), Ok(fast)) => {
             assert_eq!(oracle.report, fast.report, "{what}: reports diverged");
@@ -344,7 +344,7 @@ fn assert_identical(what: &str, a: &ScheduledRun, b: &ScheduledRun) {
 /// checked run plus a batched [`DagEvaluator::evaluate_reps`] sweep.
 fn run_pipeline(cluster: &ClusterModel, alg: Alg) -> (ScheduledRun, Vec<ScheduledRun>) {
     let program = Program::timed(alg, 8, 16 * 1024);
-    let dag = Arc::new(program.compile(cluster));
+    let dag = program.compile(cluster);
     let fast =
         check("pipeline", cluster, program, &dag, 5, SimOptions::default()).expect("completes");
     let reps = DagEvaluator::new(cluster, dag)

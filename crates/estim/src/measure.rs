@@ -17,9 +17,9 @@
 //!   [`collsel_mpi::TimingDag`] (memoised process-wide in
 //!   `estim`'s DAG memo) and evaluates batches payload-free with one
 //!   [`DagEvaluator`] whose fabric and scratch are reset in place;
-//! * [`Backend::Threads`] runs the same program text on one OS thread
-//!   per rank ([`collsel_mpi::simulate_pooled`]) — the oracle the DAG
-//!   tier is checked against (`crates/coll/tests/dag_equivalence.rs`),
+//! * [`Backend::Threads`] runs the same program text on one scoped OS
+//!   thread per rank ([`collsel_mpi::simulate_with`]) — the oracle the
+//!   DAG tier is checked against (`crates/coll/tests/dag_equivalence.rs`),
 //!   and where a cell that cannot be lowered runs.
 //!
 //! Both derive a sample from the root's clock pair with the same float
@@ -42,7 +42,7 @@
 
 use crate::memo::compiled_dag;
 use crate::stats::{sample_adaptive, sample_adaptive_fallible, Precision, SampleStats};
-use collsel_mpi::{simulate_pooled, Backend, DagEvaluator, SimError, SimOptions};
+use collsel_mpi::{simulate_with, Backend, DagEvaluator, SimError, SimOptions};
 use collsel_netsim::{ClusterModel, SimSpan, SimTime};
 use collsel_support::pool::Pool;
 
@@ -219,10 +219,9 @@ impl CellSampler {
                     .collect())
             }
             None => {
-                let (program, rounds) = (self.program, self.rounds);
-                let out = simulate_pooled(cluster, program.ranks(), seed, opts, move |ctx| {
-                    (0..rounds)
-                        .map(|_| program.round(ctx, ROOT))
+                let out = simulate_with(cluster, self.program.ranks(), seed, opts, |ctx| {
+                    (0..self.rounds)
+                        .map(|_| self.program.round(ctx, ROOT))
                         .collect::<Vec<_>>()
                 })?;
                 Ok(out.results[ROOT]

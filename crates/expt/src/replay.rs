@@ -31,14 +31,13 @@ use crate::workload::Trace;
 use collsel::coll::compile::GroupCall;
 use collsel::coll::Collective;
 use collsel::estim::{compile_step_shared, compiled_step_dag, step_cell, StepCell};
-use collsel::mpi::{simulate_pooled, Backend, DagEvaluator, SimError, SimOptions};
+use collsel::mpi::{simulate_with, Backend, DagEvaluator, SimError, SimOptions};
 use collsel::netsim::{ClusterModel, SimSpan, SimTime};
 use collsel::select::{
     fixed_selection, CollSelection, CollectiveModelSelector, CollectiveSelector, DecisionServer,
 };
 use collsel_support::{json_struct, Json, ToJson};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// How a replay chooses the algorithm for each collective call.
 #[derive(Debug)]
@@ -159,7 +158,8 @@ fn step_seed(seed: u64, step: usize) -> u64 {
 /// [`Backend::Dag`], distinct step shapes are compiled once through the
 /// process-wide step memo (composed from the process-wide collective
 /// templates) and batch-replayed; [`Backend::Threads`] runs every step
-/// through the thread-per-rank oracle.
+/// through the thread-per-rank oracle ([`simulate_with`]), with fresh
+/// rank threads per step.
 ///
 /// # Errors
 ///
@@ -198,8 +198,7 @@ pub fn replay_trace(
         let opts = SimOptions::default();
         let report = match backend {
             Backend::Threads => {
-                let calls = Arc::new(calls);
-                simulate_pooled(cluster, trace.world, seed_s, opts, move |ctx| {
+                simulate_with(cluster, trace.world, seed_s, opts, |ctx| {
                     collsel::coll::compile::run_step(ctx, &calls)
                 })?
                 .report

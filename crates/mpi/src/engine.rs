@@ -34,15 +34,12 @@
 //! receive, adding two control-message latencies. Receive completion
 //! additionally charges the receiver's CPU overhead.
 //!
-//! # Hot-path layout
+//! # Request map
 //!
-//! Tuning campaigns run tens of thousands of short simulations, so the
-//! per-run cost of this file matters. Request state lives in an
-//! index-keyed [`ReqTable`] slab (request ids are allocated
-//! monotonically per rank, so a ring of slots with a sliding base
-//! replaces hashing), and all per-rank vectors plus the scheduling heap
-//! are recycled across runs through [`EngineScratch`] instead of being
-//! reallocated per `simulate()` call.
+//! Request state lives in an index-keyed [`ReqTable`] slab per rank:
+//! request ids are allocated monotonically per rank, so a ring of slots
+//! with a sliding base replaces hashing. Every other per-rank vector is
+//! allocated afresh by [`Engine::new`] for each run.
 
 use crate::error::SimError;
 use crate::msg::{Peer, Tag, TagSel};
@@ -55,8 +52,7 @@ use std::sync::mpsc::{Receiver, Sender};
 
 /// How the engine exchanges messages with its ranks: ranks are OS
 /// threads; their messages arrive over one mpsc channel and resumes are
-/// sent back over per-rank channels. Used by [`crate::simulate`] and
-/// [`crate::simulate_pooled`].
+/// sent back over per-rank channels. Used by [`crate::simulate_with`].
 ///
 /// Because `apply_pending` merges per-rank queues by (local time, rank,
 /// program order), the cross-rank arrival interleaving of the channel
@@ -134,11 +130,6 @@ struct ReqTable {
 }
 
 impl ReqTable {
-    fn clear(&mut self) {
-        self.base = 0;
-        self.slots.clear();
-    }
-
     fn insert(&mut self, req: ReqId, state: ReqState) {
         debug_assert!(req >= self.base, "request ids are monotone per rank");
         let idx = (req - self.base) as usize;
@@ -174,104 +165,6 @@ impl ReqTable {
     #[cfg(test)]
     fn live_slots(&self) -> usize {
         self.slots.len()
-    }
-}
-
-/// Recyclable per-run buffers of the engine.
-///
-/// One simulation allocates ~10 vectors sized by the rank count plus a
-/// scheduling heap; a tuning campaign runs tens of thousands of
-/// simulations. The caller (see `crate::sim`) keeps one scratch per OS
-/// thread and threads it through consecutive runs, so those allocations
-/// happen once per campaign instead of once per run. Recycling is
-/// invisible to results: [`reset`](EngineScratch::reset) restores the
-/// exact state a fresh allocation would have.
-#[derive(Debug, Default)]
-pub(crate) struct EngineScratch {
-    local: Vec<SimTime>,
-    status: Vec<Status>,
-    blocked_op: Vec<Option<BlockOp>>,
-    reqs: Vec<ReqTable>,
-    posted_recvs: Vec<VecDeque<PostedRecv>>,
-    unexpected: Vec<VecDeque<UnexpectedSend>>,
-    pending: Vec<VecDeque<RankMsg>>,
-    finish_times: Vec<SimTime>,
-    heap: BinaryHeap<Reverse<(SimTime, usize)>>,
-}
-
-/// Rank capacity kept alive in recycled scratch (and rank teams): a
-/// one-off oversized run (say P=512) must not pin its buffers for the
-/// rest of a campaign that otherwise runs at P≤128.
-pub(crate) const RECYCLE_RANK_CAP: usize = 256;
-
-impl EngineScratch {
-    /// Drops capacity beyond `cap` ranks (and oversized per-rank
-    /// queues) so a stashed scratch never pins an outlier run's
-    /// buffers. A no-op for runs at or below the cap.
-    pub(crate) fn shrink_to_ranks(&mut self, cap: usize) {
-        self.local.truncate(cap);
-        self.local.shrink_to(cap);
-        self.status.truncate(cap);
-        self.status.shrink_to(cap);
-        self.blocked_op.truncate(cap);
-        self.blocked_op.shrink_to(cap);
-        self.finish_times.truncate(cap);
-        self.finish_times.shrink_to(cap);
-        self.reqs.truncate(cap);
-        self.reqs.shrink_to(cap);
-        for t in &mut self.reqs {
-            t.slots.shrink_to(cap);
-        }
-        self.posted_recvs.truncate(cap);
-        self.posted_recvs.shrink_to(cap);
-        for q in &mut self.posted_recvs {
-            q.shrink_to(cap);
-        }
-        self.unexpected.truncate(cap);
-        self.unexpected.shrink_to(cap);
-        for q in &mut self.unexpected {
-            q.shrink_to(cap);
-        }
-        self.pending.truncate(cap);
-        self.pending.shrink_to(cap);
-        for q in &mut self.pending {
-            q.shrink_to(cap);
-        }
-        self.heap.shrink_to(cap);
-    }
-
-    /// Total rank capacity currently held (the largest per-rank vector).
-    #[cfg(test)]
-    pub(crate) fn rank_capacity(&self) -> usize {
-        self.local
-            .capacity()
-            .max(self.status.capacity())
-            .max(self.reqs.capacity())
-            .max(self.pending.capacity())
-    }
-
-    fn reset(&mut self, p: usize) {
-        self.local.clear();
-        self.local.resize(p, SimTime::ZERO);
-        self.status.clear();
-        self.status.resize(p, Status::Running);
-        self.blocked_op.clear();
-        self.blocked_op.resize_with(p, || None);
-        self.reqs.truncate(p);
-        self.reqs.iter_mut().for_each(ReqTable::clear);
-        self.reqs.resize_with(p, ReqTable::default);
-        self.posted_recvs.truncate(p);
-        self.posted_recvs.iter_mut().for_each(VecDeque::clear);
-        self.posted_recvs.resize_with(p, VecDeque::new);
-        self.unexpected.truncate(p);
-        self.unexpected.iter_mut().for_each(VecDeque::clear);
-        self.unexpected.resize_with(p, VecDeque::new);
-        self.pending.truncate(p);
-        self.pending.iter_mut().for_each(VecDeque::clear);
-        self.pending.resize_with(p, VecDeque::new);
-        self.finish_times.clear();
-        self.finish_times.resize(p, SimTime::ZERO);
-        self.heap.clear();
     }
 }
 
@@ -313,12 +206,23 @@ pub(crate) struct EngineReport {
 pub(crate) struct Engine {
     fabric: Fabric,
     p: usize,
-    scratch: EngineScratch,
     running: usize,
     transport: ChannelTransport,
     /// Virtual-time watchdog: if the next possible resume time lies past
     /// this instant, the run is aborted with [`SimError::Timeout`].
     deadline: Option<SimTime>,
+    /// Per-rank virtual clocks.
+    local: Vec<SimTime>,
+    status: Vec<Status>,
+    blocked_op: Vec<Option<BlockOp>>,
+    reqs: Vec<ReqTable>,
+    posted_recvs: Vec<VecDeque<PostedRecv>>,
+    unexpected: Vec<VecDeque<UnexpectedSend>>,
+    /// Rank messages drained but not yet applied, in program order.
+    pending: Vec<VecDeque<RankMsg>>,
+    finish_times: Vec<SimTime>,
+    /// The apply phase's `(local time, rank)` merge heap.
+    heap: BinaryHeap<Reverse<(SimTime, usize)>>,
 }
 
 impl Engine {
@@ -327,38 +231,38 @@ impl Engine {
         p: usize,
         transport: ChannelTransport,
         deadline: Option<SimTime>,
-        mut scratch: EngineScratch,
     ) -> Self {
-        scratch.reset(p);
         Engine {
             fabric,
             p,
-            scratch,
             running: p,
             transport,
             deadline,
+            local: vec![SimTime::ZERO; p],
+            status: vec![Status::Running; p],
+            blocked_op: (0..p).map(|_| None).collect(),
+            reqs: (0..p).map(|_| ReqTable::default()).collect(),
+            posted_recvs: (0..p).map(|_| VecDeque::new()).collect(),
+            unexpected: (0..p).map(|_| VecDeque::new()).collect(),
+            pending: (0..p).map(|_| VecDeque::new()).collect(),
+            finish_times: vec![SimTime::ZERO; p],
+            heap: BinaryHeap::new(),
         }
     }
 
-    /// Runs the simulation to completion, returning the outcome and the
-    /// scratch buffers for the next run to reuse.
-    pub(crate) fn run(mut self) -> (Result<EngineReport, SimError>, EngineScratch) {
-        let result = self.run_inner();
-        (result, self.scratch)
-    }
-
-    fn run_inner(&mut self) -> Result<EngineReport, SimError> {
+    /// Runs the simulation to completion.
+    pub(crate) fn run(mut self) -> Result<EngineReport, SimError> {
         loop {
             if let Err(e) = self.drain() {
                 self.abort_all();
                 return Err(e);
             }
             self.apply_pending();
-            if self.scratch.status.iter().all(|s| *s == Status::Done) {
+            if self.status.iter().all(|s| *s == Status::Done) {
                 let stats = self.fabric.stats();
                 let trace = self.fabric.take_trace();
                 return Ok(EngineReport {
-                    finish_times: self.scratch.finish_times.clone(),
+                    finish_times: self.finish_times.clone(),
                     stats,
                     trace,
                 });
@@ -403,32 +307,32 @@ impl Engine {
                 | RankMsg::Finished { rank } => *rank,
                 RankMsg::Panicked { .. } => unreachable!(),
             };
-            self.scratch.pending[rank].push_back(msg);
+            self.pending[rank].push_back(msg);
         }
         Ok(())
     }
 
     /// Phase 2: apply queued operations merged in ascending time order.
     fn apply_pending(&mut self) {
-        debug_assert!(self.scratch.heap.is_empty());
+        debug_assert!(self.heap.is_empty());
         for r in 0..self.p {
-            if !self.scratch.pending[r].is_empty() {
-                self.scratch.heap.push(Reverse((self.scratch.local[r], r)));
+            if !self.pending[r].is_empty() {
+                self.heap.push(Reverse((self.local[r], r)));
             }
         }
-        while let Some(Reverse((t, r))) = self.scratch.heap.pop() {
-            if t != self.scratch.local[r] {
+        while let Some(Reverse((t, r))) = self.heap.pop() {
+            if t != self.local[r] {
                 // Stale key: the rank's clock advanced since this entry
                 // was pushed; re-key it.
-                self.scratch.heap.push(Reverse((self.scratch.local[r], r)));
+                self.heap.push(Reverse((self.local[r], r)));
                 continue;
             }
-            let Some(item) = self.scratch.pending[r].pop_front() else {
+            let Some(item) = self.pending[r].pop_front() else {
                 continue;
             };
             self.apply(item);
-            if !self.scratch.pending[r].is_empty() {
-                self.scratch.heap.push(Reverse((self.scratch.local[r], r)));
+            if !self.pending[r].is_empty() {
+                self.heap.push(Reverse((self.local[r], r)));
             }
         }
     }
@@ -443,19 +347,19 @@ impl Engine {
                     payload,
                 } => self.apply_isend(rank, req, dst, tag, payload),
                 PostOp::Irecv { req, src, tag } => self.apply_irecv(rank, req, src, tag),
-                PostOp::Compute { span } => self.scratch.local[rank] += span,
+                PostOp::Compute { span } => self.local[rank] += span,
             },
             RankMsg::Block { rank, op } => {
                 debug_assert!(
-                    self.scratch.pending[rank].is_empty(),
+                    self.pending[rank].is_empty(),
                     "protocol violation: rank {rank} issued operations after blocking"
                 );
-                self.scratch.status[rank] = Status::Blocked;
-                self.scratch.blocked_op[rank] = Some(op);
+                self.status[rank] = Status::Blocked;
+                self.blocked_op[rank] = Some(op);
             }
             RankMsg::Finished { rank } => {
-                self.scratch.status[rank] = Status::Done;
-                self.scratch.finish_times[rank] = self.scratch.local[rank];
+                self.status[rank] = Status::Done;
+                self.finish_times[rank] = self.local[rank];
             }
             RankMsg::Panicked { .. } => unreachable!("handled during drain"),
         }
@@ -463,10 +367,10 @@ impl Engine {
 
     fn apply_isend(&mut self, src: usize, req: ReqId, dst: usize, tag: Tag, payload: Bytes) {
         // The send call occupies the sending CPU (straggler-aware).
-        self.scratch.local[src] += self.fabric.send_overhead(src);
-        let ready = self.scratch.local[src];
+        self.local[src] += self.fabric.send_overhead(src);
+        let ready = self.local[src];
         let bytes = payload.len();
-        self.scratch.reqs[src].insert(req, ReqState::pending());
+        self.reqs[src].insert(req, ReqState::pending());
 
         if bytes <= self.fabric.cluster().eager_threshold() {
             let plan = self.fabric.plan_transfer(src, dst, bytes, ready);
@@ -475,7 +379,7 @@ impl Engine {
                 let done = plan.delivered.max(recv.posted_at) + self.fabric.recv_overhead(dst);
                 self.complete_req(dst, recv.req, done, Some(payload), Some((src, tag)));
             } else {
-                self.scratch.unexpected[dst].push_back(UnexpectedSend {
+                self.unexpected[dst].push_back(UnexpectedSend {
                     src,
                     tag,
                     payload,
@@ -487,7 +391,7 @@ impl Engine {
         } else if let Some(recv) = self.take_matching_recv(dst, src, tag) {
             self.rendezvous(src, req, dst, recv.req, tag, payload, ready, recv.posted_at);
         } else {
-            self.scratch.unexpected[dst].push_back(UnexpectedSend {
+            self.unexpected[dst].push_back(UnexpectedSend {
                 src,
                 tag,
                 payload,
@@ -500,16 +404,14 @@ impl Engine {
     }
 
     fn apply_irecv(&mut self, dst: usize, req: ReqId, src: Peer, tag: TagSel) {
-        let posted_at = self.scratch.local[dst];
-        self.scratch.reqs[dst].insert(req, ReqState::pending());
+        let posted_at = self.local[dst];
+        self.reqs[dst].insert(req, ReqState::pending());
 
-        let matched = self.scratch.unexpected[dst]
+        let matched = self.unexpected[dst]
             .iter()
             .position(|u| src.matches(u.src) && tag.matches(u.tag));
         if let Some(idx) = matched {
-            let u = self.scratch.unexpected[dst]
-                .remove(idx)
-                .expect("index just found");
+            let u = self.unexpected[dst].remove(idx).expect("index just found");
             match u.arrival {
                 Arrival::Eager { delivered } => {
                     let done = delivered.max(posted_at) + self.fabric.recv_overhead(dst);
@@ -532,7 +434,7 @@ impl Engine {
                 }
             }
         } else {
-            self.scratch.posted_recvs[dst].push_back(PostedRecv {
+            self.posted_recvs[dst].push_back(PostedRecv {
                 req,
                 src,
                 tag,
@@ -568,10 +470,10 @@ impl Engine {
     /// Removes and returns the oldest posted receive at `dst` matching a
     /// message from `src` with `tag`.
     fn take_matching_recv(&mut self, dst: usize, src: usize, tag: Tag) -> Option<PostedRecv> {
-        let idx = self.scratch.posted_recvs[dst]
+        let idx = self.posted_recvs[dst]
             .iter()
             .position(|r| r.src.matches(src) && r.tag.matches(tag))?;
-        self.scratch.posted_recvs[dst].remove(idx)
+        self.posted_recvs[dst].remove(idx)
     }
 
     fn complete_req(
@@ -582,7 +484,7 @@ impl Engine {
         payload: Option<Bytes>,
         origin: Option<(usize, Tag)>,
     ) {
-        let state = self.scratch.reqs[rank]
+        let state = self.reqs[rank]
             .get_mut(req)
             .expect("request must exist when completed");
         debug_assert!(state.complete_at.is_none(), "request completed twice");
@@ -617,12 +519,12 @@ impl Engine {
         let mut all_in_barrier = true;
         let mut barrier_t = SimTime::ZERO;
         for r in 0..self.p {
-            if self.scratch.status[r] == Status::Done {
+            if self.status[r] == Status::Done {
                 continue;
             }
             alive += 1;
-            if matches!(self.scratch.blocked_op[r], Some(BlockOp::Barrier)) {
-                barrier_t = barrier_t.max(self.scratch.local[r]);
+            if matches!(self.blocked_op[r], Some(BlockOp::Barrier)) {
+                barrier_t = barrier_t.max(self.local[r]);
             } else {
                 all_in_barrier = false;
             }
@@ -652,9 +554,7 @@ impl Engine {
             if self.resume_at(r) != Some(best) {
                 continue;
             }
-            let op = self.scratch.blocked_op[r]
-                .take()
-                .expect("blocked rank has an op");
+            let op = self.blocked_op[r].take().expect("blocked rank has an op");
             let completions = match op {
                 BlockOp::Wtime => Vec::new(),
                 BlockOp::Barrier => unreachable!("barrier ranks have no resume time"),
@@ -668,11 +568,11 @@ impl Engine {
 
     /// The earliest time at which rank `r` could resume, if it can.
     fn resume_at(&self, r: usize) -> Option<SimTime> {
-        if self.scratch.status[r] != Status::Blocked {
+        if self.status[r] != Status::Blocked {
             return None;
         }
-        match self.scratch.blocked_op[r].as_ref() {
-            Some(BlockOp::Wtime) => Some(self.scratch.local[r]),
+        match self.blocked_op[r].as_ref() {
+            Some(BlockOp::Wtime) => Some(self.local[r]),
             Some(BlockOp::Wait { reqs, mode }) => self.wait_ready_at(r, reqs, *mode),
             Some(BlockOp::Barrier) | None => None,
         }
@@ -682,10 +582,10 @@ impl Engine {
     fn wait_ready_at(&self, r: usize, reqs: &[ReqId], mode: WaitMode) -> Option<SimTime> {
         let times = reqs
             .iter()
-            .map(|&id| self.scratch.reqs[r].get(id).and_then(|s| s.complete_at));
+            .map(|&id| self.reqs[r].get(id).and_then(|s| s.complete_at));
         match mode {
             WaitMode::All => {
-                let mut at = self.scratch.local[r];
+                let mut at = self.local[r];
                 for t in times {
                     at = at.max(t?);
                 }
@@ -693,7 +593,7 @@ impl Engine {
             }
             WaitMode::Any => {
                 let earliest = times.flatten().min()?;
-                Some(earliest.max(self.scratch.local[r]))
+                Some(earliest.max(self.local[r]))
             }
         }
     }
@@ -704,9 +604,7 @@ impl Engine {
             WaitMode::All => reqs
                 .iter()
                 .map(|&id| {
-                    let state = self.scratch.reqs[r]
-                        .remove(id)
-                        .expect("waited request exists");
+                    let state = self.reqs[r].remove(id).expect("waited request exists");
                     Completion {
                         req: id,
                         payload: state.payload,
@@ -718,14 +616,14 @@ impl Engine {
                 let (&winner, _) = reqs
                     .iter()
                     .filter_map(|id| {
-                        self.scratch.reqs[r]
+                        self.reqs[r]
                             .get(*id)
                             .and_then(|s| s.complete_at)
                             .map(|t| (id, t))
                     })
                     .min_by_key(|&(id, t)| (t, *id))
                     .expect("wait-any resumed without a completed request");
-                let state = self.scratch.reqs[r].remove(winner).expect("request exists");
+                let state = self.reqs[r].remove(winner).expect("request exists");
                 vec![Completion {
                     req: winner,
                     payload: state.payload,
@@ -736,9 +634,9 @@ impl Engine {
     }
 
     fn wake(&mut self, rank: usize, now: SimTime, completions: Vec<Completion>) {
-        self.scratch.local[rank] = now;
-        self.scratch.status[rank] = Status::Running;
-        self.scratch.blocked_op[rank] = None;
+        self.local[rank] = now;
+        self.status[rank] = Status::Running;
+        self.blocked_op[rank] = None;
         self.running += 1;
         self.transport.deliver(rank, now, completions);
     }
@@ -750,20 +648,18 @@ impl Engine {
     fn deadlock_detail(&self) -> String {
         let mut parts = Vec::new();
         for r in 0..self.p {
-            match self.scratch.status[r] {
+            match self.status[r] {
                 Status::Done => {}
                 Status::Running => parts.push(format!("rank {r}: running (internal error)")),
                 Status::Blocked => {
-                    let what = match self.scratch.blocked_op[r].as_ref() {
+                    let what = match self.blocked_op[r].as_ref() {
                         Some(BlockOp::Barrier) => "barrier".to_owned(),
                         Some(BlockOp::Wtime) => "wtime (internal error)".to_owned(),
                         Some(BlockOp::Wait { reqs, mode }) => {
                             let outstanding: Vec<String> = reqs
                                 .iter()
                                 .filter(|&&id| {
-                                    self.scratch.reqs[r]
-                                        .get(id)
-                                        .is_none_or(|s| s.complete_at.is_none())
+                                    self.reqs[r].get(id).is_none_or(|s| s.complete_at.is_none())
                                 })
                                 .map(|id| format!("req {id}"))
                                 .collect();
@@ -773,7 +669,7 @@ impl Engine {
                     };
                     parts.push(format!(
                         "rank {r}: blocked on {what} at t={}",
-                        self.scratch.local[r]
+                        self.local[r]
                     ));
                 }
             }
@@ -859,42 +755,5 @@ mod tests {
             Some(SimTime::from_nanos(9))
         );
         assert!(t.get_mut(6).is_none());
-    }
-
-    #[test]
-    fn shrink_to_ranks_caps_recycled_capacity() {
-        let mut s = EngineScratch::default();
-        s.reset(512);
-        assert!(s.rank_capacity() >= 512, "oversized run grows the scratch");
-        s.shrink_to_ranks(RECYCLE_RANK_CAP);
-        assert!(
-            s.rank_capacity() <= RECYCLE_RANK_CAP,
-            "shrink must cap capacity, found {}",
-            s.rank_capacity()
-        );
-        // The scratch stays fully usable after shrinking.
-        s.reset(8);
-        assert_eq!(s.local.len(), 8);
-        s.reset(300);
-        assert_eq!(s.status.len(), 300);
-    }
-
-    #[test]
-    fn scratch_reset_restores_a_fresh_state() {
-        let mut s = EngineScratch::default();
-        s.reset(3);
-        s.local[1] = SimTime::from_nanos(5);
-        s.status[2] = Status::Done;
-        s.reqs[0].insert(0, ReqState::pending());
-        s.heap.push(Reverse((SimTime::ZERO, 1)));
-        // Shrinks and grows alike.
-        for p in [2, 5] {
-            s.reset(p);
-            assert_eq!(s.local, vec![SimTime::ZERO; p]);
-            assert_eq!(s.status, vec![Status::Running; p]);
-            assert_eq!(s.reqs.len(), p);
-            assert!(s.reqs.iter().all(|t| t.base == 0 && t.slots.is_empty()));
-            assert!(s.heap.is_empty());
-        }
     }
 }

@@ -44,15 +44,12 @@
 //! repetitions share one cluster clone and one set of buffers;
 //! [`DagEvaluator::evaluate_reps`] is the batched entry point.
 
-use crate::engine::{EngineReport, RECYCLE_RANK_CAP};
+use crate::engine::EngineReport;
 use crate::error::SimError;
 use crate::msg::{Peer, TagSel};
 use crate::proto::{ReqId, WaitMode};
 use crate::schedule::{SchedOp, Schedule};
-use crate::sim::{
-    build_fabric, check_ranks, report_from_engine, stash_dag_scratch, take_dag_scratch, RunReport,
-    SimOptions,
-};
+use crate::sim::{check_ranks, report_from_engine, RunReport, SimOptions};
 use collsel_netsim::{ClusterModel, Fabric, SimSpan, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -175,9 +172,9 @@ impl std::error::Error for CompileError {}
 /// A [`Schedule`] lowered to flat arrays with matching, protocol
 /// selection and wait-set resolution done once.
 ///
-/// Compile with [`TimingDag::compile`]; evaluate with
-/// [`simulate_dag`] (one-shot) or [`DagEvaluator`] (batched). The DAG
-/// is immutable and shareable (`Arc`) across threads and repetitions.
+/// Compile with [`TimingDag::compile`]; evaluate with a
+/// [`DagEvaluator`]. The DAG is immutable and shareable (`Arc`) across
+/// threads and repetitions.
 #[derive(Debug)]
 #[cfg_attr(test, derive(PartialEq))]
 pub struct TimingDag {
@@ -429,11 +426,11 @@ enum Status {
     Done,
 }
 
-/// Recyclable evaluation buffers: all per-rank, per-slot and per-edge
-/// state plus the scheduling heap. One reset per repetition, zero
-/// allocation in the steady state.
+/// Evaluation buffers a [`DagEvaluator`] reuses across repetitions: all
+/// per-rank, per-slot and per-edge state plus the scheduling heap. One
+/// reset per repetition, zero allocation in the steady state.
 #[derive(Debug, Default)]
-pub(crate) struct DagScratch {
+struct DagScratch {
     local: Vec<SimTime>,
     status: Vec<Status>,
     /// Global op index of the block a rank is parked on (`NONE_IDX`
@@ -464,11 +461,6 @@ pub(crate) struct DagScratch {
     in_barrier: usize,
 }
 
-/// Slot/edge capacity kept alive in a recycled scratch; measurement
-/// programs routinely compile to tens of thousands of slots, and one
-/// outlier cell must not pin its buffers for a whole campaign.
-const RECYCLE_SLOT_CAP: usize = 1 << 18;
-
 impl DagScratch {
     fn reset(&mut self, dag: &TimingDag) {
         let p = dag.p;
@@ -495,33 +487,6 @@ impl DagScratch {
         self.woken.extend(0..p);
         self.done = 0;
         self.in_barrier = 0;
-    }
-
-    /// Caps recycled capacity (see [`crate::engine::EngineScratch`]'s
-    /// equivalent): rank-indexed vectors at the engine's rank cap,
-    /// slot/edge-indexed vectors at [`RECYCLE_SLOT_CAP`].
-    pub(crate) fn shrink(&mut self) {
-        let rank_cap = RECYCLE_RANK_CAP;
-        self.local.truncate(rank_cap);
-        self.local.shrink_to(rank_cap);
-        self.status.truncate(rank_cap);
-        self.status.shrink_to(rank_cap);
-        self.blocked.truncate(rank_cap);
-        self.blocked.shrink_to(rank_cap);
-        self.cursor.truncate(rank_cap);
-        self.cursor.shrink_to(rank_cap);
-        self.limit.truncate(rank_cap);
-        self.limit.shrink_to(rank_cap);
-        self.finish.truncate(rank_cap);
-        self.finish.shrink_to(rank_cap);
-        self.slot_done.truncate(RECYCLE_SLOT_CAP);
-        self.slot_done.shrink_to(RECYCLE_SLOT_CAP);
-        self.edge_state.truncate(RECYCLE_SLOT_CAP);
-        self.edge_state.shrink_to(RECYCLE_SLOT_CAP);
-        self.heap.shrink_to(rank_cap);
-        self.ready.shrink_to(rank_cap);
-        self.woken.truncate(rank_cap);
-        self.woken.shrink_to(rank_cap);
     }
 }
 
@@ -916,38 +881,8 @@ fn run_once(
     .run()
 }
 
-/// Evaluates a compiled [`TimingDag`] once under `seed` and `opts`.
-///
-/// The report and clock reads are bit-identical to what
-/// [`crate::simulate_with`] yields for the recorded program with the
-/// same cluster, seed and options — including `SimError` values under
-/// fault plans and watchdog deadlines. For many repetitions of one
-/// cell, prefer [`DagEvaluator`], which also reuses the fabric.
-///
-/// # Errors
-///
-/// Same as [`crate::simulate_with`].
-///
-/// # Panics
-///
-/// Panics if the DAG's rank count exceeds the cluster's slots or the
-/// cluster's eager threshold differs from the compile-time one.
-pub fn simulate_dag(
-    cluster: &ClusterModel,
-    dag: &TimingDag,
-    seed: u64,
-    opts: SimOptions,
-) -> Result<ScheduledRun, SimError> {
-    check_dag(cluster, dag);
-    let mut fabric = build_fabric(cluster, seed, opts);
-    let mut scratch = take_dag_scratch();
-    let result = run_once(dag, &mut fabric, &mut scratch, opts);
-    stash_dag_scratch(scratch);
-    result
-}
-
 /// A compiled DAG pinned to one cluster, with a resettable fabric and
-/// recycled scratch: the batched evaluation entry point.
+/// reused scratch: the one way a [`TimingDag`] is evaluated.
 ///
 /// Each [`run`](DagEvaluator::run) resets the fabric in place
 /// ([`Fabric::reset`]) instead of re-cloning the cluster model, so a
@@ -964,7 +899,8 @@ impl DagEvaluator {
     ///
     /// # Panics
     ///
-    /// Same as [`simulate_dag`].
+    /// Panics if the DAG's rank count exceeds the cluster's slots or the
+    /// cluster's eager threshold differs from the compile-time one.
     pub fn new(cluster: &ClusterModel, dag: Arc<TimingDag>) -> DagEvaluator {
         check_dag(cluster, &dag);
         DagEvaluator {
@@ -979,8 +915,11 @@ impl DagEvaluator {
         &self.dag
     }
 
-    /// One repetition under `seed` and `opts`; bit-identical to
-    /// [`simulate_dag`] on the same cluster.
+    /// One repetition under `seed` and `opts`. The report and clock
+    /// reads are bit-identical to what [`crate::simulate_with`] yields
+    /// for the recorded program with the same cluster, seed and options,
+    /// including `SimError` values under fault plans and watchdog
+    /// deadlines.
     ///
     /// # Errors
     ///
@@ -1228,12 +1167,22 @@ mod tests {
         assert_eq!(a.wtimes, b.wtimes);
     }
 
+    /// One evaluation of `dag` under `seed` on a fresh evaluator.
+    fn evaluate(
+        cluster: &ClusterModel,
+        dag: &Arc<TimingDag>,
+        seed: u64,
+        opts: SimOptions,
+    ) -> Result<ScheduledRun, SimError> {
+        DagEvaluator::new(cluster, Arc::clone(dag)).run(seed, opts)
+    }
+
     #[test]
     fn dag_matches_threads_bit_for_bit_eager_and_rendezvous() {
         let cluster = ClusterModel::grisou();
         for bytes in [512usize, 256 * 1024] {
             let sched = record_ring(&cluster, 6, bytes);
-            let dag = TimingDag::compile(&cluster, &sched).expect("compiles");
+            let dag = Arc::new(TimingDag::compile(&cluster, &sched).expect("compiles"));
             for seed in [0u64, 1, 42, 0xDEAD] {
                 let opts = SimOptions {
                     traced: true,
@@ -1241,7 +1190,7 @@ mod tests {
                 };
                 let oracle =
                     threaded(&cluster, 6, seed, opts, |c| mixed_ring(c, bytes)).expect("threads");
-                let fast = simulate_dag(&cluster, &dag, seed, opts).expect("dag");
+                let fast = evaluate(&cluster, &dag, seed, opts).expect("dag");
                 assert_identical(&oracle, &fast);
             }
         }
@@ -1290,7 +1239,9 @@ mod tests {
     #[test]
     fn dag_matches_threads_under_faults() {
         let base = ClusterModel::gros();
-        let dag = TimingDag::compile(&base, &record_ring(&base, 5, 128 * 1024)).expect("compiles");
+        let dag = Arc::new(
+            TimingDag::compile(&base, &record_ring(&base, 5, 128 * 1024)).expect("compiles"),
+        );
         for spec in ["degraded-link:3", "straggler:11", "brownout:5", "chaos:7"] {
             let plan = FaultPlan::parse(spec, base.nodes()).expect("canned plan");
             let faulted = base.clone().with_faults(plan);
@@ -1298,7 +1249,7 @@ mod tests {
                 let opts = SimOptions::default();
                 let oracle = threaded(&faulted, 5, seed, opts, |c| mixed_ring(c, 128 * 1024))
                     .expect("threads");
-                let fast = simulate_dag(&faulted, &dag, seed, opts).expect("dag");
+                let fast = evaluate(&faulted, &dag, seed, opts).expect("dag");
                 assert_identical(&oracle, &fast);
             }
         }
@@ -1307,17 +1258,18 @@ mod tests {
     #[test]
     fn dag_timeout_matches_threads_error_exactly() {
         let cluster = ClusterModel::gros();
-        let dag =
-            TimingDag::compile(&cluster, &record_ring(&cluster, 4, 64 * 1024)).expect("compiles");
+        let dag = Arc::new(
+            TimingDag::compile(&cluster, &record_ring(&cluster, 4, 64 * 1024)).expect("compiles"),
+        );
         let opts = SimOptions::with_deadline(SimSpan::from_nanos(10));
         let oracle = threaded(&cluster, 4, 3, opts, |c| mixed_ring(c, 64 * 1024))
             .expect_err("deadline must trip");
-        let fast = simulate_dag(&cluster, &dag, 3, opts).expect_err("deadline must trip");
+        let fast = evaluate(&cluster, &dag, 3, opts).expect_err("deadline must trip");
         assert_eq!(oracle, fast, "timeout errors must be value-identical");
     }
 
     #[test]
-    fn evaluator_reps_match_one_shot_runs() {
+    fn reused_evaluator_matches_a_fresh_one_per_seed() {
         let cluster = ClusterModel::grisou();
         let sched = record_ring(&cluster, 8, 4096);
         let dag = Arc::new(TimingDag::compile(&cluster, &sched).expect("compiles"));
@@ -1326,8 +1278,8 @@ mod tests {
             .evaluate_reps(100, 5, SimOptions::default())
             .expect("reps run");
         for (i, rep) in reps.iter().enumerate() {
-            let solo = simulate_dag(&cluster, &dag, 100 + i as u64, SimOptions::default())
-                .expect("one-shot");
+            let solo = evaluate(&cluster, &dag, 100 + i as u64, SimOptions::default())
+                .expect("fresh evaluator");
             assert_identical(rep, &solo);
         }
     }
@@ -1377,9 +1329,9 @@ mod tests {
             orphan(rc);
         })
         .expect("records");
-        let dag = TimingDag::compile(&cluster, &sched).expect("compiles");
+        let dag = Arc::new(TimingDag::compile(&cluster, &sched).expect("compiles"));
         let oracle = threaded(&cluster, 2, 5, SimOptions::default(), orphan::<Ctx>).expect("ok");
-        let fast = simulate_dag(&cluster, &dag, 5, SimOptions::default()).expect("ok");
+        let fast = evaluate(&cluster, &dag, 5, SimOptions::default()).expect("ok");
         assert_identical(&oracle, &fast);
         assert_eq!(fast.report.messages, 2, "orphan eager send hits the wire");
     }

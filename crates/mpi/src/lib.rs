@@ -13,16 +13,20 @@
 //!
 //! Entry point: [`simulate`]. Per-rank API: [`Ctx`].
 //!
-//! Two execution tiers share the engine's semantics (see [`Backend`]):
-//! thread-per-rank (`simulate`/`simulate_pooled`, the general-purpose
-//! oracle, which runs any rank closure), and the timing-DAG tier. The
-//! latter compiles a program written against the [`Comm`] trait into a
-//! [`Schedule`] once ([`record_schedule`]: symbolically, on the calling
-//! thread, with no rank threads, engine, fabric or payload bytes),
-//! lowers it to a [`TimingDag`] with send/recv matching resolved at
-//! compile time, and evaluates it ([`simulate_dag`]/[`DagEvaluator`])
+//! Two execution tiers share the engine's semantics (see [`Backend`]).
+//! The thread-per-rank tier ([`simulate_with`], with [`simulate`] and
+//! [`simulate_traced`] as shorthands) runs any rank closure exactly as
+//! written, one scoped OS thread per rank: it is the oracle. The
+//! timing-DAG tier compiles a program written against the [`Comm`]
+//! trait into a [`Schedule`] once ([`record_schedule`]: symbolically,
+//! on the calling thread, with no rank threads, engine, fabric or
+//! payload bytes), lowers it to a [`TimingDag`] with send/recv matching
+//! resolved at compile time, and evaluates it with a [`DagEvaluator`]
 //! with zero OS threads, zero allocation and zero payload traffic per
-//! run — the campaign hot path and the default backend.
+//! repetition — the campaign hot path and the default backend. The
+//! crate keeps no state between calls: no thread outlives its run, and
+//! the only buffers reused across runs are those a [`DagEvaluator`]
+//! owns.
 //!
 //! ```
 //! use collsel_support::Bytes;
@@ -58,11 +62,10 @@ mod msg;
 mod proto;
 mod schedule;
 mod sim;
-mod team;
 
 pub use comm::Comm;
 pub use ctx::{Ctx, RecvRequest, SendRequest};
-pub use engine_dag::{simulate_dag, CompileError, DagEvaluator, ScheduledRun, TimingDag};
+pub use engine_dag::{CompileError, DagEvaluator, ScheduledRun, TimingDag};
 pub use error::SimError;
 pub use group::{GroupComm, GROUP_TAG_STRIDE};
 pub use msg::{Peer, RecvStatus, Tag, TagSel};
@@ -70,4 +73,3 @@ pub use schedule::{check_group, record_schedule, OpShape, RecCtx, RecordError, S
 pub use sim::{
     simulate, simulate_traced, simulate_with, Backend, RunReport, SimOptions, SimOutcome,
 };
-pub use team::simulate_pooled;

@@ -1,66 +1,22 @@
-//! Simulation entry point: spawn one thread per rank, run the engine,
-//! collect results.
+//! Simulation entry point: spawn one scoped thread per rank, run the
+//! engine on the calling thread, collect results.
 //!
-//! Two execution strategies share all of the engine machinery:
-//!
-//! * [`simulate`] (and its `_with`/`_traced` variants) spawns **scoped**
-//!   rank threads per call, so the rank closure may borrow from the
-//!   caller's stack. This is the general-purpose path.
-//! * [`crate::simulate_pooled`] dispatches the ranks onto a persistent
-//!   per-OS-thread worker team, avoiding the P `thread::spawn`/join
-//!   round-trips per run — the hot path for tuning campaigns that run
-//!   tens of thousands of short simulations.
-//!
-//! Both paths also recycle the engine's per-run buffers through a
-//! thread-local [`EngineScratch`] stash, so consecutive runs on the same
-//! caller thread reuse their allocations.
+//! [`simulate_with`] is the one launcher ([`simulate`] and
+//! [`simulate_traced`] fix its options). Rank threads are scoped, so the
+//! rank closure may borrow from the caller's stack, and every run builds
+//! its engine and fabric afresh: nothing outlives the call.
 
 use crate::ctx::Ctx;
-use crate::engine::{ChannelTransport, Engine, EngineReport, EngineScratch, RECYCLE_RANK_CAP};
-use crate::engine_dag::DagScratch;
+use crate::engine::{ChannelTransport, Engine, EngineReport};
 use crate::error::SimError;
 use crate::proto::RankMsg;
 use collsel_netsim::{ClusterModel, Fabric, SimSpan, SimTime, TransferRecord};
-use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::sync::Mutex;
 
 /// Marker panic payload used to unwind rank threads on engine abort.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct AbortToken;
-
-thread_local! {
-    /// Engine buffers recycled across consecutive runs on this thread.
-    static ENGINE_SCRATCH: RefCell<EngineScratch> = RefCell::new(EngineScratch::default());
-}
-
-pub(crate) fn take_scratch() -> EngineScratch {
-    ENGINE_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()))
-}
-
-pub(crate) fn stash_scratch(mut scratch: EngineScratch) {
-    // Cap the recycled capacity so one oversized run doesn't pin its
-    // buffers for the rest of a campaign.
-    scratch.shrink_to_ranks(RECYCLE_RANK_CAP);
-    ENGINE_SCRATCH.with(|s| *s.borrow_mut() = scratch);
-}
-
-thread_local! {
-    /// Timing-DAG evaluation buffers recycled across consecutive
-    /// [`crate::simulate_dag`] calls on this thread (the batched
-    /// [`crate::DagEvaluator`] owns its scratch instead).
-    static DAG_SCRATCH: RefCell<DagScratch> = RefCell::new(DagScratch::default());
-}
-
-pub(crate) fn take_dag_scratch() -> DagScratch {
-    DAG_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()))
-}
-
-pub(crate) fn stash_dag_scratch(mut scratch: DagScratch) {
-    scratch.shrink();
-    DAG_SCRATCH.with(|s| *s.borrow_mut() = scratch);
-}
 
 /// Which execution tier runs a simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -200,7 +156,7 @@ where
     F: Fn(&mut Ctx) -> T + Sync,
     T: Send,
 {
-    simulate_impl(cluster, ranks, seed, SimOptions::default(), f)
+    simulate_with(cluster, ranks, seed, SimOptions::default(), f)
 }
 
 /// Like [`simulate`], with explicit [`SimOptions`] (tracing and/or a
@@ -225,7 +181,64 @@ where
     F: Fn(&mut Ctx) -> T + Sync,
     T: Send,
 {
-    simulate_impl(cluster, ranks, seed, opts, f)
+    check_ranks(cluster, ranks);
+    let mut fabric = Fabric::new(cluster.clone(), seed);
+    if opts.traced {
+        fabric.enable_tracing();
+    }
+    let (to_engine, from_ranks) = mpsc::channel::<RankMsg>();
+    let (resume_tx, resume_rxs): (Vec<_>, Vec<_>) = (0..ranks).map(|_| mpsc::channel()).unzip();
+    let transport = ChannelTransport {
+        from_ranks,
+        resume_tx,
+    };
+    let deadline = opts.deadline.map(|d| SimTime::ZERO + d);
+    let engine = Engine::new(fabric, ranks, transport, deadline);
+
+    let (engine_result, results) = std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = resume_rxs
+            .into_iter()
+            .enumerate()
+            .map(|(rank, resume_rx)| {
+                let to_engine = to_engine.clone();
+                scope.spawn(move || {
+                    let mut ctx = Ctx::new(rank, ranks, to_engine, resume_rx);
+                    match catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
+                        Ok(value) => {
+                            ctx.notify_finished();
+                            Some(value)
+                        }
+                        Err(payload) => {
+                            // An abort the engine initiated unwinds quietly.
+                            if payload.downcast_ref::<AbortToken>().is_none() {
+                                ctx.notify_panicked(panic_message(payload.as_ref()));
+                            }
+                            None
+                        }
+                    }
+                })
+            })
+            .collect();
+        drop(to_engine);
+        let engine_result = engine.run();
+        let results: Vec<Option<T>> = handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect();
+        (engine_result, results)
+    });
+
+    let report = engine_result?;
+    let results = results
+        .into_iter()
+        .enumerate()
+        .map(|(rank, v)| v.unwrap_or_else(|| panic!("rank {rank} finished without a result")))
+        .collect();
+    Ok(SimOutcome {
+        results,
+        report: report_from_engine(report),
+    })
 }
 
 /// Like [`simulate`], but records a [`TransferRecord`] for every
@@ -251,7 +264,7 @@ where
     F: Fn(&mut Ctx) -> T + Sync,
     T: Send,
 {
-    simulate_impl(
+    simulate_with(
         cluster,
         ranks,
         seed,
@@ -274,15 +287,6 @@ pub(crate) fn check_ranks(cluster: &ClusterModel, ranks: usize) {
     );
 }
 
-/// Builds the fabric for one run according to `opts`.
-pub(crate) fn build_fabric(cluster: &ClusterModel, seed: u64, opts: SimOptions) -> Fabric {
-    let mut fabric = Fabric::new(cluster.clone(), seed);
-    if opts.traced {
-        fabric.enable_tracing();
-    }
-    fabric
-}
-
 /// Converts the engine's internal report into the public [`RunReport`].
 pub(crate) fn report_from_engine(report: EngineReport) -> RunReport {
     let makespan = report
@@ -298,102 +302,6 @@ pub(crate) fn report_from_engine(report: EngineReport) -> RunReport {
         shm_messages: report.stats.shm_messages,
         trace: report.trace,
     }
-}
-
-/// Assembles the public outcome from the engine report and the per-rank
-/// results gathered by either execution strategy.
-pub(crate) fn assemble_outcome<T>(report: EngineReport, results: Vec<Option<T>>) -> SimOutcome<T> {
-    let results: Vec<T> = results
-        .into_iter()
-        .enumerate()
-        .map(|(rank, v)| v.unwrap_or_else(|| panic!("rank {rank} finished without a result")))
-        .collect();
-    SimOutcome {
-        results,
-        report: report_from_engine(report),
-    }
-}
-
-/// The body every rank thread runs, shared by both execution strategies.
-/// Catches panics, distinguishing engine-initiated aborts from real rank
-/// failures, and stores the rank's return value.
-pub(crate) fn run_rank_body<T>(
-    rank: usize,
-    ranks: usize,
-    to_engine: mpsc::Sender<RankMsg>,
-    resume_rx: mpsc::Receiver<crate::proto::Resume>,
-    results: &Mutex<Vec<Option<T>>>,
-    f: impl FnOnce(&mut Ctx) -> T,
-) where
-    T: Send,
-{
-    let mut ctx = Ctx::new(rank, ranks, to_engine, resume_rx);
-    let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
-    match outcome {
-        Ok(value) => {
-            results.lock().expect("results lock")[rank] = Some(value);
-            ctx.notify_finished();
-        }
-        Err(payload) => {
-            if payload.downcast_ref::<AbortToken>().is_some() {
-                // The engine initiated the abort; stay quiet.
-                return;
-            }
-            let message = panic_message(payload.as_ref());
-            ctx.notify_panicked(message);
-        }
-    }
-}
-
-fn simulate_impl<T, F>(
-    cluster: &ClusterModel,
-    ranks: usize,
-    seed: u64,
-    opts: SimOptions,
-    f: F,
-) -> Result<SimOutcome<T>, SimError>
-where
-    F: Fn(&mut Ctx) -> T + Sync,
-    T: Send,
-{
-    check_ranks(cluster, ranks);
-    let fabric = build_fabric(cluster, seed, opts);
-    let (to_engine, from_ranks) = mpsc::channel::<RankMsg>();
-    let mut resume_txs = Vec::with_capacity(ranks);
-    let mut resume_rxs = Vec::with_capacity(ranks);
-    for _ in 0..ranks {
-        let (tx, rx) = mpsc::channel();
-        resume_txs.push(tx);
-        resume_rxs.push(rx);
-    }
-
-    let results: Mutex<Vec<Option<T>>> = Mutex::new((0..ranks).map(|_| None).collect());
-    let deadline = opts.deadline.map(|d| SimTime::ZERO + d);
-    let transport = ChannelTransport {
-        from_ranks,
-        resume_tx: resume_txs,
-    };
-    let engine = Engine::new(fabric, ranks, transport, deadline, take_scratch());
-
-    let (engine_result, scratch) = std::thread::scope(|scope| {
-        for (rank, resume_rx) in resume_rxs.into_iter().enumerate() {
-            let to_engine = to_engine.clone();
-            let f = &f;
-            let results = &results;
-            scope.spawn(move || {
-                run_rank_body(rank, ranks, to_engine, resume_rx, results, f);
-            });
-        }
-        drop(to_engine);
-        engine.run()
-    });
-    stash_scratch(scratch);
-
-    let report = engine_result?;
-    let results = results
-        .into_inner()
-        .expect("a rank panicked while holding the results lock");
-    Ok(assemble_outcome(report, results))
 }
 
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

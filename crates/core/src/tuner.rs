@@ -14,10 +14,16 @@
 //!    [`TunedModel::multi_selector`].
 //!
 //! Broadcast is [`Collective::Bcast`] like any other collective: each
-//! fit is stored once, in [`TunedModel::collectives`], by one pipeline
-//! body behind both the infallible and the fault-tolerant entry points,
-//! and served at the segment it was measured at
-//! ([`TunedModel::seg_size_for`]).
+//! fit is stored once, in [`TunedModel::collectives`], and served at the
+//! segment it was measured at ([`TunedModel::seg_size_for`]).
+//!
+//! One method, [`Tuner::try_tune_collectives`], runs the γ stage and
+//! every per-collective stage. Its `policy: Option<&RetryPolicy>` is the
+//! measurement tier of every stage (see [`collsel_estim::measure`]):
+//! `None` arms no watchdog and cannot fail, so [`Tuner::tune`],
+//! [`Tuner::tune_collectives`] and [`Tuner::tune_all`] return its model
+//! unwrapped; `Some(policy)` is the fault-tolerant tier, whose failed
+//! algorithms are skipped and reported.
 //!
 //! Tuning campaigns parallelise: the independent measurement cells of
 //! both estimation stages (γ widths; the algorithm × message-size
@@ -39,12 +45,11 @@
 
 use collsel_coll::{Alg, BcastAlg, Collective};
 use collsel_estim::{
-    estimate_all_alpha_beta, estimate_collective_family, estimate_gamma, measure_family_cell,
-    plan_crossover_fill, try_estimate_all_alpha_beta, try_estimate_collective_family,
-    try_estimate_gamma, AlphaBetaConfig, AlphaBetaEstimate, BreadthConfig, GammaConfig,
-    GammaEstimate, Precision, RetryPolicy,
+    measure_family_cell, plan_crossover_fill, try_estimate_all_alpha_beta,
+    try_estimate_collective_family, try_estimate_gamma, AlphaBetaConfig, AlphaBetaEstimate,
+    BreadthConfig, GammaConfig, GammaEstimate, Precision, RetryPolicy,
 };
-use collsel_model::{FitValidity, GammaTable, Hockney};
+use collsel_model::{FitValidity, Hockney};
 use collsel_mpi::{Backend, SimError};
 use collsel_netsim::ClusterModel;
 use collsel_select::{
@@ -284,9 +289,6 @@ impl TuneReport {
     }
 }
 
-/// One collective's estimation outcomes, keyed by qualified algorithm.
-type Outcomes = BTreeMap<Alg, Result<AlphaBetaEstimate, SimError>>;
-
 /// Runs the paper's estimation pipeline on a cluster.
 #[derive(Debug, Clone)]
 pub struct Tuner {
@@ -334,27 +336,20 @@ impl Tuner {
         self.tune_collectives(&[Collective::Bcast])
     }
 
-    /// Runs γ, then fits each listed collective's algorithm family.
-    /// Broadcast always runs, first, from the Sect. 4.2 broadcast +
-    /// gather experiments (the dedicated broadcast estimation is
-    /// strictly better conditioned than a plain sweep); every other
-    /// collective is fitted from its own timed sweeps
-    /// ([`estimate_collective_family`]), in the caller's order.
+    /// Runs γ, then fits each listed collective's algorithm family —
+    /// [`try_tune_collectives`](Self::try_tune_collectives) on the
+    /// unwatched tier, which cannot fail and skips nothing.
     pub fn tune_collectives(&self, collectives: &[Collective]) -> TunedModel {
-        let gamma = estimate_gamma(&self.cluster, &self.config.gamma, self.config.seed);
-        let report = self.assemble(gamma, collectives, |c, gamma, seed| {
-            let fits = if c == Collective::Bcast {
-                rekey(estimate_all_alpha_beta(
-                    &self.cluster,
-                    &self.config.alpha_beta,
-                    gamma,
-                    seed,
-                ))
-            } else {
-                estimate_collective_family(&self.cluster, c, &self.config.breadth, gamma, seed)
-            };
-            fits.into_iter().map(|(alg, est)| (alg, Ok(est))).collect()
-        });
+        // The unwatched tier of every estimator returns each sample as
+        // it stands, so neither γ nor any algorithm can fail.
+        let report = self
+            .try_tune_collectives(collectives, None)
+            .unwrap_or_else(|e| unreachable!("an unwatched tune cannot fail: {e}"));
+        assert!(
+            report.is_complete(),
+            "an unwatched tune cannot fail: {:?}",
+            report.skipped
+        );
         report.model
     }
 
@@ -364,12 +359,18 @@ impl Tuner {
         self.tune_collectives(&Collective::ALL)
     }
 
-    /// Fault-tolerant [`tune_collectives`](Self::tune_collectives) for
-    /// clusters running under an injected
-    /// [`collsel_netsim::FaultPlan`]: every measurement runs under
-    /// `policy`'s virtual-time watchdog with retry-and-backoff.
+    /// The one pipeline body: runs γ, then fits each listed collective's
+    /// algorithm family. Broadcast always runs, first, from the
+    /// Sect. 4.2 broadcast + gather experiments (the dedicated broadcast
+    /// estimation is strictly better conditioned than a plain sweep);
+    /// every other collective is fitted from its own timed sweeps
+    /// ([`try_estimate_collective_family`]), in the caller's order.
     ///
-    /// Failure is graded, not binary:
+    /// `policy` is the measurement tier of every stage. Under
+    /// `Some(policy)`, for clusters running under an injected
+    /// [`collsel_netsim::FaultPlan`], every measurement runs under the
+    /// policy's virtual-time watchdog with retry-and-backoff, and
+    /// failure is graded, not binary:
     ///
     /// * a γ estimation failure is **fatal** (`Err`) — every derived
     ///   model shares the γ table, so nothing useful can be built;
@@ -379,6 +380,8 @@ impl Tuner {
     ///   falls back to the Open MPI rules wherever the surviving models
     ///   cannot decide.
     ///
+    /// Under `None` neither can happen.
+    ///
     /// # Errors
     ///
     /// Returns the γ estimation's [`SimError`] (timeout, precision not
@@ -387,48 +390,17 @@ impl Tuner {
     pub fn try_tune_collectives(
         &self,
         collectives: &[Collective],
-        policy: &RetryPolicy,
+        policy: Option<&RetryPolicy>,
     ) -> Result<TuneReport, SimError> {
-        let gamma =
-            try_estimate_gamma(&self.cluster, &self.config.gamma, self.config.seed, policy)?;
-        Ok(self.assemble(gamma, collectives, |c, gamma, seed| {
-            if c == Collective::Bcast {
-                rekey(try_estimate_all_alpha_beta(
-                    &self.cluster,
-                    &self.config.alpha_beta,
-                    gamma,
-                    seed,
-                    policy,
-                ))
-            } else {
-                try_estimate_collective_family(
-                    &self.cluster,
-                    c,
-                    &self.config.breadth,
-                    gamma,
-                    seed,
-                    policy,
-                )
-            }
-        }))
-    }
-
-    /// The one pipeline body: fits broadcast, then every listed
-    /// collective not fitted yet, each by `fit(collective, γ, seed)`,
-    /// and sorts the outcomes into the model and the skip map.
-    fn assemble(
-        &self,
-        gamma: GammaEstimate,
-        collectives: &[Collective],
-        mut fit: impl FnMut(Collective, &GammaTable, u64) -> Outcomes,
-    ) -> TuneReport {
+        let (cluster, config) = (&self.cluster, &self.config);
+        let gamma = try_estimate_gamma(cluster, &config.gamma, config.seed, policy)?;
         let mut report = TuneReport {
             model: TunedModel {
-                cluster_name: self.cluster.name().to_owned(),
+                cluster_name: cluster.name().to_owned(),
                 gamma,
                 collectives: BTreeMap::new(),
-                seg_size: self.config.alpha_beta.seg_size,
-                breadth_seg_size: self.config.breadth.seg_size,
+                seg_size: config.alpha_beta.seg_size,
+                breadth_seg_size: config.breadth.seg_size,
             },
             skipped: BTreeMap::new(),
         };
@@ -436,8 +408,20 @@ impl Tuner {
             if report.model.collectives.contains_key(&c) {
                 continue;
             }
+            let (gamma, seed) = (&report.model.gamma.table, self.stage_seed(c));
+            let outcomes = if c == Collective::Bcast {
+                rekey(try_estimate_all_alpha_beta(
+                    cluster,
+                    &config.alpha_beta,
+                    gamma,
+                    seed,
+                    policy,
+                ))
+            } else {
+                try_estimate_collective_family(cluster, c, &config.breadth, gamma, seed, policy)
+            };
             let mut fits = BTreeMap::new();
-            for (alg, outcome) in fit(c, &report.model.gamma.table, self.stage_seed(c)) {
+            for (alg, outcome) in outcomes {
                 match outcome {
                     Ok(est) => _ = fits.insert(alg, est),
                     Err(e) => _ = report.skipped.insert(alg, e),
@@ -445,7 +429,7 @@ impl Tuner {
             }
             report.model.collectives.insert(c, fits);
         }
-        report
+        Ok(report)
     }
 
     /// The seed of one collective's estimation stage, decorrelated from
@@ -1088,7 +1072,7 @@ mod tests {
             (&breadth[..], tuner.tune_collectives(&breadth)),
         ] {
             let report = tuner
-                .try_tune_collectives(collectives, &RetryPolicy::no_deadline())
+                .try_tune_collectives(collectives, Some(&RetryPolicy::no_deadline()))
                 .expect("healthy cluster tunes");
             assert!(report.is_complete());
             assert_eq!(report.model, plain, "fault-tolerant path is bit-identical");
@@ -1115,7 +1099,7 @@ mod tests {
             backoff: 1,
         };
         let err = tuner
-            .try_tune_collectives(&[Collective::Bcast], &policy)
+            .try_tune_collectives(&[Collective::Bcast], Some(&policy))
             .unwrap_err();
         assert!(matches!(err, SimError::Timeout { .. }), "{err}");
     }

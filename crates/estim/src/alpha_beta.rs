@@ -42,7 +42,7 @@
 //! contention, protocol and pipelining effects the Hockney abstraction
 //! cannot express.
 
-use crate::measure::{measure_batch, try_measure_batch, RetryPolicy, TimedProgram};
+use crate::measure::{try_measure_batch, unwatched, RetryPolicy, TimedProgram};
 use crate::regress::huber_default;
 use crate::stats::{Precision, SampleStats};
 use collsel_coll::{Alg, BcastAlg, Collective};
@@ -283,17 +283,24 @@ impl AlphaBetaEstimate {
     }
 }
 
+/// One algorithm's experiments, in point order, each with its
+/// measurement outcome.
+type Measured = Vec<(TimedProgram, Result<SampleStats, SimError>)>;
+
 /// The one experiment path: every algorithm's `programs`, in point
-/// order, measured by `measure` as one batch (so the pool load-balances
-/// across the whole grid instead of synchronising between algorithms),
-/// then regrouped per algorithm. The cell at point `j` of the `i`-th
-/// algorithm runs under seed `seed + (i << 32) + 7919·j`.
-fn measure_grid<A: Copy, T>(
+/// order, measured under `policy` as one batch (so the pool
+/// load-balances across the whole grid instead of synchronising between
+/// algorithms), then regrouped per algorithm. The cell at point `j` of
+/// the `i`-th algorithm runs under seed `seed + (i << 32) + 7919·j`.
+fn measure_grid<A: Copy>(
+    cluster: &ClusterModel,
     algs: &[A],
     programs: impl Fn(A) -> Vec<TimedProgram>,
+    precision: &Precision,
+    backend: Backend,
     seed: u64,
-    measure: impl FnOnce(&[(TimedProgram, u64)]) -> Vec<T>,
-) -> Vec<(A, Vec<(TimedProgram, T)>)> {
+    policy: Option<&RetryPolicy>,
+) -> Vec<(A, Measured)> {
     let programs: Vec<Vec<TimedProgram>> = algs.iter().map(|&alg| programs(alg)).collect();
     let cells: Vec<(TimedProgram, u64)> = programs
         .iter()
@@ -306,7 +313,8 @@ fn measure_grid<A: Copy, T>(
                 .map(move |(j, &program)| (program, alg_seed.wrapping_add(j as u64 * 7919)))
         })
         .collect();
-    let mut outcomes = measure(&cells).into_iter();
+    let mut outcomes =
+        try_measure_batch(cluster, &cells, precision, policy, Pool::current(), backend).into_iter();
     algs.iter()
         .zip(programs)
         .map(|(&alg, points)| {
@@ -323,10 +331,13 @@ fn measure_grid<A: Copy, T>(
 /// and fits (α, β) with the Huber regressor. Negative fitted values
 /// (possible when the model's startup count overestimates reality) are
 /// clamped to zero, as the Hockney parameters are physical quantities.
-fn fit(measured: Vec<(TimedProgram, SampleStats)>, gamma: &GammaTable) -> AlphaBetaEstimate {
+/// The first failed measurement in point order — the early-exiting
+/// serial loop's — aborts this algorithm's fit instead.
+fn fit(measured: Measured, gamma: &GammaTable) -> Result<AlphaBetaEstimate, SimError> {
     let points: Vec<ExperimentPoint> = measured
         .into_iter()
-        .map(|(program, measured)| {
+        .map(|(program, outcome)| {
+            let measured = outcome?;
             let (msg_size, gather_size, coeff) = match program {
                 TimedProgram::BcastGather {
                     alg,
@@ -349,39 +360,35 @@ fn fit(measured: Vec<(TimedProgram, SampleStats)>, gamma: &GammaTable) -> AlphaB
                 other => unreachable!("{other:?} is not an α/β experiment"),
             };
             let (x, y) = coeff.canonicalise(measured.mean);
-            ExperimentPoint {
+            Ok(ExperimentPoint {
                 msg_size,
                 gather_size,
                 x,
                 y,
                 measured,
-            }
+            })
         })
-        .collect();
+        .collect::<Result<_, _>>()?;
     let xs: Vec<f64> = points.iter().map(|p| p.x).collect();
     let ys: Vec<f64> = points.iter().map(|p| p.y).collect();
     let fit = huber_default(&xs, &ys);
-    AlphaBetaEstimate {
+    Ok(AlphaBetaEstimate {
         hockney: Hockney::new(fit.intercept.max(0.0), fit.slope.max(0.0)),
         points,
-    }
+    })
 }
 
-/// [`fit`] over fallible measurements: the first error in point order
-/// — the early-exiting serial loop's — aborts this algorithm's fit.
-fn try_fit(
-    measured: Vec<(TimedProgram, Result<SampleStats, SimError>)>,
-    gamma: &GammaTable,
-) -> Result<AlphaBetaEstimate, SimError> {
-    let measured = measured
+/// Unwraps every algorithm's fit of the unwatched tier.
+fn unwatched_fits<A: Ord>(
+    outcomes: BTreeMap<A, Result<AlphaBetaEstimate, SimError>>,
+) -> BTreeMap<A, AlphaBetaEstimate> {
+    outcomes
         .into_iter()
-        .map(|(program, outcome)| outcome.map(|stats| (program, stats)))
-        .collect::<Result<_, _>>()?;
-    Ok(fit(measured, gamma))
+        .map(|(alg, outcome)| (alg, unwatched(outcome)))
+        .collect()
 }
 
-/// Runs the Sect. 4.2 experiments for all six broadcast algorithms and
-/// fits each one's (α, β), the whole grid in one batch.
+/// [`try_estimate_all_alpha_beta`] on the unwatched tier.
 ///
 /// # Panics
 ///
@@ -392,22 +399,20 @@ pub fn estimate_all_alpha_beta(
     gamma: &GammaTable,
     seed: u64,
 ) -> BTreeMap<BcastAlg, AlphaBetaEstimate> {
-    cfg.validate();
-    let measure =
-        |cells: &[_]| measure_batch(cluster, cells, &cfg.precision, Pool::current(), cfg.backend);
-    measure_grid(&BcastAlg::ALL, |alg| cfg.programs(alg), seed, measure)
-        .into_iter()
-        .map(|(alg, measured)| (alg, fit(measured, gamma)))
-        .collect()
+    unwatched_fits(try_estimate_all_alpha_beta(cluster, cfg, gamma, seed, None))
 }
 
-/// Fallible twin of [`estimate_all_alpha_beta`]: each experiment runs
-/// under `policy`'s virtual-time watchdog, and per-algorithm outcomes
-/// stay separate — one algorithm timing out under a fault plan must not
-/// discard the five fits that succeeded. An algorithm's error is the
-/// first in point order. The tuner turns `Err` entries into skipped
-/// algorithms and the selector falls back to the Open MPI rules for
-/// them.
+/// Runs the Sect. 4.2 experiments for all six broadcast algorithms and
+/// fits each one's (α, β), the whole grid in one batch.
+///
+/// `policy` is the measurement tier ([`try_measure`](crate::try_measure)).
+/// Under `Some(policy)` each experiment runs under the policy's
+/// virtual-time watchdog, and per-algorithm outcomes stay separate —
+/// one algorithm timing out under a fault plan must not discard the
+/// five fits that succeeded. An algorithm's error is the first in point
+/// order. The tuner turns `Err` entries into skipped algorithms and the
+/// selector falls back to the Open MPI rules for them. Under `None`
+/// every entry is `Ok`.
 ///
 /// # Panics
 ///
@@ -417,27 +422,24 @@ pub fn try_estimate_all_alpha_beta(
     cfg: &AlphaBetaConfig,
     gamma: &GammaTable,
     seed: u64,
-    policy: &RetryPolicy,
+    policy: Option<&RetryPolicy>,
 ) -> BTreeMap<BcastAlg, Result<AlphaBetaEstimate, SimError>> {
     cfg.validate();
-    let measure = |cells: &[_]| {
-        try_measure_batch(
-            cluster,
-            cells,
-            &cfg.precision,
-            policy,
-            Pool::current(),
-            cfg.backend,
-        )
-    };
-    measure_grid(&BcastAlg::ALL, |alg| cfg.programs(alg), seed, measure)
-        .into_iter()
-        .map(|(alg, measured)| (alg, try_fit(measured, gamma)))
-        .collect()
+    measure_grid(
+        cluster,
+        &BcastAlg::ALL,
+        |alg| cfg.programs(alg),
+        &cfg.precision,
+        cfg.backend,
+        seed,
+        policy,
+    )
+    .into_iter()
+    .map(|(alg, measured)| (alg, fit(measured, gamma)))
+    .collect()
 }
 
-/// Runs the estimation sweep for every algorithm of `collective` and
-/// fits each one's (α, β), the whole grid in one batch.
+/// [`try_estimate_collective_family`] on the unwatched tier.
 ///
 /// # Panics
 ///
@@ -449,24 +451,17 @@ pub fn estimate_collective_family(
     gamma: &GammaTable,
     seed: u64,
 ) -> BTreeMap<Alg, AlphaBetaEstimate> {
-    cfg.validate();
-    let measure =
-        |cells: &[_]| measure_batch(cluster, cells, &cfg.precision, Pool::current(), cfg.backend);
-    measure_grid(
-        collective.algorithms(),
-        |alg| cfg.programs(alg),
-        seed,
-        measure,
-    )
-    .into_iter()
-    .map(|(alg, measured)| (alg, fit(measured, gamma)))
-    .collect()
+    unwatched_fits(try_estimate_collective_family(
+        cluster, collective, cfg, gamma, seed, None,
+    ))
 }
 
-/// Fallible twin of [`estimate_collective_family`], keeping
-/// per-algorithm outcomes separate as [`try_estimate_all_alpha_beta`]
-/// does (the tuner skips `Err` algorithms and the selection layer falls
-/// back to the fixed rules for them).
+/// Runs the estimation sweep for every algorithm of `collective` and
+/// fits each one's (α, β), the whole grid in one batch, keeping
+/// per-algorithm outcomes separate under `policy` as
+/// [`try_estimate_all_alpha_beta`] does (the tuner skips `Err`
+/// algorithms and the selection layer falls back to the fixed rules for
+/// them).
 ///
 /// # Panics
 ///
@@ -477,27 +472,20 @@ pub fn try_estimate_collective_family(
     cfg: &BreadthConfig,
     gamma: &GammaTable,
     seed: u64,
-    policy: &RetryPolicy,
+    policy: Option<&RetryPolicy>,
 ) -> BTreeMap<Alg, Result<AlphaBetaEstimate, SimError>> {
     cfg.validate();
-    let measure = |cells: &[_]| {
-        try_measure_batch(
-            cluster,
-            cells,
-            &cfg.precision,
-            policy,
-            Pool::current(),
-            cfg.backend,
-        )
-    };
     measure_grid(
+        cluster,
         collective.algorithms(),
         |alg| cfg.programs(alg),
+        &cfg.precision,
+        cfg.backend,
         seed,
-        measure,
+        policy,
     )
     .into_iter()
-    .map(|(alg, measured)| (alg, try_fit(measured, gamma)))
+    .map(|(alg, measured)| (alg, fit(measured, gamma)))
     .collect()
 }
 
@@ -613,7 +601,7 @@ mod tests {
             &cfg,
             &gamma(),
             1,
-            &RetryPolicy::no_deadline(),
+            Some(&RetryPolicy::no_deadline()),
         );
         for est in plain.values() {
             assert!(est.validity().is_valid(), "{}", est.validity());
@@ -625,7 +613,7 @@ mod tests {
     #[test]
     fn try_estimate_all_keeps_per_algorithm_outcomes() {
         let cfg = AlphaBetaConfig::quick(8);
-        let all = try_estimate_all_alpha_beta(&quiet_gros(), &cfg, &gamma(), 1, &hopeless());
+        let all = try_estimate_all_alpha_beta(&quiet_gros(), &cfg, &gamma(), 1, Some(&hopeless()));
         assert_eq!(all.len(), BcastAlg::ALL.len());
         for (alg, outcome) in &all {
             let err = outcome.as_ref().expect_err("1 ns budget cannot fit a run");
@@ -672,7 +660,8 @@ mod tests {
         let cluster = quiet_gros();
         let cfg = BreadthConfig::quick(6);
         let scatter = Collective::Scatter;
-        let all = try_estimate_collective_family(&cluster, scatter, &cfg, &gamma(), 1, &hopeless());
+        let all =
+            try_estimate_collective_family(&cluster, scatter, &cfg, &gamma(), 1, Some(&hopeless()));
         assert_eq!(all.len(), scatter.algorithms().len());
         for (alg, outcome) in &all {
             let err = outcome.as_ref().expect_err("1 ns budget cannot fit a run");
@@ -688,7 +677,7 @@ mod tests {
             &cfg,
             &gamma(),
             1,
-            &RetryPolicy::no_deadline(),
+            Some(&RetryPolicy::no_deadline()),
         );
         let plain = estimate_collective_family(&cluster, scatter, &cfg, &gamma(), 1);
         let plain: BTreeMap<_, _> = plain.into_iter().map(|(alg, est)| (alg, Ok(est))).collect();

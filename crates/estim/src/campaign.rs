@@ -36,7 +36,7 @@
 //! campaigns bit-identical at any thread count and on either execution
 //! backend.
 
-use crate::measure::{CellSampler, TimedProgram};
+use crate::measure::{unwatched, CellSampler, TimedProgram};
 use crate::stats::{AdaptiveAccumulator, Precision, SampleStats};
 use collsel_coll::Collective;
 use collsel_mpi::Backend;
@@ -128,7 +128,7 @@ impl AlgSampler {
     /// to completion is bit-identical to it.
     fn pull(&mut self, cluster: &ClusterModel, precision: &Precision) {
         let batch_seed = self.seed.wrapping_add(self.acc.batches() as u64);
-        let samples = self.cell.batch_unwatched(cluster, batch_seed);
+        let samples = unwatched(self.cell.batch(cluster, batch_seed, None));
         self.acc.push_batch(samples, precision);
     }
 }

@@ -7,7 +7,7 @@
 //! `γ(P) = T2(P) / T2(2)` is the platform-specific, algorithm-independent
 //! factor used by every implementation-derived model.
 
-use crate::measure::{measure_batch, try_measure_batch, RetryPolicy, TimedProgram};
+use crate::measure::{try_measure_batch, unwatched, RetryPolicy, TimedProgram};
 use crate::stats::{Precision, SampleStats};
 use collsel_model::GammaTable;
 use collsel_mpi::{Backend, SimError};
@@ -113,37 +113,29 @@ fn gamma_from(t2: Vec<(usize, SampleStats)>) -> GammaEstimate {
     }
 }
 
-/// Runs the Sect. 4.1 experiments on `cluster` and returns the γ table.
+/// Runs the Sect. 4.1 experiments on `cluster` and returns the γ table
+/// — [`try_estimate_gamma`] on the unwatched tier.
 ///
 /// # Panics
 ///
-/// Panics if `max_width` is below 2 or exceeds the cluster's slots.
+/// Same as [`try_estimate_gamma`].
 pub fn estimate_gamma(cluster: &ClusterModel, cfg: &GammaConfig, seed: u64) -> GammaEstimate {
-    // Each width is an independent experiment with its own seed, so the
-    // widths fan out across the pool; results come back in width order
-    // and are bit-identical to the serial loop at any thread count.
-    let cells = width_cells(cluster, cfg, seed);
-    let stats = measure_batch(
-        cluster,
-        &cells,
-        &cfg.precision,
-        Pool::current(),
-        cfg.backend,
-    );
-    gamma_from((2..=cfg.max_width).zip(stats).collect())
+    unwatched(try_estimate_gamma(cluster, cfg, seed, None))
 }
 
-/// Fallible twin of [`estimate_gamma`] for clusters running under an
-/// injected fault plan: each `T2(P)` measurement runs under `policy`'s
-/// virtual-time watchdog, and a width whose sample cannot reach the
-/// precision target (or whose run stalls past every retry) aborts the
-/// whole estimation — γ(P) is the foundation every derived model shares,
-/// so a partial table is not a usable table.
+/// Runs the Sect. 4.1 experiments on `cluster` and returns the γ table.
+/// `policy` is the measurement tier ([`try_measure`](crate::try_measure)):
+/// under `Some(policy)`, for clusters running under an injected fault
+/// plan, each `T2(P)` measurement runs under the policy's virtual-time
+/// watchdog, and a width whose sample cannot reach the precision target
+/// (or whose run stalls past every retry) aborts the whole estimation —
+/// γ(P) is the foundation every derived model shares, so a partial
+/// table is not a usable table.
 ///
 /// # Errors
 ///
-/// Propagates the first [`SimError`] from any width's measurement
-/// (typically [`SimError::Timeout`] or
+/// Only under `Some(policy)`: the first [`SimError`] from any width's
+/// measurement (typically [`SimError::Timeout`] or
 /// [`SimError::PrecisionNotReached`]).
 ///
 /// # Panics
@@ -155,11 +147,13 @@ pub fn try_estimate_gamma(
     cluster: &ClusterModel,
     cfg: &GammaConfig,
     seed: u64,
-    policy: &RetryPolicy,
+    policy: Option<&RetryPolicy>,
 ) -> Result<GammaEstimate, SimError> {
-    // All widths run even past a failure, but the reported error is the
-    // first one in width order, so the outcome is deterministic and
-    // identical to serial execution.
+    // Each width is an independent experiment with its own seed, so the
+    // widths fan out across the pool. All widths run even past a
+    // failure, but the reported error is the first one in width order,
+    // so the outcome is deterministic and identical to the serial loop
+    // at any thread count.
     let cells = width_cells(cluster, cfg, seed);
     let outcomes = try_measure_batch(
         cluster,
@@ -240,9 +234,8 @@ mod tests {
         let cluster = ClusterModel::gros().with_noise(NoiseParams::OFF);
         let cfg = GammaConfig::quick();
         let plain = estimate_gamma(&cluster, &cfg, 3);
-        let tried = try_estimate_gamma(&cluster, &cfg, 3, &RetryPolicy::no_deadline())
-            .expect("fault-free estimation succeeds");
-        assert_eq!(plain, tried);
+        let tried = try_estimate_gamma(&cluster, &cfg, 3, Some(&RetryPolicy::no_deadline()));
+        assert_eq!(Ok(plain), tried);
     }
 
     #[test]
@@ -254,7 +247,8 @@ mod tests {
             budget: Some(SimSpan::from_nanos(1)),
             backoff: 1,
         };
-        let err = try_estimate_gamma(&cluster, &GammaConfig::quick(), 3, &policy).unwrap_err();
+        let err =
+            try_estimate_gamma(&cluster, &GammaConfig::quick(), 3, Some(&policy)).unwrap_err();
         assert!(matches!(err, SimError::Timeout { .. }), "{err}");
     }
 

@@ -19,7 +19,7 @@
 //!
 //! Measurement follows the MPIBlib methodology the paper cites: every
 //! data point is re-sampled until its mean lies within a 2.5% precision
-//! 95% confidence interval ([`sample_adaptive`]).
+//! 95% confidence interval ([`Precision::paper`]).
 //!
 //! Estimation campaigns fan their *independent* measurement cells
 //! (γ widths, per-algorithm experiment sizes) across a
@@ -28,13 +28,21 @@
 //! bit-identical at any thread count. The adaptive stopping rule stays
 //! strictly sequential *within* a cell.
 //!
-//! Every experiment is one [`TimedProgram`] measured one way
-//! ([`measure()`] / [`try_measure`] and their batch twins, see
-//! [`measure`](mod@measure)) on a [`collsel_mpi::Backend`]: by default the
-//! timing-DAG backend compiles the program to a static DAG once per
-//! cell (memoised process-wide, see [`memo_counters`]) and
-//! batch-evaluates repetitions payload-free; the OS-thread oracle runs
-//! the same program text on rank threads.
+//! Every experiment is one [`TimedProgram`] measured by one pipeline
+//! ([`try_measure`] and its batch fan-out, see [`measure`](mod@measure))
+//! on a [`collsel_mpi::Backend`]: by default the timing-DAG backend
+//! compiles the program to a static DAG once per cell (memoised
+//! process-wide, see [`memo_counters`]) and batch-evaluates repetitions
+//! payload-free; the OS-thread oracle runs the same program text on
+//! rank threads.
+//!
+//! Each estimator is one body, the `try_` function, whose
+//! `policy: Option<&RetryPolicy>` picks the measurement tier: `None`
+//! arms no watchdog and returns an unconverged sample as it stands, so
+//! nothing can fail and the plain function ([`estimate_gamma`],
+//! [`measure()`], …) returns it unwrapped; `Some(policy)` is the
+//! fault-tolerant tier — watchdog, retry with a perturbed seed,
+//! MAD-outlier rescue, then [`collsel_mpi::SimError::PrecisionNotReached`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -68,7 +76,4 @@ pub use memo::{
     compile_step_shared, compiled_step_dag, memo_counters, step_cell, MemoCounters, StepCell,
 };
 pub use regress::{huber, huber_default, ols, LinearFit};
-pub use stats::{
-    mad, mad_filter, median, sample_adaptive, sample_adaptive_fallible, t_critical_95,
-    trimmed_mean, AdaptiveAccumulator, Precision, SampleStats, Welford,
-};
+pub use stats::{Precision, SampleStats};

@@ -13,8 +13,10 @@
 //! * `L` — the residual of the round-trip time after subtracting the
 //!   overheads and the byte term.
 
+use crate::measure::unwatched;
 use crate::stats::{sample_adaptive, Precision};
 use collsel_model::LogGP;
+use collsel_mpi::SimError;
 use collsel_netsim::ClusterModel;
 use collsel_support::Bytes;
 
@@ -50,7 +52,7 @@ pub fn estimate_loggp(
     let burst = 16;
 
     // One simulation measures everything; adaptive sampling repeats it.
-    let run = |seed: u64| -> Vec<f64> {
+    let run = |seed: u64| -> Result<Vec<f64>, SimError> {
         let small_msg = Bytes::from(vec![1u8; small]);
         let large_msg = Bytes::from(vec![2u8; large]);
         let out = collsel_mpi::simulate(cluster, 2, seed, move |ctx| {
@@ -110,27 +112,25 @@ pub fn estimate_loggp(
                 ctx.send(0, 4, msg);
             }
             vals
-        })
-        // Invariant, not error handling: the two-rank ping-pong above is
-        // fully matched (every send has a posted receive) and runs with
-        // no watchdog, so the simulation cannot fail; rank 0 always
-        // returns its sample vector.
-        .expect("measurement program cannot deadlock");
-        out.results.into_iter().next().expect("rank 0 values")
+        })?;
+        Ok(out.results.into_iter().next().expect("rank 0 values"))
     };
 
     // Sample adaptively on the round-trip (the noisiest quantity) while
     // averaging the component probes over the same repetitions.
     let mut acc = [0.0f64; 4];
     let mut n = 0usize;
-    let _ = sample_adaptive(precision, |batch| {
-        let vals = run(seed.wrapping_add(batch as u64));
+    // The two-rank ping-pong is fully matched (every send has a posted
+    // receive) and runs with no watchdog, so it is an unwatched
+    // measurement like any other.
+    unwatched(sample_adaptive(precision, |batch| {
+        let vals = run(seed.wrapping_add(batch as u64))?;
         for (a, v) in acc.iter_mut().zip(&vals) {
             *a += v;
         }
         n += 1;
-        vec![vals[3]]
-    });
+        Ok(vec![vals[3]])
+    }));
     let mean: Vec<f64> = acc.iter().map(|a| a / n as f64).collect();
     let (o_s, per_msg, per_byte, rtt) = (mean[0], mean[1], mean[2], mean[3]);
 

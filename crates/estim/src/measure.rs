@@ -25,23 +25,26 @@
 //! Both derive a sample from the root's clock pair with the same float
 //! arithmetic, so they return **bit-identical** statistics and errors.
 //!
-//! Two entry points, each with a fan-out twin that spreads independent
-//! cells across a [`Pool`] (bit-identical to the serial calls at any
-//! thread count, because every cell carries its own seed):
+//! One pipeline measures a cell, [`try_measure`], and
+//! [`try_measure_batch`] spreads independent cells across a [`Pool`]
+//! (bit-identical to the serial calls at any thread count, because
+//! every cell carries its own seed). Its `policy: Option<&RetryPolicy>`
+//! is the measurement tier:
 //!
-//! * [`measure`] / [`measure_batch`] — infallible, for the golden
-//!   regression path: no watchdog is armed (a barrier-synchronised
-//!   measurement program cannot deadlock by construction), and a sample
-//!   that exhausts its budget is returned as it stands;
-//! * [`try_measure`] / [`try_measure_batch`] — for measurement on a
-//!   *faulted* cluster ([`collsel_netsim::FaultPlan`]): batches run
-//!   under the virtual-time watchdog, timed-out batches are retried
-//!   under a [`RetryPolicy`] with a grown budget and a perturbed seed,
-//!   and non-convergence is [`SimError::PrecisionNotReached`] instead
-//!   of a silently loose sample.
+//! * `None` — for the golden regression path: no watchdog is armed (a
+//!   barrier-synchronised measurement program cannot deadlock by
+//!   construction), and a sample that exhausts its budget is returned
+//!   as it stands. Nothing on this tier can fail, so [`measure`] and
+//!   [`measure_batch`] return it unwrapped;
+//! * `Some(policy)` — for measurement on a *faulted* cluster
+//!   ([`collsel_netsim::FaultPlan`]): batches run under the
+//!   virtual-time watchdog, timed-out batches are retried under the
+//!   [`RetryPolicy`] with a grown budget and a perturbed seed, and
+//!   non-convergence is [`SimError::PrecisionNotReached`] (after a
+//!   MAD-outlier rescue) instead of a silently loose sample.
 
 use crate::memo::compiled_dag;
-use crate::stats::{sample_adaptive, sample_adaptive_fallible, Precision, SampleStats};
+use crate::stats::{sample_adaptive, Precision, SampleStats};
 use collsel_mpi::{simulate_with, Backend, DagEvaluator, SimError, SimOptions};
 use collsel_netsim::{ClusterModel, SimSpan, SimTime};
 use collsel_support::pool::Pool;
@@ -83,8 +86,11 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy with no watchdog and no retries: batches behave exactly
-    /// like the infallible measurement tier.
+    /// A policy with no watchdog and no retries: every batch runs as on
+    /// the unwatched tier (`None`), but a sample that exhausts its
+    /// budget unconverged is still escalated — MAD-outlier rescue, then
+    /// [`SimError::PrecisionNotReached`] — where `None` returns it as it
+    /// stands.
     pub fn no_deadline() -> RetryPolicy {
         RetryPolicy {
             max_attempts: 1,
@@ -140,9 +146,20 @@ impl RetryPolicy {
 }
 
 /// Mixes the retry attempt into the seed; attempt 0 leaves it unchanged
-/// so the first try reproduces the infallible tier bit-for-bit.
+/// so the first try reproduces the unwatched tier bit-for-bit.
 fn mix_attempt(seed: u64, attempt: usize) -> u64 {
     seed.wrapping_add((attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// Unwraps an outcome of the unwatched tier (`policy: None`), which
+/// cannot fail: with no watchdog armed a barrier-synchronised
+/// measurement program completes on a causally consistent fabric, and
+/// an unconverged sample is returned as it stands rather than as
+/// [`SimError::PrecisionNotReached`]. Every plain entry point
+/// ([`measure`], [`measure_batch`], the `estimate_*` functions) is its
+/// `try_` body run with `None` through this one invariant.
+pub(crate) fn unwatched<T>(outcome: Result<T, SimError>) -> T {
+    outcome.expect("an unwatched measurement cannot fail")
 }
 
 /// Root rank of every measurement: the programs are rooted there and
@@ -195,14 +212,42 @@ impl CellSampler {
         }
     }
 
-    /// Runs one batch under `seed` and `opts` and returns the root's
-    /// samples in seconds. Both tiers apply the same float arithmetic
-    /// to the same virtual clock values.
+    /// Runs one batch under `seed` and returns the root's samples in
+    /// seconds. With `None` the batch runs once with no watchdog; under
+    /// `Some(policy)` it runs under the policy's watchdog, and a
+    /// timed-out attempt is retried with a grown budget and a perturbed
+    /// seed (attempt 0 runs exactly as `None` does, bar the deadline).
     ///
     /// # Errors
     ///
-    /// Same as [`collsel_mpi::simulate_with`].
+    /// [`SimError::Timeout`] when every attempt times out; any other
+    /// error of [`collsel_mpi::simulate_with`] at once, unretried.
     pub(crate) fn batch(
+        &mut self,
+        cluster: &ClusterModel,
+        seed: u64,
+        policy: Option<&RetryPolicy>,
+    ) -> Result<Vec<f64>, SimError> {
+        let policy = policy.copied().unwrap_or_else(RetryPolicy::no_deadline);
+        let mut last_timeout: Option<SimError> = None;
+        for attempt in 0..policy.max_attempts {
+            match self.run(
+                cluster,
+                mix_attempt(seed, attempt),
+                policy.options_for(attempt),
+            ) {
+                Ok(samples) => return Ok(samples),
+                Err(e @ SimError::Timeout { .. }) => last_timeout = Some(e),
+                Err(e) => return Err(e),
+            }
+        }
+        // Invariant: max_attempts >= 1, so at least one timeout was seen.
+        Err(last_timeout.expect("at least one attempt ran"))
+    }
+
+    /// Runs one batch under `seed` and `opts`. Both tiers apply the same
+    /// float arithmetic to the same virtual clock values.
+    fn run(
         &mut self,
         cluster: &ClusterModel,
         seed: u64,
@@ -231,51 +276,16 @@ impl CellSampler {
             }
         }
     }
-
-    /// [`batch`](CellSampler::batch) with no watchdog armed, which
-    /// cannot fail: a barrier-synchronised measurement program
-    /// completes on a causally consistent fabric.
-    pub(crate) fn batch_unwatched(&mut self, cluster: &ClusterModel, seed: u64) -> Vec<f64> {
-        self.batch(cluster, seed, SimOptions::default())
-            .expect("measurement program cannot deadlock")
-    }
-
-    /// [`batch`](CellSampler::batch) under `policy`'s watchdog: a
-    /// timed-out attempt is retried with a grown budget and a perturbed
-    /// seed; any other error is returned at once.
-    fn batch_retrying(
-        &mut self,
-        cluster: &ClusterModel,
-        seed: u64,
-        policy: &RetryPolicy,
-    ) -> Result<Vec<f64>, SimError> {
-        let mut last_timeout: Option<SimError> = None;
-        for attempt in 0..policy.max_attempts {
-            match self.batch(
-                cluster,
-                mix_attempt(seed, attempt),
-                policy.options_for(attempt),
-            ) {
-                Ok(samples) => return Ok(samples),
-                Err(e @ SimError::Timeout { .. }) => last_timeout = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        // Invariant: max_attempts >= 1, so at least one timeout was seen.
-        Err(last_timeout.expect("at least one attempt ran"))
-    }
 }
 
 /// Measures the execution time of `program` until the paper's precision
 /// target is met (or the sample budget runs out: the sample is returned
-/// either way, see [`SampleStats::converged`]). Batch `i` runs under
-/// seed `seed + i`.
+/// either way, see [`SampleStats::converged`]) — [`try_measure`] on the
+/// unwatched tier.
 ///
 /// # Panics
 ///
-/// Panics if the program's rank count exceeds the cluster's slots or
-/// its geometry is invalid (zero `seg_size` for a segmented broadcast
-/// in the Sect. 4.2 experiment, zero calls per linear-segment sample).
+/// Same as [`try_measure`].
 pub fn measure(
     cluster: &ClusterModel,
     program: TimedProgram,
@@ -283,52 +293,58 @@ pub fn measure(
     seed: u64,
     backend: Backend,
 ) -> SampleStats {
-    let mut cell = CellSampler::new(cluster, program, precision.min_reps, backend);
-    sample_adaptive(precision, |batch| {
-        cell.batch_unwatched(cluster, seed.wrapping_add(batch as u64))
-    })
+    unwatched(try_measure(
+        cluster, program, precision, seed, None, backend,
+    ))
 }
 
-/// Fallible twin of [`measure`] for clusters that may stall under an
-/// injected fault plan: batches run under `policy`'s virtual-time
-/// watchdog and non-convergence becomes a typed error.
+/// Measures the execution time of `program` until the paper's precision
+/// target is met. Batch `i` runs under seed `seed + i`. `policy` is the
+/// tier (see the module docs): `None` arms no watchdog and returns an
+/// unconverged sample as it stands; `Some(policy)` runs every batch
+/// under the policy's virtual-time watchdog and makes non-convergence a
+/// typed error.
 ///
 /// With [`RetryPolicy::no_deadline`] on a fault-free cluster and a
-/// converging sample, the result is bit-identical to [`measure`].
+/// converging sample, both tiers are bit-identical.
 ///
 /// # Errors
 ///
-/// [`SimError::Timeout`] when every retry exhausts its budget;
-/// [`SimError::PrecisionNotReached`] when the sample budget runs out
-/// before the precision target (even after the MAD-outlier rescue);
-/// any other [`SimError`] from the simulation, unretried.
+/// Only under `Some(policy)`: [`SimError::Timeout`] when every retry
+/// exhausts its budget; [`SimError::PrecisionNotReached`] when the
+/// sample budget runs out before the precision target (even after the
+/// MAD-outlier rescue); any other [`SimError`] from the simulation,
+/// unretried.
 ///
 /// # Panics
 ///
-/// Same as [`measure`], and on an invalid `policy`.
+/// Panics if the program's rank count exceeds the cluster's slots or
+/// its geometry is invalid (zero `seg_size` for a segmented broadcast
+/// in the Sect. 4.2 experiment, zero calls per linear-segment sample),
+/// and on an invalid `policy`.
 pub fn try_measure(
     cluster: &ClusterModel,
     program: TimedProgram,
     precision: &Precision,
     seed: u64,
-    policy: &RetryPolicy,
+    policy: Option<&RetryPolicy>,
     backend: Backend,
 ) -> Result<SampleStats, SimError> {
-    policy.validate();
+    if let Some(policy) = policy {
+        policy.validate();
+    }
     let mut cell = CellSampler::new(cluster, program, precision.min_reps, backend);
-    sample_adaptive_fallible(precision, |batch| {
-        cell.batch_retrying(cluster, seed.wrapping_add(batch as u64), policy)
-    })
+    let acc = sample_adaptive(precision, |batch| {
+        cell.batch(cluster, seed.wrapping_add(batch as u64), policy)
+    })?;
+    match policy {
+        None => Ok(acc.finish()),
+        Some(_) => acc.finish_or_rescue(precision),
+    }
 }
 
-/// Measures a batch of independent `(program, seed)` cells across
-/// `pool`, returning the statistics in cell order.
-///
-/// Each cell is a complete adaptive measurement (the stopping rule is
-/// inherently sequential *within* a cell); the pool fans the *cells*
-/// out. Because every cell carries its own seed, the result is
-/// bit-identical to calling [`measure`] per cell in order — at any
-/// thread count.
+/// [`try_measure_batch`] on the unwatched tier: the statistics in cell
+/// order, bit-identical to calling [`measure`] per cell.
 pub fn measure_batch(
     cluster: &ClusterModel,
     cells: &[(TimedProgram, u64)],
@@ -336,22 +352,27 @@ pub fn measure_batch(
     pool: Pool,
     backend: Backend,
 ) -> Vec<SampleStats> {
-    pool.run(
-        cells
-            .iter()
-            .map(|&(program, seed)| move || measure(cluster, program, precision, seed, backend)),
-    )
+    try_measure_batch(cluster, cells, precision, None, pool, backend)
+        .into_iter()
+        .map(unwatched)
+        .collect()
 }
 
-/// Fallible twin of [`measure_batch`]: every cell's own outcome, in
-/// cell order. All cells run even past a failure (in-flight jobs cannot
-/// be cancelled), so folding the outcomes in order reports the error
-/// the early-exiting serial loop would.
+/// Measures a batch of independent `(program, seed)` cells across
+/// `pool`, returning every cell's own outcome in cell order.
+///
+/// Each cell is a complete adaptive measurement (the stopping rule is
+/// inherently sequential *within* a cell); the pool fans the *cells*
+/// out. Because every cell carries its own seed, the result is
+/// bit-identical to calling [`try_measure`] per cell in order — at any
+/// thread count. All cells run even past a failure (in-flight jobs
+/// cannot be cancelled), so folding the outcomes in order reports the
+/// error the early-exiting serial loop would.
 pub fn try_measure_batch(
     cluster: &ClusterModel,
     cells: &[(TimedProgram, u64)],
     precision: &Precision,
-    policy: &RetryPolicy,
+    policy: Option<&RetryPolicy>,
     pool: Pool,
     backend: Backend,
 ) -> Vec<Result<SampleStats, SimError>> {
@@ -503,9 +524,8 @@ mod tests {
             collective(Alg::Reduce(ReduceAlg::Binomial), 8, 64 * 1024),
         ] {
             let infallible = measure(&c, program, &p, 1, DAG);
-            let fallible = try_measure(&c, program, &p, 1, &RetryPolicy::no_deadline(), DAG)
-                .expect("fault-free run converges");
-            assert_eq!(infallible, fallible, "try tier must be bit-identical");
+            let watched = try_measure(&c, program, &p, 1, Some(&RetryPolicy::no_deadline()), DAG);
+            assert_eq!(Ok(infallible), watched, "the tiers must be bit-identical");
         }
     }
 
@@ -521,7 +541,7 @@ mod tests {
             bcast(BcastAlg::Binomial, 8, 64 * 1024),
             &Precision::quick(),
             1,
-            &policy,
+            Some(&policy),
             DAG,
         )
         .unwrap_err();
@@ -542,7 +562,7 @@ mod tests {
             bcast(BcastAlg::Binomial, 8, 64 * 1024),
             &Precision::quick(),
             1,
-            &policy,
+            Some(&policy),
             DAG,
         )
         .expect("third attempt has ample budget");
@@ -588,7 +608,7 @@ mod tests {
         let p = Precision::quick();
         let program = bcast(BcastAlg::Binomial, 8, 64 * 1024);
         let base = measure(&quiet, program, &p, 1, DAG);
-        let hurt = try_measure(&slowed, program, &p, 1, &RetryPolicy::default(), DAG)
+        let hurt = try_measure(&slowed, program, &p, 1, Some(&RetryPolicy::default()), DAG)
             .expect("straggler slows but does not stall");
         assert!(hurt.mean > base.mean, "{} vs {}", hurt.mean, base.mean);
     }
@@ -620,7 +640,7 @@ mod tests {
             let batch = measure_batch(&c, &cells, &prec, pool, DAG);
             assert_eq!(serial, batch, "threads={threads}");
             let tried: Result<Vec<SampleStats>, SimError> =
-                try_measure_batch(&c, &cells, &prec, &policy, pool, DAG)
+                try_measure_batch(&c, &cells, &prec, Some(&policy), pool, DAG)
                     .into_iter()
                     .collect();
             assert_eq!(Ok(&serial), tried.as_ref(), "threads={threads}");
@@ -645,8 +665,8 @@ mod tests {
     #[test]
     fn try_backends_agree_on_results_and_errors() {
         let both = |c: &ClusterModel, program, prec: &Precision, policy: &RetryPolicy| {
-            let dag = try_measure(c, program, prec, 3, policy, Backend::Dag);
-            let threads = try_measure(c, program, prec, 3, policy, Backend::Threads);
+            let dag = try_measure(c, program, prec, 3, Some(policy), Backend::Dag);
+            let threads = try_measure(c, program, prec, 3, Some(policy), Backend::Threads);
             assert_eq!(dag, threads, "{program:?}");
             dag
         };
@@ -692,7 +712,7 @@ mod tests {
                 let mut acc = AdaptiveAccumulator::new();
                 while !acc.done(&prec) {
                     let batch_seed = seed.wrapping_add(acc.batches() as u64);
-                    acc.push_batch(cell.batch_unwatched(&c, batch_seed), &prec);
+                    acc.push_batch(unwatched(cell.batch(&c, batch_seed, None)), &prec);
                 }
                 assert_eq!(
                     acc.finish(),

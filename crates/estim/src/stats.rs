@@ -10,12 +10,14 @@
 //! normality sanity diagnostics (skewness and excess kurtosis of the
 //! sample).
 //!
-//! For measurements that may *fail* (watchdog timeouts on a faulted
-//! cluster) or never converge (heavy-tailed jitter), the fallible
-//! sibling [`sample_adaptive_fallible`] propagates [`SimError`]s from
-//! the supplier and escalates through an outlier-robust rescue
-//! ([`mad_filter`]) before giving up with
-//! [`SimError::PrecisionNotReached`] carrying the achieved CI width.
+//! There is one sampler for both measurement tiers. The supplier may
+//! fail (a watchdog timeout on a faulted cluster), and its error is
+//! propagated. A sample that exhausts its budget unconverged is what
+//! the caller's tier decides: the unwatched tier takes it as it stands
+//! ([`AdaptiveAccumulator::finish`]), and the fault-tolerant tier
+//! escalates through an outlier-robust rescue ([`mad_filter`]) before
+//! giving up with [`SimError::PrecisionNotReached`] carrying the
+//! achieved CI width ([`AdaptiveAccumulator::finish_or_rescue`]).
 
 use collsel_mpi::SimError;
 
@@ -218,11 +220,6 @@ impl AdaptiveAccumulator {
         }
     }
 
-    /// Whether the precision target was met by a previous batch.
-    pub fn converged(&self) -> bool {
-        self.converged
-    }
-
     /// Whether the stopping rule would pull no further batch: the
     /// precision target was met or the sample budget is spent.
     pub fn done(&self, precision: &Precision) -> bool {
@@ -252,100 +249,85 @@ impl AdaptiveAccumulator {
         }
     }
 
-    /// The final summary over everything pushed so far — identical to
-    /// what [`sample_adaptive`] returns for the same sample sequence.
+    /// The final summary over everything pushed so far, converged or
+    /// not: the unwatched tier's result.
     pub fn finish(&self) -> SampleStats {
         stats_from(&self.samples, self.converged)
+    }
+
+    /// The fault-tolerant tier's summary: a converged sample as
+    /// [`finish`](Self::finish) returns it. An unconverged one gets an
+    /// outlier-robust rescue: samples outside `k = 3` MADs of the median
+    /// ([`mad_filter`]) are dropped and the CI recomputed. If the
+    /// filtered sample converges (and still holds at least `min_reps`
+    /// points), its statistics are returned with `converged == true`.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::PrecisionNotReached`], carrying the achieved relative
+    /// CI half-width, when neither the raw nor the MAD-filtered sample
+    /// meets the target.
+    pub(crate) fn finish_or_rescue(&self, precision: &Precision) -> Result<SampleStats, SimError> {
+        let raw = self.finish();
+        if raw.converged {
+            return Ok(raw);
+        }
+        let rel = |s: &SampleStats| {
+            if s.mean == 0.0 {
+                0.0
+            } else {
+                s.ci_half_width / s.mean.abs()
+            }
+        };
+        let filtered = mad_filter(&self.samples, 3.0);
+        if filtered.len() >= precision.min_reps && filtered.len() < self.samples.len() {
+            let rescued = stats_from(&filtered, false);
+            if rel(&rescued) <= precision.rel_precision {
+                return Ok(SampleStats {
+                    converged: true,
+                    ..rescued
+                });
+            }
+        }
+        Err(SimError::PrecisionNotReached {
+            target: precision.rel_precision,
+            achieved: rel(&raw),
+            samples: raw.n,
+        })
     }
 }
 
 /// Draws samples from `supplier` until the sample mean lies within
 /// `precision.rel_precision` of its 95% confidence interval (or the
-/// sample budget runs out).
+/// sample budget runs out), and returns the accumulator it drove.
+/// [`finish`](AdaptiveAccumulator::finish) summarises the sample as it
+/// stands, converged or not;
+/// [`finish_or_rescue`](AdaptiveAccumulator::finish_or_rescue) is the
+/// fault-tolerant tier's summary of the same sample.
 ///
 /// `supplier(batch_index)` returns a non-empty batch of fresh samples
-/// (letting callers amortise setup over several repetitions).
+/// (letting callers amortise setup over several repetitions); its
+/// errors (e.g. a watchdog [`SimError::Timeout`] on a faulted cluster)
+/// are propagated.
+///
+/// # Errors
+///
+/// Propagates supplier errors.
 ///
 /// # Panics
 ///
 /// Panics if the configuration is invalid or a batch is empty.
 pub fn sample_adaptive(
     precision: &Precision,
-    mut supplier: impl FnMut(usize) -> Vec<f64>,
-) -> SampleStats {
-    precision.validate();
-    let mut acc = AdaptiveAccumulator::new();
-    while !acc.done(precision) {
-        let batch = supplier(acc.batches());
-        acc.push_batch(batch, precision);
-    }
-    acc.finish()
-}
-
-/// Draws samples from a fallible `supplier` under the same stopping rule
-/// as [`sample_adaptive`], but with two escalation steps when things go
-/// wrong:
-///
-/// 1. any [`SimError`] from the supplier (e.g. a watchdog
-///    [`SimError::Timeout`] on a faulted cluster) is propagated;
-/// 2. if the sample budget runs out without convergence, an
-///    outlier-robust rescue is attempted: samples outside `k = 3` MADs
-///    of the median ([`mad_filter`]) are dropped and the CI recomputed.
-///    If the filtered sample converges (and still holds at least
-///    `min_reps` points), its statistics are returned with a note that
-///    outliers were discarded; otherwise
-///    [`SimError::PrecisionNotReached`] is returned carrying the
-///    achieved relative CI half-width.
-///
-/// The happy path (every batch `Ok`, convergence before `max_reps`) is
-/// numerically identical to [`sample_adaptive`].
-///
-/// # Errors
-///
-/// Propagates supplier errors; returns [`SimError::PrecisionNotReached`]
-/// when neither the raw nor the MAD-filtered sample meets the target.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid or a batch is empty.
-pub fn sample_adaptive_fallible(
-    precision: &Precision,
     mut supplier: impl FnMut(usize) -> Result<Vec<f64>, SimError>,
-) -> Result<SampleStats, SimError> {
+) -> Result<AdaptiveAccumulator, SimError> {
     precision.validate();
     let mut acc = AdaptiveAccumulator::new();
     while !acc.done(precision) {
         let batch = supplier(acc.batches())?;
         acc.push_batch(batch, precision);
     }
-    if acc.converged() {
-        return Ok(acc.finish());
-    }
-    // Budget exhausted without convergence: MAD-filter rescue.
-    let rel = |s: &SampleStats| {
-        if s.mean == 0.0 {
-            0.0
-        } else {
-            s.ci_half_width / s.mean.abs()
-        }
-    };
-    let samples = &acc.samples;
-    let filtered = mad_filter(samples, 3.0);
-    if filtered.len() >= precision.min_reps && filtered.len() < samples.len() {
-        let rescued = stats_from(&filtered, false);
-        if rel(&rescued) <= precision.rel_precision {
-            return Ok(SampleStats {
-                converged: true,
-                ..rescued
-            });
-        }
-    }
-    let raw = acc.finish();
-    Err(SimError::PrecisionNotReached {
-        target: precision.rel_precision,
-        achieved: rel(&raw),
-        samples: raw.n,
-    })
+    Ok(acc)
 }
 
 /// Builds [`SampleStats`] from a complete sample.
@@ -402,25 +384,6 @@ pub fn mad(xs: &[f64]) -> f64 {
     median(&deviations)
 }
 
-/// Mean of the sample after dropping the `trim_frac` fraction of
-/// smallest and largest observations (each side).
-///
-/// # Panics
-///
-/// Panics on an empty slice, or if `trim_frac` is not in `[0, 0.5)`.
-pub fn trimmed_mean(xs: &[f64], trim_frac: f64) -> f64 {
-    assert!(!xs.is_empty(), "trimmed mean of an empty sample");
-    assert!(
-        (0.0..0.5).contains(&trim_frac),
-        "trim fraction must be in [0, 0.5), got {trim_frac}"
-    );
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples are finite"));
-    let cut = (sorted.len() as f64 * trim_frac).floor() as usize;
-    let kept = &sorted[cut..sorted.len() - cut];
-    kept.iter().sum::<f64>() / kept.len() as f64
-}
-
 /// Keeps the observations within `k` MADs of the sample median.
 ///
 /// With a zero MAD (at least half the sample identical) only exact
@@ -470,6 +433,20 @@ collsel_support::json_struct!(SampleStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measure::unwatched;
+
+    /// The unwatched tier over an infallible supplier.
+    fn sample(precision: &Precision, mut supplier: impl FnMut(usize) -> Vec<f64>) -> SampleStats {
+        unwatched(sample_adaptive(precision, |b| Ok(supplier(b)))).finish()
+    }
+
+    /// The fault-tolerant tier over an infallible supplier.
+    fn sample_watched(
+        precision: &Precision,
+        mut supplier: impl FnMut(usize) -> Vec<f64>,
+    ) -> Result<SampleStats, SimError> {
+        unwatched(sample_adaptive(precision, |b| Ok(supplier(b)))).finish_or_rescue(precision)
+    }
 
     #[test]
     fn welford_matches_two_pass() {
@@ -496,7 +473,7 @@ mod tests {
     #[test]
     fn constant_samples_converge_at_min_reps() {
         let p = Precision::paper();
-        let stats = sample_adaptive(&p, |_| vec![3.5]);
+        let stats = sample(&p, |_| vec![3.5]);
         assert_eq!(stats.n, p.min_reps);
         assert!(stats.converged);
         assert_eq!(stats.mean, 3.5);
@@ -507,7 +484,7 @@ mod tests {
     fn noisy_samples_run_until_precision() {
         // Deterministic pseudo-noise around 100 with ~5% spread.
         let mut k = 0u64;
-        let stats = sample_adaptive(&Precision::paper(), move |_| {
+        let stats = sample(&Precision::paper(), move |_| {
             k += 1;
             let wobble = ((k * 2654435761) % 1000) as f64 / 1000.0 - 0.5;
             vec![100.0 * (1.0 + 0.05 * wobble)]
@@ -526,7 +503,7 @@ mod tests {
             min_reps: 4,
             max_reps: 12,
         };
-        let stats = sample_adaptive(&p, move |_| {
+        let stats = sample(&p, move |_| {
             flip = !flip;
             vec![if flip { 1.0 } else { 100.0 }]
         });
@@ -536,14 +513,14 @@ mod tests {
 
     #[test]
     fn batches_are_accumulated() {
-        let stats = sample_adaptive(&Precision::paper(), |_| vec![2.0, 2.0, 2.0]);
+        let stats = sample(&Precision::paper(), |_| vec![2.0, 2.0, 2.0]);
         assert!(stats.n >= Precision::paper().min_reps);
         assert_eq!(stats.mean, 2.0);
     }
 
     #[test]
     fn zero_mean_short_circuits() {
-        let stats = sample_adaptive(&Precision::paper(), |_| vec![0.0]);
+        let stats = sample(&Precision::paper(), |_| vec![0.0]);
         assert!(stats.converged);
         assert_eq!(stats.mean, 0.0);
     }
@@ -577,7 +554,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty batch")]
     fn empty_batch_panics() {
-        let _ = sample_adaptive(&Precision::paper(), |_| Vec::new());
+        let _ = sample(&Precision::paper(), |_| Vec::new());
     }
 
     #[test]
@@ -585,15 +562,6 @@ mod tests {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
         assert_eq!(mad(&[1.0, 2.0, 3.0, 4.0, 100.0]), 1.0);
-    }
-
-    #[test]
-    fn trimmed_mean_drops_extremes() {
-        let xs = [1.0, 10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 1000.0];
-        assert_eq!(trimmed_mean(&xs, 0.1), 10.0);
-        // No trimming: plain mean.
-        let plain = trimmed_mean(&xs, 0.0);
-        assert!((plain - xs.iter().sum::<f64>() / 10.0).abs() < 1e-12);
     }
 
     #[test]
@@ -605,7 +573,7 @@ mod tests {
     }
 
     #[test]
-    fn fallible_happy_path_matches_infallible() {
+    fn watched_tier_matches_unwatched_on_a_converging_sample() {
         let mk = || {
             let mut k = 0u64;
             move |_: usize| {
@@ -615,31 +583,28 @@ mod tests {
             }
         };
         let p = Precision::paper();
-        let infallible = sample_adaptive(&p, mk());
-        let mut sup = mk();
-        let fallible = sample_adaptive_fallible(&p, |b| Ok(sup(b))).expect("converges");
-        assert_eq!(infallible, fallible);
+        assert_eq!(Ok(sample(&p, mk())), sample_watched(&p, mk()));
     }
 
     #[test]
-    fn fallible_propagates_supplier_error() {
+    fn supplier_errors_propagate() {
         let p = Precision::quick();
-        let err = sample_adaptive_fallible(&p, |b| {
+        let timeout = SimError::Timeout {
+            deadline: collsel_netsim::SimSpan::from_micros(10),
+            detail: "test".into(),
+        };
+        let outcome = sample_adaptive(&p, |b| {
             if b == 0 {
                 Ok(vec![1.0])
             } else {
-                Err(SimError::Timeout {
-                    deadline: collsel_netsim::SimSpan::from_micros(10),
-                    detail: "test".into(),
-                })
+                Err(timeout.clone())
             }
-        })
-        .unwrap_err();
-        assert!(matches!(err, SimError::Timeout { .. }));
+        });
+        assert_eq!(outcome.map(|acc| acc.finish()), Err(timeout));
     }
 
     #[test]
-    fn fallible_rescues_with_mad_filter() {
+    fn watched_tier_rescues_with_mad_filter() {
         // Tight cluster around 10 with periodic huge spikes: the raw CI
         // never reaches 2.5%, the filtered one trivially does.
         let mut k = 0usize;
@@ -648,18 +613,19 @@ mod tests {
             min_reps: 5,
             max_reps: 20,
         };
-        let stats = sample_adaptive_fallible(&p, |_| {
+        let Ok(stats) = sample_watched(&p, |_| {
             k += 1;
-            Ok(vec![if k % 4 == 0 { 500.0 } else { 10.0 }])
-        })
-        .expect("MAD rescue should save this");
+            vec![if k % 4 == 0 { 500.0 } else { 10.0 }]
+        }) else {
+            panic!("MAD rescue should save this")
+        };
         assert!(stats.converged);
         assert!((stats.mean - 10.0).abs() < 1e-9, "{stats:?}");
         assert!(stats.n < 20, "outliers were dropped");
     }
 
     #[test]
-    fn fallible_reports_precision_not_reached() {
+    fn watched_tier_reports_precision_not_reached() {
         // Alternating extremes: median-based filtering cannot rescue a
         // bimodal sample, so the typed error must carry the CI width.
         let mut flip = false;
@@ -668,17 +634,15 @@ mod tests {
             min_reps: 4,
             max_reps: 12,
         };
-        let err = sample_adaptive_fallible(&p, |_| {
+        match sample_watched(&p, |_| {
             flip = !flip;
-            Ok(vec![if flip { 1.0 } else { 100.0 }])
-        })
-        .unwrap_err();
-        match err {
-            SimError::PrecisionNotReached {
+            vec![if flip { 1.0 } else { 100.0 }]
+        }) {
+            Err(SimError::PrecisionNotReached {
                 target,
                 achieved,
                 samples,
-            } => {
+            }) => {
                 assert_eq!(target, 0.025);
                 assert!(achieved > 0.025);
                 assert_eq!(samples, 12);
@@ -701,6 +665,6 @@ mod tests {
             min_reps: 2,
             max_reps: 5,
         };
-        let _ = sample_adaptive(&p, |_| vec![1.0]);
+        let _ = sample(&p, |_| vec![1.0]);
     }
 }

@@ -326,7 +326,7 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
             eprintln!("[colltune] injecting faults: {plan}");
             let cluster = cluster.with_faults(plan);
             let report = Tuner::new(cluster, config)
-                .try_tune_collectives(&collectives, &RetryPolicy::default())
+                .try_tune_collectives(&collectives, Some(&RetryPolicy::default()))
                 .map_err(|e| format!("tuning failed under the fault plan: {e}"))?;
             for (alg, why) in &report.skipped {
                 eprintln!("[colltune] skipped {:<22} {why}", alg.qualified_name());

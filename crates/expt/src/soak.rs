@@ -218,7 +218,7 @@ pub fn run_soak(config: &SoakConfig) -> SoakReport {
     // One genuine tune for the boot generation.
     let tuner = Tuner::new(config.cluster.clone(), TunerConfig::quick(config.tune_p));
     let report = tuner
-        .try_tune_collectives(&config.collectives, &RetryPolicy::default())
+        .try_tune_collectives(&config.collectives, Some(&RetryPolicy::default()))
         .expect("soak boot tune must complete");
     let boot_selector = report.degraded_multi_selector();
     // The boot generation's fits, kept for deriving refit candidates.

@@ -49,7 +49,7 @@ fn tuning_under_faults_completes_or_reports_typed_errors() {
         for (label, plan) in canned_plans(cluster.nodes()) {
             let faulted = cluster.clone().with_faults(plan);
             let tuner = Tuner::new(faulted, TunerConfig::quick(TUNE_P));
-            match tuner.try_tune_collectives(&[Collective::Bcast], &RetryPolicy::default()) {
+            match tuner.try_tune_collectives(&[Collective::Bcast], Some(&RetryPolicy::default())) {
                 Ok(report) => {
                     let sel = report.degraded_multi_selector();
                     // Every query must be answered without panicking,
@@ -119,7 +119,7 @@ fn broadcasts_that_all_timed_out_report_estimation_timeout() {
         backoff: 1,
     };
     let report = Tuner::new(cluster, TunerConfig::quick(TUNE_P))
-        .try_tune_collectives(&[Collective::Bcast], &policy)
+        .try_tune_collectives(&[Collective::Bcast], Some(&policy))
         .expect("the γ experiments fit inside the budget");
     assert!(report.model.collectives[&Collective::Bcast].is_empty());
     assert_eq!(
@@ -150,7 +150,7 @@ fn straggler_tuning_completes_with_inflated_parameters() {
         .with_faults(FaultPlan::none().with_straggler(TUNE_P - 1, 10.0));
     let healthy = Tuner::new(base, TunerConfig::quick(TUNE_P)).tune();
     let report = Tuner::new(faulted, TunerConfig::quick(TUNE_P))
-        .try_tune_collectives(&[Collective::Bcast], &RetryPolicy::default())
+        .try_tune_collectives(&[Collective::Bcast], Some(&RetryPolicy::default()))
         .expect("a single straggler cannot stall a quiet cluster");
     // Whatever fitted must predict slower broadcasts than the healthy
     // fit for at least the algorithms that funnel through the straggler.
@@ -171,11 +171,13 @@ fn straggler_tuning_completes_with_inflated_parameters() {
 }
 
 /// A run that cannot reach the precision target within the repeat
-/// budget returns `PrecisionNotReached` carrying the achieved CI width.
+/// budget returns `PrecisionNotReached` carrying the achieved CI width
+/// on the fault-tolerant tier, and the unconverged sample as it stands
+/// on the unwatched one — the only place the two tiers differ.
 #[test]
 fn unreachable_precision_reports_achieved_width() {
     use collsel::coll::Alg;
-    use collsel::estim::{try_measure, TimedProgram};
+    use collsel::estim::{measure, try_measure, TimedProgram};
     use collsel::mpi::{Backend, SimError};
     // Heavy multiplicative noise with a tight target and a tiny budget.
     let noisy = ClusterModel::gros().with_noise(NoiseParams::new(0.4));
@@ -195,7 +197,7 @@ fn unreachable_precision_reports_achieved_width() {
         program,
         &precision,
         1234,
-        &RetryPolicy::default(),
+        Some(&RetryPolicy::default()),
         Backend::default(),
     )
     .expect_err("sigma=0.4 cannot hit 0.5% precision in 8 reps");
@@ -211,6 +213,9 @@ fn unreachable_precision_reports_achieved_width() {
         }
         other => panic!("expected PrecisionNotReached, got {other}"),
     }
+    let unwatched = measure(&noisy, program, &precision, 1234, Backend::default());
+    assert!(!unwatched.converged, "{unwatched:?}");
+    assert_eq!(unwatched.n, precision.max_reps);
 }
 
 /// Brown-outs are windowed: a transfer outside every window costs the
@@ -238,7 +243,7 @@ fn parsed_chaos_plan_is_survivable() {
     let plan = FaultPlan::parse("chaos:99", cluster.nodes()).expect("chaos parses");
     assert!(!plan.is_none());
     let tuner = Tuner::new(cluster.with_faults(plan), TunerConfig::quick(TUNE_P));
-    match tuner.try_tune_collectives(&[Collective::Bcast], &RetryPolicy::default()) {
+    match tuner.try_tune_collectives(&[Collective::Bcast], Some(&RetryPolicy::default())) {
         Ok(report) => {
             let sel = report.degraded_multi_selector();
             let d = sel.decide_for(Collective::Bcast, 64, 1 << 20);

@@ -31,8 +31,8 @@ COLLSEL_THREADS=2 RUSTFLAGS='-D warnings' \
 
 echo "==> collective-breadth gate: per-collective differential suite at COLLSEL_THREADS=2"
 # The compiled per-collective tables must match the live multi-collective
-# ranking on- and off-grid, both backends must agree bit-for-bit on every
-# collective's measurement program, and batched multi-collective serving
+# ranking on- and off-grid, the timing DAG must agree bit-for-bit with
+# the threaded oracle on every collective's measurement programs, and batched multi-collective serving
 # must be thread-count invariant; the reduce crossover golden test pins
 # the fitted models to the osu_reduce winner ordering.
 COLLSEL_THREADS=2 RUSTFLAGS='-D warnings' \
@@ -58,8 +58,7 @@ echo "==> adaptive-campaign gate: differential suite at COLLSEL_THREADS=2"
 # The adaptive planner (crossover bisection + leader-settled
 # repetitions + warm-started hints) must produce the byte-identical
 # decision table of the exhaustive sweep on both presets, stay
-# bit-identical across thread counts and both simulation backends,
-# keep early-stopped means inside the full-precision 95% CI, and on
+# bit-identical across thread counts, keep early-stopped means inside the full-precision 95% CI, and on
 # noisy presets simulate at least 2x fewer batches than the sweep.
 COLLSEL_THREADS=2 RUSTFLAGS='-D warnings' \
     cargo test --offline -q -p collsel-repro --test adaptive_campaign
@@ -123,6 +122,10 @@ RUSTFLAGS='-D warnings' cargo test --offline -q -p collsel-repro --test replay_t
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+echo "==> cargo clippy (offline, every workspace target, warnings are errors)"
+# The workspace only: benchmark/ is a package of its own and is not linted here.
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc (offline, rustdoc warnings are errors)"
 # Broken or private intra-doc links fail here instead of accumulating.

@@ -34,14 +34,13 @@
 //! position, so the tuned model is **bit-identical at any thread
 //! count** — parallelism changes wall-clock, never results.
 //!
-//! Within each cell, measurements run by default on the timing-DAG
-//! backend ([`collsel_mpi::Backend::Dag`]): the measurement program is
-//! recorded and lowered to a static timing DAG once per cell (memoised
-//! process-wide), then repetitions are batch-evaluated payload-free
-//! with zero OS threads per run, so a campaign's threads are spent
-//! *across* cells, not inside them. [`TunerConfig::with_backend`] (or
-//! `colltune tune --backend threads`) runs every cell on the threaded
-//! oracle instead; the tuned model is bit-identical on both.
+//! Within each cell, measurements run on the timing DAG: the
+//! measurement program is recorded and lowered to a static timing DAG
+//! once per cell (memoised process-wide), then repetitions are
+//! batch-evaluated payload-free with zero OS threads per run, so a
+//! campaign's threads are spent *across* cells, not inside them. The
+//! thread-per-rank engine is the oracle the DAG is held to, in the
+//! `estim` and `coll` differential tests.
 
 use collsel_coll::{Alg, BcastAlg, Collective};
 use collsel_estim::{
@@ -53,8 +52,9 @@ use collsel_model::{FitValidity, Hockney};
 use collsel_mpi::{Backend, SimError};
 use collsel_netsim::ClusterModel;
 use collsel_select::{
-    CollDecisionTable, CollSelection, CollectiveModelSelector, CollectiveSelector,
-    CompiledCollectiveSelector, FallbackReason, GracefulCollectiveSelector,
+    deployment_msg_sizes, CollDecisionTable, CollSelection, CollectiveModelSelector,
+    CollectiveSelector, CompiledCollectiveSelector, FallbackReason, GracefulCollectiveSelector,
+    DEPLOYMENT_COMM_SIZES,
 };
 use collsel_support::pool::Pool;
 use collsel_support::{FromJson, Json, JsonError};
@@ -97,16 +97,6 @@ impl TunerConfig {
             breadth: BreadthConfig::quick(experiment_p),
             seed: 0xC0115E1,
         }
-    }
-
-    /// Runs every measurement cell of the campaign — γ, α/β and the
-    /// per-collective sweeps — on `backend`.
-    #[must_use]
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.gamma.backend = backend;
-        self.alpha_beta.backend = backend;
-        self.breadth.backend = backend;
-        self
     }
 
     /// The segment size `collective` is measured at: `alpha_beta`'s for
@@ -248,12 +238,11 @@ impl TunedModel {
     }
 
     /// [`compiled_multi_selector`](Self::compiled_multi_selector) over
-    /// the default deployment grids (the ones `colltune export` and the
-    /// decision server use): communicator sizes 2..128 in powers of
-    /// two, fourteen log-spaced message sizes from 1 KB to 8 MB.
+    /// the deployment grid ([`DEPLOYMENT_COMM_SIZES`] ×
+    /// [`deployment_msg_sizes`], the one `colltune export` and the
+    /// decision server use).
     pub fn compiled_multi_selector_default(&self) -> CompiledCollectiveSelector {
-        let msg_sizes = collsel_estim::log_spaced_sizes(1024, 8 * 1024 * 1024, 14);
-        self.compiled_multi_selector(&[2, 4, 8, 16, 32, 64, 128], &msg_sizes)
+        self.compiled_multi_selector(&DEPLOYMENT_COMM_SIZES, &deployment_msg_sizes())
     }
 }
 
@@ -491,8 +480,6 @@ pub struct CampaignPlan {
     pub msg_sizes: Vec<usize>,
     /// Adaptive-repetition precision of each cell.
     pub precision: Precision,
-    /// Execution backend of every simulated cell.
-    pub backend: Backend,
     /// Base seed; every cell derives its own seed from its grid
     /// position, so campaigns are bit-identical at any thread count.
     pub seed: u64,
@@ -513,7 +500,7 @@ pub struct CampaignPlan {
 
 impl CampaignPlan {
     /// An exhaustive plan over the given grids with the quick
-    /// precision and the default backend.
+    /// precision.
     pub fn exhaustive(
         collectives: Vec<Collective>,
         comm_sizes: Vec<usize>,
@@ -524,7 +511,6 @@ impl CampaignPlan {
             comm_sizes,
             msg_sizes,
             precision: Precision::quick(),
-            backend: Backend::default(),
             seed: 0xC0115E1,
             strategy: CampaignStrategy::Exhaustive,
             budget: None,
@@ -656,10 +642,10 @@ impl Tuner {
     /// The (collective, P) rows fan out across the current
     /// [`Pool`]; within a row the bisection is sequential (each probe
     /// decides the next). Every cell's seed derives from its grid
-    /// position — campaigns are **bit-identical at any thread count
-    /// and on either backend**, and an adaptive plan must produce the
-    /// byte-identical tables of its exhaustive twin
-    /// (`tests/adaptive_campaign.rs` and its CI gate assert this).
+    /// position — campaigns are **bit-identical at any thread count**,
+    /// and an adaptive plan must produce the byte-identical tables of
+    /// its exhaustive twin (`tests/adaptive_campaign.rs` and its CI gate
+    /// assert this).
     ///
     /// `warm` seeds the anchors from an already-tuned neighbor: its
     /// model predicts the winner column, and only the predicted
@@ -773,7 +759,7 @@ impl Tuner {
                 seg,
                 &plan.precision,
                 row_seed.wrapping_add((mi as u64) << 16),
-                plan.backend,
+                Backend::Dag,
                 early,
             );
             *batches += cell.batches;
@@ -940,25 +926,6 @@ mod tests {
     }
 
     #[test]
-    fn tune_is_bit_identical_across_backends() {
-        use collsel_mpi::Backend;
-        // Noise stays ON: the tuned parameters must match to the last
-        // bit even when every sample carries jitter.
-        let cluster = ClusterModel::gros();
-        let dag_cfg = TunerConfig::quick(10);
-        let threads_cfg = dag_cfg.clone().with_backend(Backend::Threads);
-        // No sub-config is left behind, in either direction.
-        for (cfg, backend) in [(&dag_cfg, Backend::Dag), (&threads_cfg, Backend::Threads)] {
-            assert_eq!(cfg.gamma.backend, backend);
-            assert_eq!(cfg.alpha_beta.backend, backend);
-            assert_eq!(cfg.breadth.backend, backend);
-        }
-        let dag = Tuner::new(cluster.clone(), dag_cfg).tune();
-        let threads = Tuner::new(cluster, threads_cfg).tune();
-        assert_eq!(dag, threads, "backends must tune identical models");
-    }
-
-    #[test]
     fn tune_all_fits_every_collective_family() {
         let tuner = quick_tuner(8);
         let model = tuner.tune_all();
@@ -1050,8 +1017,8 @@ mod tests {
             let compiled = model.compiled_multi_selector_default();
             assert_eq!(compiled.collectives(), model.tuned_collectives());
             for c in model.tuned_collectives() {
-                for &p in &[2usize, 4, 8, 16, 32, 64, 128] {
-                    for m in collsel_estim::log_spaced_sizes(1024, 8 * 1024 * 1024, 14) {
+                for p in DEPLOYMENT_COMM_SIZES {
+                    for m in deployment_msg_sizes() {
                         assert_eq!(
                             compiled.lookup(c, p, m),
                             live.select_for(c, p, m),

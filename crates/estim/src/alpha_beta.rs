@@ -48,7 +48,7 @@ use crate::stats::{Precision, SampleStats};
 use collsel_coll::{Alg, BcastAlg, Collective};
 use collsel_model::derived::gather_linear_coefficients;
 use collsel_model::{collectives, FitValidity, GammaTable, Hockney};
-use collsel_mpi::{Backend, SimError};
+use collsel_mpi::SimError;
 use collsel_netsim::ClusterModel;
 use collsel_support::pool::Pool;
 use std::collections::BTreeMap;
@@ -75,10 +75,6 @@ pub struct AlphaBetaConfig {
     pub p: usize,
     /// Stopping rule per experiment.
     pub precision: Precision,
-    /// Execution backend of the measurement simulations (both return
-    /// bit-identical statistics; the timing DAG is the campaign hot
-    /// path).
-    pub backend: Backend,
 }
 
 /// `count` sizes log-spaced (inclusive) between `lo` and `hi`.
@@ -110,7 +106,6 @@ impl AlphaBetaConfig {
             gather_sizes: log_spaced_sizes(1024, 64 * 1024, 10),
             p,
             precision: Precision::paper(),
-            backend: Backend::default(),
         }
     }
 
@@ -127,7 +122,6 @@ impl AlphaBetaConfig {
             gather_sizes: log_spaced_sizes(2 * 1024, 64 * 1024, 5),
             p,
             precision: Precision::quick(),
-            backend: Backend::default(),
         }
     }
 
@@ -173,8 +167,6 @@ pub struct BreadthConfig {
     pub p: usize,
     /// Stopping rule per measurement.
     pub precision: Precision,
-    /// Execution backend of the measurement simulations.
-    pub backend: Backend,
 }
 
 impl BreadthConfig {
@@ -187,7 +179,6 @@ impl BreadthConfig {
             msg_sizes: log_spaced_sizes(1024, 4 * 1024 * 1024, 10),
             p,
             precision: Precision::paper(),
-            backend: Backend::default(),
         }
     }
 
@@ -198,7 +189,6 @@ impl BreadthConfig {
             msg_sizes: log_spaced_sizes(1024, 512 * 1024, 5),
             p,
             precision: Precision::quick(),
-            backend: Backend::default(),
         }
     }
 
@@ -297,7 +287,6 @@ fn measure_grid<A: Copy>(
     algs: &[A],
     programs: impl Fn(A) -> Vec<TimedProgram>,
     precision: &Precision,
-    backend: Backend,
     seed: u64,
     policy: Option<&RetryPolicy>,
 ) -> Vec<(A, Measured)> {
@@ -314,7 +303,7 @@ fn measure_grid<A: Copy>(
         })
         .collect();
     let mut outcomes =
-        try_measure_batch(cluster, &cells, precision, policy, Pool::current(), backend).into_iter();
+        try_measure_batch(cluster, &cells, precision, policy, Pool::current()).into_iter();
     algs.iter()
         .zip(programs)
         .map(|(&alg, points)| {
@@ -430,7 +419,6 @@ pub fn try_estimate_all_alpha_beta(
         &BcastAlg::ALL,
         |alg| cfg.programs(alg),
         &cfg.precision,
-        cfg.backend,
         seed,
         policy,
     )
@@ -480,7 +468,6 @@ pub fn try_estimate_collective_family(
         collective.algorithms(),
         |alg| cfg.programs(alg),
         &cfg.precision,
-        cfg.backend,
         seed,
         policy,
     )

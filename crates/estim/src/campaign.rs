@@ -393,7 +393,7 @@ pub fn plan_crossover_fill(
     // disagreement, or a model-predicted near-tie, must be verified,
     // not trusted; the endpoints themselves are already measured).
     let fill_ok = |a: usize, b: usize, w: usize| -> bool {
-        hints.map_or(true, |h| (a + 1..b).all(|i| h[i] == (w, true)))
+        hints.is_none_or(|h| (a + 1..b).all(|i| h[i] == (w, true)))
     };
     // Left-to-right worklist over measured-anchor intervals; bisection
     // pushes sub-intervals. Deterministic order, and winners are
@@ -484,7 +484,6 @@ mod tests {
                 },
                 &precision,
                 seed.wrapping_add((i as u64) << 32),
-                Backend::Dag,
             );
             assert_eq!(cell.stats[i], direct, "alg {alg}");
         }

@@ -10,7 +10,7 @@
 use crate::measure::{try_measure_batch, unwatched, RetryPolicy, TimedProgram};
 use crate::stats::{Precision, SampleStats};
 use collsel_model::GammaTable;
-use collsel_mpi::{Backend, SimError};
+use collsel_mpi::SimError;
 use collsel_netsim::ClusterModel;
 use collsel_support::pool::Pool;
 
@@ -27,10 +27,6 @@ pub struct GammaConfig {
     pub calls_per_sample: usize,
     /// Stopping rule for each `T2(P)`.
     pub precision: Precision,
-    /// Execution backend of the measurement simulations (both return
-    /// bit-identical statistics; the timing DAG is the campaign hot
-    /// path).
-    pub backend: Backend,
 }
 
 impl GammaConfig {
@@ -41,7 +37,6 @@ impl GammaConfig {
             max_width: 7,
             calls_per_sample: 10,
             precision: Precision::paper(),
-            backend: Backend::default(),
         }
     }
 
@@ -52,7 +47,6 @@ impl GammaConfig {
             max_width: 5,
             calls_per_sample: 3,
             precision: Precision::quick(),
-            backend: Backend::default(),
         }
     }
 }
@@ -155,14 +149,7 @@ pub fn try_estimate_gamma(
     // so the outcome is deterministic and identical to the serial loop
     // at any thread count.
     let cells = width_cells(cluster, cfg, seed);
-    let outcomes = try_measure_batch(
-        cluster,
-        &cells,
-        &cfg.precision,
-        policy,
-        Pool::current(),
-        cfg.backend,
-    );
+    let outcomes = try_measure_batch(cluster, &cells, &cfg.precision, policy, Pool::current());
     let mut t2 = Vec::with_capacity(cells.len());
     for (p, outcome) in (2..=cfg.max_width).zip(outcomes) {
         t2.push((p, outcome?));

@@ -11,7 +11,6 @@ use crate::measure::{measure, TimedProgram};
 use crate::regress::ols;
 use crate::stats::{Precision, SampleStats};
 use collsel_model::Hockney;
-use collsel_mpi::Backend;
 use collsel_netsim::ClusterModel;
 
 /// Result of the network-level Hockney measurement.
@@ -42,10 +41,7 @@ pub fn estimate_network_hockney(
         .map(|(i, &m)| {
             let cell_seed = seed.wrapping_add(i as u64 * 131);
             let program = TimedProgram::P2p { m };
-            (
-                m,
-                measure(cluster, program, precision, cell_seed, Backend::default()),
-            )
+            (m, measure(cluster, program, precision, cell_seed))
         })
         .collect();
     let xs: Vec<f64> = samples.iter().map(|&(m, _)| m as f64).collect();

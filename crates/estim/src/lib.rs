@@ -30,11 +30,11 @@
 //!
 //! Every experiment is one [`TimedProgram`] measured by one pipeline
 //! ([`try_measure`] and its batch fan-out, see [`measure`](mod@measure))
-//! on a [`collsel_mpi::Backend`]: by default the timing-DAG backend
-//! compiles the program to a static DAG once per cell (memoised
-//! process-wide, see [`memo_counters`]) and batch-evaluates repetitions
-//! payload-free; the OS-thread oracle runs the same program text on
-//! rank threads.
+//! on the timing DAG: the program is compiled to a static DAG once per
+//! cell (memoised process-wide, see [`memo_counters`]) and repetitions
+//! are batch-evaluated payload-free. The thread-per-rank engine
+//! ([`collsel_mpi::Backend::Threads`]) is the oracle the DAG is checked
+//! against and the fallback for a cell that cannot be lowered.
 //!
 //! Each estimator is one body, the `try_` function, whose
 //! `policy: Option<&RetryPolicy>` picks the measurement tier: `None`

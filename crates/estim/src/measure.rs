@@ -10,19 +10,16 @@
 //! linear-segment broadcasts, or a point-to-point round trip — and a
 //! measurement *cell* is such a program plus a base seed.
 //!
-//! A cell runs on one of two execution tiers ([`Backend`]):
-//!
-//! * [`Backend::Dag`] (the default) records the program once per cell,
-//!   `precision.min_reps` repetitions per batch, lowers it to a
-//!   [`collsel_mpi::TimingDag`] (memoised process-wide in
-//!   `estim`'s DAG memo) and evaluates batches payload-free with one
-//!   [`DagEvaluator`] whose fabric and scratch are reset in place;
-//! * [`Backend::Threads`] runs the same program text on one scoped OS
-//!   thread per rank ([`collsel_mpi::simulate_with`]) — the oracle the
-//!   DAG tier is checked against (`crates/coll/tests/dag_equivalence.rs`),
-//!   and where a cell that cannot be lowered runs.
-//!
-//! Both derive a sample from the root's clock pair with the same float
+//! Every cell is measured on the timing DAG: the program is recorded
+//! once per cell, `precision.min_reps` repetitions per batch, lowered to
+//! a [`collsel_mpi::TimingDag`] (memoised process-wide in `estim`'s DAG
+//! memo) and evaluated payload-free with one [`DagEvaluator`] whose
+//! fabric and scratch are reset in place. The thread-per-rank engine
+//! ([`collsel_mpi::simulate_with`], [`Backend::Threads`]) is the oracle
+//! the DAG is checked against (`crates/coll/tests/dag_equivalence.rs`,
+//! and this module's tests through the crate-private `try_measure_on`)
+//! and the fallback for a cell that cannot be recorded or lowered. Both
+//! derive a sample from the root's clock pair with the same float
 //! arithmetic, so they return **bit-identical** statistics and errors.
 //!
 //! One pipeline measures a cell, [`try_measure`], and
@@ -176,14 +173,14 @@ pub(crate) struct CellSampler {
     rounds: usize,
     /// What a round's clock difference is divided by.
     per: f64,
-    /// `None` runs the program on rank threads: the threaded backend,
-    /// or a cell that could not be recorded or lowered.
+    /// `None` runs the program on rank threads: the threaded oracle, or
+    /// a cell that could not be recorded or lowered.
     dag: Option<DagEvaluator>,
 }
 
 impl CellSampler {
-    /// Prepares `program` at `reps` repetitions per batch. On
-    /// [`Backend::Dag`] the cell's timing DAG comes from the
+    /// Prepares `program` at `reps` repetitions per batch on `backend`.
+    /// On [`Backend::Dag`] the cell's timing DAG comes from the
     /// process-wide memo (recorded and lowered on a miss) and one
     /// evaluator serves every batch, so all after the first run
     /// allocation-free against a reset-in-place fabric.
@@ -291,11 +288,8 @@ pub fn measure(
     program: TimedProgram,
     precision: &Precision,
     seed: u64,
-    backend: Backend,
 ) -> SampleStats {
-    unwatched(try_measure(
-        cluster, program, precision, seed, None, backend,
-    ))
+    unwatched(try_measure(cluster, program, precision, seed, None))
 }
 
 /// Measures the execution time of `program` until the paper's precision
@@ -328,6 +322,18 @@ pub fn try_measure(
     precision: &Precision,
     seed: u64,
     policy: Option<&RetryPolicy>,
+) -> Result<SampleStats, SimError> {
+    try_measure_on(cluster, program, precision, seed, policy, Backend::Dag)
+}
+
+/// [`try_measure`] on an explicit execution tier, so the tests can hold
+/// the DAG to the threaded oracle.
+fn try_measure_on(
+    cluster: &ClusterModel,
+    program: TimedProgram,
+    precision: &Precision,
+    seed: u64,
+    policy: Option<&RetryPolicy>,
     backend: Backend,
 ) -> Result<SampleStats, SimError> {
     if let Some(policy) = policy {
@@ -350,9 +356,8 @@ pub fn measure_batch(
     cells: &[(TimedProgram, u64)],
     precision: &Precision,
     pool: Pool,
-    backend: Backend,
 ) -> Vec<SampleStats> {
-    try_measure_batch(cluster, cells, precision, None, pool, backend)
+    try_measure_batch(cluster, cells, precision, None, pool)
         .into_iter()
         .map(unwatched)
         .collect()
@@ -374,11 +379,12 @@ pub fn try_measure_batch(
     precision: &Precision,
     policy: Option<&RetryPolicy>,
     pool: Pool,
-    backend: Backend,
 ) -> Vec<Result<SampleStats, SimError>> {
-    pool.run(cells.iter().map(|&(program, seed)| {
-        move || try_measure(cluster, program, precision, seed, policy, backend)
-    }))
+    pool.run(
+        cells
+            .iter()
+            .map(|&(program, seed)| move || try_measure(cluster, program, precision, seed, policy)),
+    )
 }
 
 #[cfg(test)]
@@ -388,7 +394,6 @@ mod tests {
     use collsel_coll::{Alg, BcastAlg, Collective};
     use collsel_netsim::{FaultPlan, NoiseParams};
 
-    const DAG: Backend = Backend::Dag;
     const SEG: usize = 8 * 1024;
 
     fn quiet_gros() -> ClusterModel {
@@ -441,7 +446,6 @@ mod tests {
             bcast(BcastAlg::Binomial, 8, 64 * 1024),
             &Precision::quick(),
             1,
-            DAG,
         );
         assert!(s.mean > 0.0);
         assert!(s.converged);
@@ -452,8 +456,8 @@ mod tests {
     fn larger_messages_take_longer() {
         let c = quiet_gros();
         let p = Precision::quick();
-        let small = measure(&c, bcast(BcastAlg::Chain, 8, 16 * 1024), &p, 1, DAG);
-        let large = measure(&c, bcast(BcastAlg::Chain, 8, 256 * 1024), &p, 1, DAG);
+        let small = measure(&c, bcast(BcastAlg::Chain, 8, 16 * 1024), &p, 1);
+        let large = measure(&c, bcast(BcastAlg::Chain, 8, 256 * 1024), &p, 1);
         assert!(large.mean > small.mean);
     }
 
@@ -461,7 +465,7 @@ mod tests {
     fn experiment_time_exceeds_bare_bcast() {
         let c = quiet_gros();
         let p = Precision::quick();
-        let bare = measure(&c, bcast(BcastAlg::Binomial, 8, 64 * 1024), &p, 1, DAG);
+        let bare = measure(&c, bcast(BcastAlg::Binomial, 8, 64 * 1024), &p, 1);
         let experiment = TimedProgram::BcastGather {
             alg: BcastAlg::Binomial,
             p: 8,
@@ -469,7 +473,7 @@ mod tests {
             m_g: 1024,
             seg_size: SEG,
         };
-        let with_gather = measure(&c, experiment, &p, 1, DAG);
+        let with_gather = measure(&c, experiment, &p, 1);
         assert!(with_gather.mean > bare.mean * 0.9);
     }
 
@@ -483,7 +487,7 @@ mod tests {
                 seg_size: SEG,
                 calls: 5,
             };
-            measure(&c, program, &prec, 1, DAG).mean
+            measure(&c, program, &prec, 1).mean
         };
         let (t2, t5, t7) = (t(2), t(5), t(7));
         assert!(t5 > t2);
@@ -496,8 +500,8 @@ mod tests {
     fn p2p_time_scales_affinely() {
         let c = quiet_gros();
         let p = Precision::quick();
-        let t1 = measure(&c, TimedProgram::P2p { m: 1_000 }, &p, 1, DAG).mean;
-        let t2 = measure(&c, TimedProgram::P2p { m: 2_000_000 }, &p, 1, DAG).mean;
+        let t1 = measure(&c, TimedProgram::P2p { m: 1_000 }, &p, 1).mean;
+        let t2 = measure(&c, TimedProgram::P2p { m: 2_000_000 }, &p, 1).mean;
         assert!(t2 > t1);
         // Rendezvous messages pay extra latency, still far below 2000x.
         assert!(t2 / t1 < 100.0);
@@ -511,7 +515,7 @@ mod tests {
             seg_size: SEG,
             calls: 0,
         };
-        let _ = measure(&quiet_gros(), program, &Precision::quick(), 1, DAG);
+        let _ = measure(&quiet_gros(), program, &Precision::quick(), 1);
     }
 
     #[test]
@@ -523,8 +527,8 @@ mod tests {
             bcast(BcastAlg::Binomial, 8, 64 * 1024),
             collective(Alg::Reduce(ReduceAlg::Binomial), 8, 64 * 1024),
         ] {
-            let infallible = measure(&c, program, &p, 1, DAG);
-            let watched = try_measure(&c, program, &p, 1, Some(&RetryPolicy::no_deadline()), DAG);
+            let infallible = measure(&c, program, &p, 1);
+            let watched = try_measure(&c, program, &p, 1, Some(&RetryPolicy::no_deadline()));
             assert_eq!(Ok(infallible), watched, "the tiers must be bit-identical");
         }
     }
@@ -542,7 +546,6 @@ mod tests {
             &Precision::quick(),
             1,
             Some(&policy),
-            DAG,
         )
         .unwrap_err();
         assert!(matches!(err, SimError::Timeout { .. }), "{err}");
@@ -563,7 +566,6 @@ mod tests {
             &Precision::quick(),
             1,
             Some(&policy),
-            DAG,
         )
         .expect("third attempt has ample budget");
         assert!(s.mean > 0.0);
@@ -607,8 +609,8 @@ mod tests {
             .with_faults(FaultPlan::none().with_straggler(3, 20.0));
         let p = Precision::quick();
         let program = bcast(BcastAlg::Binomial, 8, 64 * 1024);
-        let base = measure(&quiet, program, &p, 1, DAG);
-        let hurt = try_measure(&slowed, program, &p, 1, Some(&RetryPolicy::default()), DAG)
+        let base = measure(&quiet, program, &p, 1);
+        let hurt = try_measure(&slowed, program, &p, 1, Some(&RetryPolicy::default()))
             .expect("straggler slows but does not stall");
         assert!(hurt.mean > base.mean, "{} vs {}", hurt.mean, base.mean);
     }
@@ -633,14 +635,14 @@ mod tests {
         let policy = RetryPolicy::default();
         let serial: Vec<SampleStats> = cells
             .iter()
-            .map(|&(program, seed)| measure(&c, program, &prec, seed, DAG))
+            .map(|&(program, seed)| measure(&c, program, &prec, seed))
             .collect();
         for threads in [1, 2] {
             let pool = Pool::with_threads(threads);
-            let batch = measure_batch(&c, &cells, &prec, pool, DAG);
+            let batch = measure_batch(&c, &cells, &prec, pool);
             assert_eq!(serial, batch, "threads={threads}");
             let tried: Result<Vec<SampleStats>, SimError> =
-                try_measure_batch(&c, &cells, &prec, Some(&policy), pool, DAG)
+                try_measure_batch(&c, &cells, &prec, Some(&policy), pool)
                     .into_iter()
                     .collect();
             assert_eq!(Ok(&serial), tried.as_ref(), "threads={threads}");
@@ -654,19 +656,17 @@ mod tests {
         let c = ClusterModel::grisou();
         let p = Precision::quick();
         for (program, seed) in one_of_each_kind() {
-            assert_eq!(
-                measure(&c, program, &p, seed, Backend::Dag),
-                measure(&c, program, &p, seed, Backend::Threads),
-                "{program:?}"
-            );
+            let [dag, threads] = [Backend::Dag, Backend::Threads]
+                .map(|backend| unwatched(try_measure_on(&c, program, &p, seed, None, backend)));
+            assert_eq!(dag, threads, "{program:?}");
         }
     }
 
     #[test]
     fn try_backends_agree_on_results_and_errors() {
         let both = |c: &ClusterModel, program, prec: &Precision, policy: &RetryPolicy| {
-            let dag = try_measure(c, program, prec, 3, Some(policy), Backend::Dag);
-            let threads = try_measure(c, program, prec, 3, Some(policy), Backend::Threads);
+            let [dag, threads] = [Backend::Dag, Backend::Threads]
+                .map(|backend| try_measure_on(c, program, prec, 3, Some(policy), backend));
             assert_eq!(dag, threads, "{program:?}");
             dag
         };
@@ -715,9 +715,10 @@ mod tests {
                     acc.push_batch(unwatched(cell.batch(&c, batch_seed, None)), &prec);
                 }
                 assert_eq!(
-                    acc.finish(),
-                    measure(&c, program, &prec, seed, backend),
-                    "{program:?} on {backend}"
+                    Ok(acc.finish()),
+                    try_measure_on(&c, program, &prec, seed, None, backend),
+                    "{program:?} on {}",
+                    backend.name()
                 );
             }
         }
@@ -729,7 +730,7 @@ mod tests {
         let p = Precision::quick();
         for coll in Collective::ALL {
             let alg = coll.algorithms()[0];
-            let s = measure(&c, collective(alg, 6, 16 * 1024), &p, 1, DAG);
+            let s = measure(&c, collective(alg, 6, 16 * 1024), &p, 1);
             assert!(s.mean > 0.0, "{}", alg.qualified_name());
             assert!(s.converged, "{}", alg.qualified_name());
         }
@@ -743,7 +744,6 @@ mod tests {
             bcast(BcastAlg::Binary, 6, 32 * 1024),
             &Precision::paper(),
             7,
-            DAG,
         );
         assert!(s.converged, "{s:?}");
         assert!(s.n >= 5);

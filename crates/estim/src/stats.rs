@@ -615,7 +615,7 @@ mod tests {
         };
         let Ok(stats) = sample_watched(&p, |_| {
             k += 1;
-            vec![if k % 4 == 0 { 500.0 } else { 10.0 }]
+            vec![if k.is_multiple_of(4) { 500.0 } else { 10.0 }]
         }) else {
             panic!("MAD rescue should save this")
         };

@@ -21,11 +21,10 @@
 
 use collsel::coll::Collective;
 use collsel::estim::{log_spaced_sizes, RetryPolicy};
-use collsel::mpi::Backend;
 use collsel::netsim::{ClusterModel, FaultPlan, NoiseParams, SimSpan};
 use collsel::select::{
-    to_ompi_rules_multi, CollectiveDecisionService, CollectiveSelector, DecisionServer,
-    DecisionSource, ServerConfig,
+    deployment_msg_sizes, to_ompi_rules_multi, CollectiveDecisionService, CollectiveSelector,
+    DecisionServer, DecisionSource, ServerConfig, DEPLOYMENT_COMM_SIZES,
 };
 use collsel::{CampaignPlan, TunedModel, Tuner, TunerConfig};
 use collsel_expt::campaign::{memo_json, CampaignSummary};
@@ -40,10 +39,10 @@ use std::process::ExitCode;
 const USAGE: &str = "usage:
   colltune tune   [--preset grisou|gros | --nodes N --gbps G --latency-us L --cpus-per-node C]
                   [--tune-p P] [--paper] [--seed N] [--faults SPEC] [-j N | --threads N]
-                  [--collective NAME]... [--backend threads|dag]
+                  [--collective NAME]...
                   [--adaptive] [--budget N] [--warm-from model.json] --out model.json
   colltune query  --model model.json --p P --m BYTES [--m BYTES]... [--degraded]
-                  [--collective NAME]... [--backend threads|dag]
+                  [--collective NAME]...
   colltune show   --model model.json
   colltune export --model model.json --out rules.conf [--comm-sizes A,B,...]
   colltune bench-select
@@ -54,7 +53,6 @@ const USAGE: &str = "usage:
                   [--journal FILE] [--json FILE]
   colltune replay [--model model.json] (--trace trace.json | --gen dp|pp)
                   [--preset grisou|gros] [--world N] [--steps N] [--seed N]
-                  [--backend threads|dag]
                   [--selector fixed|tuned|worst|server|all]... [--json FILE] [--csv FILE]
 
 fault specs (NAME or NAME:SEED): none, degraded-link, straggler, brownout, spike, chaos
@@ -69,9 +67,6 @@ bisection + leader-settled repetitions) warm-started from the tuned model and
 embed its coverage accounting in the model JSON;
 --budget N caps measured cells per (collective, P) row and implies --adaptive;
 --warm-from seeds the campaign from a neighbor cluster's model instead
---backend: measurement execution backend (default: dag — compile each cell to a
-static timing DAG once and batch-evaluate repetitions payload-free; threads is
-the thread-per-rank oracle); both yield bit-identical models
 bench-select: compare decision-serving throughput (live ranking vs compiled table
 vs cached service) for a tuned model
 serve: soak the fault-tolerant decision server — tune a boot generation, then
@@ -86,7 +81,7 @@ job completion time (JCT); --gen synthesises a seeded data-parallel (dp) or
 pipeline-parallel (pp) trace instead of reading --trace; --selector picks the
 policies to compare (default: fixed alone, or tuned+fixed+worst with --model;
 `server` drives a live decision server with one lookup per call); JCT is
-bit-identical across both backends and any thread count";
+bit-identical at any thread count";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -171,14 +166,6 @@ fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("invalid {what}: `{s}`"))
 }
 
-/// Parses the `--backend` flag (default: [`Backend::Dag`]).
-fn parse_backend(args: &[String]) -> Result<Backend, String> {
-    match flag_value(args, "--backend") {
-        Some(s) => s.parse(),
-        None => Ok(Backend::default()),
-    }
-}
-
 /// Parses the repeated `--collective` flag: collective names or the
 /// shorthand `all`, deduplicated in first-seen order. Broadcast alone
 /// when the flag is absent (the paper's pipeline).
@@ -219,7 +206,6 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
             "--out",
             "--threads",
             "-j",
-            "--backend",
             "--collective",
             "--budget",
             "--warm-from",
@@ -267,13 +253,11 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
         collsel_support::pool::set_thread_override(n);
     }
 
-    let backend = parse_backend(args)?;
     let mut config = if args.iter().any(|a| a == "--paper") {
         TunerConfig::paper(tune_p)
     } else {
         TunerConfig::quick(tune_p)
-    }
-    .with_backend(backend);
+    };
     config.seed = seed;
 
     let faults = match flag_value(args, "--faults") {
@@ -306,8 +290,7 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
     let campaign_config = config.clone();
 
     eprintln!(
-        "[colltune] tuning {} ({} slots) with {} experiment processes on {} threads \
-         ({backend} backend)...",
+        "[colltune] tuning {} ({} slots) with {} experiment processes on {} threads...",
         cluster.name(),
         cluster.max_ranks(),
         tune_p,
@@ -361,7 +344,6 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
         let msg_sizes = log_spaced_sizes(1024, 1024 * 1024, 12);
         let mut plan = CampaignPlan::adaptive(collectives, comm_sizes, msg_sizes, 4);
         plan.seed = seed;
-        plan.backend = backend;
         plan.budget = budget;
         if args.iter().any(|a| a == "--paper") {
             plan.precision = collsel::estim::Precision::paper();
@@ -411,13 +393,9 @@ fn load_json<T: FromJson>(path: &str) -> Result<T, String> {
 fn cmd_query(args: &[String]) -> Result<(), String> {
     validate_flags(
         args,
-        &["--model", "--p", "--m", "--backend", "--collective"],
+        &["--model", "--p", "--m", "--collective"],
         &["--degraded"],
     )?;
-    // Queries evaluate closed-form models — no simulation runs — but
-    // the flag is validated here too so scripted pipelines can pass a
-    // uniform `--backend` to every subcommand.
-    let _ = parse_backend(args)?;
     let model = load_model(args)?;
     let p: usize = parse(flag_value(args, "--p").ok_or("--p required")?, "p")?;
     let sizes = flag_values(args, "--m");
@@ -495,7 +473,7 @@ fn cmd_export(args: &[String]) -> Result<(), String> {
     let model = load_model(args)?;
     let out = flag_value(args, "--out").ok_or("--out required")?;
     let comm_sizes = parse_comm_sizes(args)?;
-    let msg_sizes = log_spaced_sizes(1024, 8 * 1024 * 1024, 14);
+    let msg_sizes = deployment_msg_sizes();
     let tables: Vec<_> = model
         .tuned_collectives()
         .into_iter()
@@ -514,8 +492,8 @@ fn cmd_export(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The deployment comm-size grid: `--comm-sizes A,B,...` or the default
-/// powers of two (shared by `export` and `bench-select`).
+/// The deployment comm-size grid: `--comm-sizes A,B,...` or
+/// [`DEPLOYMENT_COMM_SIZES`] (shared by `export` and `bench-select`).
 fn parse_comm_sizes(args: &[String]) -> Result<Vec<usize>, String> {
     match flag_value(args, "--comm-sizes") {
         Some(list) => {
@@ -527,7 +505,7 @@ fn parse_comm_sizes(args: &[String]) -> Result<Vec<usize>, String> {
             v.dedup();
             Ok(v)
         }
-        None => Ok(vec![2, 4, 8, 16, 32, 64, 128]),
+        None => Ok(DEPLOYMENT_COMM_SIZES.to_vec()),
     }
 }
 
@@ -561,7 +539,7 @@ fn cmd_bench_select(args: &[String]) -> Result<(), String> {
         return Err("--queries and --cache must be at least 1".into());
     }
     let comm_sizes = parse_comm_sizes(args)?;
-    let msg_sizes = log_spaced_sizes(1024, 8 * 1024 * 1024, 14);
+    let msg_sizes = deployment_msg_sizes();
     let collectives = parse_collectives(args)?;
     let tuned = model.tuned_collectives();
     for &c in &collectives {
@@ -649,14 +627,12 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
             "--world",
             "--steps",
             "--seed",
-            "--backend",
             "--selector",
             "--json",
             "--csv",
         ],
         &[],
     )?;
-    let backend = parse_backend(args)?;
     let cluster = match flag_value(args, "--preset") {
         Some("grisou") => ClusterModel::grisou(),
         Some("gros") | None => ClusterModel::gros(),
@@ -771,15 +747,14 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     }
 
     eprintln!(
-        "[colltune] replaying `{}` on {}: {} steps / {} calls over {} groups, {} backend",
+        "[colltune] replaying `{}` on {}: {} steps / {} calls over {} groups...",
         trace.name,
         cluster.name(),
         trace.steps.len(),
         trace.total_calls(),
-        trace.groups.len(),
-        backend
+        trace.groups.len()
     );
-    let outcomes = score_policies(&cluster, &trace, &policies, backend, seed)
+    let outcomes = score_policies(&cluster, &trace, &policies, seed)
         .map_err(|e| format!("replay failed: {e}"))?;
     let best = outcomes
         .iter()

@@ -2,7 +2,6 @@
 //! scenarios of the paper.
 
 use collsel::estim::{log_spaced_sizes, Precision};
-use collsel::mpi::Backend;
 use collsel::netsim::ClusterModel;
 use collsel::TunerConfig;
 
@@ -38,24 +37,19 @@ pub struct Scenario {
     pub precision: Precision,
     /// Fixed segment size for the model-based and oracle runs.
     pub seg_size: usize,
-    /// Execution backend of every measurement in this scenario (tuning
-    /// and sweeps); both backends are bit-identical.
-    pub backend: Backend,
 }
 
 impl Scenario {
-    /// The tuner configuration for this scenario: every stage measures
-    /// on the scenario's backend.
+    /// The tuner configuration for this scenario.
     pub fn tuner_config(&self, fidelity: Fidelity) -> TunerConfig {
-        let cfg = match fidelity {
+        match fidelity {
             Fidelity::Paper => TunerConfig::paper(self.tune_p),
             Fidelity::Quick => {
                 let mut cfg = TunerConfig::quick(self.tune_p);
                 cfg.gamma.max_width = 7;
                 cfg
             }
-        };
-        cfg.with_backend(self.backend)
+        }
     }
 }
 
@@ -79,7 +73,6 @@ pub fn scenarios(fidelity: Fidelity) -> Vec<Scenario> {
                 msg_sizes: log_spaced_sizes(8 * 1024, 4 * 1024 * 1024, 10),
                 precision: Precision::paper(),
                 seg_size: 8 * 1024,
-                backend: Backend::default(),
             },
             Scenario {
                 cluster: ClusterModel::gros(),
@@ -89,7 +82,6 @@ pub fn scenarios(fidelity: Fidelity) -> Vec<Scenario> {
                 msg_sizes: log_spaced_sizes(8 * 1024, 4 * 1024 * 1024, 10),
                 precision: Precision::paper(),
                 seg_size: 8 * 1024,
-                backend: Backend::default(),
             },
         ],
         Fidelity::Quick => vec![
@@ -101,7 +93,6 @@ pub fn scenarios(fidelity: Fidelity) -> Vec<Scenario> {
                 msg_sizes: log_spaced_sizes(8 * 1024, 1024 * 1024, 5),
                 precision: Precision::quick(),
                 seg_size: 8 * 1024,
-                backend: Backend::default(),
             },
             Scenario {
                 cluster: ClusterModel::gros(),
@@ -111,7 +102,6 @@ pub fn scenarios(fidelity: Fidelity) -> Vec<Scenario> {
                 msg_sizes: log_spaced_sizes(8 * 1024, 1024 * 1024, 5),
                 precision: Precision::quick(),
                 seg_size: 8 * 1024,
-                backend: Backend::default(),
             },
         ],
     }
@@ -155,15 +145,5 @@ mod tests {
         let cfg = sc.tuner_config(Fidelity::Quick);
         assert_eq!(cfg.alpha_beta.p, sc.tune_p);
         assert_eq!(cfg.gamma.max_width, 7);
-        for fidelity in [Fidelity::Paper, Fidelity::Quick] {
-            let threads = Scenario {
-                backend: Backend::Threads,
-                ..scenarios(fidelity)[0].clone()
-            };
-            let cfg = threads.tuner_config(fidelity);
-            assert_eq!(cfg.gamma.backend, Backend::Threads, "{fidelity:?}");
-            assert_eq!(cfg.alpha_beta.backend, Backend::Threads, "{fidelity:?}");
-            assert_eq!(cfg.breadth.backend, Backend::Threads, "{fidelity:?}");
-        }
     }
 }

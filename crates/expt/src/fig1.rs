@@ -13,7 +13,6 @@ use crate::report::{format_csv, format_table, size_label};
 use collsel::coll::{Alg, BcastAlg};
 use collsel::estim::{estimate_network_hockney, measure, NetworkHockneyEstimate, TimedProgram};
 use collsel::model::traditional;
-use collsel::mpi::Backend;
 
 /// One message size of Fig. 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -194,14 +193,7 @@ pub fn run_fig1(scenario: &Scenario, p: usize, seed: u64) -> Fig1Result {
                 m,
                 seg_size: scenario.seg_size,
             };
-            measure(
-                &scenario.cluster,
-                program,
-                &scenario.precision,
-                seed,
-                Backend::default(),
-            )
-            .mean
+            measure(&scenario.cluster, program, &scenario.precision, seed).mean
         };
         let measured_binary = measured(BcastAlg::Binary, s);
         let measured_binomial = measured(BcastAlg::Binomial, s.wrapping_add(1));

@@ -241,9 +241,9 @@ pub fn replay_trace(
     })
 }
 
-/// Replays `trace` under several policies on one backend and returns
-/// the outcomes in input order — the JCT comparison `colltune replay`
-/// prints.
+/// Replays `trace` under several policies on the timing DAG and
+/// returns the outcomes in input order — the JCT comparison `colltune
+/// replay` prints.
 ///
 /// # Errors
 ///
@@ -252,12 +252,11 @@ pub fn score_policies(
     cluster: &ClusterModel,
     trace: &Trace,
     policies: &[ReplayPolicy<'_>],
-    backend: Backend,
     seed: u64,
 ) -> Result<Vec<ReplayOutcome>, SimError> {
     policies
         .iter()
-        .map(|p| replay_trace(cluster, trace, p, backend, seed))
+        .map(|p| replay_trace(cluster, trace, p, Backend::Dag, seed))
         .collect()
 }
 
@@ -371,7 +370,7 @@ mod tests {
         // arithmetic and CSV/JSON plumbing.
         let cluster = quiet_gros();
         let trace = canned_pp();
-        let outs = score_policies(&cluster, &trace, &[ReplayPolicy::Fixed], Backend::Dag, 3)?;
+        let outs = score_policies(&cluster, &trace, &[ReplayPolicy::Fixed], 3)?;
         assert_eq!(degradation_pct(&outs[0], &outs[0]), 0.0);
         let csv = comparison_csv(&outs);
         assert!(csv.lines().count() == 2 && csv.contains("fixed,dag"));

@@ -78,13 +78,15 @@ impl SoakConfig {
     /// serving clock (1 µs healthy lookups, 50× slowdown inside a
     /// window, 10 µs budget — so windowed lookups trip the watchdog).
     pub fn quick() -> SoakConfig {
-        let mut server = ServerConfig::default();
-        // ~12 ms of virtual time at 1 µs per healthy lookup; windows at
-        // 2/5/8 ms each last 0.5 ms ≈ hundreds of faulted queries.
-        server.faults = FaultPlan::none()
-            .with_brownout(Brownout::new(0, 0.002, 0.0005, 50.0))
-            .with_brownout(Brownout::new(0, 0.005, 0.0005, 50.0))
-            .with_brownout(Brownout::new(0, 0.008, 0.0005, 50.0));
+        let server = ServerConfig {
+            // ~12 ms of virtual time at 1 µs per healthy lookup; windows
+            // at 2/5/8 ms each last 0.5 ms ≈ hundreds of faulted queries.
+            faults: FaultPlan::none()
+                .with_brownout(Brownout::new(0, 0.002, 0.0005, 50.0))
+                .with_brownout(Brownout::new(0, 0.005, 0.0005, 50.0))
+                .with_brownout(Brownout::new(0, 0.008, 0.0005, 50.0)),
+            ..ServerConfig::default()
+        };
         SoakConfig {
             cluster: ClusterModel::gros().with_noise(NoiseParams::OFF),
             tune_p: 8,

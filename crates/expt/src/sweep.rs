@@ -106,8 +106,7 @@ fn point_cells(p: usize, m: usize, seg_size: usize, seed: u64) -> Vec<(TimedProg
 /// flattened into a single batch over the current [`Pool`], so the pool
 /// load-balances across every cell of the panel at once. Per-cell seeds
 /// match the serial per-point loop, keeping the panel bit-identical at
-/// any thread count; every cell executes on the scenario's measurement
-/// [`Backend`](collsel::mpi::Backend), which is bit-identical too.
+/// any thread count.
 pub fn sweep_panel(scenario: &Scenario, tuned: &TunedModel, p: usize, seed: u64) -> SweepPanel {
     // The panel's model picks are served from the compiled decision
     // table — the same serving structure `colltune bench-select`
@@ -165,7 +164,6 @@ pub fn sweep_panel(scenario: &Scenario, tuned: &TunedModel, p: usize, seed: u64)
         &cells,
         &scenario.precision,
         Pool::current(),
-        scenario.backend,
     );
 
     let mut points = Vec::with_capacity(scenario.msg_sizes.len());

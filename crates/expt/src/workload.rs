@@ -215,9 +215,9 @@ impl TraceGen {
 
     /// The tensor-parallel block width for a dp/tp cut of `world`.
     fn tp_width(world: usize) -> usize {
-        if world % 4 == 0 {
+        if world.is_multiple_of(4) {
             4
-        } else if world % 2 == 0 {
+        } else if world.is_multiple_of(2) {
             2
         } else {
             1

@@ -19,44 +19,23 @@ use std::sync::mpsc;
 pub(crate) struct AbortToken;
 
 /// Which execution tier runs a simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// One OS thread per rank (the general-purpose oracle; supports
     /// arbitrary rank closures, wildcards and `wait_any_recv`).
     Threads,
     /// Record the program once, compile the schedule to a static timing
     /// DAG ([`crate::TimingDag`]), then evaluate payload-free with zero
-    /// allocation per repetition (the campaign hot path and default).
-    #[default]
+    /// allocation per repetition (every product measurement path).
     Dag,
 }
 
 impl Backend {
-    /// Stable lowercase name (CLI values and JSON metadata).
+    /// Stable lowercase name (JSON metadata).
     pub fn name(self) -> &'static str {
         match self {
             Backend::Threads => "threads",
             Backend::Dag => "dag",
-        }
-    }
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for Backend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "threads" => Ok(Backend::Threads),
-            "dag" => Ok(Backend::Dag),
-            other => Err(format!(
-                "unknown backend '{other}' (expected 'threads' or 'dag')"
-            )),
         }
     }
 }
@@ -319,14 +298,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backend_parses_and_displays() {
-        use std::str::FromStr;
-        assert_eq!(Backend::from_str("threads"), Ok(Backend::Threads));
-        assert_eq!(Backend::from_str("dag"), Ok(Backend::Dag));
-        let err = Backend::from_str("events").expect_err("not a backend");
-        assert!(err.contains("'threads'") && err.contains("'dag'"), "{err}");
-        assert_eq!(Backend::default(), Backend::Dag);
-        assert_eq!(Backend::Threads.to_string(), "threads");
-        assert_eq!(Backend::Dag.to_string(), "dag");
+    fn backend_names_are_stable() {
+        assert_eq!(Backend::Threads.name(), "threads");
+        assert_eq!(Backend::Dag.name(), "dag");
     }
 }

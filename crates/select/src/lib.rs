@@ -50,3 +50,15 @@ pub use multi::{
 pub use server::{
     DecisionServer, RefitOutcome, ServeSource, ServedAnswer, ServerConfig, ServerStats,
 };
+
+/// Communicator sizes of the deployment grid, the one grid a tuned
+/// model is compiled over for serving: by default the decision server
+/// compiles its generations over it and `colltune export` writes its
+/// rules for it.
+pub const DEPLOYMENT_COMM_SIZES: [usize; 7] = [2, 4, 8, 16, 32, 64, 128];
+
+/// Message sizes of the deployment grid (see [`DEPLOYMENT_COMM_SIZES`]):
+/// fourteen sizes log-spaced from 1 KiB to 8 MiB.
+pub fn deployment_msg_sizes() -> Vec<usize> {
+    collsel_estim::log_spaced_sizes(1024, 8 * 1024 * 1024, 14)
+}

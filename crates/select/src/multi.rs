@@ -1234,8 +1234,9 @@ enum MultiServePath {
 ///
 /// # Hot swap and cache coherence
 ///
-/// [`install_compiled`](Self::install_compiled) (and friends) atomically
-/// replace the serving path mid-flight via [`EpochSwap`]. Cached entries
+/// [`install_compiled`](Self::install_compiled) and
+/// [`install_live`](Self::install_live) atomically replace the serving
+/// path mid-flight via [`EpochSwap`]. Cached entries
 /// are **epoch-tagged** rather than cleared: a hit requires the entry's
 /// generation to match the pinned generation, so an answer computed
 /// against a superseded selector can never be served after a swap — not
@@ -1317,12 +1318,6 @@ impl CollectiveDecisionService {
     /// Atomically installs a live selector as the serving path.
     pub fn install_live<S: CollectiveSelector + Send + Sync + 'static>(&self, selector: S) -> u64 {
         self.path.swap(MultiServePath::Live(Box::new(selector)))
-    }
-
-    /// Atomically installs a [`GracefulCollectiveSelector`] as the
-    /// serving path.
-    pub fn install_graceful(&self, selector: GracefulCollectiveSelector) -> u64 {
-        self.path.swap(MultiServePath::Graceful(selector))
     }
 
     /// Decides one query, consulting the cache first. A cached answer

@@ -94,8 +94,8 @@ impl Default for ServerConfig {
             policy: RetryPolicy::for_serving(),
             base_cost: SimSpan::from_nanos(1_000),
             faults: FaultPlan::none(),
-            comm_sizes: vec![2, 4, 8, 16, 32, 64, 128],
-            msg_sizes: collsel_estim::log_spaced_sizes(1024, 8 * 1024 * 1024, 14),
+            comm_sizes: crate::DEPLOYMENT_COMM_SIZES.to_vec(),
+            msg_sizes: crate::deployment_msg_sizes(),
             canaries: Vec::new(),
             tolerance: 0.25,
             max_regressions: 0,

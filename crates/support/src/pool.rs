@@ -167,7 +167,7 @@ impl Pool {
         // instead of sleeping until freshly spawned threads get a core.
         std::thread::scope(|scope| {
             for _ in 1..workers {
-                scope.spawn(&work);
+                scope.spawn(work);
             }
             work();
         });

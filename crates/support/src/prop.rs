@@ -18,11 +18,12 @@
 //!
 //! proptest! {
 //!     #![proptest_config(ProptestConfig::with_cases(16))]
-//!     #[test]
+//!     // In a test module, put `#[test]` on the property.
 //!     fn addition_commutes(a in 0u64..1000, b in 0u64..1000) {
 //!         prop_assert_eq!(a + b, b + a);
 //!     }
 //! }
+//! addition_commutes();
 //! ```
 
 use crate::rng::StdRng;
@@ -166,10 +167,13 @@ pub trait Strategy {
     }
 }
 
+/// The shared mapping function of a [`Map`].
+type MapFn<T, U> = Rc<dyn Fn(&T) -> U>;
+
 /// Strategy returned by [`Strategy::prop_map`].
 pub struct Map<S: Strategy, U> {
     inner: S,
-    f: Rc<dyn Fn(&S::Value) -> U>,
+    f: MapFn<S::Value, U>,
 }
 
 impl<S: Strategy, U> Debug for Map<S, U> {

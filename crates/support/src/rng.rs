@@ -181,7 +181,7 @@ mod tests {
         // n = 14 is the size-grid exponent count that motivated the
         // helper: `% 14` over-represents 0..4. With rejection sampling
         // every bucket should sit within a few percent of uniform.
-        let mut s = 0xC0FF_EEu64;
+        let mut s = 0x00C0_FFEE_u64;
         let n = 14u64;
         let per_bucket = 10_000u64;
         let mut counts = vec![0u64; n as usize];

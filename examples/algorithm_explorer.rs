@@ -10,7 +10,6 @@
 
 use collsel::coll::{Alg, BcastAlg};
 use collsel::estim::{measure, Precision, TimedProgram};
-use collsel::mpi::Backend;
 use collsel::netsim::{ClusterModel, NoiseParams};
 
 fn main() {
@@ -57,7 +56,7 @@ fn main() {
                 m,
                 seg_size: seg,
             };
-            let t = measure(&cluster, program, &precision, 42, Backend::default()).mean;
+            let t = measure(&cluster, program, &precision, 42).mean;
             if t < best.1 {
                 best = (alg, t);
             }

@@ -8,7 +8,6 @@
 
 use collsel::coll::{Alg, Collective};
 use collsel::estim::{measure, Precision, TimedProgram};
-use collsel::mpi::Backend;
 use collsel::netsim::{ClusterModel, NoiseParams};
 use collsel::select::{fixed_selection, CollectiveSelector};
 use collsel::{Tuner, TunerConfig};
@@ -26,7 +25,7 @@ fn main() {
             m,
             seg_size,
         };
-        measure(&cluster, program, &precision, 7, Backend::default()).mean
+        measure(&cluster, program, &precision, 7).mean
     };
 
     println!("tuning model-based selector for {} ...", cluster.name());

@@ -13,7 +13,6 @@
 
 use collsel::coll::{Alg, BcastAlg, Collective};
 use collsel::estim::{estimate_network_hockney, measure, Precision, TimedProgram};
-use collsel::mpi::Backend;
 use collsel::netsim::{ClusterModel, NoiseParams};
 use collsel::select::{CollectiveModelSelector, CollectiveSelector, TraditionalModelSelector};
 use collsel::{Tuner, TunerConfig};
@@ -41,7 +40,7 @@ impl Bench {
                     m,
                     seg_size: SEG,
                 };
-                let t = measure(&cluster, program, &precision, 5, Backend::default()).mean;
+                let t = measure(&cluster, program, &precision, 5).mean;
                 times.insert((m, Alg::Bcast(alg)), t);
             }
         }

@@ -178,7 +178,7 @@ fn straggler_tuning_completes_with_inflated_parameters() {
 fn unreachable_precision_reports_achieved_width() {
     use collsel::coll::Alg;
     use collsel::estim::{measure, try_measure, TimedProgram};
-    use collsel::mpi::{Backend, SimError};
+    use collsel::mpi::SimError;
     // Heavy multiplicative noise with a tight target and a tiny budget.
     let noisy = ClusterModel::gros().with_noise(NoiseParams::new(0.4));
     let precision = Precision {
@@ -198,7 +198,6 @@ fn unreachable_precision_reports_achieved_width() {
         &precision,
         1234,
         Some(&RetryPolicy::default()),
-        Backend::default(),
     )
     .expect_err("sigma=0.4 cannot hit 0.5% precision in 8 reps");
     match err {
@@ -209,11 +208,11 @@ fn unreachable_precision_reports_achieved_width() {
         } => {
             assert_eq!(target, 0.005);
             assert!(achieved > target, "achieved width {achieved} not carried");
-            assert!(samples >= 4 && samples <= 8);
+            assert!((4..=8).contains(&samples));
         }
         other => panic!("expected PrecisionNotReached, got {other}"),
     }
-    let unwatched = measure(&noisy, program, &precision, 1234, Backend::default());
+    let unwatched = measure(&noisy, program, &precision, 1234);
     assert!(!unwatched.converged, "{unwatched:?}");
     assert_eq!(unwatched.n, precision.max_reps);
 }

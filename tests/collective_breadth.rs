@@ -1,15 +1,15 @@
 //! Differential suite for the full-collective tuning breadth: per
 //! collective, the compiled decision tables must be indistinguishable
-//! from the live model ranking (on- and off-grid), the two simulation
-//! backends must agree bit-for-bit on the new per-collective
-//! measurement programs, and batched multi-collective serving must be
+//! from the live model ranking (on- and off-grid), the timing DAG must
+//! agree bit-for-bit with the thread-per-rank oracle on every
+//! collective's measurement programs, and batched multi-collective serving must be
 //! invariant to the thread count. The reduce crossover golden test pins
 //! the fitted models to the osu_reduce winner ordering on the gros
 //! preset. `ci.sh` re-runs this suite at `COLLSEL_THREADS=2` as the
 //! breadth equivalence gate.
 
 use collsel::coll::{Collective, ReduceAlg};
-use collsel::estim::{log_spaced_sizes, measure, Precision, TimedProgram};
+use collsel::estim::{log_spaced_sizes, measure_family_cell, Precision};
 use collsel::mpi::Backend;
 use collsel::netsim::{ClusterModel, NoiseParams};
 use collsel::select::{CollectiveDecisionService, CollectiveSelector};
@@ -73,32 +73,30 @@ fn compiled_tables_match_live_ranking_on_and_off_grid() {
     }
 }
 
-/// The timing-DAG backend evaluates every collective's measurement
-/// program bit-identically to the thread-per-rank oracle — first and
-/// last algorithm of each family, noise on.
+/// The timing DAG evaluates every collective's measurement programs
+/// bit-identically to the thread-per-rank oracle — each family whole,
+/// every algorithm sampled as a plain measurement (no early stop),
+/// noise on.
 #[test]
 fn backends_agree_on_every_collective_measurement_program() {
     let cluster = ClusterModel::gros(); // noise on: the harder case
     let precision = Precision::quick();
     for c in Collective::ALL {
-        let family = c.algorithms();
-        for &alg in [family[0], family[family.len() - 1]].iter() {
-            let seed = 0xD1FF ^ ((c.index() as u64) << 16);
-            let program = TimedProgram::Collective {
-                alg,
-                p: 6,
-                m: 16 * 1024,
-                seg_size: 8 * 1024,
-            };
-            let [dag, threads] = [Backend::Dag, Backend::Threads]
-                .map(|backend| measure(&cluster, program, &precision, seed, backend));
-            assert_eq!(
-                dag,
-                threads,
-                "backends diverged on {}",
-                alg.qualified_name()
-            );
-        }
+        let seed = 0xD1FF ^ ((c.index() as u64) << 16);
+        let [dag, threads] = [Backend::Dag, Backend::Threads].map(|backend| {
+            measure_family_cell(
+                &cluster,
+                c,
+                6,
+                16 * 1024,
+                8 * 1024,
+                &precision,
+                seed,
+                backend,
+                false,
+            )
+        });
+        assert_eq!(dag, threads, "backends diverged on {c}");
     }
 }
 

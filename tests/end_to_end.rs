@@ -3,7 +3,7 @@
 
 use collsel::coll::{bcast, Alg, BcastAlg, Collective};
 use collsel::estim::{measure, Precision, TimedProgram};
-use collsel::mpi::{simulate, Backend};
+use collsel::mpi::simulate;
 use collsel::netsim::{ClusterModel, NoiseParams};
 use collsel::select::{fixed_selection, CollSelection, CollectiveSelector};
 use collsel::{Tuner, TunerConfig};
@@ -28,14 +28,7 @@ fn bcast_mean(
         m,
         seg_size,
     };
-    measure(
-        cluster,
-        program,
-        &Precision::quick(),
-        seed,
-        Backend::default(),
-    )
-    .mean
+    measure(cluster, program, &Precision::quick(), seed).mean
 }
 
 /// The broadcast algorithm of a broadcast selection.

@@ -106,7 +106,6 @@ fn tuned_policy_is_never_beaten_by_the_model_worst() {
             ReplayPolicy::Fixed,
             ReplayPolicy::Worst(&selector),
         ],
-        Backend::Dag,
         23,
     )
     .expect("replays");

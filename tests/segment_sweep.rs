@@ -3,7 +3,6 @@
 
 use collsel::coll::Collective;
 use collsel::estim::{measure, Precision, TimedProgram};
-use collsel::mpi::Backend;
 use collsel::netsim::{ClusterModel, NoiseParams};
 use collsel::select::{CollSelection, CollectiveSelector};
 use collsel::{Tuner, TunerConfig};
@@ -27,7 +26,7 @@ fn swept_segment_choice_is_competitive_when_measured() {
                 m,
                 seg_size: pick.effective_seg_size(m),
             };
-            measure(&cluster, program, &precision, 3, Backend::default()).mean
+            measure(&cluster, program, &precision, 3).mean
         };
         let t_fixed = measured(&fixed);
         let t_swept = measured(&swept);

@@ -166,7 +166,11 @@ echo "==> unwrap/expect ratchet (estim + expt)"
 # estim::measure::unwatched (the sampler's and the LogGP probe's
 # deadlock invariants go), trimmed_mean is deleted, and the tier tests
 # compare outcomes instead of unwrapping them (three in test code).
-UNWRAP_CEILING=35
+# 31 = 35 - 4: expt::campaign's coverage renderer is deleted with its
+# three rendering tests (three in test code), and the budget-free
+# crossover planner resolves every index by measurement or
+# interpolation, so its "endpoint is always measured" left-snap fill goes.
+UNWRAP_CEILING=31
 count=$(grep -rc 'unwrap()\|\.expect(' crates/estim/src crates/expt/src \
     --include='*.rs' | awk -F: '{s+=$2} END {print s}')
 if [ "$count" -gt "$UNWRAP_CEILING" ]; then
@@ -263,15 +267,6 @@ echo "==> colltune collective-breadth smoke run (reduce, under faults, pinned mo
 pinned_model "$smoke_dir/breadth.json" "1341023299 23295"
 ./target/release/colltune query --model "$smoke_dir/breadth.json" \
     --collective reduce --p 64 --m 8192 --m 1048576 --degraded
-
-echo "==> colltune adaptive-campaign smoke run (budget-capped, warm-started)"
-# The adaptive campaign embeds measured decision tables and coverage
-# accounting in the model JSON; a budget cap keeps this CI-sized.
-COLLSEL_THREADS=2 ./target/release/colltune tune --preset gros --tune-p 8 \
-    --collective bcast --adaptive --budget 6 --out "$smoke_dir/adaptive.json"
-grep -q '"campaign"' "$smoke_dir/adaptive.json" || {
-    echo "ci.sh: adaptive model JSON missing campaign accounting" >&2; exit 1;
-}
 
 echo "==> colltune replay smoke run (generated trace, JCT policy comparison)"
 # A seeded data-parallel trace replayed under all four policies (the

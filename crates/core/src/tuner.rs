@@ -449,16 +449,13 @@ pub enum CampaignStrategy {
     /// Measure every grid cell to full precision — the differential
     /// oracle the adaptive path is gated against.
     Exhaustive,
-    /// Crossover bisection on m plus leader-settled repetitions.
+    /// Crossover bisection on m plus leader-settled repetitions
+    /// ([`measure_family_cell`]'s early-stop rule).
     Adaptive {
         /// Anchor stride on the m grid: every `anchor_step`-th index is
         /// measured unconditionally, bounding how narrow a winner
         /// island can hide between anchors.
         anchor_step: usize,
-        /// Stop sampling an algorithm as soon as its CI separates
-        /// above the leader's
-        /// ([`measure_family_cell`]'s early-stop rule).
-        leader_early_stop: bool,
     },
 }
 
@@ -485,17 +482,6 @@ pub struct CampaignPlan {
     pub seed: u64,
     /// Grid-coverage strategy.
     pub strategy: CampaignStrategy,
-    /// Cap on *measured* cells per (collective, P) row (adaptive
-    /// strategy only; the m-grid endpoints are always measured). When
-    /// the budget runs out, unresolved intervals fill from the nearest
-    /// measured anchors and the report flags the exhaustion.
-    pub budget: Option<usize>,
-    /// Minimum relative winner-over-runner-up lead for a measured cell
-    /// to anchor an interpolation (see
-    /// [`collsel_estim::DECISIVE_MARGIN`], the default). Raising it
-    /// densifies more of the near-tie regions; lowering it interpolates
-    /// more aggressively.
-    pub decisive_margin: f64,
 }
 
 impl CampaignPlan {
@@ -513,8 +499,6 @@ impl CampaignPlan {
             precision: Precision::quick(),
             seed: 0xC0115E1,
             strategy: CampaignStrategy::Exhaustive,
-            budget: None,
-            decisive_margin: collsel_estim::DECISIVE_MARGIN,
         }
     }
 
@@ -529,17 +513,9 @@ impl CampaignPlan {
         anchor_step: usize,
     ) -> Self {
         CampaignPlan {
-            strategy: CampaignStrategy::Adaptive {
-                anchor_step,
-                leader_early_stop: true,
-            },
+            strategy: CampaignStrategy::Adaptive { anchor_step },
             ..CampaignPlan::exhaustive(collectives, comm_sizes, msg_sizes)
         }
-    }
-
-    /// Total grid cells ((P, m) pairs summed over the collectives).
-    pub fn grid_cells(&self) -> usize {
-        self.collectives.len() * self.comm_sizes.len() * self.msg_sizes.len()
     }
 }
 
@@ -565,8 +541,6 @@ pub struct CampaignReport {
     pub tables: BTreeMap<Collective, CollDecisionTable>,
     /// Per-collective cost accounting, in plan order.
     pub per_collective: Vec<CollectiveCampaignStats>,
-    /// Whether any (collective, P) row hit the measurement budget.
-    pub budget_exhausted: bool,
 }
 
 impl CampaignReport {
@@ -630,7 +604,6 @@ struct CampaignRow {
     winners: Vec<usize>,
     measured: usize,
     batches: usize,
-    budget_exhausted: bool,
 }
 
 impl Tuner {
@@ -698,7 +671,6 @@ impl Tuner {
         let comm_count = plan.comm_sizes.len();
         let mut tables = BTreeMap::new();
         let mut per_collective = Vec::with_capacity(plan.collectives.len());
-        let mut budget_exhausted = false;
         for (ci, &c) in plan.collectives.iter().enumerate() {
             let rows = &rows[ci * comm_count..(ci + 1) * comm_count];
             let algs = c.algorithms();
@@ -722,12 +694,10 @@ impl Tuner {
                 measured_cells: rows.iter().map(|r| r.measured).sum(),
                 simulated_batches: rows.iter().map(|r| r.batches).sum(),
             });
-            budget_exhausted |= rows.iter().any(|r| r.budget_exhausted);
         }
         CampaignReport {
             tables,
             per_collective,
-            budget_exhausted,
         }
     }
 
@@ -763,7 +733,7 @@ impl Tuner {
                 early,
             );
             *batches += cell.batches;
-            (cell.winner, cell.runner_up_margin() >= plan.decisive_margin)
+            (cell.winner, cell.decisive())
         };
         match plan.strategy {
             CampaignStrategy::Exhaustive => {
@@ -775,19 +745,16 @@ impl Tuner {
                     winners,
                     measured: n,
                     batches,
-                    budget_exhausted: false,
                 }
             }
-            CampaignStrategy::Adaptive {
-                anchor_step,
-                leader_early_stop,
-            } => {
+            CampaignStrategy::Adaptive { anchor_step } => {
                 // A hint is the model's predicted winner plus whether
                 // the model predicts that win decisively — by
                 // HINT_MARGIN_FACTOR times the measured margin, since
                 // predictions carry fitting error. Cells the model
                 // itself calls close are measured, never trusted.
-                let hint_margin = collsel_estim::HINT_MARGIN_FACTOR * plan.decisive_margin;
+                let hint_margin =
+                    collsel_estim::HINT_MARGIN_FACTOR * collsel_estim::DECISIVE_MARGIN;
                 let hints: Option<Vec<(usize, bool)>> = warm.map(|sel| {
                     let algs = c.algorithms();
                     plan.msg_sizes
@@ -806,15 +773,13 @@ impl Tuner {
                         .collect()
                 });
                 let mut batches = 0;
-                let crossover =
-                    plan_crossover_fill(n, anchor_step, hints.as_deref(), plan.budget, |mi| {
-                        measure(mi, leader_early_stop, &mut batches)
-                    });
+                let crossover = plan_crossover_fill(n, anchor_step, hints.as_deref(), |mi| {
+                    measure(mi, true, &mut batches)
+                });
                 CampaignRow {
                     measured: crossover.measured_count(),
                     winners: crossover.winners,
                     batches,
-                    budget_exhausted: crossover.budget_exhausted,
                 }
             }
         }
@@ -1113,7 +1078,10 @@ mod tests {
 
     /// The model file is lossless: floats are written shortest-round-trip,
     /// so a model reads back bit for bit, and a version 1 file decodes to
-    /// the same model as its version 2 re-encoding.
+    /// the same model as its version 2 re-encoding. Version 2 files that
+    /// older builds wrote with a top-level `campaign` block (a
+    /// measured-winner campaign's coverage accounting) decode to the
+    /// same model too: nothing reads the block.
     #[test]
     fn tuned_model_round_trips_through_json() {
         let v1 = decode(&v1_fixture());
@@ -1124,9 +1092,23 @@ mod tests {
             [Collective::Bcast, Collective::Reduce]
         );
         assert_eq!(v1.collectives[&Collective::Bcast].len(), 6);
+        let campaign = Json::obj(vec![
+            ("strategy", Json::Str("adaptive (anchor_step=4)".to_owned())),
+            ("grid_cells", Json::Num(60.0)),
+            ("measured_cells", Json::Num(23.0)),
+            ("per_collective", Json::Arr(Vec::new())),
+            ("warm_start", Json::Str("self".to_owned())),
+            ("budget", Json::Null),
+        ]);
         for model in [quick_tuner(8).tune_all(), v1] {
-            let text = model.to_json().to_string_pretty();
-            assert_eq!(decode(&Json::parse(&text).expect("parses")), model);
+            let json = model.to_json();
+            for file in [
+                json.clone(),
+                with_field(&json, "campaign", Some(campaign.clone())),
+            ] {
+                let text = file.to_string_pretty();
+                assert_eq!(decode(&Json::parse(&text).expect("parses")), model);
+            }
         }
     }
 

@@ -11,13 +11,13 @@
 //!
 //! * [`measure_family_cell`] measures one collective's whole algorithm
 //!   family at one (P, m) point, round-robining adaptive batches across
-//!   the algorithms. With `leader_early_stop`, an algorithm whose 95%
+//!   the algorithms. With `early_stop`, an algorithm whose 95%
 //!   confidence interval is disjoint *above* the current leader's stops
 //!   sampling immediately, and once every rival has settled the leader
 //!   stops too — repetitions are spent only while the argmin is
 //!   statistically contested, and contested rivals run to the full
 //!   precision target so near-tie winners match the exhaustive path's
-//!   converged argmin. With `leader_early_stop` off, every algorithm's
+//!   converged argmin. With `early_stop` off, every algorithm's
 //!   statistics are bit-identical to [`measure`](crate::measure::measure)
 //!   on its [`TimedProgram::Collective`] cell — that is the
 //!   differential oracle.
@@ -166,7 +166,7 @@ fn settle_losers(samplers: &mut [AlgSampler], precision: &Precision) {
 /// Algorithm `i` samples with seed `seed + (i << 32)` (the breadth
 /// campaigns' per-algorithm convention), so the family's noise streams
 /// are decorrelated and independent of the measurement order. With
-/// `leader_early_stop` off, every algorithm's statistics are
+/// `early_stop` off, every algorithm's statistics are
 /// bit-identical to [`measure`](crate::measure::measure) on the same
 /// cell; with it on, algorithms whose CI separates above the leader stop
 /// early (`settle_losers`), and the leader itself stops once every
@@ -187,7 +187,7 @@ pub fn measure_family_cell(
     precision: &Precision,
     seed: u64,
     backend: Backend,
-    leader_early_stop: bool,
+    early_stop: bool,
 ) -> FamilyCell {
     precision.validate();
     let mut samplers: Vec<AlgSampler> = collective
@@ -218,7 +218,7 @@ pub fn measure_family_cell(
             s.pull(cluster, precision);
             progressed = true;
         }
-        if leader_early_stop {
+        if early_stop {
             settle_losers(&mut samplers, precision);
             // Once every rival is a settled loser the argmin is decided
             // at the same 95% confidence — the leader stops too instead
@@ -252,10 +252,6 @@ pub struct CrossoverPlan {
     pub winners: Vec<usize>,
     /// Whether each index was measured (`true`) or interpolated.
     pub measured: Vec<bool>,
-    /// Whether the evaluation budget ran out before the plan resolved
-    /// every contested interval (remaining gaps are filled from the
-    /// nearest measured anchors).
-    pub budget_exhausted: bool,
 }
 
 impl CrossoverPlan {
@@ -265,39 +261,25 @@ impl CrossoverPlan {
     }
 }
 
-/// Memoised, budget-aware evaluator: each index is measured at most
-/// once, so the traversal order can never change a winner. The memo
-/// holds `(winner, decisive)` per measured index.
+/// Memoised evaluator: each index is measured at most once, so the
+/// traversal order can never change a winner. The memo holds
+/// `(winner, decisive)` per measured or interpolated index.
 struct Prober<F> {
     memo: Vec<Option<(usize, bool)>>,
     measured: Vec<bool>,
-    evals: usize,
-    budget: Option<usize>,
-    exhausted: bool,
     eval: F,
 }
 
 impl<F: FnMut(usize) -> (usize, bool)> Prober<F> {
-    /// Evaluates index `i` (memoised). `force` bypasses the budget —
-    /// the grid endpoints must always be measured so every gap has a
-    /// measured anchor to fill from.
-    fn probe(&mut self, i: usize, force: bool) -> Option<(usize, bool)> {
+    /// Evaluates index `i` (memoised).
+    fn probe(&mut self, i: usize) -> (usize, bool) {
         if let Some(w) = self.memo[i] {
-            return Some(w);
-        }
-        if !force {
-            if let Some(b) = self.budget {
-                if self.evals >= b {
-                    self.exhausted = true;
-                    return None;
-                }
-            }
+            return w;
         }
         let w = (self.eval)(i);
-        self.evals += 1;
         self.memo[i] = Some(w);
         self.measured[i] = true;
-        Some(w)
+        w
     }
 }
 
@@ -333,11 +315,6 @@ impl<F: FnMut(usize) -> (usize, bool)> Prober<F> {
 /// differential gates in `tests/adaptive_campaign.rs` check that no
 /// such island exists on the shipped presets' grids.
 ///
-/// `budget` caps the number of `eval` calls (the endpoints are always
-/// measured regardless); once spent, unresolved intervals are filled
-/// from their nearest measured anchors and
-/// [`budget_exhausted`](CrossoverPlan::budget_exhausted) is set.
-///
 /// # Panics
 ///
 /// Panics if `n` is zero, `anchor_step` is zero, or `hints` has the
@@ -346,7 +323,6 @@ pub fn plan_crossover_fill(
     n: usize,
     anchor_step: usize,
     hints: Option<&[(usize, bool)]>,
-    budget: Option<usize>,
     eval: impl FnMut(usize) -> (usize, bool),
 ) -> CrossoverPlan {
     assert!(n > 0, "need at least one grid index");
@@ -357,9 +333,6 @@ pub fn plan_crossover_fill(
     let mut prober = Prober {
         memo: vec![None; n],
         measured: vec![false; n],
-        evals: 0,
-        budget,
-        exhausted: false,
         eval,
     };
     let mut anchors: Vec<usize> = match hints {
@@ -381,11 +354,8 @@ pub fn plan_crossover_fill(
     };
     anchors.sort_unstable();
     anchors.dedup();
-    // Endpoints first (budget-exempt), then interior anchors in order.
-    prober.probe(0, true);
-    prober.probe(n - 1, true);
     for &a in &anchors {
-        prober.probe(a, false);
+        prober.probe(a);
     }
     // An interval is interpolable only when its measured endpoints
     // agree — and, when warm-started, only when every hint strictly
@@ -397,17 +367,15 @@ pub fn plan_crossover_fill(
     };
     // Left-to-right worklist over measured-anchor intervals; bisection
     // pushes sub-intervals. Deterministic order, and winners are
-    // memoised by index, so ordering is cosmetic anyway.
+    // memoised by index, so ordering is cosmetic anyway. The anchors
+    // span the grid and every interval is filled or bisected down to
+    // adjacent indices, so every index ends measured or interpolated.
     let mut stack: Vec<(usize, usize)> = anchors.windows(2).rev().map(|w| (w[0], w[1])).collect();
     while let Some((a, b)) = stack.pop() {
-        let (Some((wa, da)), Some((wb, db))) = (prober.memo[a], prober.memo[b]) else {
-            // An unmeasured anchor (budget ran out during the anchor
-            // pass): leave the gap for the final fill.
-            continue;
-        };
         if b - a <= 1 {
             continue;
         }
+        let ((wa, da), (wb, db)) = (prober.probe(a), prober.probe(b));
         if wa == wb && da && db && fill_ok(a, b, wa) {
             for i in a + 1..b {
                 if prober.memo[i].is_none() {
@@ -417,37 +385,15 @@ pub fn plan_crossover_fill(
             continue;
         }
         let mid = (a + b) / 2;
-        match prober.probe(mid, false) {
-            Some(_) => {
-                stack.push((mid, b));
-                stack.push((a, mid));
-            }
-            None => {
-                // Budget spent mid-bisection: split the interval at its
-                // midpoint between the two measured endpoint winners.
-                for i in a + 1..b {
-                    if prober.memo[i].is_none() {
-                        prober.memo[i] = Some((if i < mid { wa } else { wb }, false));
-                    }
-                }
-            }
-        }
+        prober.probe(mid);
+        stack.push((mid, b));
+        stack.push((a, mid));
     }
-    // Any index still unresolved (anchors skipped under a tiny budget)
-    // snaps to the nearest measured value on its left; index 0 is
-    // always measured, so the scan never lacks an anchor.
-    let mut winners = Vec::with_capacity(n);
-    let mut last = prober.memo[0].expect("endpoint is always measured").0;
-    for i in 0..n {
-        if let Some((w, _)) = prober.memo[i] {
-            last = w;
-        }
-        winners.push(last);
-    }
+    let winners: Vec<usize> = prober.memo.into_iter().flatten().map(|(w, _)| w).collect();
+    debug_assert_eq!(winners.len(), n, "every index is measured or interpolated");
     CrossoverPlan {
         winners,
         measured: prober.measured,
-        budget_exhausted: prober.exhausted,
     }
 }
 
@@ -570,21 +516,20 @@ mod tests {
         };
         let n = 40;
         let mut evals = 0;
-        let plan = plan_crossover_fill(n, 8, None, None, |i| {
+        let plan = plan_crossover_fill(n, 8, None, |i| {
             evals += 1;
             (seq(i), true)
         });
         assert_eq!(plan.winners, (0..n).map(seq).collect::<Vec<_>>());
         assert_eq!(plan.measured_count(), evals);
         assert!(evals < n, "bisection must beat the exhaustive sweep");
-        assert!(!plan.budget_exhausted);
     }
 
     #[test]
     fn planner_with_correct_hints_measures_only_boundaries() {
         let seq: Vec<usize> = (0..64).map(|i| usize::from(i >= 40)).collect();
         let hints: Vec<(usize, bool)> = seq.iter().map(|&w| (w, true)).collect();
-        let plan = plan_crossover_fill(64, 8, Some(&hints), None, |i| (seq[i], true));
+        let plan = plan_crossover_fill(64, 8, Some(&hints), |i| (seq[i], true));
         assert_eq!(plan.winners, seq);
         // Endpoints + the two hinted boundary cells.
         assert_eq!(plan.measured_count(), 4);
@@ -595,7 +540,7 @@ mod tests {
         // The model predicts a crossover at 8; the measurements say 12.
         let truth: Vec<usize> = (0..24).map(|i| usize::from(i >= 12)).collect();
         let hints: Vec<(usize, bool)> = (0..24).map(|i| (usize::from(i >= 8), true)).collect();
-        let plan = plan_crossover_fill(24, 8, Some(&hints), None, |i| (truth[i], true));
+        let plan = plan_crossover_fill(24, 8, Some(&hints), |i| (truth[i], true));
         assert_eq!(plan.winners, truth, "disagreement must densify, not fill");
     }
 
@@ -608,27 +553,17 @@ mod tests {
         // those cells to be measured and the island to be found.
         let truth = |i: usize| usize::from((11..=13).contains(&i));
         let hints: Vec<(usize, bool)> = (0..32).map(|i| (0, !(10..=14).contains(&i))).collect();
-        let plan = plan_crossover_fill(32, 8, Some(&hints), None, |i| (truth(i), true));
+        let plan = plan_crossover_fill(32, 8, Some(&hints), |i| (truth(i), true));
         assert_eq!(plan.winners, (0..32).map(truth).collect::<Vec<_>>());
         assert!((10..=14).all(|i| plan.measured[i]));
         assert!(plan.measured_count() < 32);
     }
 
     #[test]
-    fn planner_budget_caps_measurements_and_reports_exhaustion() {
-        let truth: Vec<usize> = (0..64).map(|i| usize::from(i >= 31)).collect();
-        let plan = plan_crossover_fill(64, 4, None, Some(6), |i| (truth[i], true));
-        assert!(plan.budget_exhausted);
-        // Endpoints are budget-exempt; everything else respects the cap.
-        assert!(plan.measured_count() <= 6 + 2);
-        assert_eq!(plan.winners.len(), 64);
-    }
-
-    #[test]
     fn planner_is_deterministic() {
         let truth: Vec<usize> = (0..50).map(|i| (i / 17) % 3).collect();
-        let a = plan_crossover_fill(50, 8, None, None, |i| (truth[i], true));
-        let b = plan_crossover_fill(50, 8, None, None, |i| (truth[i], true));
+        let a = plan_crossover_fill(50, 8, None, |i| (truth[i], true));
+        let b = plan_crossover_fill(50, 8, None, |i| (truth[i], true));
         assert_eq!(a, b);
     }
 
@@ -640,7 +575,7 @@ mod tests {
         let truth = |i: usize| usize::from(i == 11);
         let contested = |i: usize| (8..=14).contains(&i);
         let n = 24;
-        let plan = plan_crossover_fill(n, 8, None, None, |i| (truth(i), !contested(i)));
+        let plan = plan_crossover_fill(n, 8, None, |i| (truth(i), !contested(i)));
         assert_eq!(plan.winners, (0..n).map(truth).collect::<Vec<_>>());
         // Every contested cell was measured, decisive spans were not.
         assert!((8..=14).all(|i| plan.measured[i]));

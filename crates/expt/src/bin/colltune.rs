@@ -20,16 +20,15 @@
 //!  --mca coll_tuned_dynamic_rules_filename <file>`.
 
 use collsel::coll::Collective;
-use collsel::estim::{log_spaced_sizes, RetryPolicy};
+use collsel::estim::RetryPolicy;
 use collsel::netsim::{ClusterModel, FaultPlan, NoiseParams, SimSpan};
 use collsel::select::{
-    deployment_msg_sizes, to_ompi_rules_multi, CollectiveDecisionService, CollectiveSelector,
-    DecisionServer, DecisionSource, ServerConfig, DEPLOYMENT_COMM_SIZES,
+    deployment_msg_sizes, to_ompi_rules_multi, CollectiveSelector, DecisionServer, DecisionSource,
+    ServerConfig, DEPLOYMENT_COMM_SIZES,
 };
-use collsel::{CampaignPlan, TunedModel, Tuner, TunerConfig};
-use collsel_expt::campaign::{memo_json, CampaignSummary};
+use collsel::{TunedModel, Tuner, TunerConfig};
 use collsel_expt::replay::{
-    comparison_csv, comparison_json, degradation_pct, score_policies, ReplayPolicy,
+    comparison_csv, comparison_json, degradation_pct, memo_json, score_policies, ReplayPolicy,
 };
 use collsel_expt::soak::{run_soak, SoakConfig};
 use collsel_expt::workload::{Trace, TraceGen, TracePreset};
@@ -39,15 +38,11 @@ use std::process::ExitCode;
 const USAGE: &str = "usage:
   colltune tune   [--preset grisou|gros | --nodes N --gbps G --latency-us L --cpus-per-node C]
                   [--tune-p P] [--paper] [--seed N] [--faults SPEC] [-j N | --threads N]
-                  [--collective NAME]...
-                  [--adaptive] [--budget N] [--warm-from model.json] --out model.json
+                  [--collective NAME]... --out model.json
   colltune query  --model model.json --p P --m BYTES [--m BYTES]... [--degraded]
                   [--collective NAME]...
   colltune show   --model model.json
   colltune export --model model.json --out rules.conf [--comm-sizes A,B,...]
-  colltune bench-select
-                  --model model.json [--queries N] [--cache N] [--seed N]
-                  [--comm-sizes A,B,...] [--collective NAME]...
   colltune serve  [--preset grisou|gros] [--tune-p P] [--queries N] [--threads N]
                   [--refits N] [--poison-every N] [--seed N] [--faults SPEC]
                   [--journal FILE] [--json FILE]
@@ -56,19 +51,12 @@ const USAGE: &str = "usage:
                   [--selector fixed|tuned|worst|server|all]... [--json FILE] [--csv FILE]
 
 fault specs (NAME or NAME:SEED): none, degraded-link, straggler, brownout, spike, chaos
---collective: a collective to tune/query/bench (repeatable): bcast, reduce,
+--collective: a collective to tune/query (repeatable): bcast, reduce,
 allreduce, gather, scatter, allgather, alltoall, or `all`; tune runs a breadth
-campaign per listed collective beyond broadcast, query and bench-select serve
-the listed collectives (default: bcast)
+campaign per listed collective beyond broadcast, query serves the listed
+collectives (default: bcast)
 -j/--threads: worker threads for the tuning campaign (default: COLLSEL_THREADS
 or the host's available parallelism); any thread count yields bit-identical models
---adaptive: after tuning, run an adaptive measured-winner campaign (crossover
-bisection + leader-settled repetitions) warm-started from the tuned model and
-embed its coverage accounting in the model JSON;
---budget N caps measured cells per (collective, P) row and implies --adaptive;
---warm-from seeds the campaign from a neighbor cluster's model instead
-bench-select: compare decision-serving throughput (live ranking vs compiled table
-vs cached service) for a tuned model
 serve: soak the fault-tolerant decision server — tune a boot generation, then
 drive seeded mixed query/refit traffic under the fault plan with hot swaps,
 health-gated refits (every --poison-every'th is poisoned and must be rejected),
@@ -94,7 +82,6 @@ fn main() -> ExitCode {
         "query" => cmd_query(&args[1..]),
         "show" => cmd_show(&args[1..]),
         "export" => cmd_export(&args[1..]),
-        "bench-select" => cmd_bench_select(&args[1..]),
         "serve" => cmd_serve(&args[1..]),
         "replay" => cmd_replay(&args[1..]),
         "--help" | "-h" => {
@@ -207,10 +194,8 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
             "--threads",
             "-j",
             "--collective",
-            "--budget",
-            "--warm-from",
         ],
-        &["--paper", "--adaptive"],
+        &["--paper"],
     )?;
     let cluster = match flag_value(args, "--preset") {
         Some("grisou") => ClusterModel::grisou(),
@@ -266,29 +251,6 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
     };
     let collectives = parse_collectives(args)?;
 
-    let budget: Option<usize> = match flag_value(args, "--budget") {
-        Some(s) => {
-            let n: usize = parse(s, "budget")?;
-            if n == 0 {
-                return Err("--budget must be at least 1".into());
-            }
-            Some(n)
-        }
-        None => None,
-    };
-    let adaptive = args.iter().any(|a| a == "--adaptive") || budget.is_some();
-    let warm_from = flag_value(args, "--warm-from");
-    if warm_from.is_some() && !adaptive {
-        return Err("--warm-from requires --adaptive (or --budget)".into());
-    }
-    if adaptive && faults.as_ref().is_some_and(|p| !p.is_none()) {
-        return Err("--adaptive campaigns do not run under an injected fault plan".into());
-    }
-    // The campaign re-measures winners on the same platform the model
-    // was fitted on.
-    let campaign_cluster = cluster.clone();
-    let campaign_config = config.clone();
-
     eprintln!(
         "[colltune] tuning {} ({} slots) with {} experiment processes on {} threads...",
         cluster.name(),
@@ -329,53 +291,10 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
         }
         _ => Tuner::new(cluster, config).tune_collectives(&collectives),
     };
-    // `--adaptive`: a measured-winner campaign, warm-started from the
-    // just-tuned model (or a neighbor's via `--warm-from`), whose
-    // coverage accounting rides along in the model JSON.
-    let campaign = if adaptive {
-        let (warm_model, warm_label) = match warm_from {
-            Some(path) => (load_json(path)?, path.to_owned()),
-            None => (model.clone(), "self".to_owned()),
-        };
-        let comm_sizes: Vec<usize> = [2usize, 4, 8, 16, 32]
-            .into_iter()
-            .filter(|&p| p <= campaign_cluster.max_ranks())
-            .collect();
-        let msg_sizes = log_spaced_sizes(1024, 1024 * 1024, 12);
-        let mut plan = CampaignPlan::adaptive(collectives, comm_sizes, msg_sizes, 4);
-        plan.seed = seed;
-        plan.budget = budget;
-        if args.iter().any(|a| a == "--paper") {
-            plan.precision = collsel::estim::Precision::paper();
-        }
-        eprintln!(
-            "[colltune] adaptive campaign over {} collective(s), warm-started from {warm_label}...",
-            plan.collectives.len()
-        );
-        let report =
-            Tuner::new(campaign_cluster, campaign_config).run_campaign(&plan, Some(&warm_model));
-        Some((plan, report, warm_label))
-    } else {
-        None
-    };
-
-    let mut json = model.to_json();
-    if let (Json::Obj(fields), Some((plan, report, warm_label))) = (&mut json, &campaign) {
-        // The campaign's coverage accounting rides along as one extra
-        // top-level field; decoding ignores unknown fields.
-        let mut meta = CampaignSummary::new(plan, report).to_json();
-        if let Json::Obj(meta_fields) = &mut meta {
-            meta_fields.push(("warm_start".to_owned(), warm_label.to_json()));
-            meta_fields.push(("budget".to_owned(), plan.budget.to_json()));
-        }
-        fields.push(("campaign".to_owned(), meta));
-    }
-    std::fs::write(out, json.to_string_pretty()).map_err(|e| format!("cannot write {out}: {e}"))?;
+    std::fs::write(out, model.to_json().to_string_pretty())
+        .map_err(|e| format!("cannot write {out}: {e}"))?;
     eprintln!("[colltune] model written to {out}");
     print_tables(&model);
-    if let Some((plan, report, _)) = &campaign {
-        println!("{}", CampaignSummary::new(plan, report).to_text());
-    }
     Ok(())
 }
 
@@ -396,8 +315,11 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         &["--model", "--p", "--m", "--collective"],
         &["--degraded"],
     )?;
-    let model = load_model(args)?;
     let p: usize = parse(flag_value(args, "--p").ok_or("--p required")?, "p")?;
+    if p == 0 {
+        return Err("--p must be at least 1".into());
+    }
+    let model = load_model(args)?;
     let sizes = flag_values(args, "--m");
     if sizes.is_empty() {
         return Err("at least one --m required".into());
@@ -470,9 +392,9 @@ fn cmd_show(args: &[String]) -> Result<(), String> {
 
 fn cmd_export(args: &[String]) -> Result<(), String> {
     validate_flags(args, &["--model", "--out", "--comm-sizes"], &[])?;
-    let model = load_model(args)?;
     let out = flag_value(args, "--out").ok_or("--out required")?;
     let comm_sizes = parse_comm_sizes(args)?;
+    let model = load_model(args)?;
     let msg_sizes = deployment_msg_sizes();
     let tables: Vec<_> = model
         .tuned_collectives()
@@ -493,13 +415,17 @@ fn cmd_export(args: &[String]) -> Result<(), String> {
 }
 
 /// The deployment comm-size grid: `--comm-sizes A,B,...` or
-/// [`DEPLOYMENT_COMM_SIZES`] (shared by `export` and `bench-select`).
+/// [`DEPLOYMENT_COMM_SIZES`].
 fn parse_comm_sizes(args: &[String]) -> Result<Vec<usize>, String> {
     match flag_value(args, "--comm-sizes") {
         Some(list) => {
             let mut v = Vec::new();
             for part in list.split(',') {
-                v.push(parse(part.trim(), "communicator size")?);
+                let p: usize = parse(part.trim(), "communicator size")?;
+                if p == 0 {
+                    return Err("--comm-sizes entries must be at least 1".into());
+                }
+                v.push(p);
             }
             v.sort_unstable();
             v.dedup();
@@ -507,113 +433,6 @@ fn parse_comm_sizes(args: &[String]) -> Result<Vec<usize>, String> {
         }
         None => Ok(DEPLOYMENT_COMM_SIZES.to_vec()),
     }
-}
-
-/// Draws one (p, m) query point without modulo bias: `p` uniform over
-/// `2..=max_p`, `m` a uniform power of two over `1 KiB..=8 MiB` (the
-/// serving grids' 14 decades).
-fn sample_query(rng_state: &mut u64, max_p: usize) -> (usize, usize) {
-    let p = 2 + collsel_support::rng::splitmix64_below(rng_state, (max_p - 1) as u64) as usize;
-    let m = 1024usize << collsel_support::rng::splitmix64_below(rng_state, 14);
-    (p, m)
-}
-
-fn cmd_bench_select(args: &[String]) -> Result<(), String> {
-    validate_flags(
-        args,
-        &[
-            "--model",
-            "--queries",
-            "--cache",
-            "--seed",
-            "--comm-sizes",
-            "--collective",
-        ],
-        &[],
-    )?;
-    let model = load_model(args)?;
-    let queries: usize = parse(flag_value(args, "--queries").unwrap_or("200000"), "queries")?;
-    let cache: usize = parse(flag_value(args, "--cache").unwrap_or("4096"), "cache size")?;
-    let seed: u64 = parse(flag_value(args, "--seed").unwrap_or("3492237"), "seed")?;
-    if queries == 0 || cache == 0 {
-        return Err("--queries and --cache must be at least 1".into());
-    }
-    let comm_sizes = parse_comm_sizes(args)?;
-    let msg_sizes = deployment_msg_sizes();
-    let collectives = parse_collectives(args)?;
-    let tuned = model.tuned_collectives();
-    for &c in &collectives {
-        if !tuned.contains(&c) {
-            return Err(format!(
-                "collective `{}` has no fits in this model; re-tune with \
-                 `colltune tune --collective {}`",
-                c.name(),
-                c.name()
-            ));
-        }
-    }
-    let live = model.multi_selector();
-    let compiled = model.compiled_multi_selector(&comm_sizes, &msg_sizes);
-    let service = CollectiveDecisionService::compiled(compiled.clone()).with_cache(cache, seed);
-
-    // A fixed working set of distinct queries, cycled through: realistic
-    // for an application hammering the same communicators and message
-    // sizes, and what gives the cached path something to hit.
-    let mut rng_state = seed;
-    let max_p = comm_sizes.last().copied().unwrap_or(128).max(2);
-    let working_set: Vec<(Collective, usize, usize)> = (0..1024)
-        .map(|_| {
-            let c = collectives[collsel_support::rng::splitmix64_below(
-                &mut rng_state,
-                collectives.len() as u64,
-            ) as usize];
-            let (p, m) = sample_query(&mut rng_state, max_p);
-            (c, p, m)
-        })
-        .collect();
-    let stream = |i: usize| working_set[i % working_set.len()];
-
-    let time = |mut f: Box<dyn FnMut(usize) + '_>| -> f64 {
-        let start = std::time::Instant::now();
-        for i in 0..queries {
-            f(i);
-        }
-        queries as f64 / start.elapsed().as_secs_f64()
-    };
-    let live_qps = time(Box::new(|i| {
-        let (c, p, m) = stream(i);
-        std::hint::black_box(live.ranking(c, p, m));
-    }));
-    let compiled_qps = time(Box::new(|i| {
-        let (c, p, m) = stream(i);
-        std::hint::black_box(compiled.lookup(c, p, m));
-    }));
-    let cached_qps = time(Box::new(|i| {
-        let (c, p, m) = stream(i);
-        std::hint::black_box(service.decide(c, p, m));
-    }));
-    let stats = service.stats();
-    println!(
-        "decision-serving throughput for {} \
-         ({queries} queries over {} collective(s), {} distinct):",
-        model.cluster_name,
-        collectives.len(),
-        working_set.len()
-    );
-    println!("  live ranking : {live_qps:>12.0} queries/s");
-    println!(
-        "  compiled     : {compiled_qps:>12.0} queries/s ({:.1}x live; {} rules)",
-        compiled_qps / live_qps,
-        compiled.rule_count(),
-    );
-    println!(
-        "  cached       : {cached_qps:>12.0} queries/s ({:.1}x live; hit rate {:.1}%, \
-         {} entries resident)",
-        cached_qps / live_qps,
-        100.0 * stats.hit_rate(),
-        service.cached_entries()
-    );
-    Ok(())
 }
 
 fn cmd_replay(args: &[String]) -> Result<(), String> {

@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod campaign;
 pub mod config;
 pub mod fig1;
 pub mod paper_ref;

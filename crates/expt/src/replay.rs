@@ -30,7 +30,7 @@
 use crate::workload::Trace;
 use collsel::coll::compile::GroupCall;
 use collsel::coll::Collective;
-use collsel::estim::{compile_step_shared, compiled_step_dag, step_cell, StepCell};
+use collsel::estim::{compile_step_shared, compiled_step_dag, memo_counters, step_cell, StepCell};
 use collsel::mpi::{simulate_with, Backend, DagEvaluator, SimError, SimOptions};
 use collsel::netsim::{ClusterModel, SimSpan, SimTime};
 use collsel::select::{
@@ -332,6 +332,34 @@ pub fn comparison_csv(outcomes: &[ReplayOutcome]) -> String {
     out
 }
 
+/// Snapshot of the process-wide measurement memo counters — the
+/// compiled-DAG cell and step caches, the collective templates steps
+/// are composed from and the shared payload store — attached to
+/// `colltune replay --json` so cache effectiveness lands in the same
+/// artifact as the JCTs it explains. The counters are monotonic since
+/// process start; a replay that is the process's only workload reads
+/// them as its own hit/miss ledger.
+pub fn memo_json() -> Json {
+    let c = memo_counters();
+    Json::Obj(vec![
+        ("dag_hits".to_owned(), Json::Num(c.dag_hits as f64)),
+        ("dag_misses".to_owned(), Json::Num(c.dag_misses as f64)),
+        (
+            "template_hits".to_owned(),
+            Json::Num(c.template_hits as f64),
+        ),
+        (
+            "template_misses".to_owned(),
+            Json::Num(c.template_misses as f64),
+        ),
+        ("payload_hits".to_owned(), Json::Num(c.payload_hits as f64)),
+        (
+            "payload_misses".to_owned(),
+            Json::Num(c.payload_misses as f64),
+        ),
+    ])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,5 +405,22 @@ mod tests {
         let json = comparison_json("gros", &outs);
         assert!(json.to_string_pretty().contains("degradation_pct"));
         Ok(())
+    }
+
+    #[test]
+    fn memo_json_reports_every_memo_counter() {
+        let memo = memo_json();
+        let keys = [
+            "dag_hits",
+            "dag_misses",
+            "template_hits",
+            "template_misses",
+            "payload_hits",
+            "payload_misses",
+        ];
+        assert!(matches!(&memo, Json::Obj(fields) if fields.len() == keys.len()));
+        for key in keys {
+            assert!(memo.get(key).and_then(Json::as_f64).is_some(), "{key}");
+        }
     }
 }

@@ -109,8 +109,8 @@ fn point_cells(p: usize, m: usize, seg_size: usize, seed: u64) -> Vec<(TimedProg
 /// any thread count.
 pub fn sweep_panel(scenario: &Scenario, tuned: &TunedModel, p: usize, seed: u64) -> SweepPanel {
     // The panel's model picks are served from the compiled decision
-    // table — the same serving structure `colltune bench-select`
-    // measures — instead of re-ranking all six models at every point.
+    // table — the same serving structure the benchmark's `select.*`
+    // probes measure — instead of re-ranking all six models at every point.
     // Every queried (p, m) is a grid point of the compilation, where
     // the compiled table agrees exactly with the live selector (the
     // differential suite in tests/service.rs enforces this), so the

@@ -201,6 +201,68 @@ fn colltune_rejects_bad_usage() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("unknown flag `--backend`"), "{argv:?}: {err}");
     }
+
+    // Each bad input exits 1 (an error, not a panic) with a message
+    // naming what was wrong: a zero communicator size would otherwise
+    // export a `0 # comm size` rules block that Open MPI applies to
+    // every communicator, and `tune` runs no measured-winner campaign.
+    let tune = ["tune", "--preset", "gros", "--out", "x.json"];
+    for (argv, want) in [
+        (
+            vec!["query", "--model", "m.json", "--p", "0", "--m", "8192"],
+            "--p",
+        ),
+        (
+            vec![
+                "export",
+                "--model",
+                "m.json",
+                "--out",
+                "r.conf",
+                "--comm-sizes",
+                "0",
+            ],
+            "--comm-sizes",
+        ),
+        (
+            vec![
+                "export",
+                "--model",
+                "m.json",
+                "--out",
+                "r.conf",
+                "--comm-sizes",
+                "4,0,8",
+            ],
+            "--comm-sizes",
+        ),
+        (
+            [&tune[..], &["--adaptive"]].concat(),
+            "unknown flag `--adaptive`",
+        ),
+        (
+            [&tune[..], &["--budget", "3"]].concat(),
+            "unknown flag `--budget`",
+        ),
+        (
+            [&tune[..], &["--warm-from", "x.json"]].concat(),
+            "unknown flag `--warm-from`",
+        ),
+        (
+            vec!["bench-select", "--model", "m.json"],
+            "unknown command `bench-select`",
+        ),
+    ] {
+        let out = colltune().args(&argv).output().expect("runs");
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{argv:?}: an error exit, not a panic"
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(want), "{argv:?}: {err}");
+        assert!(!err.contains("panicked"), "{argv:?}: {err}");
+    }
 }
 
 #[test]
@@ -251,52 +313,6 @@ fn colltune_rejects_unknown_flags_by_name() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("requires a value"), "{err}");
-}
-
-#[test]
-fn colltune_bench_select_reports_throughput() {
-    let model = temp_path("bench-model.json");
-    let out = colltune()
-        .args([
-            "tune",
-            "--nodes",
-            "8",
-            "--tune-p",
-            "6",
-            "--out",
-            model.to_str().unwrap(),
-        ])
-        .output()
-        .expect("tune runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    let out = colltune()
-        .args([
-            "bench-select",
-            "--model",
-            model.to_str().unwrap(),
-            "--queries",
-            "5000",
-            "--cache",
-            "64",
-        ])
-        .output()
-        .expect("bench-select runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("live ranking"), "{stdout}");
-    assert!(stdout.contains("compiled"), "{stdout}");
-    assert!(stdout.contains("hit rate"), "{stdout}");
-
-    let _ = std::fs::remove_file(model);
 }
 
 #[test]

@@ -23,10 +23,10 @@
 //! payload bytes), lowers it to a [`TimingDag`] with send/recv matching
 //! resolved at compile time, and evaluates it with a [`DagEvaluator`]
 //! with zero OS threads, zero allocation and zero payload traffic per
-//! repetition — the campaign hot path and the default backend. The
-//! crate keeps no state between calls: no thread outlives its run, and
-//! the only buffers reused across runs are those a [`DagEvaluator`]
-//! owns.
+//! repetition — the campaign hot path and the tier every product path
+//! runs on. The crate keeps no state between calls: no thread outlives
+//! its run, and the only buffers reused across runs are those a
+//! [`DagEvaluator`] owns.
 //!
 //! ```
 //! use collsel_support::Bytes;

@@ -69,7 +69,6 @@ fn assert_adaptive_matches_exhaustive(cluster: ClusterModel) {
         fast.simulated_batches() < full.simulated_batches(),
         "{name}: leader-settled repetitions must also save batches"
     );
-    assert!(!fast.budget_exhausted);
 }
 
 #[test]
@@ -303,19 +302,4 @@ fn warm_start_from_wrong_neighbor_stays_correct() {
         gros.run_campaign(&adaptive, Some(&grisou_model)).tables,
         "a wrong warm start may cost cells but never correctness"
     );
-}
-
-#[test]
-fn budget_caps_measured_cells_and_flags_exhaustion() {
-    let tuner = tuner_for(quiet(ClusterModel::gros()));
-    let msgs = msg_grid(24);
-    let mut plan = CampaignPlan::adaptive(vec![Collective::Reduce], vec![8], msgs.clone(), 4);
-    plan.budget = Some(3);
-    let report = tuner.run_campaign(&plan, None);
-    // 3 budgeted probes + the two budget-exempt endpoints.
-    assert!(report.measured_cells() <= 5, "{}", report.measured_cells());
-    assert!(report.budget_exhausted);
-    // The table still covers the whole grid.
-    let table = &report.tables[&Collective::Reduce];
-    assert!(table.lookup(8, *msgs.last().unwrap()).is_some());
 }

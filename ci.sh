@@ -261,6 +261,28 @@ pinned_model "$smoke_dir/model.json" "3572390180 9925"
 ./target/release/colltune query --model "$smoke_dir/model.json" \
     --p 64 --m 8192 --m 1048576 --degraded
 
+echo "==> memory fence: paper-scale gros tune of every collective in bounded memory (pinned model)"
+# A measurement batch is one recorded round looped by the DAG evaluator,
+# so the paper-scale campaign holds one round per cell, not min_reps
+# copies: about 1.5 GB peak, against 5 GB when rounds were tiled. The
+# fence sits at 2048 MiB (colltune reports VmHWM); the cksum is what the
+# commit before looped rounds wrote, so the fence also proves the
+# answers unchanged.
+PAPER_RSS_CEILING_MIB=2048
+./target/release/colltune tune --preset gros --paper --collective all -j 2 \
+    --out "$smoke_dir/paper-all.json" 2> "$smoke_dir/paper-all.log" || {
+    cat "$smoke_dir/paper-all.log" >&2; exit 1;
+}
+rss=$(sed -n 's/^\[colltune\] peak RSS \([0-9]*\) MiB$/\1/p' "$smoke_dir/paper-all.log")
+[ -n "$rss" ] || {
+    echo "ci.sh: colltune tune printed no peak RSS line" >&2; exit 1;
+}
+[ "$rss" -le "$PAPER_RSS_CEILING_MIB" ] || {
+    echo "ci.sh: paper-scale tune peaked at $rss MiB, ceiling $PAPER_RSS_CEILING_MIB MiB" >&2; exit 1;
+}
+echo "    peak RSS $rss MiB (ceiling $PAPER_RSS_CEILING_MIB MiB)"
+pinned_model "$smoke_dir/paper-all.json" "1713615199 121677"
+
 echo "==> colltune collective-breadth smoke run (reduce, under faults, pinned model)"
 ./target/release/colltune tune --preset gros --tune-p 8 -j 1 \
     --collective reduce --faults chaos:7 --out "$smoke_dir/breadth.json"

@@ -12,8 +12,10 @@
 //!
 //! The paper's timed measurement programs are each defined once, as a
 //! [`TimedProgram`]: one round, generic over [`Comm`], which the
-//! threaded engine runs as it stands and the recorder tiles into a
-//! schedule ([`TimedProgram::record`], [`Schedule::repeated`]).
+//! threaded engine runs as it stands and the recorder records once,
+//! with the batch's round count beside it ([`TimedProgram::record`],
+//! [`Schedule::repeated`]); the timing DAG lowers that round once and
+//! loops it.
 //!
 //! A workload step — collectives on rank groups — is not run through
 //! the recorder at all: [`compile_step`] composes its schedule from the
@@ -220,10 +222,11 @@ impl TimedProgram {
     }
 
     /// Records one batch of `reps` repetitions: one
-    /// [`round`](TimedProgram::round) through the recorder, tiled
-    /// [`rounds_per_batch`](TimedProgram::rounds_per_batch) times. Each
-    /// rank observes two clock values per round, and the root's
-    /// consecutive pairs are the timing samples.
+    /// [`round`](TimedProgram::round) through the recorder, run
+    /// [`rounds_per_batch`](TimedProgram::rounds_per_batch) times (the
+    /// round is stored once, with the count). Each rank observes two
+    /// clock values per round, and the root's consecutive pairs are the
+    /// timing samples.
     ///
     /// # Errors
     ///

@@ -10,11 +10,12 @@
 //! linear-segment broadcasts, or a point-to-point round trip — and a
 //! measurement *cell* is such a program plus a base seed.
 //!
-//! Every cell is measured on the timing DAG: the program is recorded
-//! once per cell, `precision.min_reps` repetitions per batch, lowered to
-//! a [`collsel_mpi::TimingDag`] (memoised process-wide in `estim`'s DAG
-//! memo) and evaluated payload-free with one [`DagEvaluator`] whose
-//! fabric and scratch are reset in place. The thread-per-rank engine
+//! Every cell is measured on the timing DAG: one round of the program
+//! is recorded once per cell, lowered to a [`collsel_mpi::TimingDag`]
+//! (memoised process-wide in `estim`'s DAG memo) and evaluated
+//! payload-free with one [`DagEvaluator`], which loops the round
+//! `precision.min_reps` times per batch and resets its fabric and
+//! scratch in place between batches. The thread-per-rank engine
 //! ([`collsel_mpi::simulate_with`], [`Backend::Threads`]) is the oracle
 //! the DAG is checked against (`crates/coll/tests/dag_equivalence.rs`,
 //! and this module's tests through the crate-private `try_measure_on`)
@@ -169,7 +170,7 @@ pub const ROOT: usize = 0;
 /// of repetitions; what drives it owns the stopping rule.
 pub(crate) struct CellSampler {
     program: TimedProgram,
-    /// Rounds per threaded batch; a DAG has them compiled in.
+    /// Rounds per threaded batch; a DAG carries its own round count.
     rounds: usize,
     /// What a round's clock difference is divided by.
     per: f64,
@@ -698,6 +699,77 @@ mod tests {
                 Err(SimError::Timeout { .. })
             ));
         }
+    }
+
+    /// A batch's rounds run as one compiled round in a loop. Per program
+    /// kind and batch size, the looped DAG, the DAG of the flat stream
+    /// (the batch recorded as one `rounds`-fold loop) and the threaded
+    /// oracle return the same samples, and the same timeout when the
+    /// watchdog fires in the batch's last round — past the first
+    /// whenever the batch has several, so the request ids the timeout
+    /// names are shifted by whole rounds.
+    #[test]
+    fn looped_flat_and_threaded_batches_agree_round_for_round(
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        use collsel_mpi::{record_schedule, TimingDag};
+        use std::sync::Arc;
+
+        let chaos = FaultPlan::parse("chaos:7", ClusterModel::gros().nodes())?;
+        for c in [
+            ClusterModel::grisou(),
+            ClusterModel::gros().with_faults(chaos),
+        ] {
+            for (program, seed) in one_of_each_kind() {
+                for reps in [1, 2, 3, 5] {
+                    let rounds = program.rounds_per_batch(reps);
+                    let flat = record_schedule(&c, program.ranks(), |rc| {
+                        for _ in 0..rounds {
+                            program.round(rc, ROOT);
+                        }
+                    })?;
+                    let flat = Arc::new(TimingDag::compile(&c, &flat)?);
+                    let looped = CellSampler::new(&c, program, reps, Backend::Dag);
+                    let looped_rounds = looped.dag.as_ref().map(|ev| ev.dag().rounds());
+                    assert_eq!((looped_rounds, flat.rounds()), (Some(rounds), 1));
+                    // The root's clock pair of the last round, unwatched.
+                    let clocks = DagEvaluator::new(&c, Arc::clone(&flat))
+                        .run(seed, SimOptions::default())?
+                        .wtimes
+                        .swap_remove(ROOT);
+                    let [t0, t1] = [clocks[2 * rounds - 2], clocks[2 * rounds - 1]];
+                    let mid_last_round = RetryPolicy {
+                        max_attempts: 1,
+                        budget: Some(
+                            t0.saturating_since(SimTime::ZERO) + t1.saturating_since(t0) / 2,
+                        ),
+                        backoff: 1,
+                    };
+                    let threaded = || CellSampler::new(&c, program, reps, Backend::Threads);
+                    let mut cells = [
+                        looped,
+                        CellSampler {
+                            dag: Some(DagEvaluator::new(&c, Arc::clone(&flat))),
+                            ..threaded()
+                        },
+                        threaded(),
+                    ];
+                    for policy in [None, Some(&mid_last_round)] {
+                        let [looped, flat, threads] =
+                            cells.each_mut().map(|cell| cell.batch(&c, seed, policy));
+                        let what = format!("{program:?} in {reps}-rep batches on {}", c.name());
+                        assert_eq!(looped, threads, "{what}");
+                        assert_eq!(looped, flat, "{what}");
+                        match policy {
+                            None => assert_eq!(looped.map(|s| s.len()), Ok(rounds), "{what}"),
+                            Some(_) => {
+                                assert!(matches!(looped, Err(SimError::Timeout { .. })), "{what}")
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     /// The identity `measure_family_cell` relies on: the stopping rule

@@ -9,7 +9,9 @@
 //! cell identity — the program ([`TimedProgram`]), the repetitions per
 //! batch and the cluster's eager threshold (the only cluster property
 //! that reaches the compiled artifact; schedules themselves are
-//! cluster-independent).
+//! cluster-independent). Only one round is recorded and lowered: the
+//! DAG carries the batch's round count and its evaluator loops the
+//! round ([`TimingDag::rounds`]).
 //! Tuning campaigns and `DecisionServer` refits re-measure the same
 //! grid cells across batches, retries and generations, so the DAG for
 //! each cell is compiled once here and shared (`Arc`) afterwards.
@@ -20,7 +22,7 @@
 //!
 //! | store | key | value | counters |
 //! |---|---|---|---|
-//! | cell DAGs ([`compiled_dag`]) | ([`TimedProgram`], reps, eager threshold) | `Arc<TimingDag>` | `dag_hits` / `dag_misses` |
+//! | cell DAGs ([`compiled_dag`]) | ([`TimedProgram`], reps, eager threshold) | `Arc<TimingDag>`: one round, looped per batch | `dag_hits` / `dag_misses` |
 //! | step DAGs ([`compiled_step_dag`]) | ([`StepCell`]: world + every call's algorithm, member ranks, sizes; eager threshold) | `Arc<TimingDag>` | `dag_hits` / `dag_misses` |
 //! | collective templates ([`compile_step_shared`]) | [`TemplateKey`]: (algorithm, group size, message size, segment size) | `Arc<Schedule>` | `template_hits` / `template_misses` |
 //!
@@ -47,16 +49,16 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Full cache key: the program, the repetitions baked into the
-/// recording, and the eager threshold the edges were classified
+/// Full cache key: the program, the repetitions per batch (the DAG's
+/// round count), and the eager threshold the edges were classified
 /// against.
 type DagKey = (TimedProgram, usize, usize);
 
-/// Entry cap of each store. Compiled DAGs hold the full flattened op
-/// stream (`reps × P × ops`), so a store is bounded by entry count
-/// rather than evicted: a campaign grid wider than this keeps its first
-/// `DAG_CACHE_CAP` cells cached and recompiles the rest (visible as
-/// misses in [`memo_counters`]).
+/// Entry cap of each store. A cell DAG holds one round's op stream
+/// (`P × ops` of one repetition) and a step DAG a whole step's, so a
+/// store is bounded by entry count rather than evicted: a campaign grid
+/// wider than this keeps its first `DAG_CACHE_CAP` cells cached and
+/// recompiles the rest (visible as misses in [`memo_counters`]).
 const DAG_CACHE_CAP: usize = 256;
 
 /// One memo store: a capped map and its hit/miss counters.

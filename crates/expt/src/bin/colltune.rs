@@ -212,6 +212,15 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
                 flag_value(args, "--cpus-per-node").unwrap_or("1"),
                 "cpus per node",
             )?;
+            if nodes == 0 {
+                return Err("--nodes must be at least 1".into());
+            }
+            if cpus == 0 {
+                return Err("--cpus-per-node must be at least 1".into());
+            }
+            if !(gbps.is_finite() && gbps > 0.0) {
+                return Err(format!("--gbps must be positive, got {gbps}"));
+            }
             ClusterModel::builder("custom", nodes)
                 .cpus_per_node(cpus)
                 .bandwidth_gbps(gbps)
@@ -219,11 +228,11 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
                 .build()
         }
     };
-    let default_p = (cluster.max_ranks() / 2).max(2).min(cluster.max_ranks());
     let tune_p: usize = match flag_value(args, "--tune-p") {
         Some(s) => parse(s, "tune-p")?,
-        None => default_p,
+        None => (cluster.max_ranks() / 2).max(2),
     };
+    check_tune_p(tune_p, &cluster)?;
     let seed: u64 = match flag_value(args, "--seed") {
         Some(s) => parse(s, "seed")?,
         None => 0xC0115E1,
@@ -294,8 +303,37 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
     std::fs::write(out, model.to_json().to_string_pretty())
         .map_err(|e| format!("cannot write {out}: {e}"))?;
     eprintln!("[colltune] model written to {out}");
+    if let Some(mib) = peak_rss_mib() {
+        eprintln!("[colltune] peak RSS {mib} MiB");
+    }
     print_tables(&model);
     Ok(())
+}
+
+/// Checks an experiment process count against the cluster it runs on.
+fn check_tune_p(tune_p: usize, cluster: &ClusterModel) -> Result<(), String> {
+    if tune_p < 2 {
+        return Err(format!(
+            "--tune-p must be at least 2 (an experiment needs two processes), got {tune_p}"
+        ));
+    }
+    if tune_p > cluster.max_ranks() {
+        return Err(format!(
+            "--tune-p {tune_p} exceeds the {} process slots of cluster {}",
+            cluster.max_ranks(),
+            cluster.name()
+        ));
+    }
+    Ok(())
+}
+
+/// This process's peak resident set size in MiB, from `VmHWM` in
+/// `/proc/self/status`; `None` where that file is unreadable.
+fn peak_rss_mib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib.div_ceil(1024))
 }
 
 fn load_model(args: &[String]) -> Result<TunedModel, String> {
@@ -640,6 +678,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if let Some(s) = flag_value(args, "--tune-p") {
         config.tune_p = parse(s, "tune-p")?;
     }
+    check_tune_p(config.tune_p, &config.cluster)?;
     if let Some(s) = flag_value(args, "--queries") {
         config.queries = parse(s, "query count")?;
     }

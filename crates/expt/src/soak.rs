@@ -233,14 +233,17 @@ pub fn run_soak(config: &SoakConfig) -> SoakReport {
         Mutex::new(BTreeMap::from([(1u64, server.current_tables())]));
 
     let threads = config.threads.max(1);
-    let per_thread = config.queries / threads;
+    // Reader `t`'s share of the queries: the remainder goes to the
+    // first readers, so the shares add up to `config.queries`.
+    let share = |t: usize| config.queries / threads + usize::from(t < config.queries % threads);
     let refits = config.refits;
-    // Query-cohort checkpoints: readers pause at checkpoint `round`
-    // until refit `round` has been decided, and the driver waits for
-    // every reader to reach it first — so each swap deterministically
-    // lands *between* query cohorts, with live traffic on both sides.
-    // Both sides compute the same floor, so neither can deadlock.
-    let checkpoint = move |round: usize| per_thread * round / (refits + 1);
+    // Query-cohort checkpoints: reader `t` pauses at checkpoint `round`
+    // of its own share until refit `round` has been decided, and the
+    // driver waits for every reader to reach its checkpoint first — so
+    // each swap deterministically lands *between* query cohorts, with
+    // live traffic on both sides. Both sides compute the same floors,
+    // so neither can deadlock.
+    let checkpoint = move |t: usize, round: usize| share(t) * round / (refits + 1);
     let answered = AtomicU64::new(0);
     let rounds_done = AtomicU64::new(0);
     let rejected = AtomicU64::new(0);
@@ -255,12 +258,13 @@ pub fn run_soak(config: &SoakConfig) -> SoakReport {
             let answered = &answered;
             let rounds_done = &rounds_done;
             let mut state = config.seed ^ ((t as u64 + 1) << 32);
+            let queries = share(t);
             readers.push(scope.spawn(move || {
-                let mut obs = Vec::with_capacity(per_thread);
-                let mut lat = Vec::with_capacity(per_thread);
+                let mut obs = Vec::with_capacity(queries);
+                let mut lat = Vec::with_capacity(queries);
                 let mut next_round = 1usize;
-                for j in 0..per_thread {
-                    while next_round <= refits && j == checkpoint(next_round) {
+                for j in 0..queries {
+                    while next_round <= refits && j == checkpoint(t, next_round) {
                         while rounds_done.load(Ordering::Acquire) < next_round as u64 {
                             std::thread::yield_now();
                         }
@@ -290,7 +294,7 @@ pub fn run_soak(config: &SoakConfig) -> SoakReport {
         // checkpoint, submits, then releases them.
         let driver = scope.spawn(|| {
             for round in 1..=refits {
-                let gate = (checkpoint(round) * threads) as u64;
+                let gate = (0..threads).map(|t| checkpoint(t, round)).sum::<usize>() as u64;
                 while answered.load(Ordering::Acquire) < gate {
                     std::thread::yield_now();
                 }

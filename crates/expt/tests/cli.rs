@@ -252,6 +252,14 @@ fn colltune_rejects_bad_usage() {
             vec!["bench-select", "--model", "m.json"],
             "unknown command `bench-select`",
         ),
+        // Sizes the tuner cannot run at: an experiment needs two
+        // processes, no more than the cluster has slots, on at least
+        // one node.
+        ([&tune[..], &["--tune-p", "0"]].concat(), "--tune-p"),
+        ([&tune[..], &["--tune-p", "1"]].concat(), "--tune-p"),
+        ([&tune[..], &["--tune-p", "100000"]].concat(), "--tune-p"),
+        (vec!["tune", "--nodes", "0", "--out", "x.json"], "--nodes"),
+        (vec!["serve", "--tune-p", "1"], "--tune-p"),
     ] {
         let out = colltune().args(&argv).output().expect("runs");
         assert_eq!(
@@ -263,6 +271,19 @@ fn colltune_rejects_bad_usage() {
         assert!(err.contains(want), "{argv:?}: {err}");
         assert!(!err.contains("panicked"), "{argv:?}: {err}");
     }
+}
+
+/// The soak answers exactly the queries asked for, however they split
+/// over the readers.
+#[test]
+fn colltune_serve_answers_every_query_asked_for() {
+    let out = colltune()
+        .args(["serve", "--queries", "10", "--refits", "0"])
+        .output()
+        .expect("runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("served 10 queries"), "{stdout}");
 }
 
 #[test]

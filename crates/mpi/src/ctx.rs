@@ -114,7 +114,9 @@ impl Ctx {
             Ok(Resume::Abort) | Err(_) => {
                 // Unwind this rank thread; the harness catches this and
                 // the engine already knows why the run is being aborted.
-                std::panic::panic_any(crate::sim::AbortToken);
+                // `resume_unwind` skips the panic hook, so an aborted run
+                // prints nothing.
+                std::panic::resume_unwind(Box::new(crate::sim::AbortToken));
             }
         }
     }

@@ -43,6 +43,12 @@
 //! ([`collsel_netsim::Fabric::reset`]), so a cell's thousands of
 //! repetitions share one cluster clone and one set of buffers;
 //! [`DagEvaluator::evaluate_reps`] is the batched entry point.
+//!
+//! Within one run, a DAG compiled from a schedule of several rounds
+//! holds one round and loops it [`TimingDag::rounds`] times: clocks,
+//! the fabric, its noise stream and the clock reads carry over, and
+//! only the round's completion slots, edges and resume candidates start
+//! over (see [`TimingDag::compile`] for when that is exact).
 
 use crate::engine::EngineReport;
 use crate::error::SimError;
@@ -204,8 +210,15 @@ pub struct TimingDag {
     slot_wait: Vec<u32>,
     /// For each slot: the rank that posted (and therefore waits on) it.
     slot_rank: Vec<u32>,
-    /// Per-rank `Wtime` counts, to pre-size observation vectors.
+    /// Per-rank `Wtime` counts of one round, to pre-size observation
+    /// vectors.
     wtime_counts: Vec<u32>,
+    /// How many times an evaluation runs the compiled round.
+    rounds: usize,
+    /// Per rank, the requests one round issues: round `i`'s request ids
+    /// are the compiled ones moved up by `i ×` this, which is how
+    /// diagnostics print them.
+    round_reqs: Vec<ReqId>,
 }
 
 impl TimingDag {
@@ -221,11 +234,24 @@ impl TimingDag {
     /// semantics (an unreceived eager send still books fabric time and
     /// completes; an unreceived rendezvous send never completes).
     ///
+    /// A schedule of several [rounds](Schedule::repeated) is lowered once
+    /// and looped when that is exact: every rank's round opens with a
+    /// barrier and crosses as many barriers as every other rank's, and
+    /// every message of a round is received in the same round. A barrier
+    /// books no fabric time and releases no rank before all have
+    /// finished the round before it, so every booking of round `k`
+    /// precedes every booking of round `k + 1`, and running the one
+    /// compiled round again with the clocks, fabric and noise stream
+    /// carried over is the flat stream's evaluation. A timed measurement
+    /// round (`barrier; wtime; body; [barrier;] wtime`, see
+    /// [`Schedule::repeated`]) qualifies; any other schedule is lowered
+    /// as its flat stream.
+    ///
     /// # Errors
     ///
-    /// Returns [`CompileError::TooLarge`] when the schedule's total op
-    /// count exceeds the `u32` index space ([`Self::MAX_OPS`]); the
-    /// bare `as u32` narrowing below would otherwise silently truncate
+    /// Returns [`CompileError::TooLarge`] when the op count to lower
+    /// exceeds the `u32` index space ([`Self::MAX_OPS`]); the bare
+    /// `as u32` narrowing below would otherwise silently truncate
     /// indices and mis-wire the DAG.
     ///
     /// # Panics
@@ -236,12 +262,12 @@ impl TimingDag {
         Self::compile_capped(cluster, sched, Self::MAX_OPS)
     }
 
-    /// The largest total op count [`Self::compile`] accepts. One `u32`
-    /// value (`NONE_IDX`) is reserved as the "no index" sentinel, and
-    /// every compiled index space — ops, completion slots, wait-slot
-    /// entries, edges — is bounded by the schedule's total op count
-    /// (each op posts at most one request, and each request is waited
-    /// on at most once), so a single guard covers them all.
+    /// The largest op count [`Self::compile`] lowers. One `u32` value
+    /// (`NONE_IDX`) is reserved as the "no index" sentinel, and every
+    /// compiled index space — ops, completion slots, wait-slot entries,
+    /// edges — is bounded by the lowered op count (each op posts at
+    /// most one request, and each request is waited on at most once),
+    /// so a single guard covers them all.
     pub const MAX_OPS: usize = (u32::MAX - 1) as usize;
 
     fn compile_capped(
@@ -249,98 +275,121 @@ impl TimingDag {
         sched: &Schedule,
         cap: usize,
     ) -> Result<TimingDag, CompileError> {
-        if sched.total_ops() > cap {
+        if sched.rounds > 1 && rounds_are_barrier_separated(sched) {
+            let round = Self::lower(cluster, sched, false, cap)?;
+            let matched = |e: &DagEdge| e.send_slot != NONE_IDX && e.recv_slot != NONE_IDX;
+            if round.edges.iter().all(matched) {
+                return Ok(round);
+            }
+        }
+        Self::lower(cluster, sched, true, cap)
+    }
+
+    /// Lowers one round of `sched` (to be looped `sched.rounds` times)
+    /// or, with `flat`, its whole flat stream (run once).
+    fn lower(
+        cluster: &ClusterModel,
+        sched: &Schedule,
+        flat: bool,
+        cap: usize,
+    ) -> Result<TimingDag, CompileError> {
+        let rounds = if flat { sched.rounds } else { 1 };
+        let total = sched.total_ops().saturating_mul(rounds);
+        if total > cap {
             return Err(CompileError::TooLarge {
-                ops: sched.total_ops(),
+                ops: total,
                 max: cap,
             });
         }
         let p = sched.ranks();
         let eager_threshold = cluster.eager_threshold();
-        let total = sched.total_ops();
         let mut ops: Vec<DagOp> = Vec::with_capacity(total);
         let mut rank_bounds = Vec::with_capacity(p + 1);
         let mut wait_slots: Vec<u32> = Vec::new();
         let mut wait_reqs: Vec<ReqId> = Vec::new();
         let mut wtime_counts = vec![0u32; p];
         let mut slots: u32 = 0;
-        let requests = sched.reqs.iter().map(|&n| n as usize).sum();
+        let requests = sched.reqs.iter().map(|&n| n as usize).sum::<usize>() * rounds;
         let mut slot_wait: Vec<u32> = Vec::with_capacity(requests);
         let mut slot_rank: Vec<u32> = Vec::with_capacity(requests);
         let mut halves: Vec<Half> = Vec::with_capacity(requests);
+        let mut round_reqs = Vec::with_capacity(p);
 
-        for (rank, rops) in sched.ops.iter().enumerate() {
+        for (rank, wtimes) in wtime_counts.iter_mut().enumerate() {
             rank_bounds.push(ops.len() as u32);
             // Request ids are dense per rank in issue order, and so are
             // slots: request `id` of this rank owns slot `first_slot + id`.
             let first_slot = slots;
-            for op in rops {
-                let idx = ops.len() as u32;
-                match op {
-                    SchedOp::Isend { req, dst, tag, len } => {
-                        assert_eq!(first_slot + req, slots, "request ids are dense");
-                        halves.push(Half {
-                            src: rank as u32,
-                            dst: *dst as u32,
-                            tag: *tag,
-                            recv: false,
-                            op: idx,
-                            slot: slots,
-                            bytes: *len,
-                        });
-                        slots += 1;
-                        slot_wait.push(NONE_IDX);
-                        slot_rank.push(rank as u32);
-                        ops.push(DagOp::Send { edge: NONE_IDX });
-                    }
-                    SchedOp::Irecv { req, src, tag } => {
-                        let Peer::Rank(s) = src else {
-                            panic!("wildcard receive source in a replay-valid schedule")
-                        };
-                        let TagSel::Exact(t) = tag else {
-                            panic!("wildcard receive tag in a replay-valid schedule")
-                        };
-                        assert_eq!(first_slot + req, slots, "request ids are dense");
-                        halves.push(Half {
-                            src: *s as u32,
-                            dst: rank as u32,
-                            tag: *t,
-                            recv: true,
-                            op: idx,
-                            slot: slots,
-                            bytes: 0,
-                        });
-                        slots += 1;
-                        slot_wait.push(NONE_IDX);
-                        slot_rank.push(rank as u32);
-                        ops.push(DagOp::Recv { edge: NONE_IDX });
-                    }
-                    SchedOp::Compute { span } => ops.push(DagOp::Compute { span: *span }),
-                    SchedOp::Wait { reqs, mode } => {
-                        let off = wait_slots.len() as u32;
-                        for id in reqs {
-                            assert!(
-                                *id < slots - first_slot,
-                                "waited request was posted earlier in program order"
-                            );
-                            let slot = first_slot + id;
-                            wait_slots.push(slot);
-                            wait_reqs.push(*id);
-                            slot_wait[slot as usize] = idx;
+            for (by, round) in sched.rank_rounds(rank, flat) {
+                for op in round {
+                    let idx = ops.len() as u32;
+                    match op {
+                        SchedOp::Isend { req, dst, tag, len } => {
+                            assert_eq!(first_slot + by + req, slots, "request ids are dense");
+                            halves.push(Half {
+                                src: rank as u32,
+                                dst: *dst as u32,
+                                tag: *tag,
+                                recv: false,
+                                op: idx,
+                                slot: slots,
+                                bytes: *len,
+                            });
+                            slots += 1;
+                            slot_wait.push(NONE_IDX);
+                            slot_rank.push(rank as u32);
+                            ops.push(DagOp::Send { edge: NONE_IDX });
                         }
-                        ops.push(DagOp::Wait {
-                            off,
-                            len: reqs.len() as u32,
-                            mode: *mode,
-                        });
-                    }
-                    SchedOp::Barrier => ops.push(DagOp::Barrier),
-                    SchedOp::Wtime => {
-                        wtime_counts[rank] += 1;
-                        ops.push(DagOp::Wtime);
+                        SchedOp::Irecv { req, src, tag } => {
+                            let Peer::Rank(s) = src else {
+                                panic!("wildcard receive source in a replay-valid schedule")
+                            };
+                            let TagSel::Exact(t) = tag else {
+                                panic!("wildcard receive tag in a replay-valid schedule")
+                            };
+                            assert_eq!(first_slot + by + req, slots, "request ids are dense");
+                            halves.push(Half {
+                                src: *s as u32,
+                                dst: rank as u32,
+                                tag: *t,
+                                recv: true,
+                                op: idx,
+                                slot: slots,
+                                bytes: 0,
+                            });
+                            slots += 1;
+                            slot_wait.push(NONE_IDX);
+                            slot_rank.push(rank as u32);
+                            ops.push(DagOp::Recv { edge: NONE_IDX });
+                        }
+                        SchedOp::Compute { span } => ops.push(DagOp::Compute { span: *span }),
+                        SchedOp::Wait { reqs, mode } => {
+                            let off = wait_slots.len() as u32;
+                            for id in reqs.iter().map(|id| by + id) {
+                                assert!(
+                                    id < slots - first_slot,
+                                    "waited request was posted earlier in program order"
+                                );
+                                let slot = first_slot + id;
+                                wait_slots.push(slot);
+                                wait_reqs.push(id);
+                                slot_wait[slot as usize] = idx;
+                            }
+                            ops.push(DagOp::Wait {
+                                off,
+                                len: reqs.len() as u32,
+                                mode: *mode,
+                            });
+                        }
+                        SchedOp::Barrier => ops.push(DagOp::Barrier),
+                        SchedOp::Wtime => {
+                            *wtimes += 1;
+                            ops.push(DagOp::Wtime);
+                        }
                     }
                 }
             }
+            round_reqs.push(slots - first_slot);
         }
         rank_bounds.push(ops.len() as u32);
 
@@ -394,6 +443,8 @@ impl TimingDag {
             slot_wait,
             slot_rank,
             wtime_counts,
+            rounds: if flat { 1 } else { sched.rounds },
+            round_reqs,
         })
     }
 
@@ -408,14 +459,32 @@ impl TimingDag {
         self.edges.len()
     }
 
-    /// Total compiled operations across all ranks (diagnostics).
+    /// Total compiled operations across all ranks: one round's for a
+    /// looped DAG (diagnostics).
     pub fn op_count(&self) -> usize {
         self.ops.len()
+    }
+
+    /// How many times an evaluation runs the compiled operations.
+    pub fn rounds(&self) -> usize {
+        self.rounds
     }
 
     fn rank_end(&self, r: usize) -> u32 {
         self.rank_bounds[r + 1]
     }
+}
+
+/// Whether every rank's round of `sched` opens with a barrier and all
+/// ranks cross equally many barriers per round, so the barrier that
+/// opens round `k + 1` is the one every rank waits in after round `k`.
+fn rounds_are_barrier_separated(sched: &Schedule) -> bool {
+    let barriers = |ops: &Vec<SchedOp>| ops.iter().filter(|op| **op == SchedOp::Barrier).count();
+    let per_round = barriers(&sched.ops[0]);
+    sched
+        .ops
+        .iter()
+        .all(|ops| ops.first() == Some(&SchedOp::Barrier) && barriers(ops) == per_round)
 }
 
 /// Where a rank stands during evaluation (mirrors the engine's view).
@@ -459,6 +528,11 @@ struct DagScratch {
     done: usize,
     /// Ranks currently blocked on a barrier.
     in_barrier: usize,
+    /// The round being evaluated (see [`TimingDag::rounds`]).
+    round: usize,
+    /// Ranks that finished the round and wait in the barrier opening
+    /// the next one.
+    at_round_end: usize,
 }
 
 impl DagScratch {
@@ -487,6 +561,20 @@ impl DagScratch {
         self.woken.extend(0..p);
         self.done = 0;
         self.in_barrier = 0;
+        self.round = 0;
+        self.at_round_end = 0;
+    }
+
+    /// Starts the next round once every rank has finished this one:
+    /// every request and message of the round is spent, so completion
+    /// slots, edges and resume candidates start over; clocks, the
+    /// fabric and the noise stream carry on.
+    fn next_round(&mut self) {
+        self.slot_done.fill(T_NONE);
+        self.edge_state.fill((EDGE_IDLE, SimTime::ZERO));
+        self.ready.clear();
+        self.round += 1;
+        self.at_round_end = 0;
     }
 }
 
@@ -582,9 +670,20 @@ impl DagRun<'_> {
                         }
                     }
                 } else if limit == self.dag.rank_end(r) {
-                    self.s.status[r] = Status::Done;
-                    self.s.finish[r] = self.s.local[r];
-                    self.s.done += 1;
+                    if self.s.round + 1 < self.dag.rounds {
+                        // Into the barrier that opens the next round,
+                        // as the flat stream's rank would block in it.
+                        let opening = self.dag.rank_bounds[r];
+                        self.s.status[r] = Status::Blocked;
+                        self.s.blocked[r] = opening;
+                        self.s.cursor[r] = opening + 1;
+                        self.s.in_barrier += 1;
+                        self.s.at_round_end += 1;
+                    } else {
+                        self.s.status[r] = Status::Done;
+                        self.s.finish[r] = self.s.local[r];
+                        self.s.done += 1;
+                    }
                     break;
                 } else {
                     self.s.status[r] = Status::Blocked;
@@ -742,6 +841,10 @@ impl DagRun<'_> {
             }
             self.check_deadline(barrier_t)?;
             self.s.in_barrier = 0;
+            if self.s.at_round_end > 0 {
+                debug_assert_eq!(self.s.at_round_end, p, "rounds are barrier-separated");
+                self.s.next_round();
+            }
             for r in 0..p {
                 self.wake(r, barrier_t);
             }
@@ -814,6 +917,13 @@ impl DagRun<'_> {
         self.s.woken.push(r);
     }
 
+    /// The request id the flat stream gives wait entry `i` of rank `r`
+    /// in the current round.
+    fn flat_req(&self, r: usize, i: u32) -> u64 {
+        let round_base = self.s.round as u64 * u64::from(self.dag.round_reqs[r]);
+        round_base + u64::from(self.dag.wait_reqs[i as usize])
+    }
+
     fn deadlock_detail(&self) -> String {
         let mut parts = Vec::new();
         for r in 0..self.dag.p {
@@ -830,7 +940,7 @@ impl DagRun<'_> {
                                     let slot = self.dag.wait_slots[i as usize];
                                     self.s.slot_done[slot as usize] == T_NONE
                                 })
-                                .map(|i| format!("req {}", self.dag.wait_reqs[i as usize]))
+                                .map(|i| format!("req {}", self.flat_req(r, i)))
                                 .collect();
                             format!("wait[{mode:?}] on {}", outstanding.join(", "))
                         }
@@ -869,7 +979,7 @@ fn run_once(
     let wtimes = dag
         .wtime_counts
         .iter()
-        .map(|&n| Vec::with_capacity(n as usize))
+        .map(|&n| Vec::with_capacity(n as usize * dag.rounds))
         .collect();
     DagRun {
         dag,
@@ -1014,18 +1124,17 @@ mod tests {
         ctx.wait_send(s1);
     }
 
-    /// [`TimingDag::compile`] as it was built before the sorted-halves
-    /// construction: a `BTreeMap` of per-channel send and receive lists
-    /// and a per-rank `HashMap` from request id to slot. Kept as the
-    /// oracle for edge numbering and slot wiring.
+    /// [`TimingDag::compile`] of the flat stream as it was built before
+    /// the sorted-halves construction: a `BTreeMap` of per-channel send
+    /// and receive lists and a per-rank `HashMap` from request id to
+    /// slot. Kept as the oracle for edge numbering and slot wiring.
     #[allow(clippy::type_complexity)]
     fn compile_reference(cluster: &ClusterModel, sched: &Schedule) -> TimingDag {
         use std::collections::{BTreeMap, HashMap};
 
         let p = sched.ranks();
         let eager_threshold = cluster.eager_threshold();
-        let total = sched.total_ops();
-        let mut ops: Vec<DagOp> = Vec::with_capacity(total);
+        let mut ops: Vec<DagOp> = Vec::new();
         let mut rank_bounds = Vec::with_capacity(p + 1);
         let mut wait_slots: Vec<u32> = Vec::new();
         let mut wait_reqs: Vec<ReqId> = Vec::new();
@@ -1042,7 +1151,7 @@ mod tests {
         let mut channels: BTreeMap<(u32, u32, u32), (Vec<SendEnt>, Vec<RecvEnt>)> = BTreeMap::new();
         let mut req_slot: HashMap<ReqId, u32> = HashMap::new();
 
-        for (rank, rops) in sched.ops.iter().enumerate() {
+        for (rank, rops) in sched.flattened().ops.iter().enumerate() {
             rank_bounds.push(ops.len() as u32);
             req_slot.clear();
             for op in rops {
@@ -1154,6 +1263,8 @@ mod tests {
             slot_wait,
             slot_rank,
             wtime_counts,
+            rounds: 1,
+            round_reqs: sched.flattened().reqs,
         }
     }
 
@@ -1266,6 +1377,89 @@ mod tests {
             .expect_err("deadline must trip");
         let fast = evaluate(&cluster, &dag, 3, opts).expect_err("deadline must trip");
         assert_eq!(oracle, fast, "timeout errors must be value-identical");
+    }
+
+    /// A schedule of `k` rounds compiles to one looped round, which
+    /// evaluates as its flat stream does and as the threaded engine runs
+    /// the `k` rounds: on both sides of the eager threshold, under a
+    /// fault plan, and with a deadline that trips in a later round (the
+    /// timeout names the requests by their flat ids).
+    #[test]
+    fn looped_rounds_match_the_flat_stream_and_threads() {
+        let base = ClusterModel::gros();
+        let p = 5;
+        let traced = SimOptions {
+            traced: true,
+            deadline: None,
+        };
+        for bytes in [512usize, 128 * 1024] {
+            let one = record_ring(&base, p, bytes);
+            for k in [1, 2, 3, 5] {
+                let sched = one.repeated(k);
+                let looped = Arc::new(TimingDag::compile(&base, &sched).expect("compiles"));
+                assert_eq!((looped.rounds(), looped.op_count()), (k, one.total_ops()));
+                let flat =
+                    Arc::new(TimingDag::compile(&base, &sched.flattened()).expect("compiles"));
+                assert_eq!((flat.rounds(), flat.op_count()), (1, k * one.total_ops()));
+                let rounds = |c: &mut Ctx| -> Vec<SimTime> {
+                    (0..k).flat_map(|_| mixed_ring(c, bytes)).collect()
+                };
+                for spec in ["none", "chaos:7"] {
+                    let plan = FaultPlan::parse(spec, base.nodes()).expect("canned plan");
+                    let cluster = base.clone().with_faults(plan);
+                    for seed in [2u64, 99] {
+                        let oracle = threaded(&cluster, p, seed, traced, rounds).expect("threads");
+                        let fast = evaluate(&cluster, &looped, seed, traced).expect("looped");
+                        assert_identical(&oracle, &fast);
+                        assert_identical(
+                            &fast,
+                            &evaluate(&cluster, &flat, seed, traced).expect("flat"),
+                        );
+                        if k < 2 {
+                            continue;
+                        }
+                        // Halfway through the last round's ring exchange.
+                        let last = &fast.wtimes[0][2 * (k - 1)..];
+                        let deadline = last[0].saturating_since(SimTime::ZERO)
+                            + last[1].saturating_since(last[0]) / 2;
+                        let opts = SimOptions::with_deadline(deadline);
+                        let oracle = threaded(&cluster, p, seed, opts, rounds).expect_err("trips");
+                        let fast = evaluate(&cluster, &looped, seed, opts).expect_err("trips");
+                        assert_eq!(oracle, fast, "{k} rounds, {spec}, seed {seed}");
+                        assert_eq!(
+                            fast,
+                            evaluate(&cluster, &flat, seed, opts).expect_err("trips")
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Rounds that do not open with a barrier, or whose messages cross
+    /// into the next round, are lowered as the flat stream.
+    #[test]
+    fn rounds_that_cannot_loop_compile_flat() {
+        let cluster = ClusterModel::gros();
+        let no_barrier =
+            record_schedule(&cluster, 4, |rc| ring_exchange(rc, 2048)).expect("records");
+        // Rank 0's second send of a round is received in the next one.
+        let crossing = record_schedule(&cluster, 2, |rc| {
+            rc.barrier();
+            if rc.rank() == 0 {
+                rc.send(1, 0, Bytes::from_static(b"x"));
+                rc.send(1, 0, Bytes::from_static(b"y"));
+            } else {
+                let _ = rc.recv(0, 0);
+            }
+        })
+        .expect("records");
+        for one in [no_barrier, crossing] {
+            let sched = one.repeated(3);
+            let dag = TimingDag::compile(&cluster, &sched).expect("compiles");
+            assert_eq!((dag.rounds(), dag.op_count()), (1, 3 * one.total_ops()));
+            assert!(dag == compile_reference(&cluster, &sched));
+        }
     }
 
     #[test]

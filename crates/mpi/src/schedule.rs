@@ -188,13 +188,25 @@ pub enum OpShape {
 /// [`crate::TimingDag::compile`]. It holds no payload bytes, only
 /// lengths, and is cluster-independent, so one recording serves every
 /// cluster, seed and fault plan of a campaign.
+///
+/// A schedule is stored in count form: one round of operations per rank
+/// and how many times the program runs that round back to back
+/// ([`repeated`](Schedule::repeated)). The program it stands for is the
+/// flat stream — the round tiled as many times as the count says,
+/// each round's request ids moved up by the rank's requests per round —
+/// and that is what [`shape`](Schedule::shape) and
+/// [`embed`](Schedule::embed) read; the timing DAG lowers one round and
+/// loops it where that is exact.
 #[derive(Debug, Clone)]
 pub struct Schedule {
+    /// Per rank, one round's operations.
     pub(crate) ops: Vec<Vec<SchedOp>>,
-    /// Per rank, how many requests its operations issue. Request ids
-    /// are allocated densely in issue order, so this is also the id the
-    /// rank's next request gets.
+    /// Per rank, how many requests one round's operations issue.
+    /// Request ids are allocated densely in issue order, so this is
+    /// also the id the rank's next request in the round gets.
     pub(crate) reqs: Vec<ReqId>,
+    /// How many times the program runs the stored round; at least one.
+    pub(crate) rounds: usize,
 }
 
 impl Schedule {
@@ -207,9 +219,14 @@ impl Schedule {
     /// slots, as [`record_schedule`] does.
     pub fn idle(cluster: &ClusterModel, ranks: usize) -> Schedule {
         check_ranks(cluster, ranks);
+        Schedule::empty(ranks)
+    }
+
+    fn empty(ranks: usize) -> Schedule {
         Schedule {
             ops: vec![Vec::new(); ranks],
             reqs: vec![0; ranks],
+            rounds: 1,
         }
     }
 
@@ -218,54 +235,85 @@ impl Schedule {
         self.ops.len()
     }
 
-    /// Total recorded operations across all ranks (diagnostics).
+    /// Stored operations across all ranks: one round's (diagnostics).
     pub fn total_ops(&self) -> usize {
         self.ops.iter().map(Vec::len).sum()
     }
 
-    /// Per rank, the recorded operations as [`OpShape`]s.
+    /// Rank `rank`'s stored round, once per round the flat stream runs
+    /// it (`all_rounds`) or just once, each time with the amount its
+    /// request ids are moved up by: `i ×` the rank's requests per round
+    /// in round `i`.
+    pub(crate) fn rank_rounds(
+        &self,
+        rank: usize,
+        all_rounds: bool,
+    ) -> impl Iterator<Item = (ReqId, &[SchedOp])> + '_ {
+        let (ops, per_round) = (&self.ops[rank], self.reqs[rank] as usize);
+        let rounds = if all_rounds { self.rounds } else { 1 };
+        (0..rounds).map(move |round| (req_id(round * per_round), ops.as_slice()))
+    }
+
+    /// Per rank, the flat operation stream as [`OpShape`]s.
     pub fn shape(&self) -> Vec<Vec<OpShape>> {
-        self.ops
+        self.flattened()
+            .ops
             .iter()
             .map(|ops| ops.iter().map(SchedOp::shape).collect())
             .collect()
     }
 
-    /// The schedule of this program run `reps` times back to back:
-    /// each rank's operations tiled `reps` times, with the request ids
-    /// of repetition `i` moved up by `i ×` the rank's requests per
+    /// The schedule of this program run `reps` times back to back. Only
+    /// the round count is multiplied. The flat stream it stands for is
+    /// each rank's operations tiled `reps` times, with the request ids of
+    /// repetition `i` moved up by `i ×` the rank's requests per
     /// repetition — exactly what recording the `reps`-fold loop yields,
     /// since request ids are allocated in issue order and a valid
     /// program issues the same stream every time.
     #[must_use]
     pub fn repeated(&self, reps: usize) -> Schedule {
-        let tile = |(ops, &per_rep): (&Vec<SchedOp>, &ReqId)| {
-            let mut out = Vec::with_capacity(ops.len() * reps);
-            for rep in 0..reps {
-                let by = req_id(rep * per_rep as usize);
-                out.extend(ops.iter().map(|op| op.mapped(by, |rank| rank, 0)));
-            }
-            out
-        };
+        if reps == 0 {
+            return Schedule::empty(self.ranks());
+        }
         Schedule {
-            ops: self.ops.iter().zip(&self.reqs).map(tile).collect(),
+            ops: self.ops.clone(),
+            reqs: self.reqs.clone(),
+            rounds: self.rounds * reps,
+        }
+    }
+
+    /// This schedule with its rounds written out: one round holding the
+    /// whole flat stream.
+    pub(crate) fn flattened(&self) -> Schedule {
+        Schedule {
+            ops: (0..self.ranks())
+                .map(|rank| {
+                    self.rank_rounds(rank, true)
+                        .flat_map(|(by, ops)| {
+                            ops.iter().map(move |op| op.mapped(by, |peer| peer, 0))
+                        })
+                        .collect()
+                })
+                .collect(),
             reqs: self
                 .reqs
                 .iter()
-                .map(|&per_rep| req_id(reps * per_rep as usize))
+                .map(|&per_round| req_id(self.rounds * per_round as usize))
                 .collect(),
+            rounds: 1,
         }
     }
 
     /// Appends `template` — a `members.len()`-rank program — as the
     /// sub-communicator `members` runs it after everything already in
-    /// this schedule: template rank `g`'s operations go to the end of
+    /// this schedule: template rank `g`'s flat stream goes to the end of
     /// world rank `members[g]`'s stream with peers mapped through
     /// `members`, tags moved up by `tag_base` and request ids moved up
     /// by what that world rank has issued so far. This is op for op
     /// what recording the program through a [`crate::GroupComm`] over
     /// `members` with tag base `tag_base` appends, without running it;
-    /// ranks outside `members` are untouched.
+    /// ranks outside `members` are untouched. A schedule of several
+    /// rounds is written out to one round first.
     ///
     /// Composing a step this way cannot add or hide a deadlock: take
     /// the lowest-index embedded program not yet complete — all its
@@ -303,10 +351,20 @@ impl Schedule {
                 message: GROUP_BARRIER.to_owned(),
             }));
         }
-        for ((ops, &issued), &rank) in template.ops.iter().zip(&template.reqs).zip(members) {
-            let by = self.reqs[rank];
-            self.ops[rank].extend(ops.iter().map(|op| op.mapped(by, |g| members[g], tag_base)));
-            self.reqs[rank] = req_id(by as usize + issued as usize);
+        if self.rounds != 1 {
+            *self = self.flattened();
+        }
+        for (g, &rank) in members.iter().enumerate() {
+            let base = self.reqs[rank];
+            for (by, ops) in template.rank_rounds(g, true) {
+                let by = base + by;
+                self.ops[rank].extend(
+                    ops.iter()
+                        .map(|op| op.mapped(by, |peer| members[peer], tag_base)),
+                );
+            }
+            let issued = template.rounds * template.reqs[g] as usize;
+            self.reqs[rank] = req_id(base as usize + issued);
         }
         Ok(())
     }
@@ -731,6 +789,7 @@ where
     Ok(Schedule {
         reqs: logs.iter().map(|log| req_id(log.matched.len())).collect(),
         ops: logs.into_iter().map(|log| log.ops).collect(),
+        rounds: 1,
     })
 }
 

@@ -23,18 +23,17 @@ echo "==> compiled-vs-live equivalence gate: decision-serving suite at COLLSEL_T
 # A compiled selector must be indistinguishable from its source on grid
 # points and from CollDecisionTable::lookup everywhere else, and the
 # query cache must be transparent — for the model, traditional and
-# fixed selector kinds on every collective, with batched queries
-# bit-identical under a threaded pool; compiled lookup must also be no
-# slower than the live ranking it replaces.
+# fixed selector kinds on every collective; compiled lookup must also
+# be no slower than the live ranking it replaces.
 COLLSEL_THREADS=2 RUSTFLAGS='-D warnings' \
     cargo test --offline -q -p collsel-repro --test service
 
 echo "==> collective-breadth gate: per-collective differential suite at COLLSEL_THREADS=2"
 # The compiled per-collective tables must match the live multi-collective
 # ranking on- and off-grid, the timing DAG must agree bit-for-bit with
-# the threaded oracle on every collective's measurement programs, and batched multi-collective serving
-# must be thread-count invariant; the reduce crossover golden test pins
-# the fitted models to the osu_reduce winner ordering.
+# the threaded oracle on every collective's measurement programs, and
+# the reduce crossover golden test pins the fitted models to the
+# osu_reduce winner ordering.
 COLLSEL_THREADS=2 RUSTFLAGS='-D warnings' \
     cargo test --offline -q -p collsel-repro --test collective_breadth
 
@@ -131,11 +130,12 @@ echo "==> cargo doc (offline, rustdoc warnings are errors)"
 # Broken or private intra-doc links fail here instead of accumulating.
 RUSTDOCFLAGS='-D warnings' cargo doc --offline --workspace --no-deps
 
-echo "==> unwrap/expect ratchet (estim + expt)"
+echo "==> unwrap/expect ratchet (one ceiling per crate)"
 # Fallible library paths must propagate errors or carry a documented
 # invariant comment. This ratchet only ever goes DOWN: if you add an
-# unwrap()/expect() to these crates, justify it as an invariant and
-# bump consciously; if you removed some, lower the ceiling.
+# unwrap()/expect() to a crate, justify it as an invariant and
+# bump its ceiling consciously; if you removed some, lower it.
+# The history below is of the single estim + expt ceiling it replaced.
 # 44 = 40 + the breadth additions: one documented invariant in
 # expt::breadth (every collective has >= 1 algorithm) and three in
 # test code.
@@ -170,14 +170,29 @@ echo "==> unwrap/expect ratchet (estim + expt)"
 # three rendering tests (three in test code), and the budget-free
 # crossover planner resolves every index by measurement or
 # interpolation, so its "endpoint is always measured" left-snap fill goes.
-UNWRAP_CEILING=31
-count=$(grep -rc 'unwrap()\|\.expect(' crates/estim/src crates/expt/src \
-    --include='*.rs' | awk -F: '{s+=$2} END {print s}')
-if [ "$count" -gt "$UNWRAP_CEILING" ]; then
-    echo "ci.sh: unwrap/expect count $count exceeds ceiling $UNWRAP_CEILING" >&2
-    exit 1
-fi
-echo "    $count occurrences (ceiling $UNWRAP_CEILING)"
+# 30 = 31 - 1, then one ceiling per crate: the LogGP probe's expect
+# leaves estim, and a joint ceiling let one crate grow while another
+# shrank and left seven crates unchecked, so every crate under
+# crates/*/src now has its own (a crate without one fails the gate).
+# coll drops by the barrier tests' three and one barrier recording; select
+# gains two documented "generated tables compile" invariants now that
+# CompiledCollectiveSelector::from_tables is fallible, and one in test code.
+UNWRAP_CEILINGS="coll=63 core=10 estim=10 expt=20 model=1 mpi=53 netsim=22 select=27 support=34"
+for dir in crates/*/src; do
+    crate=$(basename "$(dirname "$dir")")
+    ceiling=$(echo "$UNWRAP_CEILINGS" | tr ' ' '\n' | sed -n "s/^$crate=//p")
+    if [ -z "$ceiling" ]; then
+        echo "ci.sh: crate $crate has no unwrap/expect ceiling" >&2
+        exit 1
+    fi
+    count=$(grep -rc 'unwrap()\|\.expect(' "$dir" --include='*.rs' \
+        | awk -F: '{s+=$2} END {print s}')
+    if [ "$count" -gt "$ceiling" ]; then
+        echo "ci.sh: $crate unwrap/expect count $count exceeds ceiling $ceiling" >&2
+        exit 1
+    fi
+    echo "    $crate: $count occurrences (ceiling $ceiling)"
+done
 
 echo "==> hidden-state gate: no thread-locals, a ratchet on statics"
 # No result may depend on hidden process-global state. Thread-local

@@ -497,8 +497,8 @@ pub fn compile_step(
 mod tests {
     use super::*;
     use crate::{
-        allgather_ring, allreduce_recursive_doubling, alltoall_pairwise, barrier_dissemination,
-        reduce, scatter_binomial, ReduceAlg, ReduceOp,
+        allgather_ring, allreduce_recursive_doubling, alltoall_pairwise, reduce, scatter_binomial,
+        ReduceAlg, ReduceOp,
     };
     use collsel_mpi::{simulate_with, Ctx, DagEvaluator, SimOptions, TimingDag};
     use collsel_support::payload::payload;
@@ -855,13 +855,6 @@ mod tests {
         let sched = record(Alg::Alltoall(AlltoallAlg::Pairwise), 0, 128, 0);
         assert_equivalent(&cluster, p, &sched, move |ctx| {
             alltoall_pairwise(ctx, (0..p).map(|_| payload(128)).collect());
-            Vec::new()
-        });
-
-        // The barrier is no `Alg`: it records as it stands.
-        let sched = record_schedule(&cluster, p, |rc| barrier_dissemination(rc)).expect("barrier");
-        assert_equivalent(&cluster, p, &sched, |ctx| {
-            barrier_dissemination(ctx);
             Vec::new()
         });
     }

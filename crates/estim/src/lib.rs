@@ -51,7 +51,6 @@ mod alpha_beta;
 mod campaign;
 mod gamma_est;
 mod hockney_est;
-mod loggp_est;
 pub mod measure;
 mod memo;
 mod regress;
@@ -68,7 +67,6 @@ pub use campaign::{
 };
 pub use gamma_est::{estimate_gamma, try_estimate_gamma, GammaConfig, GammaEstimate};
 pub use hockney_est::{estimate_network_hockney, NetworkHockneyEstimate};
-pub use loggp_est::{estimate_loggp, LogGPEstimate};
 pub use measure::{
     measure, measure_batch, try_measure, try_measure_batch, RetryPolicy, TimedProgram,
 };

@@ -97,20 +97,6 @@ impl RetryPolicy {
         }
     }
 
-    /// The per-request watchdog tier of the decision server: a tight
-    /// 10 µs virtual budget for the first attempt (a compiled-table
-    /// lookup is tens of nanoseconds, so only a degraded generation
-    /// trips it), one retry on the previous generation with an 8×
-    /// budget. Tuning-stage policies measure whole collectives and need
-    /// seconds; serving-stage budgets guard a table lookup.
-    pub fn for_serving() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 2,
-            budget: Some(SimSpan::from_nanos(10_000)),
-            backoff: 8,
-        }
-    }
-
     /// Validates the configuration.
     ///
     /// # Panics

@@ -46,6 +46,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+/// Collectives genuinely tuned for the boot generation (the server
+/// compiles rules for the rest).
+const BOOT_COLLECTIVES: [Collective; 2] = [Collective::Bcast, Collective::Reduce];
+
 /// Configuration of one soak run.
 #[derive(Debug, Clone)]
 pub struct SoakConfig {
@@ -53,9 +57,6 @@ pub struct SoakConfig {
     pub cluster: ClusterModel,
     /// Process count of the tuning experiments.
     pub tune_p: usize,
-    /// Collectives to genuinely tune for the boot generation (the
-    /// server compiles rules for the rest).
-    pub collectives: Vec<Collective>,
     /// Reader threads.
     pub threads: usize,
     /// Total queries across all readers.
@@ -67,7 +68,7 @@ pub struct SoakConfig {
     pub poison_every: usize,
     /// Seed of the query stream and the candidate perturbations.
     pub seed: u64,
-    /// Server configuration (watchdog, faults, journal, grids).
+    /// Server configuration (faults, compile grids, journal).
     pub server: ServerConfig,
 }
 
@@ -90,7 +91,6 @@ impl SoakConfig {
         SoakConfig {
             cluster: ClusterModel::gros().with_noise(NoiseParams::OFF),
             tune_p: 8,
-            collectives: vec![Collective::Bcast, Collective::Reduce],
             threads: 4,
             queries: 12_000,
             refits: 5,
@@ -220,7 +220,7 @@ pub fn run_soak(config: &SoakConfig) -> SoakReport {
     // One genuine tune for the boot generation.
     let tuner = Tuner::new(config.cluster.clone(), TunerConfig::quick(config.tune_p));
     let report = tuner
-        .try_tune_collectives(&config.collectives, Some(&RetryPolicy::default()))
+        .try_tune_collectives(&BOOT_COLLECTIVES, Some(&RetryPolicy::default()))
         .expect("soak boot tune must complete");
     let boot_selector = report.degraded_multi_selector();
     // The boot generation's fits, kept for deriving refit candidates.

@@ -35,12 +35,10 @@ pub mod collectives;
 pub mod derived;
 mod gamma;
 mod hockney;
-mod loggp;
 pub mod reduce_ext;
 pub mod traditional;
 mod validity;
 
 pub use gamma::GammaTable;
 pub use hockney::{Coefficients, Hockney};
-pub use loggp::LogGP;
 pub use validity::FitValidity;

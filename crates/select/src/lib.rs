@@ -19,7 +19,7 @@
 //! * [`multi`] — the serving stack: [`CollDecisionTable`] (rule blocks +
 //!   Open MPI dynamic-rules export), [`CompiledCollectiveSelector`]
 //!   (allocation-free compiled lookup) and [`CollectiveDecisionService`]
-//!   (thread-safe cached front end with batch queries);
+//!   (thread-safe cached front end over fixed compiled tables);
 //! * [`server`] — the fault-tolerant decision server:
 //!   [`DecisionServer`] with epoch-versioned hot swap, a per-request
 //!   watchdog, a health-gated online refit path, and a crash-only

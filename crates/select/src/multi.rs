@@ -21,10 +21,10 @@
 //!   [`ompi_coll_id`]);
 //! * [`CompiledCollectiveSelector`] — the tables flattened to CSR arrays
 //!   with an allocation-free two-binary-search lookup;
-//! * [`CollectiveDecisionService`] — thread-safe front end whose cache
-//!   keys include the collective (keying by `(p, m)` alone would serve
-//!   one collective's algorithm for another — the regression pinned in
-//!   this module's tests).
+//! * [`CollectiveDecisionService`] — thread-safe cached front end over
+//!   compiled tables whose cache keys include the collective (keying by
+//!   `(p, m)` alone would serve one collective's algorithm for another —
+//!   the regression pinned in this module's tests).
 
 use collsel_coll::{
     Alg, AllgatherAlg, AllreduceAlg, AlltoallAlg, BcastAlg, Collective, GatherAlg, ReduceAlg,
@@ -32,8 +32,6 @@ use collsel_coll::{
 };
 use collsel_model::{collectives, FitValidity, GammaTable, Hockney};
 use collsel_mpi::SimError;
-use collsel_support::epoch::EpochSwap;
-use collsel_support::pool::Pool;
 use collsel_support::rng::splitmix64;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -960,34 +958,36 @@ struct CollCsr {
 }
 
 impl CollCsr {
-    fn from_table(table: &CollDecisionTable) -> Self {
-        assert!(
-            !table.comms.is_empty(),
-            "cannot compile an empty decision table for {}",
-            table.collective
-        );
+    fn from_table(table: &CollDecisionTable) -> Result<Self, String> {
+        if table.comms.is_empty() {
+            return Err(format!(
+                "cannot compile an empty decision table for {}",
+                table.collective
+            ));
+        }
         let mut comm_sizes = Vec::with_capacity(table.comms.len());
         let mut block_starts = Vec::with_capacity(table.comms.len() + 1);
         let mut thresholds = Vec::new();
         let mut selections = Vec::new();
         block_starts.push(0);
         for block in &table.comms {
-            assert!(
-                !block.rules.is_empty(),
-                "comm block {} has no rules",
-                block.comm_size
-            );
-            assert!(
-                comm_sizes.last().is_none_or(|&c| c < block.comm_size),
-                "comm blocks must be strictly ascending"
-            );
-            assert!(
-                block
-                    .rules
-                    .windows(2)
-                    .all(|w| w[0].min_msg_size < w[1].min_msg_size),
-                "rule thresholds must be strictly ascending"
-            );
+            let c = table.collective;
+            if block.rules.is_empty() {
+                return Err(format!("{c} comm block {} has no rules", block.comm_size));
+            }
+            if comm_sizes
+                .last()
+                .is_some_and(|&prev| prev >= block.comm_size)
+            {
+                return Err(format!("{c} comm blocks must be strictly ascending"));
+            }
+            if block
+                .rules
+                .windows(2)
+                .any(|w| w[0].min_msg_size >= w[1].min_msg_size)
+            {
+                return Err(format!("{c} rule thresholds must be strictly ascending"));
+            }
             comm_sizes.push(block.comm_size);
             for rule in &block.rules {
                 thresholds.push(rule.min_msg_size);
@@ -995,12 +995,12 @@ impl CollCsr {
             }
             block_starts.push(thresholds.len());
         }
-        CollCsr {
+        Ok(CollCsr {
             comm_sizes,
             block_starts,
             thresholds,
             selections,
-        }
+        })
     }
 
     fn lookup(&self, p: usize, m: usize) -> CollSelection {
@@ -1032,8 +1032,8 @@ impl CompiledCollectiveSelector {
     ///
     /// # Panics
     ///
-    /// Panics if `collectives` is empty or either grid is empty or
-    /// unsorted.
+    /// Panics if `collectives` is empty or names a collective twice, or
+    /// either grid is empty or unsorted.
     pub fn compile(
         selector: &dyn CollectiveSelector,
         collectives: &[Collective],
@@ -1045,32 +1045,35 @@ impl CompiledCollectiveSelector {
             .iter()
             .map(|&c| CollDecisionTable::generate(selector, c, comm_sizes, msg_sizes))
             .collect();
+        // Generated tables always satisfy the CSR contract, so the one
+        // way to fail is a collective listed twice.
         Self::from_tables(&tables, &format!("compiled({})", selector.name()))
+            .expect("each collective is listed once")
     }
 
     /// Flattens existing per-collective decision tables.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `tables` is empty, names a collective twice, or any
-    /// table violates the CSR contract (empty blocks, unsorted
-    /// thresholds).
-    pub fn from_tables(tables: &[CollDecisionTable], name: &str) -> Self {
-        assert!(!tables.is_empty(), "need at least one decision table");
+    /// Fails if `tables` is empty, names a collective twice, or any
+    /// table violates the CSR contract (no blocks, empty blocks,
+    /// unsorted blocks or thresholds).
+    pub fn from_tables(tables: &[CollDecisionTable], name: &str) -> Result<Self, String> {
+        if tables.is_empty() {
+            return Err("need at least one decision table".to_string());
+        }
         let mut per: Vec<Option<CollCsr>> = (0..Collective::ALL.len()).map(|_| None).collect();
         for t in tables {
             let slot = &mut per[t.collective.index()];
-            assert!(
-                slot.is_none(),
-                "duplicate decision table for {}",
-                t.collective
-            );
-            *slot = Some(CollCsr::from_table(t));
+            if slot.is_some() {
+                return Err(format!("duplicate decision table for {}", t.collective));
+            }
+            *slot = Some(CollCsr::from_table(t)?);
         }
-        CompiledCollectiveSelector {
+        Ok(CompiledCollectiveSelector {
             name: name.to_owned(),
             per,
-        }
+        })
     }
 
     /// Whether `collective` was compiled into this selector.
@@ -1128,12 +1131,11 @@ impl CollectiveSelector for CompiledCollectiveSelector {
 /// order. The key is the whole query identity `(collective, p, m)`: two
 /// collectives share every `(p, m)` point, so a key that omitted the
 /// collective would silently serve one collective's algorithm for
-/// another. Values are selections tagged with the generation that
-/// computed them.
+/// another.
 #[derive(Debug)]
 struct QueryCache {
     capacity: usize,
-    map: HashMap<(Collective, usize, usize), (CollSelection, u64)>,
+    map: HashMap<(Collective, usize, usize), CollSelection>,
     keys: Vec<(Collective, usize, usize)>,
     rng_state: u64,
 }
@@ -1148,7 +1150,7 @@ impl QueryCache {
         }
     }
 
-    fn get(&self, key: (Collective, usize, usize)) -> Option<(CollSelection, u64)> {
+    fn get(&self, key: (Collective, usize, usize)) -> Option<CollSelection> {
         self.map.get(&key).copied()
     }
 
@@ -1156,13 +1158,10 @@ impl QueryCache {
         self.keys.len()
     }
 
-    fn insert(&mut self, key: (Collective, usize, usize), val: (CollSelection, u64)) {
+    fn insert(&mut self, key: (Collective, usize, usize), val: CollSelection) {
         // Two workers can race the same missed key; the second insert
-        // must not duplicate it in the eviction pool — but it does
-        // refresh the value, so an entry computed against a stale
-        // selector generation is overwritten by the re-tagged answer.
-        if let Some(slot) = self.map.get_mut(&key) {
-            *slot = val;
+        // must not duplicate it in the eviction pool.
+        if self.map.contains_key(&key) {
             return;
         }
         if self.keys.len() >= self.capacity {
@@ -1180,13 +1179,8 @@ impl QueryCache {
 pub struct ServiceStats {
     /// Queries answered from the exact-query cache.
     pub hits: u64,
-    /// Queries answered by the underlying path (compiled tables, live
-    /// selector, or graceful decision).
+    /// Queries answered by the compiled tables.
     pub misses: u64,
-    /// Of the misses on a graceful path, how many the fixed-rules
-    /// fallback decided rather than the model ranking. Always zero for
-    /// compiled and live paths.
-    pub fallbacks: u64,
 }
 
 impl ServiceStats {
@@ -1206,83 +1200,36 @@ impl ServiceStats {
     }
 }
 
-collsel_support::json_struct!(ServiceStats {
-    hits,
-    misses,
-    fallbacks
-});
-
-/// The underlying decision path of a [`CollectiveDecisionService`].
-#[derive(Debug)]
-enum MultiServePath {
-    Compiled(CompiledCollectiveSelector),
-    Live(Box<dyn CollectiveSelector + Send + Sync>),
-    Graceful(GracefulCollectiveSelector),
-}
-
-/// Thread-safe serving front end for tuned decision functions.
+/// Thread-safe cached front end over compiled per-collective tables.
 ///
 /// All queries take `&self`, so one service can be shared by reference
-/// across [`Pool`] workers (or any threads). The optional exact-query
-/// cache sits in front of whichever path the service wraps; because
-/// selection is pure, a cached answer is always identical to a
-/// recomputed one (**cache transparency**, enforced by the differential
-/// suite), so caching changes throughput and counters but never
-/// results. Counters are relaxed atomics: exact in total under any
-/// interleaving, though the hit/miss *split* of a parallel batch depends
-/// on thread timing — results never do.
+/// across threads. The optional exact-query cache sits in front of the
+/// tables; because lookup is pure, a cached answer is always identical
+/// to a recomputed one (**cache transparency**, enforced by the
+/// differential suite), so caching changes throughput and counters but
+/// never results. Counters are relaxed atomics: exact in total under
+/// any interleaving, though the hit/miss *split* of concurrent queries
+/// depends on thread timing — results never do.
 ///
-/// # Hot swap and cache coherence
-///
-/// [`install_compiled`](Self::install_compiled) and
-/// [`install_live`](Self::install_live) atomically replace the serving
-/// path mid-flight via [`EpochSwap`]. Cached entries
-/// are **epoch-tagged** rather than cleared: a hit requires the entry's
-/// generation to match the pinned generation, so an answer computed
-/// against a superseded selector can never be served after a swap — not
-/// even by the clear-race where an in-flight pre-swap computation
-/// re-inserts its stale answer *after* a clear.
+/// The tables are fixed for the service's lifetime; the hot-swap front
+/// end is [`DecisionServer`](crate::DecisionServer).
 #[derive(Debug)]
 pub struct CollectiveDecisionService {
-    path: EpochSwap<MultiServePath>,
+    tables: CompiledCollectiveSelector,
     cache: Option<Mutex<QueryCache>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    fallbacks: AtomicU64,
 }
 
-/// Queries per [`Pool`] job in [`CollectiveDecisionService::decide_batch`]:
-/// fixed (not derived from the thread count) so the job list — and
-/// therefore the flattened, submission-ordered result — is the same at
-/// any parallelism.
-const BATCH_CHUNK: usize = 256;
-
 impl CollectiveDecisionService {
-    fn new(path: MultiServePath) -> Self {
+    /// Serves from compiled per-collective tables.
+    pub fn compiled(tables: CompiledCollectiveSelector) -> Self {
         CollectiveDecisionService {
-            path: EpochSwap::new(path),
+            tables,
             cache: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            fallbacks: AtomicU64::new(0),
         }
-    }
-
-    /// Serves from compiled per-collective tables (the fast path).
-    pub fn compiled(tables: CompiledCollectiveSelector) -> Self {
-        Self::new(MultiServePath::Compiled(tables))
-    }
-
-    /// Serves by querying `selector` live (the reference path; also the
-    /// only option when queries must never snap to a grid).
-    pub fn live<S: CollectiveSelector + Send + Sync + 'static>(selector: S) -> Self {
-        Self::new(MultiServePath::Live(Box::new(selector)))
-    }
-
-    /// Serves from a [`GracefulCollectiveSelector`], counting rule-path
-    /// decisions in the `fallbacks` counter.
-    pub fn graceful(selector: GracefulCollectiveSelector) -> Self {
-        Self::new(MultiServePath::Graceful(selector))
     }
 
     /// Adds an exact-query cache of `capacity` entries with
@@ -1297,96 +1244,32 @@ impl CollectiveDecisionService {
         self
     }
 
-    /// Whether the service currently wraps compiled tables.
-    pub fn is_compiled(&self) -> bool {
-        self.path.read(|p| matches!(p, MultiServePath::Compiled(_)))
-    }
-
-    /// The current selector generation (1 initially, +1 per install).
-    pub fn epoch(&self) -> u64 {
-        self.path.epoch()
-    }
-
-    /// Atomically installs new compiled tables as the serving path;
-    /// returns the new generation. In-flight queries finish on the
-    /// generation they pinned; cached answers from older generations
-    /// stop hitting immediately (epoch tag mismatch).
-    pub fn install_compiled(&self, tables: CompiledCollectiveSelector) -> u64 {
-        self.path.swap(MultiServePath::Compiled(tables))
-    }
-
-    /// Atomically installs a live selector as the serving path.
-    pub fn install_live<S: CollectiveSelector + Send + Sync + 'static>(&self, selector: S) -> u64 {
-        self.path.swap(MultiServePath::Live(Box::new(selector)))
-    }
-
-    /// Decides one query, consulting the cache first. A cached answer
-    /// is served only if it was computed by the current selector
-    /// generation (epoch tag match), so hot swaps can never leak stale
-    /// picks.
+    /// Decides one query, consulting the cache first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `collective` was not compiled into the tables.
     pub fn decide(&self, collective: Collective, p: usize, m: usize) -> CollSelection {
-        let path = self.path.pin();
-        let epoch = path.epoch();
+        let key = (collective, p, m);
         if let Some(cache) = &self.cache {
-            if let Some((sel, tag)) = cache.lock().expect("cache lock").get((collective, p, m)) {
-                if tag == epoch {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return sel;
-                }
+            if let Some(sel) = cache.lock().expect("cache lock").get(key) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return sel;
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let sel = match &*path {
-            MultiServePath::Compiled(tables) => tables.lookup(collective, p, m),
-            MultiServePath::Live(selector) => selector.select_for(collective, p, m),
-            MultiServePath::Graceful(graceful) => {
-                let d = graceful.decide_for(collective, p, m);
-                if !d.source.is_model() {
-                    self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                }
-                d.selection
-            }
-        };
+        let sel = self.tables.lookup(collective, p, m);
         if let Some(cache) = &self.cache {
-            cache
-                .lock()
-                .expect("cache lock")
-                .insert((collective, p, m), (sel, epoch));
+            cache.lock().expect("cache lock").insert(key, sel);
         }
         sel
     }
 
-    /// Decides a whole query stream, fanned across `pool` in fixed-size
-    /// chunks. Results come back in query order and are bit-identical
-    /// at any thread count: each answer is a pure function of the query
-    /// (the cache is transparent), and the pool returns chunk results
-    /// in submission order.
-    pub fn decide_batch(
-        &self,
-        queries: &[(Collective, usize, usize)],
-        pool: &Pool,
-    ) -> Vec<CollSelection> {
-        let per_chunk = pool.run(queries.chunks(BATCH_CHUNK).map(|chunk| {
-            move || {
-                chunk
-                    .iter()
-                    .map(|&(c, p, m)| self.decide(c, p, m))
-                    .collect::<Vec<CollSelection>>()
-            }
-        }));
-        let mut out = Vec::with_capacity(queries.len());
-        for chunk in per_chunk {
-            out.extend(chunk);
-        }
-        out
-    }
-
-    /// Snapshot of the hit/miss/fallback counters.
+    /// Snapshot of the hit/miss counters.
     pub fn stats(&self) -> ServiceStats {
         ServiceStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            fallbacks: self.fallbacks.load(Ordering::Relaxed),
         }
     }
 
@@ -1395,20 +1278,6 @@ impl CollectiveDecisionService {
         self.cache
             .as_ref()
             .map_or(0, |c| c.lock().expect("cache lock").len())
-    }
-}
-
-impl CollectiveSelector for CollectiveDecisionService {
-    fn select_for(&self, collective: Collective, p: usize, m: usize) -> CollSelection {
-        self.decide(collective, p, m)
-    }
-
-    fn name(&self) -> &str {
-        self.path.read(|p| match p {
-            MultiServePath::Compiled(_) => "multi-service(compiled)",
-            MultiServePath::Live(_) => "multi-service(live)",
-            MultiServePath::Graceful(_) => "multi-service(graceful)",
-        })
     }
 }
 
@@ -1935,13 +1804,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty decision table")]
     fn from_tables_rejects_an_empty_table() {
         let empty = CollDecisionTable {
             collective: Collective::Bcast,
             comms: vec![],
         };
-        let _ = CompiledCollectiveSelector::from_tables(&[empty], "x");
+        let err = CompiledCollectiveSelector::from_tables(&[empty], "x").unwrap_err();
+        assert!(err.contains("empty decision table"), "{err}");
     }
 
     #[test]
@@ -1976,7 +1845,6 @@ mod tests {
         let stats = svc.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 1);
-        assert_eq!(stats.fallbacks, 0);
         assert_eq!(stats.queries(), 2);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
         assert_eq!(svc.cached_entries(), 1);
@@ -1998,73 +1866,6 @@ mod tests {
         assert_eq!(sa, sb, "same seed, same serial counter trace");
     }
 
-    #[test]
-    fn multi_stale_cache_hits_are_impossible_across_a_swap() {
-        // Two generations that disagree: the fixed rules vs a model
-        // selector.
-        let model = CollectiveModelSelector::new(gamma(), all_params(1e-6, 1e-9), 8192);
-        let svc = CollectiveDecisionService::live(OpenMpiCollectiveSelector).with_cache(32, 5);
-        assert_eq!(svc.epoch(), 1);
-        let before = svc.decide(Collective::Reduce, 24, 1 << 20);
-        assert_eq!(before, svc.decide(Collective::Reduce, 24, 1 << 20));
-        assert_eq!(svc.stats().hits, 1, "warm cache before the swap");
-
-        let epoch = svc.install_live(model.clone());
-        assert_eq!(epoch, 2);
-        assert_eq!(svc.epoch(), 2);
-        let after = svc.decide(Collective::Reduce, 24, 1 << 20);
-        assert_eq!(
-            after,
-            model.select_for(Collective::Reduce, 24, 1 << 20),
-            "post-swap answers come from the new generation"
-        );
-        assert_eq!(svc.stats().hits, 1, "no stale hit across the swap");
-        assert_eq!(after, svc.decide(Collective::Reduce, 24, 1 << 20));
-        assert_eq!(svc.stats().hits, 2, "re-tagged entry hits again");
-        assert_eq!(svc.cached_entries(), 1, "entry re-tagged, not duplicated");
-    }
-
-    #[test]
-    fn install_switches_the_serving_path() {
-        let svc = CollectiveDecisionService::live(OpenMpiCollectiveSelector);
-        assert!(!svc.is_compiled());
-        assert_eq!(svc.name(), "multi-service(live)");
-        assert_eq!(
-            svc.decide(Collective::Bcast, 90, 1 << 20),
-            fixed_selection(Collective::Bcast, 90, 1 << 20)
-        );
-        assert_eq!(svc.stats().misses, 1);
-        svc.install_compiled(fixed_compiled());
-        assert!(svc.is_compiled());
-        assert_eq!(svc.name(), "multi-service(compiled)");
-        assert_eq!(
-            svc.decide(Collective::Bcast, 64, 8192),
-            fixed_compiled().lookup(Collective::Bcast, 64, 8192)
-        );
-    }
-
-    #[test]
-    fn graceful_path_counts_fallbacks() {
-        // All fits invalid: every decision comes from the rules
-        // fallback and the counter must say so.
-        let params = bcast_params(1e-6, 1e-9);
-        let validity = params
-            .keys()
-            .map(|&a| (a, FitValidity::Degenerate))
-            .collect();
-        let graceful = GracefulCollectiveSelector::new(gamma(), params, validity, 8192);
-        let svc = CollectiveDecisionService::graceful(graceful).with_cache(16, 2);
-        assert_eq!(svc.name(), "multi-service(graceful)");
-        for &(p, m) in &[(16usize, 1024usize), (90, 1 << 20), (16, 1024)] {
-            let got = svc.decide(Collective::Bcast, p, m);
-            assert_eq!(got, fixed_selection(Collective::Bcast, p, m));
-        }
-        let stats = svc.stats();
-        assert_eq!(stats.queries(), 3);
-        assert_eq!(stats.hits, 1, "repeated query served from cache");
-        assert_eq!(stats.fallbacks, 2, "cache hits do not re-count fallbacks");
-    }
-
     /// The satellite regression: a cache keyed by `(p, m)` alone would
     /// return the *bcast* answer for a *reduce* query at the same
     /// geometry. The service cache keys by `(collective, p, m)`, so two
@@ -2072,7 +1873,14 @@ mod tests {
     #[test]
     fn cache_never_crosses_collectives() {
         let sel = CollectiveModelSelector::new(gamma(), all_params(1e-6, 1e-9), 8192);
-        let svc = CollectiveDecisionService::live(sel.clone()).with_cache(64, 0xBEEF);
+        let compiled = CompiledCollectiveSelector::compile(
+            &sel,
+            &Collective::ALL,
+            &[16, 90],
+            &[8192, 1 << 20],
+        );
+        let svc = CollectiveDecisionService::compiled(compiled).with_cache(64, 0xBEEF);
+        // Grid points only, so every compiled answer is the live pick.
         for (p, m) in [(16usize, 8192usize), (90, 1 << 20), (16, 8192)] {
             for c in Collective::ALL {
                 let got = svc.decide(c, p, m);
@@ -2083,36 +1891,6 @@ mod tests {
         let stats = svc.stats();
         assert_eq!(stats.hits, 7, "third round repeats the first exactly");
         assert_eq!(stats.misses, 14);
-    }
-
-    #[test]
-    fn decide_batch_is_thread_count_invariant() {
-        let sel = CollectiveModelSelector::new(gamma(), all_params(1e-6, 1e-9), 8192);
-        let compiled = CompiledCollectiveSelector::compile(
-            &sel,
-            &Collective::ALL,
-            &[2, 8, 32, 128],
-            &[1024, 64 * 1024, 4 << 20],
-        );
-        let queries: Vec<(Collective, usize, usize)> = (0..600usize)
-            .map(|i| {
-                (
-                    Collective::ALL[i % Collective::ALL.len()],
-                    2 + i % 140,
-                    i * 997,
-                )
-            })
-            .collect();
-        let reference: Vec<CollSelection> = queries
-            .iter()
-            .map(|&(c, p, m)| compiled.lookup(c, p, m))
-            .collect();
-        for threads in [1usize, 2, 5] {
-            let svc = CollectiveDecisionService::compiled(compiled.clone()).with_cache(32, 9);
-            let got = svc.decide_batch(&queries, &Pool::with_threads(threads));
-            assert_eq!(got, reference, "threads={threads}");
-            assert_eq!(svc.stats().queries(), queries.len() as u64);
-        }
     }
 
     #[test]

@@ -17,24 +17,24 @@
 //!   atomic, and a superseded generation is reclaimed only after its
 //!   last reader drains.
 //! * **Watchdog** — every request is charged a deterministic
-//!   virtual-time cost: the configured base lookup cost scaled by the
+//!   virtual-time cost: a 1 µs base lookup cost scaled by the
 //!   [`FaultPlan`]'s link/CPU factors at the server's virtual clock
 //!   (the plan models serving-node brown-outs and stragglers, e.g. a
 //!   refit thrashing the table cache mid-install). A request whose cost
-//!   exceeds the [`RetryPolicy`] budget retries on the **previous**
-//!   generation (resident and warm, charged the uninflated base cost)
-//!   under the backoff-multiplied budget, and falls back to the fixed
-//!   rules when that fails too. Every fallback carries its cause as a
-//!   [`ServeSource`] variant and bumps the matching counter — no
-//!   fallback without a recorded cause.
+//!   exceeds the 10 µs budget retries once on the **previous**
+//!   generation (resident and warm, charged the uninflated base cost
+//!   against an 8× budget), and falls back to the fixed rules when no
+//!   previous generation covers the collective. Every fallback carries
+//!   its cause as a [`ServeSource`] variant and bumps the matching
+//!   counter — no fallback without a recorded cause.
 //! * **Health gate** — [`submit_refit`](DecisionServer::submit_refit)
 //!   rejects a candidate whose fits include any [`FitValidity`] failure
 //!   and shadow-scores the rest: on a canary query grid, every decision
 //!   where the candidate disagrees with the live generation is priced
 //!   with the *live* generation's models; a candidate predicted to
-//!   regress beyond the configured tolerance on more than the allowed
-//!   number of canaries is rejected. The live generation keeps serving
-//!   either way — a bad refit can never flip decisions for the worse.
+//!   regress by more than 25 % on any canary is rejected. The live
+//!   generation keeps serving either way — a bad refit can never flip
+//!   decisions for the worse.
 //! * **Journal** — every installed generation is journalled (decision
 //!   tables + version) with a temp-file + rename write, and
 //!   [`DecisionServer::recover`] replays the last-good generation after
@@ -46,43 +46,47 @@ use crate::multi::{
     GracefulCollectiveSelector,
 };
 use collsel_coll::{Alg, Collective};
-use collsel_estim::RetryPolicy;
 use collsel_model::FitValidity;
-use collsel_netsim::{FaultPlan, SimSpan, SimTime};
+use collsel_netsim::{FaultPlan, SimTime};
 use collsel_support::epoch::EpochSwap;
 use collsel_support::{FromJson, Json, ToJson};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+/// Virtual-time cost of one healthy table lookup, in nanoseconds.
+const BASE_COST_NS: u64 = 1_000;
+
+/// Watchdog budget of a lookup on the current generation, in
+/// nanoseconds. A compiled-table lookup is tens of nanoseconds, so only
+/// a degraded generation trips it.
+const BUDGET_NS: u64 = 10_000;
+
+/// Budget multiplier of the one retry, on the previous generation.
+const RETRY_BACKOFF: u64 = 8;
+
+// The retry charges the previous generation the uninflated base cost,
+// so it always fits its backoff budget and needs no runtime check.
+const _: () = assert!(BASE_COST_NS <= BUDGET_NS * RETRY_BACKOFF);
+
+/// Predicted relative slowdown beyond which a canary counts as a
+/// regression (0.25 = 25 %); a single regressing canary rejects a refit.
+const TOLERANCE: f64 = 0.25;
+
 /// Configuration of a [`DecisionServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Per-request watchdog: budget for the current generation,
-    /// backoff multiplier for the previous-generation retry,
-    /// `max_attempts < 2` disables the retry tier.
-    pub policy: RetryPolicy,
-    /// Virtual-time cost of one healthy table lookup.
-    pub base_cost: SimSpan,
     /// Fault schedule applied to the serving path (node 0 hosts the
     /// server, link 0–1 is its table-fetch path): brown-outs and
     /// degraded links inflate the lookup cost inside their windows,
     /// stragglers inflate it permanently. [`FaultPlan::none`] keeps
-    /// every lookup at `base_cost`.
+    /// every lookup at the 1 µs base cost.
     pub faults: FaultPlan,
     /// Communicator-size grid used to compile generations.
     pub comm_sizes: Vec<usize>,
-    /// Message-size grid used to compile generations.
+    /// Message-size grid used to compile generations; the health gate
+    /// scores every collective on this grid and `comm_sizes`.
     pub msg_sizes: Vec<usize>,
-    /// Canary queries for the health gate; empty derives the full
-    /// `collectives × comm_sizes × msg_sizes` grid.
-    pub canaries: Vec<(Collective, usize, usize)>,
-    /// Allowed relative regression per canary before it counts against
-    /// the candidate (0.25 = 25 % predicted slowdown).
-    pub tolerance: f64,
-    /// Number of regressing canaries a candidate may have and still be
-    /// installed.
-    pub max_regressions: usize,
     /// Journal file for crash-only recovery; `None` disables
     /// journalling.
     pub journal: Option<PathBuf>,
@@ -91,35 +95,11 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            policy: RetryPolicy::for_serving(),
-            base_cost: SimSpan::from_nanos(1_000),
             faults: FaultPlan::none(),
             comm_sizes: crate::DEPLOYMENT_COMM_SIZES.to_vec(),
             msg_sizes: crate::deployment_msg_sizes(),
-            canaries: Vec::new(),
-            tolerance: 0.25,
-            max_regressions: 0,
             journal: None,
         }
-    }
-}
-
-impl ServerConfig {
-    /// The canary grid the health gate scores on (the explicit list, or
-    /// the full compile grid across all collectives).
-    fn canary_points(&self) -> Vec<(Collective, usize, usize)> {
-        if !self.canaries.is_empty() {
-            return self.canaries.clone();
-        }
-        let mut points = Vec::new();
-        for c in Collective::ALL {
-            for &p in &self.comm_sizes {
-                for &m in &self.msg_sizes {
-                    points.push((c, p, m));
-                }
-            }
-        }
-        points
     }
 }
 
@@ -204,10 +184,10 @@ pub enum RefitOutcome {
         /// The algorithms whose fits failed, with their verdicts.
         invalid: Vec<(Alg, FitValidity)>,
     },
-    /// Rejected: the shadow score predicts regressions beyond the
-    /// configured tolerance on too many canaries.
+    /// Rejected: the shadow score predicts a regression beyond 25 % on
+    /// at least one canary.
     RejectedRegression {
-        /// Canaries predicted to regress beyond tolerance.
+        /// Canaries predicted to regress beyond 25 %.
         regressions: usize,
         /// Total canaries scored.
         canaries: usize,
@@ -307,6 +287,24 @@ collsel_support::json_struct!(JournalRecord {
     tables
 });
 
+/// The words every [`DecisionServer::decide`] writes, kept on cache
+/// lines of their own. Concurrent readers bounce these lines on every
+/// request; sharing one with the read-mostly configuration or the
+/// generation cell would turn each of those reads into a miss too (the
+/// serving benchmark's decide loop ran ~1.8× slower on a 2-core host
+/// with the clock on the line that holds the current-generation index).
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct HotCounters {
+    /// Virtual serving clock in nanoseconds; advanced by each request's
+    /// charged cost. The fault schedule is evaluated against it.
+    clock: AtomicU64,
+    served_current: AtomicU64,
+    served_previous_timeout: AtomicU64,
+    served_rules_timeout: AtomicU64,
+    served_rules_uncovered: AtomicU64,
+}
+
 /// The long-running decision server (see the module docs).
 ///
 /// All methods take `&self`; the server is `Sync` and meant to be
@@ -317,13 +315,7 @@ pub struct DecisionServer {
     generations: EpochSwap<Generation>,
     /// Serialises refits/installs (readers never take it).
     install_lock: Mutex<()>,
-    /// Virtual serving clock in nanoseconds; advanced by each request's
-    /// charged cost. The fault schedule is evaluated against it.
-    clock: AtomicU64,
-    served_current: AtomicU64,
-    served_previous_timeout: AtomicU64,
-    served_rules_timeout: AtomicU64,
-    served_rules_uncovered: AtomicU64,
+    hot: HotCounters,
     swaps: AtomicU64,
     rejected_invalid: AtomicU64,
     rejected_regression: AtomicU64,
@@ -370,18 +362,13 @@ impl DecisionServer {
             .map_err(|e| format!("journal {} is corrupt: {e}", path.display()))?;
         let record = JournalRecord::from_json(&json)
             .map_err(|e| format!("journal {} is corrupt: {e}", path.display()))?;
-        if record.tables.is_empty() {
-            return Err(format!("journal {} holds no tables", path.display()));
-        }
-        let tables = Arc::new(CompiledCollectiveSelector::from_tables(
-            &record.tables,
-            "recovered",
-        ));
+        let tables = CompiledCollectiveSelector::from_tables(&record.tables, "recovered")
+            .map_err(|e| format!("journal {} is corrupt: {e}", path.display()))?;
         let generation = Generation {
             version: record.version,
             label: format!("journal({})", record.label),
             cluster: record.cluster,
-            tables,
+            tables: Arc::new(tables),
             source: Arc::new(record.tables),
             referee: None,
             prev: None,
@@ -394,11 +381,7 @@ impl DecisionServer {
             config,
             generations: EpochSwap::new(generation),
             install_lock: Mutex::new(()),
-            clock: AtomicU64::new(0),
-            served_current: AtomicU64::new(0),
-            served_previous_timeout: AtomicU64::new(0),
-            served_rules_timeout: AtomicU64::new(0),
-            served_rules_uncovered: AtomicU64::new(0),
+            hot: HotCounters::default(),
             swaps: AtomicU64::new(0),
             rejected_invalid: AtomicU64::new(0),
             rejected_regression: AtomicU64::new(0),
@@ -419,7 +402,10 @@ impl DecisionServer {
                 CollDecisionTable::generate(selector, c, &config.comm_sizes, &config.msg_sizes)
             })
             .collect();
-        let tables = CompiledCollectiveSelector::from_tables(&source, "generation");
+        // Generated tables hold one table per collective, each with
+        // ascending non-empty blocks, so they always compile.
+        let tables = CompiledCollectiveSelector::from_tables(&source, "generation")
+            .expect("generated decision tables compile");
         (Arc::new(tables), Arc::new(source))
     }
 
@@ -442,7 +428,7 @@ impl DecisionServer {
 
     /// The server's virtual clock.
     pub fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.clock.load(Ordering::Relaxed))
+        SimTime::from_nanos(self.hot.clock.load(Ordering::Relaxed))
     }
 
     /// Answers one query under the watchdog (see the module docs for
@@ -451,24 +437,22 @@ impl DecisionServer {
         let gen = self.generations.pin();
         // Deterministic virtual cost of serving from the current
         // generation right now.
-        let now = SimTime::from_nanos(self.clock.load(Ordering::Relaxed));
+        let now = SimTime::from_nanos(self.hot.clock.load(Ordering::Relaxed));
         let factor = self.config.faults.link_factor(0, 1, now) * self.config.faults.cpu_factor(0);
-        let cost_ns = (self.config.base_cost.as_nanos() as f64 * factor).round() as u64;
-        self.clock.fetch_add(cost_ns, Ordering::Relaxed);
+        let cost_ns = (BASE_COST_NS as f64 * factor).round() as u64;
+        self.hot.clock.fetch_add(cost_ns, Ordering::Relaxed);
         if !gen.tables.covers(collective) {
-            self.served_rules_uncovered.fetch_add(1, Ordering::Relaxed);
+            self.hot
+                .served_rules_uncovered
+                .fetch_add(1, Ordering::Relaxed);
             return ServedAnswer {
                 selection: fixed_selection(collective, p, m),
                 epoch: 0,
                 source: ServeSource::RulesUncovered,
             };
         }
-        let within_budget = match self.config.policy.budget {
-            None => true,
-            Some(b) => cost_ns <= b.as_nanos(),
-        };
-        if within_budget {
-            self.served_current.fetch_add(1, Ordering::Relaxed);
+        if cost_ns <= BUDGET_NS {
+            self.hot.served_current.fetch_add(1, Ordering::Relaxed);
             return ServedAnswer {
                 selection: gen.tables.lookup(collective, p, m),
                 epoch: gen.version,
@@ -479,27 +463,23 @@ impl DecisionServer {
         // has been resident and serving for a while, so it is charged
         // the uninflated base cost against the backoff-multiplied
         // budget (the fault window models pressure on the freshly
-        // installed tables, not on long-resident ones).
-        if self.config.policy.max_attempts >= 2 {
-            if let Some((prev_version, prev_tables)) = &gen.prev {
-                if prev_tables.covers(collective) {
-                    let retry_budget = self.config.policy.budget.map(|b| {
-                        b.as_nanos()
-                            .saturating_mul(self.config.policy.backoff.max(1))
-                    });
-                    let retry_cost = self.config.base_cost.as_nanos();
-                    if retry_budget.is_none_or(|b| retry_cost <= b) {
-                        self.served_previous_timeout.fetch_add(1, Ordering::Relaxed);
-                        return ServedAnswer {
-                            selection: prev_tables.lookup(collective, p, m),
-                            epoch: *prev_version,
-                            source: ServeSource::PreviousAfterTimeout,
-                        };
-                    }
-                }
+        // installed tables, not on long-resident ones), which it always
+        // meets.
+        if let Some((prev_version, prev_tables)) = &gen.prev {
+            if prev_tables.covers(collective) {
+                self.hot
+                    .served_previous_timeout
+                    .fetch_add(1, Ordering::Relaxed);
+                return ServedAnswer {
+                    selection: prev_tables.lookup(collective, p, m),
+                    epoch: *prev_version,
+                    source: ServeSource::PreviousAfterTimeout,
+                };
             }
         }
-        self.served_rules_timeout.fetch_add(1, Ordering::Relaxed);
+        self.hot
+            .served_rules_timeout
+            .fetch_add(1, Ordering::Relaxed);
         ServedAnswer {
             selection: fixed_selection(collective, p, m),
             epoch: 0,
@@ -514,13 +494,13 @@ impl DecisionServer {
     /// The gate, in order:
     /// 1. **Fit validity** — any non-`Valid` verdict among the
     ///    candidate's judged fits rejects it outright.
-    /// 2. **Shadow score** — on every canary query where the candidate
-    ///    picks a different algorithm than the live generation, both
-    ///    picks are priced with the live generation's models; a
-    ///    predicted slowdown beyond `tolerance` counts against the
-    ///    candidate, and more than `max_regressions` such canaries
-    ///    reject it. (Skipped when the live generation has no referee,
-    ///    i.e. right after journal recovery.)
+    /// 2. **Shadow score** — the canaries are every collective on the
+    ///    compile grid. On every canary where the candidate picks a
+    ///    different algorithm than the live generation, both picks are
+    ///    priced with the live generation's models; a predicted
+    ///    slowdown beyond 25 % on any canary rejects the candidate.
+    ///    (Skipped when the live generation has no referee, i.e. right
+    ///    after journal recovery.)
     pub fn submit_refit(
         &self,
         candidate: &GracefulCollectiveSelector,
@@ -540,9 +520,15 @@ impl DecisionServer {
         // Gate 2: shadow score against the live referee.
         let referee = self.generations.read(|g| g.referee.clone());
         if let Some(referee) = referee {
-            let canaries = self.config.canary_points();
+            let config = &self.config;
+            let canaries = Collective::ALL.into_iter().flat_map(|c| {
+                config
+                    .comm_sizes
+                    .iter()
+                    .flat_map(move |&p| config.msg_sizes.iter().map(move |&m| (c, p, m)))
+            });
             let mut regressions = 0usize;
-            for &(c, p, m) in &canaries {
+            for (c, p, m) in canaries {
                 let cand_pick = candidate.decide_for(c, p, m).selection.alg;
                 let live_pick = referee.decide_for(c, p, m).selection.alg;
                 if cand_pick == live_pick {
@@ -557,15 +543,17 @@ impl DecisionServer {
                     // disagreement is unscoreable, not a regression.
                     continue;
                 };
-                if t_cand > t_live * (1.0 + self.config.tolerance) {
+                if t_cand > t_live * (1.0 + TOLERANCE) {
                     regressions += 1;
                 }
             }
-            if regressions > self.config.max_regressions {
+            if regressions > 0 {
                 self.rejected_regression.fetch_add(1, Ordering::Relaxed);
                 return RefitOutcome::RejectedRegression {
                     regressions,
-                    canaries: canaries.len(),
+                    canaries: Collective::ALL.len()
+                        * config.comm_sizes.len()
+                        * config.msg_sizes.len(),
                 };
             }
         }
@@ -642,10 +630,10 @@ impl DecisionServer {
         let swaps = self.swaps.load(Ordering::Relaxed);
         let total = self.swap_nanos_total.load(Ordering::Relaxed);
         ServerStats {
-            served_current: self.served_current.load(Ordering::Relaxed),
-            served_previous_timeout: self.served_previous_timeout.load(Ordering::Relaxed),
-            served_rules_timeout: self.served_rules_timeout.load(Ordering::Relaxed),
-            served_rules_uncovered: self.served_rules_uncovered.load(Ordering::Relaxed),
+            served_current: self.hot.served_current.load(Ordering::Relaxed),
+            served_previous_timeout: self.hot.served_previous_timeout.load(Ordering::Relaxed),
+            served_rules_timeout: self.hot.served_rules_timeout.load(Ordering::Relaxed),
+            served_rules_uncovered: self.hot.served_rules_uncovered.load(Ordering::Relaxed),
             swaps,
             rejected_invalid: self.rejected_invalid.load(Ordering::Relaxed),
             rejected_regression: self.rejected_regression.load(Ordering::Relaxed),
@@ -864,6 +852,50 @@ mod tests {
         config.journal = Some(temp_journal("missing"));
         let _ = std::fs::remove_file(config.journal.as_ref().unwrap());
         assert!(DecisionServer::recover(config).is_err());
+    }
+
+    /// A journal that decodes cleanly but cannot compile (a table with
+    /// no comm blocks, a comm block with no rules, a collective twice)
+    /// is a typed recovery error naming the journal, not a panic.
+    #[test]
+    fn recovery_from_an_uncompilable_journal_is_a_typed_error() {
+        let bcast = CollDecisionTable::generate(
+            &selector_with(false),
+            Collective::Bcast,
+            &[4, 16],
+            &[1024, 1 << 20],
+        );
+        let no_comms = CollDecisionTable {
+            comms: Vec::new(),
+            ..bcast.clone()
+        };
+        let mut no_rules = bcast.clone();
+        no_rules.comms[1].rules.clear();
+        let cases = [
+            ("no-comms", vec![no_comms], "empty decision table"),
+            ("no-rules", vec![no_rules], "has no rules"),
+            (
+                "twice",
+                vec![bcast.clone(), bcast],
+                "duplicate decision table",
+            ),
+        ];
+        for (tag, tables, want) in cases {
+            let path = temp_journal(tag);
+            let record = JournalRecord {
+                version: 3,
+                label: "refit 2".to_string(),
+                cluster: "test".to_string(),
+                tables,
+            };
+            std::fs::write(&path, record.to_json().to_string_pretty()).expect("write journal");
+            let mut config = small_config();
+            config.journal = Some(path.clone());
+            let err = DecisionServer::recover(config).expect_err(tag);
+            let _ = std::fs::remove_file(&path);
+            assert!(err.contains(want), "{tag}: {err}");
+            assert!(err.contains(&path.display().to_string()), "{tag}: {err}");
+        }
     }
 
     #[test]

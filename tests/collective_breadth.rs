@@ -2,8 +2,7 @@
 //! collective, the compiled decision tables must be indistinguishable
 //! from the live model ranking (on- and off-grid), the timing DAG must
 //! agree bit-for-bit with the thread-per-rank oracle on every
-//! collective's measurement programs, and batched multi-collective serving must be
-//! invariant to the thread count. The reduce crossover golden test pins
+//! collective's measurement programs. The reduce crossover golden test pins
 //! the fitted models to the osu_reduce winner ordering on the gros
 //! preset. `ci.sh` re-runs this suite at `COLLSEL_THREADS=2` as the
 //! breadth equivalence gate.
@@ -12,9 +11,8 @@ use collsel::coll::{Collective, ReduceAlg};
 use collsel::estim::{log_spaced_sizes, measure_family_cell, Precision};
 use collsel::mpi::Backend;
 use collsel::netsim::{ClusterModel, NoiseParams};
-use collsel::select::{CollectiveDecisionService, CollectiveSelector};
+use collsel::select::CollectiveSelector;
 use collsel::{TunedModel, Tuner, TunerConfig};
-use collsel_support::pool::Pool;
 use collsel_support::rng::splitmix64;
 use std::sync::OnceLock;
 
@@ -97,34 +95,6 @@ fn backends_agree_on_every_collective_measurement_program() {
             )
         });
         assert_eq!(dag, threads, "backends diverged on {c}");
-    }
-}
-
-/// Batched multi-collective decisions equal per-query serial decides,
-/// in order, at any thread count — with the cache on.
-#[test]
-fn decide_batch_is_thread_count_invariant_across_collectives() {
-    let model = tuned();
-    let msg_grid = msg_grid();
-    let compiled = model.compiled_multi_selector(&COMM_GRID, &msg_grid);
-    let mut state = 0x5EED_CAFEu64;
-    let queries: Vec<(Collective, usize, usize)> = (0..600)
-        .map(|_| {
-            let c = Collective::ALL[(splitmix64(&mut state) % 7) as usize];
-            let p = 1 + (splitmix64(&mut state) % 256) as usize;
-            let m = (splitmix64(&mut state) % (16 << 20)) as usize;
-            (c, p, m)
-        })
-        .collect();
-    let reference: Vec<_> = queries
-        .iter()
-        .map(|&(c, p, m)| compiled.lookup(c, p, m))
-        .collect();
-    for threads in [1usize, 2, 5] {
-        let svc = CollectiveDecisionService::compiled(compiled.clone()).with_cache(64, 0xFEED);
-        let got = svc.decide_batch(&queries, &Pool::with_threads(threads));
-        assert_eq!(got, reference, "threads = {threads}");
-        assert_eq!(svc.stats().queries(), queries.len() as u64);
     }
 }
 

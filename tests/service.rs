@@ -11,12 +11,10 @@ use collsel::coll::{Alg, Collective};
 use collsel::model::{GammaTable, Hockney};
 use collsel::netsim::{ClusterModel, NoiseParams};
 use collsel::select::{
-    CollDecisionTable, CollSelection, CollectiveDecisionService, CollectiveModelSelector,
-    CollectiveSelector, CompiledCollectiveSelector, OpenMpiCollectiveSelector,
-    TraditionalModelSelector,
+    CollDecisionTable, CollectiveDecisionService, CollectiveModelSelector, CollectiveSelector,
+    CompiledCollectiveSelector, OpenMpiCollectiveSelector, TraditionalModelSelector,
 };
 use collsel::{Tuner, TunerConfig};
-use collsel_support::pool::Pool;
 use collsel_support::prelude::*;
 use collsel_support::rng::{splitmix64, StdRng};
 use std::collections::BTreeMap;
@@ -140,64 +138,11 @@ proptest! {
             }
             let stats = cached.stats();
             prop_assert_eq!(stats.queries(), 2 * queries.len() as u64);
-            prop_assert_eq!(stats.fallbacks, 0);
             prop_assert!(
                 cached.cached_entries() <= capacity,
                 "cache overflowed: {} > {}", cached.cached_entries(), capacity
             );
         }
-    }
-
-    /// Batched queries equal per-query decides, in order, at any thread
-    /// count — the campaigns' determinism guarantee extended to serving.
-    #[test]
-    fn decide_batch_is_bit_identical_at_any_thread_count(
-        queries in prop::collection::vec((0usize..7, 1usize..256, 0usize..(8 << 20)), 1..300),
-        capacity in 1usize..64,
-        seed in prop::any::<u64>(),
-    ) {
-        let compiled = CompiledCollectiveSelector::compile(
-            &OpenMpiCollectiveSelector,
-            &Collective::ALL,
-            &[2, 8, 32, 128],
-            &[1024, 8 * 1024, 512 * 1024, 4 << 20],
-        );
-        let queries: Vec<(Collective, usize, usize)> = queries
-            .iter()
-            .map(|&(ci, p, m)| (Collective::ALL[ci], p, m))
-            .collect();
-        let reference: Vec<CollSelection> =
-            queries.iter().map(|&(c, p, m)| compiled.lookup(c, p, m)).collect();
-        for threads in [1usize, 2, 5] {
-            let svc =
-                CollectiveDecisionService::compiled(compiled.clone()).with_cache(capacity, seed);
-            let got = svc.decide_batch(&queries, &Pool::with_threads(threads));
-            prop_assert_eq!(&got, &reference, "threads = {}", threads);
-            prop_assert_eq!(svc.stats().queries(), queries.len() as u64);
-        }
-    }
-}
-
-/// A live (uncompiled) service over the model ranking must agree with
-/// the selector it wraps, cached or not — the serving layer never
-/// changes decisions, only their cost.
-#[test]
-fn live_service_matches_wrapped_selector() {
-    let selector = CollectiveModelSelector::new(gamma(), all_params(1.0, 1.0), 8192);
-    let svc = CollectiveDecisionService::live(selector.clone()).with_cache(64, 0xFEED);
-    let mut state = 0x5EEDu64;
-    let queries: Vec<(Collective, usize, usize)> = (0..500)
-        .map(|_| {
-            (
-                Collective::ALL[(splitmix64(&mut state) % 7) as usize],
-                2 + (splitmix64(&mut state) % 160) as usize,
-                (splitmix64(&mut state) % (4 << 20)) as usize,
-            )
-        })
-        .collect();
-    let batched = svc.decide_batch(&queries, &Pool::with_threads(3));
-    for (&(c, p, m), got) in queries.iter().zip(&batched) {
-        assert_eq!(*got, selector.select_for(c, p, m), "{c} p={p} m={m}");
     }
 }
 

@@ -21,7 +21,8 @@ COLLSEL_THREADS=2 RUSTFLAGS='-D warnings' \
 
 echo "==> compiled-vs-live equivalence gate: decision-serving suite at COLLSEL_THREADS=2"
 # A compiled selector must be indistinguishable from its source on grid
-# points and from CollDecisionTable::lookup everywhere else, and the
+# points and from its source at the snapped grid point (the highest grid
+# value at or below the query, else the smallest) everywhere else, and the
 # query cache must be transparent — for the model, traditional and
 # fixed selector kinds on every collective; compiled lookup must also
 # be no slower than the live ranking it replaces.
@@ -177,7 +178,11 @@ echo "==> unwrap/expect ratchet (one ceiling per crate)"
 # coll drops by the barrier tests' three and one barrier recording; select
 # gains two documented "generated tables compile" invariants now that
 # CompiledCollectiveSelector::from_tables is fallible, and one in test code.
-UNWRAP_CEILINGS="coll=63 core=10 estim=10 expt=20 model=1 mpi=53 netsim=22 select=27 support=34"
+# select 24, core 9: the decision table is one type tabulated straight
+# from the grid, so both "generated tables compile" invariants, the
+# campaign shim's two grid-position lookups and one journal-test write
+# go, and the campaign resolves one planned-collective position.
+UNWRAP_CEILINGS="coll=63 core=9 estim=10 expt=20 model=1 mpi=53 netsim=22 select=24 support=34"
 for dir in crates/*/src; do
     crate=$(basename "$(dirname "$dir")")
     ceiling=$(echo "$UNWRAP_CEILINGS" | tr ' ' '\n' | sed -n "s/^$crate=//p")
@@ -321,13 +326,16 @@ grep -q '"template_misses"' "$smoke_dir/replay.json" || {
     echo "ci.sh: replay JSON missing the memo block's template counters" >&2; exit 1;
 }
 # The same model exports one Open MPI rules block per collective, each
-# under its own COLL_TUNED id.
+# under its own COLL_TUNED id. The file's cksum is what the commit
+# before the decision table became one type wrote, so the export is
+# pinned byte for byte.
 ./target/release/colltune export --model "$smoke_dir/replay-model.json" \
     --out "$smoke_dir/rules.conf"
 ids=$(grep '# collective id' "$smoke_dir/rules.conf" | awk '{print $1}' | sort -n | tr '\n' ' ')
 [ "$ids" = "0 2 3 7 9 11 14 " ] || {
     echo "ci.sh: export wrote collective ids '$ids', want '0 2 3 7 9 11 14 '" >&2; exit 1;
 }
+pinned_model "$smoke_dir/rules.conf" "450707696 3537"
 
 echo "==> colltune serve smoke run (short soak with journal recovery)"
 # A short seeded soak with hot swaps, a poisoned refit, and the fault

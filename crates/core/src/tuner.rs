@@ -52,9 +52,8 @@ use collsel_model::{FitValidity, Hockney};
 use collsel_mpi::{Backend, SimError};
 use collsel_netsim::ClusterModel;
 use collsel_select::{
-    deployment_msg_sizes, CollDecisionTable, CollSelection, CollectiveModelSelector,
-    CollectiveSelector, CompiledCollectiveSelector, FallbackReason, GracefulCollectiveSelector,
-    DEPLOYMENT_COMM_SIZES,
+    deployment_msg_sizes, CollSelection, CollectiveModelSelector, CollectiveSelector,
+    CompiledCollectiveSelector, FallbackReason, GracefulCollectiveSelector, DEPLOYMENT_COMM_SIZES,
 };
 use collsel_support::pool::Pool;
 use collsel_support::{FromJson, Json, JsonError};
@@ -200,26 +199,12 @@ impl TunedModel {
             .fold(selector, |s, c| s.with_seg_size(c, self.seg_size_for(c)))
     }
 
-    /// Materialises the decision table of one tuned collective over the
-    /// given grids.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either grid is empty or unsorted.
-    pub fn decision_table(
-        &self,
-        collective: Collective,
-        comm_sizes: &[usize],
-        msg_sizes: &[usize],
-    ) -> CollDecisionTable {
-        CollDecisionTable::generate(&self.multi_selector(), collective, comm_sizes, msg_sizes)
-    }
-
     /// Compiles every tuned collective's decision table into one
     /// [`CompiledCollectiveSelector`] over the given grids: the
     /// serving-time shape of the model (two binary searches per query,
-    /// no allocation) for call sites that query at MPI call rates.
-    /// Off-grid queries snap exactly like [`CollDecisionTable::lookup`].
+    /// no allocation) for call sites that query at MPI call rates, and
+    /// what `colltune export` renders as Open MPI rules. Off-grid
+    /// queries snap to the grid point at or below them.
     ///
     /// # Panics
     ///
@@ -532,13 +517,14 @@ pub struct CollectiveCampaignStats {
     pub simulated_batches: usize,
 }
 
-/// The outcome of [`Tuner::run_campaign`]: one measured-winner
-/// decision table per collective, plus the cost accounting the
-/// differential gates in `tests/adaptive_campaign.rs` assert over.
+/// The outcome of [`Tuner::run_campaign`]: the measured-winner
+/// decision table of every planned collective, plus the cost
+/// accounting the differential gates in `tests/adaptive_campaign.rs`
+/// assert over.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport {
-    /// Decision tables in plan order, keyed by collective.
-    pub tables: BTreeMap<Collective, CollDecisionTable>,
+    /// The measured-winner decision table of every planned collective.
+    pub tables: CompiledCollectiveSelector,
     /// Per-collective cost accounting, in plan order.
     pub per_collective: Vec<CollectiveCampaignStats>,
 }
@@ -568,37 +554,6 @@ impl CampaignReport {
     }
 }
 
-/// Serves a measured winner grid to [`CollDecisionTable::generate`],
-/// which only queries exactly on the grid.
-#[derive(Debug)]
-struct GridWinnerSelector<'a> {
-    comm_sizes: &'a [usize],
-    msg_sizes: &'a [usize],
-    /// `winners[pi][mi]`, resolved over the full grid.
-    winners: &'a [Vec<Alg>],
-    seg_size: usize,
-}
-
-impl CollectiveSelector for GridWinnerSelector<'_> {
-    fn select_for(&self, _collective: Collective, p: usize, m: usize) -> CollSelection {
-        let pi = self
-            .comm_sizes
-            .iter()
-            .position(|&x| x == p)
-            .expect("table generation stays on the campaign grid");
-        let mi = self
-            .msg_sizes
-            .iter()
-            .position(|&x| x == m)
-            .expect("table generation stays on the campaign grid");
-        CollSelection::segmented(self.winners[pi][mi], self.seg_size)
-    }
-
-    fn name(&self) -> &str {
-        "measured-grid"
-    }
-}
-
 /// One (collective, P) row's resolved winner column plus its costs.
 struct CampaignRow {
     winners: Vec<usize>,
@@ -609,8 +564,8 @@ struct CampaignRow {
 impl Tuner {
     /// Runs a measured-winner campaign: simulates (a subset of) the
     /// plan's grid cells, resolves every cell's winning algorithm and
-    /// materialises one [`CollDecisionTable`] per collective through
-    /// the same merge contract as the model-predicted tables.
+    /// tabulates the winners into one [`CompiledCollectiveSelector`]
+    /// through the same merge contract as the model-predicted tables.
     ///
     /// The (collective, P) rows fan out across the current
     /// [`Pool`]; within a row the bisection is sequential (each probe
@@ -631,8 +586,9 @@ impl Tuner {
     ///
     /// # Panics
     ///
-    /// Panics if a grid is empty or not strictly ascending, or a
-    /// communicator size exceeds the cluster's slots.
+    /// Panics if a grid is empty or not strictly ascending, the plan
+    /// names a collective twice, or a communicator size exceeds the
+    /// cluster's slots.
     pub fn run_campaign(&self, plan: &CampaignPlan, warm: Option<&TunedModel>) -> CampaignReport {
         assert!(!plan.collectives.is_empty(), "need at least one collective");
         assert!(
@@ -669,32 +625,29 @@ impl Tuner {
             .collect();
         let rows = Pool::current().run(jobs);
         let comm_count = plan.comm_sizes.len();
-        let mut tables = BTreeMap::new();
-        let mut per_collective = Vec::with_capacity(plan.collectives.len());
-        for (ci, &c) in plan.collectives.iter().enumerate() {
-            let rows = &rows[ci * comm_count..(ci + 1) * comm_count];
-            let algs = c.algorithms();
-            let winners: Vec<Vec<Alg>> = rows
-                .iter()
-                .map(|r| r.winners.iter().map(|&w| algs[w]).collect())
-                .collect();
-            let selector = GridWinnerSelector {
-                comm_sizes: &plan.comm_sizes,
-                msg_sizes: &plan.msg_sizes,
-                winners: &winners,
-                seg_size: self.config.seg_size_for(c),
-            };
-            tables.insert(
-                c,
-                CollDecisionTable::generate(&selector, c, &plan.comm_sizes, &plan.msg_sizes),
-            );
-            per_collective.push(CollectiveCampaignStats {
+        let tables = CompiledCollectiveSelector::from_grid(
+            "measured-grid",
+            &plan.collectives,
+            &plan.comm_sizes,
+            &plan.msg_sizes,
+            |c, pi, mi| {
+                let ci = plan.collectives.iter().position(|&x| x == c);
+                let row = &rows[ci.expect("a planned collective") * comm_count + pi];
+                let alg = c.algorithms()[row.winners[mi]];
+                CollSelection::segmented(alg, self.config.seg_size_for(c))
+            },
+        );
+        let per_collective = plan
+            .collectives
+            .iter()
+            .zip(rows.chunks(comm_count))
+            .map(|(&c, rows)| CollectiveCampaignStats {
                 collective: c,
                 grid_cells: comm_count * plan.msg_sizes.len(),
                 measured_cells: rows.iter().map(|r| r.measured).sum(),
                 simulated_batches: rows.iter().map(|r| r.batches).sum(),
-            });
-        }
+            })
+            .collect();
         CampaignReport {
             tables,
             per_collective,
@@ -929,10 +882,10 @@ mod tests {
             assert_eq!(m.multi_selector().seg_for(Collective::Bcast), 8 * 1024);
         }
         let plan = CampaignPlan::exhaustive(vec![Collective::Reduce], vec![8], vec![1 << 20]);
-        let table = &tuner.run_campaign(&plan, None).tables[&Collective::Reduce];
-        for rule in table.comms.iter().flat_map(|c| &c.rules) {
-            assert_eq!(rule.selection.seg_size, Some(16 * 1024), "{rule:?}");
-        }
+        let table = tuner.run_campaign(&plan, None).tables;
+        assert_eq!(table.rule_count(), 1);
+        let rule = table.lookup(Collective::Reduce, 8, 1 << 20);
+        assert_eq!(rule.seg_size, Some(16 * 1024), "{rule:?}");
     }
 
     /// Broadcast is served from its own Sect. 4.2 fits whatever else the

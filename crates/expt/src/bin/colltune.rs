@@ -23,8 +23,8 @@ use collsel::coll::Collective;
 use collsel::estim::RetryPolicy;
 use collsel::netsim::{ClusterModel, FaultPlan, NoiseParams, SimSpan};
 use collsel::select::{
-    deployment_msg_sizes, to_ompi_rules_multi, CollectiveSelector, DecisionServer, DecisionSource,
-    ServerConfig, DEPLOYMENT_COMM_SIZES,
+    deployment_msg_sizes, CollectiveSelector, DecisionServer, DecisionSource, ServerConfig,
+    DEPLOYMENT_COMM_SIZES,
 };
 use collsel::{TunedModel, Tuner, TunerConfig};
 use collsel_expt::replay::{
@@ -433,14 +433,10 @@ fn cmd_export(args: &[String]) -> Result<(), String> {
     let out = flag_value(args, "--out").ok_or("--out required")?;
     let comm_sizes = parse_comm_sizes(args)?;
     let model = load_model(args)?;
-    let msg_sizes = deployment_msg_sizes();
-    let tables: Vec<_> = model
-        .tuned_collectives()
-        .into_iter()
-        .map(|c| model.decision_table(c, &comm_sizes, &msg_sizes))
-        .collect();
-    std::fs::write(out, to_ompi_rules_multi(&tables))
-        .map_err(|e| format!("cannot write {out}: {e}"))?;
+    let rules = model
+        .compiled_multi_selector(&comm_sizes, &deployment_msg_sizes())
+        .to_ompi_rules();
+    std::fs::write(out, rules).map_err(|e| format!("cannot write {out}: {e}"))?;
     eprintln!(
         "[colltune] Open MPI dynamic rules for {} written to {out}",
         model.cluster_name

@@ -16,10 +16,10 @@
 //!   falls back to the fixed rules per query, reporting why;
 //! * [`analysis`] — Table 3-style degradation accounting (the measured
 //!   best is [`analysis::MeasuredPoint::best`]);
-//! * [`multi`] — the serving stack: [`CollDecisionTable`] (rule blocks +
-//!   Open MPI dynamic-rules export), [`CompiledCollectiveSelector`]
-//!   (allocation-free compiled lookup) and [`CollectiveDecisionService`]
-//!   (thread-safe cached front end over fixed compiled tables);
+//! * [`multi`] — the serving stack: [`CompiledCollectiveSelector`] (the
+//!   one decision table: allocation-free lookup, Open MPI dynamic-rules
+//!   export, journal JSON) and [`CollectiveDecisionService`] (thread-safe
+//!   cached front end over a fixed table);
 //! * [`server`] — the fault-tolerant decision server:
 //!   [`DecisionServer`] with epoch-versioned hot swap, a per-request
 //!   watchdog, a health-gated online refit path, and a crash-only
@@ -42,10 +42,10 @@ pub mod multi;
 pub mod server;
 
 pub use multi::{
-    fixed_selection, to_ompi_rules_multi, CollDecision, CollDecisionTable, CollSelection,
-    CollectiveDecisionService, CollectiveModelSelector, CollectiveSelector,
-    CompiledCollectiveSelector, DecisionSource, FallbackReason, GracefulCollectiveSelector,
-    OpenMpiCollectiveSelector, ServiceStats, TraditionalModelSelector,
+    fixed_selection, CollDecision, CollSelection, CollectiveDecisionService,
+    CollectiveModelSelector, CollectiveSelector, CompiledCollectiveSelector, DecisionSource,
+    FallbackReason, GracefulCollectiveSelector, OpenMpiCollectiveSelector, ServiceStats,
+    TraditionalModelSelector,
 };
 pub use server::{
     DecisionServer, RefitOutcome, ServeSource, ServedAnswer, ServerConfig, ServerStats,

@@ -16,11 +16,11 @@
 //! * [`GracefulCollectiveSelector`] — validity-filtered ranking with a
 //!   per-query fixed-rules fallback whose cause ([`FallbackReason`]) is
 //!   reported through [`CollDecision`];
-//! * [`CollDecisionTable`] — per-collective rule blocks and Open MPI
-//!   dynamic-rules export (with the *collective's own* id, see
-//!   [`ompi_coll_id`]);
-//! * [`CompiledCollectiveSelector`] — the tables flattened to CSR arrays
-//!   with an allocation-free two-binary-search lookup;
+//! * [`CompiledCollectiveSelector`] — the decision table: a selector
+//!   tabulated over a (P, m) grid into per-collective CSR arrays, with an
+//!   allocation-free two-binary-search lookup, the Open MPI dynamic-rules
+//!   export (each block under the *collective's own* id) and the JSON
+//!   layout the decision server journals;
 //! * [`CollectiveDecisionService`] — thread-safe cached front end over
 //!   compiled tables whose cache keys include the collective (keying by
 //!   `(p, m)` alone would serve one collective's algorithm for another —
@@ -33,6 +33,7 @@ use collsel_coll::{
 use collsel_model::{collectives, FitValidity, GammaTable, Hockney};
 use collsel_mpi::SimError;
 use collsel_support::rng::splitmix64;
+use collsel_support::{FromJson, Json, JsonError, ToJson};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::fmt::Write as _;
@@ -711,7 +712,7 @@ impl CollectiveSelector for GracefulCollectiveSelector {
 /// collective we tune. A rules file whose block names the wrong id is
 /// silently ignored for the intended collective — the bug the test
 /// `ompi_export_names_each_collectives_own_id` pins.
-pub fn ompi_coll_id(collective: Collective) -> u32 {
+fn ompi_coll_id(collective: Collective) -> u32 {
     match collective {
         Collective::Allgather => 0,
         Collective::Allreduce => 2,
@@ -727,7 +728,7 @@ pub fn ompi_coll_id(collective: Collective) -> u32 {
 /// collective algorithm (the per-collective MCA enumerations; for
 /// broadcast our `k_chain` is Open MPI's fanout-4 "chain" and our
 /// `chain` its "pipeline").
-pub fn ompi_algorithm_id(alg: Alg) -> u32 {
+fn ompi_algorithm_id(alg: Alg) -> u32 {
     match alg {
         Alg::Bcast(b) => match b {
             BcastAlg::Linear => 1,
@@ -769,186 +770,25 @@ pub fn ompi_algorithm_id(alg: Alg) -> u32 {
     }
 }
 
-/// One rule of a [`CollDecisionTable`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CollRule {
-    /// Threshold payload size in bytes (applies from here up to the
-    /// next rule's threshold).
-    pub min_msg_size: usize,
-    /// The algorithm (and segment size) to run.
-    pub selection: CollSelection,
-}
-
-collsel_support::json_struct!(CollRule {
-    min_msg_size,
-    selection
-});
-
-/// All rules of one collective for one communicator size.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CollCommRules {
-    /// Communicator size the rules apply to (Open MPI applies a comm
-    /// block to all sizes from this value up to the next block's).
-    pub comm_size: usize,
-    /// Payload-size thresholds in ascending order.
-    pub rules: Vec<CollRule>,
-}
-
-collsel_support::json_struct!(CollCommRules { comm_size, rules });
-
-/// A materialised decision table for **one** collective.
-///
-/// Open MPI's `tuned` collective component can load selection rules
-/// from a file (`coll_tuned_dynamic_rules_filename`), overriding its
-/// built-in fixed decision functions — the natural deployment path for
-/// the paper's method on a real cluster: tune offline, emit a rules
-/// file ([`to_ompi_rules_multi`]), point Open MPI at it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CollDecisionTable {
-    /// The collective this table decides.
-    pub collective: Collective,
-    /// Per-communicator-size rule blocks, ascending.
-    pub comms: Vec<CollCommRules>,
-}
-
-collsel_support::json_struct!(CollDecisionTable { collective, comms });
-
-impl CollDecisionTable {
-    /// Materialises `selector` over the grids for `collective`.
-    /// Consecutive message sizes that select identically merge into one
-    /// rule, and every block's first threshold is rewritten to 0 (Open
-    /// MPI rule blocks conventionally start at size 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either grid is empty or unsorted.
-    pub fn generate(
-        selector: &dyn CollectiveSelector,
-        collective: Collective,
-        comm_sizes: &[usize],
-        msg_sizes: &[usize],
-    ) -> Self {
-        assert!(
-            !comm_sizes.is_empty(),
-            "need at least one communicator size"
-        );
-        assert!(!msg_sizes.is_empty(), "need at least one message size");
-        assert!(
-            comm_sizes.windows(2).all(|w| w[0] < w[1]),
-            "communicator sizes must be ascending"
-        );
-        assert!(
-            msg_sizes.windows(2).all(|w| w[0] < w[1]),
-            "message sizes must be ascending"
-        );
-        let comms = comm_sizes
-            .iter()
-            .map(|&p| {
-                let mut rules: Vec<CollRule> = Vec::new();
-                for &m in msg_sizes {
-                    let selection = selector.select_for(collective, p, m);
-                    debug_assert_eq!(selection.alg.collective(), collective);
-                    match rules.last() {
-                        Some(last) if last.selection == selection => {}
-                        _ => rules.push(CollRule {
-                            min_msg_size: m,
-                            selection,
-                        }),
-                    }
-                }
-                if let Some(first) = rules.first_mut() {
-                    first.min_msg_size = 0;
-                }
-                CollCommRules {
-                    comm_size: p,
-                    rules,
-                }
-            })
-            .collect();
-        CollDecisionTable { collective, comms }
-    }
-
-    /// Looks up the rule for `(p, m)`: the highest comm block not above
-    /// `p`, then the highest threshold not above `m` (each clamped to
-    /// the first entry below the grid).
-    pub fn lookup(&self, p: usize, m: usize) -> Option<CollSelection> {
-        let block = self
-            .comms
-            .iter()
-            .rfind(|c| c.comm_size <= p)
-            .or_else(|| self.comms.first())?;
-        let rule = block
-            .rules
-            .iter()
-            .rfind(|r| r.min_msg_size <= m)
-            .or_else(|| block.rules.first())?;
-        Some(rule.selection)
-    }
-
-    /// Renders this table as one collective block of an Open MPI
-    /// dynamic-rules file, using the collective's own id (a reduce
-    /// table emits id 11, never broadcast's 7). Each rule line is
-    /// `message_size algorithm_id topo_faninout segsize`.
-    pub fn write_ompi_rules(&self, out: &mut String) {
-        let _ = writeln!(
-            out,
-            "{} # collective id ({})",
-            ompi_coll_id(self.collective),
-            self.collective
-        );
-        let _ = writeln!(out, "{} # number of com sizes", self.comms.len());
-        for block in &self.comms {
-            let _ = writeln!(out, "{} # comm size", block.comm_size);
-            let _ = writeln!(out, "{} # number of msg sizes", block.rules.len());
-            for rule in &block.rules {
-                let seg = rule.selection.seg_size.unwrap_or(0);
-                let _ = writeln!(
-                    out,
-                    "{} {} 0 {}",
-                    rule.min_msg_size,
-                    ompi_algorithm_id(rule.selection.alg),
-                    seg
-                );
-            }
-        }
-    }
-}
-
-/// Renders a set of per-collective tables as one Open MPI dynamic-rules
-/// file, usable with a real Open MPI via `--mca
-/// coll_tuned_use_dynamic_rules 1 --mca coll_tuned_dynamic_rules_filename
-/// <file>`.
-pub fn to_ompi_rules_multi(tables: &[CollDecisionTable]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{} # num of collectives", tables.len());
-    for t in tables {
-        t.write_ompi_rules(&mut out);
-    }
-    out
-}
-
 /// The CSR arrays of one collective inside a
-/// [`CompiledCollectiveSelector`].
+/// [`CompiledCollectiveSelector`]: `comm_sizes[b]` is block `b`'s
+/// communicator size, its rules occupy
+/// `thresholds[block_starts[b]..block_starts[b + 1]]` (payload-size
+/// thresholds, strictly ascending) with the decided selection at the
+/// same index of `selections`.
 ///
-/// The structure is [`CollDecisionTable`]'s rule blocks flattened into
-/// parallel arrays: `comm_sizes[b]` is block `b`'s communicator size,
-/// its rules occupy `thresholds[block_starts[b]..block_starts[b + 1]]`
-/// (payload-size thresholds, ascending) with the decided selection at
-/// the same index of `selections`.
-///
-/// # Snapping semantics (provably equal to [`CollDecisionTable::lookup`])
+/// # Snapping semantics
 ///
 /// * `p` below the smallest block → the smallest block (clamp);
 ///   otherwise the highest block not above `p` (floor).
 /// * `m` below the block's first threshold → the first rule (clamp;
-///   generated tables start every block at threshold 0, so this arm
-///   only fires for hand-built tables); otherwise the highest threshold
-///   not above `m` (floor).
+///   tabulated tables start every block at threshold 0, so this arm
+///   only fires for decoded ones); otherwise the highest threshold not
+///   above `m` (floor).
 ///
 /// Both follow from `partition_point(x <= q)`: the partition index is
 /// one past the floor entry, and `saturating_sub(1)` turns "no entry
-/// below the query" into the clamp-to-first rule that `lookup`
-/// implements with `rfind(..).or_else(first)`.
+/// below the query" into the clamp-to-first rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct CollCsr {
     comm_sizes: Vec<usize>,
@@ -958,49 +798,27 @@ struct CollCsr {
 }
 
 impl CollCsr {
-    fn from_table(table: &CollDecisionTable) -> Result<Self, String> {
-        if table.comms.is_empty() {
-            return Err(format!(
-                "cannot compile an empty decision table for {}",
-                table.collective
-            ));
+    fn empty() -> Self {
+        CollCsr {
+            comm_sizes: Vec::new(),
+            block_starts: vec![0],
+            thresholds: Vec::new(),
+            selections: Vec::new(),
         }
-        let mut comm_sizes = Vec::with_capacity(table.comms.len());
-        let mut block_starts = Vec::with_capacity(table.comms.len() + 1);
-        let mut thresholds = Vec::new();
-        let mut selections = Vec::new();
-        block_starts.push(0);
-        for block in &table.comms {
-            let c = table.collective;
-            if block.rules.is_empty() {
-                return Err(format!("{c} comm block {} has no rules", block.comm_size));
-            }
-            if comm_sizes
-                .last()
-                .is_some_and(|&prev| prev >= block.comm_size)
-            {
-                return Err(format!("{c} comm blocks must be strictly ascending"));
-            }
-            if block
-                .rules
-                .windows(2)
-                .any(|w| w[0].min_msg_size >= w[1].min_msg_size)
-            {
-                return Err(format!("{c} rule thresholds must be strictly ascending"));
-            }
-            comm_sizes.push(block.comm_size);
-            for rule in &block.rules {
-                thresholds.push(rule.min_msg_size);
-                selections.push(rule.selection);
-            }
-            block_starts.push(thresholds.len());
-        }
-        Ok(CollCsr {
-            comm_sizes,
-            block_starts,
-            thresholds,
-            selections,
-        })
+    }
+
+    /// Each comm block as `(comm_size, thresholds, selections)`.
+    fn blocks(&self) -> impl Iterator<Item = (usize, &[usize], &[CollSelection])> {
+        self.comm_sizes
+            .iter()
+            .zip(self.block_starts.windows(2))
+            .map(|(&p, w)| {
+                (
+                    p,
+                    &self.thresholds[w[0]..w[1]],
+                    &self.selections[w[0]..w[1]],
+                )
+            })
     }
 
     fn lookup(&self, p: usize, m: usize) -> CollSelection {
@@ -1015,11 +833,21 @@ impl CollCsr {
     }
 }
 
-/// A [`CollectiveSelector`] compiled to per-collective flat decision
-/// tables with allocation-free O(log n) lookup: re-evaluating the
+/// The decision table of a [`CollectiveSelector`]: per collective, one
+/// rule block per communicator size of a (P, m) grid, flattened to CSR
+/// arrays with allocation-free O(log n) lookup. Re-evaluating the
 /// analytical models per call is the tuning-time shape of the problem,
 /// two binary searches per query (no per-query `Vec` or sort) the
 /// serving-time shape.
+///
+/// Open MPI's `tuned` collective component can load selection rules
+/// from a file (`coll_tuned_dynamic_rules_filename`), overriding its
+/// built-in fixed decision functions — the natural deployment path for
+/// the paper's method on a real cluster: tune offline, emit a rules
+/// file ([`to_ompi_rules`](Self::to_ompi_rules)), point Open MPI at it.
+/// The JSON form ([`ToJson`]/[`FromJson`]) is a list of
+/// `{collective, comms: [{comm_size, rules: [{min_msg_size,
+/// selection}]}]}`, the decision server's journal payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledCollectiveSelector {
     name: String,
@@ -1027,53 +855,79 @@ pub struct CompiledCollectiveSelector {
 }
 
 impl CompiledCollectiveSelector {
-    /// Materialises `selector` over the grids for each listed
-    /// collective and compiles the results.
+    /// Tabulates `selector` over the grids for each listed collective.
     ///
     /// # Panics
     ///
-    /// Panics if `collectives` is empty or names a collective twice, or
-    /// either grid is empty or unsorted.
+    /// As [`from_grid`](Self::from_grid).
     pub fn compile(
         selector: &dyn CollectiveSelector,
         collectives: &[Collective],
         comm_sizes: &[usize],
         msg_sizes: &[usize],
     ) -> Self {
-        assert!(!collectives.is_empty(), "need at least one collective");
-        let tables: Vec<CollDecisionTable> = collectives
-            .iter()
-            .map(|&c| CollDecisionTable::generate(selector, c, comm_sizes, msg_sizes))
-            .collect();
-        // Generated tables always satisfy the CSR contract, so the one
-        // way to fail is a collective listed twice.
-        Self::from_tables(&tables, &format!("compiled({})", selector.name()))
-            .expect("each collective is listed once")
+        Self::from_grid(
+            &format!("compiled({})", selector.name()),
+            collectives,
+            comm_sizes,
+            msg_sizes,
+            |c, pi, mi| selector.select_for(c, comm_sizes[pi], msg_sizes[mi]),
+        )
     }
 
-    /// Flattens existing per-collective decision tables.
+    /// Tabulates `pick(collective, pi, mi)`, the selection at grid point
+    /// `(comm_sizes[pi], msg_sizes[mi])`, for each listed collective.
+    /// Consecutive message sizes that select identically merge into one
+    /// rule, and every block's first threshold is 0 (Open MPI rule
+    /// blocks conventionally start at size 0).
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Fails if `tables` is empty, names a collective twice, or any
-    /// table violates the CSR contract (no blocks, empty blocks,
-    /// unsorted blocks or thresholds).
-    pub fn from_tables(tables: &[CollDecisionTable], name: &str) -> Result<Self, String> {
-        if tables.is_empty() {
-            return Err("need at least one decision table".to_string());
-        }
-        let mut per: Vec<Option<CollCsr>> = (0..Collective::ALL.len()).map(|_| None).collect();
-        for t in tables {
-            let slot = &mut per[t.collective.index()];
-            if slot.is_some() {
-                return Err(format!("duplicate decision table for {}", t.collective));
+    /// Panics if `collectives` is empty or names a collective twice, or
+    /// either grid is empty or not strictly ascending.
+    pub fn from_grid(
+        name: &str,
+        collectives: &[Collective],
+        comm_sizes: &[usize],
+        msg_sizes: &[usize],
+        mut pick: impl FnMut(Collective, usize, usize) -> CollSelection,
+    ) -> Self {
+        let ascending = |g: &[usize]| !g.is_empty() && g.windows(2).all(|w| w[0] < w[1]);
+        assert!(!collectives.is_empty(), "need at least one collective");
+        assert!(
+            ascending(comm_sizes),
+            "communicator sizes must be non-empty ascending"
+        );
+        assert!(
+            ascending(msg_sizes),
+            "message sizes must be non-empty ascending"
+        );
+        let mut per = vec![None; Collective::ALL.len()];
+        for &c in collectives {
+            let mut csr = CollCsr::empty();
+            for (pi, &p) in comm_sizes.iter().enumerate() {
+                let start = csr.thresholds.len();
+                for (mi, &m) in msg_sizes.iter().enumerate() {
+                    let selection = pick(c, pi, mi);
+                    debug_assert_eq!(selection.alg.collective(), c);
+                    if csr.selections.len() > start && csr.selections.last() == Some(&selection) {
+                        continue;
+                    }
+                    let threshold = if csr.thresholds.len() == start { 0 } else { m };
+                    csr.thresholds.push(threshold);
+                    csr.selections.push(selection);
+                }
+                csr.comm_sizes.push(p);
+                csr.block_starts.push(csr.thresholds.len());
             }
-            *slot = Some(CollCsr::from_table(t)?);
+            let slot = &mut per[c.index()];
+            assert!(slot.is_none(), "collective {c} listed twice");
+            *slot = Some(csr);
         }
-        Ok(CompiledCollectiveSelector {
+        CompiledCollectiveSelector {
             name: name.to_owned(),
             per,
-        })
+        }
     }
 
     /// Whether `collective` was compiled into this selector.
@@ -1109,6 +963,127 @@ impl CompiledCollectiveSelector {
             .flatten()
             .map(|csr| csr.selections.len())
             .sum()
+    }
+
+    /// The compiled collectives with their CSR arrays, in
+    /// [`Collective::ALL`] order.
+    fn tables(&self) -> impl Iterator<Item = (Collective, &CollCsr)> {
+        Collective::ALL
+            .into_iter()
+            .filter_map(|c| Some((c, self.per[c.index()].as_ref()?)))
+    }
+
+    /// Renders the table as one Open MPI dynamic-rules file, usable with
+    /// a real Open MPI via `--mca coll_tuned_use_dynamic_rules 1 --mca
+    /// coll_tuned_dynamic_rules_filename <file>`: one block per compiled
+    /// collective under the collective's own id (a reduce block emits id
+    /// 11, never broadcast's 7). Each rule line is `message_size
+    /// algorithm_id topo_faninout segsize`.
+    pub fn to_ompi_rules(&self) -> String {
+        let mut out = String::new();
+        let _ = writeln!(out, "{} # num of collectives", self.tables().count());
+        for (c, csr) in self.tables() {
+            let _ = writeln!(out, "{} # collective id ({c})", ompi_coll_id(c));
+            let _ = writeln!(out, "{} # number of com sizes", csr.comm_sizes.len());
+            for (p, thresholds, selections) in csr.blocks() {
+                let _ = writeln!(out, "{p} # comm size");
+                let _ = writeln!(out, "{} # number of msg sizes", thresholds.len());
+                for (&t, s) in thresholds.iter().zip(selections) {
+                    let alg = ompi_algorithm_id(s.alg);
+                    let _ = writeln!(out, "{t} {alg} 0 {}", s.seg_size.unwrap_or(0));
+                }
+            }
+        }
+        out
+    }
+}
+
+impl ToJson for CompiledCollectiveSelector {
+    fn to_json(&self) -> Json {
+        let rule = |(t, s): (&usize, &CollSelection)| {
+            Json::obj(vec![
+                ("min_msg_size", t.to_json()),
+                ("selection", s.to_json()),
+            ])
+        };
+        let block = |(p, thresholds, selections): (usize, &[usize], &[CollSelection])| {
+            let rules = thresholds.iter().zip(selections).map(rule).collect();
+            Json::obj(vec![
+                ("comm_size", p.to_json()),
+                ("rules", Json::Arr(rules)),
+            ])
+        };
+        Json::Arr(
+            self.tables()
+                .map(|(c, csr)| {
+                    let comms = csr.blocks().map(block).collect();
+                    Json::obj(vec![
+                        ("collective", c.to_json()),
+                        ("comms", Json::Arr(comms)),
+                    ])
+                })
+                .collect(),
+        )
+    }
+}
+
+/// Decodes and validates a table: at least one collective, none twice;
+/// per collective at least one comm block, strictly ascending, each
+/// with at least one rule and strictly ascending thresholds; every
+/// selection an algorithm of its own collective with a non-zero segment.
+impl FromJson for CompiledCollectiveSelector {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        macro_rules! ensure {
+            ($ok:expr, $($msg:tt)+) => {
+                if !$ok {
+                    return Err(JsonError(format!($($msg)+)));
+                }
+            };
+        }
+        fn arr(v: &Json) -> Result<&[Json], JsonError> {
+            v.as_arr()
+                .ok_or_else(|| JsonError(format!("expected array, found {v}")))
+        }
+        let tables = arr(v)?;
+        ensure!(!tables.is_empty(), "need at least one decision table");
+        let mut per = vec![None; Collective::ALL.len()];
+        for table in tables {
+            let c = Collective::from_json(table.field("collective")?)?;
+            ensure!(per[c.index()].is_none(), "duplicate decision table for {c}");
+            let comms = arr(table.field("comms")?)?;
+            ensure!(!comms.is_empty(), "empty decision table for {c}");
+            let mut csr = CollCsr::empty();
+            for block in comms {
+                let p = usize::from_json(block.field("comm_size")?)?;
+                let ascending = csr.comm_sizes.last().is_none_or(|&prev| prev < p);
+                ensure!(ascending, "{c} comm blocks must be strictly ascending");
+                let rules = arr(block.field("rules")?)?;
+                ensure!(!rules.is_empty(), "{c} comm block {p} has no rules");
+                let start = csr.thresholds.len();
+                for rule in rules {
+                    let t = usize::from_json(rule.field("min_msg_size")?)?;
+                    let s = CollSelection::from_json(rule.field("selection")?)?;
+                    let ascending =
+                        csr.thresholds.len() == start || csr.thresholds.last() < Some(&t);
+                    ensure!(ascending, "{c} rule thresholds must be strictly ascending");
+                    let alg = s.alg.qualified_name();
+                    ensure!(s.alg.collective() == c, "{c} comm block {p} selects {alg}");
+                    ensure!(
+                        s.seg_size != Some(0),
+                        "{c} comm block {p} has a zero segment size"
+                    );
+                    csr.thresholds.push(t);
+                    csr.selections.push(s);
+                }
+                csr.comm_sizes.push(p);
+                csr.block_starts.push(csr.thresholds.len());
+            }
+            per[c.index()] = Some(csr);
+        }
+        Ok(CompiledCollectiveSelector {
+            name: "decoded".to_string(),
+            per,
+        })
     }
 }
 
@@ -1689,53 +1664,61 @@ mod tests {
         assert_eq!(ompi_algorithm_id(Alg::Reduce(ReduceAlg::InOrderBinary)), 6);
     }
 
-    fn fixed_table(c: Collective) -> CollDecisionTable {
-        CollDecisionTable::generate(
+    fn fixed_compiled_on(collectives: &[Collective]) -> CompiledCollectiveSelector {
+        CompiledCollectiveSelector::compile(
             &OpenMpiCollectiveSelector,
-            c,
+            collectives,
             &[16, 64, 128],
             &[1024, 8 * 1024, 64 * 1024, 512 * 1024, 4 << 20],
         )
     }
 
     #[test]
-    fn generate_merges_identical_consecutive_rules() {
-        for c in Collective::ALL {
-            for block in &fixed_table(c).comms {
-                for w in block.rules.windows(2) {
-                    assert_ne!(w[0].selection, w[1].selection, "{c}: unmerged duplicate");
-                    assert!(w[0].min_msg_size < w[1].min_msg_size);
+    fn compile_merges_identical_consecutive_rules() {
+        let table = fixed_compiled_on(&Collective::ALL);
+        for (c, csr) in table.tables() {
+            assert_eq!(csr.comm_sizes, [16, 64, 128], "{c}");
+            for (_, thresholds, selections) in csr.blocks() {
+                for w in selections.windows(2) {
+                    assert_ne!(w[0], w[1], "{c}: unmerged duplicate");
                 }
-                assert_eq!(block.rules[0].min_msg_size, 0);
+                assert!(thresholds.windows(2).all(|w| w[0] < w[1]), "{c}");
+                assert_eq!(thresholds[0], 0);
             }
         }
     }
 
     #[test]
     fn lookup_between_grid_points_uses_floor() {
-        let t = fixed_table(Collective::Bcast);
+        let t = fixed_compiled_on(&[Collective::Bcast]);
+        let bcast = |p, m| t.lookup(Collective::Bcast, p, m);
         // p = 100 falls back to the 64-block; m = 9000 to the rule
         // starting at or below 9000.
-        assert_eq!(t.lookup(100, 9000), t.lookup(64, 9000));
+        assert_eq!(bcast(100, 9000), bcast(64, 8 * 1024));
         // Below the smallest block, clamp to the first.
-        assert_eq!(t.lookup(2, 1024), t.lookup(16, 1024));
+        assert_eq!(bcast(2, 1024), bcast(16, 1024));
     }
 
     #[test]
     #[should_panic(expected = "ascending")]
-    fn generate_rejects_unsorted_grid() {
-        let _ = CollDecisionTable::generate(
+    fn compile_rejects_unsorted_grid() {
+        let _ = CompiledCollectiveSelector::compile(
             &OpenMpiCollectiveSelector,
-            Collective::Bcast,
+            &[Collective::Bcast],
             &[64, 16],
             &[1024],
         );
     }
 
     #[test]
+    #[should_panic(expected = "listed twice")]
+    fn compile_rejects_a_collective_listed_twice() {
+        let _ = fixed_compiled_on(&[Collective::Bcast, Collective::Bcast]);
+    }
+
+    #[test]
     fn ompi_rules_format_shape() {
-        let tables: Vec<CollDecisionTable> = Collective::ALL.into_iter().map(fixed_table).collect();
-        let s = to_ompi_rules_multi(&tables);
+        let s = fixed_compiled_on(&Collective::ALL).to_ompi_rules();
         let mut lines = s.lines();
         assert_eq!(lines.next().unwrap(), "7 # num of collectives");
         assert_eq!(lines.next().unwrap(), "7 # collective id (bcast)");
@@ -1757,18 +1740,24 @@ mod tests {
 
     #[test]
     fn ompi_export_names_each_collectives_own_id() {
-        let sel = OpenMpiCollectiveSelector;
-        let reduce =
-            CollDecisionTable::generate(&sel, Collective::Reduce, &[16, 64], &[1024, 1 << 20]);
-        let bcast =
-            CollDecisionTable::generate(&sel, Collective::Bcast, &[16, 64], &[1024, 1 << 20]);
-        let s = to_ompi_rules_multi(&[bcast, reduce]);
+        let s = CompiledCollectiveSelector::compile(
+            &OpenMpiCollectiveSelector,
+            &[Collective::Reduce, Collective::Bcast],
+            &[16, 64],
+            &[1024, 1 << 20],
+        )
+        .to_ompi_rules();
         assert!(s.starts_with("2 # num of collectives\n"), "{s}");
         assert!(s.contains("7 # collective id (bcast)"), "{s}");
         assert!(
             s.contains("11 # collective id (reduce)"),
             "a reduce table must emit Open MPI's reduce id, not broadcast's: {s}"
         );
+    }
+
+    /// The highest grid value not above `x`, else the smallest.
+    fn snap(grid: &[usize], x: usize) -> usize {
+        *grid.iter().rfind(|&&g| g <= x).unwrap_or(&grid[0])
     }
 
     #[test]
@@ -1780,23 +1769,12 @@ mod tests {
         assert_eq!(compiled.collectives(), Collective::ALL.to_vec());
         assert_eq!(compiled.name(), "compiled(model-based-multi)");
         for c in Collective::ALL {
-            let table = CollDecisionTable::generate(&sel, c, &comms, &msgs);
-            for &p in &comms {
-                for &m in &msgs {
-                    assert_eq!(
-                        compiled.lookup(c, p, m),
-                        sel.select_for(c, p, m),
-                        "{c} grid"
-                    );
-                    assert_eq!(table.lookup(p, m), Some(sel.select_for(c, p, m)));
-                }
-            }
             for p in [1usize, 3, 4, 5, 9, 16, 50, 100, 128, 300] {
                 for m in [0usize, 1, 1024, 5000, 70_000, 1 << 20, 9 << 20] {
                     assert_eq!(
-                        Some(compiled.lookup(c, p, m)),
-                        table.lookup(p, m),
-                        "{c} off-grid p={p} m={m}"
+                        compiled.lookup(c, p, m),
+                        sel.select_for(c, snap(&comms, p), snap(&msgs, m)),
+                        "{c} p={p} m={m}"
                     );
                 }
             }
@@ -1804,41 +1782,18 @@ mod tests {
     }
 
     #[test]
-    fn from_tables_rejects_an_empty_table() {
-        let empty = CollDecisionTable {
-            collective: Collective::Bcast,
-            comms: vec![],
-        };
-        let err = CompiledCollectiveSelector::from_tables(&[empty], "x").unwrap_err();
-        assert!(err.contains("empty decision table"), "{err}");
-    }
-
-    #[test]
     #[should_panic(expected = "was not compiled")]
     fn lookup_of_uncompiled_collective_panics_clearly() {
-        let compiled = CompiledCollectiveSelector::compile(
-            &OpenMpiCollectiveSelector,
-            &[Collective::Bcast],
-            &[16],
-            &[1024],
-        );
+        let compiled = fixed_compiled_on(&[Collective::Bcast]);
         assert!(compiled.covers(Collective::Bcast));
         assert!(!compiled.covers(Collective::Reduce));
         let _ = compiled.lookup(Collective::Reduce, 16, 1024);
     }
 
-    fn fixed_compiled() -> CompiledCollectiveSelector {
-        CompiledCollectiveSelector::compile(
-            &OpenMpiCollectiveSelector,
-            &Collective::ALL,
-            &[4, 16, 64, 128],
-            &[1024, 8 * 1024, 64 * 1024, 512 * 1024, 4 << 20],
-        )
-    }
-
     #[test]
     fn service_counts_hits_and_misses() {
-        let svc = CollectiveDecisionService::compiled(fixed_compiled()).with_cache(8, 0xCAFE);
+        let svc = CollectiveDecisionService::compiled(fixed_compiled_on(&Collective::ALL))
+            .with_cache(8, 0xCAFE);
         let first = svc.decide(Collective::Bcast, 64, 8192);
         let second = svc.decide(Collective::Bcast, 64, 8192);
         assert_eq!(first, second);
@@ -1853,7 +1808,8 @@ mod tests {
     #[test]
     fn cache_eviction_is_bounded_and_seed_deterministic() {
         let run = |seed: u64| {
-            let svc = CollectiveDecisionService::compiled(fixed_compiled()).with_cache(4, seed);
+            let svc = CollectiveDecisionService::compiled(fixed_compiled_on(&Collective::ALL))
+                .with_cache(4, seed);
             let picks: Vec<CollSelection> = (0..64usize)
                 .map(|i| svc.decide(Collective::ALL[i % 7], 4 + i, 1024 * i))
                 .collect();

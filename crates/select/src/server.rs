@@ -11,11 +11,10 @@
 //! that shape:
 //!
 //! * **Generations** — each installed fit is an immutable `Generation`
-//!   (compiled tables + the decision tables they came from + the
-//!   graceful selector that produced them). The current generation
-//!   lives in an [`EpochSwap`]: readers pin it wait-free, swaps are
-//!   atomic, and a superseded generation is reclaimed only after its
-//!   last reader drains.
+//!   (compiled tables + the graceful selector that produced them). The
+//!   current generation lives in an [`EpochSwap`]: readers pin it
+//!   wait-free, swaps are atomic, and a superseded generation is
+//!   reclaimed only after its last reader drains.
 //! * **Watchdog** — every request is charged a deterministic
 //!   virtual-time cost: a 1 µs base lookup cost scaled by the
 //!   [`FaultPlan`]'s link/CPU factors at the server's virtual clock
@@ -35,15 +34,14 @@
 //!   regress by more than 25 % on any canary is rejected. The live
 //!   generation keeps serving either way — a bad refit can never flip
 //!   decisions for the worse.
-//! * **Journal** — every installed generation is journalled (decision
-//!   tables + version) with a temp-file + rename write, and
-//!   [`DecisionServer::recover`] replays the last-good generation after
-//!   a crash. Recovery is *crash-only*: there is no clean-shutdown
+//! * **Journal** — every installed generation is journalled (its
+//!   compiled tables' JSON + version) with a temp-file + rename write,
+//!   and [`DecisionServer::recover`] replays the last-good generation
+//!   after a crash. Recovery is *crash-only*: there is no clean-shutdown
 //!   path to get wrong.
 
 use crate::multi::{
-    fixed_selection, CollDecisionTable, CollSelection, CompiledCollectiveSelector,
-    GracefulCollectiveSelector,
+    fixed_selection, CollSelection, CompiledCollectiveSelector, GracefulCollectiveSelector,
 };
 use collsel_coll::{Alg, Collective};
 use collsel_model::FitValidity;
@@ -112,10 +110,8 @@ struct Generation {
     label: String,
     /// Cluster the generation was tuned for.
     cluster: String,
-    /// The compiled serving tables.
+    /// The compiled serving tables (also the journal payload).
     tables: Arc<CompiledCollectiveSelector>,
-    /// The decision tables the CSR was compiled from (journal payload).
-    source: Arc<Vec<CollDecisionTable>>,
     /// The graceful selector that produced the tables; prices the
     /// health gate's shadow scores. `None` after journal recovery.
     referee: Option<Arc<GracefulCollectiveSelector>>,
@@ -277,7 +273,7 @@ struct JournalRecord {
     version: u64,
     label: String,
     cluster: String,
-    tables: Vec<CollDecisionTable>,
+    tables: CompiledCollectiveSelector,
 }
 
 collsel_support::json_struct!(JournalRecord {
@@ -330,13 +326,11 @@ impl DecisionServer {
     /// graceful selector, typically `TuneReport::degraded_multi_selector`
     /// output) and journals it if a journal path is configured.
     pub fn new(initial: &GracefulCollectiveSelector, cluster: &str, config: ServerConfig) -> Self {
-        let (tables, source) = Self::compile_generation(initial, &config);
         let generation = Generation {
             version: 1,
             label: "boot".to_string(),
             cluster: cluster.to_string(),
-            tables,
-            source,
+            tables: Self::compile_generation(initial, &config),
             referee: Some(Arc::new(initial.clone())),
             prev: None,
         };
@@ -348,9 +342,11 @@ impl DecisionServer {
     /// Rebuilds the server from the journalled last-good generation.
     ///
     /// The recovered generation serves exactly the journalled decision
-    /// tables under its original version; it has no referee, so the
-    /// first refit after recovery skips the shadow score (fit validity
-    /// is still enforced) and restores one.
+    /// tables under its original version (a journal whose tables fail
+    /// [`CompiledCollectiveSelector`]'s decoding checks is an error
+    /// naming the journal path); it has no referee, so the first refit
+    /// after recovery skips the shadow score (fit validity is still
+    /// enforced) and restores one.
     pub fn recover(config: ServerConfig) -> Result<DecisionServer, String> {
         let path = config
             .journal
@@ -362,14 +358,11 @@ impl DecisionServer {
             .map_err(|e| format!("journal {} is corrupt: {e}", path.display()))?;
         let record = JournalRecord::from_json(&json)
             .map_err(|e| format!("journal {} is corrupt: {e}", path.display()))?;
-        let tables = CompiledCollectiveSelector::from_tables(&record.tables, "recovered")
-            .map_err(|e| format!("journal {} is corrupt: {e}", path.display()))?;
         let generation = Generation {
             version: record.version,
             label: format!("journal({})", record.label),
             cluster: record.cluster,
-            tables: Arc::new(tables),
-            source: Arc::new(record.tables),
+            tables: Arc::new(record.tables),
             referee: None,
             prev: None,
         };
@@ -395,18 +388,13 @@ impl DecisionServer {
     fn compile_generation(
         selector: &GracefulCollectiveSelector,
         config: &ServerConfig,
-    ) -> (Arc<CompiledCollectiveSelector>, Arc<Vec<CollDecisionTable>>) {
-        let source: Vec<CollDecisionTable> = Collective::ALL
-            .into_iter()
-            .map(|c| {
-                CollDecisionTable::generate(selector, c, &config.comm_sizes, &config.msg_sizes)
-            })
-            .collect();
-        // Generated tables hold one table per collective, each with
-        // ascending non-empty blocks, so they always compile.
-        let tables = CompiledCollectiveSelector::from_tables(&source, "generation")
-            .expect("generated decision tables compile");
-        (Arc::new(tables), Arc::new(source))
+    ) -> Arc<CompiledCollectiveSelector> {
+        Arc::new(CompiledCollectiveSelector::compile(
+            selector,
+            &Collective::ALL,
+            &config.comm_sizes,
+            &config.msg_sizes,
+        ))
     }
 
     /// The current generation's version (1 at boot, +1 per installed
@@ -558,7 +546,7 @@ impl DecisionServer {
             }
         }
         // Passed: compile and install.
-        let (tables, source) = Self::compile_generation(candidate, &self.config);
+        let tables = Self::compile_generation(candidate, &self.config);
         let installed = Arc::clone(&tables);
         let epoch = {
             let _guard = self.install_lock.lock().expect("install lock");
@@ -574,7 +562,6 @@ impl DecisionServer {
                 label: label.to_string(),
                 cluster,
                 tables,
-                source,
                 referee: Some(Arc::new(candidate.clone())),
                 prev,
             };
@@ -605,7 +592,7 @@ impl DecisionServer {
             version: g.version,
             label: g.label.clone(),
             cluster: g.cluster.clone(),
-            tables: (*g.source).clone(),
+            tables: (*g.tables).clone(),
         });
         let text = record.to_json().to_string_pretty();
         let tmp = path.with_file_name(format!(
@@ -854,48 +841,43 @@ mod tests {
         assert!(DecisionServer::recover(config).is_err());
     }
 
-    /// A journal that decodes cleanly but cannot compile (a table with
-    /// no comm blocks, a comm block with no rules, a collective twice)
-    /// is a typed recovery error naming the journal, not a panic.
+    /// A journal that parses but fails the table's decoding checks is a
+    /// typed recovery error naming the journal, never a server that
+    /// answers from it. Each case is `from | to | error`: the boot
+    /// journal's first `from` becomes `to` (a leading empty array
+    /// shadows the real one under the same key).
     #[test]
-    fn recovery_from_an_uncompilable_journal_is_a_typed_error() {
-        let bcast = CollDecisionTable::generate(
-            &selector_with(false),
-            Collective::Bcast,
-            &[4, 16],
-            &[1024, 1 << 20],
-        );
-        let no_comms = CollDecisionTable {
-            comms: Vec::new(),
-            ..bcast.clone()
-        };
-        let mut no_rules = bcast.clone();
-        no_rules.comms[1].rules.clear();
+    fn recovery_from_an_invalid_journal_is_a_typed_error() -> std::io::Result<()> {
         let cases = [
-            ("no-comms", vec![no_comms], "empty decision table"),
-            ("no-rules", vec![no_rules], "has no rules"),
-            (
-                "twice",
-                vec![bcast.clone(), bcast],
-                "duplicate decision table",
-            ),
+            r#""tables": [ | "tables": [], "x": [ | need at least one decision table"#,
+            r#""comms": [ | "comms": [], "comms": [ | empty decision table for bcast"#,
+            r#""rules": [ | "rules": [], "rules": [ | bcast comm block 4 has no rules"#,
+            r#""Reduce" | "Bcast" | duplicate decision table for bcast"#,
+            r#""comm_size": 16 | "comm_size": 2 | comm blocks must be strictly ascending"#,
+            r#""min_msg_size": 65536 | "min_msg_size": 0 | thresholds must be strictly ascending"#,
+            r#""bcast/linear" | "reduce/linear" | bcast comm block 4 selects reduce/linear"#,
+            r#""seg_size": 8192 | "seg_size": 0 | bcast comm block 4 has a zero segment size"#,
         ];
-        for (tag, tables, want) in cases {
-            let path = temp_journal(tag);
-            let record = JournalRecord {
-                version: 3,
-                label: "refit 2".to_string(),
-                cluster: "test".to_string(),
-                tables,
-            };
-            std::fs::write(&path, record.to_json().to_string_pretty()).expect("write journal");
+        for case in cases {
+            let parts: Vec<&str> = case.split(" | ").collect();
+            let (from, to, want) = (parts[0], parts[1], parts[2]);
+            let path = temp_journal("invalid");
             let mut config = small_config();
             config.journal = Some(path.clone());
-            let err = DecisionServer::recover(config).expect_err(tag);
+            drop(DecisionServer::new(
+                &selector_with(false),
+                "test",
+                config.clone(),
+            ));
+            let text = std::fs::read_to_string(&path)?;
+            assert!(text.contains(from), "{want}: the edit must apply");
+            std::fs::write(&path, text.replacen(from, to, 1))?;
+            let err = DecisionServer::recover(config).expect_err(want);
             let _ = std::fs::remove_file(&path);
-            assert!(err.contains(want), "{tag}: {err}");
-            assert!(err.contains(&path.display().to_string()), "{tag}: {err}");
+            assert!(err.contains(want), "{want}: {err}");
+            assert!(err.contains(&path.display().to_string()), "{want}: {err}");
         }
+        Ok(())
     }
 
     #[test]

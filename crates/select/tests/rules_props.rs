@@ -1,12 +1,11 @@
-//! Property tests: a generated decision table must agree with its
-//! source selector on every grid point and behave sanely off-grid, for
-//! every collective.
+//! Property tests: a compiled decision table must agree with its source
+//! selector on every grid point and snap every other query to a grid
+//! point, for every collective.
 
 use collsel_coll::Collective;
-use collsel_select::{
-    to_ompi_rules_multi, CollDecisionTable, CollectiveSelector, OpenMpiCollectiveSelector,
-};
+use collsel_select::{CollectiveSelector, CompiledCollectiveSelector, OpenMpiCollectiveSelector};
 use collsel_support::prelude::*;
+use collsel_support::{FromJson, ToJson};
 
 fn grids() -> impl Strategy<Value = (Vec<usize>, Vec<usize>)> {
     (
@@ -20,6 +19,15 @@ fn collective() -> impl Strategy<Value = Collective> {
     (0usize..Collective::ALL.len()).prop_map(|i| Collective::ALL[i])
 }
 
+fn compile(c: Collective, comms: &[usize], msgs: &[usize]) -> CompiledCollectiveSelector {
+    CompiledCollectiveSelector::compile(&OpenMpiCollectiveSelector, &[c], comms, msgs)
+}
+
+/// The highest grid value not above `x`, else the smallest.
+fn snap(grid: &[usize], x: usize) -> usize {
+    *grid.iter().rfind(|&&g| g <= x).unwrap_or(&grid[0])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -27,16 +35,17 @@ proptest! {
     #[test]
     fn table_matches_selector_on_grid((comms, msgs) in grids(), c in collective()) {
         let sel = OpenMpiCollectiveSelector;
-        let table = CollDecisionTable::generate(&sel, c, &comms, &msgs);
+        let table = compile(c, &comms, &msgs);
         for &p in &comms {
             for &m in &msgs {
-                prop_assert_eq!(table.lookup(p, m), Some(sel.select_for(c, p, m)));
+                prop_assert_eq!(table.lookup(c, p, m), sel.select_for(c, p, m));
             }
         }
     }
 
-    /// Off-grid lookups always return something from the table, and the
-    /// rules file renders with one block per communicator size.
+    /// Off-grid lookups answer what the source selector answers at the
+    /// snapped grid point, and the rules file renders with one block
+    /// per communicator size.
     #[test]
     fn table_is_total_and_renders(
         (comms, msgs) in grids(),
@@ -44,25 +53,26 @@ proptest! {
         p in 1usize..300,
         m in 0usize..(16 << 20),
     ) {
-        let table = CollDecisionTable::generate(&OpenMpiCollectiveSelector, c, &comms, &msgs);
-        prop_assert!(table.lookup(p, m).is_some());
-        let rendered = to_ompi_rules_multi(&[table]);
+        let table = compile(c, &comms, &msgs);
+        prop_assert_eq!(
+            table.lookup(c, p, m),
+            OpenMpiCollectiveSelector.select_for(c, snap(&comms, p), snap(&msgs, m))
+        );
+        let rendered = table.to_ompi_rules();
         prop_assert_eq!(
             rendered.matches("# comm size").count(),
             comms.len()
         );
     }
 
-    /// Rule thresholds are strictly increasing within each block.
+    /// Every block holds at least one rule, its thresholds strictly
+    /// increase (the table decodes from its own JSON) and exactly one of
+    /// them, the first, is 0.
     #[test]
     fn rule_thresholds_strictly_increase((comms, msgs) in grids(), c in collective()) {
-        let table = CollDecisionTable::generate(&OpenMpiCollectiveSelector, c, &comms, &msgs);
-        for block in &table.comms {
-            prop_assert!(!block.rules.is_empty());
-            prop_assert_eq!(block.rules[0].min_msg_size, 0);
-            for w in block.rules.windows(2) {
-                prop_assert!(w[0].min_msg_size < w[1].min_msg_size);
-            }
-        }
+        let json = compile(c, &comms, &msgs).to_json();
+        prop_assert!(CompiledCollectiveSelector::from_json(&json).is_ok());
+        let zeros = json.to_string_compact().matches(r#"{"min_msg_size":0,"#).count();
+        prop_assert_eq!(zeros, comms.len());
     }
 }

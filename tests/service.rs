@@ -1,17 +1,18 @@
 //! Differential suite for the decision-serving layer: the compiled
 //! selector must be indistinguishable from its source on every grid
-//! point, from `CollDecisionTable::lookup` everywhere else, and the
-//! exact-query cache must be transparent — for the model, traditional
-//! and fixed selector kinds on every collective, under randomized grids
-//! and query streams — and compiled lookup must be no slower than the
-//! live ranking it replaces. `ci.sh` re-runs this suite at
+//! point, from its source at the snapped grid point everywhere else
+//! (the highest grid value at or below the query, else the smallest,
+//! in each dimension), and the exact-query cache must be transparent
+//! — for the model, traditional and fixed selector kinds on every
+//! collective, under randomized grids and query streams — and compiled
+//! lookup must be no slower than the live ranking it replaces. `ci.sh` re-runs this suite at
 //! `COLLSEL_THREADS=2` as the compiled-vs-live equivalence gate.
 
 use collsel::coll::{Alg, Collective};
 use collsel::model::{GammaTable, Hockney};
 use collsel::netsim::{ClusterModel, NoiseParams};
 use collsel::select::{
-    CollDecisionTable, CollectiveDecisionService, CollectiveModelSelector, CollectiveSelector,
+    CollectiveDecisionService, CollectiveModelSelector, CollectiveSelector,
     CompiledCollectiveSelector, OpenMpiCollectiveSelector, TraditionalModelSelector,
 };
 use collsel::{Tuner, TunerConfig};
@@ -65,12 +66,18 @@ fn grids(comms: &BTreeSet<usize>, msgs: &BTreeSet<usize>) -> (Vec<usize>, Vec<us
     )
 }
 
+/// The highest grid value not above `x`, else the smallest.
+fn snap(grid: &[usize], x: usize) -> usize {
+    *grid.iter().rfind(|&&g| g <= x).unwrap_or(&grid[0])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// CompiledCollectiveSelector == source selector on every grid
-    /// point, and == CollDecisionTable::lookup on arbitrary (incl.
-    /// off-grid) queries, for every selector kind and collective.
+    /// point, and == the source selector at the snapped grid point on
+    /// arbitrary (incl. off-grid) queries, for every selector kind and
+    /// collective.
     #[test]
     fn compiled_is_differential_twin_of_table_and_source(
         comms in prop::collection::btree_set(2usize..200, 2..6),
@@ -85,7 +92,6 @@ proptest! {
                 sel.as_ref(), &Collective::ALL, &comm_grid, &msg_grid,
             );
             for c in Collective::ALL {
-                let table = CollDecisionTable::generate(sel.as_ref(), c, &comm_grid, &msg_grid);
                 for &p in &comm_grid {
                     for &m in &msg_grid {
                         prop_assert_eq!(
@@ -97,11 +103,12 @@ proptest! {
                     }
                 }
                 for &(p, m) in &queries {
+                    let (sp, sm) = (snap(&comm_grid, p), snap(&msg_grid, m));
                     prop_assert_eq!(
-                        Some(compiled.lookup(c, p, m)),
-                        table.lookup(p, m),
-                        "{} diverged from CollDecisionTable::lookup for {} at p={} m={}",
-                        sel.name(), c, p, m
+                        compiled.lookup(c, p, m),
+                        sel.select_for(c, sp, sm),
+                        "{} diverged from its source for {} at p={} m={} (snapped p={} m={})",
+                        sel.name(), c, p, m, sp, sm
                     );
                 }
             }

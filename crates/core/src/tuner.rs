@@ -53,7 +53,7 @@ use collsel_mpi::{Backend, SimError};
 use collsel_netsim::ClusterModel;
 use collsel_select::{
     deployment_msg_sizes, CollSelection, CollectiveModelSelector, CollectiveSelector,
-    CompiledCollectiveSelector, FallbackReason, GracefulCollectiveSelector, DEPLOYMENT_COMM_SIZES,
+    CompiledCollectiveSelector, FallbackReason, DEPLOYMENT_COMM_SIZES,
 };
 use collsel_support::pool::Pool;
 use collsel_support::{FromJson, Json, JsonError};
@@ -167,28 +167,12 @@ impl TunedModel {
             .collect()
     }
 
-    /// Builds the runtime decision function: argmin over the tuned fits
-    /// per collective, falling back to the fixed rules for collectives
-    /// without usable fits. Each collective is evaluated at its
-    /// [`seg_size_for`](Self::seg_size_for).
+    /// Builds the runtime decision function: argmin over the fits that
+    /// pass validation, per collective, falling back to the fixed rules
+    /// (with the cause) wherever no valid model can decide. Each
+    /// collective is evaluated at its [`seg_size_for`](Self::seg_size_for).
     pub fn multi_selector(&self) -> CollectiveModelSelector {
         let selector = CollectiveModelSelector::new(
-            self.gamma.table.clone(),
-            self.multi_hockney_table(),
-            self.seg_size,
-        );
-        Collective::ALL
-            .into_iter()
-            .fold(selector, |s, c| s.with_seg_size(c, self.seg_size_for(c)))
-    }
-
-    /// The graceful runtime decision function: only fits that pass
-    /// validation join the rankings, queries no valid model can decide
-    /// fall back to the fixed rules, and per decision the fallback
-    /// reason is reported. Segment sizes follow
-    /// [`multi_selector`](Self::multi_selector).
-    pub fn degraded_multi_selector(&self) -> GracefulCollectiveSelector {
-        let selector = GracefulCollectiveSelector::new(
             self.gamma.table.clone(),
             self.multi_hockney_table(),
             self.multi_validity(),
@@ -197,6 +181,13 @@ impl TunedModel {
         Collective::ALL
             .into_iter()
             .fold(selector, |s, c| s.with_seg_size(c, self.seg_size_for(c)))
+    }
+
+    /// [`multi_selector`](Self::multi_selector) under its old name. Only
+    /// the `benchmark/` package calls it; it is deleted with ROADMAP
+    /// item 8(a).
+    pub fn degraded_multi_selector(&self) -> CollectiveModelSelector {
+        self.multi_selector()
     }
 
     /// Compiles every tuned collective's decision table into one
@@ -248,18 +239,18 @@ impl TuneReport {
         self.skipped.is_empty()
     }
 
-    /// Like [`TunedModel::degraded_multi_selector`], but with the
-    /// report's skipped-algorithm errors attached as fallback causes: a
-    /// decision for a collective whose fits are all missing carries
+    /// [`TunedModel::multi_selector`] with the report's
+    /// skipped-algorithm errors attached as fallback causes: a decision
+    /// for a collective whose fits are all missing carries
     /// `EstimationTimeout` / `PrecisionNotReached` instead of the
     /// generic `NoUsableModel`.
-    pub fn degraded_multi_selector(&self) -> GracefulCollectiveSelector {
+    pub fn multi_selector(&self) -> CollectiveModelSelector {
         let failures = self
             .skipped
             .iter()
             .map(|(&alg, e)| (alg, FallbackReason::from_sim_error(e)))
             .collect();
-        self.model.degraded_multi_selector().with_failures(failures)
+        self.model.multi_selector().with_failures(failures)
     }
 }
 
@@ -350,7 +341,7 @@ impl Tuner {
     ///   model shares the γ table, so nothing useful can be built;
     /// * a per-algorithm (α, β) failure **skips that algorithm** — its
     ///   collective keeps the fits that survived, the report records
-    ///   the typed reason and [`TuneReport::degraded_multi_selector`]
+    ///   the typed reason and [`TuneReport::multi_selector`]
     ///   falls back to the Open MPI rules wherever the surviving models
     ///   cannot decide.
     ///
@@ -897,8 +888,7 @@ mod tests {
         let tuner = quick_tuner(8);
         for model in [tuner.tune_collectives(&[Collective::Reduce]), tuner.tune()] {
             assert_eq!(model.tuned_collectives()[0], Collective::Bcast);
-            let live = model.multi_selector();
-            let graceful = model.degraded_multi_selector();
+            let selector = model.multi_selector();
             for p in [2usize, 4, 9, 24, 64, 128] {
                 for m in [512usize, 8192, 100_000, 1 << 20, 8 << 20] {
                     let argmin = model.collectives[&Collective::Bcast]
@@ -917,11 +907,9 @@ mod tests {
                         .filter(|(_, t)| t.is_finite())
                         .min_by(|a, b| a.1.total_cmp(&b.1))
                         .map(|(alg, _)| alg);
-                    let pick = live.select_for(Collective::Bcast, p, m);
-                    assert_eq!(Some(pick.alg), argmin, "p={p} m={m}");
-                    let d = graceful.decide_for(Collective::Bcast, p, m);
+                    let d = selector.decide(Collective::Bcast, p, m);
                     assert!(d.source.is_model(), "p={p} m={m}: {d}");
-                    assert_eq!(d.selection, pick, "p={p} m={m}");
+                    assert_eq!(Some(d.selection.alg), argmin, "p={p} m={m}");
                 }
             }
         }
@@ -997,10 +985,10 @@ mod tests {
         for b in [BcastAlg::Linear, BcastAlg::Chain, BcastAlg::KChain] {
             bcast.remove(&Alg::Bcast(b));
         }
-        let sel = model.degraded_multi_selector();
-        assert_eq!(sel.modelled_algorithms().len(), 3);
+        let sel = model.multi_selector();
+        assert_eq!(sel.params().len(), 3);
         for &(p, m) in &[(4usize, 512usize), (16, 64 * 1024), (100, 1 << 20)] {
-            let d = sel.decide_for(Collective::Bcast, p, m);
+            let d = sel.decide(Collective::Bcast, p, m);
             assert!(d.source.is_model(), "three valid models remain: {d:?}");
             assert!(
                 matches!(

@@ -23,8 +23,7 @@ use collsel::coll::Collective;
 use collsel::estim::RetryPolicy;
 use collsel::netsim::{ClusterModel, FaultPlan, NoiseParams, SimSpan};
 use collsel::select::{
-    deployment_msg_sizes, CollectiveSelector, DecisionServer, DecisionSource, ServerConfig,
-    DEPLOYMENT_COMM_SIZES,
+    deployment_msg_sizes, DecisionServer, DecisionSource, ServerConfig, DEPLOYMENT_COMM_SIZES,
 };
 use collsel::{TunedModel, Tuner, TunerConfig};
 use collsel_expt::replay::{
@@ -39,7 +38,7 @@ const USAGE: &str = "usage:
   colltune tune   [--preset grisou|gros | --nodes N --gbps G --latency-us L --cpus-per-node C]
                   [--tune-p P] [--paper] [--seed N] [--faults SPEC] [-j N | --threads N]
                   [--collective NAME]... --out model.json
-  colltune query  --model model.json --p P --m BYTES [--m BYTES]... [--degraded]
+  colltune query  --model model.json --p P --m BYTES [--m BYTES]...
                   [--collective NAME]...
   colltune show   --model model.json
   colltune export --model model.json --out rules.conf [--comm-sizes A,B,...]
@@ -348,11 +347,7 @@ fn load_json<T: FromJson>(path: &str) -> Result<T, String> {
 }
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
-    validate_flags(
-        args,
-        &["--model", "--p", "--m", "--collective"],
-        &["--degraded"],
-    )?;
+    validate_flags(args, &["--model", "--p", "--m", "--collective"], &[])?;
     let p: usize = parse(flag_value(args, "--p").ok_or("--p required")?, "p")?;
     if p == 0 {
         return Err("--p must be at least 1".into());
@@ -363,29 +358,6 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         return Err("at least one --m required".into());
     }
     let collectives = parse_collectives(args)?;
-    if args.iter().any(|a| a == "--degraded") {
-        let selector = model.degraded_multi_selector();
-        println!("graceful selections for {} at P = {p}:", model.cluster_name);
-        for &c in &collectives {
-            println!("{}:", c.name());
-            for s in &sizes {
-                let m: usize = parse(s, "message size")?;
-                let d = selector.decide_for(c, p, m);
-                match &d.source {
-                    DecisionSource::Model { predicted } => println!(
-                        "  m = {m:>9} B -> {:<22} (model, predicted {:.3} ms)",
-                        d.selection.alg.qualified_name(),
-                        predicted * 1e3,
-                    ),
-                    DecisionSource::Fallback { reason } => println!(
-                        "  m = {m:>9} B -> {:<22} (fixed-rules fallback: {reason})",
-                        d.selection.alg.qualified_name(),
-                    ),
-                }
-            }
-        }
-        return Ok(());
-    }
     let selector = model.multi_selector();
     println!(
         "selections for {} at P = {p} ({} collective(s) tuned):",
@@ -396,25 +368,20 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         println!("{}:", c.name());
         for s in &sizes {
             let m: usize = parse(s, "message size")?;
-            let pick = selector.select_for(c, p, m);
-            let ranking = selector.ranking(c, p, m);
-            match ranking.as_slice() {
-                [(_, first), (next_alg, next), ..] => println!(
-                    "  m = {m:>9} B -> {:<22} (predicted {:.3} ms; next: {} at {:.3} ms)",
-                    pick.alg.qualified_name(),
-                    first * 1e3,
-                    next_alg.name(),
-                    next * 1e3,
-                ),
-                [(_, first)] => println!(
-                    "  m = {m:>9} B -> {:<22} (predicted {:.3} ms)",
-                    pick.alg.qualified_name(),
-                    first * 1e3,
-                ),
-                [] => println!(
-                    "  m = {m:>9} B -> {:<22} (fixed rules: collective not tuned)",
-                    pick.alg.qualified_name(),
-                ),
+            let d = selector.decide(c, p, m);
+            let alg = d.selection.alg.qualified_name();
+            match d.source {
+                DecisionSource::Model { predicted } => {
+                    let next = match selector.ranking(c, p, m).get(1) {
+                        Some(&(next, t)) => format!("; next: {} at {:.3} ms", next.name(), t * 1e3),
+                        None => String::new(),
+                    };
+                    let ms = predicted * 1e3;
+                    println!("  m = {m:>9} B -> {alg:<22} (predicted {ms:.3} ms{next})");
+                }
+                DecisionSource::Fallback { reason } => {
+                    println!("  m = {m:>9} B -> {alg:<22} (fixed rules: {reason})");
+                }
             }
         }
     }
@@ -575,7 +542,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     let server = if names.contains(&"server") {
         let m = model.as_ref().ok_or("--selector server needs --model")?;
         Some(DecisionServer::new(
-            &m.degraded_multi_selector(),
+            &m.multi_selector(),
             &m.cluster_name,
             ServerConfig::default(),
         ))

@@ -46,10 +46,10 @@ pub enum ReplayPolicy<'a> {
     Fixed,
     /// The tuned model selector's argmin.
     Tuned(&'a CollectiveModelSelector),
-    /// The tuned ranking's *last* finite entry: the worst algorithm
-    /// the models can justify, the adversarial bound a bad fixed rule
-    /// can approach. Falls back to the fixed rules for collectives
-    /// with no finite fit.
+    /// The tuned ranking's *last* finite entry
+    /// ([`CollectiveModelSelector::worst`]): the worst algorithm the
+    /// models can justify, the adversarial bound a bad fixed rule can
+    /// approach.
     Worst(&'a CollectiveModelSelector),
     /// A live decision server: every call issues a `decide` lookup
     /// (watchdogs, generation swaps and fallbacks included) before the
@@ -73,13 +73,7 @@ impl ReplayPolicy<'_> {
         match self {
             ReplayPolicy::Fixed => fixed_selection(collective, p, m),
             ReplayPolicy::Tuned(sel) => sel.select_for(collective, p, m),
-            ReplayPolicy::Worst(sel) => {
-                let ranking = sel.ranking(collective, p, m);
-                match ranking.iter().rev().find(|(_, t)| t.is_finite()) {
-                    Some(&(alg, _)) => CollSelection::segmented(alg, sel.seg_for(collective)),
-                    None => fixed_selection(collective, p, m),
-                }
-            }
+            ReplayPolicy::Worst(sel) => sel.worst(collective, p, m),
             ReplayPolicy::Server(srv) => srv.decide(collective, p, m).selection,
         }
     }

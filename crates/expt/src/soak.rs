@@ -31,13 +31,13 @@
 //! them all; the soak test and the `colltune serve` smoke gate assert
 //! the list is empty.
 
-use collsel::coll::{Alg, Collective};
+use collsel::coll::Collective;
 use collsel::estim::RetryPolicy;
-use collsel::model::{FitValidity, Hockney};
+use collsel::model::Hockney;
 use collsel::netsim::{Brownout, ClusterModel, FaultPlan, NoiseParams};
 use collsel::select::{
-    fixed_selection, CollSelection, CompiledCollectiveSelector, DecisionServer,
-    GracefulCollectiveSelector, RefitOutcome, ServeSource, ServedAnswer, ServerConfig, ServerStats,
+    fixed_selection, CollSelection, CollectiveModelSelector, CompiledCollectiveSelector,
+    DecisionServer, RefitOutcome, ServeSource, ServedAnswer, ServerConfig, ServerStats,
 };
 use collsel::{TunedModel, Tuner, TunerConfig};
 use collsel_support::rng::splitmix64;
@@ -163,50 +163,38 @@ impl SoakReport {
     }
 }
 
-/// Rebuilds a candidate selector from the boot model's fits with every β
-/// scaled by a tiny seeded factor (order-preserving, so the health
-/// gate accepts it), or — when `poisoned` — with the per-collective β
-/// order reversed (decision-flipping, so the gate must reject it).
+/// A refit candidate: the boot model with every β scaled by a tiny
+/// seeded factor (order-preserving, so the health gate accepts it), or
+/// — when `poisoned` — with each collective's β order reversed
+/// (decision-flipping, so the gate must reject it).
 fn candidate(
     boot: &TunedModel,
     round: usize,
     seed: u64,
     poisoned: bool,
-) -> GracefulCollectiveSelector {
+) -> CollectiveModelSelector {
     let mut state = seed ^ (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let params: BTreeMap<Alg, Hockney> = if poisoned {
-        // Reverse each collective's β ranking: the cheapest algorithm
-        // gets the dearest β and vice versa.
-        let mut by_coll: BTreeMap<Collective, Vec<(Alg, Hockney)>> = BTreeMap::new();
-        for (alg, h) in boot.multi_hockney_table() {
-            by_coll.entry(alg.collective()).or_default().push((alg, h));
-        }
-        let mut flipped = BTreeMap::new();
-        for (_, mut fits) in by_coll {
-            fits.sort_by(|a, b| a.1.beta.total_cmp(&b.1.beta));
-            let betas: Vec<f64> = fits.iter().rev().map(|(_, h)| h.beta).collect();
-            for ((alg, h), beta) in fits.into_iter().zip(betas) {
-                flipped.insert(alg, Hockney::new(h.alpha, beta));
+    let mut refit = boot.clone();
+    for fits in refit.collectives.values_mut() {
+        let mut fits: Vec<&mut Hockney> = fits.values_mut().map(|est| &mut est.hockney).collect();
+        if poisoned {
+            // Reverse the collective's β ranking: the cheapest algorithm
+            // gets the dearest β and vice versa.
+            fits.sort_by(|a, b| a.beta.total_cmp(&b.beta));
+            let betas: Vec<f64> = fits.iter().rev().map(|h| h.beta).collect();
+            for (h, beta) in fits.into_iter().zip(betas) {
+                h.beta = beta;
             }
-        }
-        flipped
-    } else {
-        boot.multi_hockney_table()
-            .into_iter()
-            .map(|(alg, h)| {
+        } else {
+            for h in fits {
                 // ±0.1 % β jitter: a realistic refit of the same
                 // cluster, far inside the health gate's tolerance.
                 let u = (splitmix64(&mut state) % 2_000) as f64 / 1_000.0 - 1.0;
-                (alg, Hockney::new(h.alpha, h.beta * (1.0 + 1e-3 * u)))
-            })
-            .collect()
-    };
-    let validity = params.keys().map(|&a| (a, FitValidity::Valid)).collect();
-    let gamma = boot.gamma.table.clone();
-    let selector = GracefulCollectiveSelector::new(gamma, params, validity, boot.seg_size);
-    Collective::ALL
-        .into_iter()
-        .fold(selector, |s, c| s.with_seg_size(c, boot.seg_size_for(c)))
+                h.beta *= 1.0 + 1e-3 * u;
+            }
+        }
+    }
+    refit.multi_selector()
 }
 
 /// Runs one soak (see the module docs). The returned report carries
@@ -222,7 +210,7 @@ pub fn run_soak(config: &SoakConfig) -> SoakReport {
     let report = tuner
         .try_tune_collectives(&BOOT_COLLECTIVES, Some(&RetryPolicy::default()))
         .expect("soak boot tune must complete");
-    let boot_selector = report.degraded_multi_selector();
+    let boot_selector = report.multi_selector();
     // The boot generation's fits, kept for deriving refit candidates.
     let boot = &report.model;
 

@@ -7,13 +7,12 @@
 //! [`Collective::Bcast`](collsel_coll::Collective::Bcast).
 //!
 //! * [`CollectiveModelSelector`] — the paper's contribution: argmin over
-//!   the implementation-derived models with per-algorithm parameters;
+//!   the implementation-derived models of the valid per-algorithm fits,
+//!   falling back to the fixed rules per query and reporting why;
 //! * [`fixed_selection`] / [`OpenMpiCollectiveSelector`] — the Open MPI
 //!   3.1 fixed decision functions; the broadcast arm is the faithful
 //!   port whose mis-selections reach 7297% degradation in the paper;
 //! * [`TraditionalModelSelector`] — the textbook-model ablation;
-//! * [`GracefulCollectiveSelector`] — validity-filtered ranking that
-//!   falls back to the fixed rules per query, reporting why;
 //! * [`analysis`] — Table 3-style degradation accounting (the measured
 //!   best is [`analysis::MeasuredPoint::best`]);
 //! * [`multi`] — the serving stack: [`CompiledCollectiveSelector`] (the
@@ -44,12 +43,15 @@ pub mod server;
 pub use multi::{
     fixed_selection, CollDecision, CollSelection, CollectiveDecisionService,
     CollectiveModelSelector, CollectiveSelector, CompiledCollectiveSelector, DecisionSource,
-    FallbackReason, GracefulCollectiveSelector, OpenMpiCollectiveSelector, ServiceStats,
-    TraditionalModelSelector,
+    FallbackReason, OpenMpiCollectiveSelector, ServiceStats, TraditionalModelSelector,
 };
 pub use server::{
     DecisionServer, RefitOutcome, ServeSource, ServedAnswer, ServerConfig, ServerStats,
 };
+
+/// The old name of [`CollectiveModelSelector`]. Only the `benchmark/`
+/// package names it; it is deleted with ROADMAP item 8(a).
+pub type GracefulCollectiveSelector = CollectiveModelSelector;
 
 /// Communicator sizes of the deployment grid, the one grid a tuned
 /// model is compiled over for serving: by default the decision server

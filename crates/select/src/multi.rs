@@ -10,12 +10,11 @@
 //!   3.1's fixed rules; the broadcast arm is the faithful port the paper
 //!   compares against;
 //! * [`CollectiveModelSelector`] — the paper's contribution: argmin over
-//!   the implementation-derived models with per-algorithm parameters
-//!   (plus the joint segment-size sweep);
+//!   the implementation-derived models of the *valid* fits, with a
+//!   per-query fixed-rules fallback whose cause ([`FallbackReason`]) its
+//!   one decision body, [`CollectiveModelSelector::decide`], reports
+//!   through [`CollDecision`] (plus the joint segment-size sweep);
 //! * [`TraditionalModelSelector`] — the textbook-model ablation;
-//! * [`GracefulCollectiveSelector`] — validity-filtered ranking with a
-//!   per-query fixed-rules fallback whose cause ([`FallbackReason`]) is
-//!   reported through [`CollDecision`];
 //! * [`CompiledCollectiveSelector`] — the decision table: a selector
 //!   tabulated over a (P, m) grid into per-collective CSR arrays, with an
 //!   allocation-free two-binary-search lookup, the Open MPI dynamic-rules
@@ -197,35 +196,55 @@ impl CollectiveSelector for OpenMpiCollectiveSelector {
     }
 }
 
-/// Model-based runtime selection over any subset of collectives:
-/// evaluates the implementation-derived model of every fitted algorithm
-/// of the queried collective and returns the predicted-fastest.
+/// Model-based runtime selection over any subset of collectives — the
+/// paper's runtime decision function (Sect. 5.3): evaluates the
+/// implementation-derived model of every trusted fit of the queried
+/// collective and returns the predicted-fastest.
 ///
-/// A query never panics: an algorithm whose model evaluates to NaN/∞ is
-/// skipped, and a collective with no usable (finite) fitted model falls
-/// back to [`fixed_selection`], so partial tuning campaigns (e.g. only
-/// reduce tuned so far) still serve every collective.
+/// Only fits judged [`FitValidity::Valid`] are trusted. A query never
+/// panics: an algorithm whose model evaluates to NaN/∞ is skipped, and a
+/// collective with no finite trusted prediction falls back to
+/// [`fixed_selection`], so partial tuning campaigns (e.g. only reduce
+/// tuned so far) still serve every collective.
+/// [`decide`](Self::decide) is the one decision body and reports which
+/// path decided and, for a fallback, why ([`FallbackReason`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CollectiveModelSelector {
     gamma: GammaTable,
+    /// The trusted fits: those `validity` judges valid.
     params: BTreeMap<Alg, Hockney>,
+    validity: BTreeMap<Alg, FitValidity>,
+    failures: BTreeMap<Alg, FallbackReason>,
     seg_size: usize,
     seg_overrides: BTreeMap<Collective, usize>,
 }
 
 impl CollectiveModelSelector {
-    /// Builds the selector from per-algorithm fits (keys carry the
-    /// collective, so one map covers all seven families).
+    /// Builds the selector from judged per-algorithm fits (keys carry
+    /// the collective, so one map covers all seven families). A fit
+    /// joins the rankings only if `validity` judges it
+    /// [`FitValidity::Valid`]; a fit with no verdict is never trusted.
     ///
     /// # Panics
     ///
     /// Panics if `seg_size` is zero (an *empty* params map is allowed —
     /// every query then falls back to the fixed rules).
-    pub fn new(gamma: GammaTable, params: BTreeMap<Alg, Hockney>, seg_size: usize) -> Self {
+    pub fn new(
+        gamma: GammaTable,
+        params: BTreeMap<Alg, Hockney>,
+        validity: BTreeMap<Alg, FitValidity>,
+        seg_size: usize,
+    ) -> Self {
         assert!(seg_size > 0, "segment size must be positive");
+        let params = params
+            .into_iter()
+            .filter(|(alg, _)| validity.get(alg).is_some_and(FitValidity::is_valid))
+            .collect();
         CollectiveModelSelector {
             gamma,
             params,
+            validity,
+            failures: BTreeMap::new(),
             seg_size,
             seg_overrides: BTreeMap::new(),
         }
@@ -249,14 +268,27 @@ impl CollectiveModelSelector {
         self
     }
 
-    /// The γ table in use.
-    pub fn gamma(&self) -> &GammaTable {
-        &self.gamma
+    /// Records why algorithms are missing entirely (their estimation
+    /// failed before producing a fit, e.g. with
+    /// [`FallbackReason::EstimationTimeout`] or
+    /// [`FallbackReason::PrecisionNotReached`]). Fallback decisions for
+    /// a collective whose fits are all missing carry the recorded cause
+    /// instead of the generic [`FallbackReason::NoUsableModel`].
+    #[must_use]
+    pub fn with_failures(mut self, failures: BTreeMap<Alg, FallbackReason>) -> Self {
+        self.failures = failures;
+        self
     }
 
-    /// The per-algorithm Hockney parameters.
+    /// The trusted per-algorithm Hockney parameters: the fits that join
+    /// the rankings.
     pub fn params(&self) -> &BTreeMap<Alg, Hockney> {
         &self.params
+    }
+
+    /// Per-algorithm validity verdicts this selector was built from.
+    pub fn validity(&self) -> &BTreeMap<Alg, FitValidity> {
+        &self.validity
     }
 
     /// The segment size used for `collective`'s predictions and served
@@ -268,23 +300,28 @@ impl CollectiveModelSelector {
             .unwrap_or(self.seg_size)
     }
 
-    /// The fitted algorithms of one collective.
-    fn family(&self, collective: Collective) -> impl Iterator<Item = (Alg, &Hockney)> {
+    /// Predicted times of the queried collective's trusted fits at
+    /// segment `seg`, in algorithm order.
+    fn predictions(
+        &self,
+        collective: Collective,
+        p: usize,
+        m: usize,
+        seg: usize,
+    ) -> impl Iterator<Item = (Alg, f64)> + '_ {
         self.params
             .iter()
             .filter(move |(alg, _)| alg.collective() == collective)
-            .map(|(&alg, h)| (alg, h))
+            .map(move |(&alg, h)| (alg, collectives::predict(alg, p, m, seg, &self.gamma, h)))
     }
 
-    /// Predicted times of the queried collective's fitted algorithms,
+    /// Predicted times of the queried collective's trusted fits,
     /// ascending, **non-finite predictions last**: a poisoned fit sinks
     /// to the end of the ranking in a deterministic total order instead
     /// of panicking the sort.
     pub fn ranking(&self, collective: Collective, p: usize, m: usize) -> Vec<(Alg, f64)> {
-        let seg = self.seg_for(collective);
         let mut v: Vec<(Alg, f64)> = self
-            .family(collective)
-            .map(|(alg, h)| (alg, collectives::predict(alg, p, m, seg, &self.gamma, h)))
+            .predictions(collective, p, m, self.seg_for(collective))
             .collect();
         v.sort_by(|a, b| match (a.1.is_finite(), b.1.is_finite()) {
             (true, false) => std::cmp::Ordering::Less,
@@ -294,18 +331,67 @@ impl CollectiveModelSelector {
         v
     }
 
-    /// The model-path argmin, if any fitted model of this collective
-    /// yields a finite prediction.
-    fn model_argmin(&self, collective: Collective, p: usize, m: usize) -> Option<(Alg, f64)> {
+    /// Predicted execution time of one specific algorithm at `(p, m)`
+    /// under its trusted fit, or `None` when the algorithm is not
+    /// modelled (no fit, or its fit failed validation). The decision
+    /// server's health gate prices a candidate generation's picks with
+    /// it under the live generation's models.
+    pub fn predicted_time(&self, alg: Alg, p: usize, m: usize) -> Option<f64> {
+        let seg = self.seg_for(alg.collective());
+        let h = self.params.get(&alg)?;
+        Some(collectives::predict(alg, p, m, seg, &self.gamma, h))
+    }
+
+    /// Decides a query, reporting which path decided. Never panics.
+    ///
+    /// The model path is the argmin over the collective's finite
+    /// predictions. A fallback decision carries the most specific cause
+    /// available: trusted fits that all predicted non-finite times
+    /// report [`FallbackReason::NonFinitePredictions`]; fits that exist
+    /// but all failed validation report [`FallbackReason::InvalidFit`];
+    /// collectives whose estimation failed outright report the cause
+    /// recorded via [`with_failures`](Self::with_failures).
+    pub fn decide(&self, collective: Collective, p: usize, m: usize) -> CollDecision {
         let seg = self.seg_for(collective);
-        let mut best: Option<(Alg, f64)> = None;
-        for (alg, h) in self.family(collective) {
-            let t = collectives::predict(alg, p, m, seg, &self.gamma, h);
-            if t.is_finite() && best.is_none_or(|(_, bt)| t < bt) {
-                best = Some((alg, t));
-            }
+        match argmin(self.predictions(collective, p, m, seg)) {
+            Some((alg, predicted)) => CollDecision {
+                selection: served(alg, seg),
+                source: DecisionSource::Model { predicted },
+            },
+            None => CollDecision {
+                selection: fixed_selection(collective, p, m),
+                source: DecisionSource::Fallback {
+                    reason: self.fallback_cause(collective),
+                },
+            },
         }
-        best
+    }
+
+    /// The cause a rules-path decision for `collective` should carry.
+    fn fallback_cause(&self, collective: Collective) -> FallbackReason {
+        let of = |alg: &Alg| alg.collective() == collective;
+        if self.params.keys().any(of) {
+            return FallbackReason::NonFinitePredictions;
+        }
+        if self.validity.keys().any(of) {
+            return FallbackReason::InvalidFit;
+        }
+        self.failures
+            .iter()
+            .find(|(alg, _)| of(alg))
+            .map_or(FallbackReason::NoUsableModel, |(_, &reason)| reason)
+    }
+
+    /// The ranking's last finite entry, served at the collective's
+    /// segment: the worst algorithm the models can justify, the
+    /// adversarial bound a bad fixed rule can approach. Falls back to
+    /// [`fixed_selection`] when no trusted prediction is finite.
+    pub fn worst(&self, collective: Collective, p: usize, m: usize) -> CollSelection {
+        let ranking = self.ranking(collective, p, m);
+        match ranking.iter().rev().find(|(_, t)| t.is_finite()) {
+            Some(&(alg, _)) => served(alg, self.seg_for(collective)),
+            None => fixed_selection(collective, p, m),
+        }
     }
 
     /// Joint algorithm **and segment size** selection — the extension
@@ -317,9 +403,9 @@ impl CollectiveModelSelector {
     /// Returns the predicted-fastest `(algorithm, segment size)` pair of
     /// `collective` over `seg_candidates` (the collective's own segment
     /// is always included, so this never does worse than
-    /// [`select_for`](CollectiveSelector::select_for) in model terms);
-    /// with no finite prediction it falls back to [`fixed_selection`],
-    /// as `select_for` does.
+    /// [`decide`](Self::decide) in model terms); with no finite
+    /// prediction it falls back to [`fixed_selection`], as `decide`
+    /// does.
     ///
     /// # Panics
     ///
@@ -332,26 +418,40 @@ impl CollectiveModelSelector {
         seg_candidates: &[usize],
     ) -> CollSelection {
         let own = self.seg_for(collective);
-        let mut best: Option<(f64, CollSelection)> = None;
-        for seg in seg_candidates.iter().copied().chain(std::iter::once(own)) {
+        let segs = seg_candidates.iter().copied().chain(std::iter::once(own));
+        let swept = segs.flat_map(|seg| {
             assert!(seg > 0, "segment size candidates must be positive");
-            for (alg, h) in self.family(collective) {
-                let t = collectives::predict(alg, p, m, seg, &self.gamma, h);
-                if t.is_finite() && best.as_ref().is_none_or(|(bt, _)| t < *bt) {
-                    best = Some((t, CollSelection::segmented(alg, seg)));
-                }
-            }
+            self.predictions(collective, p, m, seg)
+                .map(move |(alg, t)| ((alg, seg), t))
+        });
+        match argmin(swept) {
+            Some(((alg, seg), _)) => served(alg, seg),
+            None => fixed_selection(collective, p, m),
         }
-        best.map_or_else(|| fixed_selection(collective, p, m), |(_, s)| s)
     }
+}
+
+/// The selection that serves a model-chosen `alg` at segment `seg`: the
+/// one place a model decision becomes a [`CollSelection`].
+fn served(alg: Alg, seg: usize) -> CollSelection {
+    CollSelection::segmented(alg, seg)
+}
+
+/// The first strictly smallest finite prediction, if any: the one
+/// argmin every model decision takes.
+fn argmin<K>(predictions: impl Iterator<Item = (K, f64)>) -> Option<(K, f64)> {
+    let mut best: Option<(K, f64)> = None;
+    for (k, t) in predictions {
+        if t.is_finite() && best.as_ref().is_none_or(|(_, bt)| t < *bt) {
+            best = Some((k, t));
+        }
+    }
+    best
 }
 
 impl CollectiveSelector for CollectiveModelSelector {
     fn select_for(&self, collective: Collective, p: usize, m: usize) -> CollSelection {
-        match self.model_argmin(collective, p, m) {
-            Some((alg, _)) => CollSelection::segmented(alg, self.seg_for(collective)),
-            None => fixed_selection(collective, p, m),
-        }
+        self.decide(collective, p, m).selection
     }
 
     fn name(&self) -> &str {
@@ -387,16 +487,13 @@ impl CollectiveSelector for TraditionalModelSelector {
         if collective != Collective::Bcast {
             return fixed_selection(collective, p, m);
         }
-        let mut best: Option<(BcastAlg, f64)> = None;
-        for alg in BcastAlg::ALL {
+        let predictions = BcastAlg::ALL.into_iter().map(|b| {
             let t =
-                collsel_model::traditional::predict_bcast(alg, p, m, self.seg_size, &self.hockney);
-            if t.is_finite() && best.is_none_or(|(_, bt)| t < bt) {
-                best = Some((alg, t));
-            }
-        }
-        match best {
-            Some((alg, _)) => CollSelection::segmented(Alg::Bcast(alg), self.seg_size),
+                collsel_model::traditional::predict_bcast(b, p, m, self.seg_size, &self.hockney);
+            (Alg::Bcast(b), t)
+        });
+        match argmin(predictions) {
+            Some((alg, _)) => CollSelection::segmented(alg, self.seg_size),
             None => fixed_selection(collective, p, m),
         }
     }
@@ -458,14 +555,6 @@ impl fmt::Display for FallbackReason {
     }
 }
 
-collsel_support::json_enum!(FallbackReason {
-    NoUsableModel,
-    NonFinitePredictions,
-    InvalidFit,
-    EstimationTimeout,
-    PrecisionNotReached,
-});
-
 /// Which path produced a [`CollDecision`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum DecisionSource {
@@ -498,47 +587,6 @@ impl DecisionSource {
     }
 }
 
-impl collsel_support::ToJson for DecisionSource {
-    fn to_json(&self) -> collsel_support::Json {
-        use collsel_support::Json;
-        match self {
-            DecisionSource::Model { predicted } => Json::Obj(vec![
-                ("kind".to_string(), Json::Str("model".to_string())),
-                ("predicted".to_string(), predicted.to_json()),
-            ]),
-            DecisionSource::Fallback { reason } => Json::Obj(vec![
-                ("kind".to_string(), Json::Str("fallback".to_string())),
-                ("reason".to_string(), reason.to_json()),
-            ]),
-        }
-    }
-}
-
-impl collsel_support::FromJson for DecisionSource {
-    fn from_json(v: &collsel_support::Json) -> Result<Self, collsel_support::JsonError> {
-        use collsel_support::JsonError;
-        let kind = v
-            .get("kind")
-            .and_then(|k| k.as_str())
-            .ok_or_else(|| JsonError(format!("decision source needs a `kind`: {v}")))?;
-        match kind {
-            "model" => Ok(DecisionSource::Model {
-                predicted: f64::from_json(
-                    v.get("predicted")
-                        .ok_or_else(|| JsonError("model source needs `predicted`".to_string()))?,
-                )?,
-            }),
-            "fallback" => Ok(DecisionSource::Fallback {
-                reason: FallbackReason::from_json(
-                    v.get("reason")
-                        .ok_or_else(|| JsonError("fallback source needs `reason`".to_string()))?,
-                )?,
-            }),
-            other => Err(JsonError(format!("invalid decision source kind `{other}`"))),
-        }
-    }
-}
-
 /// A selection together with how it was reached.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CollDecision {
@@ -564,146 +612,6 @@ impl fmt::Display for CollDecision {
                 reason
             ),
         }
-    }
-}
-
-collsel_support::json_struct!(CollDecision { selection, source });
-
-/// Graceful degradation across collectives: model-based per query when
-/// the queried collective has trusted fits, [`fixed_selection`]
-/// otherwise — reporting which path decided through [`CollDecision`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct GracefulCollectiveSelector {
-    model: CollectiveModelSelector,
-    validity: BTreeMap<Alg, FitValidity>,
-    failures: BTreeMap<Alg, FallbackReason>,
-}
-
-impl GracefulCollectiveSelector {
-    /// Builds the selector from judged fits; only
-    /// [`FitValidity::Valid`] fits join the rankings.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seg_size` is zero.
-    pub fn new(
-        gamma: GammaTable,
-        params: BTreeMap<Alg, Hockney>,
-        validity: BTreeMap<Alg, FitValidity>,
-        seg_size: usize,
-    ) -> Self {
-        let trusted: BTreeMap<Alg, Hockney> = params
-            .into_iter()
-            .filter(|(alg, _)| validity.get(alg).is_some_and(FitValidity::is_valid))
-            .collect();
-        GracefulCollectiveSelector {
-            model: CollectiveModelSelector::new(gamma, trusted, seg_size),
-            validity,
-            failures: BTreeMap::new(),
-        }
-    }
-
-    /// Records why algorithms are missing entirely (their estimation
-    /// failed before producing a fit, e.g. with
-    /// [`FallbackReason::EstimationTimeout`] or
-    /// [`FallbackReason::PrecisionNotReached`]). Fallback decisions for
-    /// a collective whose fits are all missing carry the recorded cause
-    /// instead of the generic [`FallbackReason::NoUsableModel`].
-    #[must_use]
-    pub fn with_failures(mut self, failures: BTreeMap<Alg, FallbackReason>) -> Self {
-        self.failures = failures;
-        self
-    }
-
-    /// The recorded per-algorithm estimation failures.
-    pub fn failures(&self) -> &BTreeMap<Alg, FallbackReason> {
-        &self.failures
-    }
-
-    /// Predicted execution time of one specific algorithm at `(p, m)`
-    /// under this selector's trusted fits, or `None` when the algorithm
-    /// is not modelled (no fit, or its fit failed validation). Used by
-    /// the decision server's health gate to shadow-score a candidate
-    /// generation's picks with the live generation's models.
-    pub fn predicted_time(&self, alg: Alg, p: usize, m: usize) -> Option<f64> {
-        self.model
-            .ranking(alg.collective(), p, m)
-            .into_iter()
-            .find(|&(a, _)| a == alg)
-            .map(|(_, t)| t)
-    }
-
-    /// Overrides one collective's evaluation/serving segment size (see
-    /// [`CollectiveModelSelector::with_seg_size`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seg_size` is zero.
-    pub fn with_seg_size(mut self, collective: Collective, seg_size: usize) -> Self {
-        self.model = self.model.with_seg_size(collective, seg_size);
-        self
-    }
-
-    /// Per-algorithm validity verdicts this selector was built from.
-    pub fn validity(&self) -> &BTreeMap<Alg, FitValidity> {
-        &self.validity
-    }
-
-    /// The algorithms whose models participate in the rankings.
-    pub fn modelled_algorithms(&self) -> Vec<Alg> {
-        self.model.params().keys().copied().collect()
-    }
-
-    /// Decides a query, reporting which path decided. Never panics.
-    ///
-    /// A fallback decision carries the most specific cause available:
-    /// trusted fits that all predicted non-finite times report
-    /// [`FallbackReason::NonFinitePredictions`]; fits that exist but
-    /// all failed validation report [`FallbackReason::InvalidFit`];
-    /// collectives whose estimation failed outright report the cause
-    /// recorded via [`with_failures`](Self::with_failures).
-    pub fn decide_for(&self, collective: Collective, p: usize, m: usize) -> CollDecision {
-        match self.model.model_argmin(collective, p, m) {
-            Some((alg, predicted)) => CollDecision {
-                selection: CollSelection::segmented(alg, self.model.seg_for(collective)),
-                source: DecisionSource::Model { predicted },
-            },
-            None => CollDecision {
-                selection: fixed_selection(collective, p, m),
-                source: DecisionSource::Fallback {
-                    reason: self.fallback_cause(collective),
-                },
-            },
-        }
-    }
-
-    /// The cause a rules-path decision for `collective` should carry.
-    fn fallback_cause(&self, collective: Collective) -> FallbackReason {
-        if self.model.family(collective).next().is_some() {
-            return FallbackReason::NonFinitePredictions;
-        }
-        let has_judged_fits = self
-            .validity
-            .keys()
-            .any(|alg| alg.collective() == collective);
-        if has_judged_fits {
-            return FallbackReason::InvalidFit;
-        }
-        self.failures
-            .iter()
-            .find(|(alg, _)| alg.collective() == collective)
-            .map(|(_, &reason)| reason)
-            .unwrap_or(FallbackReason::NoUsableModel)
-    }
-}
-
-impl CollectiveSelector for GracefulCollectiveSelector {
-    fn select_for(&self, collective: Collective, p: usize, m: usize) -> CollSelection {
-        self.decide_for(collective, p, m).selection
-    }
-
-    fn name(&self) -> &str {
-        "graceful-multi"
     }
 }
 
@@ -1286,6 +1194,12 @@ mod tests {
         params.keys().map(|&a| (a, FitValidity::Valid)).collect()
     }
 
+    /// A selector that trusts every fit, at an 8 KB segment.
+    fn trusted(params: BTreeMap<Alg, Hockney>) -> CollectiveModelSelector {
+        let validity = all_valid(&params);
+        CollectiveModelSelector::new(gamma(), params, validity, 8192)
+    }
+
     #[test]
     fn fixed_rules_always_return_the_queried_collective() {
         for c in Collective::ALL {
@@ -1340,7 +1254,7 @@ mod tests {
 
     #[test]
     fn model_selector_picks_argmin_of_ranking() {
-        let sel = CollectiveModelSelector::new(gamma(), all_params(1e-6, 1e-9), 8192);
+        let sel = trusted(all_params(1e-6, 1e-9));
         for c in Collective::ALL {
             let ranking = sel.ranking(c, 24, 1 << 20);
             assert_eq!(ranking.len(), c.algorithms().len());
@@ -1353,7 +1267,7 @@ mod tests {
 
     #[test]
     fn bcast_model_prefers_shallow_trees_small_and_avoids_linear_large() {
-        let sel = CollectiveModelSelector::new(gamma(), bcast_params(1e-5, 1e-9), 8192);
+        let sel = trusted(bcast_params(1e-5, 1e-9));
         let pick = sel.select_for(Collective::Bcast, 90, 256).alg;
         assert!(
             matches!(
@@ -1362,7 +1276,7 @@ mod tests {
             ),
             "small messages should avoid deep chains, got {pick}"
         );
-        let sel = CollectiveModelSelector::new(gamma(), bcast_params(1e-6, 1e-9), 8192);
+        let sel = trusted(bcast_params(1e-6, 1e-9));
         let pick = sel.select_for(Collective::Bcast, 90, 4 << 20).alg;
         assert_ne!(pick, Alg::Bcast(BcastAlg::Linear));
     }
@@ -1382,7 +1296,7 @@ mod tests {
                 beta: 1e-9,
             },
         );
-        let sel = CollectiveModelSelector::new(gamma(), params, 8192);
+        let sel = trusted(params);
         for &(p, m) in &[(16usize, 1024usize), (90, 1 << 20), (124, 8192)] {
             let pick = sel.select_for(Collective::Bcast, p, m);
             assert_ne!(pick.alg, poisoned, "p={p} m={m}");
@@ -1400,7 +1314,7 @@ mod tests {
 
     #[test]
     fn empty_params_fall_back_to_fixed_rules() {
-        let sel = CollectiveModelSelector::new(gamma(), BTreeMap::new(), 8192);
+        let sel = trusted(BTreeMap::new());
         for c in Collective::ALL {
             assert_eq!(sel.select_for(c, 16, 8192), fixed_selection(c, 16, 8192));
             assert_eq!(
@@ -1412,7 +1326,7 @@ mod tests {
 
     #[test]
     fn segment_sweep_never_worse_than_fixed_in_model_terms() {
-        let sel = CollectiveModelSelector::new(gamma(), all_params(1e-5, 1e-9), 8192);
+        let sel = trusted(all_params(1e-5, 1e-9));
         let candidates = [1024, 4096, 8192, 16 * 1024, 64 * 1024];
         for c in Collective::ALL {
             for &(p, m) in &[(24usize, 8192usize), (90, 1 << 20), (124, 4 << 20)] {
@@ -1420,14 +1334,8 @@ mod tests {
                 let swept = sel.select_with_segment_sweep(c, p, m, &candidates);
                 assert_eq!(swept.alg.collective(), c);
                 let seg = swept.seg_size.expect("sweep always segments");
-                let swept_t = collectives::predict(
-                    swept.alg,
-                    p,
-                    m,
-                    seg,
-                    sel.gamma(),
-                    &sel.params()[&swept.alg],
-                );
+                let swept_t =
+                    collectives::predict(swept.alg, p, m, seg, &gamma(), &sel.params()[&swept.alg]);
                 assert!(swept_t <= fixed + 1e-15, "{c} p={p} m={m}");
             }
         }
@@ -1437,7 +1345,7 @@ mod tests {
     fn segment_sweep_avoids_extremes_for_large_messages() {
         // With a startup cost per segment, tiny segments lose; with no
         // pipelining, huge segments lose. The optimum is interior.
-        let sel = CollectiveModelSelector::new(gamma(), bcast_params(2e-5, 1e-9), 8192);
+        let sel = trusted(bcast_params(2e-5, 1e-9));
         let candidates: Vec<usize> = (0..12).map(|i| 256 << i).collect(); // 256 B .. 512 KB
         let pick = sel.select_with_segment_sweep(Collective::Bcast, 64, 4 << 20, &candidates);
         let seg = pick.seg_size.unwrap();
@@ -1473,20 +1381,38 @@ mod tests {
         }
     }
 
+    /// A fit that fails validation never ranks, even where it would be
+    /// the argmin (or the worst): it is absent from the ranking, and
+    /// neither `select_for`, `decide` nor `worst` serves it.
     #[test]
-    fn graceful_with_all_valid_fits_matches_the_model_selector() {
-        let params = all_params(1e-6, 1e-9);
-        let sel =
-            GracefulCollectiveSelector::new(gamma(), params.clone(), all_valid(&params), 8192);
-        let plain = CollectiveModelSelector::new(gamma(), params, 8192);
-        assert_eq!(sel.name(), "graceful-multi");
-        for c in Collective::ALL {
-            let d = sel.decide_for(c, 90, 1 << 20);
-            assert!(d.source.is_model(), "{d:?}");
-            assert_eq!(d.selection, plain.select_for(c, 90, 1 << 20));
-            assert_eq!(sel.select_for(c, 90, 1 << 20), d.selection);
+    fn invalid_fits_never_rank() {
+        let fastest = Alg::Bcast(BcastAlg::Binomial);
+        let slowest = Alg::Bcast(BcastAlg::Linear);
+        let mut params = bcast_params(1e-6, 1e-9);
+        params.insert(fastest, Hockney::new(1e-12, 1e-15));
+        params.insert(slowest, Hockney::new(1.0, 1e-3));
+        for (bad, verdict) in [
+            (fastest, FitValidity::Unconverged { achieved: 0.3 }),
+            (slowest, FitValidity::NonFinite),
+        ] {
+            for (p, m) in [(16usize, 1024usize), (90, 1 << 20)] {
+                let all = trusted(params.clone());
+                assert_eq!(all.decide(Collective::Bcast, p, m).selection.alg, fastest);
+                assert_eq!(all.worst(Collective::Bcast, p, m).alg, slowest);
+                let mut validity = all_valid(&params);
+                validity.insert(bad, verdict);
+                let sel = CollectiveModelSelector::new(gamma(), params.clone(), validity, 8192);
+                let ranking = sel.ranking(Collective::Bcast, p, m);
+                assert_eq!(ranking.len(), params.len() - 1, "{verdict}");
+                assert!(ranking.iter().all(|&(alg, _)| alg != bad), "{verdict}");
+                assert_eq!(sel.predicted_time(bad, p, m), None);
+                let d = sel.decide(Collective::Bcast, p, m);
+                assert!(d.source.is_model(), "{d}");
+                assert_eq!(d.selection.alg, ranking[0].0);
+                assert_eq!(sel.select_for(Collective::Bcast, p, m), d.selection);
+                assert_ne!(sel.worst(Collective::Bcast, p, m).alg, bad, "{verdict}");
+            }
         }
-        assert_eq!(sel.modelled_algorithms().len(), plain.params().len());
     }
 
     #[test]
@@ -1502,31 +1428,14 @@ mod tests {
                 *v = FitValidity::Unconverged { achieved: 0.3 };
             }
         }
-        let sel = GracefulCollectiveSelector::new(gamma(), params, validity, 8192);
-        assert_eq!(sel.modelled_algorithms(), vec![Alg::Bcast(BcastAlg::Chain)]);
-        let d = sel.decide_for(Collective::Bcast, 90, 1 << 20);
+        let sel = CollectiveModelSelector::new(gamma(), params, validity, 8192);
+        assert_eq!(
+            sel.params().keys().collect::<Vec<_>>(),
+            [&Alg::Bcast(BcastAlg::Chain)]
+        );
+        let d = sel.decide(Collective::Bcast, 90, 1 << 20);
         assert!(d.source.is_model());
         assert_eq!(d.selection.alg, Alg::Bcast(BcastAlg::Chain));
-    }
-
-    #[test]
-    fn graceful_reports_fallback_reason_per_collective() {
-        // Only reduce has (valid) fits: reduce queries take the model
-        // path, everything else falls back with NoUsableModel.
-        let params: BTreeMap<Alg, Hockney> = Collective::Reduce
-            .algorithms()
-            .iter()
-            .map(|&a| (a, Hockney::new(1e-6, 1e-9)))
-            .collect();
-        let validity = all_valid(&params);
-        let sel = GracefulCollectiveSelector::new(gamma(), params, validity, 8192);
-        let d = sel.decide_for(Collective::Reduce, 24, 1 << 20);
-        assert!(d.source.is_model(), "{d}");
-        for c in [Collective::Bcast, Collective::Gather, Collective::Alltoall] {
-            let d = sel.decide_for(c, 24, 1 << 20);
-            assert!(!d.source.is_model(), "{c}: {d}");
-            assert_eq!(d.selection, fixed_selection(c, 24, 1 << 20));
-        }
     }
 
     #[test]
@@ -1564,10 +1473,10 @@ mod tests {
         for &a in Collective::Alltoall.algorithms() {
             failures.insert(a, FallbackReason::PrecisionNotReached);
         }
-        let sel = GracefulCollectiveSelector::new(gamma(), params, validity, 8192)
-            .with_failures(failures);
+        let sel =
+            CollectiveModelSelector::new(gamma(), params, validity, 8192).with_failures(failures);
         assert!(sel
-            .decide_for(Collective::Reduce, 24, 1 << 20)
+            .decide(Collective::Reduce, 24, 1 << 20)
             .source
             .is_model());
         let cases = [
@@ -1579,7 +1488,7 @@ mod tests {
         ];
         for (c, want) in cases {
             for &(p, m) in &[(4usize, 100usize), (24, 1 << 20), (124, 4 << 20)] {
-                let d = sel.decide_for(c, p, m);
+                let d = sel.decide(c, p, m);
                 assert_eq!(
                     d.source.fallback_reason(),
                     Some(want),
@@ -1594,48 +1503,11 @@ mod tests {
     #[test]
     fn decision_display_names_the_path() {
         let params = bcast_params(1e-6, 1e-9);
-        let sel =
-            GracefulCollectiveSelector::new(gamma(), params.clone(), all_valid(&params), 8192);
-        let d = sel.decide_for(Collective::Bcast, 90, 1 << 20);
+        let d = trusted(params).decide(Collective::Bcast, 90, 1 << 20);
         assert!(d.to_string().contains("model"), "{d}");
-        let empty =
-            GracefulCollectiveSelector::new(gamma(), BTreeMap::new(), BTreeMap::new(), 8192);
-        let d = empty.decide_for(Collective::Bcast, 90, 1 << 20);
+        let empty = trusted(BTreeMap::new());
+        let d = empty.decide(Collective::Bcast, 90, 1 << 20);
         assert!(d.to_string().contains("fallback"), "{d}");
-    }
-
-    #[test]
-    fn decisions_and_causes_round_trip_through_json() {
-        use collsel_support::{FromJson, ToJson};
-        let mut params: BTreeMap<Alg, Hockney> = BTreeMap::new();
-        let mut validity: BTreeMap<Alg, FitValidity> = BTreeMap::new();
-        for &a in Collective::Reduce.algorithms() {
-            params.insert(a, Hockney::new(1e-6, 1e-9));
-            validity.insert(a, FitValidity::Valid);
-        }
-        let failures: BTreeMap<Alg, FallbackReason> = Collective::Scatter
-            .algorithms()
-            .iter()
-            .map(|&a| (a, FallbackReason::EstimationTimeout))
-            .collect();
-        let sel = GracefulCollectiveSelector::new(gamma(), params, validity, 8192)
-            .with_failures(failures);
-        // One model decision and one attributed fallback per shape.
-        for (c, p, m) in [
-            (Collective::Reduce, 24usize, 1usize << 20),
-            (Collective::Scatter, 24, 1 << 20),
-            (Collective::Bcast, 16, 8192),
-        ] {
-            let d = sel.decide_for(c, p, m);
-            let json = d.to_json();
-            let text = json.to_string_pretty();
-            let parsed = collsel_support::Json::parse(&text).expect("round-trip parse");
-            let back = CollDecision::from_json(&parsed).expect("round-trip decode");
-            assert_eq!(back, d, "{c}: JSON round-trip must preserve the decision");
-            if let Some(reason) = d.source.fallback_reason() {
-                assert_eq!(back.source.fallback_reason(), Some(reason));
-            }
-        }
     }
 
     #[test]
@@ -1762,7 +1634,7 @@ mod tests {
 
     #[test]
     fn compiled_matches_live_on_and_off_grid() {
-        let sel = CollectiveModelSelector::new(gamma(), all_params(1e-6, 1e-9), 8192);
+        let sel = trusted(all_params(1e-6, 1e-9));
         let comms = [4usize, 16, 64, 128];
         let msgs = [1024usize, 64 * 1024, 1 << 20];
         let compiled = CompiledCollectiveSelector::compile(&sel, &Collective::ALL, &comms, &msgs);
@@ -1828,7 +1700,7 @@ mod tests {
     /// collectives sharing every `(p, m)` stay distinct.
     #[test]
     fn cache_never_crosses_collectives() {
-        let sel = CollectiveModelSelector::new(gamma(), all_params(1e-6, 1e-9), 8192);
+        let sel = trusted(all_params(1e-6, 1e-9));
         let compiled = CompiledCollectiveSelector::compile(
             &sel,
             &Collective::ALL,

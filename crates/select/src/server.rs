@@ -11,7 +11,7 @@
 //! that shape:
 //!
 //! * **Generations** — each installed fit is an immutable `Generation`
-//!   (compiled tables + the graceful selector that produced them). The
+//!   (compiled tables + the model selector that produced them). The
 //!   current generation lives in an [`EpochSwap`]: readers pin it
 //!   wait-free, swaps are atomic, and a superseded generation is
 //!   reclaimed only after its last reader drains.
@@ -41,7 +41,7 @@
 //!   path to get wrong.
 
 use crate::multi::{
-    fixed_selection, CollSelection, CompiledCollectiveSelector, GracefulCollectiveSelector,
+    fixed_selection, CollSelection, CollectiveModelSelector, CompiledCollectiveSelector,
 };
 use collsel_coll::{Alg, Collective};
 use collsel_model::FitValidity;
@@ -112,9 +112,9 @@ struct Generation {
     cluster: String,
     /// The compiled serving tables (also the journal payload).
     tables: Arc<CompiledCollectiveSelector>,
-    /// The graceful selector that produced the tables; prices the
-    /// health gate's shadow scores. `None` after journal recovery.
-    referee: Option<Arc<GracefulCollectiveSelector>>,
+    /// The model selector that produced the tables; prices the health
+    /// gate's shadow scores. `None` after journal recovery.
+    referee: Option<Arc<CollectiveModelSelector>>,
     /// The immediately preceding generation's version and tables — the
     /// watchdog's retry target. Only one step of history is kept.
     prev: Option<(u64, Arc<CompiledCollectiveSelector>)>,
@@ -322,10 +322,10 @@ pub struct DecisionServer {
 }
 
 impl DecisionServer {
-    /// Boots the server with generation 1 compiled from `initial` (a
-    /// graceful selector, typically `TuneReport::degraded_multi_selector`
-    /// output) and journals it if a journal path is configured.
-    pub fn new(initial: &GracefulCollectiveSelector, cluster: &str, config: ServerConfig) -> Self {
+    /// Boots the server with generation 1 compiled from `initial`
+    /// (typically `TuneReport::multi_selector` output) and journals it
+    /// if a journal path is configured.
+    pub fn new(initial: &CollectiveModelSelector, cluster: &str, config: ServerConfig) -> Self {
         let generation = Generation {
             version: 1,
             label: "boot".to_string(),
@@ -386,7 +386,7 @@ impl DecisionServer {
     }
 
     fn compile_generation(
-        selector: &GracefulCollectiveSelector,
+        selector: &CollectiveModelSelector,
         config: &ServerConfig,
     ) -> Arc<CompiledCollectiveSelector> {
         Arc::new(CompiledCollectiveSelector::compile(
@@ -489,11 +489,7 @@ impl DecisionServer {
     ///    slowdown beyond 25 % on any canary rejects the candidate.
     ///    (Skipped when the live generation has no referee, i.e. right
     ///    after journal recovery.)
-    pub fn submit_refit(
-        &self,
-        candidate: &GracefulCollectiveSelector,
-        label: &str,
-    ) -> RefitOutcome {
+    pub fn submit_refit(&self, candidate: &CollectiveModelSelector, label: &str) -> RefitOutcome {
         // Gate 1: fit validity.
         let invalid: Vec<(Alg, FitValidity)> = candidate
             .validity()
@@ -517,8 +513,8 @@ impl DecisionServer {
             });
             let mut regressions = 0usize;
             for (c, p, m) in canaries {
-                let cand_pick = candidate.decide_for(c, p, m).selection.alg;
-                let live_pick = referee.decide_for(c, p, m).selection.alg;
+                let cand_pick = candidate.decide(c, p, m).selection.alg;
+                let live_pick = referee.decide(c, p, m).selection.alg;
                 if cand_pick == live_pick {
                     continue;
                 }
@@ -647,11 +643,11 @@ mod tests {
         GammaTable::from_pairs([(3, 1.11), (4, 1.22), (5, 1.28), (6, 1.45), (7, 1.54)])
     }
 
-    /// A graceful selector whose per-algorithm betas follow `order`:
+    /// A model selector whose per-algorithm betas follow `order`:
     /// the i-th algorithm of each collective gets `beta * (1 + i)` in
     /// the given enumeration order, so different orders prefer
     /// different algorithms.
-    fn selector_with(order_rev: bool) -> GracefulCollectiveSelector {
+    fn selector_with(order_rev: bool) -> CollectiveModelSelector {
         let mut params: BTreeMap<Alg, Hockney> = BTreeMap::new();
         for c in Collective::ALL {
             let algs = c.algorithms();
@@ -661,7 +657,7 @@ mod tests {
             }
         }
         let validity = params.keys().map(|&a| (a, FitValidity::Valid)).collect();
-        GracefulCollectiveSelector::new(gamma(), params, validity, 8192)
+        CollectiveModelSelector::new(gamma(), params, validity, 8192)
     }
 
     fn small_config() -> ServerConfig {
@@ -722,7 +718,7 @@ mod tests {
         // Poison one fit's verdict.
         let poisoned_alg = *validity.keys().next().unwrap();
         validity.insert(poisoned_alg, FitValidity::NonFinite);
-        let poisoned = GracefulCollectiveSelector::new(gamma(), params, validity, 8192);
+        let poisoned = CollectiveModelSelector::new(gamma(), params, validity, 8192);
         match server.submit_refit(&poisoned, "poisoned") {
             RefitOutcome::RejectedInvalidFit { invalid } => {
                 assert_eq!(invalid.len(), 1);

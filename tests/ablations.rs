@@ -13,6 +13,7 @@
 
 use collsel::coll::{Alg, BcastAlg, Collective};
 use collsel::estim::{estimate_network_hockney, measure, Precision, TimedProgram};
+use collsel::model::FitValidity;
 use collsel::netsim::{ClusterModel, NoiseParams};
 use collsel::select::{CollectiveModelSelector, CollectiveSelector, TraditionalModelSelector};
 use collsel::{Tuner, TunerConfig};
@@ -96,7 +97,12 @@ fn full_method_close_to_oracle_and_ablations_not_better() {
         .iter()
         .map(|&a| (a, network))
         .collect();
-    let shared = CollectiveModelSelector::new(tuned.gamma.table.clone(), shared_params, SEG);
+    let validity = shared_params
+        .keys()
+        .map(|&a| (a, FitValidity::Valid))
+        .collect();
+    let shared =
+        CollectiveModelSelector::new(tuned.gamma.table.clone(), shared_params, validity, SEG);
 
     let oracle = bench.oracle_time();
     let t_full = bench.total_time(&full);
@@ -130,6 +136,7 @@ fn gamma_matters_for_model_quality() {
     let ones = CollectiveModelSelector::new(
         collsel::model::GammaTable::ones(),
         tuned.multi_hockney_table(),
+        tuned.multi_validity(),
         SEG,
     );
     let m = 1 << 20;

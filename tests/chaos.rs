@@ -51,12 +51,12 @@ fn tuning_under_faults_completes_or_reports_typed_errors() {
             let tuner = Tuner::new(faulted, TunerConfig::quick(TUNE_P));
             match tuner.try_tune_collectives(&[Collective::Bcast], Some(&RetryPolicy::default())) {
                 Ok(report) => {
-                    let sel = report.degraded_multi_selector();
+                    let sel = report.multi_selector();
                     // Every query must be answered without panicking,
                     // across a (P, m) grid wider than the tuning ran on.
                     for p in [2usize, 5, 16, 48] {
                         for m in [256usize, 8 * 1024, 256 * 1024, 4 << 20] {
-                            let d = sel.decide_for(Collective::Bcast, p, m);
+                            let d = sel.decide(Collective::Bcast, p, m);
                             match &d.source {
                                 DecisionSource::Model { predicted } => {
                                     assert!(
@@ -126,10 +126,10 @@ fn broadcasts_that_all_timed_out_report_estimation_timeout() {
         report.skipped.keys().copied().collect::<Vec<_>>(),
         BcastAlg::ALL.map(Alg::Bcast).to_vec()
     );
-    let sel = report.degraded_multi_selector();
+    let sel = report.multi_selector();
     for p in [2usize, 16, 64] {
         for m in [1024usize, 1 << 20] {
-            let d = sel.decide_for(Collective::Bcast, p, m);
+            let d = sel.decide(Collective::Bcast, p, m);
             assert_eq!(
                 d.source.fallback_reason(),
                 Some(FallbackReason::EstimationTimeout),
@@ -244,8 +244,8 @@ fn parsed_chaos_plan_is_survivable() {
     let tuner = Tuner::new(cluster.with_faults(plan), TunerConfig::quick(TUNE_P));
     match tuner.try_tune_collectives(&[Collective::Bcast], Some(&RetryPolicy::default())) {
         Ok(report) => {
-            let sel = report.degraded_multi_selector();
-            let d = sel.decide_for(Collective::Bcast, 64, 1 << 20);
+            let sel = report.multi_selector();
+            let d = sel.decide(Collective::Bcast, 64, 1 << 20);
             assert!(d.selection.effective_seg_size(1 << 20) > 0);
         }
         Err(e) => assert!(!e.to_string().is_empty()),

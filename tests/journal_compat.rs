@@ -8,8 +8,8 @@
 use collsel::coll::{Alg, Collective};
 use collsel::model::{FitValidity, GammaTable, Hockney};
 use collsel::select::{
-    deployment_msg_sizes, CollectiveSelector, DecisionServer, GracefulCollectiveSelector,
-    ServeSource, ServerConfig, DEPLOYMENT_COMM_SIZES,
+    deployment_msg_sizes, CollectiveModelSelector, CollectiveSelector, DecisionServer, ServeSource,
+    ServerConfig, DEPLOYMENT_COMM_SIZES,
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -21,7 +21,7 @@ const FIXTURE: &str = concat!(
 
 /// Fits whose latency grows and bandwidth cost shrinks along each
 /// family's enumeration, so every collective's table has crossovers.
-fn fixture_selector() -> GracefulCollectiveSelector {
+fn fixture_selector() -> CollectiveModelSelector {
     let mut params: BTreeMap<Alg, Hockney> = BTreeMap::new();
     for c in Collective::ALL {
         let algs = c.algorithms();
@@ -32,7 +32,7 @@ fn fixture_selector() -> GracefulCollectiveSelector {
     }
     let validity = params.keys().map(|&a| (a, FitValidity::Valid)).collect();
     let gamma = GammaTable::from_pairs([(3, 1.11), (4, 1.22), (5, 1.28), (6, 1.45), (7, 1.54)]);
-    GracefulCollectiveSelector::new(gamma, params, validity, 8192)
+    CollectiveModelSelector::new(gamma, params, validity, 8192)
         .with_seg_size(Collective::Reduce, 16 * 1024)
 }
 

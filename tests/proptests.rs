@@ -3,11 +3,11 @@
 
 use collsel::coll::{bcast, gather_linear, scatter_binomial, Alg, BcastAlg, Collective, Topology};
 use collsel::estim::{huber_default, ols};
-use collsel::model::{derived, GammaTable, Hockney};
+use collsel::model::{derived, FitValidity, GammaTable, Hockney};
 use collsel::mpi::simulate;
 use collsel::netsim::{ClusterModel, NoiseParams, SimSpan};
 use collsel::select::{
-    fixed_selection, CollectiveModelSelector, CollectiveSelector, GracefulCollectiveSelector,
+    fixed_selection, CollectiveModelSelector, CollectiveSelector, DecisionSource,
 };
 use collsel_support::prelude::*;
 use collsel_support::Bytes;
@@ -191,11 +191,9 @@ proptest! {
         prop_assert_eq!(fixed.alg.collective(), c);
 
         let gamma = GammaTable::from_pairs([(3, 1.1), (5, 1.3), (7, 1.5)]);
-        let model = CollectiveModelSelector::new(
-            gamma,
-            all_family_params(a_scale, b_scale),
-            1usize << seg_exp,
-        );
+        let params = all_family_params(a_scale, b_scale);
+        let validity = params.keys().map(|&alg| (alg, FitValidity::Valid)).collect();
+        let model = CollectiveModelSelector::new(gamma, params, validity, 1usize << seg_exp);
         let pick = model.select_for(c, p, m);
         prop_assert_eq!(pick.alg.collective(), c);
         let ranking = model.ranking(c, p, m);
@@ -208,9 +206,9 @@ proptest! {
     }
 
     /// Graceful degradation across collectives: when every fit of the
-    /// queried collective is invalid (or missing entirely), the
-    /// graceful selector falls back to the fixed rules — same
-    /// selection, fallback source, no panic.
+    /// queried collective is invalid (or missing entirely), the model
+    /// selector falls back to the fixed rules — same selection,
+    /// fallback source, no panic.
     #[test]
     fn graceful_multi_falls_back_when_fits_are_invalid(
         c in arb_collective(),
@@ -223,17 +221,68 @@ proptest! {
             (BTreeMap::new(), BTreeMap::new())
         } else {
             let params = all_family_params(1.0, 1.0);
-            let validity: BTreeMap<Alg, collsel::model::FitValidity> = params
+            let validity: BTreeMap<Alg, FitValidity> = params
                 .keys()
-                .map(|&alg| (alg, collsel::model::FitValidity::NonFinite))
+                .map(|&alg| (alg, FitValidity::NonFinite))
                 .collect();
             (params, validity)
         };
-        let graceful = GracefulCollectiveSelector::new(gamma, params, validity, 8192);
-        let d = graceful.decide_for(c, p, m);
+        let selector = CollectiveModelSelector::new(gamma, params, validity, 8192);
+        let d = selector.decide(c, p, m);
         prop_assert!(!d.source.is_model(), "invalid fits must not decide");
         prop_assert_eq!(d.selection, fixed_selection(c, p, m));
         prop_assert_eq!(d.selection.alg.collective(), c);
+    }
+
+    /// One decision body: over random fits and validity verdicts (some
+    /// missing, some NaN), `select_for` is `decide`'s selection, only
+    /// valid fits rank, `predicted_time` of every ranked algorithm is
+    /// its ranking entry bit for bit, and a model decision is the
+    /// ranking's head at its predicted time.
+    #[test]
+    fn select_for_and_predicted_time_are_views_of_decide(
+        c in arb_collective(),
+        p in 1usize..300,
+        m in 0usize..(16 << 20),
+        fits in prop::collection::vec((1.0f64..1e3, 1.0f64..1e3, 0usize..6), 0..32),
+    ) {
+        let gamma = GammaTable::from_pairs([(3, 1.1), (5, 1.3), (7, 1.5)]);
+        let mut params = BTreeMap::new();
+        let mut validity = BTreeMap::new();
+        let algs = Collective::ALL.iter().flat_map(|c| c.algorithms());
+        for (&alg, (a, b, kind)) in algs.zip(fits) {
+            // Kind 5 is a NaN fit judged valid; kind 3 has no verdict.
+            let alpha = if kind == 5 { f64::NAN } else { 1e-7 * a };
+            params.insert(alg, Hockney { alpha, beta: 1e-11 * b });
+            let verdict = match kind {
+                1 => Some(FitValidity::Unconverged { achieved: 0.3 }),
+                2 => Some(FitValidity::NonFinite),
+                3 => None,
+                _ => Some(FitValidity::Valid),
+            };
+            if let Some(v) = verdict {
+                validity.insert(alg, v);
+            }
+        }
+        let selector = CollectiveModelSelector::new(gamma, params, validity.clone(), 8192);
+        let d = selector.decide(c, p, m);
+        prop_assert_eq!(selector.select_for(c, p, m), d.selection);
+        let ranking = selector.ranking(c, p, m);
+        for &(alg, t) in &ranking {
+            prop_assert!(validity.get(&alg).is_some_and(FitValidity::is_valid), "{alg:?} ranked");
+            let priced = selector.predicted_time(alg, p, m).map(f64::to_bits);
+            prop_assert_eq!(priced, Some(t.to_bits()), "{:?}", alg);
+        }
+        match d.source {
+            DecisionSource::Model { predicted } => {
+                prop_assert_eq!(ranking[0].0, d.selection.alg);
+                prop_assert_eq!(ranking[0].1.to_bits(), predicted.to_bits());
+            }
+            DecisionSource::Fallback { .. } => {
+                prop_assert!(ranking.iter().all(|(_, t)| !t.is_finite()));
+                prop_assert_eq!(d.selection, fixed_selection(c, p, m));
+            }
+        }
     }
 
     /// OLS and Huber agree on outlier-free affine data.

@@ -9,7 +9,7 @@
 //! `COLLSEL_THREADS=2` as the compiled-vs-live equivalence gate.
 
 use collsel::coll::{Alg, Collective};
-use collsel::model::{GammaTable, Hockney};
+use collsel::model::{FitValidity, GammaTable, Hockney};
 use collsel::netsim::{ClusterModel, NoiseParams};
 use collsel::select::{
     CollectiveDecisionService, CollectiveModelSelector, CollectiveSelector,
@@ -46,11 +46,11 @@ fn all_params(a_scale: f64, b_scale: f64) -> BTreeMap<Alg, Hockney> {
 /// and the Open MPI fixed rules.
 fn all_selectors(a_scale: f64, b_scale: f64) -> Vec<Box<dyn CollectiveSelector + Send + Sync>> {
     vec![
-        Box::new(CollectiveModelSelector::new(
-            gamma(),
-            all_params(a_scale, b_scale),
-            8192,
-        )),
+        Box::new({
+            let params = all_params(a_scale, b_scale);
+            let validity = params.keys().map(|&a| (a, FitValidity::Valid)).collect();
+            CollectiveModelSelector::new(gamma(), params, validity, 8192)
+        }),
         Box::new(TraditionalModelSelector::new(
             Hockney::new(1e-6 * a_scale, 1e-9 * b_scale),
             8192,

@@ -37,7 +37,7 @@ pub fn allgather_ring<C: Comm>(ctx: &mut C, block: Bytes) -> Vec<Bytes> {
     // (me - s) mod p.
     for s in 0..p.saturating_sub(1) {
         let outgoing = out[(me + p - s) % p].clone().expect("block from last step");
-        let (incoming, _) = ctx.sendrecv(right, TAG_ALLGATHER, outgoing, left, TAG_ALLGATHER);
+        let incoming = ctx.sendrecv(right, TAG_ALLGATHER, outgoing, left, TAG_ALLGATHER);
         debug_assert_eq!(incoming.len(), item);
         out[(me + p - s - 1) % p] = Some(incoming);
     }
@@ -66,7 +66,7 @@ pub fn allgather_recursive_doubling<C: Comm>(ctx: &mut C, block: Bytes) -> Vec<B
         let base = me & !(dist - 1);
         let window = have.iter().skip(base).take(dist);
         let packed = Bytes::concat(window.map(|slot| slot.as_ref().expect("window filled")));
-        let (incoming, _) = ctx.sendrecv(partner, TAG_ALLGATHER, packed, partner, TAG_ALLGATHER);
+        let incoming = ctx.sendrecv(partner, TAG_ALLGATHER, packed, partner, TAG_ALLGATHER);
         let partner_base = partner & !(dist - 1);
         assert_eq!(incoming.len(), dist * item, "partner window size");
         for (i, r) in (partner_base..partner_base + dist).enumerate() {

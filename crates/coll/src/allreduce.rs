@@ -73,7 +73,7 @@ pub fn allreduce_recursive_doubling<C: Comm>(
             ctx.send(me + 1, TAG_ALLREDUCE, value.clone());
             false
         } else {
-            let (data, _) = ctx.recv(me - 1, TAG_ALLREDUCE);
+            let data = ctx.recv(me - 1, TAG_ALLREDUCE);
             value = op.combine([&value, &data]);
             true
         }
@@ -88,7 +88,7 @@ pub fn allreduce_recursive_doubling<C: Comm>(
         let mut dist = 1;
         while dist < pow2 {
             let partner = unmap(id ^ dist);
-            let (data, _) = ctx.sendrecv(
+            let data = ctx.sendrecv(
                 partner,
                 TAG_ALLREDUCE,
                 value.clone(),
@@ -104,7 +104,7 @@ pub fn allreduce_recursive_doubling<C: Comm>(
         }
         value
     } else {
-        ctx.recv(me + 1, TAG_ALLREDUCE).0
+        ctx.recv(me + 1, TAG_ALLREDUCE)
     }
 }
 

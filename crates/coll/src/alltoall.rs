@@ -50,9 +50,7 @@ pub fn alltoall_linear<C: Comm>(ctx: &mut C, blocks: Vec<Bytes>) -> Vec<Bytes> {
             if src == me {
                 blocks[me].clone()
             } else {
-                let (data, status) = arrived.next().expect("one block per peer");
-                debug_assert_eq!(status.source, src);
-                data
+                arrived.next().expect("one block per peer")
             }
         })
         .collect()
@@ -74,7 +72,7 @@ pub fn alltoall_pairwise<C: Comm>(ctx: &mut C, blocks: Vec<Bytes>) -> Vec<Bytes>
     for k in 1..p {
         let to = (me + k) % p;
         let from = (me + p - k) % p;
-        let (data, _) = ctx.sendrecv(to, TAG_ALLTOALL, blocks[to].clone(), from, TAG_ALLTOALL);
+        let data = ctx.sendrecv(to, TAG_ALLTOALL, blocks[to].clone(), from, TAG_ALLTOALL);
         out[from] = Some(data);
     }
     out.into_iter()

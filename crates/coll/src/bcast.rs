@@ -105,7 +105,7 @@ pub fn bcast_linear<C: Comm>(ctx: &mut C, root: usize, msg: Option<Bytes>, len: 
         ctx.wait_all_sends(sends);
         msg
     } else {
-        ctx.recv(root, TAG_BCAST).0
+        ctx.recv(root, TAG_BCAST)
     }
 }
 
@@ -213,7 +213,7 @@ pub fn bcast_tree_segmented<C: Comm>(
             // draining the current one, as the Open MPI interior loop
             // does.
             let next = (i < ns).then(|| ctx.irecv(parent, TAG_BCAST));
-            let (data, _) = ctx.wait_recv(prev);
+            let data = ctx.wait_recv(prev);
             let sends = children
                 .iter()
                 .map(|&c| ctx.isend(c, TAG_BCAST, data.clone()))
@@ -304,7 +304,7 @@ pub fn bcast_split_binary<C: Comm>(
         let mut prev = ctx.irecv(parent, TAG_BCAST);
         for i in 1..=ns {
             let next = (i < ns).then(|| ctx.irecv(parent, TAG_BCAST));
-            let (data, _) = ctx.wait_recv(prev);
+            let data = ctx.wait_recv(prev);
             let sends = children
                 .iter()
                 .map(|&c| ctx.isend(c, TAG_BCAST, data.clone()))
@@ -326,18 +326,15 @@ pub fn bcast_split_binary<C: Comm>(
             Some(unmap(v - nl))
         };
         let other = match partner {
-            Some(partner) => {
-                ctx.sendrecv(
-                    partner,
-                    TAG_BCAST_XCHG,
-                    mine.clone(),
-                    partner,
-                    TAG_BCAST_XCHG,
-                )
-                .0
-            }
+            Some(partner) => ctx.sendrecv(
+                partner,
+                TAG_BCAST_XCHG,
+                mine.clone(),
+                partner,
+                TAG_BCAST_XCHG,
+            ),
             // Unpaired left rank: the root supplies the right half.
-            None => ctx.recv(root, TAG_BCAST_XCHG).0,
+            None => ctx.recv(root, TAG_BCAST_XCHG),
         };
 
         let (first, second) = if in_left {

@@ -48,8 +48,9 @@ use std::sync::Arc;
 ///
 /// # Errors
 ///
-/// [`RecordError`] if the recording run fails (the broadcast ports use
-/// no wildcards, so `Unsupported` cannot occur for them).
+/// [`RecordError`] if the recording run fails (the broadcast ports
+/// read no payload and are deterministic, so `Unsupported` cannot occur
+/// for them).
 ///
 /// # Panics
 ///
@@ -213,7 +214,7 @@ impl TimedProgram {
                     c.send(peer, 0, Bytes::symbolic(m));
                     let _ = c.recv(peer, 1);
                 } else {
-                    let (data, _) = c.recv(root, 0);
+                    let data = c.recv(root, 0);
                     c.send(root, 1, data);
                 }
             }
@@ -231,7 +232,7 @@ impl TimedProgram {
     /// # Errors
     ///
     /// [`RecordError`] if the recording run fails (it cannot: the
-    /// programs use no wildcards and their receives are all matched).
+    /// programs read no payload and their receives are all matched).
     ///
     /// # Panics
     ///
@@ -471,7 +472,7 @@ pub fn compose_step(
 ///
 /// # Errors
 ///
-/// As [`compose_step`]; the group collectives use no wildcards and
+/// As [`compose_step`]; the group collectives are deterministic and
 /// read no payload, so `Unsupported` cannot occur.
 ///
 /// # Panics
@@ -542,7 +543,7 @@ mod tests {
     fn gigabyte_step_records_exact_lengths_without_touching_a_byte() {
         use crate::collective::Alg;
         use crate::AllreduceAlg;
-        use collsel_mpi::OpShape;
+        use collsel_mpi::SchedOp;
         use std::collections::BTreeSet;
 
         const GIB: usize = 1 << 30;
@@ -578,7 +579,7 @@ mod tests {
                 .iter()
                 .flatten()
                 .filter_map(|op| match op {
-                    OpShape::Isend { tag, len, .. } if tag / GROUP_TAG_STRIDE == call => Some(*len),
+                    SchedOp::Isend { tag, len, .. } if tag / GROUP_TAG_STRIDE == call => Some(*len),
                     _ => None,
                 })
                 .collect()
@@ -668,16 +669,11 @@ mod tests {
             compose(Err(rank_panic(1, "boom"))),
             Some(rank_panic(5, "boom"))
         );
-        assert_eq!(
-            compose(Err(RecordError::Unsupported {
-                rank: 2,
-                what: "wait_any_recv".to_owned(),
-            })),
-            Some(RecordError::Unsupported {
-                rank: 7,
-                what: "wait_any_recv".to_owned(),
-            })
-        );
+        let unsupported = |rank| RecordError::Unsupported {
+            rank,
+            what: "a non-deterministic op stream".to_owned(),
+        };
+        assert_eq!(compose(Err(unsupported(2))), Some(unsupported(7)));
         // A template that crosses the engine barrier: refused under the
         // first member, world rank 2, as its `GroupComm` would panic.
         let with_barrier = record_schedule(&cluster, 3, |rc| rc.barrier());

@@ -32,9 +32,7 @@ pub fn gather_linear<C: Comm>(ctx: &mut C, root: usize, contribution: Bytes) -> 
             if rank == root {
                 out.push(contribution.clone());
             } else {
-                let (data, status) = received.next().expect("one message per peer");
-                debug_assert_eq!(status.source, rank);
-                out.push(data);
+                out.push(received.next().expect("one message per peer"));
             }
         }
         Some(out)
@@ -87,7 +85,7 @@ pub fn gather_binomial<C: Comm>(
     // Children must be drained in ascending virtual-rank order so the
     // concatenation stays sorted; binomial children are already ordered.
     for &child in tree.children(me) {
-        let (data, _) = ctx.recv(child, TAG_GATHER);
+        let data = ctx.recv(child, TAG_GATHER);
         debug_assert_eq!(data.len(), span(vrank(child)) * item_len);
         parts.push(data);
     }

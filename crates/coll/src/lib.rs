@@ -20,6 +20,7 @@
 //! ```
 //! use collsel_support::Bytes;
 //! use collsel_coll::{bcast, BcastAlg};
+//! use collsel_mpi::Comm;
 //! use collsel_netsim::ClusterModel;
 //!
 //! let cluster = ClusterModel::gros();

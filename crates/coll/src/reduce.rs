@@ -263,7 +263,7 @@ pub fn reduce_linear<C: Comm>(
             .map(|src| ctx.irecv(src, TAG_REDUCE))
             .collect();
         let arrived = ctx.wait_all_recvs(reqs);
-        Some(op.combine(std::iter::once(&contribution).chain(arrived.iter().map(|(data, _)| data))))
+        Some(op.combine(std::iter::once(&contribution).chain(arrived.iter())))
     } else {
         ctx.send(root, TAG_REDUCE, contribution);
         None
@@ -321,7 +321,7 @@ pub fn reduce_tree_segmented<C: Comm>(
             inflight = children.iter().map(|&c| ctx.irecv(c, TAG_REDUCE)).collect();
         }
         let mine = contribution.slice(lo..hi);
-        let folded = op.combine(std::iter::once(&mine).chain(arrived.iter().map(|(data, _)| data)));
+        let folded = op.combine(std::iter::once(&mine).chain(arrived.iter()));
         match parent {
             Some(parent) => ctx.send(parent, TAG_REDUCE, folded),
             None => out.push(folded),

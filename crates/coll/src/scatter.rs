@@ -48,7 +48,7 @@ pub fn scatter_linear<C: Comm>(ctx: &mut C, root: usize, blocks: Option<Vec<Byte
         ctx.wait_all_sends(sends);
         blocks[root].clone()
     } else {
-        ctx.recv(root, TAG_SCATTER).0
+        ctx.recv(root, TAG_SCATTER)
     }
 }
 
@@ -93,7 +93,7 @@ pub fn scatter_binomial<C: Comm>(ctx: &mut C, root: usize, blocks: Option<Vec<By
         (packed, item_len)
     } else {
         let parent = tree.parent(me).expect("non-root has a parent");
-        let (data, _) = ctx.recv(parent, TAG_SCATTER);
+        let data = ctx.recv(parent, TAG_SCATTER);
         let my_span = span(vrank(me));
         debug_assert_eq!(data.len() % my_span, 0, "super-block not divisible");
         let item_len = data.len() / my_span;

@@ -3,7 +3,7 @@
 //! message sizes and segment sizes.
 
 use collsel_coll::{bcast, bcast_k_chain, BcastAlg};
-use collsel_mpi::simulate;
+use collsel_mpi::{simulate, Comm};
 use collsel_netsim::{ClusterModel, NoiseParams, SimSpan};
 use collsel_support::Bytes;
 

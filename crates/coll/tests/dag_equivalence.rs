@@ -11,7 +11,7 @@
 use collsel_coll::compile::{compile_bcast, TimedProgram};
 use collsel_coll::{bcast, Alg, BcastAlg, Collective};
 use collsel_mpi::{
-    simulate_with, Ctx, DagEvaluator, ScheduledRun, SimError, SimOptions, TimingDag,
+    simulate_with, Comm, Ctx, DagEvaluator, ScheduledRun, SimError, SimOptions, TimingDag,
 };
 use collsel_netsim::{Brownout, ClusterModel, FaultPlan, SimSpan, SimTime};
 use collsel_support::Bytes;

@@ -119,8 +119,8 @@ static TEMPLATES: Store<TemplateKey, Arc<Schedule>> = Store::new();
 
 /// Returns the compiled timing DAG for a measurement cell, recording
 /// and lowering it on a miss. `None` means the cell cannot be lowered —
-/// recording failed (impossible for the wildcard-free measurement
-/// programs, but the contract is kept open) or the schedule overflows
+/// recording failed (impossible for the measurement programs, which
+/// read no payload, but the contract is kept open) or the schedule overflows
 /// the DAG's index space — and the caller runs it on the threaded tier.
 ///
 /// Of `cluster`, recording reads the rank capacity and lowering the

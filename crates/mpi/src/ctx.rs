@@ -1,26 +1,27 @@
-//! The per-rank communication handle: the API collective algorithms are
-//! written against.
+//! The per-rank communication handle of the threaded engine.
 //!
-//! [`Ctx`] mirrors the slice of MPI that the Open MPI collective
-//! implementations use: blocking and non-blocking point-to-point
-//! operations, typed requests, waits, a barrier, and the local clock
-//! (`MPI_Wtime`). User code between communication calls takes **zero
-//! virtual time**; CPU costs of communication itself (send/receive
-//! overheads) are charged by the engine.
+//! [`Ctx`] implements [`Comm`], the slice of MPI that the Open MPI
+//! collective implementations use: blocking and non-blocking
+//! point-to-point operations with exact sources and tags, typed
+//! requests, waits, a barrier, and the local clock (`MPI_Wtime`). User
+//! code between communication calls takes **zero virtual time**; CPU
+//! costs of communication itself (send/receive overheads) are charged
+//! by the engine.
 //!
 //! Requests are typed ([`SendRequest`] vs [`RecvRequest`]) so that the
 //! compiler enforces what a wait can return: payloads come only out of
 //! receives.
 
-use crate::msg::{Peer, RecvStatus, Tag, TagSel};
-use crate::proto::{BlockOp, Completion, PostOp, RankMsg, ReqId, Resume, WaitMode};
+use crate::comm::{Comm, Tag};
+use crate::proto::{BlockOp, PostOp, RankMsg, ReqId, Resume};
 use collsel_netsim::SimTime;
 use collsel_support::Bytes;
 use std::sync::mpsc::{Receiver, Sender};
 
 /// Handle to an in-flight non-blocking send.
 ///
-/// Must be completed with [`Ctx::wait_send`] or [`Ctx::wait_all_sends`].
+/// Must be completed with [`Comm::wait_send`] or
+/// [`Comm::wait_all_sends`].
 #[derive(Debug)]
 #[must_use = "a send request must be waited on"]
 pub struct SendRequest {
@@ -37,8 +38,8 @@ impl SendRequest {
 
 /// Handle to an in-flight non-blocking receive.
 ///
-/// Must be completed with [`Ctx::wait_recv`], [`Ctx::wait_all_recvs`] or
-/// [`Ctx::wait_any_recv`].
+/// Must be completed with [`Comm::wait_recv`] or
+/// [`Comm::wait_all_recvs`].
 #[derive(Debug)]
 #[must_use = "a receive request must be waited on"]
 pub struct RecvRequest {
@@ -53,7 +54,7 @@ impl RecvRequest {
 }
 
 /// The per-rank communication context handed to the user function by
-/// [`crate::simulate`].
+/// [`crate::simulate`]: every [`Comm`] call is a message to the engine.
 ///
 /// All methods take `&mut self`: a rank is a single sequential process.
 #[derive(Debug)]
@@ -81,16 +82,6 @@ impl Ctx {
         }
     }
 
-    /// This process's rank in `0..size()`.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Number of processes in the simulation (world size).
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
     fn alloc_req(&mut self) -> ReqId {
         let id = self.next_req;
         self.next_req += 1;
@@ -104,13 +95,16 @@ impl Ctx {
         });
     }
 
-    fn block(&mut self, op: BlockOp) -> (SimTime, Vec<Completion>) {
+    /// Parks the rank in `op` until the engine resumes it: the rank's
+    /// new local time and, for a wait, the payloads of the waited
+    /// receives in request order.
+    fn block(&mut self, op: BlockOp) -> (SimTime, Vec<Bytes>) {
         let _ = self.to_engine.send(RankMsg::Block {
             rank: self.rank,
             op,
         });
         match self.resume.recv() {
-            Ok(Resume::Ready { now, completions }) => (now, completions),
+            Ok(Resume::Ready { now, payloads }) => (now, payloads),
             Ok(Resume::Abort) | Err(_) => {
                 // Unwind this rank thread; the harness catches this and
                 // the engine already knows why the run is being aborted.
@@ -119,175 +113,6 @@ impl Ctx {
                 std::panic::resume_unwind(Box::new(crate::sim::AbortToken));
             }
         }
-    }
-
-    /// Starts a non-blocking send of `payload` to `dst` with `tag`
-    /// (`MPI_Isend`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst` is not a valid rank.
-    pub fn isend(&mut self, dst: usize, tag: Tag, payload: Bytes) -> SendRequest {
-        assert!(dst < self.size, "isend to rank {dst} of {}", self.size);
-        let req = self.alloc_req();
-        self.post(PostOp::Isend {
-            req,
-            dst,
-            tag,
-            payload,
-        });
-        SendRequest { id: req }
-    }
-
-    /// Starts a non-blocking receive matching `src` and `tag`
-    /// (`MPI_Irecv`). Both accept wildcards via [`Peer::Any`] /
-    /// [`TagSel::Any`]; plain `usize` / `u32` values convert to exact
-    /// matches.
-    pub fn irecv(&mut self, src: impl Into<Peer>, tag: impl Into<TagSel>) -> RecvRequest {
-        let src = src.into();
-        if let Peer::Rank(r) = src {
-            assert!(r < self.size, "irecv from rank {r} of {}", self.size);
-        }
-        let req = self.alloc_req();
-        self.post(PostOp::Irecv {
-            req,
-            src,
-            tag: tag.into(),
-        });
-        RecvRequest { id: req }
-    }
-
-    /// Completes a non-blocking send (`MPI_Wait`).
-    pub fn wait_send(&mut self, req: SendRequest) {
-        let _ = self.block(BlockOp::Wait {
-            reqs: vec![req.id],
-            mode: WaitMode::All,
-        });
-    }
-
-    /// Completes a non-blocking receive (`MPI_Wait`), returning the
-    /// payload and its status.
-    pub fn wait_recv(&mut self, req: RecvRequest) -> (Bytes, RecvStatus) {
-        let (_, mut completions) = self.block(BlockOp::Wait {
-            reqs: vec![req.id],
-            mode: WaitMode::All,
-        });
-        let c = completions.pop().expect("engine returns one completion");
-        Self::into_recv(c)
-    }
-
-    /// Completes a batch of sends (`MPI_Waitall`).
-    pub fn wait_all_sends(&mut self, reqs: Vec<SendRequest>) {
-        if reqs.is_empty() {
-            return;
-        }
-        let _ = self.block(BlockOp::Wait {
-            reqs: reqs.into_iter().map(|r| r.id).collect(),
-            mode: WaitMode::All,
-        });
-    }
-
-    /// Completes a batch of receives (`MPI_Waitall`), returning payloads
-    /// in request order.
-    pub fn wait_all_recvs(&mut self, reqs: Vec<RecvRequest>) -> Vec<(Bytes, RecvStatus)> {
-        if reqs.is_empty() {
-            return Vec::new();
-        }
-        let (_, completions) = self.block(BlockOp::Wait {
-            reqs: reqs.iter().map(|r| r.id).collect(),
-            mode: WaitMode::All,
-        });
-        completions.into_iter().map(Self::into_recv).collect()
-    }
-
-    /// Completes the earliest-finishing receive of `reqs`
-    /// (`MPI_Waitany`), returning its index within `reqs`, the payload
-    /// and the status. The remaining requests stay pending and are given
-    /// back as the final element of the tuple.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reqs` is empty.
-    pub fn wait_any_recv(
-        &mut self,
-        reqs: Vec<RecvRequest>,
-    ) -> (usize, Bytes, RecvStatus, Vec<RecvRequest>) {
-        assert!(!reqs.is_empty(), "wait_any_recv needs at least one request");
-        let (_, mut completions) = self.block(BlockOp::Wait {
-            reqs: reqs.iter().map(|r| r.id).collect(),
-            mode: WaitMode::Any,
-        });
-        let c = completions.pop().expect("engine returns one completion");
-        let idx = reqs
-            .iter()
-            .position(|r| r.id == c.req)
-            .expect("completed request belongs to the waited set");
-        let mut rest = reqs;
-        let _ = rest.remove(idx);
-        let (payload, status) = Self::into_recv(c);
-        (idx, payload, status, rest)
-    }
-
-    /// Blocking standard-mode send (`MPI_Send`): `isend` + wait.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst` is not a valid rank.
-    pub fn send(&mut self, dst: usize, tag: Tag, payload: Bytes) {
-        let req = self.isend(dst, tag, payload);
-        self.wait_send(req);
-    }
-
-    /// Blocking receive (`MPI_Recv`).
-    pub fn recv(&mut self, src: impl Into<Peer>, tag: impl Into<TagSel>) -> (Bytes, RecvStatus) {
-        let req = self.irecv(src, tag);
-        self.wait_recv(req)
-    }
-
-    /// Combined blocking send and receive (`MPI_Sendrecv`): both
-    /// directions progress concurrently.
-    pub fn sendrecv(
-        &mut self,
-        dst: usize,
-        send_tag: Tag,
-        payload: Bytes,
-        src: impl Into<Peer>,
-        recv_tag: impl Into<TagSel>,
-    ) -> (Bytes, RecvStatus) {
-        let r = self.irecv(src, recv_tag);
-        let s = self.isend(dst, send_tag, payload);
-        self.wait_send(s);
-        self.wait_recv(r)
-    }
-
-    /// Synchronises all ranks (`MPI_Barrier`).
-    ///
-    /// The built-in barrier is an *ideal* synchronisation: every rank
-    /// resumes at the latest entry time, with no network cost. It exists
-    /// for measurement framing; a real dissemination barrier lives in
-    /// the collective-algorithms crate.
-    pub fn barrier(&mut self) {
-        let _ = self.block(BlockOp::Barrier);
-    }
-
-    /// Reads this rank's local virtual clock (`MPI_Wtime`).
-    pub fn wtime(&mut self) -> SimTime {
-        let (now, _) = self.block(BlockOp::Wtime);
-        now
-    }
-
-    /// Advances this rank's virtual clock by `span` of local computation
-    /// (the `Compute(γ)` op of the schedule IR) without touching the
-    /// network.
-    pub fn compute(&mut self, span: collsel_netsim::SimSpan) {
-        self.post(PostOp::Compute { span });
-    }
-
-    fn into_recv(c: Completion) -> (Bytes, RecvStatus) {
-        let payload = c.payload.expect("receive completion carries a payload");
-        let (source, tag) = c.origin.expect("receive completion carries its origin");
-        let len = payload.len();
-        (payload, RecvStatus { source, tag, len })
     }
 
     pub(crate) fn notify_finished(&mut self) {
@@ -299,5 +124,76 @@ impl Ctx {
             rank: self.rank,
             message,
         });
+    }
+}
+
+impl Comm for Ctx {
+    fn rank(&self) -> usize {
+        self.rank
+    }
+
+    fn size(&self) -> usize {
+        self.size
+    }
+
+    fn isend(&mut self, dst: usize, tag: Tag, payload: Bytes) -> SendRequest {
+        assert!(dst < self.size, "isend to rank {dst} of {}", self.size);
+        let req = self.alloc_req();
+        self.post(PostOp::Isend {
+            req,
+            dst,
+            tag,
+            payload,
+        });
+        SendRequest { id: req }
+    }
+
+    fn irecv(&mut self, src: usize, tag: Tag) -> RecvRequest {
+        assert!(src < self.size, "irecv from rank {src} of {}", self.size);
+        let req = self.alloc_req();
+        self.post(PostOp::Irecv { req, src, tag });
+        RecvRequest { id: req }
+    }
+
+    fn wait_send(&mut self, req: SendRequest) {
+        let _ = self.block(BlockOp::Wait { reqs: vec![req.id] });
+    }
+
+    fn wait_recv(&mut self, req: RecvRequest) -> Bytes {
+        let (_, mut payloads) = self.block(BlockOp::Wait { reqs: vec![req.id] });
+        payloads
+            .pop()
+            .expect("a completed receive carries its payload")
+    }
+
+    fn wait_all_sends(&mut self, reqs: Vec<SendRequest>) {
+        if reqs.is_empty() {
+            return;
+        }
+        let _ = self.block(BlockOp::Wait {
+            reqs: reqs.into_iter().map(|r| r.id).collect(),
+        });
+    }
+
+    fn wait_all_recvs(&mut self, reqs: Vec<RecvRequest>) -> Vec<Bytes> {
+        if reqs.is_empty() {
+            return Vec::new();
+        }
+        let (_, payloads) = self.block(BlockOp::Wait {
+            reqs: reqs.into_iter().map(|r| r.id).collect(),
+        });
+        payloads
+    }
+
+    /// The built-in barrier is an *ideal* synchronisation: every rank
+    /// resumes at the latest entry time, with no network cost. It
+    /// exists for measurement framing; no collective calls it.
+    fn barrier(&mut self) {
+        let _ = self.block(BlockOp::Barrier);
+    }
+
+    fn wtime(&mut self) -> SimTime {
+        let (now, _) = self.block(BlockOp::Wtime);
+        now
     }
 }

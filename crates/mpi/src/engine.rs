@@ -41,9 +41,9 @@
 //! with a sliding base replaces hashing. Every other per-rank vector is
 //! allocated afresh by [`Engine::new`] for each run.
 
+use crate::comm::Tag;
 use crate::error::SimError;
-use crate::msg::{Peer, Tag, TagSel};
-use crate::proto::{BlockOp, Completion, PostOp, RankMsg, ReqId, Resume, WaitMode};
+use crate::proto::{BlockOp, PostOp, RankMsg, ReqId, Resume};
 use collsel_netsim::{Fabric, FabricStats, SimTime};
 use collsel_support::Bytes;
 use std::cmp::Reverse;
@@ -70,10 +70,10 @@ impl ChannelTransport {
     }
 
     /// Delivers a resume to `rank`, whose blocking op finished at `now`.
-    fn deliver(&mut self, rank: usize, now: SimTime, completions: Vec<Completion>) {
+    fn deliver(&mut self, rank: usize, now: SimTime, payloads: Vec<Bytes>) {
         // A send failure means the rank thread died; the subsequent
         // drain will surface its panic message.
-        let _ = self.resume_tx[rank].send(Resume::Ready { now, completions });
+        let _ = self.resume_tx[rank].send(Resume::Ready { now, payloads });
     }
 
     /// Tears the ranks down after a fatal error.
@@ -96,8 +96,8 @@ enum Status {
 #[derive(Debug)]
 struct ReqState {
     complete_at: Option<SimTime>,
+    /// The matched message's payload, for a completed receive.
     payload: Option<Bytes>,
-    origin: Option<(usize, Tag)>,
 }
 
 impl ReqState {
@@ -105,7 +105,6 @@ impl ReqState {
         ReqState {
             complete_at: None,
             payload: None,
-            origin: None,
         }
     }
 }
@@ -172,8 +171,8 @@ impl ReqTable {
 #[derive(Debug)]
 struct PostedRecv {
     req: ReqId,
-    src: Peer,
-    tag: TagSel,
+    src: usize,
+    tag: Tag,
     posted_at: SimTime,
 }
 
@@ -347,7 +346,6 @@ impl Engine {
                     payload,
                 } => self.apply_isend(rank, req, dst, tag, payload),
                 PostOp::Irecv { req, src, tag } => self.apply_irecv(rank, req, src, tag),
-                PostOp::Compute { span } => self.local[rank] += span,
             },
             RankMsg::Block { rank, op } => {
                 debug_assert!(
@@ -374,10 +372,10 @@ impl Engine {
 
         if bytes <= self.fabric.cluster().eager_threshold() {
             let plan = self.fabric.plan_transfer(src, dst, bytes, ready);
-            self.complete_req(src, req, plan.send_done, None, None);
+            self.complete_req(src, req, plan.send_done, None);
             if let Some(recv) = self.take_matching_recv(dst, src, tag) {
                 let done = plan.delivered.max(recv.posted_at) + self.fabric.recv_overhead(dst);
-                self.complete_req(dst, recv.req, done, Some(payload), Some((src, tag)));
+                self.complete_req(dst, recv.req, done, Some(payload));
             } else {
                 self.unexpected[dst].push_back(UnexpectedSend {
                     src,
@@ -389,7 +387,7 @@ impl Engine {
                 });
             }
         } else if let Some(recv) = self.take_matching_recv(dst, src, tag) {
-            self.rendezvous(src, req, dst, recv.req, tag, payload, ready, recv.posted_at);
+            self.rendezvous(src, req, dst, recv.req, payload, ready, recv.posted_at);
         } else {
             self.unexpected[dst].push_back(UnexpectedSend {
                 src,
@@ -403,34 +401,25 @@ impl Engine {
         }
     }
 
-    fn apply_irecv(&mut self, dst: usize, req: ReqId, src: Peer, tag: TagSel) {
+    fn apply_irecv(&mut self, dst: usize, req: ReqId, src: usize, tag: Tag) {
         let posted_at = self.local[dst];
         self.reqs[dst].insert(req, ReqState::pending());
 
         let matched = self.unexpected[dst]
             .iter()
-            .position(|u| src.matches(u.src) && tag.matches(u.tag));
-        if let Some(idx) = matched {
-            let u = self.unexpected[dst].remove(idx).expect("index just found");
+            .position(|u| u.src == src && u.tag == tag)
+            .and_then(|idx| self.unexpected[dst].remove(idx));
+        if let Some(u) = matched {
             match u.arrival {
                 Arrival::Eager { delivered } => {
                     let done = delivered.max(posted_at) + self.fabric.recv_overhead(dst);
-                    self.complete_req(dst, req, done, Some(u.payload), Some((u.src, u.tag)));
+                    self.complete_req(dst, req, done, Some(u.payload));
                 }
                 Arrival::Rendezvous {
                     send_req,
                     posted_at: send_posted,
                 } => {
-                    self.rendezvous(
-                        u.src,
-                        send_req,
-                        dst,
-                        req,
-                        u.tag,
-                        u.payload,
-                        send_posted,
-                        posted_at,
-                    );
+                    self.rendezvous(src, send_req, dst, req, u.payload, send_posted, posted_at);
                 }
             }
         } else {
@@ -452,7 +441,6 @@ impl Engine {
         send_req: ReqId,
         dst: usize,
         recv_req: ReqId,
-        tag: Tag,
         payload: Bytes,
         send_posted: SimTime,
         recv_posted: SimTime,
@@ -462,9 +450,9 @@ impl Engine {
         let ready = (send_posted + lc).max(recv_posted) + lc;
         let bytes = payload.len();
         let plan = self.fabric.plan_transfer(src, dst, bytes, ready);
-        self.complete_req(src, send_req, plan.send_done, None, None);
+        self.complete_req(src, send_req, plan.send_done, None);
         let done = plan.delivered + self.fabric.recv_overhead(dst);
-        self.complete_req(dst, recv_req, done, Some(payload), Some((src, tag)));
+        self.complete_req(dst, recv_req, done, Some(payload));
     }
 
     /// Removes and returns the oldest posted receive at `dst` matching a
@@ -472,25 +460,17 @@ impl Engine {
     fn take_matching_recv(&mut self, dst: usize, src: usize, tag: Tag) -> Option<PostedRecv> {
         let idx = self.posted_recvs[dst]
             .iter()
-            .position(|r| r.src.matches(src) && r.tag.matches(tag))?;
+            .position(|r| r.src == src && r.tag == tag)?;
         self.posted_recvs[dst].remove(idx)
     }
 
-    fn complete_req(
-        &mut self,
-        rank: usize,
-        req: ReqId,
-        at: SimTime,
-        payload: Option<Bytes>,
-        origin: Option<(usize, Tag)>,
-    ) {
+    fn complete_req(&mut self, rank: usize, req: ReqId, at: SimTime, payload: Option<Bytes>) {
         let state = self.reqs[rank]
             .get_mut(req)
             .expect("request must exist when completed");
         debug_assert!(state.complete_at.is_none(), "request completed twice");
         state.complete_at = Some(at);
         state.payload = payload;
-        state.origin = origin;
     }
 
     /// Checks the virtual-time watchdog against the next resume time.
@@ -555,12 +535,12 @@ impl Engine {
                 continue;
             }
             let op = self.blocked_op[r].take().expect("blocked rank has an op");
-            let completions = match op {
+            let payloads = match op {
                 BlockOp::Wtime => Vec::new(),
                 BlockOp::Barrier => unreachable!("barrier ranks have no resume time"),
-                BlockOp::Wait { reqs, mode } => self.collect_completions(r, &reqs, mode),
+                BlockOp::Wait { reqs } => self.collect_payloads(r, &reqs),
             };
-            self.wake(r, best, completions);
+            self.wake(r, best, payloads);
             woken += 1;
         }
         Ok(woken)
@@ -573,72 +553,37 @@ impl Engine {
         }
         match self.blocked_op[r].as_ref() {
             Some(BlockOp::Wtime) => Some(self.local[r]),
-            Some(BlockOp::Wait { reqs, mode }) => self.wait_ready_at(r, reqs, *mode),
+            Some(BlockOp::Wait { reqs }) => self.wait_ready_at(r, reqs),
             Some(BlockOp::Barrier) | None => None,
         }
     }
 
     /// The earliest time at which rank `r`'s wait can finish, if it can.
-    fn wait_ready_at(&self, r: usize, reqs: &[ReqId], mode: WaitMode) -> Option<SimTime> {
-        let times = reqs
-            .iter()
-            .map(|&id| self.reqs[r].get(id).and_then(|s| s.complete_at));
-        match mode {
-            WaitMode::All => {
-                let mut at = self.local[r];
-                for t in times {
-                    at = at.max(t?);
-                }
-                Some(at)
-            }
-            WaitMode::Any => {
-                let earliest = times.flatten().min()?;
-                Some(earliest.max(self.local[r]))
-            }
+    fn wait_ready_at(&self, r: usize, reqs: &[ReqId]) -> Option<SimTime> {
+        let mut at = self.local[r];
+        for &id in reqs {
+            at = at.max(self.reqs[r].get(id)?.complete_at?);
         }
+        Some(at)
     }
 
-    /// Pops completed requests out of the table for the resume message.
-    fn collect_completions(&mut self, r: usize, reqs: &[ReqId], mode: WaitMode) -> Vec<Completion> {
-        match mode {
-            WaitMode::All => reqs
-                .iter()
-                .map(|&id| {
-                    let state = self.reqs[r].remove(id).expect("waited request exists");
-                    Completion {
-                        req: id,
-                        payload: state.payload,
-                        origin: state.origin,
-                    }
-                })
-                .collect(),
-            WaitMode::Any => {
-                let (&winner, _) = reqs
-                    .iter()
-                    .filter_map(|id| {
-                        self.reqs[r]
-                            .get(*id)
-                            .and_then(|s| s.complete_at)
-                            .map(|t| (id, t))
-                    })
-                    .min_by_key(|&(id, t)| (t, *id))
-                    .expect("wait-any resumed without a completed request");
-                let state = self.reqs[r].remove(winner).expect("request exists");
-                vec![Completion {
-                    req: winner,
-                    payload: state.payload,
-                    origin: state.origin,
-                }]
-            }
-        }
+    /// Pops the waited requests out of the table; the payloads of the
+    /// receives among them, in request order, go back to the rank.
+    fn collect_payloads(&mut self, r: usize, reqs: &[ReqId]) -> Vec<Bytes> {
+        reqs.iter()
+            .filter_map(|&id| {
+                let state = self.reqs[r].remove(id).expect("waited request exists");
+                state.payload
+            })
+            .collect()
     }
 
-    fn wake(&mut self, rank: usize, now: SimTime, completions: Vec<Completion>) {
+    fn wake(&mut self, rank: usize, now: SimTime, payloads: Vec<Bytes>) {
         self.local[rank] = now;
         self.status[rank] = Status::Running;
         self.blocked_op[rank] = None;
         self.running += 1;
-        self.transport.deliver(rank, now, completions);
+        self.transport.deliver(rank, now, payloads);
     }
 
     fn abort_all(&mut self) {
@@ -655,7 +600,7 @@ impl Engine {
                     let what = match self.blocked_op[r].as_ref() {
                         Some(BlockOp::Barrier) => "barrier".to_owned(),
                         Some(BlockOp::Wtime) => "wtime (internal error)".to_owned(),
-                        Some(BlockOp::Wait { reqs, mode }) => {
+                        Some(BlockOp::Wait { reqs }) => {
                             let outstanding: Vec<String> = reqs
                                 .iter()
                                 .filter(|&&id| {
@@ -663,7 +608,7 @@ impl Engine {
                                 })
                                 .map(|id| format!("req {id}"))
                                 .collect();
-                            format!("wait[{mode:?}] on {}", outstanding.join(", "))
+                            format!("wait on {}", outstanding.join(", "))
                         }
                         None => "unknown".to_owned(),
                     };
@@ -686,7 +631,6 @@ mod tests {
         ReqState {
             complete_at: Some(SimTime::from_nanos(t)),
             payload: None,
-            origin: None,
         }
     }
 

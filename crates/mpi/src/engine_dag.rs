@@ -52,11 +52,10 @@
 
 use crate::engine::EngineReport;
 use crate::error::SimError;
-use crate::msg::{Peer, TagSel};
-use crate::proto::{ReqId, WaitMode};
+use crate::proto::ReqId;
 use crate::schedule::{SchedOp, Schedule};
 use crate::sim::{check_ranks, report_from_engine, RunReport, SimOptions};
-use collsel_netsim::{ClusterModel, Fabric, SimSpan, SimTime};
+use collsel_netsim::{ClusterModel, Fabric, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -86,15 +85,17 @@ enum DagOp {
     Send { edge: u32 },
     /// `Irecv`, resolved to the same edge as its matching send.
     Recv { edge: u32 },
-    /// Local computation.
-    Compute { span: SimSpan },
-    /// Blocking wait over `wait_slots[off..off + len]`.
-    Wait { off: u32, len: u32, mode: WaitMode },
+    /// Blocking wait until every slot of `wait_slots[off..off + len]`
+    /// has completed.
+    Wait { off: u32, len: u32 },
     /// The runtime's ideal barrier.
     Barrier,
     /// Clock read; observations land in [`ScheduledRun::wtimes`].
     Wtime,
 }
+
+// Two `u32` fields and a discriminant: the evaluator walks these flat.
+const _: () = assert!(std::mem::size_of::<DagOp>() == 12);
 
 impl DagOp {
     /// Whether the op blocks the issuing rank (ends an apply window).
@@ -256,8 +257,8 @@ impl TimingDag {
     ///
     /// # Panics
     ///
-    /// Panics on receive wildcards or waits on unposted requests;
-    /// both are impossible in a [`crate::record_schedule`] product.
+    /// Panics on a wait on an unposted request, which is impossible in
+    /// a [`crate::record_schedule`] product.
     pub fn compile(cluster: &ClusterModel, sched: &Schedule) -> Result<TimingDag, CompileError> {
         Self::compile_capped(cluster, sched, Self::MAX_OPS)
     }
@@ -341,17 +342,11 @@ impl TimingDag {
                             ops.push(DagOp::Send { edge: NONE_IDX });
                         }
                         SchedOp::Irecv { req, src, tag } => {
-                            let Peer::Rank(s) = src else {
-                                panic!("wildcard receive source in a replay-valid schedule")
-                            };
-                            let TagSel::Exact(t) = tag else {
-                                panic!("wildcard receive tag in a replay-valid schedule")
-                            };
                             assert_eq!(first_slot + by + req, slots, "request ids are dense");
                             halves.push(Half {
-                                src: *s as u32,
+                                src: *src as u32,
                                 dst: rank as u32,
-                                tag: *t,
+                                tag: *tag,
                                 recv: true,
                                 op: idx,
                                 slot: slots,
@@ -362,8 +357,7 @@ impl TimingDag {
                             slot_rank.push(rank as u32);
                             ops.push(DagOp::Recv { edge: NONE_IDX });
                         }
-                        SchedOp::Compute { span } => ops.push(DagOp::Compute { span: *span }),
-                        SchedOp::Wait { reqs, mode } => {
+                        SchedOp::Wait { reqs } => {
                             let off = wait_slots.len() as u32;
                             for id in reqs.iter().map(|id| by + id) {
                                 assert!(
@@ -378,7 +372,6 @@ impl TimingDag {
                             ops.push(DagOp::Wait {
                                 off,
                                 len: reqs.len() as u32,
-                                mode: *mode,
                             });
                         }
                         SchedOp::Barrier => ops.push(DagOp::Barrier),
@@ -692,8 +685,8 @@ impl DagRun<'_> {
                     match self.dag.ops[limit as usize] {
                         DagOp::Barrier => self.s.in_barrier += 1,
                         DagOp::Wtime => self.s.ready.push(Reverse((self.s.local[r], r))),
-                        DagOp::Wait { off, len, mode } => {
-                            if let Some(at) = self.wait_ready_at(r, off, len, mode) {
+                        DagOp::Wait { off, len } => {
+                            if let Some(at) = self.wait_ready_at(r, off, len) {
                                 self.s.ready.push(Reverse((at, r)));
                             }
                         }
@@ -717,10 +710,10 @@ impl DagRun<'_> {
         }
         let owner = self.dag.slot_rank[slot as usize] as usize;
         if self.s.status[owner] == Status::Blocked && self.s.blocked[owner] == w {
-            let DagOp::Wait { off, len, mode } = self.dag.ops[w as usize] else {
+            let DagOp::Wait { off, len } = self.dag.ops[w as usize] else {
                 unreachable!("slot_wait points at a wait op")
             };
-            if let Some(at) = self.wait_ready_at(owner, off, len, mode) {
+            if let Some(at) = self.wait_ready_at(owner, off, len) {
                 self.s.ready.push(Reverse((at, owner)));
             }
         }
@@ -730,7 +723,6 @@ impl DagRun<'_> {
         match op {
             DagOp::Send { edge } => self.apply_send(r, edge),
             DagOp::Recv { edge } => self.apply_recv(r, edge),
-            DagOp::Compute { span } => self.s.local[r] += span,
             _ => unreachable!("blocking ops end the apply window"),
         }
     }
@@ -829,9 +821,8 @@ impl DagRun<'_> {
     /// refreshed by [`complete_slot`](Self::complete_slot) on every
     /// relevant slot write), so the smallest entry that still matches
     /// its rank's current state IS the global minimum, and ties pop
-    /// consecutively. Stale entries — the rank already woke, or a
-    /// later `WaitAny` completion lowered its time — fail the match
-    /// and are discarded.
+    /// consecutively. Stale entries — the rank already woke, or a later
+    /// slot write raised its time — fail the match and are discarded.
     fn resume_minimal(&mut self) -> Result<usize, SimError> {
         let p = self.dag.p;
         if self.s.done == 0 && self.s.in_barrier == p {
@@ -880,34 +871,21 @@ impl DagRun<'_> {
         }
         match self.dag.ops[self.s.blocked[r] as usize] {
             DagOp::Wtime => Some(self.s.local[r]),
-            DagOp::Wait { off, len, mode } => self.wait_ready_at(r, off, len, mode),
+            DagOp::Wait { off, len } => self.wait_ready_at(r, off, len),
             _ => None,
         }
     }
 
-    fn wait_ready_at(&self, r: usize, off: u32, len: u32, mode: WaitMode) -> Option<SimTime> {
-        let slots = &self.dag.wait_slots[off as usize..(off + len) as usize];
-        match mode {
-            WaitMode::All => {
-                let mut at = self.s.local[r];
-                for &slot in slots {
-                    let t = self.s.slot_done[slot as usize];
-                    if t == T_NONE {
-                        return None;
-                    }
-                    at = at.max(t);
-                }
-                Some(at)
+    fn wait_ready_at(&self, r: usize, off: u32, len: u32) -> Option<SimTime> {
+        let mut at = self.s.local[r];
+        for &slot in &self.dag.wait_slots[off as usize..(off + len) as usize] {
+            let t = self.s.slot_done[slot as usize];
+            if t == T_NONE {
+                return None;
             }
-            WaitMode::Any => {
-                let earliest = slots
-                    .iter()
-                    .map(|&slot| self.s.slot_done[slot as usize])
-                    .filter(|&t| t != T_NONE)
-                    .min()?;
-                Some(earliest.max(self.s.local[r]))
-            }
+            at = at.max(t);
         }
+        Some(at)
     }
 
     fn wake(&mut self, r: usize, now: SimTime) {
@@ -934,7 +912,7 @@ impl DagRun<'_> {
                     let what = match self.dag.ops[self.s.blocked[r] as usize] {
                         DagOp::Barrier => "barrier".to_owned(),
                         DagOp::Wtime => "wtime (internal error)".to_owned(),
-                        DagOp::Wait { off, len, mode } => {
+                        DagOp::Wait { off, len } => {
                             let outstanding: Vec<String> = (off..off + len)
                                 .filter(|&i| {
                                     let slot = self.dag.wait_slots[i as usize];
@@ -942,7 +920,7 @@ impl DagRun<'_> {
                                 })
                                 .map(|i| format!("req {}", self.flat_req(r, i)))
                                 .collect();
-                            format!("wait[{mode:?}] on {}", outstanding.join(", "))
+                            format!("wait on {}", outstanding.join(", "))
                         }
                         _ => "unknown".to_owned(),
                     };
@@ -1070,12 +1048,12 @@ mod tests {
     use crate::ctx::Ctx;
     use crate::schedule::record_schedule;
     use crate::sim::simulate_with;
-    use collsel_netsim::FaultPlan;
+    use collsel_netsim::{FaultPlan, SimSpan};
     use collsel_support::Bytes;
 
-    /// Sends both below and above the eager threshold, plus barrier,
-    /// compute and wtime traffic. Nonblocking, so the ring is
-    /// deadlock-free at rendezvous sizes too. Returns the clock reads.
+    /// Sends both below and above the eager threshold, plus barrier and
+    /// wtime traffic. Nonblocking, so the ring is deadlock-free at
+    /// rendezvous sizes too. Returns the clock reads.
     fn mixed_ring<C: Comm>(ctx: &mut C, bytes: usize) -> Vec<SimTime> {
         ctx.barrier();
         let t0 = ctx.wtime();
@@ -1117,7 +1095,6 @@ mod tests {
         let s0 = ctx.isend(next, 0, Bytes::from(vec![1u8; bytes]));
         let _ = ctx.wait_recv(r0);
         ctx.wait_send(s0);
-        ctx.compute(SimSpan::from_nanos(500));
         let r1 = ctx.irecv(next, 1);
         let s1 = ctx.isend(prev, 1, Bytes::from(vec![2u8; 64]));
         let _ = ctx.wait_recv(r1);
@@ -1171,26 +1148,19 @@ mod tests {
                         ops.push(DagOp::Send { edge: NONE_IDX });
                     }
                     SchedOp::Irecv { req, src, tag } => {
-                        let Peer::Rank(s) = src else {
-                            panic!("wildcard receive source in a replay-valid schedule")
-                        };
-                        let TagSel::Exact(t) = tag else {
-                            panic!("wildcard receive tag in a replay-valid schedule")
-                        };
                         let slot = slots;
                         slots += 1;
                         slot_wait.push(NONE_IDX);
                         slot_rank.push(rank as u32);
                         req_slot.insert(*req, slot);
                         channels
-                            .entry((*s as u32, rank as u32, *t))
+                            .entry((*src as u32, rank as u32, *tag))
                             .or_default()
                             .1
                             .push((idx, slot));
                         ops.push(DagOp::Recv { edge: NONE_IDX });
                     }
-                    SchedOp::Compute { span } => ops.push(DagOp::Compute { span: *span }),
-                    SchedOp::Wait { reqs, mode } => {
+                    SchedOp::Wait { reqs } => {
                         let off = wait_slots.len() as u32;
                         for id in reqs {
                             let slot = *req_slot
@@ -1203,7 +1173,6 @@ mod tests {
                         ops.push(DagOp::Wait {
                             off,
                             len: reqs.len() as u32,
-                            mode: *mode,
                         });
                     }
                     SchedOp::Barrier => ops.push(DagOp::Barrier),
@@ -1500,6 +1469,54 @@ mod tests {
         // public entry point accepts it too.
         assert!(TimingDag::compile_capped(&cluster, &sched, sched.total_ops()).is_ok());
         assert!(TimingDag::compile(&cluster, &sched).is_ok());
+    }
+
+    /// A deadlock that exists only in time records fine and is reported
+    /// by the DAG with the threaded engine's exact error: rank 0 blocks
+    /// in a rendezvous-sized send nobody receives, rank 1 waits in the
+    /// barrier before its send to rank 2, and rank 2 receives before
+    /// the barrier.
+    #[test]
+    fn a_deadlock_in_time_is_the_threaded_engine_s_deadlock(
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        fn stuck<C: Comm>(c: &mut C) -> Vec<SimTime> {
+            match c.rank() {
+                0 => {
+                    c.send(1, 5, Bytes::from(vec![0u8; 1 << 20]));
+                    c.barrier();
+                }
+                1 => {
+                    c.barrier();
+                    c.send(2, 0, Bytes::from_static(b"x"));
+                }
+                _ => {
+                    let _ = c.recv(1, 0);
+                    c.barrier();
+                }
+            }
+            Vec::new()
+        }
+        let cluster = ClusterModel::gros();
+        // Recording cannot see the deadlock: no receive lacks its send.
+        let sched = record_schedule(&cluster, 3, |rc| {
+            stuck(rc);
+        })?;
+        let dag = Arc::new(TimingDag::compile(&cluster, &sched)?);
+        let opts = SimOptions::default();
+        let oracle = threaded(&cluster, 3, 7, opts, stuck::<Ctx>).expect_err("deadlocks");
+        let fast = evaluate(&cluster, &dag, 7, opts).expect_err("deadlocks");
+        let SimError::Deadlock { detail } = &oracle else {
+            panic!("expected Deadlock, got {oracle:?}");
+        };
+        for blocked in [
+            "rank 0: blocked on wait on req 0 at",
+            "rank 1: blocked on barrier at",
+            "rank 2: blocked on wait on req 0 at",
+        ] {
+            assert!(detail.contains(blocked), "{detail}");
+        }
+        assert_eq!(oracle, fast, "deadlock errors must be value-identical");
+        Ok(())
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! [`GroupComm`] wraps any [`Comm`] and presents a dense
 //! `0..group_size` rank space over an explicit member list: sends and
-//! receives translate group ranks to global ranks on the way down
-//! (and receive statuses back up), and offset tags by a per-group base
+//! receives translate group ranks to global ranks on the way down, and
+//! offset tags by a per-group base
 //! so concurrent collectives on overlapping groups never collide on a
 //! `(src, dst, tag)` channel. Because the translation happens *above*
 //! the `Comm` surface, the same wrapped program runs on rank threads
@@ -14,17 +14,16 @@
 //! point-to-point traffic between global ranks.
 //!
 //! The collective algorithms in `collsel-coll` are written against
-//! `Comm` using only point-to-point operations, `wtime` and `compute`
-//! (none calls `barrier` internally), which is exactly the surface a
+//! `Comm` using only exact point-to-point operations and `wtime` (none
+//! calls `barrier` internally), which is exactly the surface a
 //! remapping adapter can support. A *global* barrier inside a
 //! sub-communicator collective would deadlock ranks outside the group,
 //! so [`GroupComm::barrier`] panics instead of silently synchronising
 //! the wrong set.
 
-use crate::comm::Comm;
+use crate::comm::{Comm, Tag};
 use crate::ctx::{RecvRequest, SendRequest};
-use crate::msg::{Peer, RecvStatus, Tag, TagSel};
-use collsel_netsim::{SimSpan, SimTime};
+use collsel_netsim::SimTime;
 use collsel_support::Bytes;
 
 /// Tag offset between concurrent group collectives issued in one step.
@@ -103,23 +102,6 @@ impl<'a, C: Comm> GroupComm<'a, C> {
         );
         self.ranks[group_rank]
     }
-
-    /// Translates a completed receive's status into the group view:
-    /// global source back to group rank, tag back into the group's
-    /// window. Exact-source receives within the window cannot match
-    /// outside traffic, so the lookups cannot fail.
-    fn localize(&self, status: RecvStatus) -> RecvStatus {
-        let source = self
-            .ranks
-            .iter()
-            .position(|&r| r == status.source)
-            .expect("matched sender is a group member");
-        RecvStatus {
-            source,
-            tag: status.tag - self.tag_base,
-            len: status.len,
-        }
-    }
 }
 
 impl<C: Comm> Comm for GroupComm<'_, C> {
@@ -136,54 +118,25 @@ impl<C: Comm> Comm for GroupComm<'_, C> {
         self.inner.isend(dst, self.tag_base + tag, payload)
     }
 
-    fn irecv(&mut self, src: impl Into<Peer>, tag: impl Into<TagSel>) -> RecvRequest {
-        // Wildcards cannot be remapped: `Peer::Any` would accept
-        // traffic from outside the group and `TagSel::Any` traffic
-        // from other tag windows. The collective algorithms only use
-        // exact sources and tags, so the restriction is theoretical.
-        let src = match src.into() {
-            Peer::Rank(g) => Peer::Rank(self.global(g)),
-            Peer::Any => panic!("wildcard receive source unsupported on a rank group"),
-        };
-        let tag = match tag.into() {
-            TagSel::Exact(t) => TagSel::Exact(self.tag_base + t),
-            TagSel::Any => panic!("wildcard receive tag unsupported on a rank group"),
-        };
-        self.inner.irecv(src, tag)
+    fn irecv(&mut self, src: usize, tag: Tag) -> RecvRequest {
+        let src = self.global(src);
+        self.inner.irecv(src, self.tag_base + tag)
     }
 
     fn wait_send(&mut self, req: SendRequest) {
         self.inner.wait_send(req);
     }
 
-    fn wait_recv(&mut self, req: RecvRequest) -> (Bytes, RecvStatus) {
-        let (data, status) = self.inner.wait_recv(req);
-        let status = self.localize(status);
-        (data, status)
+    fn wait_recv(&mut self, req: RecvRequest) -> Bytes {
+        self.inner.wait_recv(req)
     }
 
     fn wait_all_sends(&mut self, reqs: Vec<SendRequest>) {
         self.inner.wait_all_sends(reqs);
     }
 
-    fn wait_all_recvs(&mut self, reqs: Vec<RecvRequest>) -> Vec<(Bytes, RecvStatus)> {
-        self.inner
-            .wait_all_recvs(reqs)
-            .into_iter()
-            .map(|(data, status)| {
-                let status = self.localize(status);
-                (data, status)
-            })
-            .collect()
-    }
-
-    fn wait_any_recv(
-        &mut self,
-        reqs: Vec<RecvRequest>,
-    ) -> (usize, Bytes, RecvStatus, Vec<RecvRequest>) {
-        let (idx, data, status, rest) = self.inner.wait_any_recv(reqs);
-        let status = self.localize(status);
-        (idx, data, status, rest)
+    fn wait_all_recvs(&mut self, reqs: Vec<RecvRequest>) -> Vec<Bytes> {
+        self.inner.wait_all_recvs(reqs)
     }
 
     fn barrier(&mut self) {
@@ -196,10 +149,6 @@ impl<C: Comm> Comm for GroupComm<'_, C> {
     fn wtime(&mut self) -> SimTime {
         self.inner.wtime()
     }
-
-    fn compute(&mut self, span: SimSpan) {
-        self.inner.compute(span);
-    }
 }
 
 #[cfg(test)]
@@ -210,10 +159,10 @@ mod tests {
     use collsel_netsim::ClusterModel;
 
     /// Each group member sends its group rank to group rank 0 over the
-    /// group view; the root sees senders under their *group* identity
-    /// while traffic flows between global ranks.
+    /// group view; the root names senders by their *group* rank while
+    /// traffic flows between global ranks.
     #[test]
-    fn group_remaps_ranks_tags_and_statuses() {
+    fn group_remaps_ranks_and_tags() {
         let cluster = ClusterModel::gros();
         let ranks: Vec<usize> = vec![1, 3, 4];
         let out = simulate(&cluster, 6, 0, {
@@ -226,10 +175,7 @@ mod tests {
                 if g.rank() == 0 {
                     let mut seen = Vec::new();
                     for src in 1..g.size() {
-                        let (data, status) = g.recv(src, 7);
-                        assert_eq!(status.source, src, "status is in group space");
-                        assert_eq!(status.tag, 7, "tag offset is stripped");
-                        seen.push(data[0]);
+                        seen.push(g.recv(src, 7)[0]);
                     }
                     Some(seen)
                 } else {
@@ -259,14 +205,14 @@ mod tests {
                 let mut got = Vec::new();
                 if let Some(mut g) = GroupComm::new(ctx, &a, 0) {
                     if g.rank() == 0 {
-                        got.push(g.recv(1, 0).0[0]);
+                        got.push(g.recv(1, 0)[0]);
                     } else {
                         g.send(0, 0, Bytes::from(vec![0xAA]));
                     }
                 }
                 if let Some(mut g) = GroupComm::new(ctx, &b, GROUP_TAG_STRIDE) {
                     if g.rank() == 0 {
-                        got.push(g.recv(1, 0).0[0]);
+                        got.push(g.recv(1, 0)[0]);
                     } else if g.rank() == 1 {
                         g.send(0, 0, Bytes::from(vec![0xBB]));
                     }

@@ -11,7 +11,10 @@
 //! derive analytical models *from the implementation code*, so the
 //! implementation code must exist in runnable form.
 //!
-//! Entry point: [`simulate`]. Per-rank API: [`Ctx`].
+//! Entry point: [`simulate`]. Per-rank API: the [`Comm`] trait, which
+//! [`Ctx`] implements. Its surface is what the ported collectives call:
+//! point-to-point operations with an exact source and tag, typed
+//! requests and wait-alls, the ideal barrier and the local clock.
 //!
 //! Two execution tiers share the engine's semantics (see [`Backend`]).
 //! The thread-per-rank tier ([`simulate_with`], with [`simulate`] and
@@ -29,6 +32,7 @@
 //! [`DagEvaluator`] owns.
 //!
 //! ```
+//! use collsel_mpi::Comm;
 //! use collsel_support::Bytes;
 //! use collsel_netsim::ClusterModel;
 //!
@@ -40,7 +44,7 @@
 //!         ctx.send(1, 0, Bytes::from(vec![0u8; 1024]));
 //!         let _ = ctx.recv(1, 1);
 //!     } else {
-//!         let (data, _) = ctx.recv(0, 0);
+//!         let data = ctx.recv(0, 0);
 //!         ctx.send(0, 1, data);
 //!     }
 //!     ctx.wtime() - t0
@@ -58,18 +62,16 @@ mod engine;
 mod engine_dag;
 mod error;
 mod group;
-mod msg;
 mod proto;
 mod schedule;
 mod sim;
 
-pub use comm::Comm;
+pub use comm::{Comm, Tag};
 pub use ctx::{Ctx, RecvRequest, SendRequest};
 pub use engine_dag::{CompileError, DagEvaluator, ScheduledRun, TimingDag};
 pub use error::SimError;
 pub use group::{GroupComm, GROUP_TAG_STRIDE};
-pub use msg::{Peer, RecvStatus, Tag, TagSel};
-pub use schedule::{check_group, record_schedule, OpShape, RecCtx, RecordError, Schedule};
+pub use schedule::{check_group, record_schedule, RecCtx, RecordError, SchedOp, Schedule};
 pub use sim::{
     simulate, simulate_traced, simulate_with, Backend, RunReport, SimOptions, SimOutcome,
 };

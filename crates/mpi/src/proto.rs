@@ -1,7 +1,7 @@
 //! Crate-private wire protocol between rank threads and the engine.
 
-use crate::msg::{Peer, Tag, TagSel};
-use collsel_netsim::{SimSpan, SimTime};
+use crate::comm::Tag;
+use collsel_netsim::SimTime;
 use collsel_support::Bytes;
 
 /// Rank-local request identifier (allocated monotonically per rank).
@@ -19,30 +19,17 @@ pub(crate) enum PostOp {
     },
     Irecv {
         req: ReqId,
-        src: Peer,
-        tag: TagSel,
+        src: usize,
+        tag: Tag,
     },
-    /// Local computation: advances the rank's virtual clock by `span`
-    /// without touching the network (the `Compute(γ)` op of the
-    /// schedule IR).
-    Compute {
-        span: SimSpan,
-    },
-}
-
-/// How a set of requests is waited on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WaitMode {
-    All,
-    Any,
 }
 
 /// A blocking operation: the rank parks until the engine resumes it.
 #[derive(Debug)]
 pub(crate) enum BlockOp {
+    /// Wait until every request in `reqs` has completed.
     Wait {
         reqs: Vec<ReqId>,
-        mode: WaitMode,
     },
     Barrier,
     /// Read the rank's local virtual clock (resumes immediately).
@@ -58,24 +45,13 @@ pub(crate) enum RankMsg {
     Panicked { rank: usize, message: String },
 }
 
-/// Completion report for one waited request.
-#[derive(Debug)]
-pub(crate) struct Completion {
-    pub req: ReqId,
-    /// Payload for receives; `None` for sends.
-    pub payload: Option<Bytes>,
-    /// (source, tag) of the matched message for receives.
-    pub origin: Option<(usize, Tag)>,
-}
-
 /// The engine's reply that unparks a blocked rank.
 #[derive(Debug)]
 pub(crate) enum Resume {
-    /// The blocking operation finished at `now` (the rank's new local time).
-    Ready {
-        now: SimTime,
-        completions: Vec<Completion>,
-    },
+    /// The blocking operation finished at `now` (the rank's new local
+    /// time); a wait hands back the payloads of its receives in request
+    /// order.
+    Ready { now: SimTime, payloads: Vec<Bytes> },
     /// The simulation is being torn down (another rank panicked or the
     /// engine detected an unrecoverable error); the rank thread must exit.
     Abort,

@@ -21,8 +21,8 @@ pub(crate) struct AbortToken;
 /// Which execution tier runs a simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// One OS thread per rank (the general-purpose oracle; supports
-    /// arbitrary rank closures, wildcards and `wait_any_recv`).
+    /// One OS thread per rank (the oracle; runs any rank closure as
+    /// written, payload bytes included).
     Threads,
     /// Record the program once, compile the schedule to a static timing
     /// DAG ([`crate::TimingDag`]), then evaluate payload-free with zero
@@ -100,6 +100,7 @@ pub struct SimOutcome<T> {
 /// identical timings).
 ///
 /// ```
+/// use collsel_mpi::Comm;
 /// use collsel_support::Bytes;
 /// use collsel_netsim::ClusterModel;
 ///
@@ -109,8 +110,7 @@ pub struct SimOutcome<T> {
 ///         ctx.send(1, 0, Bytes::from_static(b"hi"));
 ///         0
 ///     } else {
-///         let (data, _) = ctx.recv(0, 0);
-///         data.len()
+///         ctx.recv(0, 0).len()
 ///     }
 /// })
 /// .expect("no deadlock");

@@ -3,7 +3,7 @@
 //! string useful enough to debug the cycle, and must never hang the
 //! host test process.
 
-use collsel_mpi::{simulate, simulate_with, SimError, SimOptions};
+use collsel_mpi::{simulate, simulate_with, Comm, SimError, SimOptions};
 use collsel_netsim::{ClusterModel, NoiseParams, SimSpan};
 use collsel_support::Bytes;
 

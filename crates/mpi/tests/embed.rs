@@ -3,16 +3,15 @@
 //! world-sized recording context.
 
 use collsel_mpi::{
-    record_schedule, Comm, GroupComm, OpShape, Peer, RecordError, Schedule, SimError, TagSel,
-    GROUP_TAG_STRIDE,
+    record_schedule, Comm, GroupComm, RecordError, SchedOp, Schedule, SimError, GROUP_TAG_STRIDE,
 };
-use collsel_netsim::{ClusterModel, SimSpan};
+use collsel_netsim::ClusterModel;
 use collsel_support::prelude::*;
 use collsel_support::Bytes;
 use std::collections::BTreeSet;
 
 /// A two-phase neighbour exchange on any communicator of at least two
-/// ranks: single waits, a compute, then a wait-all over two requests.
+/// ranks: single waits, then a wait-all over two requests.
 fn exchange<C: Comm>(ctx: &mut C, len: usize) {
     let p = ctx.size();
     let next = (ctx.rank() + 1) % p;
@@ -21,7 +20,6 @@ fn exchange<C: Comm>(ctx: &mut C, len: usize) {
     let s = ctx.isend(next, 0, Bytes::symbolic(len));
     let _ = ctx.wait_recv(r);
     ctx.wait_send(s);
-    ctx.compute(SimSpan::from_nanos(100));
     let back = ctx.irecv(next, 1);
     let again = ctx.irecv(next, 1);
     ctx.send(prev, 1, Bytes::symbolic(len / 2));
@@ -75,7 +73,7 @@ fn overlapping_groups_sharing_a_rank_pair_stay_in_their_tag_windows() {
     let windows: BTreeSet<u32> = step.shape()[1]
         .iter()
         .filter_map(|op| match op {
-            OpShape::Isend { dst: 2, tag, .. } => Some(tag / GROUP_TAG_STRIDE),
+            SchedOp::Isend { dst: 2, tag, .. } => Some(tag / GROUP_TAG_STRIDE),
             _ => None,
         })
         .collect();
@@ -95,7 +93,7 @@ fn request_ids_continue_across_calls_and_non_members_stay_untouched() {
         shape[rank]
             .iter()
             .filter_map(|op| match op {
-                OpShape::Isend { req, .. } | OpShape::Irecv { req, .. } => Some(*req),
+                SchedOp::Isend { req, .. } | SchedOp::Irecv { req, .. } => Some(*req),
                 _ => None,
             })
             .collect()
@@ -110,10 +108,10 @@ fn request_ids_continue_across_calls_and_non_members_stay_untouched() {
     // and its left neighbour (group rank 1) is world rank 3.
     assert_eq!(
         shape[4][shape[4].len() / 2],
-        OpShape::Irecv {
+        SchedOp::Irecv {
             req: 6,
-            src: Peer::Rank(3),
-            tag: TagSel::Exact(2 * GROUP_TAG_STRIDE),
+            src: 3,
+            tag: 2 * GROUP_TAG_STRIDE,
         }
     );
 }

@@ -1,7 +1,7 @@
 //! Property tests of the MPI runtime: random communication patterns
 //! must complete, route correctly, and keep virtual time coherent.
 
-use collsel_mpi::simulate;
+use collsel_mpi::{simulate, Comm};
 use collsel_netsim::{ClusterModel, NoiseParams, SimSpan, SimTime};
 use collsel_support::prelude::*;
 use collsel_support::Bytes;
@@ -18,8 +18,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Permutation routing: every rank sends one message according to a
-    /// random permutation and receives exactly the message addressed to
-    /// it.
+    /// random permutation and receives, from the rank the inverse
+    /// permutation names, exactly the message addressed to it.
     #[test]
     fn permutation_routing(
         p in 2usize..12,
@@ -34,26 +34,30 @@ proptest! {
             let j = (state >> 33) as usize % (i + 1);
             perm.swap(i, j);
         }
+        let mut inverse = vec![0; p];
+        for (src, &dst) in perm.iter().enumerate() {
+            inverse[dst] = src;
+        }
         let perm2 = perm.clone();
         let out = simulate(&cluster(p), p, 0, move |ctx| {
             let dst = perm2[ctx.rank()];
-            let r = ctx.irecv(collsel_mpi::Peer::Any, 7);
+            let r = ctx.irecv(inverse[ctx.rank()], 7);
             let s = ctx.isend(dst, 7, Bytes::from(vec![ctx.rank() as u8; len]));
             ctx.wait_send(s);
-            let (data, status) = ctx.wait_recv(r);
-            (data[0] as usize, status.source, data.len())
+            let data = ctx.wait_recv(r);
+            (data[0] as usize, data.len())
         }).unwrap();
-        for (rank, &(payload_src, status_src, got_len)) in out.results.iter().enumerate() {
-            prop_assert_eq!(payload_src, status_src);
-            prop_assert_eq!(perm[status_src], rank, "message misrouted");
+        for (rank, &(payload_src, got_len)) in out.results.iter().enumerate() {
+            prop_assert_eq!(perm[payload_src], rank, "message misrouted");
             prop_assert_eq!(got_len, len);
         }
     }
 
-    /// Random many-to-one traffic with wildcard receives: the root
-    /// receives exactly the multiset of messages sent.
+    /// Random many-to-one traffic: the root receives each sender's
+    /// count of messages from that sender, every one carrying the
+    /// sender's rank, and nothing is lost.
     #[test]
-    fn many_to_one_with_wildcards(
+    fn many_to_one_delivers_every_message(
         p in 2usize..10,
         counts in prop::collection::vec(0usize..5, 1..10),
     ) {
@@ -63,18 +67,20 @@ proptest! {
         let out = simulate(&cluster(p), p, 0, move |ctx| {
             if ctx.rank() == 0 {
                 let mut seen = vec![0usize; ctx.size()];
-                for _ in 0..total {
-                    let (_, status) = ctx.recv(collsel_mpi::Peer::Any, 3);
-                    seen[status.source] += 1;
+                for src in 1..ctx.size() {
+                    for _ in 0..per_rank2[src - 1] {
+                        seen[ctx.recv(src, 3)[0] as usize] += 1;
+                    }
                 }
                 seen
             } else {
                 for _ in 0..per_rank2[ctx.rank() - 1] {
-                    ctx.send(0, 3, Bytes::from_static(b"x"));
+                    ctx.send(0, 3, Bytes::from(vec![ctx.rank() as u8]));
                 }
                 Vec::new()
             }
         }).unwrap();
+        prop_assert_eq!(out.results[0].iter().sum::<usize>(), total);
         for (i, &expected) in per_rank.iter().enumerate() {
             prop_assert_eq!(out.results[0][i + 1], expected);
         }

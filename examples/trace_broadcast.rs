@@ -7,7 +7,7 @@
 //! ```
 
 use collsel::coll::{bcast, BcastAlg};
-use collsel::mpi::simulate_traced;
+use collsel::mpi::{simulate_traced, Comm};
 use collsel::netsim::trace::{summarize, to_chrome_trace};
 use collsel::netsim::{ClusterModel, NoiseParams};
 use collsel_support::Bytes;

@@ -2,7 +2,7 @@
 //! and the noise stream are functions of the seed alone.
 
 use collsel::coll::{bcast, BcastAlg};
-use collsel::mpi::simulate_traced;
+use collsel::mpi::{simulate_traced, Comm};
 use collsel::netsim::{ClusterModel, Fabric, SimTime, TransferRecord};
 use collsel_support::Bytes;
 

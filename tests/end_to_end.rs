@@ -3,7 +3,7 @@
 
 use collsel::coll::{bcast, Alg, BcastAlg, Collective};
 use collsel::estim::{measure, Precision, TimedProgram};
-use collsel::mpi::simulate;
+use collsel::mpi::{simulate, Comm};
 use collsel::netsim::{ClusterModel, NoiseParams};
 use collsel::select::{fixed_selection, CollSelection, CollectiveSelector};
 use collsel::{Tuner, TunerConfig};

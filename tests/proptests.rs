@@ -4,7 +4,7 @@
 use collsel::coll::{bcast, gather_linear, scatter_binomial, Alg, BcastAlg, Collective, Topology};
 use collsel::estim::{huber_default, ols};
 use collsel::model::{derived, FitValidity, GammaTable, Hockney};
-use collsel::mpi::simulate;
+use collsel::mpi::{simulate, Comm};
 use collsel::netsim::{ClusterModel, NoiseParams, SimSpan};
 use collsel::select::{
     fixed_selection, CollectiveModelSelector, CollectiveSelector, DecisionSource,

@@ -21,10 +21,9 @@ use collsel::coll::{
     run_collective, Alg, BcastAlg, Collective, ReduceOp,
 };
 use collsel::mpi::{
-    record_schedule, simulate, Comm, Ctx, OpShape, Peer, RecvRequest, RecvStatus, Schedule,
-    SendRequest, Tag, TagSel,
+    record_schedule, simulate, Comm, Ctx, RecvRequest, SchedOp, Schedule, SendRequest, Tag,
 };
-use collsel::netsim::{ClusterModel, SimSpan, SimTime};
+use collsel::netsim::{ClusterModel, SimTime};
 use collsel::{Tuner, TunerConfig};
 use collsel_expt::replay::{step_calls, ReplayPolicy};
 use collsel_expt::workload::{canned_dp, canned_pp, TraceGen, TracePreset};
@@ -37,12 +36,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// timed, threaded simulation of the program actually issued.
 struct OracleCtx<'a> {
     inner: &'a mut Ctx,
-    ops: Vec<OpShape>,
+    ops: Vec<SchedOp>,
 }
 
 impl OracleCtx<'_> {
     fn wait_all(&mut self, reqs: Vec<u32>) {
-        self.ops.push(OpShape::Wait { reqs, any: false });
+        self.ops.push(SchedOp::Wait { reqs });
     }
 }
 
@@ -58,7 +57,7 @@ impl Comm for OracleCtx<'_> {
     fn isend(&mut self, dst: usize, tag: Tag, payload: Bytes) -> SendRequest {
         let len = payload.len();
         let req = self.inner.isend(dst, tag, payload);
-        self.ops.push(OpShape::Isend {
+        self.ops.push(SchedOp::Isend {
             req: req.id(),
             dst,
             tag,
@@ -67,10 +66,9 @@ impl Comm for OracleCtx<'_> {
         req
     }
 
-    fn irecv(&mut self, src: impl Into<Peer>, tag: impl Into<TagSel>) -> RecvRequest {
-        let (src, tag) = (src.into(), tag.into());
+    fn irecv(&mut self, src: usize, tag: Tag) -> RecvRequest {
         let req = self.inner.irecv(src, tag);
-        self.ops.push(OpShape::Irecv {
+        self.ops.push(SchedOp::Irecv {
             req: req.id(),
             src,
             tag,
@@ -83,7 +81,7 @@ impl Comm for OracleCtx<'_> {
         self.inner.wait_send(req);
     }
 
-    fn wait_recv(&mut self, req: RecvRequest) -> (Bytes, RecvStatus) {
+    fn wait_recv(&mut self, req: RecvRequest) -> Bytes {
         self.wait_all(vec![req.id()]);
         self.inner.wait_recv(req)
     }
@@ -95,37 +93,21 @@ impl Comm for OracleCtx<'_> {
         self.inner.wait_all_sends(reqs);
     }
 
-    fn wait_all_recvs(&mut self, reqs: Vec<RecvRequest>) -> Vec<(Bytes, RecvStatus)> {
+    fn wait_all_recvs(&mut self, reqs: Vec<RecvRequest>) -> Vec<Bytes> {
         if !reqs.is_empty() {
             self.wait_all(reqs.iter().map(RecvRequest::id).collect());
         }
         self.inner.wait_all_recvs(reqs)
     }
 
-    fn wait_any_recv(
-        &mut self,
-        reqs: Vec<RecvRequest>,
-    ) -> (usize, Bytes, RecvStatus, Vec<RecvRequest>) {
-        self.ops.push(OpShape::Wait {
-            reqs: reqs.iter().map(RecvRequest::id).collect(),
-            any: true,
-        });
-        self.inner.wait_any_recv(reqs)
-    }
-
     fn barrier(&mut self) {
-        self.ops.push(OpShape::Barrier);
+        self.ops.push(SchedOp::Barrier);
         self.inner.barrier();
     }
 
     fn wtime(&mut self) -> SimTime {
-        self.ops.push(OpShape::Wtime);
+        self.ops.push(SchedOp::Wtime);
         self.inner.wtime()
-    }
-
-    fn compute(&mut self, span: SimSpan) {
-        self.ops.push(OpShape::Compute { span });
-        self.inner.compute(span);
     }
 }
 
@@ -134,7 +116,7 @@ fn oracle_shape(
     cluster: &ClusterModel,
     ranks: usize,
     program: impl Fn(&mut OracleCtx<'_>) + Sync,
-) -> Vec<Vec<OpShape>> {
+) -> Vec<Vec<SchedOp>> {
     simulate(cluster, ranks, 0, |ctx| {
         let mut oracle = OracleCtx {
             inner: ctx,
@@ -147,7 +129,7 @@ fn oracle_shape(
     .results
 }
 
-fn assert_same(sched: &Schedule, oracle: &[Vec<OpShape>], what: &str) {
+fn assert_same(sched: &Schedule, oracle: &[Vec<SchedOp>], what: &str) {
     let shape = sched.shape();
     assert_eq!(shape.len(), oracle.len(), "{what}: rank count");
     for (rank, (got, want)) in shape.iter().zip(oracle).enumerate() {
@@ -256,7 +238,7 @@ fn the_timed_programs_record_what_the_threaded_oracle_issues() {
                     oc.send(1, 0, msg.clone());
                     let _ = oc.recv(1, 1);
                 } else {
-                    let (data, _) = oc.recv(0, 0);
+                    let data = oc.recv(0, 0);
                     oc.send(0, 1, data);
                 }
                 let _ = oc.wtime();

@@ -7,7 +7,7 @@ use collsel::coll::{reduce, ReduceAlg, ReduceOp};
 use collsel::estim::{estimate_gamma, huber_default, GammaConfig, Precision};
 use collsel::model::reduce_ext::{predict_reduce, reduce_coefficients};
 use collsel::model::{GammaTable, Hockney};
-use collsel::mpi::simulate;
+use collsel::mpi::{simulate, Comm};
 use collsel::netsim::{ClusterModel, NoiseParams};
 use collsel_support::Bytes;
 

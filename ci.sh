@@ -70,7 +70,7 @@ echo "==> soak gate: decision-server chaos suite at COLLSEL_THREADS=2"
 COLLSEL_THREADS=2 RUSTFLAGS='-D warnings' \
     cargo test --offline -q -p collsel-repro --test soak
 
-echo "==> pinned-values gate: tune-cold and replay-cold at seed 42 must reproduce the pinned results"
+echo "==> pinned-values gate: tune-cold and replay-cold at seed 42 must reproduce the pinned results, and serve-* and a traced tune-cold must pass"
 # The benchmark digests the model JSON of both presets. Schedules feed
 # DAGs feed samples feed fits, so a recorder (or any other) change that
 # alters a single recorded op shifts a fit and changes a digest here,
@@ -112,6 +112,20 @@ pinned() {
 }
 pinned tune-cold "model_digest.gros = $DIGEST_GROS" "model_digest.grisou = $DIGEST_GRISOU"
 pinned replay-cold "expt.jct_tuned_ms = $JCT_TUNED_MS"
+# The serving workloads pin no value, only their exit code: 0 means every
+# sampled answer equals its generation's tables and the server's source
+# counters partition the answers, under concurrent readers and hot swaps.
+pinned serve-calm
+pinned serve-brownout
+# Only a traced tune-cold checks that the layer walk accounts for the
+# estimation stages and that adaptive campaigns rebuild the exhaustive
+# tables; it must exit 0 too. The accounting check compares two ~20 ms
+# wall times with a 10 % margin, so on a 2-core host it fails about one
+# run in ten with no code change (ROADMAP 8(d)).
+./target/benchmark/release/collsel-benchmark --workload tune-cold --seed 42 \
+    --seconds 1 --runs 1 --trace 1 > /dev/null || {
+    echo "ci.sh: traced benchmark tune-cold failed" >&2; exit 1;
+}
 
 echo "==> counted gate: a cold replay at the benchmark geometry records 38 collective templates"
 # The same four (trace, policy) replays as replay-cold, in a process of
@@ -190,7 +204,9 @@ echo "==> unwrap/expect ratchet (one ceiling per crate)"
 # and the completion-to-payload unwrap go with the surface that needed
 # them (the engine now hands a wait its payloads), and the engine takes
 # an unexpected message straight out of its queue.
-UNWRAP_CEILINGS="coll=63 core=9 estim=10 expt=20 model=1 mpi=45 netsim=22 select=22 support=34"
+# support 32 = 34 - 2: the epoch-swap stress and drain tests run on
+# scoped threads and barriers, so their two joins go (in test code).
+UNWRAP_CEILINGS="coll=63 core=9 estim=10 expt=20 model=1 mpi=45 netsim=22 select=22 support=32"
 for dir in crates/*/src; do
     crate=$(basename "$(dirname "$dir")")
     ceiling=$(echo "$UNWRAP_CEILINGS" | tr ' ' '\n' | sed -n "s/^$crate=//p")
@@ -381,5 +397,15 @@ COLLSEL_THREADS=2 ./target/release/colltune serve \
 test -f "$smoke_dir/serve-journal.json" || {
     echo "ci.sh: serve journal missing" >&2; exit 1;
 }
+# The soak is seeded, so its answer counts are pinned (the report's
+# top-level fields, two-space indented): 2 installed swaps, 1 poisoned
+# refit rejected, 10 attributed fallbacks.
+for want in '"swaps": 2,' '"rejected_refits": 1,' '"fallbacks": 10,'; do
+    grep -qxF "  $want" "$smoke_dir/serve-report.json" || {
+        echo "ci.sh: serve report lacks '$want'" >&2
+        grep -E '^  "(swaps|rejected_refits|fallbacks)"' "$smoke_dir/serve-report.json" >&2
+        exit 1
+    }
+done
 
 echo "ci.sh: all green"

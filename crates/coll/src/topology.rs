@@ -108,13 +108,32 @@ impl Topology {
     pub fn k_ary(fanout: usize, p: usize, root: usize) -> Self {
         Self::check(p, root);
         assert!(fanout > 0, "tree fanout must be positive");
-        let vparent = (0..p).map(|v| (v > 0).then(|| (v - 1) / fanout)).collect();
+        let vparent = (0..p)
+            .map(|v| (v > 0).then(|| k_ary_parent(fanout, v)))
+            .collect();
         Self::from_virtual_edges(p, root, vparent)
     }
 
     /// Heap-shaped binary tree (`build_tree(2)`).
     pub fn binary(p: usize, root: usize) -> Self {
         Self::k_ary(2, p, root)
+    }
+
+    /// Height of [`binary`](Self::binary)`(p, _)`, without building it:
+    /// heap depth never decreases with the virtual rank, so it is the
+    /// depth of the last rank.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p == 0`.
+    pub fn binary_height(p: usize) -> usize {
+        Self::check(p, 0);
+        let (mut v, mut depth) = (p - 1, 0);
+        while v > 0 {
+            v = k_ary_parent(2, v);
+            depth += 1;
+        }
+        depth
     }
 
     /// In-order binary tree (`build_in_order_bintree`): each subtree
@@ -133,7 +152,7 @@ impl Topology {
                 return;
             }
             let rest = hi - lo; // number of descendants
-            let left = rest.div_ceil(2);
+            let left = in_order_left(rest);
             vparent[lo + 1] = Some(lo);
             build(vparent, lo + 1, lo + left);
             if rest > left {
@@ -143,6 +162,23 @@ impl Topology {
         }
         build(&mut vparent, 0, p - 1);
         Self::from_virtual_edges(p, root, vparent)
+    }
+
+    /// Height of [`in_order_binary`](Self::in_order_binary)`(p, _)`,
+    /// without building it: the left subtree is never the smaller one,
+    /// so the deepest rank is reached by always descending left.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p == 0`.
+    pub fn in_order_binary_height(p: usize) -> usize {
+        Self::check(p, 0);
+        let (mut rest, mut depth) = (p - 1, 0);
+        while rest > 0 {
+            rest = in_order_left(rest) - 1;
+            depth += 1;
+        }
+        depth
     }
 
     /// Balanced binomial tree (`build_bmtree`, paper Fig. 2): the
@@ -215,6 +251,17 @@ impl Topology {
     }
 }
 
+/// Parent of virtual rank `v > 0` in the heap-shaped `fanout`-ary tree.
+fn k_ary_parent(fanout: usize, v: usize) -> usize {
+    (v - 1) / fanout
+}
+
+/// Size of the left subtree of an in-order binary subtree root with
+/// `rest > 0` descendants: the first, larger half.
+fn in_order_left(rest: usize) -> usize {
+    rest.div_ceil(2)
+}
+
 impl fmt::Display for Topology {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "tree(p={}, root={})", self.p, self.root)?;
@@ -264,6 +311,22 @@ mod tests {
                 assert_spanning_tree(&Topology::in_order_binary(p, root));
                 assert_spanning_tree(&Topology::binomial(p, root));
             }
+        }
+    }
+
+    #[test]
+    fn heights_without_trees_equal_the_built_trees() {
+        for p in 1..=1024 {
+            assert_eq!(
+                Topology::binary_height(p),
+                Topology::binary(p, 0).height(),
+                "binary p={p}"
+            );
+            assert_eq!(
+                Topology::in_order_binary_height(p),
+                Topology::in_order_binary(p, 0).height(),
+                "in-order binary p={p}"
+            );
         }
     }
 

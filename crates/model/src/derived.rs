@@ -8,7 +8,10 @@
 //!    tree level, and each stage is a *non-blocking linear broadcast* to
 //!    that node's children, costed `γ(children+1)·(α + m_s·β)` (Eq. 2);
 //! 2. tree heights come from the **actual topology builders** (the same
-//!    code the algorithms run), not from idealised `log₂ P` formulas.
+//!    code the algorithms run: `Topology::binary_height` and
+//!    `Topology::in_order_binary_height` walk the builders' own parent
+//!    rules without allocating a tree), not from idealised `log₂ P`
+//!    formulas.
 //!
 //! Every cost is returned as [`Coefficients`] `(a, b)` with
 //! `T = a·α + b·β`, which the estimation crate turns into the linear
@@ -78,14 +81,14 @@ pub fn bcast_coefficients(
             let half = m.div_ceil(2);
             let ns_h = num_segments(half, seg_size);
             let ms_h = half as f64 / ns_h as f64;
-            let depth = Topology::in_order_binary(p, 0).height() as f64;
+            let depth = Topology::in_order_binary_height(p) as f64;
             let pipe = (depth + ns_h as f64 - 1.0) * gamma.gamma(3);
             Coefficients::new(pipe + 1.0, pipe * ms_h + (m as f64 - half as f64).max(1.0))
         }
         // Heap binary tree: fill over the tree height, then one segment
         // per γ(3) stage.
         BcastAlg::Binary => {
-            let depth = Topology::binary(p, 0).height() as f64;
+            let depth = Topology::binary_height(p) as f64;
             let a = (depth + ns as f64 - 1.0) * gamma.gamma(3);
             Coefficients::new(a, a * m_s)
         }

@@ -63,12 +63,12 @@ pub fn reduce_coefficients(
             Coefficients::new(stages, stages * m_s)
         }
         ReduceAlg::Binary => {
-            let depth = Topology::binary(p, 0).height() as f64;
+            let depth = Topology::binary_height(p) as f64;
             let a = (depth + ns as f64 - 1.0) * gamma.gamma(3);
             Coefficients::new(a, a * m_s)
         }
         ReduceAlg::InOrderBinary => {
-            let depth = Topology::in_order_binary(p, 0).height() as f64;
+            let depth = Topology::in_order_binary_height(p) as f64;
             let a = (depth + ns as f64 - 1.0) * gamma.gamma(3);
             Coefficients::new(a, a * m_s)
         }

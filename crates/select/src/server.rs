@@ -47,6 +47,7 @@ use collsel_coll::{Alg, Collective};
 use collsel_model::FitValidity;
 use collsel_netsim::{FaultPlan, SimTime};
 use collsel_support::epoch::EpochSwap;
+use collsel_support::stripe::Striped;
 use collsel_support::{FromJson, Json, ToJson};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -283,22 +284,26 @@ collsel_support::json_struct!(JournalRecord {
     tables
 });
 
-/// The words every [`DecisionServer::decide`] writes, kept on cache
-/// lines of their own. Concurrent readers bounce these lines on every
-/// request; sharing one with the read-mostly configuration or the
-/// generation cell would turn each of those reads into a miss too (the
-/// serving benchmark's decide loop ran ~1.8× slower on a 2-core host
-/// with the clock on the line that holds the current-generation index).
+/// The words every [`DecisionServer::decide`] writes, on cache lines
+/// of their own so the read-mostly configuration and generation cell
+/// never share a line with them.
+///
+/// The per-source answer counters are pure bookkeeping, so they are
+/// [`Striped`]: each serving thread bumps its own line and
+/// [`DecisionServer::stats`] sums them. The virtual clock is the one
+/// word all serving threads still share, because every answer depends
+/// on it: each request reads it, prices its lookup with the fault plan
+/// at that instant, and advances it by the price, so the clock must be
+/// one sequence of instants for the answers, fallback causes and
+/// brown-out windows to stay what they are.
 #[derive(Debug, Default)]
 #[repr(align(128))]
 struct HotCounters {
     /// Virtual serving clock in nanoseconds; advanced by each request's
     /// charged cost. The fault schedule is evaluated against it.
     clock: AtomicU64,
-    served_current: AtomicU64,
-    served_previous_timeout: AtomicU64,
-    served_rules_timeout: AtomicU64,
-    served_rules_uncovered: AtomicU64,
+    /// Answers by [`ServeSource`], indexed by `source as usize`.
+    served: Striped<4>,
 }
 
 /// The long-running decision server (see the module docs).
@@ -422,6 +427,14 @@ impl DecisionServer {
     /// Answers one query under the watchdog (see the module docs for
     /// the cost model). Never panics and never blocks on a swap.
     pub fn decide(&self, collective: Collective, p: usize, m: usize) -> ServedAnswer {
+        let answer = self.answer(collective, p, m);
+        self.hot.served.local()[answer.source as usize].fetch_add(1, Ordering::Relaxed);
+        answer
+    }
+
+    /// The body of [`decide`](Self::decide): the answer and its source,
+    /// before the source is counted.
+    fn answer(&self, collective: Collective, p: usize, m: usize) -> ServedAnswer {
         let gen = self.generations.pin();
         // Deterministic virtual cost of serving from the current
         // generation right now.
@@ -430,9 +443,6 @@ impl DecisionServer {
         let cost_ns = (BASE_COST_NS as f64 * factor).round() as u64;
         self.hot.clock.fetch_add(cost_ns, Ordering::Relaxed);
         if !gen.tables.covers(collective) {
-            self.hot
-                .served_rules_uncovered
-                .fetch_add(1, Ordering::Relaxed);
             return ServedAnswer {
                 selection: fixed_selection(collective, p, m),
                 epoch: 0,
@@ -440,7 +450,6 @@ impl DecisionServer {
             };
         }
         if cost_ns <= BUDGET_NS {
-            self.hot.served_current.fetch_add(1, Ordering::Relaxed);
             return ServedAnswer {
                 selection: gen.tables.lookup(collective, p, m),
                 epoch: gen.version,
@@ -455,9 +464,6 @@ impl DecisionServer {
         // meets.
         if let Some((prev_version, prev_tables)) = &gen.prev {
             if prev_tables.covers(collective) {
-                self.hot
-                    .served_previous_timeout
-                    .fetch_add(1, Ordering::Relaxed);
                 return ServedAnswer {
                     selection: prev_tables.lookup(collective, p, m),
                     epoch: *prev_version,
@@ -465,9 +471,6 @@ impl DecisionServer {
                 };
             }
         }
-        self.hot
-            .served_rules_timeout
-            .fetch_add(1, Ordering::Relaxed);
         ServedAnswer {
             selection: fixed_selection(collective, p, m),
             epoch: 0,
@@ -489,6 +492,9 @@ impl DecisionServer {
     ///    slowdown beyond 25 % on any canary rejects the candidate.
     ///    (Skipped when the live generation has no referee, i.e. right
     ///    after journal recovery.)
+    ///
+    /// Concurrent refits are serialised from gate 2 on, so the live
+    /// generation a candidate is scored against is the one it replaces.
     pub fn submit_refit(&self, candidate: &CollectiveModelSelector, label: &str) -> RefitOutcome {
         // Gate 1: fit validity.
         let invalid: Vec<(Alg, FitValidity)> = candidate
@@ -501,79 +507,88 @@ impl DecisionServer {
             self.rejected_invalid.fetch_add(1, Ordering::Relaxed);
             return RefitOutcome::RejectedInvalidFit { invalid };
         }
+        // From here on, refits are serialised: the generation the
+        // candidate is scored against is the one it replaces.
+        let _guard = self.install_lock.lock().expect("install lock");
+        let (version, cluster, referee, prev) = self.generations.read(|g| {
+            (
+                g.version + 1,
+                g.cluster.clone(),
+                g.referee.clone(),
+                Some((g.version, Arc::clone(&g.tables))),
+            )
+        });
         // Gate 2: shadow score against the live referee.
-        let referee = self.generations.read(|g| g.referee.clone());
         if let Some(referee) = referee {
-            let config = &self.config;
-            let canaries = Collective::ALL.into_iter().flat_map(|c| {
-                config
-                    .comm_sizes
-                    .iter()
-                    .flat_map(move |&p| config.msg_sizes.iter().map(move |&m| (c, p, m)))
-            });
-            let mut regressions = 0usize;
-            for (c, p, m) in canaries {
-                let cand_pick = candidate.decide(c, p, m).selection.alg;
-                let live_pick = referee.decide(c, p, m).selection.alg;
-                if cand_pick == live_pick {
-                    continue;
-                }
-                let (Some(t_cand), Some(t_live)) = (
-                    referee.predicted_time(cand_pick, p, m),
-                    referee.predicted_time(live_pick, p, m),
-                ) else {
-                    // The live models cannot price one of the picks
-                    // (e.g. an algorithm the live fit skipped): the
-                    // disagreement is unscoreable, not a regression.
-                    continue;
-                };
-                if t_cand > t_live * (1.0 + TOLERANCE) {
-                    regressions += 1;
-                }
-            }
+            let regressions = self.regressions(&referee, candidate);
             if regressions > 0 {
                 self.rejected_regression.fetch_add(1, Ordering::Relaxed);
                 return RefitOutcome::RejectedRegression {
                     regressions,
                     canaries: Collective::ALL.len()
-                        * config.comm_sizes.len()
-                        * config.msg_sizes.len(),
+                        * self.config.comm_sizes.len()
+                        * self.config.msg_sizes.len(),
                 };
             }
         }
         // Passed: compile and install.
         let tables = Self::compile_generation(candidate, &self.config);
-        let installed = Arc::clone(&tables);
-        let epoch = {
-            let _guard = self.install_lock.lock().expect("install lock");
-            let (version, cluster, prev) = self.generations.read(|g| {
-                (
-                    g.version + 1,
-                    g.cluster.clone(),
-                    Some((g.version, Arc::clone(&g.tables))),
-                )
-            });
-            let generation = Generation {
-                version,
-                label: label.to_string(),
-                cluster,
-                tables,
-                referee: Some(Arc::new(candidate.clone())),
-                prev,
-            };
-            let started = std::time::Instant::now();
-            self.generations.swap(generation);
-            let nanos = started.elapsed().as_nanos() as u64;
-            self.swap_nanos_total.fetch_add(nanos, Ordering::Relaxed);
-            self.swap_nanos_max.fetch_max(nanos, Ordering::Relaxed);
-            self.swaps.fetch_add(1, Ordering::Relaxed);
-            version
+        let generation = Generation {
+            version,
+            label: label.to_string(),
+            cluster,
+            tables: Arc::clone(&tables),
+            referee: Some(Arc::new(candidate.clone())),
+            prev,
         };
+        let started = std::time::Instant::now();
+        self.generations.swap(generation);
+        let nanos = started.elapsed().as_nanos() as u64;
+        self.swap_nanos_total.fetch_add(nanos, Ordering::Relaxed);
+        self.swap_nanos_max.fetch_max(nanos, Ordering::Relaxed);
+        self.swaps.fetch_add(1, Ordering::Relaxed);
         self.journal_current();
         RefitOutcome::Installed {
-            epoch,
-            tables: installed,
+            epoch: version,
+            tables,
         }
+    }
+
+    /// The shadow score: how many canaries — every collective on the
+    /// compile grid — `candidate` is predicted to regress by more than
+    /// [`TOLERANCE`], pricing both picks of each disagreement with
+    /// `referee`'s models.
+    fn regressions(
+        &self,
+        referee: &CollectiveModelSelector,
+        candidate: &CollectiveModelSelector,
+    ) -> usize {
+        let config = &self.config;
+        let canaries = Collective::ALL.into_iter().flat_map(|c| {
+            config
+                .comm_sizes
+                .iter()
+                .flat_map(move |&p| config.msg_sizes.iter().map(move |&m| (c, p, m)))
+        });
+        canaries
+            .filter(|&(c, p, m)| {
+                let cand_pick = candidate.decide(c, p, m).selection.alg;
+                let live_pick = referee.decide(c, p, m).selection.alg;
+                if cand_pick == live_pick {
+                    return false;
+                }
+                // When the live models cannot price one of the picks
+                // (e.g. an algorithm the live fit skipped), the
+                // disagreement is unscoreable, not a regression.
+                match (
+                    referee.predicted_time(cand_pick, p, m),
+                    referee.predicted_time(live_pick, p, m),
+                ) {
+                    (Some(t_cand), Some(t_live)) => t_cand > t_live * (1.0 + TOLERANCE),
+                    _ => false,
+                }
+            })
+            .count()
     }
 
     /// Journals the current generation (temp file + rename, so a crash
@@ -613,10 +628,13 @@ impl DecisionServer {
         let swaps = self.swaps.load(Ordering::Relaxed);
         let total = self.swap_nanos_total.load(Ordering::Relaxed);
         ServerStats {
-            served_current: self.hot.served_current.load(Ordering::Relaxed),
-            served_previous_timeout: self.hot.served_previous_timeout.load(Ordering::Relaxed),
-            served_rules_timeout: self.hot.served_rules_timeout.load(Ordering::Relaxed),
-            served_rules_uncovered: self.hot.served_rules_uncovered.load(Ordering::Relaxed),
+            served_current: self.hot.served.sum(ServeSource::Current as usize),
+            served_previous_timeout: self
+                .hot
+                .served
+                .sum(ServeSource::PreviousAfterTimeout as usize),
+            served_rules_timeout: self.hot.served.sum(ServeSource::RulesAfterTimeout as usize),
+            served_rules_uncovered: self.hot.served.sum(ServeSource::RulesUncovered as usize),
             swaps,
             rejected_invalid: self.rejected_invalid.load(Ordering::Relaxed),
             rejected_regression: self.rejected_regression.load(Ordering::Relaxed),
@@ -638,6 +656,7 @@ mod tests {
     use collsel_model::{GammaTable, Hockney};
     use collsel_netsim::Brownout;
     use std::collections::BTreeMap;
+    use std::sync::atomic::AtomicUsize;
 
     fn gamma() -> GammaTable {
         GammaTable::from_pairs([(3, 1.11), (4, 1.22), (5, 1.28), (6, 1.45), (7, 1.54)])
@@ -702,6 +721,109 @@ mod tests {
         assert!(stats.swap_nanos_max > 0);
         let a = server.decide(Collective::Bcast, 16, 1024);
         assert_eq!(a.epoch, 2);
+    }
+
+    #[test]
+    fn concurrent_decides_are_all_counted_and_charged() {
+        const THREADS: usize = 4;
+        const DECIDES: usize = 5_000;
+        let server = DecisionServer::new(&selector_with(false), "test", small_config());
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                let server = &server;
+                scope.spawn(move || {
+                    for i in 0..DECIDES {
+                        let c = Collective::ALL[i % Collective::ALL.len()];
+                        assert_eq!(server.decide(c, 16, 1024).source, ServeSource::Current);
+                    }
+                });
+            }
+        });
+        let n = (THREADS * DECIDES) as u64;
+        let stats = server.stats();
+        assert_eq!((stats.served_current, stats.queries()), (n, n));
+        assert_eq!(server.now(), SimTime::from_nanos(n * BASE_COST_NS));
+    }
+
+    /// A selector with [`selector_with`]`(false)`'s fits for every
+    /// collective but reduce, and only `fits` (algorithm index, β) for
+    /// reduce.
+    fn reduce_variant(fits: &[(usize, f64)]) -> CollectiveModelSelector {
+        let mut params: BTreeMap<Alg, Hockney> = selector_with(false)
+            .params()
+            .iter()
+            .filter(|(a, _)| a.collective() != Collective::Reduce)
+            .map(|(&a, &h)| (a, h))
+            .collect();
+        let reduce = Collective::Reduce.algorithms();
+        for &(i, beta) in fits {
+            params.insert(reduce[i], Hockney::new(1e-6, beta));
+        }
+        let validity = params.keys().map(|&a| (a, FitValidity::Valid)).collect();
+        CollectiveModelSelector::new(gamma(), params, validity, 8192)
+    }
+
+    #[test]
+    fn concurrent_refits_are_each_scored_against_the_generation_they_replace() {
+        // `healthy` fits four reduce algorithms, `left` and `right` the
+        // two binary trees, each preferring a different one. Neither
+        // side can price the other's reduce picks, so `healthy` and
+        // either tree variant pass against each other; the two tree
+        // variants flip each other's large-message decisions and fail.
+        let healthy = reduce_variant(&[(0, 1e-9), (1, 2e-9), (2, 3e-9), (5, 4e-9)]);
+        let left = reduce_variant(&[(3, 1e-9), (4, 1e-7)]);
+        let right = reduce_variant(&[(3, 1e-7), (4, 1e-9)]);
+        let candidates = [&healthy, &left, &right];
+        let server = DecisionServer::new(&healthy, "test", small_config());
+        for (a, b) in [(1, 0), (2, 0), (0, 1), (0, 2)] {
+            assert_eq!(server.regressions(candidates[a], candidates[b]), 0);
+        }
+        assert!(server.regressions(&left, &right) > 0);
+        assert!(server.regressions(&right, &left) > 0);
+
+        // Two threads interleave a tree variant with the healthy fits;
+        // `installed[epoch]` is 1 + the candidate that generation runs.
+        const ROUNDS: usize = 40;
+        let installed: Vec<AtomicUsize> =
+            (0..2 * ROUNDS + 2).map(|_| AtomicUsize::new(0)).collect();
+        installed[1].store(1, Ordering::SeqCst);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for side in [1, 2] {
+                let (server, installed, start) = (&server, &installed, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for round in 0..ROUNDS {
+                        let pick = if round % 2 == 0 { side } else { 0 };
+                        let outcome = server.submit_refit(candidates[pick], "race");
+                        if let RefitOutcome::Installed { epoch, .. } = outcome {
+                            installed[epoch as usize].store(1 + pick, Ordering::SeqCst);
+                        }
+                    }
+                });
+            }
+        });
+        let stats = server.stats();
+        assert_eq!(stats.swaps + stats.rejected_regression, 2 * ROUNDS as u64);
+        let generations: Vec<usize> = installed[1..]
+            .iter()
+            .map(|g| g.load(Ordering::SeqCst))
+            .take_while(|&g| g > 0)
+            .map(|g| g - 1)
+            .collect();
+        assert_eq!(
+            generations.len() as u64,
+            stats.swaps + 1,
+            "versions are dense"
+        );
+        for (epoch, pair) in (2..).zip(generations.windows(2)) {
+            assert_eq!(
+                server.regressions(candidates[pair[0]], candidates[pair[1]]),
+                0,
+                "generation {epoch} was never scored against generation {}",
+                epoch - 1
+            );
+        }
     }
 
     #[test]

@@ -18,17 +18,25 @@
 //!   writer performing the reclaiming swap waits for the drain.
 //!
 //! The implementation is a small ring of generation slots guarded by
-//! per-slot pin counts — atomics only, no locks on the read path. A
-//! reader increments the current slot's pin count and then *validates*
-//! that the slot is still current; a writer reuses a slot only after the
-//! slot has been out of service for [`SLOTS`]` - 1` consecutive swaps
-//! *and* its pin count has drained to zero. All cross-thread ordering on
-//! the current-slot index and the pin counts is `SeqCst`, which makes
-//! the validate-after-increment protocol airtight: if a reader's
-//! validation load still observes the slot as current, its pin-count
-//! increment is ordered before the writer's drain check in the single
-//! total order, so the writer cannot have missed it.
+//! per-slot pin counts — atomics only, no locks on the read path. Each
+//! slot's pin count is [striped](crate::stripe): a reader increments
+//! the count of the current slot *on its own stripe*, so concurrent
+//! readers write different cache lines, and the guard remembers the
+//! stripe so its drop decrements the same count. A reader then
+//! *validates* that the slot is still current; a writer reuses a slot
+//! only after the slot has been out of service for [`SLOTS`]` - 1`
+//! consecutive swaps *and* its pin count has drained to zero on every
+//! stripe. All cross-thread ordering on the current-slot index and the
+//! pin counts is `SeqCst`, which makes the validate-after-increment
+//! protocol airtight stripe by stripe: if a reader's validation load
+//! still observes the slot as current, its increment on its stripe is
+//! ordered before the writer's drain check of that stripe in the single
+//! total order, so the writer cannot have missed it. A pin of a slot
+//! that is no longer current may be missed by a drain, but it fails its
+//! validation (or, if the slot has become current again, reads the new
+//! pointer) and never dereferences the reclaimed one.
 
+use crate::stripe::{stripe, Striped};
 use std::fmt;
 use std::marker::PhantomData;
 use std::ops::Deref;
@@ -39,10 +47,10 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering}
 /// slot waits for the guard to drop.
 pub const SLOTS: usize = 4;
 
-/// One ring slot: a pin count, the epoch stored in the slot, and the
-/// heap pointer to the generation value.
+/// One ring slot: the epoch stored in the slot and the heap pointer to
+/// the generation value (its pin count lives in [`EpochSwap`]'s
+/// striped `pinners`).
 struct Slot<T> {
-    pinners: AtomicUsize,
     epoch: AtomicU64,
     ptr: AtomicPtr<T>,
 }
@@ -50,7 +58,6 @@ struct Slot<T> {
 impl<T> Slot<T> {
     fn empty() -> Self {
         Slot {
-            pinners: AtomicUsize::new(0),
             epoch: AtomicU64::new(0),
             ptr: AtomicPtr::new(std::ptr::null_mut()),
         }
@@ -64,6 +71,9 @@ impl<T> Slot<T> {
 /// reads never block and never observe a partially installed value.
 pub struct EpochSwap<T> {
     slots: [Slot<T>; SLOTS],
+    /// Pin counts: stripe `s`, counter `i` counts the guards of slot `i`
+    /// taken on stripe `s`.
+    pinners: Striped<SLOTS>,
     current: AtomicUsize,
     epoch: AtomicU64,
     writing: AtomicBool,
@@ -85,6 +95,7 @@ impl<T> EpochSwap<T> {
             .store(Box::into_raw(Box::new(initial)), Ordering::Relaxed);
         EpochSwap {
             slots,
+            pinners: Striped::new(),
             current: AtomicUsize::new(0),
             epoch: AtomicU64::new(1),
             writing: AtomicBool::new(false),
@@ -101,9 +112,11 @@ impl<T> EpochSwap<T> {
     /// it. The guard keeps the generation alive (a writer wanting to
     /// reclaim its slot waits), so drop it promptly.
     pub fn pin(&self) -> EpochGuard<'_, T> {
+        let stripe = stripe();
+        let pins = self.pinners.at(stripe);
         loop {
             let idx = self.current.load(Ordering::SeqCst);
-            self.slots[idx].pinners.fetch_add(1, Ordering::SeqCst);
+            pins[idx].fetch_add(1, Ordering::SeqCst);
             if self.current.load(Ordering::SeqCst) == idx {
                 // Validated: the slot was current at a point after our
                 // pin count was published, so the writer protocol keeps
@@ -113,6 +126,7 @@ impl<T> EpochSwap<T> {
                 debug_assert!(!ptr.is_null(), "current slot holds a generation");
                 return EpochGuard {
                     swap: self,
+                    stripe,
                     idx,
                     ptr,
                     epoch,
@@ -121,7 +135,7 @@ impl<T> EpochSwap<T> {
             }
             // A swap moved the current slot between our load and our
             // pin; unpin and retry on the new slot.
-            self.slots[idx].pinners.fetch_sub(1, Ordering::SeqCst);
+            pins[idx].fetch_sub(1, Ordering::SeqCst);
             std::hint::spin_loop();
         }
     }
@@ -142,10 +156,13 @@ impl<T> EpochSwap<T> {
         let cur = self.current.load(Ordering::SeqCst);
         let next = (cur + 1) % SLOTS;
         // Drain: wait for every reader of the generation previously
-        // stored in the target slot. New readers cannot pin it (it is
-        // not current), so the count only decreases.
-        while self.slots[next].pinners.load(Ordering::SeqCst) != 0 {
-            std::thread::yield_now();
+        // stored in the target slot, stripe by stripe. New readers
+        // cannot keep a pin on it (it is not current, so their
+        // validation fails), so each count only returns to zero.
+        for pins in self.pinners.stripes(next) {
+            while pins.load(Ordering::SeqCst) != 0 {
+                std::thread::yield_now();
+            }
         }
         let old = self.slots[next]
             .ptr
@@ -194,6 +211,8 @@ impl<T: fmt::Debug> fmt::Debug for EpochSwap<T> {
 /// and keeps the generation alive until dropped.
 pub struct EpochGuard<'a, T> {
     swap: &'a EpochSwap<T>,
+    /// The stripe whose pin count this guard incremented.
+    stripe: usize,
     idx: usize,
     ptr: *const T,
     epoch: u64,
@@ -219,9 +238,7 @@ impl<T> Deref for EpochGuard<'_, T> {
 
 impl<T> Drop for EpochGuard<'_, T> {
     fn drop(&mut self) {
-        self.swap.slots[self.idx]
-            .pinners
-            .fetch_sub(1, Ordering::SeqCst);
+        self.swap.pinners.at(self.stripe)[self.idx].fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -237,8 +254,9 @@ impl<T: fmt::Debug> fmt::Debug for EpochGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stripe::STRIPES;
     use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
+    use std::sync::Barrier;
 
     #[test]
     fn initial_value_is_epoch_one() {
@@ -274,64 +292,76 @@ mod tests {
     }
 
     #[test]
-    fn reclaiming_swap_waits_for_drain() {
-        let cell = Arc::new(EpochSwap::new(0usize));
-        let guard = cell.pin();
-        for i in 1..SLOTS {
-            cell.swap(i);
-        }
-        // The next swap must reuse the pinned slot: it blocks until the
-        // guard drops.
-        let swapped = Arc::new(AtomicBool::new(false));
-        let t = {
-            let cell = Arc::clone(&cell);
-            let swapped = Arc::clone(&swapped);
-            std::thread::spawn(move || {
-                cell.swap(SLOTS);
-                swapped.store(true, Ordering::SeqCst);
-            })
-        };
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        assert!(
-            !swapped.load(Ordering::SeqCst),
-            "swap must wait for the pinned generation to drain"
-        );
-        drop(guard);
-        t.join().unwrap();
-        assert!(swapped.load(Ordering::SeqCst));
-        assert_eq!(*cell.pin(), SLOTS);
-    }
-
-    #[test]
     fn concurrent_readers_always_see_a_whole_generation() {
-        // Each generation is a (n, n * 3) pair; a torn read would break
-        // the invariant. Hammer with readers while a writer swaps.
-        let cell = Arc::new(EpochSwap::new((0u64, 0u64)));
-        let stop = Arc::new(AtomicBool::new(false));
-        let readers: Vec<_> = (0..4)
-            .map(|_| {
-                let cell = Arc::clone(&cell);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
+        // Generation n is (n, 3n) at epoch n + 1; a torn read would
+        // break the pairing. More readers than stripes hammer the cell
+        // while a writer swaps, so some stripes carry several readers'
+        // pins.
+        let cell = EpochSwap::new((0u64, 0u64));
+        let stop = AtomicBool::new(false);
+        let started = Barrier::new(STRIPES + 5);
+        std::thread::scope(|scope| {
+            for _ in 0..STRIPES + 4 {
+                let (cell, stop, started) = (&cell, &stop, &started);
+                scope.spawn(move || {
+                    started.wait();
                     let mut last_epoch = 0;
                     while !stop.load(Ordering::Relaxed) {
                         let g = cell.pin();
                         let (a, b) = *g;
-                        assert_eq!(b, a * 3, "torn generation");
+                        assert_eq!((b, g.epoch()), (a * 3, a + 1), "torn generation");
                         assert!(g.epoch() >= last_epoch, "epoch went backwards");
                         last_epoch = g.epoch();
                     }
-                })
-            })
-            .collect();
-        for n in 1..=2000u64 {
-            cell.swap((n, n * 3));
-        }
-        stop.store(true, Ordering::SeqCst);
-        for r in readers {
-            r.join().unwrap();
-        }
-        assert_eq!(cell.epoch(), 2001);
+                });
+            }
+            started.wait();
+            for n in 1..=200u64 {
+                assert_eq!(cell.swap((n, n * 3)), n + 1);
+            }
+            stop.store(true, Ordering::SeqCst);
+        });
+        assert_eq!(cell.epoch(), 201);
+        assert_eq!(*cell.pin(), (200, 600));
+    }
+
+    #[test]
+    fn reclaiming_swap_waits_for_drain() {
+        // The guard lives on a thread of its own (its own stripe); the
+        // swap that reuses its slot must wait until that thread drops it.
+        let cell = EpochSwap::new(0usize);
+        let released = AtomicBool::new(false);
+        let (pinned, release) = (Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|scope| {
+            let (cell, released) = (&cell, &released);
+            let (pinned, release) = (&pinned, &release);
+            scope.spawn(move || {
+                let guard = cell.pin();
+                pinned.wait();
+                release.wait();
+                // The pinned generation is intact however far the
+                // writer has got.
+                assert_eq!((*guard, guard.epoch()), (0, 1));
+                released.store(true, Ordering::SeqCst);
+                drop(guard);
+            });
+            pinned.wait();
+            // SLOTS - 1 swaps leave the pinned slot alone.
+            for i in 1..SLOTS {
+                cell.swap(i);
+            }
+            scope.spawn(move || {
+                cell.swap(SLOTS);
+                assert!(
+                    released.load(Ordering::SeqCst),
+                    "the reclaiming swap finished before the guard dropped"
+                );
+            });
+            // Give a broken drain the time to finish early.
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            release.wait();
+        });
+        assert_eq!((*cell.pin(), cell.epoch()), (SLOTS, SLOTS as u64 + 1));
     }
 
     #[test]

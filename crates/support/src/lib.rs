@@ -17,10 +17,12 @@
 //! The implementations cover exactly the subset of the upstream APIs the
 //! workspace uses — they are not general-purpose replacements.
 //!
-//! [`payload`] is the one module that replaces nothing external: it is
-//! the shared memoised store for deterministic measurement payloads
-//! (with hit/miss counters) used by the threaded measurement tier, the
-//! end-to-end benchmark and the differential tests.
+//! Two modules replace nothing external. [`payload`] is the shared
+//! memoised store for deterministic measurement payloads (with hit/miss
+//! counters) used by the threaded measurement tier, the end-to-end
+//! benchmark and the differential tests. [`stripe`] is the counter type
+//! for words every serving thread writes: [`stripe::Striped`] keeps one
+//! cache line per thread stripe, so concurrent writers do not share one.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -32,6 +34,7 @@ pub mod payload;
 pub mod pool;
 pub mod prop;
 pub mod rng;
+pub mod stripe;
 
 pub use bytes::Bytes;
 pub use epoch::{EpochGuard, EpochSwap};
